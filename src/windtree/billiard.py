@@ -11,9 +11,32 @@ an obstacle side, every collision coordinate lies on the fixed lattice
 (1/N) Z with N = 2*q*s*u*v*lcm(den(x0), den(y0)): vertical side lines
 live on (1/2q) Z, horizontal ones on (1/2s) Z, and propagating a
 coordinate along the ray multiplies differences by u/v or v/u, which the
-factors u*v in N absorb.  The stepper below works in integer multiples
-of 1/N throughout, so exactness is structural; the divisions it performs
-are checked to be exact at runtime.
+factors u*v in N absorb.  The grid-line stepper `_Engine` works in integer
+multiples of 1/N throughout, so exactness is structural; the divisions it
+performs are checked to be exact at runtime.
+
+Orbits are stepped on the boundary return map instead.  A collision state
+modulo the lattice is one of 8 outgoing domains k (a side with one of the
+two orientations leaving it) and a transverse coordinate t: the offset
+along the side in units of 1/N, divided by u on vertical sides and by v
+on horizontal ones.  By the lattice invariant every collision has X a
+multiple of v and Y a multiple of u, so t is an integer.  For a fixed
+slope the first return to the boundary is a piecewise translation,
+t' = +-t + shift with a constant cell displacement and a flight X-extent
+affine in t, with about 20 pieces.  The breakpoints are the side points
+whose ray runs into a corner first; they are found by tracing the 4
+corners back along the 3 directions that leave each one, with `_Engine`
+at n0 = 1, and each piece is read off from two engine steps just inside
+its ends on the 3-times finer lattice, where no breakpoint lies.  The
+map is built once per (params, slope), kept in a small LRU cache, and
+scaled by n0 for each start: the table geometry, the breakpoints and the
+shifts all scale with N.  A step is then one bisection and a few integer
+additions, a start exactly on a breakpoint is a corner hit, and every
+quantity the map produces is one the engine would produce, so exactness
+still holds.  Pieces whose flights cross more grid lines than the build
+allows (slopes close to a rational one on tables with open corridors)
+are left unresolved; an orbit entering one takes that step with the
+engine, from the orbit's own cell, so a corner hit there is exact too.
 
 Geometric lengths are reported as the exact rational number of copies of
 the primitive direction vector (v, u) traversed; the Euclidean length is
@@ -24,12 +47,15 @@ comparison in the rationals.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 from math import gcd
 
 from .errors import CornerHit, DomainError
-from .exact import Params, PointQ, Slope
+from .exact import ORIENTATIONS, Params, PointQ, Slope
 
 LEFT, RIGHT, BOTTOM, TOP = "left", "right", "bottom", "top"
 SIDES = (LEFT, RIGHT, BOTTOM, TOP)
@@ -272,33 +298,200 @@ class _Engine:
             raise AssertionError("point off the collision lattice")
         return int(X), int(Y)
 
-    def reduced_key(self, side: str, X: int, Y: int, m: int, n: int,
-                    sx: int, sy: int) -> tuple:
+    def point(self, k: int, t: int, m: int, n: int) -> tuple:
+        """(X, Y) of transverse coordinate t on the domain-k side of the
+        obstacle at cell (m, n)."""
+        N = self.N
+        if k < 4:
+            X = m * N + (self.beta if k >= 2 else -self.beta)
+            return X, n * N - self.gamma + self.u * t
+        Y = n * N + (self.gamma if k >= 6 else -self.gamma)
+        return m * N - self.beta + self.v * t, Y
+
+    def transverse(self, side: str, X: int, Y: int, m: int, n: int) -> int:
+        """Offset of a side point from the side's low end, over u on
+        vertical sides and over v on horizontal ones."""
         if side in VERTICAL_SIDES:
-            off = Y - (n * self.N - self.gamma)
-        else:
-            off = X - (m * self.N - self.beta)
-        return (side, off, sx, sy)
+            return self._div(Y - (n * self.N - self.gamma), self.u)
+        return self._div(X - (m * self.N - self.beta), self.v)
 
 
-def _engine_for_state(params: Params, state: BilliardState) -> "_Engine":
-    n0 = _lcm(state.position.x.denominator, state.position.y.denominator)
-    return _Engine(params, state.slope, n0)
+# The 8 outgoing domains of the return map: each side with the two
+# orientations that point away from the obstacle.  _Engine.point relies on
+# the order: vertical sides first, left before right, bottom before top.
+DOMAINS = ((LEFT, (-1, 1)), (LEFT, (-1, -1)), (RIGHT, (1, 1)), (RIGHT, (1, -1)),
+           (BOTTOM, (1, -1)), (BOTTOM, (-1, -1)), (TOP, (1, 1)), (TOP, (-1, 1)))
+_DOMAIN_INDEX = {dom: k for k, dom in enumerate(DOMAINS)}
+
+
+def _map_step(eng: _Engine, k: int, t: int, m: int = 0, n: int = 0):
+    """One engine step from (k, t) on the obstacle at cell (m, n), as
+    (k', t', m', n', adx), or None past the engine's cap.  A CornerHit
+    carries the true corner, so the cell must be the true one."""
+    X, Y = eng.point(k, t, m, n)
+    res = eng.step(X, Y, *DOMAINS[k][1])
+    if res is None:
+        return None
+    X, Y, side, m, n, sx, sy, adx = res
+    return (_DOMAIN_INDEX[side, (sx, sy)], eng.transverse(side, X, Y, m, n),
+            m, n, adx)
+
+
+# Grid lines a flight may cross while the map is built.  Only slopes very
+# close to a rational one, on tables with open corridors, fly further; the
+# pieces such flights cross are stepped by the engine.
+_BUILD_CAP = 1024
+
+
+# Fixed size: a run steps one slope (and its shadow) at a time, and a
+# surface query a handful.
+@lru_cache(maxsize=16)
+def _return_map(params: Params, u: int, v: int) -> tuple:
+    """The boundary return map of slope u/v at lattice scale n0 = 1.
+
+    Returns (cuts, pieces, corners), each indexed by domain.  cuts[k] is
+    the sorted list of breakpoints, then the side length as a sentinel;
+    pieces[k][i] = (k', flip, shift, dm, dn, c0, c1) is the map on the
+    open interval just below cuts[k][i]: t' = shift - t if flip else
+    shift + t, in domain k', with the cell moved by (dm, dn) and
+    |dX| = c0 + c1*t; or None where a flight was too long to resolve.
+    corners[k][i] is the corner, relative to the start cell, that
+    breakpoint cuts[k][i] runs into.
+    """
+    slope = Slope(u, v)
+    eng = _Engine(params, slope, 1)
+    eng3 = _Engine(params, slope, 3)
+    # Corner back-traces get a few more grid lines than piece probes; see
+    # the probes below for why.
+    eng3.cap = min(eng3.cap, _BUILD_CAP)
+    eng.cap = min(eng.cap, _BUILD_CAP + 16)
+    # A breakpoint is a side point whose ray runs into a corner first:
+    # trace each corner back along every direction not pointing into its
+    # obstacle.  A back-trace that meets another corner first belongs to
+    # that corner.
+    hits = [{} for _ in DOMAINS]
+    for cx, cy in ORIENTATIONS:
+        for rx, ry in ORIENTATIONS:
+            if (rx, ry) == (-cx, -cy):
+                continue
+            try:
+                res = eng.step(cx * eng.beta, cy * eng.gamma, rx, ry)
+            except CornerHit:
+                continue
+            if res is None:
+                continue
+            X, Y, side, m, n = res[:5]
+            k = _DOMAIN_INDEX[side, (-rx, -ry)]
+            t = eng.transverse(side, X, Y, m, n)
+            if hits[k].setdefault(t, (cx, cy, -m, -n)) != (cx, cy, -m, -n):
+                raise AssertionError("two corners claim one breakpoint")
+    # Probe each piece just inside both ends, on the three-times finer
+    # lattice where breakpoints are multiples of 3.  When both probes land
+    # on the same side of the same obstacle, any corner that cut the
+    # piece would lie in the parallelogram their rays span, so its
+    # back-trace would cross at most a few grid lines more than the longer
+    # probe and its breakpoint would be known: the piece is one
+    # translation, t' = +-t + shift with |dX| affine in t.  Otherwise a
+    # breakpoint behind a long flight cuts it, and it is left unresolved.
+    a2, b2 = params.a / 2, params.b / 2
+    cuts, pieces, corners = [], [], []
+    for k in range(len(DOMAINS)):
+        length = 2 * (eng.gamma // u if k < 4 else eng.beta // v)
+        ts = sorted(hits[k])
+        cuts.append(tuple(ts) + (length,))
+        corners.append(tuple(
+            (dm + cx * a2, dn + cy * b2)
+            for cx, cy, dm, dn in (hits[k][t] for t in ts)))
+        row = []
+        for lo, hi in zip([0] + ts, ts + [length]):
+            t1, t2 = 3 * lo + 1, 3 * hi - 1
+            ends = _map_step(eng3, k, t1), _map_step(eng3, k, t2)
+            if None in ends:
+                row.append(None)
+                continue
+            (k1, s1, m, n, adx1), (k2, s2, m2, n2, adx2) = ends
+            if (k1, m, n) != (k2, m2, n2):
+                row.append(None)
+                continue
+            flip = s2 - s1 == t1 - t2
+            c1, rem = divmod(adx2 - adx1, t2 - t1)
+            shift = s1 + t1 if flip else s1 - t1
+            c0 = adx1 - c1 * t1
+            if abs(s2 - s1) != t2 - t1 or rem or c1 not in (0, v, -v) \
+                    or shift % 3 or c0 % 3:
+                raise AssertionError("return map piece is not a translation")
+            row.append((k1, flip, shift // 3, m, n, c0 // 3, c1))
+        pieces.append(tuple(row))
+    return tuple(cuts), tuple(pieces), tuple(corners)
+
+
+class Orbit:
+    """The forward collisions of a non-axis start, stepped on the boundary
+    return map.
+
+    Iterating yields (k, t, m, n, adx) per collision: the outgoing domain
+    ``DOMAINS[k]``, the transverse coordinate t, the obstacle cell and the
+    X-extent |dX| of the flight to it, all in units of 1/N of ``lattice``.
+    Raises CornerHit with the exact corner when the flow reaches one.
+    Every iteration starts again from the start state.
+    """
+
+    __slots__ = ("lattice", "k", "t", "cell", "_cuts", "_pieces", "_corners")
+
+    def __init__(self, start: BilliardState, params: Params):
+        slope = start.slope
+        if slope.is_axis:
+            raise DomainError("axis slopes are classified analytically, not stepped")
+        k = _DOMAIN_INDEX.get((start.side, tuple(start.orientation)))
+        if k is None:
+            raise DomainError("direction does not leave the named side")
+        n0 = _lcm(start.position.x.denominator, start.position.y.denominator)
+        self.lattice = lat = _Engine(params, slope, n0)
+        X, Y = lat.encode(start.position)
+        self.k = k
+        self.cell = start.cell
+        self.t = lat.transverse(start.side, X, Y, *start.cell)
+        cuts, pieces, self._corners = _return_map(params, slope.u, slope.v)
+        self._cuts = [[n0 * c for c in cs] for cs in cuts]
+        self._pieces = [[None if p is None else
+                         (p[0], p[1], n0 * p[2], p[3], p[4], n0 * p[5], p[6])
+                         for p in row] for row in pieces]
+
+    def __iter__(self):
+        cuts, pieces = self._cuts, self._pieces
+        k, t = self.k, self.t
+        m, n = self.cell
+        while True:
+            cs = cuts[k]
+            i = bisect_left(cs, t)
+            if cs[i] == t:
+                dx, dy = self._corners[k][i]
+                raise CornerHit(m + dx, n + dy)
+            piece = pieces[k][i]
+            if piece is None:  # a flight too long for the map build
+                k, t, m, n, adx = _map_step(self.lattice, k, t, m, n)
+            else:
+                k, flip, shift, dm, dn, c0, c1 = piece
+                adx = c0 + c1 * t
+                t = shift - t if flip else shift + t
+                m += dm
+                n += dn
+            yield k, t, m, n, adx
+
+    def position(self, k: int, t: int, m: int, n: int) -> PointQ:
+        """Exact point of a collision the iteration yielded."""
+        N = self.lattice.N
+        X, Y = self.lattice.point(k, t, m, n)
+        return PointQ(Fraction(X, N), Fraction(Y, N))
 
 
 def next_collision(state: BilliardState, params: Params) -> BilliardState:
     """One exact collision step.  Raises CornerHit at corners."""
-    if state.slope.is_axis:
-        raise DomainError("axis slopes are classified analytically, not stepped")
-    eng = _engine_for_state(params, state)
-    X, Y = eng.encode(state.position)
-    sx, sy = state.orientation
-    res = eng.step(X, Y, sx, sy)
-    if res is None:
-        raise AssertionError("a ray from an obstacle side always returns to one")
-    Xn, Yn, side, m, n, sxn, syn, _ = res
-    pos = PointQ(Fraction(Xn, eng.N), Fraction(Yn, eng.N))
-    return BilliardState(pos, side, (m, n), (sxn, syn), state.slope)
+    walk = Orbit(state, params)
+    k, t, m, n, _ = next(iter(walk))
+    side, orientation = DOMAINS[k]
+    return BilliardState(walk.position(k, t, m, n), side, (m, n), orientation,
+                         state.slope)
 
 
 def _classify_axis(state: BilliardState, params: Params) -> TrajectoryOutcome:
@@ -331,47 +524,40 @@ def classify_trajectory(start: BilliardState, params: Params,
     if start.slope.is_axis:
         return _classify_axis(start, params)
 
-    eng = _engine_for_state(params, start)
-    X, Y = eng.encode(start.position)
-    sx, sy = start.orientation
+    walk = Orbit(start, params)
     m, n = start.cell
-    side = start.side
-    seen = {}
+    seen = {walk.t << 3 | walk.k: (0, m, n, 0)}
     total_dx = 0
-    for i in range(max_collisions + 1):
-        key = eng.reduced_key(side, X, Y, m, n, sx, sy)
-        if key in seen:
-            i0, m0, n0, dx0 = seen[key]
-            drift = (m - m0, n - n0)
-            lam = Fraction(total_dx - dx0, eng.v * eng.N)
-            kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
-            return TrajectoryOutcome(kind, i - i0, lam, drift, i0,
-                                     repeat_cells=((m0, n0), (m, n)))
-        seen[key] = (i, m, n, total_dx)
-        try:
-            res = eng.step(X, Y, sx, sy)
-        except CornerHit as hit:
-            corner = PointQ(hit.x, hit.y)
-            lam = Fraction(total_dx, eng.v * eng.N)  # up to the last collision
-            return TrajectoryOutcome(Outcome.SINGULAR, i, lam, (0, 0), 0,
-                                     corner=corner)
-        if res is None:
-            raise AssertionError("free flight from an obstacle side is impossible")
-        X, Y, side, m, n, sx, sy, adx = res
-        total_dx += adx
-    lam = Fraction(total_dx, eng.v * eng.N)
-    return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions, lam, (0, 0), 0)
+    i = 0
+    vN = start.slope.v * walk.lattice.N
+    try:
+        for k, t, m, n, adx in walk:
+            i += 1
+            total_dx += adx
+            if i > max_collisions:
+                break
+            key = t << 3 | k  # the reduced state (k, t) as one int
+            if key in seen:
+                i0, m0, n0, dx0 = seen[key]
+                drift = (m - m0, n - n0)
+                kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
+                return TrajectoryOutcome(kind, i - i0,
+                                         Fraction(total_dx - dx0, vN), drift,
+                                         i0, repeat_cells=((m0, n0), (m, n)))
+            seen[key] = (i, m, n, total_dx)
+    except CornerHit as hit:
+        # length up to the last collision
+        return TrajectoryOutcome(Outcome.SINGULAR, i, Fraction(total_dx, vN),
+                                 (0, 0), 0, corner=PointQ(hit.x, hit.y))
+    return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
+                             Fraction(total_dx, vN), (0, 0), 0)
 
 
 def collision_sequence(start: BilliardState, params: Params,
                        n_collisions: int) -> list:
     """The (side, cell) combinatorics of the first n collisions."""
-    out = []
-    state = start
-    for _ in range(n_collisions):
-        state = next_collision(state, params)
-        out.append((state.side, state.cell))
-    return out
+    return [(DOMAINS[k][0], (m, n))
+            for k, _t, m, n, _adx in islice(Orbit(start, params), n_collisions)]
 
 
 def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath:
@@ -401,18 +587,14 @@ def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath
                                       (m, nn + sy), (sx, -sy), state.slope)
             points.append(state.position)
         return TracedPath(tuple(points))
-    eng = _engine_for_state(params, start)
-    X, Y = eng.encode(start.position)
-    sx, sy = start.orientation
-    for _ in range(n_collisions):
-        try:
-            res = eng.step(X, Y, sx, sy)
-        except CornerHit as hit:
-            corner = PointQ(hit.x, hit.y)
-            points.append(corner)
-            return TracedPath(tuple(points), singular=True, corner=corner)
-        X, Y, _side, _m, _n, sx, sy, _adx = res
-        points.append(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)))
+    walk = Orbit(start, params)
+    try:
+        for k, t, m, n, _adx in islice(walk, n_collisions):
+            points.append(walk.position(k, t, m, n))
+    except CornerHit as hit:
+        corner = PointQ(hit.x, hit.y)
+        points.append(corner)
+        return TracedPath(tuple(points), singular=True, corner=corner)
     return TracedPath(tuple(points))
 
 

@@ -266,7 +266,8 @@ def cmd_recur(cfg: RunConfig) -> int:
     params = Params.parse(cfg.params)
     direction = _parse_theta(cfg)
     report = experiments.recurrence_experiment(
-        params, direction, cfg.samples, cfg.horizon, cfg.seed, jobs=cfg.jobs)
+        params, direction, cfg.samples, cfg.horizon, cfg.seed, jobs=cfg.jobs,
+        shadow=direction.quantized)
     frac = report.returned_fraction
     print(f"returned {frac.numerator}/{frac.denominator} "
           f"= {float(frac):.4f} of {cfg.samples} starts "

@@ -92,11 +92,15 @@ class Slope:
     def parse(text: str) -> "Slope":
         """Parse 'u/v' (or a bare integer 'u' meaning u/1)."""
         text = text.strip()
-        if "/" in text:
-            us, vs = text.split("/")
-            u, v = int(us), int(vs)
-        else:
-            u, v = int(text), 1
+        try:
+            if "/" in text:
+                us, vs = text.split("/")
+                u, v = int(us), int(vs)
+            else:
+                u, v = int(text), 1
+        except ValueError as exc:
+            raise DomainError(f"cannot parse slope {text!r} "
+                              "(expected u/v)") from exc
         if u < 0 or v < 0:
             raise DomainError(f"slope must be non-negative: {text!r}")
         g = gcd(u, v)

@@ -12,11 +12,12 @@ instead of reporting corrupted statistics.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .billiard import (BOTTOM, LEFT, RIGHT, TOP, Outcome, _engine_for_state,
+from .billiard import (BOTTOM, LEFT, RIGHT, TOP, Orbit, Outcome,
                        classify_trajectory, collision_sequence, make_state,
                        regular_start, side_length)
 from .errors import CornerHit, DomainError, PrecisionError
@@ -177,57 +178,51 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
                            "returned", 2, (0, 0),
                            2 * (1 - (params.a if slope.is_horizontal else params.b)))
         return out
-    state = make_state(params, (0, 0), start.side, start.offset, slope,
-                       start.orientation)
-    eng = _engine_for_state(params, state)
-    X, Y = eng.encode(state.position)
-    sx, sy = state.orientation
+    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
+                            start.orientation), params)
+    vN = slope.v * walk.lattice.N
     shadow = None
     if shadow_slope is not None:
-        sh_state = make_state(params, (0, 0), start.side, start.offset,
-                              shadow_slope, start.orientation)
-        sh_eng = _engine_for_state(params, sh_state)
-        shadow = [sh_eng, *sh_eng.encode(sh_state.position), sx, sy]
-    def check_shadow(i, X, Y):
-        sh_eng = shadow[0]
-        dx = abs(Fraction(X, eng.N) - Fraction(shadow[1], sh_eng.N))
-        dy = abs(Fraction(Y, eng.N) - Fraction(shadow[2], sh_eng.N))
+        sh_walk = Orbit(make_state(params, (0, 0), start.side, start.offset,
+                                   shadow_slope, start.orientation), params)
+        shadow = iter(sh_walk)
+
+    def check_shadow(i, cur, sh_cur):
+        p, q = walk.position(*cur), sh_walk.position(*sh_cur)
+        dx, dy = abs(p.x - q.x), abs(p.y - q.y)
         if dx > SHADOW_TOLERANCE or dy > SHADOW_TOLERANCE:
             raise PrecisionError(
                 f"shadow divergence {float(max(dx, dy)):.3e} at "
                 f"collision {i} exceeds 2^-30")
 
+    steps = iter(walk)
     total_dx = 0
     m = n = 0
     for i in range(1, horizon + 1):
         try:
-            res = eng.step(X, Y, sx, sy)
+            k, t, m, n, adx = next(steps)
         except CornerHit:
             return SampleResult(start.sample_id, start.side, start.offset,
                                 "singular", None, (m, n),
-                                Fraction(total_dx, slope.v * eng.N))
-        X, Y, _side, m, n, sx, sy, adx = res
+                                Fraction(total_dx, vN))
         total_dx += adx
         if shadow is not None:
-            sh_eng = shadow[0]
             try:
-                sres = sh_eng.step(shadow[1], shadow[2], shadow[3], shadow[4])
+                sh_cur = next(shadow)[:4]
             except CornerHit:
                 raise PrecisionError("shadow run became singular; the "
                                      "direction precision cannot be trusted")
-            shadow[1], shadow[2], shadow[3], shadow[4] = sres[0], sres[1], sres[5], sres[6]
             if i % CHECKPOINT_EVERY == 0:
-                check_shadow(i, X, Y)
-        if (m, n) == (0, 0):
+                check_shadow(i, (k, t, m, n), sh_cur)
+        if m == 0 and n == 0:
             if shadow is not None:
-                check_shadow(i, X, Y)
+                check_shadow(i, (k, t, m, n), sh_cur)
             return SampleResult(start.sample_id, start.side, start.offset,
-                                "returned", i, (0, 0),
-                                Fraction(total_dx, slope.v * eng.N))
+                                "returned", i, (0, 0), Fraction(total_dx, vN))
     if shadow is not None:
-        check_shadow(horizon, X, Y)
+        check_shadow(horizon, (k, t, m, n), sh_cur)
     return SampleResult(start.sample_id, start.side, start.offset,
-                        "lost", None, (m, n), Fraction(total_dx, slope.v * eng.N))
+                        "lost", None, (m, n), Fraction(total_dx, vN))
 
 
 def recurrence_experiment(params: Params, direction: DirectionSpec,
@@ -237,6 +232,8 @@ def recurrence_experiment(params: Params, direction: DirectionSpec,
     obstacle within the collision budget."""
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
     slope = direction.slope
     starts = sample_boundary_starts(params, slope, n_samples, seed)
     shadow_slope = None
@@ -246,6 +243,7 @@ def recurrence_experiment(params: Params, direction: DirectionSpec,
         shadow_slope = quantize_direction(direction.source,
                                           2 * direction.precision_bits).slope
     args = [(params, slope, st, horizon, shadow_slope) for st in starts]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -303,29 +301,30 @@ class DiffusionReport:
 
 def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
                       horizon: int, stop_at: float | None):
-    state = make_state(params, (0, 0), start.side, start.offset, slope,
-                       start.orientation)
-    eng = _engine_for_state(params, state)
-    X0, Y0 = eng.encode(state.position)
-    X, Y, (sx, sy) = X0, Y0, state.orientation
+    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
+                            start.orientation), params)
+    lattice = walk.lattice
+    N = lattice.N
+    X0, Y0 = lattice.point(walk.k, walk.t, 0, 0)
     speed = math.hypot(slope.u, slope.v) / slope.v  # time per unit of X-extent
     best = 0.0
     best_t = 0.0
     witnesses = []
     total_dx = 0
+    steps = iter(walk)
     i = 0
     for i in range(1, horizon + 1):
         try:
-            res = eng.step(X, Y, sx, sy)
+            dom, tr, m, n, adx = next(steps)
         except CornerHit:
             break
-        X, Y, _side, _m, _n, sx, sy, adx = res
         total_dx += adx
-        t = total_dx / eng.N * speed
+        t = total_dx / N * speed
         denom = iterated_log(k, t)
         if denom is None:
             continue
-        dist = math.hypot((X - X0) / eng.N, (Y - Y0) / eng.N)
+        X, Y = lattice.point(dom, tr, m, n)
+        dist = math.hypot((X - X0) / N, (Y - Y0) / N)
         stat = dist / denom
         if stat > best:
             best, best_t = stat, t
@@ -350,6 +349,8 @@ def diffusion_experiment(params: Params, direction: DirectionSpec, k: int,
         raise DomainError("k must be >= 1")
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
     off_class = params.parity_class is not ParityClass.E_PRIME
     if off_class and not allow_any_class:
         raise DomainError("displacement growth is stated for the "

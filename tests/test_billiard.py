@@ -1,9 +1,12 @@
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windtree.billiard import (BOTTOM, LEFT, RIGHT, TOP, BilliardState, Outcome,
+from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
+                               Orbit, Outcome, _Engine, _return_map,
                                classify_trajectory, collision_sequence, launch,
                                make_state, midpoint_state, next_collision,
                                path_length, regular_start, symmetry_check,
@@ -287,3 +290,219 @@ def test_collision_sequence_matches_trace():
         cur = next_collision(cur, HALF)
         assert (cur.side, cur.cell) == (side, cell)
         assert cur.position == pt
+
+
+_small_params = st.tuples(st.integers(1, 11), st.integers(2, 12),
+                          st.integers(1, 11), st.integers(2, 12)).filter(
+    lambda t: t[0] < t[1] and t[2] < t[3]
+    and gcd(t[0], t[1]) == 1 and gcd(t[2], t[3]) == 1)
+
+
+def _big_slope(u, ratio):
+    """A slope with 40- to 72-bit entries and a value in [1/4, 4], like a
+    quantized direction."""
+    return u, max(1, (u * ratio) >> 16)
+
+
+# Tables with entries up to 12 have open corridors only in directions c/d
+# with c + d < 12; a slope within 2^-10 of one can fly along a corridor
+# for thousands of cells per collision, and one within 2^-60 for 2^60.
+_CORRIDOR_SLOPES = [Fraction(c, d) for c in range(1, 12) for d in range(1, 12)
+                    if c + d < 12]
+
+
+def _clear_of_corridors(uv):
+    value = Fraction(*uv)
+    return all(abs(value - c) > Fraction(1, 1024) for c in _CORRIDOR_SLOPES)
+
+
+def _random_start(pqrs, uv, side, num, den, tangent, cell):
+    """(params, boundary start) from drawn data."""
+    params = classify_params(*pqrs)
+    g = gcd(*uv)
+    slope = Slope(uv[0] // g, uv[1] // g)
+    sign = {LEFT: (-1, tangent), RIGHT: (1, tangent),
+            BOTTOM: (tangent, -1), TOP: (tangent, 1)}[side]
+    length = params.b if side in (LEFT, RIGHT) else params.a
+    offset = Fraction(num % den or 1, den) * length
+    return params, make_state(params, cell, side, offset, slope, sign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pqrs=_small_params,
+       uv=st.one_of(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                    st.builds(_big_slope, st.integers(2**40, 2**70),
+                              st.integers(2**14, 2**18)).filter(
+                                  _clear_of_corridors)),
+       side=st.sampled_from([LEFT, RIGHT, BOTTOM, TOP]),
+       num=st.integers(1, 2**20), den=st.integers(2, 2**16),
+       tangent=st.sampled_from([1, -1]),
+       cell=st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_return_map_matches_engine_property(pqrs, uv, side, num, den, tangent,
+                                            cell):
+    params, state = _random_start(pqrs, uv, side, num, den, tangent, cell)
+    _assert_map_matches_engine(params, state, 60)
+
+
+def test_return_map_long_flight_matches_engine():
+    # slope 1000/2001 on a table with open corridors near slope 1/2: rays
+    # leaving the low end of a left side fly past the build's grid-line
+    # budget, so that piece stays unresolved and is stepped by the engine
+    params = classify_params(1, 10, 1, 10)
+    slope = Slope(1000, 2001)
+    assert _return_map(params, 1000, 2001)[1][0][0] is None
+    state = make_state(params, (0, 0), LEFT, Fraction(1, 4000), slope, (-1, 1))
+    first = next(iter(Orbit(state, params)))
+    assert abs(first[2]) > 1000  # the first flight crosses 1403 columns
+    _assert_map_matches_engine(params, state, 30)
+
+
+def _assert_map_matches_engine(params, state, n_collisions):
+    """The map against the grid-line stepper it replaces, collision by
+    collision: same side, cell, orientation, position, |dX| and corners."""
+    walk = Orbit(state, params)
+    eng = _Engine(params, state.slope,
+                  lcm(state.position.x.denominator, state.position.y.denominator))
+    assert eng.N == walk.lattice.N
+    X, Y = eng.encode(state.position)
+    sx, sy = state.orientation
+    steps = iter(walk)
+    for _ in range(n_collisions):
+        try:
+            X, Y, side, m, n, sx, sy, adx = eng.step(X, Y, sx, sy)
+        except CornerHit as hit:
+            with pytest.raises(CornerHit) as err:
+                next(steps)
+            assert (err.value.x, err.value.y) == (hit.x, hit.y)
+            return
+        k, t, mm, nn, adx_map = next(steps)
+        assert DOMAINS[k] == (side, (sx, sy))
+        assert (mm, nn) == (m, n)
+        assert adx_map == adx
+        assert walk.lattice.point(k, t, mm, nn) == (X, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pqrs=_small_params,
+       uv=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       side=st.sampled_from([LEFT, RIGHT, BOTTOM, TOP]),
+       num=st.integers(1, 200), den=st.integers(2, 64),
+       tangent=st.sampled_from([1, -1]))
+def test_return_map_matches_scan_oracle_property(pqrs, uv, side, num, den,
+                                                 tangent):
+    # one orbit walked on the map, each collision checked by the ray scan
+    params, state = _random_start(pqrs, uv, side, num, den, tangent, (0, 0))
+    walk = Orbit(state, params)
+    x, y = state.position.x, state.position.y
+    sx, sy = state.orientation
+    steps = iter(walk)
+    for _ in range(8):
+        want = scan_next_hit(params, x, y, sx * state.slope.v,
+                             sy * state.slope.u)
+        if want[0] == "corner":
+            with pytest.raises(CornerHit) as err:
+                next(steps)
+            assert (err.value.x, err.value.y) == want[1]
+            return
+        k, t, m, n, _adx = next(steps)
+        side, (sx, sy) = DOMAINS[k]
+        pos = walk.position(k, t, m, n)
+        x, y = pos.x, pos.y
+        assert ("hit", (x, y), side, (m, n)) == want
+
+
+def _corner_aimed_start(params, slope, corner, cell, back):
+    """The boundary start whose ray runs straight into ``corner`` (a sign
+    pair) of the obstacle at ``cell``: that corner traced back along the
+    orientation ``back`` to the side the ray leaves from.  None when the
+    trace meets another corner first or never lands."""
+    eng = _Engine(params, slope, 1)
+    m, n = cell
+    try:
+        res = eng.step(m * eng.N + corner[0] * eng.beta,
+                       n * eng.N + corner[1] * eng.gamma, *back)
+    except CornerHit:
+        return None
+    if res is None:
+        return None
+    X, Y, side, mm, nn = res[:5]
+    return BilliardState(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)), side,
+                         (mm, nn), (-back[0], -back[1]), slope)
+
+
+def _in_unresolved_piece(state, params):
+    walk = Orbit(state, params)
+    cuts = walk._cuts[walk.k]
+    i = bisect_left(cuts, walk.t)
+    return cuts[i] != walk.t and walk._pieces[walk.k][i] is None
+
+
+def test_return_map_corner_behind_long_flight():
+    # the top-right corner of obstacle (3, -2), traced back along (1, -1),
+    # reaches a left side 1401 columns away; the start there lies in a
+    # piece the map build left unresolved, so the corner must be reported
+    # from the engine step at the start's own cell
+    params = classify_params(1, 10, 1, 10)
+    slope = Slope(1000, 2001)
+    start = _corner_aimed_start(params, slope, (1, 1), (3, -2), (1, -1))
+    assert start.cell == (1404, -702)
+    assert _in_unresolved_piece(start, params)
+    corner = (3 + params.a / 2, -2 + params.b / 2)
+    with pytest.raises(CornerHit) as err:
+        next_collision(start, params)
+    assert err.value.point == corner
+    outcome = classify_trajectory(start, params, 10)
+    assert outcome.kind == Outcome.SINGULAR
+    assert outcome.corner == PointQ(*corner)
+    path = trace(start, params, 5)
+    assert path.singular and path.points[-1] == PointQ(*corner)
+    _assert_map_matches_engine(params, start, 1)
+
+
+# Slopes (cK + e)/(dK + f) with ed - fc = +-1, within 1/(d(dK + f)) of a
+# corridor direction c/d, on tables with obstacles at most 1/4 wide and
+# high, where the corridors of slopes 1, 1/2 and 2 are open: flights run
+# along a corridor for hundreds to thousands of cells, and the map build
+# leaves pieces unresolved.
+_NEAR_CORRIDOR = [(1, 1, 1, 0), (1, 1, 0, 1), (1, 2, 1, 1), (1, 2, 0, 1),
+                  (2, 1, 1, 0), (2, 1, 1, 1)]
+_small_obstacles = st.tuples(st.integers(4, 12), st.integers(4, 12)).flatmap(
+    lambda qs: st.tuples(st.integers(1, qs[0] // 4), st.just(qs[0]),
+                         st.integers(1, qs[1] // 4), st.just(qs[1]))).filter(
+    lambda t: gcd(t[0], t[1]) == 1 and gcd(t[2], t[3]) == 1)
+_SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pqrs=_small_obstacles, cdef=st.sampled_from(_NEAR_CORRIDOR),
+       K=st.integers(600, 3000), aim=st.booleans(), pick=st.integers(0, 2**16),
+       cell=st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_return_map_near_corridor_matches_engine_property(pqrs, cdef, K, aim,
+                                                          pick, cell):
+    # starts aimed at a corner of obstacle ``cell``, behind a flight the map
+    # build could not resolve when there is one; or inside an unresolved
+    # piece, on a random cell
+    params = classify_params(*pqrs)
+    c, d, e, f = cdef
+    slope = Slope(c * K + e, d * K + f)
+    aimed = [s for s in (_corner_aimed_start(params, slope, corner, cell, back)
+                         for corner in _SIGNS for back in _SIGNS
+                         if back != (-corner[0], -corner[1]))
+             if s is not None]
+    far = [s for s in aimed if _in_unresolved_piece(s, params)]
+    if aim and aimed:
+        starts = far or aimed
+        start = starts[pick % len(starts)]
+    else:
+        cuts, pieces, _ = _return_map(params, slope.u, slope.v)
+        gaps = [(k, i) for k, row in enumerate(pieces)
+                for i, p in enumerate(row) if p is None] or [(pick % 8, 0)]
+        k, i = gaps[pick % len(gaps)]
+        lo = cuts[k][i - 1] if i else 0
+        t3 = 3 * lo + 1 + pick % (3 * (cuts[k][i] - lo) - 1)
+        eng = _Engine(params, slope, 3)
+        X, Y = eng.point(k, t3, *cell)
+        side, orientation = DOMAINS[k]
+        start = BilliardState(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)),
+                              side, cell, orientation, slope)
+    _assert_map_matches_engine(params, start, 12)

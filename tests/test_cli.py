@@ -190,3 +190,32 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_file.write_text("params=1/2,1/2\nnot_a_key=1\n")
     code, _, err = run(capsys, "classify", "--config", str(cfg_file))
     assert code == EXIT_ERROR and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("slope", ["1/2/3", "x", "1/"])
+def test_malformed_slope_is_one_line_error(capsys, slope):
+    code, _, err = run(capsys, "classify", "--params", "1/2,1/2",
+                       "--slope", slope)
+    assert code == EXIT_ERROR
+    assert err.startswith("error: cannot parse slope")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,theta", [("recur", "13/21"),
+                                           ("diffuse", "1/1")])
+def test_zero_samples_rejected(capsys, command, theta):
+    code, _, err = run(capsys, command, "--params", "2/3,2/3",
+                       "--theta", theta, "--samples", "0")
+    assert code == EXIT_ERROR
+    assert err == "error: n_samples must be >= 1\n"
+
+
+def test_recur_decimal_theta_runs_the_shadow_guard(capsys):
+    # 14 bits cannot pin this direction down: the doubled-precision shadow
+    # run diverges within a few collisions
+    code, out, err = run(capsys, "recur", "--params", "1/2,1/2",
+                         "--theta", "0.33339", "--precision-bits", "14",
+                         "--samples", "5", "--horizon", "50000", "--seed", "8")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: shadow divergence")
+    assert "exceeds 2^-30" in err and len(err.splitlines()) == 1

@@ -73,6 +73,34 @@ def test_recurrence_parallel_jobs_agree():
     assert serial.to_csv() == parallel.to_csv()
 
 
+def test_recurrence_jobs_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
+    import os
+    workers = []
+
+    class FakePool:
+        # records the pool size and maps in-process: no worker starts
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    kw = dict(n_samples=4, horizon=500, seed=6)
+    report = recurrence_experiment(HALF, golden_truncation(), jobs=64, **kw)
+    assert workers == [3]
+    assert report.to_csv() == \
+        recurrence_experiment(HALF, golden_truncation(), **kw).to_csv()
+
+
 def test_shadow_guard_passes_on_consistent_direction():
     # a value quantized from plenty of precision: shadow agrees
     import math
