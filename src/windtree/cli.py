@@ -56,7 +56,13 @@ class RunConfig:
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
-        return RunConfig(**json.loads(text))
+        try:
+            values = json.loads(text)
+        except ValueError as exc:
+            raise DomainError(f"malformed JSON config: {exc}") from exc
+        if not isinstance(values, dict):
+            raise DomainError("a JSON config must be an object")
+        return RunConfig._checked(values)
 
     def to_text(self) -> str:
         lines = [f"{field.name}={getattr(self, field.name)}"
@@ -72,14 +78,33 @@ class RunConfig:
                 continue
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
+        for key in [field.name for field in dataclasses.fields(RunConfig)
+                    if field.type == "int" and field.name in values]:
+            try:
+                values[key] = int(values[key])
+            except ValueError:
+                raise DomainError(f"config key {key} needs an integer, "
+                                  f"got {values[key]!r}") from None
+        return RunConfig._checked(values)
+
+    @staticmethod
+    def _checked(values: dict) -> "RunConfig":
+        """A config from parsed key/value pairs; unknown keys and values of
+        the wrong type raise DomainError."""
+        fields = {field.name: field for field in dataclasses.fields(RunConfig)}
+        unknown = sorted(set(values) - set(fields))
+        if unknown:
+            raise DomainError(f"unknown config keys: {unknown}")
         cfg = RunConfig()
-        for field in dataclasses.fields(RunConfig):
-            if field.name in values:
-                val = values.pop(field.name)
-                setattr(cfg, field.name,
-                        int(val) if field.type == "int" else val)
-        if values:
-            raise DomainError(f"unknown config keys: {sorted(values)}")
+        for key, val in values.items():
+            if fields[key].type == "int":
+                if not isinstance(val, int) or isinstance(val, bool):
+                    raise DomainError(f"config key {key} needs an integer, "
+                                      f"got {val!r}")
+            elif not isinstance(val, str):
+                raise DomainError(f"config key {key} needs a string, "
+                                  f"got {val!r}")
+            setattr(cfg, key, val)
         return cfg
 
 
@@ -106,6 +131,14 @@ def _state_for(cfg: RunConfig, params: Params, slope: Slope):
                                                    cfg.max_collisions)
     return billiard.regular_start(params, slope,
                                   max_collisions=cfg.max_collisions)
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write(path: str, data: str):
@@ -163,8 +196,7 @@ def cmd_render(cfg: RunConfig) -> int:
 
 def _load_origami(cfg: RunConfig, params: Params):
     if cfg.origami_file:
-        with open(cfg.origami_file, encoding="utf-8") as fh:
-            return origami.Origami.deserialize(fh.read())
+        return origami.Origami.deserialize(_read(cfg.origami_file))
     return origami.build_origami(params)
 
 
@@ -378,11 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.json_config:
-        with open(args.json_config, encoding="utf-8") as fh:
-            cfg = RunConfig.from_json(fh.read())
+        cfg = RunConfig.from_json(_read(args.json_config))
     elif args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = RunConfig.from_text(fh.read())
+        cfg = RunConfig.from_text(_read(args.config))
     else:
         cfg = RunConfig()
     cfg.command = args.command

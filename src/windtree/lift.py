@@ -23,7 +23,7 @@ from .billiard import Outcome, classify_trajectory, launch
 from .errors import CornerHit, DomainError
 from .exact import Params, PointQ, Slope
 from .origami import (CylinderDecomposition, MarkedPoint, Origami,
-                      _l_shape_cells, build_origami,
+                      _l_shape_position, build_origami,
                       decompose_table_direction, inverse_word,
                       scaled_direction_gcd, sl2z_act)
 
@@ -52,16 +52,25 @@ class LiftReport:
     strongly_parabolic: bool
 
 
+def transport_points(origami: Origami, word, points) -> list:
+    """Carry points (cell, x, y) through a generator word in one action.
+
+    The points ride along as extra marked points; sl2z_act keeps the order
+    of the marked points, so the moved probes are the last ones.
+    """
+    probes = tuple(MarkedPoint("_probe", cell, Fraction(x), Fraction(y))
+                   for cell, x, y in points)
+    if not probes:
+        return []
+    tagged = Origami(origami.h, origami.v, origami.marked + probes)
+    moved = sl2z_act(tagged, word).marked[-len(probes):]
+    return [(mp.cell, mp.x, mp.y) for mp in moved]
+
+
 def transport_point(origami: Origami, word, cell: int, x: Fraction,
                     y: Fraction) -> tuple:
     """Carry a single point through a generator word."""
-    probe = MarkedPoint("_probe", cell, Fraction(x), Fraction(y))
-    tagged = Origami(origami.h, origami.v, origami.marked + (probe,))
-    moved = sl2z_act(tagged, word)
-    for mp in moved.marked:
-        if mp.label == "_probe":
-            return mp.cell, mp.x, mp.y
-    raise AssertionError("probe point lost in transport")
+    return transport_points(origami, word, [(cell, x, y)])[0]
 
 
 def fold_to_table(params: Params, X: Fraction, Y: Fraction) -> PointQ:
@@ -75,8 +84,7 @@ def fold_to_table(params: Params, X: Fraction, Y: Fraction) -> PointQ:
 
 
 def fold_cell_point(params: Params, cell: int, x: Fraction, y: Fraction) -> PointQ:
-    _, position = _l_shape_cells(params)
-    col, row = position[cell]
+    col, row = _l_shape_position(params, cell)
     return fold_to_table(params, col + x, row + y)
 
 
@@ -124,19 +132,20 @@ def lift_direction(params: Params, table_slope: Slope,
     """
     decomp = decompose_table_direction(params, table_slope)
     g = scaled_direction_gcd(params, table_slope)
-    inv = inverse_word(decomp.word)
+    # every candidate start of every cylinder crosses back in one action
+    candidates = [list(_cylinder_samples(decomp, ci,
+                                         count=samples_per_cylinder + 2))
+                  for ci in range(decomp.n_cylinders)]
+    moved = iter(transport_points(decomp.renormalized,
+                                  inverse_word(decomp.word),
+                                  [pt for cand in candidates for pt in cand]))
     behaviors = []
     for ci, cyl in enumerate(decomp.cylinders):
         lam_cyl = Fraction(cyl.circumference, g)
         results = []
-        tried = 0
-        for cell, xoff, yoff in _cylinder_samples(decomp, ci,
-                                                  count=samples_per_cylinder + 2):
-            if len(results) >= samples_per_cylinder or tried >= 5:
+        for ocell, ox, oy in [next(moved) for _ in candidates[ci]]:
+            if len(results) >= samples_per_cylinder:
                 break
-            tried += 1
-            ocell, ox, oy = transport_point(decomp.renormalized, inv,
-                                            cell, xoff, yoff)
             point = fold_cell_point(params, ocell, ox, oy)
             try:
                 results.append(_classify_fold(params, table_slope, point))
@@ -181,9 +190,9 @@ def abc_strip_check(params: Params, table_slope: Slope) -> bool:
     if target is None:
         raise DomainError("no central leaf through two of A, B, C in this direction")
     mp = decomp.renormalized.marked_by_label()[target]
-    ocell, ox, oy = transport_point(decomp.renormalized,
-                                    inverse_word(decomp.word),
-                                    mp.cell, mp.x, mp.y)
+    [(ocell, ox, oy)] = transport_points(decomp.renormalized,
+                                         inverse_word(decomp.word),
+                                         [(mp.cell, mp.x, mp.y)])
     point = fold_cell_point(params, ocell, ox, oy)
     result = _classify_fold(params, table_slope, point)
     return result[0] == "strip"

@@ -220,33 +220,45 @@ class Origami:
         return Origami(h, v, marked)
 
 
+def _propagate(origami: Origami, target_h: tuple, target_v: tuple,
+               root: int, img: int):
+    """The cell bijection psi with psi[root] = img and
+    psi[h[i]] = target_h[psi[i]], psi[v[i]] = target_v[psi[i]], or None.
+
+    Transitivity makes the propagation from one cell total; None means the
+    two rules conflict somewhere or the result is not injective.
+    """
+    n, h, v = origami.n, origami.h, origami.v
+    psi = [-1] * n
+    psi[root] = img
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        j = psi[i]
+        for nbr, im in ((h[i], target_h[j]), (v[i], target_v[j])):
+            if psi[nbr] < 0:
+                psi[nbr] = im
+                stack.append(nbr)
+            elif psi[nbr] != im:
+                return None
+    if len(set(psi)) != n:
+        return None
+    return tuple(psi)
+
+
 def isomorphisms(source: Origami, target: Origami) -> list:
     """Cell bijections carrying one gluing pair onto the other.
 
     A candidate is determined by the image of cell 0 and propagates along
-    both permutations; transitivity makes the propagation total.
+    both permutations.
     """
     if source.n != target.n:
         return []
-    n = source.n
     out = []
-    for img0 in range(n):
-        psi = [-1] * n
-        psi[0] = img0
-        stack = [0]
-        ok = True
-        while stack and ok:
-            i = stack.pop()
-            for nbr, img in ((source.h[i], target.h[psi[i]]),
-                             (source.v[i], target.v[psi[i]])):
-                if psi[nbr] < 0:
-                    psi[nbr] = img
-                    stack.append(nbr)
-                elif psi[nbr] != img:
-                    ok = False
-                    break
-        if ok and -1 not in psi and len(set(psi)) == n:
-            out.append(tuple(psi))
+    for img0 in range(source.n):
+        psi = _propagate(source, target.h, target.v, 0, img0)
+        if psi is not None:
+            out.append(psi)
     return out
 
 
@@ -307,9 +319,26 @@ class WeierstrassSet:
                      if x.denominator == 1 and y.denominator == 1)
 
 
+def _l_shape_position(params: Params, cell: int) -> tuple:
+    """(col, row) of a cell in the row-major indexing of _l_shape_cells."""
+    q, s, p, r = params.q, params.s, params.p, params.r
+    low = q * (s - r)  # cells in the full-width rows below the block
+    if cell < low:
+        return cell % q, cell // q
+    row, col = divmod(cell - low, q - p)
+    return col, s - r + row
+
+
+def _l_shape_cell(params: Params, col: int, row: int) -> int:
+    """Inverse of _l_shape_position."""
+    q, s, p, r = params.q, params.s, params.p, params.r
+    if row < s - r:
+        return row * q + col
+    return q * (s - r) + (row - (s - r)) * (q - p) + col
+
+
 def _place_on_l(params: Params, X: Fraction, Y: Fraction):
     """Canonical (cell, in-cell offset) of an absolute L-polygon point."""
-    cell_of, _ = _l_shape_cells(params)
     q, s, p, r = params.q, params.s, params.p, params.r
     row = int(Y)
     if row == s and Y == s:
@@ -317,7 +346,7 @@ def _place_on_l(params: Params, X: Fraction, Y: Fraction):
     width = q if row < s - r else q - p
     X = X % width
     col = int(X)
-    return cell_of[(col, row)], X - col, Y - row
+    return _l_shape_cell(params, col, row), X - col, Y - row
 
 
 def locate_weierstrass(params: Params) -> WeierstrassSet:
@@ -368,31 +397,32 @@ def hyperelliptic_involution(origami: Origami) -> tuple:
 
     It must conjugate both gluing permutations to their inverses, square
     to the identity, and fix exactly six surface points.  For the
-    primitive surfaces handled here it is unique.
+    primitive surfaces handled here it is unique; anything else (tori,
+    other strata, surfaces with extra symmetry) raises DomainError.
+
+    A candidate is fixed by the image of one cell, and the search roots
+    at a cell of a largest vertex class.  A map with derivative -id sends
+    cone points to cone points of the same angle, and a cell's
+    bottom-left corner to its image's top-right corner, so only the cells
+    whose top-right vertex class has the root's size can be the root's
+    image.  On the single-cone-point stratum those are the three cells
+    around the cone point, which makes the search linear in the cells.
     """
     n, h, v = origami.n, origami.h, origami.v
-    h_inv, v_inv = origami.h_inv, origami.v_inv
+    class_size = [0] * n
+    for cyc in origami.vertex_classes():
+        for c in cyc:
+            class_size[c] = len(cyc)
+    root = max(range(n), key=class_size.__getitem__)
     sols = []
-    for img0 in range(n):
-        iota = [-1] * n
-        iota[0] = img0
-        stack = [0]
-        ok = True
-        while stack and ok:
-            i = stack.pop()
-            for nbr, img in ((h[i], h_inv[iota[i]]), (v[i], v_inv[iota[i]])):
-                if iota[nbr] < 0:
-                    iota[nbr] = img
-                    stack.append(nbr)
-                elif iota[nbr] != img:
-                    ok = False
-                    break
-        if not ok or -1 in iota:
+    for img in range(n):
+        if class_size[v[h[img]]] != class_size[root]:
             continue
-        if any(iota[iota[i]] != i for i in range(n)):
+        iota = _propagate(origami, origami.h_inv, origami.v_inv, root, img)
+        if iota is None or any(iota[iota[i]] != i for i in range(n)):
             continue
-        if len(involution_fixed_points(origami, tuple(iota))) == 6:
-            sols.append(tuple(iota))
+        if len(involution_fixed_points(origami, iota)) == 6:
+            sols.append(iota)
     if len(sols) != 1:
         raise DomainError(f"expected a unique involution, found {len(sols)}")
     return sols[0]
@@ -554,21 +584,18 @@ def _perm_power(perm: tuple, k: int) -> tuple:
     return tuple(out)
 
 
-def _act_T_power(origami: Origami, k: int) -> Origami:
-    # shear by k: rows keep their order; the cell above i becomes the
-    # cell above the k-th left neighbor
-    h, v = origami.h, origami.v
-    h_pow = _perm_power(h, -k)
-    new_v = tuple(v[h_pow[i]] for i in range(origami.n))
+def _shear(h: tuple, v: tuple, marked: list, k: int):
+    """T^k on raw gluings: rows keep their order; the cell above i becomes
+    the cell above the k-th left neighbor."""
+    new_v = tuple(map(v.__getitem__, _perm_power(h, -k)))
     h_fwd = {}
-    marked = []
-    for mp in origami.marked:
-        x = mp.x + k * mp.y
+    out = []
+    for label, cell, x, y in marked:
+        x = x + k * y
         shift = x.numerator // x.denominator  # floor
-        x -= shift
-        cell = _perm_power_cell(h, mp.cell, shift, h_fwd)
-        marked.append(MarkedPoint(mp.label, cell, x, mp.y))
-    return Origami(h, new_v, marked)
+        out.append((label, _perm_power_cell(h, cell, shift, h_fwd),
+                    x - shift, y))
+    return h, new_v, out
 
 
 def _perm_power_cell(perm: tuple, cell: int, k: int, cache: dict) -> int:
@@ -588,33 +615,39 @@ def _perm_power_cell(perm: tuple, cell: int, k: int, cache: dict) -> int:
     return cycle[(idx + k) % len(cycle)]
 
 
-def _act_S(origami: Origami) -> Origami:
-    # quarter turn: new right neighbor is the old cell below
-    new_h = origami.v_inv
-    new_v = origami.h
-    marked = []
-    for mp in origami.marked:
-        x, y = 1 - mp.y, mp.x
-        cell = mp.cell
-        if x == 1:
-            x = Fraction(0)
-            cell = new_h[cell]
-        marked.append(MarkedPoint(mp.label, cell, x, y))
-    return Origami(new_h, new_v, marked)
-
-
-def _act_S_inv(origami: Origami) -> Origami:
-    new_h = origami.v
-    new_v = origami.h_inv
-    marked = []
-    for mp in origami.marked:
-        x, y = mp.y, 1 - mp.x
-        cell = mp.cell
-        if y == 1:
-            y = Fraction(0)
-            cell = new_v[cell]
-        marked.append(MarkedPoint(mp.label, cell, x, y))
-    return Origami(new_h, new_v, marked)
+def _quarter_turns(h: tuple, v: tuple, marked: list, k: int):
+    """S^k on raw gluings, k in 1..3.  One quarter turn takes (h, v) to
+    (v^-1, h): the new right neighbor is the old cell below.  A point whose
+    turned in-cell coordinate reaches 1 moves on to the next cell."""
+    zero = Fraction(0)
+    out = []
+    if k == 1:
+        new_h, new_v = _invert(v), h
+        for label, cell, x, y in marked:
+            x, y = 1 - y, x
+            if x == 1:
+                x, cell = zero, new_h[cell]
+            out.append((label, cell, x, y))
+    elif k == 2:
+        new_h, new_v = _invert(h), _invert(v)
+        for label, cell, x, y in marked:
+            if y == 0:
+                cell = new_v[cell]
+            else:
+                y = 1 - y
+            if x == 0:
+                cell = new_h[cell]
+            else:
+                x = 1 - x
+            out.append((label, cell, x, y))
+    else:
+        new_h, new_v = v, _invert(h)
+        for label, cell, x, y in marked:
+            x, y = y, 1 - x
+            if y == 1:
+                y, cell = zero, new_v[cell]
+            out.append((label, cell, x, y))
+    return new_h, new_v, out
 
 
 def sl2z_act(origami: Origami, word) -> Origami:
@@ -624,15 +657,24 @@ def sl2z_act(origami: Origami, word) -> Origami:
     a tuple of (generator, power) tokens.  Cell count, stratum and the
     integer point count are preserved; marked points are transported and
     re-expressed in the new tiling.
+
+    The raw gluings and marked points step through the tokens and one
+    checked Origami is built at the end, which also re-expresses marked
+    lattice corners by the smallest cell of their vertex class.  Skipping
+    that step in between changes nothing: every cell around a vertex
+    carries the same surface point through T and S.
     """
-    out = origami
-    for gen, k in as_tokens(word):
+    tokens = as_tokens(word)
+    if not tokens:
+        return origami
+    h, v = origami.h, origami.v
+    marked = [(mp.label, mp.cell, mp.x, mp.y) for mp in origami.marked]
+    for gen, k in tokens:
         if gen == "T":
-            out = _act_T_power(out, k)
-        else:
-            for _ in range(k % 4):  # the quarter turn has order four
-                out = _act_S(out)
-    return out
+            h, v, marked = _shear(h, v, marked, k)
+        elif k % 4:  # the quarter turn has order four
+            h, v, marked = _quarter_turns(h, v, marked, k % 4)
+    return Origami(h, v, [MarkedPoint(*mp) for mp in marked])
 
 
 def word_matrix(word) -> tuple:
@@ -814,7 +856,14 @@ def scaled_direction_gcd(params: Params, slope: Slope) -> int:
     return gcd(slope.u * params.s, slope.v * params.q)
 
 
+@lru_cache(maxsize=4)
 def decompose_table_direction(params: Params, table_slope: Slope) -> CylinderDecomposition:
+    """Decomposition of a table-frame direction on the quotient surface.
+
+    A query asks for the same (params, slope) several times in a row
+    (goodness, lifting, the strip check); a few cached entries serve them
+    without holding many large surfaces alive.
+    """
     return decompose_direction(build_origami(params),
                                table_to_scaled_slope(params, table_slope))
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from windtree.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, RunConfig,
                           main)
@@ -219,3 +221,95 @@ def test_recur_decimal_theta_runs_the_shadow_guard(capsys):
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error: shadow divergence")
     assert "exceeds 2^-30" in err and len(err.splitlines()) == 1
+
+
+def _one_line_error(code, err):
+    return (code == EXIT_ERROR and err.startswith("error: ")
+            and len(err.splitlines()) == 1)
+
+
+def test_json_config_unknown_key_is_one_line_error(tmp_path, capsys):
+    jf = tmp_path / "c.json"
+    jf.write_text('{"params": "1/2,1/2", "not_a_key": 1}')
+    code, _, err = run(capsys, "good-dirs", "--json-config", str(jf))
+    assert _one_line_error(code, err) and "unknown config keys" in err
+
+
+def test_json_config_malformed_is_one_line_error(tmp_path, capsys):
+    jf = tmp_path / "c.json"
+    jf.write_text('{"limit": ')
+    code, _, err = run(capsys, "good-dirs", "--json-config", str(jf))
+    assert _one_line_error(code, err) and "malformed JSON config" in err
+
+
+@pytest.mark.parametrize("value", ['"abc"', "true", "2.5", "null"])
+def test_json_config_non_integer_limit_is_one_line_error(tmp_path, capsys,
+                                                         value):
+    jf = tmp_path / "c.json"
+    jf.write_text('{"limit": %s}' % value)
+    code, _, err = run(capsys, "good-dirs", "--json-config", str(jf))
+    assert _one_line_error(code, err) and "limit needs an integer" in err
+
+
+def test_text_config_non_integer_limit_is_one_line_error(tmp_path, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("params=1/2,1/2\nlimit=abc\n")
+    code, _, err = run(capsys, "good-dirs", "--config", str(cfg_file))
+    assert _one_line_error(code, err) and "limit needs an integer" in err
+
+
+def test_config_not_utf8_is_one_line_error(tmp_path, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_bytes(b"\xff\xfelimit=3\n")
+    code, _, err = run(capsys, "good-dirs", "--config", str(cfg_file))
+    assert _one_line_error(code, err) and "not UTF-8" in err
+
+
+_FUZZ_KEYS = ("params", "params", "slope", "slope", "limit", "seed",
+              "max_collisions", "theta", "command", " limit ", "not_a_key")
+_FUZZ_JUNK = ("", "abc", "1.5", "0x10", "1/0", "0/1", "-1/2", "true", "-",
+              "1/2,1/2", "2/3,2/3", "1/2,", "=", "1_0", "٣")
+_NO_DIGITS = "abcxyz/,.=-_ #\t"
+
+
+_FUZZ_VALID = {"params": ("1/2,1/2", "2/3,2/3", "1/3,3/4", "3/5,1/2"),
+               "slope": ("1/1", "3/7", "0/1", "1/0", "5/2"),
+               "limit": ("1", "3", "6"), "seed": ("0", "7"),
+               "max_collisions": ("1", "50", "1000")}
+
+
+@st.composite
+def _config_lines(draw):
+    params = st.tuples(*[st.integers(0, 9)] * 4).map(
+        lambda t: f"{t[0]}/{t[1]},{t[2]}/{t[3]}")
+    slope = st.tuples(st.integers(-1, 12), st.integers(-1, 12)).map(
+        lambda t: f"{t[0]}/{t[1]}")
+    junk = st.one_of(st.integers(-3, 6).map(str), params, slope,
+                     st.sampled_from(_FUZZ_JUNK),
+                     st.text(alphabet=_NO_DIGITS, max_size=8))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        key = draw(st.sampled_from(_FUZZ_KEYS))
+        roll = draw(st.integers(0, 9))
+        if roll == 0:
+            lines.append(draw(st.text(alphabet=_NO_DIGITS, max_size=12)))
+        elif roll < 3 or key not in _FUZZ_VALID:
+            lines.append(f"{key}={draw(junk)}")
+        else:
+            lines.append(f"{key}={draw(st.sampled_from(_FUZZ_VALID[key]))}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_config_lines(),
+       command=st.sampled_from(["classify-direction", "decompose",
+                                "good-dirs"]))
+def test_config_text_fuzz_never_tracebacks(tmp_path, capsys, text, command):
+    cfg_file = tmp_path / "fuzz.cfg"
+    cfg_file.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, command, "--config", str(cfg_file))
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_UNDETERMINED)
+    assert "Traceback" not in err
+    if code == EXIT_ERROR:
+        assert _one_line_error(code, err)

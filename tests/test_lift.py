@@ -8,9 +8,11 @@ from windtree.billiard import (Outcome, classify_trajectory, make_state,
                                midpoint_state, regular_start)
 from windtree.errors import DomainError
 from windtree.exact import Params, PointQ, Slope, classify_params
+from windtree import lift
 from windtree.lift import (LiftKind, abc_strip_check, fold_cell_point,
                            fold_to_table, inverse_word, lift_direction,
-                           transport_point, wpoint_orbit_partition)
+                           transport_point, transport_points,
+                           wpoint_orbit_partition)
 from windtree.origami import build_origami, sl2z_act
 
 HALF = classify_params(1, 2, 1, 2)
@@ -69,6 +71,33 @@ def test_transport_point_roundtrip():
         ren = sl2z_act(og, word)
         back = transport_point(ren, inverse_word(word), *moved)
         assert back == (cell, x, y)
+
+
+def test_transport_points_matches_one_point_at_a_time():
+    rng = random.Random(11)
+    for params in (HALF, TWO_THIRDS, classify_params(1, 5, 2, 7)):
+        og = build_origami(params)
+        for _ in range(10):
+            word = "".join(rng.choice("TtSs") for _ in range(rng.randint(0, 10)))
+            points = [(rng.randrange(og.n), Fraction(rng.randrange(4), 4),
+                       Fraction(rng.randrange(3), 3)) for _ in range(6)]
+            assert transport_points(og, word, points) == [
+                transport_point(og, word, *pt) for pt in points]
+
+
+def test_lift_direction_matches_per_point_transport(monkeypatch):
+    cases = [(params, slope)
+             for params in (HALF, TWO_THIRDS, classify_params(1, 3, 1, 3),
+                            classify_params(1, 5, 2, 7))
+             for slope in reduced_slopes(4)]
+    batched = [lift_direction(p, s) for p, s in cases]
+    one_at_a_time = transport_points
+
+    def per_point(og, word, points):
+        return [one_at_a_time(og, word, [pt])[0] for pt in points]
+
+    monkeypatch.setattr(lift, "transport_points", per_point)
+    assert [lift_direction(p, s) for p, s in cases] == batched
 
 
 def test_good_directions_are_strongly_parabolic_with_factor_two():

@@ -3,17 +3,21 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windtree.errors import DomainError
 from windtree.exact import Params, ParityClass, Slope, classify_params
 from windtree.origami import (Cylinder, CylinderDecomposition, MarkedPoint,
-                              OrbitClass, Origami, build_origami,
+                              OrbitClass, Origami, _l_shape_cell,
+                              _l_shape_cells, _l_shape_position, build_origami,
                               ceil_sqrt2_times, cylinder_bounds_constant,
                               decompose_direction, decompose_table_direction,
                               direction_to_horizontal_word,
                               enumerate_good_directions, flow_first_hit,
                               hyperelliptic_involution, integer_weierstrass_count,
-                              is_good_one_cylinder, locate_weierstrass,
+                              involution_fixed_points, is_good_one_cylinder,
+                              locate_weierstrass,
                               orbit_invariant, scaled_direction_gcd, sl2z_act,
                               table_to_scaled_slope, word_matrix)
 
@@ -309,3 +313,158 @@ def test_canonical_form_detects_relabeling():
     other = Origami(h2, v2)
     assert other.equivalent(og)
     assert not TORUS.equivalent(og)
+
+
+def test_l_shape_arithmetic_matches_cell_table():
+    for params in all_desk_params(40):
+        cell_of, position = _l_shape_cells(params)
+        assert [_l_shape_position(params, c)
+                for c in range(len(position))] == position
+        assert all(_l_shape_cell(params, col, row) == c
+                   for (col, row), c in cell_of.items())
+
+
+# -- the surface layer against one-step references ------------------------
+
+SURFACES = all_desk_params(12) + [classify_params(1, 5, 2, 7),   # 33 cells
+                                  classify_params(4, 13, 4, 5),  # 49 cells
+                                  classify_params(1, 7, 1, 8)]   # 55 cells
+COORDS = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(4, 5))
+
+
+def _relabel(og, perm, extra=()):
+    """The same surface with cell i renamed perm[i], plus extra marked
+    points given as (cell, x, y) in the old labels."""
+    n = og.n
+    inv = [0] * n
+    for i, j in enumerate(perm):
+        inv[j] = i
+    h = [perm[og.h[inv[j]]] for j in range(n)]
+    v = [perm[og.v[inv[j]]] for j in range(n)]
+    marked = [MarkedPoint(mp.label, perm[mp.cell], mp.x, mp.y)
+              for mp in og.marked]
+    marked += [MarkedPoint(f"p{k}", perm[c], x, y)
+               for k, (c, x, y) in enumerate(extra)]
+    return Origami(h, v, marked)
+
+
+def _letter(og, ch):
+    """One generator letter (T, t, S or s) by its definition, as a checked
+    Origami."""
+    h, v, h_inv, v_inv = og.h, og.v, og.h_inv, og.v_inv
+    marked = []
+    if ch in "Tt":
+        k = 1 if ch == "T" else -1
+        new_h = h
+        new_v = tuple(v[h_inv[i]] if k == 1 else v[h[i]] for i in range(og.n))
+        for mp in og.marked:
+            x, cell = mp.x + k * mp.y, mp.cell
+            if x >= 1:
+                x, cell = x - 1, h[cell]
+            elif x < 0:
+                x, cell = x + 1, h_inv[cell]
+            marked.append(MarkedPoint(mp.label, cell, x, mp.y))
+    elif ch == "S":
+        new_h, new_v = v_inv, h
+        for mp in og.marked:
+            x, y, cell = 1 - mp.y, mp.x, mp.cell
+            if x == 1:
+                x, cell = Fraction(0), new_h[cell]
+            marked.append(MarkedPoint(mp.label, cell, x, y))
+    else:
+        new_h, new_v = v, h_inv
+        for mp in og.marked:
+            x, y, cell = mp.y, 1 - mp.x, mp.cell
+            if y == 1:
+                y, cell = Fraction(0), new_v[cell]
+            marked.append(MarkedPoint(mp.label, cell, x, y))
+    return Origami(new_h, new_v, marked)
+
+
+@st.composite
+def relabeled_surfaces(draw, probes=True):
+    og = build_origami(draw(st.sampled_from(SURFACES)))
+    extra = draw(st.lists(st.tuples(st.integers(0, og.n - 1),
+                                    st.sampled_from(COORDS),
+                                    st.sampled_from(COORDS)),
+                          max_size=4 if probes else 0))
+    return _relabel(og, draw(st.permutations(range(og.n))), extra)
+
+
+TOKENS = st.lists(st.one_of(
+    st.tuples(st.just("T"), st.integers(-40, 40) | st.sampled_from([-997, 1000])),
+    st.tuples(st.just("S"), st.integers(-7, 7))), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(og=relabeled_surfaces(), tokens=TOKENS)
+def test_sl2z_act_matches_letter_by_letter_property(og, tokens):
+    letters = "".join(
+        ({("T", True): "T", ("T", False): "t", ("S", True): "S",
+          ("S", False): "s"}[gen, k > 0]) * abs(k) for gen, k in tokens)
+    want = og
+    for ch in letters:
+        want = _letter(want, ch)
+    got = sl2z_act(og, tuple(tokens))
+    assert (got.h, got.v, got.marked) == (want.h, want.v, want.marked)
+    assert sl2z_act(og, letters) == want
+
+
+def _brute_force_involutions(og):
+    """Every cell permutation of an involution with derivative -id and six
+    fixed points, trying all n images of cell 0."""
+    n, h, v = og.n, og.h, og.v
+    sols = []
+    for img0 in range(n):
+        iota = {0: img0}
+        stack = [0]
+        ok = True
+        while stack and ok:
+            i = stack.pop()
+            for nbr, img in ((h[i], og.h_inv[iota[i]]),
+                             (v[i], og.v_inv[iota[i]])):
+                if nbr not in iota:
+                    iota[nbr] = img
+                    stack.append(nbr)
+                elif iota[nbr] != img:
+                    ok = False
+        if not ok:
+            continue
+        iota = tuple(iota[i] for i in range(n))
+        if all(iota[iota[i]] == i for i in range(n)) \
+                and len(involution_fixed_points(og, iota)) == 6:
+            sols.append(iota)
+    return sols
+
+
+@settings(max_examples=60, deadline=None)
+@given(og=relabeled_surfaces(probes=False), tokens=TOKENS)
+def test_involution_matches_brute_force_property(og, tokens):
+    assert [hyperelliptic_involution(og)] == _brute_force_involutions(og)
+    img = sl2z_act(og, tuple(tokens))
+    assert [hyperelliptic_involution(img)] == _brute_force_involutions(img)
+
+
+@pytest.mark.parametrize("h,v", [
+    ((0,), (0,)), ((1, 0), (0, 1)), ((1, 0), (1, 0)), ((1, 2, 0), (0, 1, 2)),
+    ((1, 0, 3, 2), (2, 3, 0, 1)), ((1, 2, 0), (1, 2, 0)),   # tori
+    ((1, 2, 3, 0), (1, 0, 3, 2)), ((1, 2, 3, 4, 0), (0, 3, 4, 2, 1)),  # H(1,1)
+])
+def test_involution_off_the_stratum_raises(h, v):
+    og = Origami(h, v)
+    assert og.stratum_signature() in ((), (1, 1))
+    assert len(_brute_force_involutions(og)) != 1
+    with pytest.raises(DomainError):
+        hyperelliptic_involution(og)
+
+
+def test_cached_table_decomposition_matches_fresh():
+    slopes = [Slope(0, 1), Slope(1, 0)] + [
+        Slope(u, v) for u in range(1, 5) for v in range(1, 5) if gcd(u, v) == 1]
+    for params in (HALF, TWO_THIRDS, classify_params(1, 3, 1, 3),
+                   classify_params(1, 5, 2, 7)):
+        for sl in slopes:
+            cached = decompose_table_direction(params, sl)
+            assert decompose_table_direction(params, sl) is cached
+            assert cached == decompose_direction(
+                build_origami(params), table_to_scaled_slope(params, sl))
