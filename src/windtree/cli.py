@@ -133,14 +133,6 @@ def _state_for(cfg: RunConfig, params: Params, slope: Slope):
                                   max_collisions=cfg.max_collisions)
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
 def _write(path: str, data: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
@@ -196,7 +188,8 @@ def cmd_render(cfg: RunConfig) -> int:
 
 def _load_origami(cfg: RunConfig, params: Params):
     if cfg.origami_file:
-        return origami.Origami.deserialize(_read(cfg.origami_file))
+        with open(cfg.origami_file, encoding="utf-8") as fh:
+            return origami.Origami.deserialize(fh.read())
     return origami.build_origami(params)
 
 
@@ -410,9 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.json_config:
-        cfg = RunConfig.from_json(_read(args.json_config))
+        with open(args.json_config, encoding="utf-8") as fh:
+            cfg = RunConfig.from_json(fh.read())
     elif args.config:
-        cfg = RunConfig.from_text(_read(args.config))
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = RunConfig.from_text(fh.read())
     else:
         cfg = RunConfig()
     cfg.command = args.command
@@ -433,7 +428,8 @@ def main(argv=None) -> int:
         if args.dump_config:
             _write(args.dump_config, cfg.to_text())
         return _COMMANDS[cfg.command](cfg)
-    except (DomainError, PrecisionError, CornerHit, OSError) as exc:
+    except (DomainError, PrecisionError, CornerHit, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -265,23 +265,6 @@ def isomorphisms(source: Origami, target: Origami) -> list:
 # -- construction of the quotient surface ------------------------------
 
 
-def _l_shape_cells(params: Params):
-    """Cell indexing of the L-polygon: row-major from the bottom row.
-
-    Returns (cell_of[(col, row)], position_of[cell], row_width(row),
-    col_height(col)).
-    """
-    q, s, p, r = params.q, params.s, params.p, params.r
-    cell_of = {}
-    position = []
-    for row in range(s):
-        width = q if row < s - r else q - p
-        for col in range(width):
-            cell_of[(col, row)] = len(position)
-            position.append((col, row))
-    return cell_of, position
-
-
 def scaled_weierstrass_coords(params: Params) -> dict:
     """Absolute coordinates of the six involution-fixed points on the
     stretched L-polygon.
@@ -320,7 +303,8 @@ class WeierstrassSet:
 
 
 def _l_shape_position(params: Params, cell: int) -> tuple:
-    """(col, row) of a cell in the row-major indexing of _l_shape_cells."""
+    """(col, row) of a cell of the L-polygon, indexed row-major from the
+    bottom row: q cells in each row below the block, q - p above it."""
     q, s, p, r = params.q, params.s, params.p, params.r
     low = q * (s - r)  # cells in the full-width rows below the block
     if cell < low:
@@ -367,22 +351,20 @@ def build_origami(params: Params) -> Origami:
     exactly at the fixed points of the hyperelliptic involution.
     """
     q, s, p, r = params.q, params.s, params.p, params.r
-    cell_of, position = _l_shape_cells(params)
-    n = len(position)
+    n = params.n_cells
     h = [0] * n
     v = [0] * n
-    for idx, (col, row) in enumerate(position):
+    for idx in range(n):
+        col, row = _l_shape_position(params, idx)
         width = q if row < s - r else q - p
-        h[idx] = cell_of[((col + 1) % width, row)]
+        h[idx] = _l_shape_cell(params, (col + 1) % width, row)
         height = s if col < q - p else s - r
-        v[idx] = cell_of[(col, (row + 1) % height)]
+        v[idx] = _l_shape_cell(params, col, (row + 1) % height)
     marked = []
     for label, (X, Y) in sorted(scaled_weierstrass_coords(params).items()):
         cell, x, y = _place_on_l(params, X, Y)
         marked.append(MarkedPoint(label, cell, x, y))
     origami = Origami(h, v, marked)
-    if origami.n != params.n_cells:
-        raise AssertionError("cell count disagrees with q*s - p*r")
     if not origami.is_h2():
         raise AssertionError("quotient surface left the expected stratum")
     _verify_marked_against_involution(origami)
@@ -615,39 +597,19 @@ def _perm_power_cell(perm: tuple, cell: int, k: int, cache: dict) -> int:
     return cycle[(idx + k) % len(cycle)]
 
 
-def _quarter_turns(h: tuple, v: tuple, marked: list, k: int):
-    """S^k on raw gluings, k in 1..3.  One quarter turn takes (h, v) to
-    (v^-1, h): the new right neighbor is the old cell below.  A point whose
-    turned in-cell coordinate reaches 1 moves on to the next cell."""
+def _quarter_turn(h: tuple, v: tuple, marked: list):
+    """S on raw gluings: (h, v) becomes (v^-1, h), so the new right neighbor
+    is the old cell below.  A point whose turned in-cell x reaches 1 moves
+    on to the next cell."""
+    new_h = _invert(v)
     zero = Fraction(0)
     out = []
-    if k == 1:
-        new_h, new_v = _invert(v), h
-        for label, cell, x, y in marked:
-            x, y = 1 - y, x
-            if x == 1:
-                x, cell = zero, new_h[cell]
-            out.append((label, cell, x, y))
-    elif k == 2:
-        new_h, new_v = _invert(h), _invert(v)
-        for label, cell, x, y in marked:
-            if y == 0:
-                cell = new_v[cell]
-            else:
-                y = 1 - y
-            if x == 0:
-                cell = new_h[cell]
-            else:
-                x = 1 - x
-            out.append((label, cell, x, y))
-    else:
-        new_h, new_v = v, _invert(h)
-        for label, cell, x, y in marked:
-            x, y = y, 1 - x
-            if y == 1:
-                y, cell = zero, new_v[cell]
-            out.append((label, cell, x, y))
-    return new_h, new_v, out
+    for label, cell, x, y in marked:
+        x, y = 1 - y, x
+        if x == 1:
+            x, cell = zero, new_h[cell]
+        out.append((label, cell, x, y))
+    return new_h, h, out
 
 
 def sl2z_act(origami: Origami, word) -> Origami:
@@ -672,8 +634,9 @@ def sl2z_act(origami: Origami, word) -> Origami:
     for gen, k in tokens:
         if gen == "T":
             h, v, marked = _shear(h, v, marked, k)
-        elif k % 4:  # the quarter turn has order four
-            h, v, marked = _quarter_turns(h, v, marked, k % 4)
+        else:
+            for _ in range(k % 4):  # the quarter turn has order four
+                h, v, marked = _quarter_turn(h, v, marked)
     return Origami(h, v, [MarkedPoint(*mp) for mp in marked])
 
 

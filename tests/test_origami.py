@@ -10,7 +10,7 @@ from windtree.errors import DomainError
 from windtree.exact import Params, ParityClass, Slope, classify_params
 from windtree.origami import (Cylinder, CylinderDecomposition, MarkedPoint,
                               OrbitClass, Origami, _l_shape_cell,
-                              _l_shape_cells, _l_shape_position, build_origami,
+                              _l_shape_position, build_origami,
                               ceil_sqrt2_times, cylinder_bounds_constant,
                               decompose_direction, decompose_table_direction,
                               direction_to_horizontal_word,
@@ -315,13 +315,16 @@ def test_canonical_form_detects_relabeling():
     assert not TORUS.equivalent(og)
 
 
-def test_l_shape_arithmetic_matches_cell_table():
+def test_l_shape_arithmetic_matches_row_major_enumeration():
     for params in all_desk_params(40):
-        cell_of, position = _l_shape_cells(params)
+        q, s, p, r = params.q, params.s, params.p, params.r
+        position = [(col, row) for row in range(s)
+                    for col in range(q if row < s - r else q - p)]
+        assert len(position) == params.n_cells
         assert [_l_shape_position(params, c)
                 for c in range(len(position))] == position
         assert all(_l_shape_cell(params, col, row) == c
-                   for (col, row), c in cell_of.items())
+                   for c, (col, row) in enumerate(position))
 
 
 # -- the surface layer against one-step references ------------------------
