@@ -553,9 +553,15 @@ def classify_trajectory(start: BilliardState, params: Params,
                              Fraction(total_dx, vN), (0, 0), 0)
 
 
+def _check_count(n_collisions: int):
+    if n_collisions < 0:
+        raise DomainError(f"n_collisions must be >= 0, got {n_collisions}")
+
+
 def collision_sequence(start: BilliardState, params: Params,
                        n_collisions: int) -> list:
     """The (side, cell) combinatorics of the first n collisions."""
+    _check_count(n_collisions)
     return [(DOMAINS[k][0], (m, n))
             for k, _t, m, n, _adx in islice(Orbit(start, params), n_collisions)]
 
@@ -565,6 +571,7 @@ def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath
 
     Truncated at a corner hit and tagged singular in that case.
     """
+    _check_count(n_collisions)
     validate_state(start, params)
     points = [start.position]
     if start.slope.is_axis:

@@ -108,15 +108,24 @@ class RunConfig:
         return cfg
 
 
+def _parse_fraction(text: str, what: str) -> Fraction:
+    """An exact fraction typed by the user, such as '3/7' or '0.25'."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"cannot parse {what} {text!r} "
+                          "(expected num/den or a decimal)") from None
+
+
 def _parse_start(params: Params, text: str, slope: Slope):
     """'m,n,side,offset' with the offset an exact fraction along the side."""
     try:
         ms, ns, side, off = text.split(",")
         cell = (int(ms), int(ns))
-        offset = Fraction(off)
     except ValueError as exc:
         raise DomainError(f"cannot parse start {text!r} "
                           "(expected m,n,side,num/den)") from exc
+    offset = _parse_fraction(off, "start offset")
     if side in (billiard.TOP, billiard.BOTTOM):
         orient = (1, 1 if side == billiard.TOP else -1)
     else:
@@ -282,9 +291,10 @@ def _parse_theta(cfg: RunConfig) -> experiments.DirectionSpec:
     text = cfg.theta.strip()
     if not text:
         raise DomainError("this command needs --theta")
+    theta = _parse_fraction(text, "theta")
     if "/" in text or "." not in text:
-        return experiments.exact_direction(Fraction(text))
-    return experiments.quantize_direction(Fraction(text), cfg.precision_bits)
+        return experiments.exact_direction(theta)
+    return experiments.quantize_direction(theta, cfg.precision_bits)
 
 
 def cmd_recur(cfg: RunConfig) -> int:
@@ -318,8 +328,8 @@ def cmd_diffuse(cfg: RunConfig) -> int:
 def cmd_stability(cfg: RunConfig) -> int:
     params = Params.parse(cfg.params)
     slope = Slope.parse(cfg.slope)
-    ok = experiments.stability_check(params, slope, Fraction(cfg.delta),
-                                     cfg.probes)
+    ok = experiments.stability_check(
+        params, slope, _parse_fraction(cfg.delta, "delta"), cfg.probes)
     print(f"stability at delta {cfg.delta} over {cfg.probes} probes: "
           f"{'stable' if ok else 'broken'}")
     return EXIT_OK if ok else EXIT_UNDETERMINED

@@ -465,8 +465,10 @@ def stability_check(params: Params, table_slope: Slope, delta,
     Raises DomainError when the unperturbed slope is not periodic.
     """
     delta = Fraction(delta)
-    if delta < 0 or n_probes < 0:
-        raise DomainError("delta and n_probes must be non-negative")
+    if delta < 0:
+        raise DomainError("delta must be non-negative")
+    if n_probes < 1:
+        raise DomainError("n_probes must be >= 1")
     state, base = regular_start(params, table_slope)
     if base.kind is not Outcome.PERIODIC:
         raise DomainError(f"slope {table_slope} is not periodic at {params}")

@@ -55,14 +55,15 @@ class LiftReport:
 def transport_points(origami: Origami, word, points) -> list:
     """Carry points (cell, x, y) through a generator word in one action.
 
-    The points ride along as extra marked points; sl2z_act keeps the order
-    of the marked points, so the moved probes are the last ones.
+    The points ride along as extra marked points of the same, already
+    checked surface; sl2z_act keeps the order of the marked points, so the
+    moved probes are the last ones.
     """
     probes = tuple(MarkedPoint("_probe", cell, Fraction(x), Fraction(y))
                    for cell, x, y in points)
     if not probes:
         return []
-    tagged = Origami(origami.h, origami.v, origami.marked + probes)
+    tagged = origami.with_points(probes)
     moved = sl2z_act(tagged, word).marked[-len(probes):]
     return [(mp.cell, mp.x, mp.y) for mp in moved]
 

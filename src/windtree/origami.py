@@ -82,25 +82,40 @@ class Origami:
         self.v = v
         self.h_inv = _invert(h)
         self.v_inv = _invert(v)
-        self.marked = tuple(marked)
-        for mp in self.marked:
-            if not (0 <= mp.cell < n and 0 <= mp.x < 1 and 0 <= mp.y < 1):
-                raise DomainError(f"marked point {mp} outside the tiling")
+        self.marked = self._checked_points(marked)
         if not self._connected():
             raise DomainError("the cell permutations do not act transitively")
-        if any(mp.is_integer for mp in self.marked):
-            # a lattice corner is shared by every cell around its vertex;
-            # store the smallest cell of the class so equality is decidable
-            cls = self.vertex_classes()
-            rep = {}
-            for cyc in cls:
-                low = min(cyc)
-                for c in cyc:
-                    rep[c] = low
-            self.marked = tuple(
-                MarkedPoint(mp.label, rep[mp.cell], mp.x, mp.y)
-                if mp.is_integer else mp
-                for mp in self.marked)
+
+    def with_points(self, extra) -> "Origami":
+        """This surface with the points ``extra`` marked after its own.
+
+        Equal to ``Origami(h, v, marked + extra)``; the gluings were checked
+        when this surface was built and are shared, only the new points are
+        checked.
+        """
+        out = object.__new__(Origami)
+        out.n, out.h, out.v = self.n, self.h, self.v
+        out.h_inv, out.v_inv = self.h_inv, self.v_inv
+        out.marked = self.marked + self._checked_points(extra)
+        return out
+
+    def _checked_points(self, points) -> tuple:
+        """Marked points inside the tiling, lattice corners re-expressed."""
+        points = tuple(points)
+        for mp in points:
+            if not (0 <= mp.cell < self.n and 0 <= mp.x < 1 and 0 <= mp.y < 1):
+                raise DomainError(f"marked point {mp} outside the tiling")
+        if not any(mp.is_integer for mp in points):
+            return points
+        # a lattice corner is shared by every cell around its vertex;
+        # store the smallest cell of the class so equality is decidable
+        rep = {}
+        for cyc in self.vertex_classes():
+            low = min(cyc)
+            for c in cyc:
+                rep[c] = low
+        return tuple(MarkedPoint(mp.label, rep[mp.cell], mp.x, mp.y)
+                     if mp.is_integer else mp for mp in points)
 
     def _connected(self) -> bool:
         seen = {0}

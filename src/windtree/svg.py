@@ -2,8 +2,10 @@
 bounding box, the exact polyline, and highlighted repeat obstacles for
 escaping orbits.
 
-All coordinates are formatted with a fixed precision so that the same
-input yields byte-identical files.
+All coordinates are exact rationals until the one formatting step, which
+prints a fixed precision so that the same input yields byte-identical
+files.  Every obstacle in a lattice column shares its x and every obstacle
+in a row its y, so those strings are formatted once per column and row.
 """
 
 from __future__ import annotations
@@ -12,11 +14,17 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .billiard import TracedPath
+from .errors import DomainError
 from .exact import Params
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.6f}"
+def _fmt(value, scale: int) -> str:
+    """``value * scale`` with six decimals.
+
+    One correctly rounded int/int division, so the digits are those of
+    ``float(value * scale)``.
+    """
+    return f"{value.numerator * scale / value.denominator:.6f}"
 
 
 def render_trajectory(params: Params, path: TracedPath, scale: int = 60,
@@ -27,6 +35,8 @@ def render_trajectory(params: Params, path: TracedPath, scale: int = 60,
     ``highlight_cells`` (lattice pairs) are filled gray, marking the
     obstacles an escaping orbit hits at the same spot.
     """
+    if scale < 1:
+        raise DomainError(f"scale must be >= 1, got {scale}")
     xs = [p.x for p in path.points]
     ys = [p.y for p in path.points]
     x_lo, x_hi = floor(min(xs)) - margin, ceil(max(xs)) + margin
@@ -35,13 +45,13 @@ def render_trajectory(params: Params, path: TracedPath, scale: int = 60,
     pad = Fraction(1, 2)  # keeps the outermost obstacles inside the canvas
 
     def sx(x):
-        return _fmt((x - x_lo + pad) * scale)
+        return _fmt(x - x_lo + pad, scale)
 
     def sy(y):
-        return _fmt((y_hi + pad - y) * scale)
+        return _fmt(y_hi + pad - y, scale)
 
-    width = _fmt((x_hi - x_lo + 2 * pad) * scale)
-    height = _fmt((y_hi - y_lo + 2 * pad) * scale)
+    width = _fmt(x_hi - x_lo + 2 * pad, scale)
+    height = _fmt(y_hi - y_lo + 2 * pad, scale)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -49,15 +59,16 @@ def render_trajectory(params: Params, path: TracedPath, scale: int = 60,
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
+    # top-left corner of the obstacle at (m, n) is (m - a/2, n + b/2)
+    columns = [(m, sx(m - a2)) for m in range(x_lo, x_hi + 1)]
+    size = f'width="{_fmt(params.a, scale)}" height="{_fmt(params.b, scale)}"'
     highlighted = set(highlight_cells)
     for n in range(y_lo, y_hi + 1):
-        for m in range(x_lo, x_hi + 1):
+        y = sy(n + b2)
+        for m, x in columns:
             fill = "#b0b0b0" if (m, n) in highlighted else "none"
-            lines.append(
-                f'<rect x="{sx(m - a2)}" y="{sy(n + b2)}" '
-                f'width="{_fmt(params.a * scale)}" '
-                f'height="{_fmt(params.b * scale)}" '
-                f'fill="{fill}" stroke="black" stroke-width="1"/>')
+            lines.append(f'<rect x="{x}" y="{y}" {size} '
+                         f'fill="{fill}" stroke="black" stroke-width="1"/>')
     if path.points:
         coords = " L ".join(f"{sx(p.x)} {sy(p.y)}" for p in path.points)
         color = "#c03030" if path.singular else "#2040c0"

@@ -506,3 +506,12 @@ def test_return_map_near_corridor_matches_engine_property(pqrs, cdef, K, aim,
         start = BilliardState(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)),
                               side, cell, orientation, slope)
     _assert_map_matches_engine(params, start, 12)
+
+
+def test_negative_collision_count_is_rejected():
+    state = midpoint_state(HALF, (0, 0), TOP, Slope(3, 4), (1, 1))
+    for run in (trace, collision_sequence):
+        with pytest.raises(DomainError):
+            run(state, HALF, -1)
+    assert trace(state, HALF, 0).points == (state.position,)
+    assert collision_sequence(state, HALF, 0) == []

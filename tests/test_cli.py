@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -313,3 +314,62 @@ def test_config_text_fuzz_never_tracebacks(tmp_path, capsys, text, command):
     assert "Traceback" not in err
     if code == EXIT_ERROR:
         assert _one_line_error(code, err)
+
+
+_BAD_FRACTION_RUNS = {
+    "start": ("classify", "--slope", "3/4", "--start", "0,0,top,{}"),
+    "theta-recur": ("recur", "--theta", "{}", "--samples", "2"),
+    "theta-diffuse": ("diffuse", "--theta", "{}", "--samples", "2"),
+    "delta": ("stability", "--slope", "1/1", "--delta", "{}"),
+}
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0"])
+@pytest.mark.parametrize("option", sorted(_BAD_FRACTION_RUNS))
+def test_malformed_fraction_is_one_line_error(capsys, option, text):
+    argv = [arg.format(text) for arg in _BAD_FRACTION_RUNS[option]]
+    code, out, err = run(capsys, *argv, "--params", "1/2,1/2")
+    assert _one_line_error(code, err) and out == ""
+    assert "cannot parse" in err and repr(text) in err
+
+
+def test_render_negative_collision_count_is_one_line_error(tmp_path, capsys):
+    out = tmp_path / "n.svg"
+    code, _, err = run(capsys, "render", "--params", "1/2,1/2", "--slope", "3/4",
+                       "--n-collisions", "-3", "--out", str(out))
+    assert _one_line_error(code, err) and "n_collisions must be >= 0" in err
+    assert not out.exists()
+
+
+def test_stability_zero_probes_is_one_line_error(capsys):
+    code, out, err = run(capsys, "stability", "--params", "1/2,1/2",
+                         "--slope", "1/1", "--probes", "0")
+    assert _one_line_error(code, err) and "n_probes must be >= 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("scale", ["0", "-5"])
+def test_render_non_positive_scale_is_one_line_error(tmp_path, capsys, scale):
+    out = tmp_path / "s.svg"
+    code, _, err = run(capsys, "render", "--params", "1/2,1/2", "--slope", "3/4",
+                       "--scale", scale, "--out", str(out))
+    assert _one_line_error(code, err) and "scale must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("slope,digest,size", [
+    ("3/4", "1fe777e6ab8993c6669f7c85d6007803b8c8431f1ae3183e9fcff25aec0a5878",
+     6265),
+    ("9/29", "15120428842d45bfd2c4d76f0d1c73d48acc081197bf71b26ef56054c916e09d",
+     18224),
+])
+def test_render_bytes_pinned(tmp_path, capsys, slope, digest, size):
+    # the SVG bytes of the first release of the renderer; any change to the
+    # formatting or the layout of the document shows here
+    out = tmp_path / "pin.svg"
+    code, _, _ = run(capsys, "render", "--params", "1/2,1/2", "--slope", slope,
+                     "--out", str(out))
+    assert code == EXIT_OK
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
