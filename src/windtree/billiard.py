@@ -107,9 +107,9 @@ class TrajectoryOutcome:
     combinatorial_length: int
     geometric_length: Fraction
     drift: tuple
-    pre_period: int
+    pre_period: int  # always 0: every orbit's first reduced repeat is its start
     corner: PointQ | None = None
-    repeat_cells: tuple | None = None  # (first cell, repeat cell) of the cycle anchor
+    repeat_cells: tuple | None = None  # (start cell, cell one period later)
 
     @property
     def is_periodic(self) -> bool:
@@ -512,11 +512,13 @@ def classify_trajectory(start: BilliardState, params: Params,
                         max_collisions: int = DEFAULT_MAX_COLLISIONS) -> TrajectoryOutcome:
     """Classify the forward orbit as periodic, escaping or singular.
 
-    Stores each reduced state (collision datum modulo lattice translation)
-    together with its lattice cell; the first reduced repeat decides the
-    outcome: zero cell difference means the orbit is closed, a non-zero
-    difference is the drift of an escaping orbit.  For rational data the
-    reduced states form a finite set, so the scan terminates.
+    The boundary return map is invertible (time reversal of a collision
+    gives the unique earlier one), so on the finite set of reduced states
+    (collision data modulo lattice translation) it is a permutation and
+    the first reduced repeat of an orbit is its own start state.  The scan
+    stops there, storing nothing: zero cell difference means the orbit is
+    closed, a non-zero difference is the drift of an escaping orbit.
+    ``pre_period`` is therefore always 0.
     """
     validate_state(start, params)
     if max_collisions < 1:
@@ -525,8 +527,8 @@ def classify_trajectory(start: BilliardState, params: Params,
         return _classify_axis(start, params)
 
     walk = Orbit(start, params)
-    m, n = start.cell
-    seen = {walk.t << 3 | walk.k: (0, m, n, 0)}
+    k0, t0 = walk.k, walk.t
+    m0, n0 = start.cell
     total_dx = 0
     i = 0
     vN = start.slope.v * walk.lattice.N
@@ -536,15 +538,11 @@ def classify_trajectory(start: BilliardState, params: Params,
             total_dx += adx
             if i > max_collisions:
                 break
-            key = t << 3 | k  # the reduced state (k, t) as one int
-            if key in seen:
-                i0, m0, n0, dx0 = seen[key]
+            if t == t0 and k == k0:
                 drift = (m - m0, n - n0)
                 kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
-                return TrajectoryOutcome(kind, i - i0,
-                                         Fraction(total_dx - dx0, vN), drift,
-                                         i0, repeat_cells=((m0, n0), (m, n)))
-            seen[key] = (i, m, n, total_dx)
+                return TrajectoryOutcome(kind, i, Fraction(total_dx, vN), drift,
+                                         0, repeat_cells=((m0, n0), (m, n)))
     except CornerHit as hit:
         # length up to the last collision
         return TrajectoryOutcome(Outcome.SINGULAR, i, Fraction(total_dx, vN),
@@ -558,12 +556,35 @@ def _check_count(n_collisions: int):
         raise DomainError(f"n_collisions must be >= 0, got {n_collisions}")
 
 
+def _collisions(start: BilliardState, params: Params):
+    """(side, cell, position) of each forward collision.  Raises CornerHit."""
+    if start.slope.is_axis:
+        # Trapped 2-bounce orbit: alternate between the two facing sides.
+        x, y = start.position.x, start.position.y
+        (m, n), (sx, sy) = start.cell, start.orientation
+        while True:
+            if start.slope.is_horizontal:
+                x += sx * (1 - params.a)
+                m += sx
+                side = LEFT if sx > 0 else RIGHT
+                sx = -sx
+            else:
+                y += sy * (1 - params.b)
+                n += sy
+                side = BOTTOM if sy > 0 else TOP
+                sy = -sy
+            yield side, (m, n), PointQ(x, y)
+    walk = Orbit(start, params)
+    for k, t, m, n, _adx in walk:
+        yield DOMAINS[k][0], (m, n), walk.position(k, t, m, n)
+
+
 def collision_sequence(start: BilliardState, params: Params,
                        n_collisions: int) -> list:
     """The (side, cell) combinatorics of the first n collisions."""
     _check_count(n_collisions)
-    return [(DOMAINS[k][0], (m, n))
-            for k, _t, m, n, _adx in islice(Orbit(start, params), n_collisions)]
+    return [(side, cell) for side, cell, _pos
+            in islice(_collisions(start, params), n_collisions)]
 
 
 def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath:
@@ -574,30 +595,10 @@ def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath
     _check_count(n_collisions)
     validate_state(start, params)
     points = [start.position]
-    if start.slope.is_axis:
-        # Trapped 2-bounce orbit: alternate between the two facing sides.
-        state = start
-        for _ in range(n_collisions):
-            x, y = state.position.x, state.position.y
-            sx, sy = state.orientation
-            if state.slope.is_horizontal:
-                gap = 1 - params.a
-                pos = PointQ(x + sx * gap, y)
-                m, nn = state.cell
-                state = BilliardState(pos, LEFT if sx > 0 else RIGHT,
-                                      (m + sx, nn), (-sx, sy), state.slope)
-            else:
-                gap = 1 - params.b
-                pos = PointQ(x, y + sy * gap)
-                m, nn = state.cell
-                state = BilliardState(pos, BOTTOM if sy > 0 else TOP,
-                                      (m, nn + sy), (sx, -sy), state.slope)
-            points.append(state.position)
-        return TracedPath(tuple(points))
-    walk = Orbit(start, params)
     try:
-        for k, t, m, n, _adx in islice(walk, n_collisions):
-            points.append(walk.position(k, t, m, n))
+        for _side, _cell, pos in islice(_collisions(start, params),
+                                        n_collisions):
+            points.append(pos)
     except CornerHit as hit:
         corner = PointQ(hit.x, hit.y)
         points.append(corner)

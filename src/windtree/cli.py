@@ -180,6 +180,8 @@ def cmd_render(cfg: RunConfig) -> int:
     slope = Slope.parse(cfg.slope)
     if not cfg.out:
         raise DomainError("render needs --out FILE.svg")
+    if cfg.n_collisions < 0:
+        raise DomainError(f"n_collisions must be >= 0, got {cfg.n_collisions}")
     state, outcome = _state_for(cfg, params, slope)
     n = cfg.n_collisions
     highlight = ()
@@ -187,7 +189,7 @@ def cmd_render(cfg: RunConfig) -> int:
         n = outcome.combinatorial_length
     elif outcome.kind is Outcome.ESCAPING and outcome.repeat_cells:
         highlight = outcome.repeat_cells
-        n = min(n, 2 * outcome.combinatorial_length + outcome.pre_period)
+        n = min(n, 2 * outcome.combinatorial_length)
     path = billiard.trace(state, params, n)
     _write(cfg.out, svg.render_trajectory(params, path, scale=cfg.scale,
                                           highlight_cells=highlight))
@@ -303,9 +305,9 @@ def cmd_recur(cfg: RunConfig) -> int:
     report = experiments.recurrence_experiment(
         params, direction, cfg.samples, cfg.horizon, cfg.seed, jobs=cfg.jobs,
         shadow=direction.quantized)
-    frac = report.returned_fraction
-    print(f"returned {frac.numerator}/{frac.denominator} "
-          f"= {float(frac):.4f} of {cfg.samples} starts "
+    hits = sum(1 for s in report.samples if s.outcome == "returned")
+    print(f"returned {hits} of {cfg.samples} starts "
+          f"({float(report.returned_fraction):.4f}) "
           f"within {cfg.horizon} collisions")
     if cfg.csv:
         _write(cfg.csv, report.to_csv())

@@ -16,6 +16,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .billiard import (BOTTOM, LEFT, RIGHT, TOP, Orbit, Outcome,
                        classify_trajectory, collision_sequence, make_state,
@@ -165,7 +166,9 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
     """First return of one sample to the origin obstacle, exact stepping.
 
     With a shadow slope given (the same direction re-quantized at doubled
-    precision), positions of the two runs are compared at checkpoints.
+    precision), positions of the two runs are compared at checkpoints up
+    to the end.  Without one, a sample back on its start state away from
+    the origin is finished from that one period.
     """
     if slope.is_axis:
         tangent = (slope.is_horizontal and start.side in (BOTTOM, TOP)) or \
@@ -196,6 +199,7 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
                 f"collision {i} exceeds 2^-30")
 
     steps = iter(walk)
+    k0, t0 = walk.k, walk.t
     total_dx = 0
     m = n = 0
     for i in range(1, horizon + 1):
@@ -219,10 +223,48 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
                 check_shadow(i, (k, t, m, n), sh_cur)
             return SampleResult(start.sample_id, start.side, start.offset,
                                 "returned", i, (0, 0), Fraction(total_dx, vN))
+        if t == t0 and k == k0 and shadow is None:
+            return _finish_from_period(walk, start, horizon, i, (m, n),
+                                       total_dx, vN)
     if shadow is not None:
         check_shadow(horizon, (k, t, m, n), sh_cur)
     return SampleResult(start.sample_id, start.side, start.offset,
                         "lost", None, (m, n), Fraction(total_dx, vN))
+
+
+def _finish_from_period(walk: Orbit, start: SampleStart, horizon: int,
+                        period: int, drift: tuple, extent: int, vN: int):
+    """The exact result at the horizon of a sample back on its start state
+    after ``period`` collisions, ``drift`` cells away from the origin.
+
+    Step w*period + j sits at cell C[j] + w*drift with the flight extents
+    of the first period repeated, and hits no corner because the first
+    period hit none.  One more pass over the first period finds the
+    smallest return time w*period + j <= horizon (w >= 1, C[j] = -w*drift)
+    or else reads off the cell and extent at the horizon.
+    """
+    dm, dn = drift
+    w_h, j_h = divmod(horizon, period)
+    at_horizon = (0, 0, 0)  # C[0] and the extent of no collisions
+    best = None
+    acc = 0
+    last = min(period, max(horizon - period, j_h))
+    for j, (_k, _t, m, n, adx) in enumerate(islice(walk, last), 1):
+        acc += adx
+        if j == j_h:
+            at_horizon = (m, n, acc)
+        w = -m // dm if dm else -n // dn
+        if w >= 1 and m == -w * dm and n == -w * dn:
+            s = w * period + j
+            if s <= horizon and (best is None or s < best[0]):
+                best = (s, w * extent + acc)
+    if best is not None:
+        return SampleResult(start.sample_id, start.side, start.offset,
+                            "returned", best[0], (0, 0), Fraction(best[1], vN))
+    m, n, acc = at_horizon
+    return SampleResult(start.sample_id, start.side, start.offset, "lost",
+                        None, (m + w_h * dm, n + w_h * dn),
+                        Fraction(w_h * extent + acc, vN))
 
 
 def recurrence_experiment(params: Params, direction: DirectionSpec,
@@ -234,6 +276,8 @@ def recurrence_experiment(params: Params, direction: DirectionSpec,
         raise DomainError("horizon must be >= 1")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if jobs < 1:
+        raise DomainError("jobs must be >= 1")
     slope = direction.slope
     starts = sample_boundary_starts(params, slope, n_samples, seed)
     shadow_slope = None

@@ -1,13 +1,14 @@
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
-                               Orbit, Outcome, _Engine, _return_map,
-                               classify_trajectory, collision_sequence, launch,
+                               Orbit, Outcome, TrajectoryOutcome, _Engine,
+                               _return_map, classify_trajectory, collision_sequence, launch,
                                make_state, midpoint_state, next_collision,
                                path_length, regular_start, symmetry_check,
                                time_reversed, trace)
@@ -515,3 +516,92 @@ def test_negative_collision_count_is_rejected():
             run(state, HALF, -1)
     assert trace(state, HALF, 0).points == (state.position,)
     assert collision_sequence(state, HALF, 0) == []
+
+
+def _classify_reference(start, params, cap):
+    """The first reduced repeat within ``cap`` collisions, found by storing
+    every reduced state: (outcome, step of the repeated state's first
+    visit), or (None, None) when nothing repeats."""
+    walk = Orbit(start, params)
+    vN = start.slope.v * walk.lattice.N
+    seen = {(walk.k, walk.t): (0, start.cell, 0)}
+    i = total = 0
+    try:
+        for k, t, m, n, adx in islice(walk, cap):
+            i += 1
+            total += adx
+            if (k, t) in seen:
+                i0, (m0, n0), dx0 = seen[k, t]
+                drift = (m - m0, n - n0)
+                kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
+                return TrajectoryOutcome(
+                    kind, i - i0, Fraction(total - dx0, vN), drift, i0,
+                    repeat_cells=((m0, n0), (m, n))), i0
+            seen[k, t] = (i, (m, n), total)
+    except CornerHit as hit:
+        return TrajectoryOutcome(Outcome.SINGULAR, i, Fraction(total, vN),
+                                 (0, 0), 0, corner=PointQ(hit.x, hit.y)), 0
+    return None, None
+
+
+def _assert_classify_matches_reference(start, params, cap):
+    want, first_visit = _classify_reference(start, params, cap)
+    got = classify_trajectory(start, params, cap)
+    if want is None:
+        assert got.kind is Outcome.UNDETERMINED
+        assert got.combinatorial_length == cap
+        return
+    # the return map is a bijection: the first repeat is the start state
+    assert first_visit == 0
+    assert got == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(pqrs=_small_params,
+       uv=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+       side=st.sampled_from([LEFT, RIGHT, BOTTOM, TOP]),
+       num=st.integers(1, 2**20), den=st.integers(2, 2**16),
+       tangent=st.sampled_from([1, -1]),
+       cell=st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_first_reduced_repeat_is_the_start_property(pqrs, uv, side, num, den,
+                                                    tangent, cell):
+    params, state = _random_start(pqrs, uv, side, num, den, tangent, cell)
+    _assert_classify_matches_reference(state, params, 20000)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pqrs=_small_obstacles, cdef=st.sampled_from(_NEAR_CORRIDOR),
+       K=st.integers(600, 3000), pick=st.integers(0, 2**16),
+       cell=st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+def test_first_reduced_repeat_near_corridor_property(pqrs, cdef, K, pick, cell):
+    # starts inside a piece the map build left unresolved, so the orbit
+    # takes engine steps every time it passes there
+    params = classify_params(*pqrs)
+    c, d, e, f = cdef
+    slope = Slope(c * K + e, d * K + f)
+    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
+    gaps = [(k, i) for k, row in enumerate(pieces)
+            for i, p in enumerate(row) if p is None]
+    if not gaps:
+        return
+    k, i = gaps[pick % len(gaps)]
+    lo = cuts[k][i - 1] if i else 0
+    if cuts[k][i] - lo < 2:
+        return
+    eng = _Engine(params, slope, 1)
+    X, Y = eng.point(k, lo + 1 + pick % (cuts[k][i] - lo - 1), *cell)
+    side, orientation = DOMAINS[k]
+    start = BilliardState(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)),
+                          side, cell, orientation, slope)
+    assert _in_unresolved_piece(start, params)
+    _assert_classify_matches_reference(start, params, 5000)
+
+
+@pytest.mark.parametrize("slope", [Slope(0, 1), Slope(1, 0)])
+def test_collision_sequence_of_axis_slopes(slope):
+    state, outcome = regular_start(HALF, slope)
+    assert outcome.kind is Outcome.PERIODIC
+    # the 2-bounce orbit: the facing side of the neighbor, then the start
+    seq = collision_sequence(state, HALF, 4)
+    assert seq == [seq[0], (state.side, state.cell)] * 2
+    assert trace(state, HALF, 4).points[2::2] == (state.position,) * 2

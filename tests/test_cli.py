@@ -373,3 +373,38 @@ def test_render_bytes_pinned(tmp_path, capsys, slope, digest, size):
     data = out.read_bytes()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_render_periodic_negative_collision_count_is_one_line_error(tmp_path,
+                                                                     capsys):
+    # a periodic orbit draws its whole period, but a bad count is still bad
+    out = tmp_path / "p.svg"
+    code, stdout, err = run(capsys, "render", "--params", "1/2,1/2",
+                            "--slope", "9/29", "--n-collisions", "-3",
+                            "--out", str(out))
+    assert _one_line_error(code, err) and "n_collisions must be >= 0" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_recur_jobs_below_one_is_one_line_error(capsys, jobs):
+    code, out, err = run(capsys, "recur", "--params", "1/2,1/2",
+                         "--theta", "13/21", "--samples", "2", "--jobs", jobs)
+    assert _one_line_error(code, err) and "jobs must be >= 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("slope", ["0/1", "1/0"])
+def test_stability_on_axis_slopes(capsys, slope):
+    code, out, err = run(capsys, "stability", "--params", "1/2,1/2",
+                         "--slope", slope)
+    assert code == EXIT_OK and err == ""
+    assert out == "stability at delta 1/1000 over 8 probes: stable\n"
+
+
+def test_recur_summary_counts_returns(capsys):
+    code, out, _ = run(capsys, "recur", "--params", "1/2,1/2",
+                       "--theta", "13/21", "--samples", "2",
+                       "--horizon", "1000")
+    assert code == EXIT_OK
+    assert out == "returned 2 of 2 starts (1.0000) within 1000 collisions\n"

@@ -1,10 +1,16 @@
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from windtree.errors import DomainError, PrecisionError
+from windtree.billiard import (BOTTOM, LEFT, RIGHT, TOP, Orbit,
+                               classify_trajectory, make_state)
+from windtree.errors import CornerHit, DomainError, PrecisionError
 from windtree.exact import Params, Slope, classify_params
-from windtree.experiments import (Approximant, DirectionSpec,
+from windtree.experiments import (Approximant, DirectionSpec, SampleResult,
+                                  SampleStart, _run_sample,
                                   approximation_search, diffusion_experiment,
                                   exact_direction, quantize_direction,
                                   recurrence_experiment,
@@ -116,6 +122,110 @@ def test_shadow_guard_detects_coarse_direction():
     with pytest.raises(PrecisionError):
         recurrence_experiment(HALF, coarse, n_samples=5, horizon=50000,
                               seed=8, shadow=True)
+
+
+def _sample_reference(params, slope, start, horizon):
+    """The recurrence sample stepped collision by collision to the first
+    return or the horizon."""
+    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
+                            start.orientation), params)
+    vN = slope.v * walk.lattice.N
+    total = m = n = 0
+
+    def result(outcome, first, drift):
+        return SampleResult(start.sample_id, start.side, start.offset, outcome,
+                            first, drift, Fraction(total, vN))
+    try:
+        for i, (_k, _t, m, n, adx) in enumerate(islice(walk, horizon), 1):
+            total += adx
+            if m == 0 and n == 0:
+                return result("returned", i, (0, 0))
+    except CornerHit:
+        return result("singular", None, (m, n))
+    return result("lost", None, (m, n))
+
+
+_tables = st.tuples(st.integers(1, 11), st.integers(2, 12),
+                    st.integers(1, 11), st.integers(2, 12)).filter(
+    lambda t: t[0] < t[1] and t[2] < t[3]
+    and gcd(t[0], t[1]) == 1 and gcd(t[2], t[3]) == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pqrs=_tables, uv=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+       side=st.sampled_from([LEFT, RIGHT, BOTTOM, TOP]),
+       num=st.integers(1, 2**16), den=st.integers(2, 2**12),
+       tangent=st.sampled_from([1, -1]),
+       periods=st.integers(0, 4), extra=st.sampled_from([-1, 0, 1, None]),
+       free=st.integers(1, 3000))
+def test_run_sample_matches_stepping_to_the_horizon_property(
+        pqrs, uv, side, num, den, tangent, periods, extra, free):
+    # horizons below, at and at multiples of the period, and free ones
+    params = classify_params(*pqrs)
+    g = gcd(*uv)
+    slope = Slope(uv[0] // g, uv[1] // g)
+    length = params.b if side in (LEFT, RIGHT) else params.a
+    orient = {LEFT: (-1, tangent), RIGHT: (1, tangent),
+              BOTTOM: (tangent, -1), TOP: (tangent, 1)}[side]
+    start = SampleStart(0, side, Fraction(num % den or 1, den) * length,
+                        orient)
+    period = classify_trajectory(
+        make_state(params, (0, 0), side, start.offset, slope, orient),
+        params, 20000).combinatorial_length
+    horizon = free if extra is None else \
+        min(max(1, periods * period + extra), 40000)
+    assert _run_sample(params, slope, start, horizon, None) == \
+        _sample_reference(params, slope, start, horizon)
+
+
+def test_recurrence_return_after_the_first_period():
+    # On 4/5,1/12 at slope 2 the third start of seed 464203021 is back on
+    # its start state after 178 collisions, one period's drift away from
+    # the origin.  Its cell after 18 collisions is two drifts back (a
+    # return at 2*178 + 18 = 374), the one after 156 a single drift
+    # back: the first return is 178 + 156 = 334.
+    params = classify_params(4, 5, 1, 12)
+    slope = Slope(2, 1)
+    seed = 464203021
+    start = sample_boundary_starts(params, slope, 3, seed)[2]
+    state = make_state(params, (0, 0), start.side, start.offset, slope,
+                       start.orientation)
+    assert classify_trajectory(state, params).combinatorial_length == 178
+    for horizon, first in ((177, None), (178, None), (333, None), (334, 334),
+                           (356, 334), (374, 334), (534, 334), (2000, 334)):
+        got = recurrence_experiment(params, exact_direction(2), 3, horizon,
+                                    seed).samples[2]
+        assert got.first_return == first
+        assert got == _sample_reference(params, slope, start, horizon)
+
+
+def test_recurrence_lost_at_a_multiple_of_a_short_period():
+    # 1/4,1/2 at slope 24/11: the second start of seed 161260831 repeats
+    # after 6 collisions and first returns at 10
+    params = classify_params(1, 4, 1, 2)
+    slope = Slope(24, 11)
+    start = sample_boundary_starts(params, slope, 2, 161260831)[1]
+    for horizon in range(1, 25):
+        got = _run_sample(params, slope, start, horizon, None)
+        assert got == _sample_reference(params, slope, start, horizon)
+        assert got.first_return == (10 if horizon >= 10 else None)
+
+
+def test_shadow_guard_checks_past_the_period():
+    # theta quantized at 8 bits is slope 1/2, whose orbits repeat after 2
+    # collisions with a drift; the 16-bit shadow leaves them, so the guard
+    # must keep comparing to the end rather than finish from the period
+    coarse = quantize_direction(Fraction(1, 2) + Fraction(1, 2**12), 8)
+    plain = recurrence_experiment(HALF, coarse, 1, 5000, 0)
+    assert plain.samples[0].outcome == "lost"
+    with pytest.raises(PrecisionError):
+        recurrence_experiment(HALF, coarse, 1, 5000, 0, shadow=True)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_recurrence_rejects_jobs_below_one(jobs):
+    with pytest.raises(DomainError, match="jobs must be >= 1"):
+        recurrence_experiment(HALF, golden_truncation(), 2, 100, 0, jobs=jobs)
 
 
 def test_diffusion_requires_even_over_odd_class():
