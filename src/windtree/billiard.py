@@ -38,6 +38,12 @@ allows (slopes close to a rational one on tables with open corridors)
 are left unresolved; an orbit entering one takes that step with the
 engine, from the orbit's own cell, so a corner hit there is exact too.
 
+Each orbit of a rational slope is a cycle of the map, and the starts that
+take the same pieces fill an open interval: the leaves of one cylinder.
+The first walk that closes on its start records the cycle (period, drift,
+interval and a landmark every 32 collisions), and later starts on it are
+answered by a walk of at most 32 collisions to a landmark.
+
 Geometric lengths are reported as the exact rational number of copies of
 the primitive direction vector (v, u) traversed; the Euclidean length is
 that coefficient times sqrt(u^2 + v^2).  This keeps every length
@@ -47,12 +53,14 @@ comparison in the rationals.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd
+from typing import NamedTuple
 
 from .errors import CornerHit, DomainError
 from .exact import ORIENTATIONS, Params, PointQ, Slope
@@ -135,6 +143,21 @@ def reduced_state(state: BilliardState, params: Params) -> ReducedState:
     else:
         offset = state.position.x - (m - params.a / 2)
     return ReducedState(state.side, offset, state.orientation)
+
+
+def leaving_orientation(side: str, orientation: tuple = (1, 1)) -> tuple:
+    """The orientation that leaves ``side``: the side's outward normal sign,
+    with the tangential sign taken from ``orientation``."""
+    sx, sy = orientation
+    if side == LEFT:
+        return (-1, sy)
+    if side == RIGHT:
+        return (1, sy)
+    if side == BOTTOM:
+        return (sx, -1)
+    if side == TOP:
+        return (sx, 1)
+    raise DomainError(f"unknown side {side!r}")
 
 
 def make_state(params: Params, cell: tuple, side: str, offset: Fraction,
@@ -436,7 +459,8 @@ class Orbit:
     Every iteration starts again from the start state.
     """
 
-    __slots__ = ("lattice", "k", "t", "cell", "_cuts", "_pieces", "_corners")
+    __slots__ = ("lattice", "n0", "k", "t", "cell", "_cuts", "_pieces",
+                 "_corners")
 
     def __init__(self, start: BilliardState, params: Params):
         slope = start.slope
@@ -445,7 +469,8 @@ class Orbit:
         k = _DOMAIN_INDEX.get((start.side, tuple(start.orientation)))
         if k is None:
             raise DomainError("direction does not leave the named side")
-        n0 = _lcm(start.position.x.denominator, start.position.y.denominator)
+        self.n0 = n0 = _lcm(start.position.x.denominator,
+                            start.position.y.denominator)
         self.lattice = lat = _Engine(params, slope, n0)
         X, Y = lat.encode(start.position)
         self.k = k
@@ -485,6 +510,578 @@ class Orbit:
         return PointQ(Fraction(X, N), Fraction(Y, N))
 
 
+# -- cylinder cycles ------------------------------------------------------
+#
+# Every reduced orbit of a rational slope is a cycle of the return map, and
+# the starts that follow the same pieces fill an open interval: the leaves
+# of one cylinder.  They share the period, the drift and the period's
+# flight extent, so the first walk that closes on its start records the
+# cycle, and later starts on it are answered by a short walk to one of its
+# landmarks instead of a period walk.
+
+# A recorded cycle keeps a landmark at every this many phases; a lookup
+# walks at most this many collisions to reach one.
+_LANDMARK_EVERY = 32
+
+
+_NARROW = tuple((code, 1 << 8 * array(code).itemsize - 1) for code in "bhi")
+
+
+def _narrow(col: array) -> array:
+    """The column in the narrowest signed array type that holds it."""
+    lo, hi = min(col), max(col)
+    for code, bound in _NARROW:
+        if -bound <= lo and hi < bound:
+            return array(code, col)
+    return col
+
+
+class _Cycle:
+    """A closed cycle of the return map, recorded at lattice scale n0 = 1.
+
+    Every start in the open interval (lo, hi) of domain ``k[0]`` takes the
+    same pieces and is back on itself after ``length`` collisions,
+    ``drift`` cells away, having flown the X-extent ``extent``.  Landmark b
+    sits at phase j = b*G, G = _LANDMARK_EVERY.  A phase-0 point tau, at
+    lattice scale n0, is there at t = sign[b]*tau + n0*off[b] in domain
+    k[b], in cell (cm[b], cn[b]) relative to its start cell, after the
+    X-extent n0*ea[b] + _extent_slope(v, k[0], k[b])*tau.  The cells of
+    phases j .. j+G-1 lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
+    cn[b] + nlo[b] <= n <= cn[b] + nhi[b].  The columns are filled while
+    the walk goes and narrowed when it closes.
+    """
+
+    __slots__ = ("length", "drift", "extent", "lo", "hi", "k", "sign", "off",
+                 "cm", "cn", "ea", "mlo", "mhi", "nlo", "nhi", "span")
+
+    def __init__(self):
+        self.k, self.sign = array("b"), array("b")
+        self.off, self.cm, self.cn, self.ea = (array("q") for _ in range(4))
+        self.mlo, self.mhi, self.nlo, self.nhi = (array("q") for _ in range(4))
+
+    def mark(self, k, sign, off, cm, cn, ea):
+        """Add a landmark.  Raises OverflowError past 64 bits."""
+        self.off.append(off)
+        self.ea.append(ea)
+        self.cm.append(cm)
+        self.cn.append(cn)
+        self.k.append(k)
+        self.sign.append(sign)
+
+    def box(self, mlo, mhi, nlo, nhi):
+        """Close the last landmark's block with the box of its cells."""
+        m, n = self.cm[-1], self.cn[-1]
+        self.mlo.append(mlo - m)
+        self.mhi.append(mhi - m)
+        self.nlo.append(nlo - n)
+        self.nhi.append(nhi - n)
+
+    def seal(self, length, drift, extent, lo, hi):
+        self.length, self.drift, self.extent = length, drift, extent
+        self.lo, self.hi = lo, hi
+        for name in ("off", "cm", "cn", "ea", "mlo", "mhi", "nlo", "nhi"):
+            setattr(self, name, _narrow(getattr(self, name)))
+        # the box of every cell of the period
+        self.span = (min(map(sum, zip(self.cm, self.mlo))),
+                     max(map(sum, zip(self.cm, self.mhi))),
+                     min(map(sum, zip(self.cn, self.nlo))),
+                     max(map(sum, zip(self.cn, self.nhi))))
+
+    def mirrored(self, fx: bool, fy: bool, lengths: list, v: int):
+        """The image of the cycle under x -> -x (fx) and y -> -y (fy).
+
+        A reflection maps domain k to _MIRRORS[fx, fy][k], the cell (m, n)
+        to (-m, n) or (m, -n), keeps every flight's X-extent, and turns the
+        coordinate t along a mirrored axis into lengths[k] - t.  Returns
+        None where the image disagrees with the leaf geometry (not
+        expected).
+        """
+        image = _Cycle()
+        kmap = _MIRRORS[fx, fy]
+        k0 = self.k[0]
+        mu0 = -1 if (fy if k0 < 4 else fx) else 1
+        c0 = lengths[k0] if mu0 < 0 else 0
+        for b, k in enumerate(self.k):
+            mu = -1 if (fy if k < 4 else fx) else 1
+            sign = mu * self.sign[b] * mu0
+            slope = _extent_slope(v, k0, k)
+            if sign != _LEAF[kmap[k0]] * _LEAF[kmap[k]] or \
+                    mu0 * slope != _extent_slope(v, kmap[k0], kmap[k]):
+                return None
+            image.mark(kmap[k], sign,
+                       mu * self.off[b] + (lengths[k] if mu < 0 else 0)
+                       - sign * c0,
+                       -self.cm[b] if fx else self.cm[b],
+                       -self.cn[b] if fy else self.cn[b],
+                       self.ea[b] - slope * mu0 * c0)
+            image.mlo.append(-self.mhi[b] if fx else self.mlo[b])
+            image.mhi.append(-self.mlo[b] if fx else self.mhi[b])
+            image.nlo.append(-self.nhi[b] if fy else self.nlo[b])
+            image.nhi.append(-self.nlo[b] if fy else self.nhi[b])
+        dm, dn = self.drift
+        image.seal(self.length, (-dm if fx else dm, -dn if fy else dn),
+                   self.extent,
+                   *((c0 - self.hi, c0 - self.lo) if mu0 < 0
+                     else (self.lo, self.hi)))
+        return image
+
+    def interval(self, b: int) -> tuple:
+        """The open interval, at n0 = 1, that landmark b's phase covers."""
+        off = self.off[b]
+        if self.sign[b] > 0:
+            return off + self.lo, off + self.hi
+        return off - self.hi, off - self.lo
+
+
+class _CycleStore:
+    """The recorded cycles of one (params, slope), and for each domain the
+    intervals of their landmarks: sorted, disjoint, at n0 = 1."""
+
+    __slots__ = ("lengths", "v", "cycles", "los", "his", "refs")
+
+    def __init__(self, lengths: list, v: int):
+        self.lengths, self.v = lengths, v  # the domains' lengths at n0 = 1
+        self.cycles = []
+        self.los = [array("q") for _ in DOMAINS]
+        self.his = [array("q") for _ in DOMAINS]
+        self.refs = [array("q") for _ in DOMAINS]  # cycle << 32 | landmark
+
+    def add(self, cyc: _Cycle) -> bool:
+        """Index a sealed cycle's landmarks.  Returns False, adding
+        nothing, for a cycle whose intervals do not fit in 64 bits."""
+        try:
+            ends = array("q", [x for b in range(len(cyc.k))
+                               for x in cyc.interval(b)])
+        except OverflowError:
+            return False
+        ref = len(self.cycles) << 32
+        for b, k in enumerate(cyc.k):
+            lo, hi = ends[2 * b], ends[2 * b + 1]
+            los, his = self.los[k], self.his[k]
+            i = bisect_left(los, lo)
+            if (i and his[i - 1] > lo) or (i < len(los) and los[i] < hi):
+                raise AssertionError("two recorded cycles overlap")
+            los.insert(i, lo)
+            his.insert(i, hi)
+            self.refs[k].insert(i, ref | b)
+        self.cycles.append(cyc)
+        return True
+
+    def locate(self, walk: Orbit):
+        """Walk the start of ``walk`` to the first landmark it reaches.
+
+        Returns (cycle, landmark, steps, dm, dn, extent, t): the collisions
+        walked, the cells and X-extent they moved by and the coordinate at
+        the landmark; or None when the start lies on no recorded cycle.  A
+        start on one reaches a landmark within G - 1 collisions.  Interval
+        ends never match: they lie on saddle connections.
+
+        The table is symmetric under x -> -x and y -> -y, so the mirror
+        image of a recorded cycle is a cycle of the same slope.  A start
+        whose image lies on a recorded cycle has that cycle's image
+        recorded first.
+        """
+        if not self.cycles:
+            return None
+        seen = []
+        found = self._find(walk, seen)
+        if found is not None:
+            return found
+        # the images of the states walked walk the image of the orbit
+        n0, lengths = walk.n0, self.lengths
+        for (fx, fy), kmap in _MIRRORS.items():
+            for k, t in seen:
+                if fy if k < 4 else fx:
+                    t = n0 * lengths[k] - t
+                k = kmap[k]
+                i = bisect_right(self.los[k], (t - 1) // n0) - 1
+                if i >= 0 and t < n0 * self.his[k][i]:
+                    image = self.cycles[self.refs[k][i] >> 32].mirrored(
+                        fx, fy, lengths, self.v)
+                    if image is not None and self.add(image):
+                        return self._find(walk, [])
+                    return None
+        return None
+
+    def _find(self, walk: Orbit, seen: list):
+        """locate without the mirror images; ``seen`` gets the states
+        walked, or nothing when the start lies on no cycle at all."""
+        n0, cuts, pieces = walk.n0, walk._cuts, walk._pieces
+        k, t = walk.k, walk.t
+        m = n = ext = 0
+        for s in range(_LANDMARK_EVERY):
+            # the last interval with n0*lo < t, that is lo <= (t - 1)//n0
+            i = bisect_right(self.los[k], (t - 1) // n0) - 1
+            if i >= 0 and t < n0 * self.his[k][i]:
+                ci, b = divmod(self.refs[k][i], 1 << 32)
+                return self.cycles[ci], b, s, m, n, ext, t
+            if s and t == walk.t and k == walk.k:
+                return None  # a short cycle, walked whole
+            seen.append((k, t))
+            cs = cuts[k]
+            i = bisect_left(cs, t)
+            piece = pieces[k][i]
+            if cs[i] == t or piece is None:
+                seen.clear()
+                return None
+            k, flip, shift, dm, dn, c0, c1 = piece
+            ext += c0 + c1 * t
+            t = shift - t if flip else shift + t
+            m += dm
+            n += dn
+        return None
+
+
+@lru_cache(maxsize=16)
+def _cycle_store(params: Params, u: int, v: int) -> _CycleStore:
+    """The cycle store of slope u/v, shared by every caller (same size and
+    reasoning as the return map's cache)."""
+    return _CycleStore([cs[-1] for cs in _return_map(params, u, v)[0]], v)
+
+
+class _Walk(NamedTuple):
+    steps: int
+    m: int
+    n: int
+    extent: int
+    corner: CornerHit | None
+    closed: bool
+    cycle: _Cycle | None
+    first: tuple | None  # (collisions, extent) at the first return to the cell
+
+
+def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
+                 to_cell: bool = False) -> _Walk:
+    """Step the start of ``walk`` until it is back on its start state, hits a
+    corner, or has made ``limit`` collisions; record the cycle it closes.
+
+    The open interval of starts that take the same pieces is shrunk along
+    the way, kept as its margins below and above the orbit's point: each
+    image is cut down to the next piece.  With ``to_cell``, the first
+    return to the start cell is noted too.  A cycle is recorded when the
+    walk took no unresolved piece, its landmarks fit in 64 bits, the sign
+    it tracks agrees with the leaf geometry at every landmark and the
+    period map on the interval is unflipped.
+    """
+    G = _LANDMARK_EVERY
+    cuts, pieces, corners = walk._cuts, walk._pieces, walk._corners
+    lows = [[0] + cs for cs in cuts]  # lows[k][i]: the low end of piece i
+    k = k0 = walk.k
+    t = t0 = walk.t
+    m, n = sm, sn = walk.cell
+    leaf0, n0 = _LEAF[k0], walk.n0
+    sign, ext, steps = 1, 0, 0
+    rec = _Cycle()
+    recordable, closed, corner, first = True, False, None, None
+    cs = cuts[k]
+    i = bisect_left(cs, t)
+    below, above = t - lows[k][i], cs[i] - t
+    if above == 0:
+        dx, dy = corners[k][i]
+        return _Walk(0, m, n, 0, CornerHit(m + dx, n + dy), False, None, None)
+    mlo = mhi = m
+    nlo = nhi = n
+    while steps < limit:
+        if recordable:
+            if steps:
+                rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+            # a landmark: the phase-0 point is at sign*t0 + off, and its
+            # extent is ext + B*(tau - t0) with the slope B the leaf
+            # geometry fixes
+            B = _extent_slope(walk.lattice.v, k0, k)
+            recordable = sign == leaf0 * _LEAF[k]
+            try:
+                rec.mark(k, sign, _down(t - sign * t0, n0), m - sm, n - sn,
+                         _down(ext - B * t0, n0))
+            except OverflowError:
+                recordable = False
+        mlo = mhi = m
+        nlo = nhi = n
+        for steps in range(steps + 1, min(steps + G, limit) + 1):
+            piece = pieces[k][i]
+            if piece is None:  # a flight too long for the map build
+                recordable = False
+                try:
+                    k, t, m, n, adx = _map_step(walk.lattice, k, t, m, n)
+                except CornerHit as hit:
+                    steps -= 1  # the collision was not made
+                    corner = hit
+                    break
+                ext += adx
+            else:
+                k, flip, shift, dm, dn, c0, c1 = piece
+                ext += c0 + c1 * t
+                if flip:
+                    t = shift - t
+                    below, above = above, below
+                    sign = -sign
+                else:
+                    t += shift
+                m += dm
+                n += dn
+            if m < mlo:
+                mlo = m
+            elif m > mhi:
+                mhi = m
+            if n < nlo:
+                nlo = n
+            elif n > nhi:
+                nhi = n
+            if m == sm and n == sn and to_cell and first is None:
+                first = (steps, ext)
+                if not recordable:
+                    break
+            if t == t0 and k == k0:
+                closed = True
+                break
+            cs = cuts[k]
+            i = bisect_left(cs, t)
+            c = cs[i]
+            if c == t:
+                dx, dy = corners[k][i]
+                corner = CornerHit(m + dx, n + dy)
+                break
+            if c - t < above:
+                above = c - t
+            c = t - lows[k][i]
+            if c < below:
+                below = c
+        else:
+            continue
+        break
+    cycle = None
+    if closed and recordable and sign == 1:
+        rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+        rec.seal(steps, (m - sm, n - sn), _down(ext, n0),
+                 _down(t0 - below, n0), _down(t0 + above, n0))
+        if store.add(rec):
+            cycle = rec
+    return _Walk(steps, m, n, ext, corner, closed, cycle, first)
+
+
+# Parallel leaves.  The flight of a start unfolds to a straight line of
+# direction (v, u) whose transverse coordinate u*x - v*y moves with the
+# start's t at the rate u*v*_LEAF[k] on domain k.  So a start moved by d
+# crosses phase j moved by _LEAF[k0]*_LEAF[kj]*d, and its X-extent up to
+# there changes by _extent_slope(v, k0, kj)*d: not at all between two
+# vertical or two horizontal sides, whose unfolded x (resp. y) is fixed.
+_LEAF = tuple(orientation[0] if side in HORIZONTAL_SIDES else -orientation[1]
+              for side, orientation in DOMAINS)
+
+
+def _mirror_domain(k: int, fx: bool, fy: bool) -> int:
+    side, (sx, sy) = DOMAINS[k]
+    if fx:
+        side, sx = {LEFT: RIGHT, RIGHT: LEFT}.get(side, side), -sx
+    if fy:
+        side, sy = {BOTTOM: TOP, TOP: BOTTOM}.get(side, side), -sy
+    return _DOMAIN_INDEX[side, (sx, sy)]
+
+
+# The table's reflections x -> -x, y -> -y and both, as domain maps.
+_MIRRORS = {(fx, fy): tuple(_mirror_domain(k, fx, fy) for k in range(8))
+            for fx, fy in ((True, False), (False, True), (True, True))}
+
+
+def _extent_slope(v: int, k0: int, k: int) -> int:
+    """d(X-extent from domain k0 to domain k)/dt for parallel leaves."""
+    return v * _LEAF[k0] * ((k >= 4) - (k0 >= 4))
+
+
+def _down(x: int, n0: int) -> int:
+    """x at lattice scale n0, taken to n0 = 1."""
+    q, r = divmod(x, n0)
+    if r:
+        raise AssertionError("cycle data off the n0 = 1 lattice")
+    return q
+
+
+def _block(walk: Orbit, cyc: _Cycle, tau: int, b: int, rnd: int):
+    """(m, n, extent) at each phase of landmark b's block in round ``rnd``
+    (the phases rnd*L + b*G ..) of the cycle point whose phase-0
+    coordinate is tau, in the frame where that point starts in cell (0, 0)
+    with extent 0."""
+    n0, cuts, pieces = walk.n0, walk._cuts, walk._pieces
+    dm, dn = cyc.drift
+    k = cyc.k[b]
+    t = cyc.sign[b] * tau + n0 * cyc.off[b]
+    m = cyc.cm[b] + rnd * dm
+    n = cyc.cn[b] + rnd * dn
+    ext = n0 * (cyc.ea[b] + rnd * cyc.extent) + \
+        _extent_slope(walk.lattice.v, cyc.k[0], k) * tau
+    for _ in range(min(_LANDMARK_EVERY, cyc.length - b * _LANDMARK_EVERY)):
+        yield m, n, ext
+        k, flip, shift, dm, dn, c0, c1 = pieces[k][bisect_left(cuts[k], t)]
+        ext += c0 + c1 * t
+        t = shift - t if flip else shift + t
+        m += dm
+        n += dn
+
+
+def _rounds(c: int, d: int, lo: int, hi: int, w0: int, w1: int) -> tuple:
+    """The rounds w0..w1 narrowed to those with lo <= c - w*d <= hi."""
+    if d > 0:
+        return max(w0, -((hi - c) // d)), min(w1, (c - lo) // d)
+    if d < 0:
+        return max(w0, -((c - lo) // -d)), min(w1, (hi - c) // -d)
+    return (w0, w1) if lo <= c <= hi else (w0, w0 - 1)
+
+
+def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
+    """First return to the start cell within ``horizon`` collisions of a
+    start that ``_CycleStore.locate`` found on a recorded cycle.
+
+    Returns (collisions or None, cell, extent): the cell and the extent are
+    relative to the start, at the return or else at the horizon.  Phase q
+    of the cycle sits at cell C[q mod L] + (q div L)*D.  In the rounds
+    whose drift brings the start cell into the cycle's span, the blocks
+    whose boxes hold it are stepped from their landmark in order of phase,
+    so the first match is the first return.
+    """
+    G = _LANDMARK_EVERY
+    cyc, b, s, wm, wn, wext, t = found
+    L, (dm, dn), n0 = cyc.length, cyc.drift, walk.n0
+    tau = cyc.sign[b] * (t - n0 * cyc.off[b])
+    # the start is at phase p, s collisions before landmark b's phase
+    p = b * G - s
+    rnd = 1 if p < 0 else 0
+    p += rnd * L
+    cm = cyc.cm[b] + rnd * dm - wm
+    cn = cyc.cn[b] + rnd * dn - wn
+    e0 = n0 * (cyc.ea[b] + rnd * cyc.extent) + \
+        _extent_slope(walk.lattice.v, cyc.k[0], cyc.k[b]) * tau - wext
+    first, last = p + 1, p + horizon
+    # only rounds whose drift brings the start cell into the cycle's span
+    lo_m, hi_m, lo_n, hi_n = cyc.span
+    w0, w1 = _rounds(cm, dm, lo_m, hi_m, first // L, last // L)
+    w0, w1 = _rounds(cn, dn, lo_n, hi_n, w0, w1)
+    for rnd in range(w0, w1 + 1):
+        tm, tn = cm - rnd * dm, cn - rnd * dn
+        base = rnd * L
+        for b in range(max(0, (first - base) // G),
+                       min(len(cyc.k), (last - base) // G + 1)):
+            if cyc.mlo[b] <= tm - cyc.cm[b] <= cyc.mhi[b] and \
+                    cyc.nlo[b] <= tn - cyc.cn[b] <= cyc.nhi[b]:
+                q = base + b * G
+                for m, n, ext in _block(walk, cyc, tau, b, rnd):
+                    if q > last:
+                        break
+                    if m == cm and n == cn and q >= first:
+                        return q - p, (0, 0), ext - e0
+                    q += 1
+    rnd, r = divmod(last, L)
+    b, j = divmod(r, G)
+    m, n, ext = next(islice(_block(walk, cyc, tau, b, rnd), j, None))
+    return None, (m - cm, n - cn), ext - e0
+
+
+def first_return(start: BilliardState, params: Params, horizon: int):
+    """The first return of a non-axis orbit to its start cell within
+    ``horizon`` collisions.
+
+    Returns (collisions or None, cell, length, singular): the cell relative
+    to the start cell and the length in primitive-vector units, at the
+    return, at the corner or else at the horizon.  A start on a recorded
+    cycle is answered from it; otherwise the orbit is walked, and one that
+    closes on its start within the horizon is recorded and answered from
+    its cycle.  Returns None for an orbit that closes on a cycle the store
+    cannot hold (see `_walk_period`), which must be stepped.
+    """
+    validate_state(start, params)
+    walk = Orbit(start, params)
+    store = _cycle_store(params, start.slope.u, start.slope.v)
+    vN = start.slope.v * walk.lattice.N
+    found = store.locate(walk)
+    if found is None:
+        res = _walk_period(walk, horizon, store, to_cell=True)
+        sm, sn = start.cell
+        cell = (res.m - sm, res.n - sn)
+        if res.first is not None:
+            return res.first[0], (0, 0), Fraction(res.first[1], vN), False
+        if res.corner is not None and res.steps < horizon:
+            return None, cell, Fraction(res.extent, vN), True
+        if not res.closed:
+            return None, cell, Fraction(res.extent, vN), False
+        if res.cycle is None:
+            return None
+        found = res.cycle, 0, 0, 0, 0, 0, walk.t
+    ret, cell, ext = _cycle_return(walk, found, horizon)
+    return ret, cell, Fraction(ext, vN), False
+
+
+def _direction_cycles(params: Params, slope: Slope) -> tuple:
+    """Every cylinder of a non-axis rational direction on the table, from
+    the billiard alone: the cycles that cover the 8 domains, and the
+    straight corridors that meet no obstacle.
+
+    Returns (cycles, corridor).  cycles lists (cycle, phases), phases[j] =
+    (k, lo, hi) being the open interval, at n0 = 1, that phase j of the
+    cycle covers in domain k.  corridor is the drift (v, u) of the
+    corridors, or None when every line of the direction meets an obstacle
+    (u*a + v*b >= 1).  The direction is completely periodic on the table
+    exactly when there is no corridor and every cycle's drift is (0, 0);
+    otherwise the escaping cycles and the corridors are its strips.
+    """
+    if slope.is_axis:
+        raise DomainError("axis slopes have no return map")
+    store = _cycle_store(params, slope.u, slope.v)
+    cuts = _return_map(params, slope.u, slope.v)[0]
+    limit = 2 * sum(cs[-1] for cs in cuts)  # reduced states at n0 = 2
+    eng = _Engine(params, slope, 2)
+    found = []
+    ends = [{} for _ in DOMAINS]  # ends[k][lo] = hi over the cycles found
+    for k in range(len(DOMAINS)):
+        pos = 0
+        while pos < cuts[k][-1]:
+            if pos in ends[k]:
+                pos = ends[k][pos]
+                continue
+            # a point just above pos, on no cycle found yet
+            X, Y = eng.point(k, 2 * pos + 1, 0, 0)
+            side, orientation = DOMAINS[k]
+            walk = Orbit(BilliardState(PointQ(Fraction(X, eng.N),
+                                              Fraction(Y, eng.N)),
+                                       side, (0, 0), orientation, slope),
+                         params)
+            hit = store.locate(walk)
+            if hit is None:
+                res = _walk_period(walk, limit, store)
+                if res.cycle is None:
+                    raise DomainError(f"slope {slope} has a cycle the store "
+                                      "cannot hold")
+                hit = res.cycle, 0, 0, 0, 0, 0, walk.t
+            cyc, b, s = hit[:3]
+            phases = _phases(walk, cyc)
+            for kk, lo, hi in phases:
+                if lo in ends[kk]:
+                    raise AssertionError("two cycles share an interval")
+                ends[kk][lo] = hi
+            if phases[(b * _LANDMARK_EVERY - s) % cyc.length][:2] != (k, pos):
+                raise AssertionError("cycle intervals do not tile a domain")
+            found.append((cyc, phases))
+    corridor = None
+    if slope.u * params.a + slope.v * params.b < 1:
+        corridor = (slope.v, slope.u)
+    return found, corridor
+
+
+def _phases(walk: Orbit, cyc: _Cycle) -> list:
+    """(k, lo, hi) of each phase of a recorded cycle, walked from a phase-0
+    point at the lattice scale of ``walk`` (which must be at least 2)."""
+    n0, cuts, pieces = walk.n0, walk._cuts, walk._pieces
+    k, t, sign = cyc.k[0], n0 * cyc.lo + 1, 1
+    tau = t
+    out = []
+    for _ in range(cyc.length):
+        off = _down(t - sign * tau, n0)
+        out.append((k, off + cyc.lo, off + cyc.hi) if sign > 0
+                   else (k, off - cyc.hi, off - cyc.lo))
+        k, flip, shift = pieces[k][bisect_left(cuts[k], t)][:3]
+        t = shift - t if flip else shift + t
+        sign = -sign if flip else sign
+    return out
+
+
 def next_collision(state: BilliardState, params: Params) -> BilliardState:
     """One exact collision step.  Raises CornerHit at corners."""
     walk = Orbit(state, params)
@@ -515,10 +1112,13 @@ def classify_trajectory(start: BilliardState, params: Params,
     The boundary return map is invertible (time reversal of a collision
     gives the unique earlier one), so on the finite set of reduced states
     (collision data modulo lattice translation) it is a permutation and
-    the first reduced repeat of an orbit is its own start state.  The scan
-    stops there, storing nothing: zero cell difference means the orbit is
-    closed, a non-zero difference is the drift of an escaping orbit.
-    ``pre_period`` is therefore always 0.
+    the first reduced repeat of an orbit is its own start state.  The walk
+    stops there: zero cell difference means the orbit is closed, a non-zero
+    difference is the drift of an escaping orbit.  ``pre_period`` is
+    therefore always 0.  The walk records the cylinder cycle it closed, and
+    a later start on a recorded cycle is answered from it.  An
+    undetermined outcome has the length of exactly ``max_collisions``
+    collisions.
     """
     validate_state(start, params)
     if max_collisions < 1:
@@ -527,28 +1127,27 @@ def classify_trajectory(start: BilliardState, params: Params,
         return _classify_axis(start, params)
 
     walk = Orbit(start, params)
-    k0, t0 = walk.k, walk.t
-    m0, n0 = start.cell
-    total_dx = 0
-    i = 0
+    store = _cycle_store(params, start.slope.u, start.slope.v)
     vN = start.slope.v * walk.lattice.N
-    try:
-        for k, t, m, n, adx in walk:
-            i += 1
-            total_dx += adx
-            if i > max_collisions:
-                break
-            if t == t0 and k == k0:
-                drift = (m - m0, n - n0)
-                kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
-                return TrajectoryOutcome(kind, i, Fraction(total_dx, vN), drift,
-                                         0, repeat_cells=((m0, n0), (m, n)))
-    except CornerHit as hit:
-        # length up to the last collision
-        return TrajectoryOutcome(Outcome.SINGULAR, i, Fraction(total_dx, vN),
-                                 (0, 0), 0, corner=PointQ(hit.x, hit.y))
-    return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
-                             Fraction(total_dx, vN), (0, 0), 0)
+    m0, n0 = start.cell
+    found = store.locate(walk)
+    if found is not None and found[0].length <= max_collisions:
+        cyc = found[0]
+        steps, (dm, dn), extent = cyc.length, cyc.drift, walk.n0 * cyc.extent
+    else:
+        res = _walk_period(walk, max_collisions, store)
+        if res.corner is not None:
+            # length up to the last collision
+            return TrajectoryOutcome(Outcome.SINGULAR, res.steps,
+                                     Fraction(res.extent, vN), (0, 0), 0,
+                                     corner=PointQ(res.corner.x, res.corner.y))
+        if not res.closed:
+            return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
+                                     Fraction(res.extent, vN), (0, 0), 0)
+        steps, dm, dn, extent = res.steps, res.m - m0, res.n - n0, res.extent
+    kind = Outcome.PERIODIC if (dm, dn) == (0, 0) else Outcome.ESCAPING
+    return TrajectoryOutcome(kind, steps, Fraction(extent, vN), (dm, dn), 0,
+                             repeat_cells=((m0, n0), (m0 + dm, n0 + dn)))
 
 
 def _check_count(n_collisions: int):
@@ -678,18 +1277,10 @@ def regular_start(params: Params, slope: Slope, orientation: tuple = (1, 1),
     for _ in range(attempts):
         for side in sides:
             length = side_length(params, side)
-            orient = orientation
-            if side == TOP:
-                orient = (orientation[0], 1)
-            elif side == BOTTOM:
-                orient = (orientation[0], -1)
-            elif side == RIGHT:
-                orient = (1, orientation[1])
-            elif side == LEFT:
-                orient = (-1, orientation[1])
             try:
                 state = make_state(params, cell, side,
-                                   Fraction(1, denom) * length, slope, orient)
+                                   Fraction(1, denom) * length, slope,
+                                   leaving_orientation(side, orientation))
             except DomainError:
                 continue
             outcome = classify_trajectory(state, params, max_collisions)

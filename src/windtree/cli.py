@@ -126,11 +126,8 @@ def _parse_start(params: Params, text: str, slope: Slope):
         raise DomainError(f"cannot parse start {text!r} "
                           "(expected m,n,side,num/den)") from exc
     offset = _parse_fraction(off, "start offset")
-    if side in (billiard.TOP, billiard.BOTTOM):
-        orient = (1, 1 if side == billiard.TOP else -1)
-    else:
-        orient = (-1 if side == billiard.LEFT else 1, 1)
-    return billiard.make_state(params, cell, side, offset, slope, orient)
+    return billiard.make_state(params, cell, side, offset, slope,
+                               billiard.leaving_orientation(side))
 
 
 def _state_for(cfg: RunConfig, params: Params, slope: Slope):
@@ -389,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="start as m,n,side,offset (offset exact)")
         p.add_argument("--origami", dest="origami_file", default="",
                        help="serialized origami file (decompose)")
-        p.add_argument("--n-collisions", type=int, default=200)
+        p.add_argument("--n-collisions", type=int, default=200,
+                       help="collisions to draw (render); a periodic orbit "
+                            "is drawn for one full period instead")
         p.add_argument("--max-collisions", type=int,
                        default=billiard.DEFAULT_MAX_COLLISIONS)
         p.add_argument("--limit", type=int, default=9)

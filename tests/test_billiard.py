@@ -6,9 +6,11 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windtree import billiard
 from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
                                Orbit, Outcome, TrajectoryOutcome, _Engine,
-                               _return_map, classify_trajectory, collision_sequence, launch,
+                               _cycle_store, _return_map, classify_trajectory,
+                               collision_sequence, launch, leaving_orientation,
                                make_state, midpoint_state, next_collision,
                                path_length, regular_start, symmetry_check,
                                time_reversed, trace)
@@ -605,3 +607,224 @@ def test_collision_sequence_of_axis_slopes(slope):
     seq = collision_sequence(state, HALF, 4)
     assert seq == [seq[0], (state.side, state.cell)] * 2
     assert trace(state, HALF, 4).points[2::2] == (state.position,) * 2
+
+
+def test_undetermined_length_is_that_of_the_cap():
+    # the length of exactly max_collisions collisions, not one more
+    state, _ = regular_start(HALF, Slope(4181, 6765))
+    out = classify_trajectory(state, HALF, 10)
+    assert out.kind is Outcome.UNDETERMINED
+    assert out.combinatorial_length == 10
+    assert out.geometric_length == Fraction(28, 20295)
+    assert out.geometric_length == path_length(trace(state, HALF, 10),
+                                               state.slope)
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT, BOTTOM, TOP])
+def test_leaving_orientation_points_off_the_side(side):
+    for hint in _SIGNS:
+        orient = leaving_orientation(side, hint)
+        # the normal sign leaves the side, the tangential one is the hint's
+        assert (side, orient) in DOMAINS
+        assert orient[0 if side in (BOTTOM, TOP) else 1] == \
+            hint[0 if side in (BOTTOM, TOP) else 1]
+    with pytest.raises(DomainError):
+        leaving_orientation("front")
+
+
+# -- cylinder cycles ----------------------------------------------------------
+
+
+def _stepped_outcome(start, params, cap):
+    """classify_trajectory by plain stepping: back on the start state, a
+    corner, or exactly ``cap`` collisions (a corner right after the cap
+    still counts)."""
+    walk = Orbit(start, params)
+    vN = start.slope.v * walk.lattice.N
+    steps = iter(walk)
+    i = total = 0
+    try:
+        for k, t, m, n, adx in islice(steps, cap):
+            i += 1
+            total += adx
+            if (k, t) == (walk.k, walk.t):
+                drift = (m - start.cell[0], n - start.cell[1])
+                kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
+                return TrajectoryOutcome(kind, i, Fraction(total, vN), drift, 0,
+                                         repeat_cells=(start.cell, (m, n)))
+        next(steps)
+    except CornerHit as hit:
+        return TrajectoryOutcome(Outcome.SINGULAR, i, Fraction(total, vN),
+                                 (0, 0), 0, corner=PointQ(hit.x, hit.y))
+    return TrajectoryOutcome(Outcome.UNDETERMINED, cap, Fraction(total, vN),
+                             (0, 0), 0)
+
+
+def _state_at(params, slope, k, t, n0, cell=(0, 0)):
+    """The boundary state at transverse coordinate t (lattice scale n0) of
+    domain k."""
+    eng = _Engine(params, slope, n0)
+    X, Y = eng.point(k, t, *cell)
+    side, orientation = DOMAINS[k]
+    return BilliardState(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)), side,
+                         cell, orientation, slope)
+
+
+def _interval_end_starts(params, slope):
+    """Starts on both ends of every landmark interval the store holds
+    (domain ends excluded): each lies on a saddle connection."""
+    store = _cycle_store(params, slope.u, slope.v)
+    cuts = _return_map(params, slope.u, slope.v)[0]
+    return [_state_at(params, slope, k, t, 1)
+            for k in range(len(DOMAINS))
+            for t in sorted(set(store.los[k]) | set(store.his[k]))
+            if 0 < t < cuts[k][-1]]
+
+
+_start_data = st.tuples(st.sampled_from([LEFT, RIGHT, BOTTOM, TOP]),
+                        st.integers(1, 2**20), st.integers(2, 2**12),
+                        st.sampled_from([1, -1]),
+                        st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pqrs=_small_params,
+       uv=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       data=st.lists(_start_data, min_size=2, max_size=8),
+       cap=st.sampled_from([20000, 20000, 7, 150]), order=st.randoms())
+def test_cycle_store_classify_matches_stepping_property(pqrs, uv, data, cap,
+                                                        order):
+    # starts at mixed lattice scales, some on one cycle, answered by a walk
+    # that records (cold) and from the store in a shuffled fill (warm);
+    # then the ends of every recorded interval, which must not match
+    params = classify_params(*pqrs)
+    starts = [_random_start(pqrs, uv, *d)[1] for d in data]
+    want = [_stepped_outcome(s, params, cap) for s in starts]
+    slope = starts[0].slope
+    for s, w in zip(starts, want):
+        _cycle_store.cache_clear()
+        assert classify_trajectory(s, params, cap) == w
+    _cycle_store.cache_clear()
+    idx = list(range(len(starts)))
+    order.shuffle(idx)
+    for i in idx + idx:
+        assert classify_trajectory(starts[i], params, cap) == want[i]
+    for s in _interval_end_starts(params, slope)[:60]:
+        assert classify_trajectory(s, params, cap) == \
+            _stepped_outcome(s, params, cap)
+
+
+def test_cycle_store_answers_a_second_start_without_a_walk(monkeypatch):
+    # two starts on the 21,892-collision cycle of 4181/6765, a lattice
+    # scale apart; the second is answered by a walk to a landmark
+    slope = Slope(4181, 6765)
+    _cycle_store.cache_clear()
+    first, out = regular_start(HALF, slope)
+    assert out.combinatorial_length == 21892
+    store = _cycle_store(HALF, slope.u, slope.v)
+    assert len(store.cycles) == 1
+    cyc = store.cycles[0]
+    assert cyc.length == 21892 and cyc.drift == (0, 0)
+    # the same leaf family, 1/3 of the way into the recorded interval
+    k = cyc.k[0]
+    n0 = 3
+    second = _state_at(HALF, slope, k, n0 * cyc.lo + (cyc.hi - cyc.lo), n0,
+                       cell=(2, -1))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a recorded cycle")
+
+    monkeypatch.setattr(billiard, "_walk_period", no_walk)
+    got = classify_trajectory(second, HALF)
+    assert got.combinatorial_length == 21892
+    assert got.repeat_cells == ((2, -1), (2, -1))
+    assert got.geometric_length == out.geometric_length
+    monkeypatch.undo()
+    assert got == _stepped_outcome(second, HALF, 30000)
+
+
+def _mirror_state(state, fx, fy):
+    """The image of a state under x -> -x (fx) and y -> -y (fy), which map
+    the table to itself."""
+    swap = {LEFT: RIGHT, RIGHT: LEFT} if fx else {}
+    swap.update({BOTTOM: TOP, TOP: BOTTOM} if fy else {})
+    (x, y), (m, n), (sx, sy) = (state.position.x, state.position.y), \
+        state.cell, state.orientation
+    return BilliardState(PointQ(-x if fx else x, -y if fy else y),
+                         swap.get(state.side, state.side),
+                         (-m if fx else m, -n if fy else n),
+                         (-sx if fx else sx, -sy if fy else sy), state.slope)
+
+
+@pytest.mark.parametrize("uv", [(1597, 2584), (4181, 6765), (5, 7)])
+def test_cycle_store_answers_mirror_images_without_a_walk(uv, monkeypatch):
+    # one walk records a cycle; the images of its start under the table's
+    # reflections lie on the images of that cycle, which the store records
+    # on their first lookup instead of walking them
+    params = classify_params(1, 2, 1, 3)
+    start = make_state(params, (1, -2), BOTTOM, Fraction(3, 17) * params.a,
+                       Slope(*uv), (1, -1))
+    images = [_mirror_state(start, fx, fy)
+              for fx, fy in ((1, 0), (0, 1), (1, 1))]
+    want = [_stepped_outcome(s, params, 50000) for s in images]
+    _cycle_store.cache_clear()
+    assert classify_trajectory(start, params) == \
+        _stepped_outcome(start, params, 50000)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a mirror image of a recorded cycle")
+
+    monkeypatch.setattr(billiard, "_walk_period", no_walk)
+    for image, w in zip(images, want):
+        assert classify_trajectory(image, params) == w
+    store = _cycle_store(params, *uv)
+    assert 1 < len(store.cycles) <= 4
+
+
+def test_direction_cycles_are_recorded_whole():
+    # every cycle of a direction lands in the store, whose landmark
+    # intervals stay sorted and disjoint in every domain
+    params = classify_params(4, 13, 4, 5)
+    slope = Slope(3, 4)
+    _cycle_store.cache_clear()
+    cycles, corridor = billiard._direction_cycles(params, slope)
+    assert corridor is None
+    store = _cycle_store(params, slope.u, slope.v)
+    assert len(store.cycles) == len(cycles)
+    for los, his in zip(store.los, store.his):
+        pairs = list(zip(los, his))
+        assert all(lo < hi for lo, hi in pairs)
+        assert all(h0 <= l1 for (_, h0), (l1, _) in zip(pairs, pairs[1:]))
+    for cyc, phases in cycles:
+        assert len(phases) == cyc.length
+        for b in range(len(cyc.k)):
+            assert phases[b * billiard._LANDMARK_EVERY] == \
+                (cyc.k[b], *cyc.interval(b))
+
+
+def _unresolved_starts(params, slope, count):
+    """Starts inside the first ``count`` pieces the map build left
+    unresolved, at lattice scale 3."""
+    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
+    gaps = [(k, i) for k, row in enumerate(pieces)
+            for i, p in enumerate(row) if p is None][:count]
+    return [_state_at(params, slope, k, (cuts[k][i - 1] if i else 0) * 3 + 2,
+                      3) for k, i in gaps]
+
+
+def test_cycle_store_skips_unresolved_cycles():
+    # 1/4,2/9 at 952/951 runs along the slope-1 corridor: orbits through
+    # the unresolved pieces escape after a few hundred collisions and are
+    # not recorded; every call still matches stepping
+    params = classify_params(1, 4, 2, 9)
+    slope = Slope(952, 951)
+    starts = _unresolved_starts(params, slope, 3)
+    assert starts and all(_in_unresolved_piece(s, params) for s in starts)
+    want = [_stepped_outcome(s, params, 3000) for s in starts]
+    assert {w.kind for w in want} <= {Outcome.ESCAPING, Outcome.SINGULAR}
+    assert any(w.kind is Outcome.ESCAPING for w in want)
+    _cycle_store.cache_clear()
+    for s, w in zip(starts + starts, want + want):
+        assert classify_trajectory(s, params, 3000) == w
+    store = _cycle_store(params, slope.u, slope.v)
+    assert all(store.locate(Orbit(s, params)) is None for s in starts)

@@ -5,8 +5,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windtree.billiard import (BOTTOM, LEFT, RIGHT, TOP, Orbit,
-                               classify_trajectory, make_state)
+from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, Orbit,
+                               _cycle_store, _return_map, classify_trajectory,
+                               make_state)
 from windtree.errors import CornerHit, DomainError, PrecisionError
 from windtree.exact import Params, Slope, classify_params
 from windtree.experiments import (Approximant, DirectionSpec, SampleResult,
@@ -338,3 +339,118 @@ def test_stability_asymmetric_probes_fail_at_fixed_slope():
     assert not stability_check(HALF, Slope(1, 1), d, 2,
                                displacements=[(d, Fraction(0)),
                                               (Fraction(0), d)])
+
+
+# -- recurrence samples answered from recorded cylinder cycles --------------
+
+
+def _period(params, slope, start):
+    return classify_trajectory(
+        make_state(params, (0, 0), start.side, start.offset, slope,
+                   start.orientation), params, 20000).combinatorial_length
+
+
+_sample_data = st.tuples(st.sampled_from([LEFT, RIGHT, BOTTOM, TOP]),
+                         st.integers(1, 2**16), st.integers(2, 2**12),
+                         st.sampled_from([1, -1]), st.integers(0, 4),
+                         st.sampled_from([-1, 0, 1, None]),
+                         st.integers(1, 3000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pqrs=_tables, uv=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       data=st.lists(_sample_data, min_size=2, max_size=8),
+       order=st.randoms())
+def test_run_sample_from_the_store_matches_stepping_property(pqrs, uv, data,
+                                                             order):
+    # several starts of one table and slope, at mixed lattice scales, with
+    # horizons below, at and at multiples of their period, and free ones:
+    # answered by a walk that records (cold), then from a store filled in
+    # a shuffled order, where every sample is a lookup (warm)
+    params = classify_params(*pqrs)
+    g = gcd(*uv)
+    slope = Slope(uv[0] // g, uv[1] // g)
+    cases = []
+    for i, (side, num, den, tangent, periods, extra, free) in enumerate(data):
+        length = params.b if side in (LEFT, RIGHT) else params.a
+        orient = {LEFT: (-1, tangent), RIGHT: (1, tangent),
+                  BOTTOM: (tangent, -1), TOP: (tangent, 1)}[side]
+        start = SampleStart(i, side, Fraction(num % den or 1, den) * length,
+                            orient)
+        horizon = free if extra is None else min(
+            max(1, periods * _period(params, slope, start) + extra), 40000)
+        cases.append((start, horizon))
+    want = [_sample_reference(params, slope, st_, h) for st_, h in cases]
+    for (start, horizon), w in zip(cases, want):
+        _cycle_store.cache_clear()
+        assert _run_sample(params, slope, start, horizon, None) == w
+    _cycle_store.cache_clear()
+    idx = list(range(len(cases)))
+    order.shuffle(idx)
+    for i in idx:
+        _period(params, slope, cases[i][0])
+    order.shuffle(idx)
+    for i in idx:
+        assert _run_sample(params, slope, *cases[i], None) == want[i]
+
+
+def test_run_sample_returns_inside_its_own_block():
+    # 1/2,1/2 at slope 1/3: a closed 8-collision cycle.  From a warm store
+    # every phase is a lookup, and the first return lies in the start's
+    # own landmark block, before the next period
+    params, slope = HALF, Slope(1, 3)
+    starts = sample_boundary_starts(params, slope, 24, 5)
+    _cycle_store.cache_clear()
+    for start in starts:
+        _period(params, slope, start)
+    assert all(c.length < 32 for c in _cycle_store(params, 1, 3).cycles)
+    for start in starts:
+        for horizon in (1, 3, 8, 9, 40):
+            assert _run_sample(params, slope, start, horizon, None) == \
+                _sample_reference(params, slope, start, horizon)
+
+
+def test_run_sample_through_unresolved_pieces():
+    # 1/4,2/9 at 952/951: starts inside pieces the map build left
+    # unresolved escape without being recorded; cold and warm samples
+    # still match stepping
+    params = classify_params(1, 4, 2, 9)
+    slope = Slope(952, 951)
+    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
+    starts = []
+    for k, row in enumerate(pieces):
+        for i, piece in enumerate(row):
+            if piece is None and len(starts) < 3:
+                side, orient = DOMAINS[k]
+                lo = cuts[k][i - 1] if i else 0
+                # the point 2/3 above the piece's low end, at n0 = 1
+                unit = Fraction(slope.u if k < 4 else slope.v,
+                                2 * params.q * params.s * slope.u * slope.v)
+                starts.append(SampleStart(len(starts), side,
+                                          (lo + Fraction(2, 3)) * unit,
+                                          orient))
+    assert starts
+    _cycle_store.cache_clear()
+    for start in starts + starts:
+        for horizon in (50, 700, 2500):
+            assert _run_sample(params, slope, start, horizon, None) == \
+                _sample_reference(params, slope, start, horizon)
+
+
+def test_run_sample_on_mirror_images_of_a_recorded_cycle():
+    # the images of a start under the table's reflections lie on the images
+    # of its cycle, which the store builds from the recorded one: their
+    # returns, cells and lengths must match stepping
+    params = classify_params(1, 2, 1, 3)
+    slope = Slope(1597, 2584)
+    start = SampleStart(0, BOTTOM, Fraction(3, 17) * params.a, (1, -1))
+    images = [SampleStart(0, TOP, start.offset, (1, 1)),
+              SampleStart(0, BOTTOM, params.a - start.offset, (-1, -1)),
+              SampleStart(0, TOP, params.a - start.offset, (-1, 1))]
+    _cycle_store.cache_clear()
+    _period(params, slope, start)
+    for image in images:
+        for horizon in (10, 700, 5000, 40000):
+            assert _run_sample(params, slope, image, horizon, None) == \
+                _sample_reference(params, slope, image, horizon)
+    assert len(_cycle_store(params, slope.u, slope.v).cycles) > 1

@@ -4,16 +4,19 @@ from math import gcd
 
 import pytest
 
-from windtree.billiard import (Outcome, classify_trajectory, make_state,
-                               midpoint_state, regular_start)
-from windtree.errors import DomainError
-from windtree.exact import Params, PointQ, Slope, classify_params
+from windtree.billiard import (Orbit, Outcome, _direction_cycles,
+                               _return_map, classify_trajectory, launch,
+                               make_state, midpoint_state, regular_start)
+from windtree.errors import CornerHit, DomainError
+from windtree.exact import (Params, PointQ, Slope, classify_params,
+                            mediant_enumerate)
 from windtree import lift
 from windtree.lift import (LiftKind, abc_strip_check, fold_cell_point,
                            fold_to_table, inverse_word, lift_direction,
                            transport_point, transport_points,
                            wpoint_orbit_partition)
-from windtree.origami import build_origami, sl2z_act
+from windtree.origami import (build_origami, decompose_table_direction,
+                              scaled_direction_gcd, sl2z_act)
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -250,3 +253,73 @@ def test_wpoint_partition_invariant_under_random_words():
                                  for _ in range(rng.randint(1, 5))))
         part = wpoint_orbit_partition(HALF, words=("TT", "S", *extra))
         assert part == base
+
+
+# The direction-sweep surfaces: all three parity classes, 3 to 1909 cells.
+SWEEP_SURFACES = ("1/2,1/2", "2/3,2/3", "1/3,1/3", "1/5,2/7", "4/13,4/5",
+                  "4/25,6/13", "3/44,9/44")
+
+
+def _fold_cycle(params, slope, decomp, ci, cycles):
+    """The census cycle that holds cylinder ci's fold point, the way
+    lift_direction picks it (the first candidate that launches onto a
+    regular orbit), or "corridor" when the fold point's ray meets no
+    obstacle."""
+    candidates = list(lift._cylinder_samples(decomp, ci, count=5))
+    moved = transport_points(decomp.renormalized, inverse_word(decomp.word),
+                             candidates)
+    for ocell, ox, oy in moved:
+        try:
+            state = launch(params, fold_cell_point(params, ocell, ox, oy),
+                           slope, (1, 1))
+        except (CornerHit, DomainError):
+            continue
+        if state is None:
+            return "corridor"
+        walk = Orbit(state, params)
+        n0 = walk.n0
+        for cyc, phases in cycles:
+            if any(k == walk.k and n0 * lo < walk.t < n0 * hi
+                   for k, lo, hi in phases):
+                return cyc
+        # on an interval end: a singular fold, which lift also skips
+    raise AssertionError(f"no regular fold point in cylinder {ci}")
+
+
+@pytest.mark.parametrize("text", SWEEP_SURFACES)
+def test_direction_cycles_match_the_lift(text):
+    # the billiard census (cycles covering the 8 domains, plus corridors)
+    # against the surface lift, which shares no code with it
+    params = Params.parse(text)
+    for slope in mediant_enumerate(4):
+        if slope.is_axis:
+            continue
+        cycles, corridor = _direction_cycles(params, slope)
+        # the cycles tile every domain
+        length = [0] * 8
+        for cyc, phases in cycles:
+            assert len(phases) == cyc.length
+            for k, lo, hi in phases:
+                assert hi - lo == cyc.hi - cyc.lo
+                length[k] += hi - lo
+        assert length == [cs[-1] for cs in
+                          _return_map(params, slope.u, slope.v)[0]]
+        report = lift_direction(params, slope)
+        periodic = corridor is None and all(c.drift == (0, 0)
+                                            for c, _ in cycles)
+        assert periodic == all(b.closes for b in report.x_behavior)
+        decomp = decompose_table_direction(params, slope)
+        g = scaled_direction_gcd(params, slope)
+        unit = slope.v * 2 * params.q * params.s * slope.u * slope.v
+        for ci, (cyl, beh) in enumerate(zip(decomp.cylinders,
+                                            report.x_behavior)):
+            cyc = _fold_cycle(params, slope, decomp, ci, cycles)
+            if cyc == "corridor":
+                assert corridor == beh.drift == (slope.v, slope.u)
+                continue
+            assert (cyc.drift == (0, 0)) == beh.closes
+            if beh.closes:
+                assert Fraction(cyc.extent, unit) == \
+                    beh.factor * Fraction(cyl.circumference, g)
+            else:
+                assert cyc.drift == beh.drift
