@@ -524,18 +524,6 @@ class Orbit:
 _LANDMARK_EVERY = 32
 
 
-_NARROW = tuple((code, 1 << 8 * array(code).itemsize - 1) for code in "bhi")
-
-
-def _narrow(col: array) -> array:
-    """The column in the narrowest signed array type that holds it."""
-    lo, hi = min(col), max(col)
-    for code, bound in _NARROW:
-        if -bound <= lo and hi < bound:
-            return array(code, col)
-    return col
-
-
 class _Cycle:
     """A closed cycle of the return map, recorded at lattice scale n0 = 1.
 
@@ -548,7 +536,7 @@ class _Cycle:
     X-extent n0*ea[b] + _extent_slope(v, k[0], k[b])*tau.  The cells of
     phases j .. j+G-1 lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
     cn[b] + nlo[b] <= n <= cn[b] + nhi[b].  The columns are filled while
-    the walk goes and narrowed when it closes.
+    the walk goes.
     """
 
     __slots__ = ("length", "drift", "extent", "lo", "hi", "k", "sign", "off",
@@ -579,8 +567,6 @@ class _Cycle:
     def seal(self, length, drift, extent, lo, hi):
         self.length, self.drift, self.extent = length, drift, extent
         self.lo, self.hi = lo, hi
-        for name in ("off", "cm", "cn", "ea", "mlo", "mhi", "nlo", "nhi"):
-            setattr(self, name, _narrow(getattr(self, name)))
         # the box of every cell of the period
         self.span = (min(map(sum, zip(self.cm, self.mlo))),
                      max(map(sum, zip(self.cm, self.mhi))),
@@ -747,7 +733,7 @@ class _Walk(NamedTuple):
     corner: CornerHit | None
     closed: bool
     cycle: _Cycle | None
-    first: tuple | None  # (collisions, extent) at the first return to the cell
+    returned: bool  # stopped on its first return to the start cell
 
 
 def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
@@ -757,8 +743,8 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
 
     The open interval of starts that take the same pieces is shrunk along
     the way, kept as its margins below and above the orbit's point: each
-    image is cut down to the next piece.  With ``to_cell``, the first
-    return to the start cell is noted too.  A cycle is recorded when the
+    image is cut down to the next piece.  With ``to_cell``, the walk also
+    stops on its first return to the start cell.  A cycle is recorded when the
     walk took no unresolved piece, its landmarks fit in 64 bits, the sign
     it tracks agrees with the leaf geometry at every landmark and the
     period map on the interval is unflipped.
@@ -772,13 +758,14 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     leaf0, n0 = _LEAF[k0], walk.n0
     sign, ext, steps = 1, 0, 0
     rec = _Cycle()
-    recordable, closed, corner, first = True, False, None, None
+    recordable, closed, corner, returned = True, False, None, False
     cs = cuts[k]
     i = bisect_left(cs, t)
     below, above = t - lows[k][i], cs[i] - t
     if above == 0:
         dx, dy = corners[k][i]
-        return _Walk(0, m, n, 0, CornerHit(m + dx, n + dy), False, None, None)
+        return _Walk(0, m, n, 0, CornerHit(m + dx, n + dy), False, None,
+                     False)
     mlo = mhi = m
     nlo = nhi = n
     while steps < limit:
@@ -827,10 +814,10 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                 nlo = n
             elif n > nhi:
                 nhi = n
-            if m == sm and n == sn and to_cell and first is None:
-                first = (steps, ext)
-                if not recordable:
-                    break
+            if m == sm and n == sn and to_cell:
+                returned = True
+                closed = t == t0 and k == k0
+                break
             if t == t0 and k == k0:
                 closed = True
                 break
@@ -856,7 +843,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                  _down(t0 - below, n0), _down(t0 + above, n0))
         if store.add(rec):
             cycle = rec
-    return _Walk(steps, m, n, ext, corner, closed, cycle, first)
+    return _Walk(steps, m, n, ext, corner, closed, cycle, returned)
 
 
 # Parallel leaves.  The flight of a start unfolds to a straight line of
@@ -984,8 +971,8 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     return, at the corner or else at the horizon.  A start on a recorded
     cycle is answered from it; otherwise the orbit is walked, and one that
     closes on its start within the horizon is recorded and answered from
-    its cycle.  Returns None for an orbit that closes on a cycle the store
-    cannot hold (see `_walk_period`), which must be stepped.
+    its cycle.  One that closes on a cycle the store cannot hold (see
+    `_walk_period`) is finished from its first period.
     """
     validate_state(start, params)
     walk = Orbit(start, params)
@@ -994,19 +981,58 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     found = store.locate(walk)
     if found is None:
         res = _walk_period(walk, horizon, store, to_cell=True)
+        if res.returned:
+            return res.steps, (0, 0), Fraction(res.extent, vN), False
         sm, sn = start.cell
         cell = (res.m - sm, res.n - sn)
-        if res.first is not None:
-            return res.first[0], (0, 0), Fraction(res.first[1], vN), False
         if res.corner is not None and res.steps < horizon:
             return None, cell, Fraction(res.extent, vN), True
         if not res.closed:
             return None, cell, Fraction(res.extent, vN), False
         if res.cycle is None:
-            return None
+            ret, cell, ext = _finish_from_period(walk, horizon, res.steps,
+                                                 cell, res.extent)
+            return ret, cell, Fraction(ext, vN), False
         found = res.cycle, 0, 0, 0, 0, 0, walk.t
     ret, cell, ext = _cycle_return(walk, found, horizon)
     return ret, cell, Fraction(ext, vN), False
+
+
+def _finish_from_period(walk: Orbit, horizon: int, period: int, drift: tuple,
+                        extent: int) -> tuple:
+    """First return within ``horizon`` collisions of a start back on its
+    start state after ``period`` collisions, ``drift`` != (0, 0) cells away,
+    having flown the X-extent ``extent``, on a cycle the store cannot hold.
+
+    Returns (collisions or None, cell, extent) as `_cycle_return` does.
+    Step w*period + j sits at cell C[j] + w*drift with the flight extents
+    of the first period repeated, and hits no corner because the first
+    period hit none.  One more pass over the first period finds the
+    smallest return w*period + j <= horizon (w >= 1, C[j] = -w*drift) or
+    else reads off the cell and extent at the horizon.
+    """
+    dm, dn = drift
+    sm, sn = walk.cell
+    w_h, j_h = divmod(horizon, period)
+    at_horizon = (0, 0, 0)  # C[0] and the extent of no collisions
+    best = None
+    acc = 0
+    last = min(period, max(horizon - period, j_h))
+    for j, (_k, _t, m, n, adx) in enumerate(islice(walk, last), 1):
+        m -= sm
+        n -= sn
+        acc += adx
+        if j == j_h:
+            at_horizon = (m, n, acc)
+        w = -m // dm if dm else -n // dn
+        if w >= 1 and m == -w * dm and n == -w * dn:
+            s = w * period + j
+            if s <= horizon and (best is None or s < best[0]):
+                best = (s, w * extent + acc)
+    if best is not None:
+        return best[0], (0, 0), best[1]
+    m, n, acc = at_horizon
+    return None, (m + w_h * dm, n + w_h * dn), w_h * extent + acc
 
 
 def _direction_cycles(params: Params, slope: Slope) -> tuple:

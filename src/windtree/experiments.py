@@ -177,20 +177,16 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
     state = make_state(params, (0, 0), start.side, start.offset, slope,
                        start.orientation)
     if shadow_slope is None:
-        found = first_return(state, params, horizon)
-        if found is not None:
-            ret, drift, length, singular = found
-            outcome = "singular" if singular else \
-                "lost" if ret is None else "returned"
-            return SampleResult(start.sample_id, start.side, start.offset,
-                                outcome, ret, drift, length)
+        ret, drift, length, singular = first_return(state, params, horizon)
+        outcome = "singular" if singular else \
+            "lost" if ret is None else "returned"
+        return SampleResult(start.sample_id, start.side, start.offset,
+                            outcome, ret, drift, length)
     walk = Orbit(state, params)
     vN = slope.v * walk.lattice.N
-    shadow = None
-    if shadow_slope is not None:
-        sh_walk = Orbit(make_state(params, (0, 0), start.side, start.offset,
-                                   shadow_slope, start.orientation), params)
-        shadow = iter(sh_walk)
+    sh_walk = Orbit(make_state(params, (0, 0), start.side, start.offset,
+                               shadow_slope, start.orientation), params)
+    shadow = iter(sh_walk)
 
     def check_shadow(i, cur, sh_cur):
         p, q = walk.position(*cur), sh_walk.position(*sh_cur)
@@ -211,21 +207,18 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
                                 "singular", None, (m, n),
                                 Fraction(total_dx, vN))
         total_dx += adx
-        if shadow is not None:
-            try:
-                sh_cur = next(shadow)[:4]
-            except CornerHit:
-                raise PrecisionError("shadow run became singular; the "
-                                     "direction precision cannot be trusted")
-            if i % CHECKPOINT_EVERY == 0:
-                check_shadow(i, (k, t, m, n), sh_cur)
+        try:
+            sh_cur = next(shadow)[:4]
+        except CornerHit:
+            raise PrecisionError("shadow run became singular; the "
+                                 "direction precision cannot be trusted")
+        if i % CHECKPOINT_EVERY == 0:
+            check_shadow(i, (k, t, m, n), sh_cur)
         if m == 0 and n == 0:
-            if shadow is not None:
-                check_shadow(i, (k, t, m, n), sh_cur)
+            check_shadow(i, (k, t, m, n), sh_cur)
             return SampleResult(start.sample_id, start.side, start.offset,
                                 "returned", i, (0, 0), Fraction(total_dx, vN))
-    if shadow is not None:
-        check_shadow(horizon, (k, t, m, n), sh_cur)
+    check_shadow(horizon, (k, t, m, n), sh_cur)
     return SampleResult(start.sample_id, start.side, start.offset,
                         "lost", None, (m, n), Fraction(total_dx, vN))
 

@@ -5,9 +5,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windtree import billiard
 from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, Orbit,
-                               _cycle_store, _return_map, classify_trajectory,
-                               make_state)
+                               Outcome, _cycle_store, _return_map,
+                               classify_trajectory, make_state)
 from windtree.errors import CornerHit, DomainError, PrecisionError
 from windtree.exact import Params, Slope, classify_params
 from windtree.experiments import (Approximant, DirectionSpec, SampleResult,
@@ -454,3 +455,76 @@ def test_run_sample_on_mirror_images_of_a_recorded_cycle():
             assert _run_sample(params, slope, image, horizon, None) == \
                 _sample_reference(params, slope, image, horizon)
     assert len(_cycle_store(params, slope.u, slope.v).cycles) > 1
+
+
+def _count_stepped(monkeypatch):
+    """A list that gets the collisions every period walk and every orbit
+    iteration steps."""
+    stepped = []
+    walk_period, orbit_iter = billiard._walk_period, Orbit.__iter__
+
+    def counted_walk(*args, **kwargs):
+        res = walk_period(*args, **kwargs)
+        stepped.append(res.steps)
+        return res
+
+    def counted_iter(self):
+        for step in orbit_iter(self):
+            stepped.append(1)
+            yield step
+
+    monkeypatch.setattr(billiard, "_walk_period", counted_walk)
+    monkeypatch.setattr(Orbit, "__iter__", counted_iter)
+    return stepped
+
+
+def test_unrecordable_cycle_is_finished_from_one_period(monkeypatch):
+    # 1/4,2/9 at 952/951: a start inside an unresolved piece closes on an
+    # escaping cycle the store cannot hold.  Its sample walks that period
+    # once and reads the rest off one more pass over it, however far the
+    # horizon lies
+    params = classify_params(1, 4, 2, 9)
+    slope = Slope(952, 951)
+    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
+    k = next(k for k, row in enumerate(pieces) if None in row)
+    i = pieces[k].index(None)
+    side, orient = DOMAINS[k]
+    unit = Fraction(slope.u if k < 4 else slope.v,
+                    2 * params.q * params.s * slope.u * slope.v)
+    start = SampleStart(0, side, ((cuts[k][i - 1] if i else 0)
+                                  + Fraction(2, 3)) * unit, orient)
+    out = classify_trajectory(make_state(params, (0, 0), side, start.offset,
+                                         slope, orient), params, 5000)
+    assert out.kind is Outcome.ESCAPING
+    period = out.combinatorial_length
+    stepped = _count_stepped(monkeypatch)
+    _cycle_store.cache_clear()
+    for horizon in (10**5, 10**5, 3 * period + 7):
+        stepped.clear()
+        got = _run_sample(params, slope, start, horizon, None)
+        assert got.outcome == "lost"
+        assert 0 < sum(stepped) <= 2 * period
+    monkeypatch.undo()
+    assert got == _sample_reference(params, slope, start, 3 * period + 7)
+
+
+def test_cold_sample_stops_at_its_first_return(monkeypatch):
+    # 4/5,1/12 at 34/55: a start back in its cell after 6 collisions on an
+    # escaping cycle of 2,938; a cold sample steps those 6, whatever the
+    # horizon, and records nothing
+    params = classify_params(4, 5, 1, 12)
+    slope = Slope(34, 55)
+    start = SampleStart(0, BOTTOM, Fraction(206647, 491520), (-1, -1))
+    stepped = _count_stepped(monkeypatch)
+    for horizon in (6, 2000, 10**5):
+        _cycle_store.cache_clear()
+        stepped.clear()
+        got = _run_sample(params, slope, start, horizon, None)
+        assert (got.outcome, got.first_return) == ("returned", 6)
+        assert sum(stepped) == 6
+        assert not _cycle_store(params, slope.u, slope.v).cycles
+    monkeypatch.undo()
+    assert got == _sample_reference(params, slope, start, 6)
+    assert classify_trajectory(make_state(params, (0, 0), BOTTOM, start.offset,
+                                          slope, (-1, -1)),
+                               params).combinatorial_length == 2938
