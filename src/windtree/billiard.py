@@ -11,11 +11,21 @@ an obstacle side, every collision coordinate lies on the fixed lattice
 (1/N) Z with N = 2*q*s*u*v*lcm(den(x0), den(y0)): vertical side lines
 live on (1/2q) Z, horizontal ones on (1/2s) Z, and propagating a
 coordinate along the ray multiplies differences by u/v or v/u, which the
-factors u*v in N absorb.  The grid-line stepper `_Engine` works in integer
-multiples of 1/N throughout, so exactness is structural; the divisions it
-performs are checked to be exact at runtime.
+factors u*v in N absorb.  `_Lattice` works in integer multiples of 1/N
+throughout, so exactness is structural; the divisions it performs are
+checked to be exact at runtime.
 
-Orbits are stepped on the boundary return map instead.  A collision state
+The first obstacle a ray meets is found by `_first_hit`.  At its
+successive crossings of the vertical side lines it can hit, the ray's
+height moves by a fixed rotation modulo N, and it hits a side when the
+height lands in the band of obstacle heights; the same holds for the
+horizontal lines with the band of obstacle widths.  The first landing of
+a rotation in an interval is a first entry, found by a Euclid-style
+recursion in O(log N) steps however long the flight.  A landing on a
+band end is a corner hit, and no landing in either family is a free
+flight.
+
+Orbits are stepped on the boundary return map.  A collision state
 modulo the lattice is one of 8 outgoing domains k (a side with one of the
 two orientations leaving it) and a transverse coordinate t: the offset
 along the side in units of 1/N, divided by u on vertical sides and by v
@@ -25,18 +35,14 @@ slope the first return to the boundary is a piecewise translation,
 t' = +-t + shift with a constant cell displacement and a flight X-extent
 affine in t, with about 20 pieces.  The breakpoints are the side points
 whose ray runs into a corner first; they are found by tracing the 4
-corners back along the 3 directions that leave each one, with `_Engine`
-at n0 = 1, and each piece is read off from two engine steps just inside
-its ends on the 3-times finer lattice, where no breakpoint lies.  The
-map is built once per (params, slope), kept in a small LRU cache, and
-scaled by n0 for each start: the table geometry, the breakpoints and the
-shifts all scale with N.  A step is then one bisection and a few integer
-additions, a start exactly on a breakpoint is a corner hit, and every
-quantity the map produces is one the engine would produce, so exactness
-still holds.  Pieces whose flights cross more grid lines than the build
-allows (slopes close to a rational one on tables with open corridors)
-are left unresolved; an orbit entering one takes that step with the
-engine, from the orbit's own cell, so a corner hit there is exact too.
+corners back along the 3 directions that leave each one, at n0 = 1, and
+each piece is read off from the first hits of two points just inside its
+ends on the 3-times finer lattice, where no breakpoint lies.  The map is
+built once per (params, slope), kept in a small LRU cache, and scaled by
+n0 for each start: the table geometry, the breakpoints and the shifts all
+scale with N.  A step is then one bisection and a few integer additions,
+a start exactly on a breakpoint is a corner hit, and every quantity the
+map produces is one `_first_hit` would produce, so exactness still holds.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
@@ -224,95 +230,31 @@ def midpoint_state(params: Params, cell: tuple, side: str, slope: Slope,
                       slope, orientation)
 
 
-class _Engine:
-    """Integer-scaled collision stepper for a fixed slope u/v with u, v >= 1.
+class _Lattice:
+    """The collision lattice of a slope u/v with u, v >= 1, at scale n0.
 
     Coordinates are integers counting multiples of 1/N.  Vertical side
     lines sit at k*N +- beta, horizontal ones at k*N +- gamma.
     """
 
-    __slots__ = ("N", "beta", "gamma", "u", "v", "halfN", "cap")
+    __slots__ = ("N", "beta", "gamma", "u", "v")
 
     def __init__(self, params: Params, slope: Slope, n0: int):
         if slope.is_axis:
-            raise DomainError("engine requires a non-axis slope")
+            raise DomainError("the collision lattice needs a non-axis slope")
         u, v = slope.u, slope.v
         N = 2 * params.q * params.s * u * v * n0
         self.N = N
-        self.halfN = N // 2
         self.beta = params.p * (N // (2 * params.q))
         self.gamma = params.r * (N // (2 * params.s))
         self.u = u
         self.v = v
-        # Torus-periodicity guard: a slope-u/v ray meets at most
-        # 2*(u + v) + 4 grid lines per primitive period, so if nothing is
-        # hit within a couple of periods nothing is ever hit.
-        self.cap = 8 * (u + v) + 32
-
-    @staticmethod
-    def _next_grid(pos: int, sign: int, N: int, off: int) -> int:
-        """Grid value {k*N - off, k*N + off} strictly beyond pos."""
-        rem = pos % N
-        if sign > 0:
-            if rem < off:
-                return pos + (off - rem)
-            if rem < N - off:
-                return pos + (N - off - rem)
-            return pos + (N + off - rem)
-        if rem > N - off:
-            return pos - (rem - (N - off))
-        if rem > off:
-            return pos - (rem - off)
-        return pos - (rem + off)
 
     def _div(self, num: int, den: int) -> int:
         quot, rem = divmod(num, den)
         if rem:
             raise AssertionError("lattice invariant violated (inexact division)")
         return quot
-
-    def step(self, X: int, Y: int, sx: int, sy: int):
-        """March to the next collision.
-
-        Returns (X', Y', side, m, n, sx', sy', |dX|) or None when the ray
-        provably never meets an obstacle (free flight).  Raises CornerHit.
-        """
-        N, beta, gamma, u, v = self.N, self.beta, self.gamma, self.u, self.v
-        X0 = X
-        for _ in range(self.cap):
-            XV = self._next_grid(X, sx, N, beta)
-            YH = self._next_grid(Y, sy, N, gamma)
-            tx = u * abs(XV - X)
-            ty = v * abs(YH - Y)
-            if tx <= ty:
-                Ynew = Y + sy * self._div(u * abs(XV - X), v)
-                remx = XV % N
-                if remx == beta:
-                    side, m = RIGHT, (XV - beta) // N
-                else:
-                    side, m = LEFT, (XV + beta) // N
-                n = (Ynew + self.halfN) // N
-                d = abs(Ynew - n * N)
-                if d < gamma:
-                    return (XV, Ynew, side, m, n, -sx, sy, abs(XV - X0))
-                if d == gamma:
-                    raise CornerHit(Fraction(XV, N), Fraction(Ynew, N))
-                X, Y = XV, Ynew
-            else:
-                Xnew = X + sx * self._div(v * abs(YH - Y), u)
-                remy = YH % N
-                if remy == gamma:
-                    side, n = TOP, (YH - gamma) // N
-                else:
-                    side, n = BOTTOM, (YH + gamma) // N
-                m = (Xnew + self.halfN) // N
-                d = abs(Xnew - m * N)
-                if d < beta:
-                    return (Xnew, YH, side, m, n, sx, -sy, abs(Xnew - X0))
-                if d == beta:
-                    raise CornerHit(Fraction(Xnew, N), Fraction(YH, N))
-                X, Y = Xnew, YH
-        return None
 
     def encode(self, point: PointQ) -> tuple:
         X = point.x * self.N
@@ -339,31 +281,95 @@ class _Engine:
         return self._div(X - (m * self.N - self.beta), self.v)
 
 
+def _first_entry(a: int, m: int, lo: int, hi: int) -> int | None:
+    """The least j >= 0 with lo <= a*j mod m <= hi, or None when there is
+    none; 0 <= a < m and 0 <= lo <= hi < m.
+
+    When no multiple of a lies in [lo, hi], a solution a*j = m*y + c with
+    c in [lo, hi] makes y a solution of the same problem for a' = m mod a
+    modulo a on the interval [-hi mod a, -lo mod a], and the least y gives
+    the least j = ceil((m*y + lo)/a): the moduli fall as in Euclid's
+    algorithm.
+    """
+    frames = []
+    while lo:
+        if not a:
+            return None
+        j = -(-lo // a)
+        if a * j <= hi:
+            break
+        frames.append((a, m, lo))
+        a, m, lo, hi = m % a, a, -hi % a, -lo % a
+    else:
+        j = 0
+    for a, m, lo in reversed(frames):
+        j = -(-(m * j + lo) // a)
+    return j
+
+
+def _band_entry(c: int, step: int, N: int, width: int) -> int | None:
+    """The least j >= 0 with (c + j*step) mod N in [0, width], or None."""
+    c %= N
+    if c <= width:
+        return 0
+    return _first_entry(step % N, N, N - c, N - c + width)
+
+
+def _first_hit(lat: _Lattice, X: int, Y: int, sx: int, sy: int):
+    """The next collision of the ray from (X, Y) in orientation (sx, sy).
+
+    Returns (X', Y', side, m, n, sx', sy', |dX|), or None when the ray
+    never meets an obstacle (free flight).  Raises CornerHit.  The ray can
+    only hit the vertical side lines X = -sx*beta mod N; between two of
+    them its height moves by sy*u*N/v, and it hits a side where the height
+    lands in [-gamma, gamma] mod N.  The horizontal lines are the same with
+    the roles of X and Y swapped.
+    """
+    N, beta, gamma, u, v = lat.N, lat.beta, lat.gamma, lat.u, lat.v
+    # the first vertical line strictly ahead, then the first one hit
+    dx = (-beta - sx * X - 1) % N + 1
+    j = _band_entry(Y + sy * lat._div(u * dx, v) + gamma, sy * u * (N // v),
+                    N, 2 * gamma)
+    if j is not None:
+        dx += j * N
+    dy = (-gamma - sy * Y - 1) % N + 1
+    if j is None or v * dy < u * dx:
+        i = _band_entry(X + sx * lat._div(v * dy, u) + beta,
+                        sx * v * (N // u), N, 2 * beta)
+        if i is not None and (j is None or v * (dy + i * N) < u * dx):
+            dy += i * N
+            adx = lat._div(v * dy, u)
+            X, Y = X + sx * adx, Y + sy * dy
+            w = (X + beta) % N
+            if w in (0, 2 * beta):
+                raise CornerHit(Fraction(X, N), Fraction(Y, N))
+            return (X, Y, BOTTOM if sy > 0 else TOP, (X + beta - w) // N,
+                    (Y + sy * gamma) // N, sx, -sy, adx)
+    if j is None:
+        return None
+    X, Y = X + sx * dx, Y + sy * lat._div(u * dx, v)
+    w = (Y + gamma) % N
+    if w in (0, 2 * gamma):
+        raise CornerHit(Fraction(X, N), Fraction(Y, N))
+    return (X, Y, LEFT if sx > 0 else RIGHT, (X + sx * beta) // N,
+            (Y + gamma - w) // N, -sx, sy, dx)
+
+
 # The 8 outgoing domains of the return map: each side with the two
-# orientations that point away from the obstacle.  _Engine.point relies on
+# orientations that point away from the obstacle.  _Lattice.point relies on
 # the order: vertical sides first, left before right, bottom before top.
 DOMAINS = ((LEFT, (-1, 1)), (LEFT, (-1, -1)), (RIGHT, (1, 1)), (RIGHT, (1, -1)),
            (BOTTOM, (1, -1)), (BOTTOM, (-1, -1)), (TOP, (1, 1)), (TOP, (-1, 1)))
 _DOMAIN_INDEX = {dom: k for k, dom in enumerate(DOMAINS)}
 
 
-def _map_step(eng: _Engine, k: int, t: int, m: int = 0, n: int = 0):
-    """One engine step from (k, t) on the obstacle at cell (m, n), as
-    (k', t', m', n', adx), or None past the engine's cap.  A CornerHit
-    carries the true corner, so the cell must be the true one."""
-    X, Y = eng.point(k, t, m, n)
-    res = eng.step(X, Y, *DOMAINS[k][1])
-    if res is None:
-        return None
-    X, Y, side, m, n, sx, sy, adx = res
-    return (_DOMAIN_INDEX[side, (sx, sy)], eng.transverse(side, X, Y, m, n),
+def _map_step(lat: _Lattice, k: int, t: int) -> tuple:
+    """The first hit from (k, t) on the obstacle at cell (0, 0), as
+    (k', t', m', n', adx)."""
+    X, Y = lat.point(k, t, 0, 0)
+    X, Y, side, m, n, sx, sy, adx = _first_hit(lat, X, Y, *DOMAINS[k][1])
+    return (_DOMAIN_INDEX[side, (sx, sy)], lat.transverse(side, X, Y, m, n),
             m, n, adx)
-
-
-# Grid lines a flight may cross while the map is built.  Only slopes very
-# close to a rational one, on tables with open corridors, fly further; the
-# pieces such flights cross are stepped by the engine.
-_BUILD_CAP = 1024
 
 
 # Fixed size: a run steps one slope (and its shadow) at a time, and a
@@ -377,49 +383,38 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
     pieces[k][i] = (k', flip, shift, dm, dn, c0, c1) is the map on the
     open interval just below cuts[k][i]: t' = shift - t if flip else
     shift + t, in domain k', with the cell moved by (dm, dn) and
-    |dX| = c0 + c1*t; or None where a flight was too long to resolve.
-    corners[k][i] is the corner, relative to the start cell, that
-    breakpoint cuts[k][i] runs into.
+    |dX| = c0 + c1*t.  corners[k][i] is the corner, relative to the start
+    cell, that breakpoint cuts[k][i] runs into.
     """
     slope = Slope(u, v)
-    eng = _Engine(params, slope, 1)
-    eng3 = _Engine(params, slope, 3)
-    # Corner back-traces get a few more grid lines than piece probes; see
-    # the probes below for why.
-    eng3.cap = min(eng3.cap, _BUILD_CAP)
-    eng.cap = min(eng.cap, _BUILD_CAP + 16)
+    lat, lat3 = _Lattice(params, slope, 1), _Lattice(params, slope, 3)
     # A breakpoint is a side point whose ray runs into a corner first:
     # trace each corner back along every direction not pointing into its
     # obstacle.  A back-trace that meets another corner first belongs to
-    # that corner.
+    # that corner.  None is never returned: the ray meets the translate of
+    # its corner by (v, u) cells at the latest.
     hits = [{} for _ in DOMAINS]
     for cx, cy in ORIENTATIONS:
         for rx, ry in ORIENTATIONS:
             if (rx, ry) == (-cx, -cy):
                 continue
             try:
-                res = eng.step(cx * eng.beta, cy * eng.gamma, rx, ry)
+                X, Y, side, m, n = _first_hit(lat, cx * lat.beta,
+                                              cy * lat.gamma, rx, ry)[:5]
             except CornerHit:
                 continue
-            if res is None:
-                continue
-            X, Y, side, m, n = res[:5]
             k = _DOMAIN_INDEX[side, (-rx, -ry)]
-            t = eng.transverse(side, X, Y, m, n)
+            t = lat.transverse(side, X, Y, m, n)
             if hits[k].setdefault(t, (cx, cy, -m, -n)) != (cx, cy, -m, -n):
                 raise AssertionError("two corners claim one breakpoint")
     # Probe each piece just inside both ends, on the three-times finer
-    # lattice where breakpoints are multiples of 3.  When both probes land
-    # on the same side of the same obstacle, any corner that cut the
-    # piece would lie in the parallelogram their rays span, so its
-    # back-trace would cross at most a few grid lines more than the longer
-    # probe and its breakpoint would be known: the piece is one
-    # translation, t' = +-t + shift with |dX| affine in t.  Otherwise a
-    # breakpoint behind a long flight cuts it, and it is left unresolved.
+    # lattice where breakpoints are multiples of 3.  Every breakpoint is
+    # known, so both probes run to the same side of the same obstacle and
+    # the piece is one translation, t' = +-t + shift with |dX| affine in t.
     a2, b2 = params.a / 2, params.b / 2
     cuts, pieces, corners = [], [], []
     for k in range(len(DOMAINS)):
-        length = 2 * (eng.gamma // u if k < 4 else eng.beta // v)
+        length = 2 * (lat.gamma // u if k < 4 else lat.beta // v)
         ts = sorted(hits[k])
         cuts.append(tuple(ts) + (length,))
         corners.append(tuple(
@@ -428,20 +423,14 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
         row = []
         for lo, hi in zip([0] + ts, ts + [length]):
             t1, t2 = 3 * lo + 1, 3 * hi - 1
-            ends = _map_step(eng3, k, t1), _map_step(eng3, k, t2)
-            if None in ends:
-                row.append(None)
-                continue
-            (k1, s1, m, n, adx1), (k2, s2, m2, n2, adx2) = ends
-            if (k1, m, n) != (k2, m2, n2):
-                row.append(None)
-                continue
+            (k1, s1, m, n, adx1), (k2, s2, m2, n2, adx2) = \
+                _map_step(lat3, k, t1), _map_step(lat3, k, t2)
             flip = s2 - s1 == t1 - t2
             c1, rem = divmod(adx2 - adx1, t2 - t1)
             shift = s1 + t1 if flip else s1 - t1
             c0 = adx1 - c1 * t1
-            if abs(s2 - s1) != t2 - t1 or rem or c1 not in (0, v, -v) \
-                    or shift % 3 or c0 % 3:
+            if (k1, m, n) != (k2, m2, n2) or abs(s2 - s1) != t2 - t1 or rem \
+                    or c1 not in (0, v, -v) or shift % 3 or c0 % 3:
                 raise AssertionError("return map piece is not a translation")
             row.append((k1, flip, shift // 3, m, n, c0 // 3, c1))
         pieces.append(tuple(row))
@@ -471,15 +460,14 @@ class Orbit:
             raise DomainError("direction does not leave the named side")
         self.n0 = n0 = _lcm(start.position.x.denominator,
                             start.position.y.denominator)
-        self.lattice = lat = _Engine(params, slope, n0)
+        self.lattice = lat = _Lattice(params, slope, n0)
         X, Y = lat.encode(start.position)
         self.k = k
         self.cell = start.cell
         self.t = lat.transverse(start.side, X, Y, *start.cell)
         cuts, pieces, self._corners = _return_map(params, slope.u, slope.v)
         self._cuts = [[n0 * c for c in cs] for cs in cuts]
-        self._pieces = [[None if p is None else
-                         (p[0], p[1], n0 * p[2], p[3], p[4], n0 * p[5], p[6])
+        self._pieces = [[(p[0], p[1], n0 * p[2], p[3], p[4], n0 * p[5], p[6])
                          for p in row] for row in pieces]
 
     def __iter__(self):
@@ -492,15 +480,11 @@ class Orbit:
             if cs[i] == t:
                 dx, dy = self._corners[k][i]
                 raise CornerHit(m + dx, n + dy)
-            piece = pieces[k][i]
-            if piece is None:  # a flight too long for the map build
-                k, t, m, n, adx = _map_step(self.lattice, k, t, m, n)
-            else:
-                k, flip, shift, dm, dn, c0, c1 = piece
-                adx = c0 + c1 * t
-                t = shift - t if flip else shift + t
-                m += dm
-                n += dn
+            k, flip, shift, dm, dn, c0, c1 = pieces[k][i]
+            adx = c0 + c1 * t
+            t = shift - t if flip else shift + t
+            m += dm
+            n += dn
             yield k, t, m, n, adx
 
     def position(self, k: int, t: int, m: int, n: int) -> PointQ:
@@ -544,11 +528,11 @@ class _Cycle:
 
     def __init__(self):
         self.k, self.sign = array("b"), array("b")
-        self.off, self.cm, self.cn, self.ea = (array("q") for _ in range(4))
-        self.mlo, self.mhi, self.nlo, self.nhi = (array("q") for _ in range(4))
+        self.off, self.cm, self.cn, self.ea = [], [], [], []
+        self.mlo, self.mhi, self.nlo, self.nhi = [], [], [], []
 
     def mark(self, k, sign, off, cm, cn, ea):
-        """Add a landmark.  Raises OverflowError past 64 bits."""
+        """Add a landmark."""
         self.off.append(off)
         self.ea.append(ea)
         self.cm.append(cm)
@@ -578,9 +562,7 @@ class _Cycle:
 
         A reflection maps domain k to _MIRRORS[fx, fy][k], the cell (m, n)
         to (-m, n) or (m, -n), keeps every flight's X-extent, and turns the
-        coordinate t along a mirrored axis into lengths[k] - t.  Returns
-        None where the image disagrees with the leaf geometry (not
-        expected).
+        coordinate t along a mirrored axis into lengths[k] - t.
         """
         image = _Cycle()
         kmap = _MIRRORS[fx, fy]
@@ -593,7 +575,7 @@ class _Cycle:
             slope = _extent_slope(v, k0, k)
             if sign != _LEAF[kmap[k0]] * _LEAF[kmap[k]] or \
                     mu0 * slope != _extent_slope(v, kmap[k0], kmap[k]):
-                return None
+                raise AssertionError("mirror image off the leaf geometry")
             image.mark(kmap[k], sign,
                        mu * self.off[b] + (lengths[k] if mu < 0 else 0)
                        - sign * c0,
@@ -628,21 +610,15 @@ class _CycleStore:
     def __init__(self, lengths: list, v: int):
         self.lengths, self.v = lengths, v  # the domains' lengths at n0 = 1
         self.cycles = []
-        self.los = [array("q") for _ in DOMAINS]
-        self.his = [array("q") for _ in DOMAINS]
-        self.refs = [array("q") for _ in DOMAINS]  # cycle << 32 | landmark
+        self.los = [[] for _ in DOMAINS]
+        self.his = [[] for _ in DOMAINS]
+        self.refs = [[] for _ in DOMAINS]  # cycle << 32 | landmark
 
-    def add(self, cyc: _Cycle) -> bool:
-        """Index a sealed cycle's landmarks.  Returns False, adding
-        nothing, for a cycle whose intervals do not fit in 64 bits."""
-        try:
-            ends = array("q", [x for b in range(len(cyc.k))
-                               for x in cyc.interval(b)])
-        except OverflowError:
-            return False
+    def add(self, cyc: _Cycle):
+        """Index a sealed cycle's landmarks."""
         ref = len(self.cycles) << 32
         for b, k in enumerate(cyc.k):
-            lo, hi = ends[2 * b], ends[2 * b + 1]
+            lo, hi = cyc.interval(b)
             los, his = self.los[k], self.his[k]
             i = bisect_left(los, lo)
             if (i and his[i - 1] > lo) or (i < len(los) and los[i] < hi):
@@ -651,7 +627,6 @@ class _CycleStore:
             his.insert(i, hi)
             self.refs[k].insert(i, ref | b)
         self.cycles.append(cyc)
-        return True
 
     def locate(self, walk: Orbit):
         """Walk the start of ``walk`` to the first landmark it reaches.
@@ -682,11 +657,9 @@ class _CycleStore:
                 k = kmap[k]
                 i = bisect_right(self.los[k], (t - 1) // n0) - 1
                 if i >= 0 and t < n0 * self.his[k][i]:
-                    image = self.cycles[self.refs[k][i] >> 32].mirrored(
-                        fx, fy, lengths, self.v)
-                    if image is not None and self.add(image):
-                        return self._find(walk, [])
-                    return None
+                    self.add(self.cycles[self.refs[k][i] >> 32].mirrored(
+                        fx, fy, lengths, self.v))
+                    return self._find(walk, [])
         return None
 
     def _find(self, walk: Orbit, seen: list):
@@ -706,11 +679,10 @@ class _CycleStore:
             seen.append((k, t))
             cs = cuts[k]
             i = bisect_left(cs, t)
-            piece = pieces[k][i]
-            if cs[i] == t or piece is None:
+            if cs[i] == t:
                 seen.clear()
                 return None
-            k, flip, shift, dm, dn, c0, c1 = piece
+            k, flip, shift, dm, dn, c0, c1 = pieces[k][i]
             ext += c0 + c1 * t
             t = shift - t if flip else shift + t
             m += dm
@@ -731,8 +703,7 @@ class _Walk(NamedTuple):
     n: int
     extent: int
     corner: CornerHit | None
-    closed: bool
-    cycle: _Cycle | None
+    cycle: _Cycle | None  # the cycle closed and recorded, if any
     returned: bool  # stopped on its first return to the start cell
 
 
@@ -744,10 +715,9 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     The open interval of starts that take the same pieces is shrunk along
     the way, kept as its margins below and above the orbit's point: each
     image is cut down to the next piece.  With ``to_cell``, the walk also
-    stops on its first return to the start cell.  A cycle is recorded when the
-    walk took no unresolved piece, its landmarks fit in 64 bits, the sign
-    it tracks agrees with the leaf geometry at every landmark and the
-    period map on the interval is unflipped.
+    stops on its first return to the start cell.  The sign the walk tracks
+    is the one the leaf geometry fixes at every phase, so it is +1 when
+    the walk closes: the period map on the interval is unflipped.
     """
     G = _LANDMARK_EVERY
     cuts, pieces, corners = walk._cuts, walk._pieces, walk._corners
@@ -758,54 +728,39 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     leaf0, n0 = _LEAF[k0], walk.n0
     sign, ext, steps = 1, 0, 0
     rec = _Cycle()
-    recordable, closed, corner, returned = True, False, None, False
+    closed, corner, returned = False, None, False
     cs = cuts[k]
     i = bisect_left(cs, t)
     below, above = t - lows[k][i], cs[i] - t
     if above == 0:
         dx, dy = corners[k][i]
-        return _Walk(0, m, n, 0, CornerHit(m + dx, n + dy), False, None,
-                     False)
+        return _Walk(0, m, n, 0, CornerHit(m + dx, n + dy), None, False)
     mlo = mhi = m
     nlo = nhi = n
     while steps < limit:
-        if recordable:
-            if steps:
-                rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
-            # a landmark: the phase-0 point is at sign*t0 + off, and its
-            # extent is ext + B*(tau - t0) with the slope B the leaf
-            # geometry fixes
-            B = _extent_slope(walk.lattice.v, k0, k)
-            recordable = sign == leaf0 * _LEAF[k]
-            try:
-                rec.mark(k, sign, _down(t - sign * t0, n0), m - sm, n - sn,
-                         _down(ext - B * t0, n0))
-            except OverflowError:
-                recordable = False
+        if steps:
+            rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+        # a landmark: the phase-0 point is at sign*t0 + off, and its
+        # extent is ext + B*(tau - t0) with the slope B the leaf geometry
+        # fixes
+        if sign != leaf0 * _LEAF[k]:
+            raise AssertionError("tracked sign off the leaf geometry")
+        B = _extent_slope(walk.lattice.v, k0, k)
+        rec.mark(k, sign, _down(t - sign * t0, n0), m - sm, n - sn,
+                 _down(ext - B * t0, n0))
         mlo = mhi = m
         nlo = nhi = n
         for steps in range(steps + 1, min(steps + G, limit) + 1):
-            piece = pieces[k][i]
-            if piece is None:  # a flight too long for the map build
-                recordable = False
-                try:
-                    k, t, m, n, adx = _map_step(walk.lattice, k, t, m, n)
-                except CornerHit as hit:
-                    steps -= 1  # the collision was not made
-                    corner = hit
-                    break
-                ext += adx
+            k, flip, shift, dm, dn, c0, c1 = pieces[k][i]
+            ext += c0 + c1 * t
+            if flip:
+                t = shift - t
+                below, above = above, below
+                sign = -sign
             else:
-                k, flip, shift, dm, dn, c0, c1 = piece
-                ext += c0 + c1 * t
-                if flip:
-                    t = shift - t
-                    below, above = above, below
-                    sign = -sign
-                else:
-                    t += shift
-                m += dm
-                n += dn
+                t += shift
+            m += dm
+            n += dn
             if m < mlo:
                 mlo = m
             elif m > mhi:
@@ -836,14 +791,15 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
         else:
             continue
         break
-    cycle = None
-    if closed and recordable and sign == 1:
-        rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
-        rec.seal(steps, (m - sm, n - sn), _down(ext, n0),
-                 _down(t0 - below, n0), _down(t0 + above, n0))
-        if store.add(rec):
-            cycle = rec
-    return _Walk(steps, m, n, ext, corner, closed, cycle, returned)
+    if not closed:
+        return _Walk(steps, m, n, ext, corner, None, returned)
+    if sign != 1:
+        raise AssertionError("period map flipped on its interval")
+    rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+    rec.seal(steps, (m - sm, n - sn), _down(ext, n0),
+             _down(t0 - below, n0), _down(t0 + above, n0))
+    store.add(rec)
+    return _Walk(steps, m, n, ext, None, rec, returned)
 
 
 # Parallel leaves.  The flight of a start unfolds to a straight line of
@@ -971,8 +927,7 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     return, at the corner or else at the horizon.  A start on a recorded
     cycle is answered from it; otherwise the orbit is walked, and one that
     closes on its start within the horizon is recorded and answered from
-    its cycle.  One that closes on a cycle the store cannot hold (see
-    `_walk_period`) is finished from its first period.
+    its cycle.
     """
     validate_state(start, params)
     walk = Orbit(start, params)
@@ -983,56 +938,13 @@ def first_return(start: BilliardState, params: Params, horizon: int):
         res = _walk_period(walk, horizon, store, to_cell=True)
         if res.returned:
             return res.steps, (0, 0), Fraction(res.extent, vN), False
-        sm, sn = start.cell
-        cell = (res.m - sm, res.n - sn)
-        if res.corner is not None and res.steps < horizon:
-            return None, cell, Fraction(res.extent, vN), True
-        if not res.closed:
-            return None, cell, Fraction(res.extent, vN), False
         if res.cycle is None:
-            ret, cell, ext = _finish_from_period(walk, horizon, res.steps,
-                                                 cell, res.extent)
-            return ret, cell, Fraction(ext, vN), False
+            sm, sn = start.cell
+            return (None, (res.m - sm, res.n - sn), Fraction(res.extent, vN),
+                    res.corner is not None and res.steps < horizon)
         found = res.cycle, 0, 0, 0, 0, 0, walk.t
     ret, cell, ext = _cycle_return(walk, found, horizon)
     return ret, cell, Fraction(ext, vN), False
-
-
-def _finish_from_period(walk: Orbit, horizon: int, period: int, drift: tuple,
-                        extent: int) -> tuple:
-    """First return within ``horizon`` collisions of a start back on its
-    start state after ``period`` collisions, ``drift`` != (0, 0) cells away,
-    having flown the X-extent ``extent``, on a cycle the store cannot hold.
-
-    Returns (collisions or None, cell, extent) as `_cycle_return` does.
-    Step w*period + j sits at cell C[j] + w*drift with the flight extents
-    of the first period repeated, and hits no corner because the first
-    period hit none.  One more pass over the first period finds the
-    smallest return w*period + j <= horizon (w >= 1, C[j] = -w*drift) or
-    else reads off the cell and extent at the horizon.
-    """
-    dm, dn = drift
-    sm, sn = walk.cell
-    w_h, j_h = divmod(horizon, period)
-    at_horizon = (0, 0, 0)  # C[0] and the extent of no collisions
-    best = None
-    acc = 0
-    last = min(period, max(horizon - period, j_h))
-    for j, (_k, _t, m, n, adx) in enumerate(islice(walk, last), 1):
-        m -= sm
-        n -= sn
-        acc += adx
-        if j == j_h:
-            at_horizon = (m, n, acc)
-        w = -m // dm if dm else -n // dn
-        if w >= 1 and m == -w * dm and n == -w * dn:
-            s = w * period + j
-            if s <= horizon and (best is None or s < best[0]):
-                best = (s, w * extent + acc)
-    if best is not None:
-        return best[0], (0, 0), best[1]
-    m, n, acc = at_horizon
-    return None, (m + w_h * dm, n + w_h * dn), w_h * extent + acc
 
 
 def _direction_cycles(params: Params, slope: Slope) -> tuple:
@@ -1053,7 +965,7 @@ def _direction_cycles(params: Params, slope: Slope) -> tuple:
     store = _cycle_store(params, slope.u, slope.v)
     cuts = _return_map(params, slope.u, slope.v)[0]
     limit = 2 * sum(cs[-1] for cs in cuts)  # reduced states at n0 = 2
-    eng = _Engine(params, slope, 2)
+    lat = _Lattice(params, slope, 2)
     found = []
     ends = [{} for _ in DOMAINS]  # ends[k][lo] = hi over the cycles found
     for k in range(len(DOMAINS)):
@@ -1063,19 +975,18 @@ def _direction_cycles(params: Params, slope: Slope) -> tuple:
                 pos = ends[k][pos]
                 continue
             # a point just above pos, on no cycle found yet
-            X, Y = eng.point(k, 2 * pos + 1, 0, 0)
+            X, Y = lat.point(k, 2 * pos + 1, 0, 0)
             side, orientation = DOMAINS[k]
-            walk = Orbit(BilliardState(PointQ(Fraction(X, eng.N),
-                                              Fraction(Y, eng.N)),
+            walk = Orbit(BilliardState(PointQ(Fraction(X, lat.N),
+                                              Fraction(Y, lat.N)),
                                        side, (0, 0), orientation, slope),
                          params)
             hit = store.locate(walk)
             if hit is None:
-                res = _walk_period(walk, limit, store)
-                if res.cycle is None:
-                    raise DomainError(f"slope {slope} has a cycle the store "
-                                      "cannot hold")
-                hit = res.cycle, 0, 0, 0, 0, 0, walk.t
+                # odd points at n0 = 2 meet no corner, and they close
+                # within the count of reduced states
+                hit = (_walk_period(walk, limit, store).cycle,
+                       0, 0, 0, 0, 0, walk.t)
             cyc, b, s = hit[:3]
             phases = _phases(walk, cyc)
             for kk, lo, hi in phases:
@@ -1167,7 +1078,7 @@ def classify_trajectory(start: BilliardState, params: Params,
             return TrajectoryOutcome(Outcome.SINGULAR, res.steps,
                                      Fraction(res.extent, vN), (0, 0), 0,
                                      corner=PointQ(res.corner.x, res.corner.y))
-        if not res.closed:
+        if res.cycle is None:
             return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
                                      Fraction(res.extent, vN), (0, 0), 0)
         steps, dm, dn, extent = res.steps, res.m - m0, res.n - n0, res.extent
@@ -1358,13 +1269,10 @@ def launch(params: Params, point: PointQ, slope: Slope,
             hit_y = nn - b2 if syd > 0 else nn + b2
             pos = PointQ(x, Fraction(hit_y))
             return BilliardState(pos, side, (m, nn), (orientation[0], -syd), slope)
-    n0 = _lcm(x.denominator, y.denominator)
-    eng = _Engine(params, slope, n0)
-    X, Y = eng.encode(point)
-    sx, sy = orientation
-    res = eng.step(X, Y, sx, sy)
+    lat = _Lattice(params, slope, _lcm(x.denominator, y.denominator))
+    res = _first_hit(lat, *lat.encode(point), *orientation)
     if res is None:
         return None
     Xn, Yn, side, mm, nn, sxn, syn, _ = res
-    pos = PointQ(Fraction(Xn, eng.N), Fraction(Yn, eng.N))
+    pos = PointQ(Fraction(Xn, lat.N), Fraction(Yn, lat.N))
     return BilliardState(pos, side, (mm, nn), (sxn, syn), slope)

@@ -370,8 +370,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are domain errors: exit 1
+    with one line on stderr, not argparse's usage text and exit 2, which
+    is the code of an undetermined classification.  Subcommand parsers
+    inherit the class."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="windtree",
         description="Exact experiments on the periodic wind-tree billiard")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -433,8 +443,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = config_from_args(args)
         if args.dump_config:
             _write(args.dump_config, cfg.to_text())

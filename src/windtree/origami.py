@@ -174,14 +174,20 @@ class Origami:
     # -- canonical labeling --------------------------------------------
 
     def canonical_form(self) -> tuple:
-        """Lexicographically minimal (sigma_h, sigma_v) over relabelings.
+        """Lexicographically minimal (sigma_h, sigma_v) over the relabelings
+        rooted at a cell of a largest vertex class.
 
-        Relabelings are generated by breadth-first discovery from every
-        base cell, following right then up then the inverses, which covers
-        all of them for a transitive pair.
+        A relabeling carries vertex classes to vertex classes of the same
+        size, so the cells of the largest ones form a set every relabeling
+        preserves (the three cells around the cone point on H(2)), and two
+        equivalent surfaces get the same minimum.  The relabeling from a
+        root is found by breadth-first discovery, following right then up
+        then the inverses, which reaches every cell of a transitive pair.
         """
+        classes = self.vertex_classes()
+        top = max(map(len, classes))
         best = None
-        for base in range(self.n):
+        for base in (c for cyc in classes if len(cyc) == top for c in cyc):
             order = [base]
             pos = {base: 0}
             k = 0

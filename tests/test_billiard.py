@@ -1,4 +1,3 @@
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from windtree import billiard
 from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
-                               Orbit, Outcome, TrajectoryOutcome, _Engine,
+                               Orbit, Outcome, TrajectoryOutcome, _Lattice,
                                _cycle_store, _return_map, classify_trajectory,
                                collision_sequence, launch, leaving_orientation,
                                make_state, midpoint_state, next_collision,
@@ -17,6 +16,7 @@ from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import Params, PointQ, Slope, classify_params
 
+from grid_stepper import GridStepper, long_flight, long_pieces
 from oracles import scan_next_hit
 
 HALF = classify_params(1, 2, 1, 2)
@@ -261,6 +261,49 @@ def test_launch_free_flight_along_corridor():
                   Slope(1, 1), (1, 1)) is None
 
 
+def test_first_entry_matches_brute_force():
+    # every modulus up to 40, every step, start and interval, against the
+    # first visits of the rotation's orbit: the least j >= 0 with
+    # a*j mod m in [lo, hi], and with (c + j*a) mod m in [0, width]
+    for m in range(1, 41):
+        for a in range(m):
+            first = {}
+            for j in range(m):
+                first.setdefault(a * j % m, j)
+            for lo in range(m):
+                want = None
+                for hi in range(lo, m):
+                    j = first.get(hi)
+                    if j is not None and (want is None or j < want):
+                        want = j
+                    assert billiard._first_entry(a, m, lo, hi) == want
+            for c in range(m):
+                want, low = [None] * m, m
+                for j in range(m):
+                    x = (c + j * a) % m
+                    want[x:low] = [j] * max(0, low - x)
+                    low = min(low, x)
+                assert [billiard._band_entry(c, a, m, w)
+                        for w in range(m)] == want
+
+
+def test_launch_corridor_and_grazing_corner():
+    # slope 1/2 on the (1/4, 1/4) table: the obstacles cover x - 2y within
+    # 3/8 of an integer, so the line x - 2y = 1/2 is a corridor
+    small = classify_params(1, 4, 1, 4)
+    start = PointQ(Fraction(1, 2), Fraction(0))
+    assert scan_next_hit(small, start.x, start.y, 2, 1) is None
+    assert launch(small, start, Slope(1, 2), (1, 1)) is None
+    # slope 1 from (1/2, 0) grazes the top-left corner (3/4, 1/4) of the
+    # obstacle at (1, 0) without entering it; the flow stops there
+    start = PointQ(Fraction(1, 2), Fraction(0))
+    assert scan_next_hit(HALF, start.x, start.y, 1, 1) == \
+        ("corner", (Fraction(3, 4), Fraction(1, 4)))
+    with pytest.raises(CornerHit) as err:
+        launch(HALF, start, Slope(1, 1), (1, 1))
+    assert (err.value.x, err.value.y) == (Fraction(3, 4), Fraction(1, 4))
+
+
 def test_make_state_rejects_corners_and_tangents():
     with pytest.raises(DomainError):
         make_state(HALF, (0, 0), TOP, Fraction(0), Slope(1, 1), (1, 1))
@@ -347,25 +390,45 @@ def test_return_map_matches_engine_property(pqrs, uv, side, num, den, tangent,
     _assert_map_matches_engine(params, state, 60)
 
 
+def _assert_resolved(params, slope):
+    """Every piece of the slope's return map is a translation."""
+    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
+    assert [len(row) for row in pieces] == [len(cs) for cs in cuts]
+    assert all(len(p) == 7 for row in pieces for p in row)
+
+
+def _assert_recorded(start, params):
+    """The cycle of a start that closes is in the store."""
+    store = _cycle_store(params, start.slope.u, start.slope.v)
+    assert store.locate(Orbit(start, params)) is not None
+
+
 def test_return_map_long_flight_matches_engine():
     # slope 1000/2001 on a table with open corridors near slope 1/2: rays
-    # leaving the low end of a left side fly past the build's grid-line
-    # budget, so that piece stays unresolved and is stepped by the engine
+    # leaving the low end of a left side fly 1403 columns, and the map
+    # resolves that piece like any other
     params = classify_params(1, 10, 1, 10)
     slope = Slope(1000, 2001)
-    assert _return_map(params, 1000, 2001)[1][0][0] is None
+    _assert_resolved(params, slope)
+    assert (0, 0) in long_pieces(params, slope)
     state = make_state(params, (0, 0), LEFT, Fraction(1, 4000), slope, (-1, 1))
+    assert long_flight(params, state)
     first = next(iter(Orbit(state, params)))
     assert abs(first[2]) > 1000  # the first flight crosses 1403 columns
     _assert_map_matches_engine(params, state, 30)
+    _cycle_store.cache_clear()
+    out = classify_trajectory(state, params)
+    assert out == _stepped_outcome(state, params, out.combinatorial_length)
+    _assert_recorded(state, params)
 
 
 def _assert_map_matches_engine(params, state, n_collisions):
     """The map against the grid-line stepper it replaces, collision by
     collision: same side, cell, orientation, position, |dX| and corners."""
     walk = Orbit(state, params)
-    eng = _Engine(params, state.slope,
-                  lcm(state.position.x.denominator, state.position.y.denominator))
+    eng = GridStepper(params, state.slope,
+                      lcm(state.position.x.denominator,
+                          state.position.y.denominator))
     assert eng.N == walk.lattice.N
     X, Y = eng.encode(state.position)
     sx, sy = state.orientation
@@ -419,7 +482,7 @@ def _corner_aimed_start(params, slope, corner, cell, back):
     pair) of the obstacle at ``cell``: that corner traced back along the
     orientation ``back`` to the side the ray leaves from.  None when the
     trace meets another corner first or never lands."""
-    eng = _Engine(params, slope, 1)
+    eng = GridStepper(params, slope, 1)
     m, n = cell
     try:
         res = eng.step(m * eng.N + corner[0] * eng.beta,
@@ -433,23 +496,17 @@ def _corner_aimed_start(params, slope, corner, cell, back):
                          (mm, nn), (-back[0], -back[1]), slope)
 
 
-def _in_unresolved_piece(state, params):
-    walk = Orbit(state, params)
-    cuts = walk._cuts[walk.k]
-    i = bisect_left(cuts, walk.t)
-    return cuts[i] != walk.t and walk._pieces[walk.k][i] is None
-
-
 def test_return_map_corner_behind_long_flight():
     # the top-right corner of obstacle (3, -2), traced back along (1, -1),
-    # reaches a left side 1401 columns away; the start there lies in a
-    # piece the map build left unresolved, so the corner must be reported
-    # from the engine step at the start's own cell
+    # reaches a left side 1401 columns away; the start there lies on a
+    # breakpoint behind a long flight, and the map reports that corner,
+    # relative to the start's own cell
     params = classify_params(1, 10, 1, 10)
     slope = Slope(1000, 2001)
+    _assert_resolved(params, slope)
     start = _corner_aimed_start(params, slope, (1, 1), (3, -2), (1, -1))
     assert start.cell == (1404, -702)
-    assert _in_unresolved_piece(start, params)
+    assert long_flight(params, start)
     corner = (3 + params.a / 2, -2 + params.b / 2)
     with pytest.raises(CornerHit) as err:
         next_collision(start, params)
@@ -465,8 +522,7 @@ def test_return_map_corner_behind_long_flight():
 # Slopes (cK + e)/(dK + f) with ed - fc = +-1, within 1/(d(dK + f)) of a
 # corridor direction c/d, on tables with obstacles at most 1/4 wide and
 # high, where the corridors of slopes 1, 1/2 and 2 are open: flights run
-# along a corridor for hundreds to thousands of cells, and the map build
-# leaves pieces unresolved.
+# along a corridor for hundreds to thousands of cells.
 _NEAR_CORRIDOR = [(1, 1, 1, 0), (1, 1, 0, 1), (1, 2, 1, 1), (1, 2, 0, 1),
                   (2, 1, 1, 0), (2, 1, 1, 1)]
 _small_obstacles = st.tuples(st.integers(4, 12), st.integers(4, 12)).flatmap(
@@ -482,32 +538,27 @@ _SIGNS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
        cell=st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
 def test_return_map_near_corridor_matches_engine_property(pqrs, cdef, K, aim,
                                                           pick, cell):
-    # starts aimed at a corner of obstacle ``cell``, behind a flight the map
-    # build could not resolve when there is one; or inside an unresolved
-    # piece, on a random cell
+    # starts aimed at a corner of obstacle ``cell``, behind a long flight
+    # when there is one; or inside a piece of long flights, on a random cell
     params = classify_params(*pqrs)
     c, d, e, f = cdef
     slope = Slope(c * K + e, d * K + f)
+    _assert_resolved(params, slope)
     aimed = [s for s in (_corner_aimed_start(params, slope, corner, cell, back)
                          for corner in _SIGNS for back in _SIGNS
                          if back != (-corner[0], -corner[1]))
              if s is not None]
-    far = [s for s in aimed if _in_unresolved_piece(s, params)]
+    far = [s for s in aimed if long_flight(params, s)]
     if aim and aimed:
         starts = far or aimed
         start = starts[pick % len(starts)]
     else:
-        cuts, pieces, _ = _return_map(params, slope.u, slope.v)
-        gaps = [(k, i) for k, row in enumerate(pieces)
-                for i, p in enumerate(row) if p is None] or [(pick % 8, 0)]
+        cuts = _return_map(params, slope.u, slope.v)[0]
+        gaps = long_pieces(params, slope) or [(pick % 8, 0)]
         k, i = gaps[pick % len(gaps)]
         lo = cuts[k][i - 1] if i else 0
         t3 = 3 * lo + 1 + pick % (3 * (cuts[k][i] - lo) - 1)
-        eng = _Engine(params, slope, 3)
-        X, Y = eng.point(k, t3, *cell)
-        side, orientation = DOMAINS[k]
-        start = BilliardState(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)),
-                              side, cell, orientation, slope)
+        start = _state_at(params, slope, k, t3, 3, cell)
     _assert_map_matches_engine(params, start, 12)
 
 
@@ -576,27 +627,28 @@ def test_first_reduced_repeat_is_the_start_property(pqrs, uv, side, num, den,
        K=st.integers(600, 3000), pick=st.integers(0, 2**16),
        cell=st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
 def test_first_reduced_repeat_near_corridor_property(pqrs, cdef, K, pick, cell):
-    # starts inside a piece the map build left unresolved, so the orbit
-    # takes engine steps every time it passes there
+    # starts inside a piece of long flights, which the orbit takes every
+    # time it passes there; a closed orbit's cycle is recorded
     params = classify_params(*pqrs)
     c, d, e, f = cdef
     slope = Slope(c * K + e, d * K + f)
-    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
-    gaps = [(k, i) for k, row in enumerate(pieces)
-            for i, p in enumerate(row) if p is None]
+    _assert_resolved(params, slope)
+    cuts = _return_map(params, slope.u, slope.v)[0]
+    gaps = long_pieces(params, slope)
     if not gaps:
         return
     k, i = gaps[pick % len(gaps)]
     lo = cuts[k][i - 1] if i else 0
     if cuts[k][i] - lo < 2:
         return
-    eng = _Engine(params, slope, 1)
-    X, Y = eng.point(k, lo + 1 + pick % (cuts[k][i] - lo - 1), *cell)
-    side, orientation = DOMAINS[k]
-    start = BilliardState(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)),
-                          side, cell, orientation, slope)
-    assert _in_unresolved_piece(start, params)
+    start = _state_at(params, slope, k, lo + 1 + pick % (cuts[k][i] - lo - 1),
+                      1, cell)
+    assert long_flight(params, start)
+    _cycle_store.cache_clear()
     _assert_classify_matches_reference(start, params, 5000)
+    if classify_trajectory(start, params, 5000).kind in (Outcome.PERIODIC,
+                                                         Outcome.ESCAPING):
+        _assert_recorded(start, params)
 
 
 @pytest.mark.parametrize("slope", [Slope(0, 1), Slope(1, 0)])
@@ -663,10 +715,10 @@ def _stepped_outcome(start, params, cap):
 def _state_at(params, slope, k, t, n0, cell=(0, 0)):
     """The boundary state at transverse coordinate t (lattice scale n0) of
     domain k."""
-    eng = _Engine(params, slope, n0)
-    X, Y = eng.point(k, t, *cell)
+    lat = _Lattice(params, slope, n0)
+    X, Y = lat.point(k, t, *cell)
     side, orientation = DOMAINS[k]
-    return BilliardState(PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)), side,
+    return BilliardState(PointQ(Fraction(X, lat.N), Fraction(Y, lat.N)), side,
                          cell, orientation, slope)
 
 
@@ -802,29 +854,29 @@ def test_direction_cycles_are_recorded_whole():
                 (cyc.k[b], *cyc.interval(b))
 
 
-def _unresolved_starts(params, slope, count):
-    """Starts inside the first ``count`` pieces the map build left
-    unresolved, at lattice scale 3."""
-    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
-    gaps = [(k, i) for k, row in enumerate(pieces)
-            for i, p in enumerate(row) if p is None][:count]
+def _long_flight_starts(params, slope, count):
+    """Starts inside the first ``count`` pieces of long flights, at
+    lattice scale 3."""
+    cuts = _return_map(params, slope.u, slope.v)[0]
     return [_state_at(params, slope, k, (cuts[k][i - 1] if i else 0) * 3 + 2,
-                      3) for k, i in gaps]
+                      3) for k, i in long_pieces(params, slope)[:count]]
 
 
-def test_cycle_store_skips_unresolved_cycles():
+def test_cycle_store_records_long_flight_cycles():
     # 1/4,2/9 at 952/951 runs along the slope-1 corridor: orbits through
-    # the unresolved pieces escape after a few hundred collisions and are
-    # not recorded; every call still matches stepping
+    # the pieces of long flights escape after a few hundred collisions,
+    # their cycles are recorded, and every call matches stepping
     params = classify_params(1, 4, 2, 9)
     slope = Slope(952, 951)
-    starts = _unresolved_starts(params, slope, 3)
-    assert starts and all(_in_unresolved_piece(s, params) for s in starts)
+    _assert_resolved(params, slope)
+    starts = _long_flight_starts(params, slope, 3)
+    assert starts and all(long_flight(params, s) for s in starts)
     want = [_stepped_outcome(s, params, 3000) for s in starts]
     assert {w.kind for w in want} <= {Outcome.ESCAPING, Outcome.SINGULAR}
     assert any(w.kind is Outcome.ESCAPING for w in want)
     _cycle_store.cache_clear()
     for s, w in zip(starts + starts, want + want):
         assert classify_trajectory(s, params, 3000) == w
-    store = _cycle_store(params, slope.u, slope.v)
-    assert all(store.locate(Orbit(s, params)) is None for s in starts)
+    for s, w in zip(starts, want):
+        if w.kind is Outcome.ESCAPING:
+            _assert_recorded(s, params)

@@ -204,6 +204,20 @@ def test_malformed_slope_is_one_line_error(capsys, slope):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,msg", [
+    (("classify", "--n-collisions", "abc"),
+     "argument --n-collisions: invalid int value: 'abc'"),
+    (("classfy", "--slope", "1/2"), "argument command: invalid choice"),
+    ((), "the following arguments are required: command")])
+def test_usage_error_is_one_line_error(capsys, argv, msg):
+    # exit 1, not argparse's 2, which would read as an undetermined result
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR != EXIT_UNDETERMINED
+    assert out == ""
+    assert err.startswith("error: " + msg)
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command,theta", [("recur", "13/21"),
                                            ("diffuse", "1/1")])
 def test_zero_samples_rejected(capsys, command, theta):

@@ -18,6 +18,8 @@ from windtree.experiments import (Approximant, DirectionSpec, SampleResult,
                                   recurrence_experiment,
                                   sample_boundary_starts, stability_check)
 
+from grid_stepper import long_pieces
+
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
 
@@ -411,31 +413,48 @@ def test_run_sample_returns_inside_its_own_block():
                 _sample_reference(params, slope, start, horizon)
 
 
-def test_run_sample_through_unresolved_pieces():
-    # 1/4,2/9 at 952/951: starts inside pieces the map build left
-    # unresolved escape without being recorded; cold and warm samples
-    # still match stepping
+def _long_flight_start(params, slope, k, i, sample_id=0):
+    """The sample start 2/3 above the low end (at n0 = 1) of piece i of
+    domain k."""
+    cuts = _return_map(params, slope.u, slope.v)[0]
+    side, orient = DOMAINS[k]
+    unit = Fraction(slope.u if k < 4 else slope.v,
+                    2 * params.q * params.s * slope.u * slope.v)
+    return SampleStart(sample_id, side,
+                       ((cuts[k][i - 1] if i else 0) + Fraction(2, 3)) * unit,
+                       orient)
+
+
+def _assert_resolved(params, slope):
+    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
+    assert [len(row) for row in pieces] == [len(cs) for cs in cuts]
+    assert all(len(p) == 7 for row in pieces for p in row)
+
+
+def _recorded(params, slope, start):
+    store = _cycle_store(params, slope.u, slope.v)
+    return store.locate(Orbit(make_state(params, (0, 0), start.side,
+                                         start.offset, slope,
+                                         start.orientation), params))
+
+
+def test_run_sample_through_long_flight_pieces():
+    # 1/4,2/9 at 952/951: starts inside pieces of long flights, along the
+    # slope-1 corridor, escape after a few hundred collisions; cold and
+    # warm samples match stepping, and the cycles are recorded
     params = classify_params(1, 4, 2, 9)
     slope = Slope(952, 951)
-    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
-    starts = []
-    for k, row in enumerate(pieces):
-        for i, piece in enumerate(row):
-            if piece is None and len(starts) < 3:
-                side, orient = DOMAINS[k]
-                lo = cuts[k][i - 1] if i else 0
-                # the point 2/3 above the piece's low end, at n0 = 1
-                unit = Fraction(slope.u if k < 4 else slope.v,
-                                2 * params.q * params.s * slope.u * slope.v)
-                starts.append(SampleStart(len(starts), side,
-                                          (lo + Fraction(2, 3)) * unit,
-                                          orient))
+    _assert_resolved(params, slope)
+    starts = [_long_flight_start(params, slope, k, i, j)
+              for j, (k, i) in enumerate(long_pieces(params, slope)[:3])]
     assert starts
     _cycle_store.cache_clear()
     for start in starts + starts:
         for horizon in (50, 700, 2500):
             assert _run_sample(params, slope, start, horizon, None) == \
                 _sample_reference(params, slope, start, horizon)
+    assert all(_recorded(params, slope, start) is not None
+               for start in starts)
 
 
 def test_run_sample_on_mirror_images_of_a_recorded_cycle():
@@ -478,32 +497,29 @@ def _count_stepped(monkeypatch):
     return stepped
 
 
-def test_unrecordable_cycle_is_finished_from_one_period(monkeypatch):
-    # 1/4,2/9 at 952/951: a start inside an unresolved piece closes on an
-    # escaping cycle the store cannot hold.  Its sample walks that period
-    # once and reads the rest off one more pass over it, however far the
-    # horizon lies
+def test_long_flight_cycle_is_walked_once(monkeypatch):
+    # 1/4,2/9 at 952/951: a start inside a piece of long flights closes on
+    # an escaping cycle.  Its first sample walks that period once and
+    # records it; every sample, however far its horizon lies, is answered
+    # from the cycle
     params = classify_params(1, 4, 2, 9)
     slope = Slope(952, 951)
-    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
-    k = next(k for k, row in enumerate(pieces) if None in row)
-    i = pieces[k].index(None)
-    side, orient = DOMAINS[k]
-    unit = Fraction(slope.u if k < 4 else slope.v,
-                    2 * params.q * params.s * slope.u * slope.v)
-    start = SampleStart(0, side, ((cuts[k][i - 1] if i else 0)
-                                  + Fraction(2, 3)) * unit, orient)
-    out = classify_trajectory(make_state(params, (0, 0), side, start.offset,
-                                         slope, orient), params, 5000)
+    _assert_resolved(params, slope)
+    start = _long_flight_start(params, slope, *long_pieces(params, slope)[0])
+    out = classify_trajectory(make_state(params, (0, 0), start.side,
+                                         start.offset, slope,
+                                         start.orientation), params, 5000)
     assert out.kind is Outcome.ESCAPING
     period = out.combinatorial_length
     stepped = _count_stepped(monkeypatch)
     _cycle_store.cache_clear()
-    for horizon in (10**5, 10**5, 3 * period + 7):
+    for cold, horizon in ((True, 10**5), (False, 10**5),
+                          (False, 3 * period + 7)):
         stepped.clear()
         got = _run_sample(params, slope, start, horizon, None)
         assert got.outcome == "lost"
-        assert 0 < sum(stepped) <= 2 * period
+        assert cold == (sum(stepped) > 0) and sum(stepped) <= 2 * period
+        assert _recorded(params, slope, start) is not None
     monkeypatch.undo()
     assert got == _sample_reference(params, slope, start, 3 * period + 7)
 

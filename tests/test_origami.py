@@ -315,6 +315,38 @@ def test_canonical_form_detects_relabeling():
     assert not TORUS.equivalent(og)
 
 
+def _all_bases_form(og):
+    """(sigma_h, sigma_v) minimized over relabelings by breadth-first
+    discovery from every cell."""
+    forms = []
+    for base in range(og.n):
+        order, pos = [base], {base: 0}
+        for i in order:
+            for j in (og.h[i], og.v[i], og.h_inv[i], og.v_inv[i]):
+                if j not in pos:
+                    pos[j] = len(order)
+                    order.append(j)
+        forms.append((tuple(pos[og.h[i]] for i in order),
+                      tuple(pos[og.v[i]] for i in order)))
+    return min(forms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_equivalent_matches_all_bases_reference(data):
+    # the verdict of equivalent on pairs of relabeled desk surfaces and
+    # tori, rooted at the largest vertex classes, against the minimum over
+    # every base cell
+    pool = [build_origami(p) for p in SURFACES[:40]] + \
+        [TORUS, Origami([1, 2, 0], [0, 1, 2]), Origami([1, 0, 3, 2], [2, 3, 0, 1])]
+    og, other = (data.draw(st.sampled_from(pool)) for _ in range(2))
+    og = _relabel(og, data.draw(st.permutations(range(og.n))))
+    other = data.draw(st.sampled_from(
+        [other, _relabel(og, data.draw(st.permutations(range(og.n))))]))
+    want = og.n == other.n and _all_bases_form(og) == _all_bases_form(other)
+    assert og.equivalent(other) == want
+
+
 def test_l_shape_arithmetic_matches_row_major_enumeration():
     for params in all_desk_params(40):
         q, s, p, r = params.q, params.s, params.p, params.r
