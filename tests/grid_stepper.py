@@ -4,7 +4,8 @@ marched across the side lines of the obstacle grid one line at a time.
 This is the stepper the package used before first hits were found by
 first entry (`windtree.billiard._first_hit`).  It shares no code with the
 package beyond the table parameters and the side names.  The helpers
-below it pick out the starts whose flights are long.
+below it pick out the starts whose flights are long and check that a
+return map has no unresolved piece.
 """
 
 from fractions import Fraction
@@ -118,6 +119,14 @@ def long_flight(params, state):
         return ref.step(*ref.encode(state.position), *state.orientation) is None
     except CornerHit:
         return False
+
+
+def assert_resolved(params, slope):
+    """Every piece of the slope's return map is a translation."""
+    from windtree.billiard import _return_map
+    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
+    assert [len(row) for row in pieces] == [len(cs) for cs in cuts]
+    assert all(len(p) == 7 for row in pieces for p in row)
 
 
 def long_pieces(params, slope):

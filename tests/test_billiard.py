@@ -16,7 +16,8 @@ from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import Params, PointQ, Slope, classify_params
 
-from grid_stepper import GridStepper, long_flight, long_pieces
+from grid_stepper import (GridStepper, assert_resolved, long_flight,
+                          long_pieces)
 from oracles import scan_next_hit
 
 HALF = classify_params(1, 2, 1, 2)
@@ -390,13 +391,6 @@ def test_return_map_matches_engine_property(pqrs, uv, side, num, den, tangent,
     _assert_map_matches_engine(params, state, 60)
 
 
-def _assert_resolved(params, slope):
-    """Every piece of the slope's return map is a translation."""
-    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
-    assert [len(row) for row in pieces] == [len(cs) for cs in cuts]
-    assert all(len(p) == 7 for row in pieces for p in row)
-
-
 def _assert_recorded(start, params):
     """The cycle of a start that closes is in the store."""
     store = _cycle_store(params, start.slope.u, start.slope.v)
@@ -409,7 +403,7 @@ def test_return_map_long_flight_matches_engine():
     # resolves that piece like any other
     params = classify_params(1, 10, 1, 10)
     slope = Slope(1000, 2001)
-    _assert_resolved(params, slope)
+    assert_resolved(params, slope)
     assert (0, 0) in long_pieces(params, slope)
     state = make_state(params, (0, 0), LEFT, Fraction(1, 4000), slope, (-1, 1))
     assert long_flight(params, state)
@@ -503,7 +497,7 @@ def test_return_map_corner_behind_long_flight():
     # relative to the start's own cell
     params = classify_params(1, 10, 1, 10)
     slope = Slope(1000, 2001)
-    _assert_resolved(params, slope)
+    assert_resolved(params, slope)
     start = _corner_aimed_start(params, slope, (1, 1), (3, -2), (1, -1))
     assert start.cell == (1404, -702)
     assert long_flight(params, start)
@@ -543,7 +537,7 @@ def test_return_map_near_corridor_matches_engine_property(pqrs, cdef, K, aim,
     params = classify_params(*pqrs)
     c, d, e, f = cdef
     slope = Slope(c * K + e, d * K + f)
-    _assert_resolved(params, slope)
+    assert_resolved(params, slope)
     aimed = [s for s in (_corner_aimed_start(params, slope, corner, cell, back)
                          for corner in _SIGNS for back in _SIGNS
                          if back != (-corner[0], -corner[1]))
@@ -632,7 +626,7 @@ def test_first_reduced_repeat_near_corridor_property(pqrs, cdef, K, pick, cell):
     params = classify_params(*pqrs)
     c, d, e, f = cdef
     slope = Slope(c * K + e, d * K + f)
-    _assert_resolved(params, slope)
+    assert_resolved(params, slope)
     cuts = _return_map(params, slope.u, slope.v)[0]
     gaps = long_pieces(params, slope)
     if not gaps:
@@ -868,7 +862,7 @@ def test_cycle_store_records_long_flight_cycles():
     # their cycles are recorded, and every call matches stepping
     params = classify_params(1, 4, 2, 9)
     slope = Slope(952, 951)
-    _assert_resolved(params, slope)
+    assert_resolved(params, slope)
     starts = _long_flight_starts(params, slope, 3)
     assert starts and all(long_flight(params, s) for s in starts)
     want = [_stepped_outcome(s, params, 3000) for s in starts]

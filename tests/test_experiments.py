@@ -18,7 +18,7 @@ from windtree.experiments import (Approximant, DirectionSpec, SampleResult,
                                   recurrence_experiment,
                                   sample_boundary_starts, stability_check)
 
-from grid_stepper import long_pieces
+from grid_stepper import assert_resolved, long_pieces
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -425,12 +425,6 @@ def _long_flight_start(params, slope, k, i, sample_id=0):
                        orient)
 
 
-def _assert_resolved(params, slope):
-    cuts, pieces, _ = _return_map(params, slope.u, slope.v)
-    assert [len(row) for row in pieces] == [len(cs) for cs in cuts]
-    assert all(len(p) == 7 for row in pieces for p in row)
-
-
 def _recorded(params, slope, start):
     store = _cycle_store(params, slope.u, slope.v)
     return store.locate(Orbit(make_state(params, (0, 0), start.side,
@@ -444,7 +438,7 @@ def test_run_sample_through_long_flight_pieces():
     # warm samples match stepping, and the cycles are recorded
     params = classify_params(1, 4, 2, 9)
     slope = Slope(952, 951)
-    _assert_resolved(params, slope)
+    assert_resolved(params, slope)
     starts = [_long_flight_start(params, slope, k, i, j)
               for j, (k, i) in enumerate(long_pieces(params, slope)[:3])]
     assert starts
@@ -504,7 +498,7 @@ def test_long_flight_cycle_is_walked_once(monkeypatch):
     # from the cycle
     params = classify_params(1, 4, 2, 9)
     slope = Slope(952, 951)
-    _assert_resolved(params, slope)
+    assert_resolved(params, slope)
     start = _long_flight_start(params, slope, *long_pieces(params, slope)[0])
     out = classify_trajectory(make_state(params, (0, 0), start.side,
                                          start.offset, slope,
