@@ -22,9 +22,8 @@ from fractions import Fraction
 from .billiard import Outcome, classify_trajectory, launch
 from .errors import CornerHit, DomainError
 from .exact import Params, PointQ, Slope
-from .origami import (CylinderDecomposition, MarkedPoint, Origami,
-                      _l_shape_position, build_origami,
-                      decompose_table_direction, inverse_word,
+from .origami import (CylinderDecomposition, Origami, _l_shape_position,
+                      build_origami, decompose_table_direction,
                       scaled_direction_gcd, sl2z_act)
 
 
@@ -52,28 +51,6 @@ class LiftReport:
     strongly_parabolic: bool
 
 
-def transport_points(origami: Origami, word, points) -> list:
-    """Carry points (cell, x, y) through a generator word in one action.
-
-    The points ride along as extra marked points of the same, already
-    checked surface; sl2z_act keeps the order of the marked points, so the
-    moved probes are the last ones.
-    """
-    probes = tuple(MarkedPoint("_probe", cell, Fraction(x), Fraction(y))
-                   for cell, x, y in points)
-    if not probes:
-        return []
-    tagged = origami.with_points(probes)
-    moved = sl2z_act(tagged, word).marked[-len(probes):]
-    return [(mp.cell, mp.x, mp.y) for mp in moved]
-
-
-def transport_point(origami: Origami, word, cell: int, x: Fraction,
-                    y: Fraction) -> tuple:
-    """Carry a single point through a generator word."""
-    return transport_points(origami, word, [(cell, x, y)])[0]
-
-
 def fold_to_table(params: Params, X: Fraction, Y: Fraction) -> PointQ:
     """Map absolute stretched-polygon coordinates to the table cell at the
     origin (coordinates in [-1/2, 1/2) around the obstacle at (0, 0))."""
@@ -94,7 +71,9 @@ _SAMPLE_OFFSETS = (Fraction(1, 5), Fraction(1, 3), Fraction(2, 7),
 
 
 def _cylinder_samples(decomp: CylinderDecomposition, ci: int, count: int = 3):
-    """Interior points of one cylinder, in renormalized coordinates."""
+    """Interior points of one cylinder, in renormalized coordinates: they
+    lie on one horizontal leaf, halfway up the smallest cell of the
+    cylinder's bottom row."""
     bottom_cells = sorted(
         c for c, lev in enumerate(decomp.cell_levels)
         if lev is not None and lev == (ci, 0))
@@ -130,16 +109,19 @@ def lift_direction(params: Params, table_slope: Slope,
     One interior start per cylinder decides it (all its leaves are
     parallel translates); a few extra samples guard against bookkeeping
     errors.  Singular folds are retried with perturbed offsets, up to 5.
+    The samples of a strip must agree on its drift up to the signs of its
+    coordinates: the reported drift is the first regular sample's, and its
+    signs depend on the reflected sheet of the table the fold lands in.
     """
     decomp = decompose_table_direction(params, table_slope)
     g = scaled_direction_gcd(params, table_slope)
-    # every candidate start of every cylinder crosses back in one action
+    # every candidate start of every cylinder goes back through the
+    # decomposition's own stages
     candidates = [list(_cylinder_samples(decomp, ci,
                                          count=samples_per_cylinder + 2))
                   for ci in range(decomp.n_cylinders)]
-    moved = iter(transport_points(decomp.renormalized,
-                                  inverse_word(decomp.word),
-                                  [pt for cand in candidates for pt in cand]))
+    moved = iter(decomp.pull_back(
+        [pt for cand in candidates for pt in cand]))
     behaviors = []
     for ci, cyl in enumerate(decomp.cylinders):
         lam_cyl = Fraction(cyl.circumference, g)
@@ -167,6 +149,9 @@ def lift_direction(params: Params, table_slope: Slope,
                                      "of the cylinder circumference")
             behaviors.append(CylinderLift(LiftKind.CLOSES, int(factor), None))
         else:
+            if len({(abs(m), abs(n)) for _, (m, n) in results}) != 1:
+                raise AssertionError("strip samples of one cylinder differ "
+                                     "beyond the signs of their drift")
             behaviors.append(CylinderLift(LiftKind.STRIP, None, results[0][1]))
     strongly = all(b.closes for b in behaviors) and len({
         (cyl.circumference * b.factor, cyl.height)
@@ -190,11 +175,9 @@ def abc_strip_check(params: Params, table_slope: Slope) -> bool:
             break
     if target is None:
         raise DomainError("no central leaf through two of A, B, C in this direction")
-    mp = decomp.renormalized.marked_by_label()[target]
-    [(ocell, ox, oy)] = transport_points(decomp.renormalized,
-                                         inverse_word(decomp.word),
-                                         [(mp.cell, mp.x, mp.y)])
-    point = fold_cell_point(params, ocell, ox, oy)
+    # the same special point, as marked on the surface before the word
+    mp = build_origami(params).marked_by_label()[target]
+    point = fold_cell_point(params, mp.cell, mp.x, mp.y)
     result = _classify_fold(params, table_slope, point)
     return result[0] == "strip"
 

@@ -18,7 +18,7 @@ slopes are table-frame and converted internally.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -85,19 +85,6 @@ class Origami:
         self.marked = self._checked_points(marked)
         if not self._connected():
             raise DomainError("the cell permutations do not act transitively")
-
-    def with_points(self, extra) -> "Origami":
-        """This surface with the points ``extra`` marked after its own.
-
-        Equal to ``Origami(h, v, marked + extra)``; the gluings were checked
-        when this surface was built and are shared, only the new points are
-        checked.
-        """
-        out = object.__new__(Origami)
-        out.n, out.h, out.v = self.n, self.h, self.v
-        out.h_inv, out.v_inv = self.h_inv, self.v_inv
-        out.marked = self.marked + self._checked_points(extra)
-        return out
 
     def _checked_points(self, points) -> tuple:
         """Marked points inside the tiling, lattice corners re-expressed."""
@@ -633,6 +620,30 @@ def _quarter_turn(h: tuple, v: tuple, marked: list):
     return new_h, h, out
 
 
+def _act(origami: Origami, tokens: tuple):
+    """sl2z_act for tokens, with the elementary stages it stepped through.
+
+    A stage is (k, perm): a shear T^k with the right gluing it keeps, or,
+    with k None, one quarter turn with the inverse of the right gluing it
+    makes (the vertical gluing before the turn).  The stages hold
+    references to tuples the stepping computes anyway.
+    """
+    if not tokens:
+        return origami, ()
+    h, v = origami.h, origami.v
+    marked = [(mp.label, mp.cell, mp.x, mp.y) for mp in origami.marked]
+    stages = []
+    for gen, k in tokens:
+        if gen == "T":
+            stages.append((k, h))
+            h, v, marked = _shear(h, v, marked, k)
+        else:
+            for _ in range(k % 4):  # the quarter turn has order four
+                stages.append((None, v))
+                h, v, marked = _quarter_turn(h, v, marked)
+    return Origami(h, v, [MarkedPoint(*mp) for mp in marked]), tuple(stages)
+
+
 def sl2z_act(origami: Origami, word) -> Origami:
     """Apply a word over the shear T and quarter-turn S, left to right.
 
@@ -647,18 +658,7 @@ def sl2z_act(origami: Origami, word) -> Origami:
     that step in between changes nothing: every cell around a vertex
     carries the same surface point through T and S.
     """
-    tokens = as_tokens(word)
-    if not tokens:
-        return origami
-    h, v = origami.h, origami.v
-    marked = [(mp.label, mp.cell, mp.x, mp.y) for mp in origami.marked]
-    for gen, k in tokens:
-        if gen == "T":
-            h, v, marked = _shear(h, v, marked, k)
-        else:
-            for _ in range(k % 4):  # the quarter turn has order four
-                h, v, marked = _quarter_turn(h, v, marked)
-    return Origami(h, v, [MarkedPoint(*mp) for mp in marked])
+    return _act(origami, as_tokens(word))[0]
 
 
 def word_matrix(word) -> tuple:
@@ -725,10 +725,42 @@ class CylinderDecomposition:
     word: tuple               # renormalizing generator word, as tokens
     renormalized: Origami     # horizontal model the cylinders were read from
     cell_levels: tuple        # per renormalized cell: (cylinder index, row from bottom)
+    # the elementary stages of the word, as recorded by _act
+    stages: tuple = field(compare=False, repr=False)
 
     @property
     def n_cylinders(self) -> int:
         return len(self.cylinders)
+
+    def pull_back(self, points) -> list:
+        """Carry points (cell, x, y) of the renormalized surface back to the
+        decomposed one, through the recorded stages in reverse order.
+
+        A shear T^k moves x back by k*y and the cell along its row by the
+        whole cells crossed; a quarter turn maps (x, y) to (y, 1 - x), and
+        a point on a cell's left edge (x = 0) lands on the bottom edge of
+        the cell to its left.  The result equals the marked points of
+        sl2z_act(renormalized, inverse_word(word)) except at lattice
+        corners, which are left in the cell they arrive in.
+        """
+        stages = self.stages[::-1]
+        walks = [{} for _ in stages]  # per-stage row cycles, filled on demand
+        out = []
+        for cell, x, y in points:
+            x, y = Fraction(x), Fraction(y)
+            for (k, perm), walk in zip(stages, walks):
+                if k is None:
+                    if x == 0:
+                        x, y, cell = y, Fraction(0), perm[cell]
+                    else:
+                        x, y = y, 1 - x
+                else:
+                    x -= k * y
+                    shift = x.numerator // x.denominator  # floor
+                    cell = _perm_power_cell(perm, cell, shift, walk)
+                    x -= shift
+            out.append((cell, x, y))
+        return out
 
     def total_area(self) -> int:
         return sum(c.circumference * c.height for c in self.cylinders)
@@ -799,7 +831,7 @@ def decompose_direction(origami: Origami, slope: Slope) -> CylinderDecomposition
     (height exactly half the cylinder height from its bottom boundary).
     """
     word = direction_to_horizontal_word(slope)
-    ren = sl2z_act(origami, word)
+    ren, stages = _act(origami, word)
     rows, stacks = _horizontal_cylinders(ren)
     # deterministic order: by smallest cell in the stack
     keyed = sorted(stacks, key=lambda ch: min(min(rows[r]) for r in ch))
@@ -821,7 +853,7 @@ def decompose_direction(origami: Origami, slope: Slope) -> CylinderDecomposition
             and cell_levels[mp.cell][1] + mp.y == half))
         cylinders.append(Cylinder(circ, height, frozenset(cells), waist))
     decomp = CylinderDecomposition(slope, tuple(cylinders), word, ren,
-                                   tuple(cell_levels))
+                                   tuple(cell_levels), stages)
     if decomp.total_area() != origami.n:
         raise AssertionError("cylinder areas do not sum to the surface area")
     return decomp

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windtree.billiard import (Orbit, Outcome, _direction_cycles,
                                _return_map, classify_trajectory, launch,
@@ -12,10 +14,10 @@ from windtree.exact import (Params, PointQ, Slope, classify_params,
                             mediant_enumerate)
 from windtree import lift
 from windtree.lift import (LiftKind, abc_strip_check, fold_cell_point,
-                           fold_to_table, inverse_word, lift_direction,
-                           transport_point, transport_points,
+                           fold_to_table, lift_direction,
                            wpoint_orbit_partition)
-from windtree.origami import (build_origami, decompose_table_direction,
+from windtree.origami import (MarkedPoint, Origami, build_origami,
+                              decompose_table_direction, inverse_word,
                               scaled_direction_gcd, sl2z_act)
 
 HALF = classify_params(1, 2, 1, 2)
@@ -63,44 +65,32 @@ def test_fold_special_points_to_table():
     assert folded["A"] == PointQ(Fraction(-1, 2), Fraction(-1, 2))
 
 
-def test_transport_point_roundtrip():
-    og = build_origami(TWO_THIRDS)
-    rng = random.Random(3)
-    for _ in range(20):
-        word = "".join(rng.choice("TtSs") for _ in range(rng.randint(0, 8)))
-        cell = rng.randrange(og.n)
-        x, y = Fraction(rng.randrange(1, 7), 7), Fraction(rng.randrange(1, 5), 5)
-        moved = transport_point(og, word, cell, x, y)
-        ren = sl2z_act(og, word)
-        back = transport_point(ren, inverse_word(word), *moved)
-        assert back == (cell, x, y)
+def test_strip_drift_is_the_first_regular_samples():
+    # 1/2,1/2 at 3/2: the samples of cylinder 1 fold onto two reflected
+    # sheets of the table, whose drifts differ in the sign of m
+    slope = Slope(3, 2)
+    decomp = decompose_table_direction(HALF, slope)
+    samples = decomp.pull_back(list(lift._cylinder_samples(decomp, 1)))
+    drifts = [lift._classify_fold(HALF, slope,
+                                  fold_cell_point(HALF, *pt))[1]
+              for pt in samples]
+    assert drifts == [(-1, 2), (1, 2), (1, 2)]
+    assert lift_direction(HALF, slope).x_behavior[1].drift == (-1, 2)
 
 
-def test_transport_points_matches_one_point_at_a_time():
-    rng = random.Random(11)
-    for params in (HALF, TWO_THIRDS, classify_params(1, 5, 2, 7)):
-        og = build_origami(params)
-        for _ in range(10):
-            word = "".join(rng.choice("TtSs") for _ in range(rng.randint(0, 10)))
-            points = [(rng.randrange(og.n), Fraction(rng.randrange(4), 4),
-                       Fraction(rng.randrange(3), 3)) for _ in range(6)]
-            assert transport_points(og, word, points) == [
-                transport_point(og, word, *pt) for pt in points]
+def test_strip_samples_must_agree_up_to_signs(monkeypatch):
+    def fake(drifts):
+        it = iter(drifts)
+        return lambda params, slope, point: ("strip", next(it))
 
-
-def test_lift_direction_matches_per_point_transport(monkeypatch):
-    cases = [(params, slope)
-             for params in (HALF, TWO_THIRDS, classify_params(1, 3, 1, 3),
-                            classify_params(1, 5, 2, 7))
-             for slope in reduced_slopes(4)]
-    batched = [lift_direction(p, s) for p, s in cases]
-    one_at_a_time = transport_points
-
-    def per_point(og, word, points):
-        return [one_at_a_time(og, word, [pt])[0] for pt in points]
-
-    monkeypatch.setattr(lift, "transport_points", per_point)
-    assert [lift_direction(p, s) for p, s in cases] == batched
+    monkeypatch.setattr(lift, "_classify_fold",
+                        fake([(2, -1), (-2, -1), (2, 1)] * 2))
+    report = lift_direction(HALF, Slope(3, 4))
+    assert [b.drift for b in report.x_behavior] == [(2, -1), (2, -1)]
+    monkeypatch.setattr(lift, "_classify_fold",
+                        fake([(1, 2), (-1, 2), (1, 4)]))
+    with pytest.raises(AssertionError, match="beyond the signs"):
+        lift_direction(HALF, Slope(3, 4))
 
 
 def test_good_directions_are_strongly_parabolic_with_factor_two():
@@ -260,15 +250,51 @@ SWEEP_SURFACES = ("1/2,1/2", "2/3,2/3", "1/3,1/3", "1/5,2/7", "4/13,4/5",
                   "4/25,6/13", "3/44,9/44")
 
 
+@st.composite
+def _random_tables(draw):
+    q, s = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    p = draw(st.sampled_from([p for p in range(1, q) if gcd(p, q) == 1]))
+    r = draw(st.sampled_from([r for r in range(1, s) if gcd(r, s) == 1]))
+    return classify_params(p, q, r, s)
+
+
+_IN_CELL = st.just(Fraction(0)) | st.integers(1, 13).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda k: Fraction(k, d)))
+
+
+@pytest.mark.parametrize("table", SWEEP_SURFACES + ("random",))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_pull_back_matches_transport_property(table, data):
+    # pull_back against carrying the points as extra marked points of the
+    # renormalized surface through the inverse word; lattice corners are
+    # left out, because a checked surface re-expresses them
+    params = data.draw(_random_tables()) if table == "random" \
+        else Params.parse(table)
+    u, v = data.draw(st.tuples(st.integers(0, 40), st.integers(0, 40))
+                     .filter(lambda t: gcd(*t) == 1))
+    decomp = decompose_table_direction(params, Slope(u, v))
+    ren = decomp.renormalized
+    points = data.draw(st.lists(
+        st.tuples(st.integers(0, ren.n - 1), _IN_CELL, _IN_CELL)
+        .filter(lambda pt: pt[1] or pt[2]), min_size=1, max_size=8))
+    probes = tuple(MarkedPoint("_probe", *pt) for pt in points)
+    back = sl2z_act(Origami(ren.h, ren.v, ren.marked + probes),
+                    inverse_word(decomp.word))
+    og = build_origami(params)
+    assert (back.h, back.v, back.marked[:len(og.marked)]) == \
+        (og.h, og.v, og.marked)
+    assert decomp.pull_back(points) == [
+        (mp.cell, mp.x, mp.y) for mp in back.marked[len(og.marked):]]
+
+
 def _fold_cycle(params, slope, decomp, ci, cycles):
     """The census cycle that holds cylinder ci's fold point, the way
     lift_direction picks it (the first candidate that launches onto a
     regular orbit), or "corridor" when the fold point's ray meets no
     obstacle."""
     candidates = list(lift._cylinder_samples(decomp, ci, count=5))
-    moved = transport_points(decomp.renormalized, inverse_word(decomp.word),
-                             candidates)
-    for ocell, ox, oy in moved:
+    for ocell, ox, oy in decomp.pull_back(candidates):
         try:
             state = launch(params, fold_cell_point(params, ocell, ox, oy),
                            slope, (1, 1))

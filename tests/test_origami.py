@@ -503,45 +503,3 @@ def test_cached_table_decomposition_matches_fresh():
             assert decompose_table_direction(params, sl) is cached
             assert cached == decompose_direction(
                 build_origami(params), table_to_scaled_slope(params, sl))
-
-
-
-@st.composite
-def probe_lists(draw, n):
-    """Up to five points inside the tiling, lattice corners among them, and
-    at times one of them pushed out in its cell, x or y."""
-    points = draw(st.lists(st.tuples(
-        st.integers(0, n - 1),
-        st.sampled_from(COORDS) | st.just(Fraction(0)),
-        st.sampled_from(COORDS) | st.just(Fraction(0))), max_size=5))
-    flaw = draw(st.sampled_from(["none", "cell", "x", "y"]))
-    if points and flaw != "none":
-        k = draw(st.integers(0, len(points) - 1))
-        bad = draw(st.sampled_from([-1, n] if flaw == "cell" else
-                                   [Fraction(1), Fraction(-1, 3),
-                                    Fraction(7, 5)]))
-        point = list(points[k])
-        point[("cell", "x", "y").index(flaw)] = bad
-        points[k] = tuple(point)
-    return [MarkedPoint(draw(st.sampled_from(["q", "E"])), *pt)
-            for pt in points]
-
-
-@settings(max_examples=150, deadline=None)
-@given(og=relabeled_surfaces(), data=st.data())
-def test_with_points_matches_rebuild_property(og, data):
-    extra = data.draw(probe_lists(og.n))
-    inside = all(0 <= mp.cell < og.n and 0 <= mp.x < 1 and 0 <= mp.y < 1
-                 for mp in extra)
-    if not inside:
-        with pytest.raises(DomainError):
-            Origami(og.h, og.v, og.marked + tuple(extra))
-        with pytest.raises(DomainError):
-            og.with_points(extra)
-        return
-    want = Origami(og.h, og.v, og.marked + tuple(extra))
-    got = og.with_points(extra)
-    assert (got.n, got.h, got.v, got.h_inv, got.v_inv, got.marked) == \
-        (want.n, want.h, want.v, want.h_inv, want.v_inv, want.marked)
-    assert got == want and hash(got) == hash(want)
-    assert og.marked == got.marked[:len(og.marked)]
