@@ -1021,11 +1021,9 @@ def _phases(walk: Orbit, cyc: _Cycle) -> list:
 
 def next_collision(state: BilliardState, params: Params) -> BilliardState:
     """One exact collision step.  Raises CornerHit at corners."""
-    walk = Orbit(state, params)
-    k, t, m, n, _ = next(iter(walk))
-    side, orientation = DOMAINS[k]
-    return BilliardState(walk.position(k, t, m, n), side, (m, n), orientation,
-                         state.slope)
+    validate_state(state, params)
+    side, cell, orientation, pos = next(_collisions(state, params))
+    return BilliardState(pos, side, cell, orientation, state.slope)
 
 
 def _classify_axis(state: BilliardState, params: Params) -> TrajectoryOutcome:
@@ -1093,7 +1091,8 @@ def _check_count(n_collisions: int):
 
 
 def _collisions(start: BilliardState, params: Params):
-    """(side, cell, position) of each forward collision.  Raises CornerHit."""
+    """(side, cell, orientation, position) of each forward collision, with
+    the orientation that leaves it.  Raises CornerHit."""
     if start.slope.is_axis:
         # Trapped 2-bounce orbit: alternate between the two facing sides.
         x, y = start.position.x, start.position.y
@@ -1109,17 +1108,18 @@ def _collisions(start: BilliardState, params: Params):
                 n += sy
                 side = BOTTOM if sy > 0 else TOP
                 sy = -sy
-            yield side, (m, n), PointQ(x, y)
+            yield side, (m, n), (sx, sy), PointQ(x, y)
     walk = Orbit(start, params)
     for k, t, m, n, _adx in walk:
-        yield DOMAINS[k][0], (m, n), walk.position(k, t, m, n)
+        side, orientation = DOMAINS[k]
+        yield side, (m, n), orientation, walk.position(k, t, m, n)
 
 
 def collision_sequence(start: BilliardState, params: Params,
                        n_collisions: int) -> list:
     """The (side, cell) combinatorics of the first n collisions."""
     _check_count(n_collisions)
-    return [(side, cell) for side, cell, _pos
+    return [(side, cell) for side, cell, *_
             in islice(_collisions(start, params), n_collisions)]
 
 
@@ -1132,8 +1132,7 @@ def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath
     validate_state(start, params)
     points = [start.position]
     try:
-        for _side, _cell, pos in islice(_collisions(start, params),
-                                        n_collisions):
+        for *_, pos in islice(_collisions(start, params), n_collisions):
             points.append(pos)
     except CornerHit as hit:
         corner = PointQ(hit.x, hit.y)

@@ -31,12 +31,19 @@ class RunConfig:
     """Everything a run needs; serializable so runs are reproducible."""
 
     command: str = ""
-    params: str = "1/2,1/2"
-    slope: str = ""
-    theta: str = ""
-    start: str = ""
-    origami_file: str = ""
-    n_collisions: int = 200
+    params: str = dataclasses.field(default="1/2,1/2", metadata={
+        "help": "obstacle dimensions p/q,r/s"})
+    slope: str = dataclasses.field(default="", metadata={
+        "help": "exact slope u/v"})
+    theta: str = dataclasses.field(default="", metadata={
+        "help": "direction for experiments: u/v or decimal"})
+    start: str = dataclasses.field(default="", metadata={
+        "help": "start as m,n,side,offset (offset exact)"})
+    origami_file: str = dataclasses.field(default="", metadata={
+        "flag": "--origami", "help": "serialized origami file (decompose)"})
+    n_collisions: int = dataclasses.field(default=200, metadata={
+        "help": "collisions to draw (render); a periodic orbit is drawn "
+                "for one full period instead"})
     max_collisions: int = billiard.DEFAULT_MAX_COLLISIONS
     limit: int = 9
     samples: int = 50
@@ -387,32 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--params", default="1/2,1/2",
-                       help="obstacle dimensions p/q,r/s")
-        p.add_argument("--slope", default="", help="exact slope u/v")
-        p.add_argument("--theta", default="",
-                       help="direction for experiments: u/v or decimal")
-        p.add_argument("--start", default="",
-                       help="start as m,n,side,offset (offset exact)")
-        p.add_argument("--origami", dest="origami_file", default="",
-                       help="serialized origami file (decompose)")
-        p.add_argument("--n-collisions", type=int, default=200,
-                       help="collisions to draw (render); a periodic orbit "
-                            "is drawn for one full period instead")
-        p.add_argument("--max-collisions", type=int,
-                       default=billiard.DEFAULT_MAX_COLLISIONS)
-        p.add_argument("--limit", type=int, default=9)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--horizon", type=int, default=10000)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--delta", default="1/1000")
-        p.add_argument("--probes", type=int, default=8)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--precision-bits", type=int, default=64)
-        p.add_argument("--scale", type=int, default=60)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", default="")
-        p.add_argument("--csv", default="")
+        # one option per config field; an option given on the command line
+        # overrides a config file even where it equals the default
+        for fld in dataclasses.fields(RunConfig):
+            if fld.name == "command":
+                continue
+            p.add_argument(fld.metadata.get("flag",
+                                            "--" + fld.name.replace("_", "-")),
+                           dest=fld.name, default=argparse.SUPPRESS,
+                           type=int if fld.type == "int" else str,
+                           help=fld.metadata.get("help"))
         p.add_argument("--config", default="",
                        help="key=value config file overriding defaults")
         p.add_argument("--json-config", default="",
@@ -431,14 +422,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg = RunConfig.from_text(fh.read())
     else:
         cfg = RunConfig()
-    cfg.command = args.command
-    defaults = RunConfig()
-    for field in dataclasses.fields(RunConfig):
-        if field.name == "command" or not hasattr(args, field.name):
-            continue
-        value = getattr(args, field.name)
-        if value != getattr(defaults, field.name):
-            setattr(cfg, field.name, value)
+    for fld in dataclasses.fields(RunConfig):
+        if hasattr(args, fld.name):  # the command and every option given
+            setattr(cfg, fld.name, getattr(args, fld.name))
     return cfg
 
 

@@ -170,10 +170,15 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
             # slides along the corridor, never meets a side again
             return SampleResult(start.sample_id, start.side, start.offset,
                                 "corridor", None, (0, 0), Fraction(0))
-        out = SampleResult(start.sample_id, start.side, start.offset,
-                           "returned", 2, (0, 0),
-                           2 * (1 - (params.a if slope.is_horizontal else params.b)))
-        return out
+        gap = 1 - (params.a if slope.is_horizontal else params.b)
+        if horizon < 2:
+            # one flight to the facing side of the neighbor, not back yet
+            sx, sy = start.orientation
+            drift = (sx, 0) if slope.is_horizontal else (0, sy)
+            return SampleResult(start.sample_id, start.side, start.offset,
+                                "lost", None, drift, gap)
+        return SampleResult(start.sample_id, start.side, start.offset,
+                            "returned", 2, (0, 0), 2 * gap)
     state = make_state(params, (0, 0), start.side, start.offset, slope,
                        start.orientation)
     if shadow_slope is None:

@@ -74,10 +74,8 @@ def _cylinder_samples(decomp: CylinderDecomposition, ci: int, count: int = 3):
     """Interior points of one cylinder, in renormalized coordinates: they
     lie on one horizontal leaf, halfway up the smallest cell of the
     cylinder's bottom row."""
-    bottom_cells = sorted(
-        c for c, lev in enumerate(decomp.cell_levels)
-        if lev is not None and lev == (ci, 0))
-    cell = bottom_cells[0]
+    levels = decomp.cell_levels
+    cell = min(c for c in decomp.cylinders[ci].cells if levels[c][1] == 0)
     for off in _SAMPLE_OFFSETS[:count]:
         yield cell, off, Fraction(1, 2)
 
@@ -191,12 +189,6 @@ def _label_permutation(origami: Origami, word: str) -> dict:
     if len(isos) != 1:
         raise DomainError(f"expected a unique relabeling, found {len(isos)}")
     psi = isos[0]
-    cls = origami.vertex_class_index()
-    reps = {}
-    for cyc in origami.vertex_classes():
-        low = min(cyc)
-        for c in cyc:
-            reps[c] = low
     by_pos = {}
     for mp in origami.marked:
         by_pos[(mp.cell, mp.x, mp.y)] = mp.label
@@ -204,7 +196,7 @@ def _label_permutation(origami: Origami, word: str) -> dict:
     for mp in img.marked:
         cell = psi[mp.cell]
         if mp.is_integer:
-            cell = reps[cell]
+            cell = origami.vertex_rep(cell)
         label = by_pos.get((cell, mp.x, mp.y))
         if label is None:
             raise AssertionError("transported point missed the marked set")

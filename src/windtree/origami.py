@@ -36,21 +36,40 @@ def _invert(perm: tuple) -> tuple:
     return tuple(inv)
 
 
-def _cycles(perm: tuple) -> list:
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
+def _cycles(perm: tuple, starts=None) -> tuple:
+    """The cycle index of a permutation: (cycles, where, pos), with
+    element c at cycles[where[c]][pos[c]].
+
+    Each cycle starts at its smallest element, in the order of those.
+    With ``starts`` given, only the cycles through those elements are
+    walked, each from the first of them met; the other entries of
+    ``where`` stay -1.
+    """
+    n = len(perm)
+    where = [-1] * n
+    pos = [0] * n
+    cycles = []
+    for i in range(n) if starts is None else starts:
+        if where[i] >= 0:
             continue
+        k = len(cycles)
+        where[i] = k
         cyc = [i]
-        seen[i] = True
         j = perm[i]
         while j != i:
+            where[j] = k
+            pos[j] = len(cyc)
             cyc.append(j)
-            seen[j] = True
             j = perm[j]
-        out.append(cyc)
-    return out
+        cycles.append(cyc)
+    return cycles, where, pos
+
+
+def _along(index: tuple, cell: int, k: int) -> int:
+    """The cell k places further along its cycle of an index (any k)."""
+    cycles, where, pos = index
+    cyc = cycles[where[cell]]
+    return cyc[(pos[cell] + k) % len(cyc)]
 
 
 @dataclass(frozen=True)
@@ -96,24 +115,26 @@ class Origami:
             return points
         # a lattice corner is shared by every cell around its vertex;
         # store the smallest cell of the class so equality is decidable
-        rep = {}
-        for cyc in self.vertex_classes():
-            low = min(cyc)
-            for c in cyc:
-                rep[c] = low
-        return tuple(MarkedPoint(mp.label, rep[mp.cell], mp.x, mp.y)
+        classes, where, _ = _cycles(self.vertex_rotation())
+        return tuple(MarkedPoint(mp.label, classes[where[mp.cell]][0], mp.x, mp.y)
                      if mp.is_integer else mp for mp in points)
 
+    def _discovery(self, root: int) -> list:
+        """The cells reachable from root in breadth-first order, following
+        right, up, then the inverses."""
+        h, v, h_inv, v_inv = self.h, self.v, self.h_inv, self.v_inv
+        seen = [False] * self.n
+        seen[root] = True
+        order = [root]
+        for i in order:
+            for j in (h[i], v[i], h_inv[i], v_inv[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    order.append(j)
+        return order
+
     def _connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in (self.h[i], self.v[i], self.h_inv[i], self.v_inv[i]):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
+        return len(self._discovery(0)) == self.n
 
     def __eq__(self, other):
         return (isinstance(other, Origami) and self.h == other.h
@@ -136,15 +157,17 @@ class Origami:
                      for i in range(self.n))
 
     def vertex_classes(self) -> list:
-        """Cells grouped by the vertex at their bottom-left corner."""
-        return _cycles(self.vertex_rotation())
+        """Cells grouped by the vertex at their bottom-left corner, each
+        class starting at its smallest cell."""
+        return _cycles(self.vertex_rotation())[0]
 
     def vertex_class_index(self) -> tuple:
-        idx = [0] * self.n
-        for k, cyc in enumerate(self.vertex_classes()):
-            for c in cyc:
-                idx[c] = k
-        return tuple(idx)
+        return tuple(_cycles(self.vertex_rotation())[1])
+
+    def vertex_rep(self, cell: int) -> int:
+        """The smallest cell of the vertex class of ``cell``."""
+        classes, where, _ = _cycles(self.vertex_rotation())
+        return classes[where[cell]][0]
 
     def stratum_signature(self) -> tuple:
         """Sorted cone orders: a vertex with k cells around it has angle
@@ -175,18 +198,12 @@ class Origami:
         top = max(map(len, classes))
         best = None
         for base in (c for cyc in classes if len(cyc) == top for c in cyc):
-            order = [base]
-            pos = {base: 0}
-            k = 0
-            while k < len(order):
-                i = order[k]
-                k += 1
-                for j in (self.h[i], self.v[i], self.h_inv[i], self.v_inv[i]):
-                    if j not in pos:
-                        pos[j] = len(order)
-                        order.append(j)
-            hh = tuple(pos[self.h[order[i]]] for i in range(self.n))
-            vv = tuple(pos[self.v[order[i]]] for i in range(self.n))
+            order = self._discovery(base)
+            pos = [0] * self.n
+            for k, c in enumerate(order):
+                pos[c] = k
+            hh = tuple(pos[self.h[c]] for c in order)
+            vv = tuple(pos[self.v[c]] for c in order)
             if best is None or (hh, vv) < best:
                 best = (hh, vv)
         return best
@@ -399,10 +416,8 @@ def hyperelliptic_involution(origami: Origami) -> tuple:
     around the cone point, which makes the search linear in the cells.
     """
     n, h, v = origami.n, origami.h, origami.v
-    class_size = [0] * n
-    for cyc in origami.vertex_classes():
-        for c in cyc:
-            class_size[c] = len(cyc)
+    classes, where, _ = _cycles(origami.vertex_rotation())
+    class_size = [len(classes[k]) for k in where]
     root = max(range(n), key=class_size.__getitem__)
     sols = []
     for img in range(n):
@@ -426,7 +441,7 @@ def involution_fixed_points(origami: Origami, iota: tuple) -> list:
     lattice vertices (the cone point always among them).
     """
     h, v = origami.h, origami.v
-    cls = origami.vertex_class_index()
+    classes, cls, _ = _cycles(origami.vertex_rotation())
     out = []
     for i in range(origami.n):
         if iota[i] == i:
@@ -435,16 +450,14 @@ def involution_fixed_points(origami: Origami, iota: tuple) -> list:
             out.append(("hmid", i))
         if h[iota[i]] == i:
             out.append(("vmid", i))
-    for k, cyc in enumerate(origami.vertex_classes()):
-        j = cyc[0]
-        if len(cyc) > 1:
-            out.append(("vertex", k))  # the cone point is always fixed
-        elif cls[v[h[iota[j]]]] == k:
+    for k, cyc in enumerate(classes):
+        # the cone point is always fixed
+        if len(cyc) > 1 or cls[v[h[iota[cyc[0]]]]] == k:
             out.append(("vertex", k))
     return out
 
 
-def _marked_point_kind(origami: Origami, mp: MarkedPoint):
+def _marked_point_kind(mp: MarkedPoint, vertex_class: tuple):
     half = Fraction(1, 2)
     if (mp.x, mp.y) == (half, half):
         return ("center", mp.cell)
@@ -453,16 +466,17 @@ def _marked_point_kind(origami: Origami, mp: MarkedPoint):
     if (mp.x, mp.y) == (Fraction(0), half):
         return ("vmid", mp.cell)
     if (mp.x, mp.y) == (Fraction(0), Fraction(0)):
-        return ("vertex", origami.vertex_class_index()[mp.cell])
+        return ("vertex", vertex_class[mp.cell])
     return None
 
 
 def _verify_marked_against_involution(origami: Origami) -> None:
     iota = hyperelliptic_involution(origami)
     fixed = set(involution_fixed_points(origami, iota))
+    cls = origami.vertex_class_index()
     got = set()
     for mp in origami.marked:
-        kind = _marked_point_kind(origami, mp)
+        kind = _marked_point_kind(mp, cls)
         if kind is None:
             raise AssertionError(f"marked point {mp} is not a 2-torsion position")
         got.add(kind)
@@ -552,57 +566,21 @@ def inverse_word(word) -> tuple:
     return tuple((g, -k) for g, k in reversed(as_tokens(word)))
 
 
-def _perm_power(perm: tuple, k: int) -> tuple:
-    """perm^k via cycle rotation, any integer k."""
-    n = len(perm)
-    out = [0] * n
-    seen = [False] * n
-    for i in range(n):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        ln = len(cyc)
-        shift = k % ln
-        for idx, c in enumerate(cyc):
-            out[c] = cyc[(idx + shift) % ln]
-    return tuple(out)
-
-
 def _shear(h: tuple, v: tuple, marked: list, k: int):
     """T^k on raw gluings: rows keep their order; the cell above i becomes
     the cell above the k-th left neighbor."""
-    new_v = tuple(map(v.__getitem__, _perm_power(h, -k)))
-    h_fwd = {}
+    index = _cycles(h)
+    new_v = [0] * len(v)
+    for row in index[0]:
+        s = -k % len(row)
+        for c, d in zip(row, row[s:] + row[:s]):
+            new_v[c] = v[d]
     out = []
     for label, cell, x, y in marked:
         x = x + k * y
         shift = x.numerator // x.denominator  # floor
-        out.append((label, _perm_power_cell(h, cell, shift, h_fwd),
-                    x - shift, y))
-    return h, new_v, out
-
-
-def _perm_power_cell(perm: tuple, cell: int, k: int, cache: dict) -> int:
-    if k == 0:
-        return cell
-    cyc = cache.get(cell)
-    if cyc is None:
-        cyc = [cell]
-        j = perm[cell]
-        while j != cell:
-            cyc.append(j)
-            j = perm[j]
-        for idx, c in enumerate(cyc):
-            cache[c] = (cyc, idx)
-        cyc = cache[cell]
-    cycle, idx = cyc
-    return cycle[(idx + k) % len(cycle)]
+        out.append((label, _along(index, cell, shift), x - shift, y))
+    return h, tuple(new_v), out
 
 
 def _quarter_turn(h: tuple, v: tuple, marked: list):
@@ -743,23 +721,21 @@ class CylinderDecomposition:
         sl2z_act(renormalized, inverse_word(word)) except at lattice
         corners, which are left in the cell they arrive in.
         """
-        stages = self.stages[::-1]
-        walks = [{} for _ in stages]  # per-stage row cycles, filled on demand
-        out = []
-        for cell, x, y in points:
-            x, y = Fraction(x), Fraction(y)
-            for (k, perm), walk in zip(stages, walks):
-                if k is None:
-                    if x == 0:
-                        x, y, cell = y, Fraction(0), perm[cell]
-                    else:
-                        x, y = y, 1 - x
-                else:
-                    x -= k * y
-                    shift = x.numerator // x.denominator  # floor
-                    cell = _perm_power_cell(perm, cell, shift, walk)
-                    x -= shift
-            out.append((cell, x, y))
+        out = [(cell, Fraction(x), Fraction(y)) for cell, x, y in points]
+        for k, perm in reversed(self.stages):
+            if k is None:
+                out = [(perm[cell], y, Fraction(0)) if x == 0
+                       else (cell, y, 1 - x) for cell, x, y in out]
+                continue
+            # only the rows the points are on: a full index costs O(n)
+            # per stage
+            index = _cycles(perm, [cell for cell, _, _ in out])
+            moved = []
+            for cell, x, y in out:
+                x -= k * y
+                shift = x.numerator // x.denominator  # floor
+                moved.append((_along(index, cell, shift), x - shift, y))
+            out = moved
         return out
 
     def total_area(self) -> int:
@@ -769,32 +745,16 @@ class CylinderDecomposition:
 def _horizontal_cylinders(origami: Origami):
     """Group the rows (right-neighbor cycles) into horizontal cylinders.
 
-    A row continues into the row above when the up-gluing maps it onto a
-    single row bijectively and every vertex on the interface is regular;
-    a wrap back to the starting row (possible only without singularities,
-    e.g. on torus covers) closes the stack.
+    A row continues into the row above when v[h[c]] == h[v[c]] for each of
+    its cells c: every vertex on its top edge is regular, and then the
+    up-gluing maps it onto a single row.  A wrap back to the starting row
+    (possible only without singularities, e.g. on torus covers) closes
+    the stack.
     """
     h, v = origami.h, origami.v
-    h_inv, v_inv = origami.h_inv, origami.v_inv
-    rows = _cycles(h)
-    row_id = [0] * origami.n
-    for k, cyc in enumerate(rows):
-        for c in cyc:
-            row_id[c] = k
-
-    def regular(j):
-        return v[h[v_inv[h_inv[j]]]] == j
-
-    up = []
-    for cyc in rows:
-        imgs = {v[c] for c in cyc}
-        tgt = row_id[v[cyc[0]]]
-        if (all(row_id[c] == tgt for c in imgs)
-                and len(imgs) == len(rows[tgt])
-                and all(regular(c) for c in imgs)):
-            up.append(tgt)
-        else:
-            up.append(None)
+    rows, row_id, _ = _cycles(h)
+    up = [row_id[v[cyc[0]]] if all(v[h[c]] == h[v[c]] for c in cyc) else None
+          for cyc in rows]
     down = {}
     for src, tgt in enumerate(up):
         if tgt is not None:
@@ -833,8 +793,9 @@ def decompose_direction(origami: Origami, slope: Slope) -> CylinderDecomposition
     word = direction_to_horizontal_word(slope)
     ren, stages = _act(origami, word)
     rows, stacks = _horizontal_cylinders(ren)
-    # deterministic order: by smallest cell in the stack
-    keyed = sorted(stacks, key=lambda ch: min(min(rows[r]) for r in ch))
+    # deterministic order: by smallest cell in the stack (a row starts
+    # at its smallest cell)
+    keyed = sorted(stacks, key=lambda ch: min(rows[r][0] for r in ch))
     cell_levels = [None] * ren.n
     cylinders = []
     for ci, chain in enumerate(keyed):

@@ -655,6 +655,20 @@ def test_collision_sequence_of_axis_slopes(slope):
     assert trace(state, HALF, 4).points[2::2] == (state.position,) * 2
 
 
+@pytest.mark.parametrize("slope", [Slope(0, 1), Slope(1, 0), Slope(3, 7)])
+def test_next_collision_is_the_first_traced_point(slope):
+    # axis slopes step too, and every step can be stepped again
+    params = classify_params(1, 3, 1, 2)
+    state, _ = regular_start(params, slope)
+    path = trace(state, params, 4)
+    cur = state
+    for point in path.points[1:]:
+        cur = next_collision(cur, params)
+        assert cur.position == point
+    assert next_collision(state, params).position == \
+        trace(state, params, 1).points[1]
+
+
 def test_undetermined_length_is_that_of_the_cap():
     # the length of exactly max_collisions collisions, not one more
     state, _ = regular_start(HALF, Slope(4181, 6765))

@@ -188,6 +188,32 @@ def test_config_file_and_dump(tmp_path, capsys):
     assert code == EXIT_OK and out.startswith("Escaping")
 
 
+@pytest.mark.parametrize("kind", ["text", "json"])
+def test_explicit_option_equal_to_its_default_beats_the_config(tmp_path,
+                                                               capsys, kind):
+    # --samples 50 is the default, and the config file says 3
+    if kind == "text":
+        cfg_file = tmp_path / "f.cfg"
+        cfg_file.write_text("samples=3\n")
+        flag = "--config"
+    else:
+        cfg_file = tmp_path / "f.json"
+        cfg_file.write_text('{"samples": 3}')
+        flag = "--json-config"
+    dumped = tmp_path / "effective.cfg"
+    code, out, _ = run(capsys, "recur", "--params", "1/2,1/2",
+                       "--theta", "13/21", flag, str(cfg_file),
+                       "--samples", "50", "--horizon", "1000",
+                       "--dump-config", str(dumped))
+    assert code == EXIT_OK and " of 50 starts" in out
+    eff = RunConfig.from_text(dumped.read_text())
+    assert (eff.samples, eff.horizon, eff.theta) == (50, 1000, "13/21")
+    # a key the command line leaves out still comes from the file
+    code, out, _ = run(capsys, "recur", "--theta", "13/21", flag,
+                       str(cfg_file), "--horizon", "1000")
+    assert code == EXIT_OK and " of 3 starts" in out
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("params=1/2,1/2\nnot_a_key=1\n")

@@ -60,6 +60,36 @@ def test_recurrence_axis_corridor_fraction_below_one():
     assert 0 < report.returned_fraction < 1
 
 
+@pytest.mark.parametrize("table,slope", [("1/2,1/2", Slope(0, 1)),
+                                         ("1/3,1/2", Slope(0, 1)),
+                                         ("1/3,1/2", Slope(1, 0))])
+def test_recurrence_axis_samples_respect_a_horizon_of_one(table, slope):
+    # one collision reaches the facing side of the neighbor, not the
+    # origin obstacle: lost one cell away after a flight of 1 - a (slope
+    # 0) or 1 - b (slope 1/0); a second collision comes back
+    params = Params.parse(table)
+    direction = DirectionSpec(slope)
+    report = recurrence_experiment(params, direction, n_samples=8,
+                                   horizon=1, seed=11)
+    assert report.returned_fraction == report.returned_fraction_at(1) == 0
+    starts = sample_boundary_starts(params, slope, 8, 11)
+    lost = 0
+    for s, st0 in zip(report.samples, starts):
+        if s.outcome == "corridor":
+            continue
+        assert s.outcome == "lost" and s.first_return is None
+        state = make_state(params, (0, 0), st0.side, st0.offset, slope,
+                           st0.orientation)
+        assert s.drift == billiard.next_collision(state, params).cell
+        assert s.geometric_length == billiard.path_length(
+            billiard.trace(state, params, 1), slope)
+        lost += 1
+    assert lost > 0
+    longer = recurrence_experiment(params, direction, n_samples=8,
+                                   horizon=2, seed=11)
+    assert {s.outcome for s in longer.samples} <= {"returned", "corridor"}
+
+
 def test_recurrence_golden_direction_mostly_returns():
     report = recurrence_experiment(HALF, golden_truncation(), n_samples=50,
                                    horizon=20000, seed=3)

@@ -3,13 +3,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from windtree.errors import DomainError
 from windtree.exact import Params, ParityClass, Slope, classify_params
 from windtree.origami import (Cylinder, CylinderDecomposition, MarkedPoint,
-                              OrbitClass, Origami, _l_shape_cell,
+                              OrbitClass, Origami, _along, _cycles,
+                              _horizontal_cylinders, _l_shape_cell,
                               _l_shape_position, build_origami,
                               ceil_sqrt2_times, cylinder_bounds_constant,
                               decompose_direction, decompose_table_direction,
@@ -503,3 +504,103 @@ def test_cached_table_decomposition_matches_fresh():
             assert decompose_table_direction(params, sl) is cached
             assert cached == decompose_direction(
                 build_origami(params), table_to_scaled_slope(params, sl))
+
+
+# -- the cycle index and the row-link rule --------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(perm=st.integers(1, 24).flatmap(lambda n: st.permutations(range(n))),
+       data=st.data())
+def test_cycles_index_property(perm, data):
+    n = len(perm)
+    index = cycles, where, pos = _cycles(tuple(perm))
+    # a partition, each cycle from its minimum, in the order of those
+    assert sorted(c for cyc in cycles for c in cyc) == list(range(n))
+    assert all(cyc[0] == min(cyc) for cyc in cycles)
+    assert [cyc[0] for cyc in cycles] == sorted(cyc[0] for cyc in cycles)
+    assert all(cycles[where[c]][pos[c]] == c for c in range(n))
+    assert all(perm[a] == b for cyc in cycles
+               for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    inv = [0] * n
+    for i, j in enumerate(perm):
+        inv[j] = i
+    cell = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(-3 * n - 2, 3 * n + 2))
+    want = cell
+    for _ in range(abs(k)):
+        want = perm[want] if k > 0 else inv[want]
+    assert _along(index, cell, k) == want
+    # walking only the cycles through some starts gives the same moves
+    starts = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    partial = _cycles(tuple(perm), starts)
+    assert {where[c] for c in starts} == \
+        {where[c] for c in range(n) if partial[1][c] >= 0}
+    assert all(_along(partial, c, k) == _along(index, c, k) for c in starts)
+
+
+def _old_row_links(og):
+    """The row above each row, or None, by the rule with both inverse
+    gluings: the up-gluing maps the row onto a single row bijectively and
+    every vertex on the interface is regular."""
+    h, v, h_inv, v_inv = og.h, og.v, og.h_inv, og.v_inv
+    rows, row_id, _ = _cycles(h)
+    up = []
+    for cyc in rows:
+        imgs = {v[c] for c in cyc}
+        tgt = row_id[v[cyc[0]]]
+        if (all(row_id[c] == tgt for c in imgs)
+                and len(imgs) == len(rows[tgt])
+                and all(v[h[v_inv[h_inv[c]]]] == c for c in imgs)):
+            up.append(tgt)
+        else:
+            up.append(None)
+    return rows, up
+
+
+def _assert_stacks_follow_old_rule(og):
+    rows, up = _old_row_links(og)
+    got_rows, stacks = _horizontal_cylinders(og)
+    assert got_rows == rows
+    down = {tgt: src for src, tgt in enumerate(up) if tgt is not None}
+    assert sorted(r for chain in stacks for r in chain) == list(range(len(rows)))
+    for chain in stacks:
+        # maximal runs of links, or a run that wraps back to its start
+        assert all(up[a] == b for a, b in zip(chain, chain[1:]))
+        assert up[chain[-1]] in (None, chain[0])
+        assert down.get(chain[0]) in (None, chain[-1])
+
+
+@st.composite
+def connected_origamis(draw):
+    """Random transitive pairs on at most 12 cells, and relabeled torus
+    covers whose stacks of rows wrap: w x m grids with a twist per row."""
+    if draw(st.booleans()):
+        w, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        twists = draw(st.lists(st.integers(0, w - 1), min_size=m, max_size=m))
+        h = [r * w + (i + 1) % w for r in range(m) for i in range(w)]
+        v = [(r + 1) % m * w + (i + twists[r]) % w
+             for r in range(m) for i in range(w)]
+        return _relabel(Origami(h, v), draw(st.permutations(range(w * m))))
+    n = draw(st.integers(1, 12))
+    h = draw(st.permutations(range(n)))
+    v = draw(st.permutations(range(n)))
+    try:
+        return Origami(h, v)
+    except DomainError:
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(og=connected_origamis())
+def test_row_links_match_inverse_rule_on_random_origamis(og):
+    _assert_stacks_follow_old_rule(og)
+
+
+@pytest.mark.parametrize("table", ("1/2,1/2", "2/3,2/3", "1/3,1/3", "1/5,2/7",
+                                   "4/13,4/5", "4/25,6/13", "3/44,9/44"))
+@settings(max_examples=10, deadline=None)
+@given(tokens=TOKENS)
+def test_row_links_match_inverse_rule_on_sweep_images(table, tokens):
+    _assert_stacks_follow_old_rule(
+        sl2z_act(build_origami(Params.parse(table)), tuple(tokens)))
