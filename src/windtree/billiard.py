@@ -64,7 +64,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from typing import NamedTuple
 
@@ -445,7 +445,8 @@ class Orbit:
     ``DOMAINS[k]``, the transverse coordinate t, the obstacle cell and the
     X-extent |dX| of the flight to it, all in units of 1/N of ``lattice``.
     Raises CornerHit with the exact corner when the flow reaches one.
-    Every iteration starts again from the start state.
+    Every iteration starts again from the start state; ``steps`` starts
+    from any state of the map.
     """
 
     __slots__ = ("lattice", "n0", "k", "t", "cell", "_cuts", "_pieces",
@@ -453,8 +454,6 @@ class Orbit:
 
     def __init__(self, start: BilliardState, params: Params):
         slope = start.slope
-        if slope.is_axis:
-            raise DomainError("axis slopes are classified analytically, not stepped")
         k = _DOMAIN_INDEX.get((start.side, tuple(start.orientation)))
         if k is None:
             raise DomainError("direction does not leave the named side")
@@ -471,9 +470,12 @@ class Orbit:
                          for p in row] for row in pieces]
 
     def __iter__(self):
+        return self.steps(self.k, self.t, *self.cell)
+
+    def steps(self, k: int, t: int, m: int, n: int):
+        """The collisions after state (k, t) in cell (m, n), as iterating
+        yields them from the start."""
         cuts, pieces = self._cuts, self._pieces
-        k, t = self.k, self.t
-        m, n = self.cell
         while True:
             cs = cuts[k]
             i = bisect_left(cs, t)
@@ -665,9 +667,9 @@ class _CycleStore:
     def _find(self, walk: Orbit, seen: list):
         """locate without the mirror images; ``seen`` gets the states
         walked, or nothing when the start lies on no cycle at all."""
-        n0, cuts, pieces = walk.n0, walk._cuts, walk._pieces
-        k, t = walk.k, walk.t
+        n0, k, t = walk.n0, walk.k, walk.t
         m = n = ext = 0
+        steps = walk.steps(k, t, 0, 0)
         for s in range(_LANDMARK_EVERY):
             # the last interval with n0*lo < t, that is lo <= (t - 1)//n0
             i = bisect_right(self.los[k], (t - 1) // n0) - 1
@@ -677,16 +679,12 @@ class _CycleStore:
             if s and t == walk.t and k == walk.k:
                 return None  # a short cycle, walked whole
             seen.append((k, t))
-            cs = cuts[k]
-            i = bisect_left(cs, t)
-            if cs[i] == t:
+            try:
+                k, t, m, n, adx = next(steps)
+            except CornerHit:
                 seen.clear()
                 return None
-            k, flip, shift, dm, dn, c0, c1 = pieces[k][i]
-            ext += c0 + c1 * t
-            t = shift - t if flip else shift + t
-            m += dm
-            n += dn
+            ext += adx
         return None
 
 
@@ -844,21 +842,17 @@ def _block(walk: Orbit, cyc: _Cycle, tau: int, b: int, rnd: int):
     (the phases rnd*L + b*G ..) of the cycle point whose phase-0
     coordinate is tau, in the frame where that point starts in cell (0, 0)
     with extent 0."""
-    n0, cuts, pieces = walk.n0, walk._cuts, walk._pieces
-    dm, dn = cyc.drift
-    k = cyc.k[b]
-    t = cyc.sign[b] * tau + n0 * cyc.off[b]
-    m = cyc.cm[b] + rnd * dm
-    n = cyc.cn[b] + rnd * dn
+    n0, k = walk.n0, cyc.k[b]
+    m = cyc.cm[b] + rnd * cyc.drift[0]
+    n = cyc.cn[b] + rnd * cyc.drift[1]
     ext = n0 * (cyc.ea[b] + rnd * cyc.extent) + \
         _extent_slope(walk.lattice.v, cyc.k[0], k) * tau
-    for _ in range(min(_LANDMARK_EVERY, cyc.length - b * _LANDMARK_EVERY)):
+    yield m, n, ext
+    count = min(_LANDMARK_EVERY, cyc.length - b * _LANDMARK_EVERY)
+    steps = walk.steps(k, cyc.sign[b] * tau + n0 * cyc.off[b], m, n)
+    for _, _, m, n, adx in islice(steps, count - 1):
+        ext += adx
         yield m, n, ext
-        k, flip, shift, dm, dn, c0, c1 = pieces[k][bisect_left(cuts[k], t)]
-        ext += c0 + c1 * t
-        t = shift - t if flip else shift + t
-        m += dm
-        n += dn
 
 
 def _rounds(c: int, d: int, lo: int, hi: int, w0: int, w1: int) -> tuple:
@@ -919,17 +913,24 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
 
 
 def first_return(start: BilliardState, params: Params, horizon: int):
-    """The first return of a non-axis orbit to its start cell within
-    ``horizon`` collisions.
+    """The first return of an orbit to its start cell within ``horizon``
+    collisions.
 
     Returns (collisions or None, cell, length, singular): the cell relative
     to the start cell and the length in primitive-vector units, at the
-    return, at the corner or else at the horizon.  A start on a recorded
-    cycle is answered from it; otherwise the orbit is walked, and one that
-    closes on its start within the horizon is recorded and answered from
-    its cycle.
+    return, at the corner or else at the horizon.  An axis orbit is back
+    after its two flights.  A start on a recorded cycle is answered from
+    it; otherwise the orbit is walked, and one that closes on its start
+    within the horizon is recorded and answered from its cycle.
     """
     validate_state(start, params)
+    if start.slope.is_axis:
+        flight = _axis_flight(start.slope, params)
+        if horizon >= 2:
+            return 2, (0, 0), 2 * flight, False
+        _, (m, n), *_ = next(_collisions(start, params))
+        sm, sn = start.cell
+        return None, (m - sm, n - sn), flight, False
     walk = Orbit(start, params)
     store = _cycle_store(params, start.slope.u, start.slope.v)
     vN = start.slope.v * walk.lattice.N
@@ -960,8 +961,6 @@ def _direction_cycles(params: Params, slope: Slope) -> tuple:
     exactly when there is no corridor and every cycle's drift is (0, 0);
     otherwise the escaping cycles and the corridors are its strips.
     """
-    if slope.is_axis:
-        raise DomainError("axis slopes have no return map")
     store = _cycle_store(params, slope.u, slope.v)
     cuts = _return_map(params, slope.u, slope.v)[0]
     limit = 2 * sum(cs[-1] for cs in cuts)  # reduced states at n0 = 2
@@ -1005,17 +1004,15 @@ def _direction_cycles(params: Params, slope: Slope) -> tuple:
 def _phases(walk: Orbit, cyc: _Cycle) -> list:
     """(k, lo, hi) of each phase of a recorded cycle, walked from a phase-0
     point at the lattice scale of ``walk`` (which must be at least 2)."""
-    n0, cuts, pieces = walk.n0, walk._cuts, walk._pieces
-    k, t, sign = cyc.k[0], n0 * cyc.lo + 1, 1
-    tau = t
+    n0, k0 = walk.n0, cyc.k[0]
+    tau = n0 * cyc.lo + 1
     out = []
-    for _ in range(cyc.length):
+    for k, t, *_ in islice(chain([(k0, tau)], walk.steps(k0, tau, 0, 0)),
+                           cyc.length):
+        sign = _LEAF[k0] * _LEAF[k]  # as _walk_period checks at landmarks
         off = _down(t - sign * tau, n0)
         out.append((k, off + cyc.lo, off + cyc.hi) if sign > 0
                    else (k, off - cyc.hi, off - cyc.lo))
-        k, flip, shift = pieces[k][bisect_left(cuts[k], t)][:3]
-        t = shift - t if flip else shift + t
-        sign = -sign if flip else sign
     return out
 
 
@@ -1026,18 +1023,15 @@ def next_collision(state: BilliardState, params: Params) -> BilliardState:
     return BilliardState(pos, side, cell, orientation, state.slope)
 
 
-def _classify_axis(state: BilliardState, params: Params) -> TrajectoryOutcome:
-    """Axis-aligned flow from a side: trapped between two facing sides.
+def _axis_flight(slope: Slope, params: Params) -> Fraction:
+    """The length of each flight of an axis slope from a side it leaves.
 
     A horizontal ray leaving a vertical side stays in the open band of its
-    obstacle row, so it must hit the facing side of the neighboring
-    obstacle: a 2-collision periodic orbit.  Same for vertical rays.
+    obstacle row, so it hits the facing side of the neighboring obstacle
+    after 1 - a, and then comes back: a 2-collision periodic orbit.  Same
+    for vertical rays, with 1 - b.
     """
-    if state.slope.is_horizontal:
-        lam = 2 * (1 - params.a)
-    else:
-        lam = 2 * (1 - params.b)
-    return TrajectoryOutcome(Outcome.PERIODIC, 2, Fraction(lam), (0, 0), 0)
+    return 1 - (params.a if slope.is_horizontal else params.b)
 
 
 def classify_trajectory(start: BilliardState, params: Params,
@@ -1059,7 +1053,9 @@ def classify_trajectory(start: BilliardState, params: Params,
     if max_collisions < 1:
         raise DomainError("max_collisions must be >= 1")
     if start.slope.is_axis:
-        return _classify_axis(start, params)
+        return TrajectoryOutcome(Outcome.PERIODIC, 2,
+                                 2 * _axis_flight(start.slope, params),
+                                 (0, 0), 0)
 
     walk = Orbit(start, params)
     store = _cycle_store(params, start.slope.u, start.slope.v)
@@ -1097,14 +1093,15 @@ def _collisions(start: BilliardState, params: Params):
         # Trapped 2-bounce orbit: alternate between the two facing sides.
         x, y = start.position.x, start.position.y
         (m, n), (sx, sy) = start.cell, start.orientation
+        gap = _axis_flight(start.slope, params)
         while True:
             if start.slope.is_horizontal:
-                x += sx * (1 - params.a)
+                x += sx * gap
                 m += sx
                 side = LEFT if sx > 0 else RIGHT
                 sx = -sx
             else:
-                y += sy * (1 - params.b)
+                y += sy * gap
                 n += sy
                 side = BOTTOM if sy > 0 else TOP
                 sy = -sy

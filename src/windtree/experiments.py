@@ -163,22 +163,10 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
     to the end.  Without one, the sample is answered from its recorded
     cylinder cycle (`billiard.first_return`).
     """
-    if slope.is_axis:
-        tangent = (slope.is_horizontal and start.side in (BOTTOM, TOP)) or \
-                  (slope.is_vertical and start.side in (LEFT, RIGHT))
-        if tangent:
-            # slides along the corridor, never meets a side again
-            return SampleResult(start.sample_id, start.side, start.offset,
-                                "corridor", None, (0, 0), Fraction(0))
-        gap = 1 - (params.a if slope.is_horizontal else params.b)
-        if horizon < 2:
-            # one flight to the facing side of the neighbor, not back yet
-            sx, sy = start.orientation
-            drift = (sx, 0) if slope.is_horizontal else (0, sy)
-            return SampleResult(start.sample_id, start.side, start.offset,
-                                "lost", None, drift, gap)
+    if slope.is_axis and slope.is_horizontal == (start.side in (BOTTOM, TOP)):
+        # tangent: slides along the corridor, never meets a side again
         return SampleResult(start.sample_id, start.side, start.offset,
-                            "returned", 2, (0, 0), 2 * gap)
+                            "corridor", None, (0, 0), Fraction(0))
     state = make_state(params, (0, 0), start.side, start.offset, slope,
                        start.orientation)
     if shadow_slope is None:

@@ -599,15 +599,14 @@ def _quarter_turn(h: tuple, v: tuple, marked: list):
 
 
 def _act(origami: Origami, tokens: tuple):
-    """sl2z_act for tokens, with the elementary stages it stepped through.
+    """The raw (h, v, marked, stages) that tokens step origami to.
 
-    A stage is (k, perm): a shear T^k with the right gluing it keeps, or,
-    with k None, one quarter turn with the inverse of the right gluing it
-    makes (the vertical gluing before the turn).  The stages hold
-    references to tuples the stepping computes anyway.
+    marked holds (label, cell, x, y) tuples, lattice corners left in the
+    cell they arrive in.  A stage is (k, perm): a shear T^k with the right
+    gluing it keeps, or, with k None, one quarter turn with the inverse of
+    the right gluing it makes (the vertical gluing before the turn).  The
+    stages hold references to tuples the stepping computes anyway.
     """
-    if not tokens:
-        return origami, ()
     h, v = origami.h, origami.v
     marked = [(mp.label, mp.cell, mp.x, mp.y) for mp in origami.marked]
     stages = []
@@ -619,7 +618,7 @@ def _act(origami: Origami, tokens: tuple):
             for _ in range(k % 4):  # the quarter turn has order four
                 stages.append((None, v))
                 h, v, marked = _quarter_turn(h, v, marked)
-    return Origami(h, v, [MarkedPoint(*mp) for mp in marked]), tuple(stages)
+    return h, v, marked, tuple(stages)
 
 
 def sl2z_act(origami: Origami, word) -> Origami:
@@ -636,7 +635,8 @@ def sl2z_act(origami: Origami, word) -> Origami:
     that step in between changes nothing: every cell around a vertex
     carries the same surface point through T and S.
     """
-    return _act(origami, as_tokens(word))[0]
+    h, v, marked, _ = _act(origami, as_tokens(word))
+    return Origami(h, v, [MarkedPoint(*mp) for mp in marked])
 
 
 def word_matrix(word) -> tuple:
@@ -701,7 +701,6 @@ class CylinderDecomposition:
     direction: Slope
     cylinders: tuple
     word: tuple               # renormalizing generator word, as tokens
-    renormalized: Origami     # horizontal model the cylinders were read from
     cell_levels: tuple        # per renormalized cell: (cylinder index, row from bottom)
     # the elementary stages of the word, as recorded by _act
     stages: tuple = field(compare=False, repr=False)
@@ -717,9 +716,9 @@ class CylinderDecomposition:
         A shear T^k moves x back by k*y and the cell along its row by the
         whole cells crossed; a quarter turn maps (x, y) to (y, 1 - x), and
         a point on a cell's left edge (x = 0) lands on the bottom edge of
-        the cell to its left.  The result equals the marked points of
-        sl2z_act(renormalized, inverse_word(word)) except at lattice
-        corners, which are left in the cell they arrive in.
+        the cell to its left.  The result equals the points marked on
+        sl2z_act(origami, word) and carried by inverse_word(word), except
+        at lattice corners, which are left in the cell they arrive in.
         """
         out = [(cell, Fraction(x), Fraction(y)) for cell, x, y in points]
         for k, perm in reversed(self.stages):
@@ -742,8 +741,9 @@ class CylinderDecomposition:
         return sum(c.circumference * c.height for c in self.cylinders)
 
 
-def _horizontal_cylinders(origami: Origami):
-    """Group the rows (right-neighbor cycles) into horizontal cylinders.
+def _horizontal_cylinders(h: tuple, v: tuple):
+    """Group the rows (right-neighbor cycles) of the gluings h, v into
+    horizontal cylinders.
 
     A row continues into the row above when v[h[c]] == h[v[c]] for each of
     its cells c: every vertex on its top edge is regular, and then the
@@ -751,7 +751,6 @@ def _horizontal_cylinders(origami: Origami):
     (possible only without singularities, e.g. on torus covers) closes
     the stack.
     """
-    h, v = origami.h, origami.v
     rows, row_id, _ = _cycles(h)
     up = [row_id[v[cyc[0]]] if all(v[h[c]] == h[v[c]] for c in cyc) else None
           for cyc in rows]
@@ -785,35 +784,38 @@ def _horizontal_cylinders(origami: Origami):
 def decompose_direction(origami: Origami, slope: Slope) -> CylinderDecomposition:
     """Cylinder decomposition in a rational direction of the origami frame.
 
-    The direction is renormalized to horizontal by a generator word, the
-    horizontal cylinders are read off as stacked rows, and the transported
-    marked points are tested against each cylinder's central closed leaf
-    (height exactly half the cylinder height from its bottom boundary).
+    The direction is renormalized to horizontal by a generator word; the
+    cylinders are read off as stacked rows of the stepped gluings, and the
+    transported marked points are tested against each cylinder's central
+    closed leaf (height exactly half the cylinder height from its bottom
+    boundary).  The renormalized surface, sl2z_act(origami, word), is not
+    built.  It would move marked lattice corners to another cell of their
+    vertex class, which changes no waist: a regular vertex has one cell,
+    and every cell at a cone point sits at level 0 (a row with a singular
+    vertex on its top edge never links upward).
     """
     word = direction_to_horizontal_word(slope)
-    ren, stages = _act(origami, word)
-    rows, stacks = _horizontal_cylinders(ren)
+    h, v, marked, stages = _act(origami, word)
+    rows, stacks = _horizontal_cylinders(h, v)
     # deterministic order: by smallest cell in the stack (a row starts
     # at its smallest cell)
     keyed = sorted(stacks, key=lambda ch: min(rows[r][0] for r in ch))
-    cell_levels = [None] * ren.n
-    cylinders = []
+    cell_levels = [None] * len(h)
     for ci, chain in enumerate(keyed):
-        cells = set()
         for level, ridx in enumerate(chain):
             for c in rows[ridx]:
-                cells.add(c)
                 cell_levels[c] = (ci, level)
-        circ = len(rows[chain[0]])
-        height = len(chain)
-        half = Fraction(height, 2)
-        waist = tuple(sorted(
-            mp.label for mp in ren.marked
-            if cell_levels[mp.cell] is not None
-            and cell_levels[mp.cell][0] == ci
-            and cell_levels[mp.cell][1] + mp.y == half))
-        cylinders.append(Cylinder(circ, height, frozenset(cells), waist))
-    decomp = CylinderDecomposition(slope, tuple(cylinders), word, ren,
+    waists = [[] for _ in keyed]
+    for label, cell, _, y in marked:
+        ci, level = cell_levels[cell]
+        if 2 * (level + y) == len(keyed[ci]):
+            waists[ci].append(label)
+    cylinders = tuple(
+        Cylinder(len(rows[chain[0]]), len(chain),
+                 frozenset(c for ridx in chain for c in rows[ridx]),
+                 tuple(sorted(labels)))
+        for chain, labels in zip(keyed, waists))
+    decomp = CylinderDecomposition(slope, cylinders, word,
                                    tuple(cell_levels), stages)
     if decomp.total_area() != origami.n:
         raise AssertionError("cylinder areas do not sum to the surface area")

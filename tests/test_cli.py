@@ -307,7 +307,8 @@ def test_config_not_utf8_is_one_line_error(tmp_path, capsys):
 
 
 _FUZZ_KEYS = ("params", "params", "slope", "slope", "limit", "seed",
-              "max_collisions", "theta", "command", " limit ", "not_a_key")
+              "max_collisions", "theta", "samples", "horizon", "probes",
+              "command", " limit ", "not_a_key")
 _FUZZ_JUNK = ("", "abc", "1.5", "0x10", "1/0", "0/1", "-1/2", "true", "-",
               "1/2,1/2", "2/3,2/3", "1/2,", "=", "1_0", "٣")
 _NO_DIGITS = "abcxyz/,.=-_ #\t"
@@ -316,7 +317,9 @@ _NO_DIGITS = "abcxyz/,.=-_ #\t"
 _FUZZ_VALID = {"params": ("1/2,1/2", "2/3,2/3", "1/3,3/4", "3/5,1/2"),
                "slope": ("1/1", "3/7", "0/1", "1/0", "5/2"),
                "limit": ("1", "3", "6"), "seed": ("0", "7"),
-               "max_collisions": ("1", "50", "1000")}
+               "max_collisions": ("1", "50", "1000"),
+               "theta": ("13/21", "0", "0.618"), "samples": ("1", "2"),
+               "horizon": ("1", "2", "50"), "probes": ("1", "2")}
 
 
 @st.composite
@@ -345,10 +348,13 @@ def _config_lines(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_config_lines(),
        command=st.sampled_from(["classify", "classify-direction",
-                                "decompose", "good-dirs", "lift"]))
+                                "decompose", "good-dirs", "lift", "render",
+                                "recur", "diffuse", "stability"]))
 def test_config_text_fuzz_never_tracebacks(tmp_path, capsys, text, command):
+    # small runs by default, and somewhere for render to write
+    head = f"samples=2\nhorizon=50\nout={tmp_path / 'fuzz.svg'}\n"
     cfg_file = tmp_path / "fuzz.cfg"
-    cfg_file.write_text(text, encoding="utf-8")
+    cfg_file.write_text(head + text, encoding="utf-8")
     code, _, err = run(capsys, command, "--config", str(cfg_file))
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_UNDETERMINED)
     assert "Traceback" not in err

@@ -16,7 +16,8 @@ from windtree import lift
 from windtree.lift import (LiftKind, abc_strip_check, fold_cell_point,
                            fold_to_table, lift_direction,
                            wpoint_orbit_partition)
-from windtree.origami import (MarkedPoint, Origami, build_origami,
+from windtree.origami import (MarkedPoint, Origami, _horizontal_cylinders,
+                              build_origami, decompose_direction,
                               decompose_table_direction, inverse_word,
                               scaled_direction_gcd, sl2z_act)
 
@@ -274,7 +275,7 @@ def test_pull_back_matches_transport_property(table, data):
     u, v = data.draw(st.tuples(st.integers(0, 40), st.integers(0, 40))
                      .filter(lambda t: gcd(*t) == 1))
     decomp = decompose_table_direction(params, Slope(u, v))
-    ren = decomp.renormalized
+    ren = sl2z_act(build_origami(params), decomp.word)
     points = data.draw(st.lists(
         st.tuples(st.integers(0, ren.n - 1), _IN_CELL, _IN_CELL)
         .filter(lambda pt: pt[1] or pt[2]), min_size=1, max_size=8))
@@ -286,6 +287,45 @@ def test_pull_back_matches_transport_property(table, data):
         (og.h, og.v, og.marked)
     assert decomp.pull_back(points) == [
         (mp.cell, mp.x, mp.y) for mp in back.marked[len(og.marked):]]
+
+
+def _cylinders_of_checked_image(og, word):
+    """(circumference, height, cells, waist labels) of each horizontal
+    cylinder of the checked surface sl2z_act(og, word), whose marked
+    lattice corners are re-expressed, in order of their smallest cell."""
+    ren = sl2z_act(og, word)
+    rows, stacks = _horizontal_cylinders(ren.h, ren.v)
+    out = []
+    for chain in stacks:
+        level = {c: j for j, r in enumerate(chain) for c in rows[r]}
+        waist = sorted(mp.label for mp in ren.marked if mp.cell in level
+                       and 2 * (level[mp.cell] + mp.y) == len(chain))
+        out.append((len(rows[chain[0]]), len(chain), frozenset(level),
+                    tuple(waist)))
+    return sorted(out, key=lambda cyl: min(cyl[2]))
+
+
+def _assert_decompositions_match_checked_images(params):
+    # decompose_direction reads the stepped gluings and leaves marked
+    # lattice corners where they arrive; the checked image of its word
+    # must give the same cylinders and waists
+    og = build_origami(params)
+    for slope in mediant_enumerate(6) + [Slope(0, 1), Slope(1, 0)]:
+        decomp = decompose_direction(og, slope)
+        got = [(cyl.circumference, cyl.height, cyl.cells,
+                cyl.waist_marked_points) for cyl in decomp.cylinders]
+        assert got == _cylinders_of_checked_image(og, decomp.word)
+
+
+@pytest.mark.parametrize("table", SWEEP_SURFACES)
+def test_decompositions_match_checked_images_on_sweep_surfaces(table):
+    _assert_decompositions_match_checked_images(Params.parse(table))
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=_random_tables())
+def test_decompositions_match_checked_images_on_random_tables(params):
+    _assert_decompositions_match_checked_images(params)
 
 
 def _fold_cycle(params, slope, decomp, ci, cycles):

@@ -560,7 +560,7 @@ def _old_row_links(og):
 
 def _assert_stacks_follow_old_rule(og):
     rows, up = _old_row_links(og)
-    got_rows, stacks = _horizontal_cylinders(og)
+    got_rows, stacks = _horizontal_cylinders(og.h, og.v)
     assert got_rows == rows
     down = {tgt: src for src, tgt in enumerate(up) if tgt is not None}
     assert sorted(r for chain in stacks for r in chain) == list(range(len(rows)))
