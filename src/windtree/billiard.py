@@ -61,10 +61,10 @@ from __future__ import annotations
 import enum
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
@@ -75,6 +75,13 @@ LEFT, RIGHT, BOTTOM, TOP = "left", "right", "bottom", "top"
 SIDES = (LEFT, RIGHT, BOTTOM, TOP)
 VERTICAL_SIDES = (LEFT, RIGHT)
 HORIZONTAL_SIDES = (BOTTOM, TOP)
+
+# Each side's frame: the coordinate it fixes (0 for x, 1 for y) and the sign
+# of its outward normal.  Offsets along a side run along the other
+# coordinate, from the side's low end.
+_SIDE = {LEFT: (0, -1), RIGHT: (0, 1), BOTTOM: (1, -1), TOP: (1, 1)}
+_SIDE_AT = {frame: side for side, frame in _SIDE.items()}
+_AXIS_NAMES = ("vertical", "horizontal")  # sides that fix x, sides that fix y
 
 DEFAULT_MAX_COLLISIONS = 10**6
 
@@ -97,15 +104,6 @@ class BilliardState:
     cell: tuple
     orientation: tuple
     slope: Slope
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Collision state modulo the lattice translations of the table."""
-
-    side: str
-    offset: Fraction
-    orientation: tuple
 
 
 class Outcome(enum.Enum):
@@ -141,29 +139,38 @@ def side_length(params: Params, side: str) -> Fraction:
     return params.b if side in VERTICAL_SIDES else params.a
 
 
-def reduced_state(state: BilliardState, params: Params) -> ReducedState:
-    """Forget the lattice cell: side, offset along the side, sign class."""
-    m, n = state.cell
-    if state.side in VERTICAL_SIDES:
-        offset = state.position.y - (n - params.b / 2)
-    else:
-        offset = state.position.x - (m - params.a / 2)
-    return ReducedState(state.side, offset, state.orientation)
+def _frame(side: str) -> tuple:
+    """(fixed coordinate, outward normal sign) of a side."""
+    try:
+        return _SIDE[side]
+    except KeyError:
+        raise DomainError(f"unknown side {side!r}") from None
+
+
+@lru_cache(maxsize=16)
+def _half(params: Params) -> tuple:
+    """Half the obstacle's extent along x and along y."""
+    return params.a / 2, params.b / 2
+
+
+def _with_entry(pair: tuple, i: int, value) -> tuple:
+    """``pair`` with entry i replaced by ``value``."""
+    return (value, pair[1]) if i == 0 else (pair[0], value)
+
+
+def side_offset(state: BilliardState, params: Params) -> Fraction:
+    """The offset of the state's position from the low end of its side
+    (the bottom end of a vertical side, the left end of a horizontal one):
+    the state with its lattice cell forgotten."""
+    j = 1 - _frame(state.side)[0]
+    return ((state.position.x, state.position.y)[j] - state.cell[j]
+            + _half(params)[j])
 
 
 def leaving_orientation(side: str, orientation: tuple = (1, 1)) -> tuple:
     """The orientation that leaves ``side``: the side's outward normal sign,
     with the tangential sign taken from ``orientation``."""
-    sx, sy = orientation
-    if side == LEFT:
-        return (-1, sy)
-    if side == RIGHT:
-        return (1, sy)
-    if side == BOTTOM:
-        return (sx, -1)
-    if side == TOP:
-        return (sx, 1)
-    raise DomainError(f"unknown side {side!r}")
+    return _with_entry(orientation, *_frame(side))
 
 
 def make_state(params: Params, cell: tuple, side: str, offset: Fraction,
@@ -177,18 +184,13 @@ def make_state(params: Params, cell: tuple, side: str, offset: Fraction,
     length = side_length(params, side)
     if not 0 < offset < length:
         raise DomainError(f"offset {offset} not interior to a side of length {length}")
+    i, normal = _frame(side)
+    j = 1 - i
     m, n = cell
-    a2, b2 = params.a / 2, params.b / 2
-    if side == LEFT:
-        pos = PointQ(m - a2, n - b2 + offset)
-    elif side == RIGHT:
-        pos = PointQ(m + a2, n - b2 + offset)
-    elif side == BOTTOM:
-        pos = PointQ(m - a2 + offset, n - b2)
-    elif side == TOP:
-        pos = PointQ(m - a2 + offset, n + b2)
-    else:
-        raise DomainError(f"unknown side {side!r}")
+    half = _half(params)
+    # coordinate i is the side's, the other one runs from its low end
+    fixed, along = cell[i] + normal * half[i], cell[j] - half[j] + offset
+    pos = PointQ(fixed, along) if i == 0 else PointQ(along, fixed)
     state = BilliardState(pos, side, (m, n), tuple(orientation), slope.unsigned())
     validate_state(state, params)
     return state
@@ -196,31 +198,19 @@ def make_state(params: Params, cell: tuple, side: str, offset: Fraction,
 
 def validate_state(state: BilliardState, params: Params) -> None:
     """Check the state invariants: on-side position, outgoing direction."""
-    sx, sy = state.orientation
-    if (sx, sy) not in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+    if tuple(state.orientation) not in ORIENTATIONS:
         raise DomainError(f"invalid orientation {state.orientation!r}")
-    dx, dy = sx * state.slope.v, sy * state.slope.u
-    m, n = state.cell
-    x, y = state.position.x, state.position.y
-    a2, b2 = params.a / 2, params.b / 2
-    if state.side in VERTICAL_SIDES:
-        want_x = m - a2 if state.side == LEFT else m + a2
-        if x != want_x or not (n - b2 < y < n + b2):
-            raise DomainError("position not interior to the named side")
-        if dx == 0:
-            raise DomainError("direction tangent to a vertical side")
-        if (dx > 0) != (state.side == RIGHT):
-            raise DomainError("direction points into the obstacle")
-    elif state.side in HORIZONTAL_SIDES:
-        want_y = n - b2 if state.side == BOTTOM else n + b2
-        if y != want_y or not (m - a2 < x < m + a2):
-            raise DomainError("position not interior to the named side")
-        if dy == 0:
-            raise DomainError("direction tangent to a horizontal side")
-        if (dy > 0) != (state.side == TOP):
-            raise DomainError("direction points into the obstacle")
-    else:
-        raise DomainError(f"unknown side {state.side!r}")
+    i, normal = _frame(state.side)
+    j = 1 - i
+    pos, cell = (state.position.x, state.position.y), state.cell
+    half = _half(params)
+    if pos[i] != cell[i] + normal * half[i] or \
+            not cell[j] - half[j] < pos[j] < cell[j] + half[j]:
+        raise DomainError("position not interior to the named side")
+    if not (state.slope.v, state.slope.u)[i]:
+        raise DomainError(f"direction tangent to a {_AXIS_NAMES[i]} side")
+    if state.orientation[i] != normal:
+        raise DomainError("direction points into the obstacle")
 
 
 def midpoint_state(params: Params, cell: tuple, side: str, slope: Slope,
@@ -343,7 +333,7 @@ def _first_hit(lat: _Lattice, X: int, Y: int, sx: int, sy: int):
             w = (X + beta) % N
             if w in (0, 2 * beta):
                 raise CornerHit(Fraction(X, N), Fraction(Y, N))
-            return (X, Y, BOTTOM if sy > 0 else TOP, (X + beta - w) // N,
+            return (X, Y, _SIDE_AT[1, -sy], (X + beta - w) // N,
                     (Y + sy * gamma) // N, sx, -sy, adx)
     if j is None:
         return None
@@ -351,7 +341,7 @@ def _first_hit(lat: _Lattice, X: int, Y: int, sx: int, sy: int):
     w = (Y + gamma) % N
     if w in (0, 2 * gamma):
         raise CornerHit(Fraction(X, N), Fraction(Y, N))
-    return (X, Y, LEFT if sx > 0 else RIGHT, (X + sx * beta) // N,
+    return (X, Y, _SIDE_AT[0, -sx], (X + sx * beta) // N,
             (Y + gamma - w) // N, -sx, sy, dx)
 
 
@@ -411,7 +401,7 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
     # lattice where breakpoints are multiples of 3.  Every breakpoint is
     # known, so both probes run to the same side of the same obstacle and
     # the piece is one translation, t' = +-t + shift with |dX| affine in t.
-    a2, b2 = params.a / 2, params.b / 2
+    a2, b2 = _half(params)
     cuts, pieces, corners = [], [], []
     for k in range(len(DOMAINS)):
         length = 2 * (lat.gamma // u if k < 4 else lat.beta // v)
@@ -812,11 +802,10 @@ _LEAF = tuple(orientation[0] if side in HORIZONTAL_SIDES else -orientation[1]
 
 def _mirror_domain(k: int, fx: bool, fy: bool) -> int:
     side, (sx, sy) = DOMAINS[k]
-    if fx:
-        side, sx = {LEFT: RIGHT, RIGHT: LEFT}.get(side, side), -sx
-    if fy:
-        side, sy = {BOTTOM: TOP, TOP: BOTTOM}.get(side, side), -sy
-    return _DOMAIN_INDEX[side, (sx, sy)]
+    i, normal = _SIDE[side]
+    if (fx, fy)[i]:
+        side = _SIDE_AT[i, -normal]
+    return _DOMAIN_INDEX[side, (-sx if fx else sx, -sy if fy else sy)]
 
 
 # The table's reflections x -> -x, y -> -y and both, as domain maps.
@@ -948,74 +937,6 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     return ret, cell, Fraction(ext, vN), False
 
 
-def _direction_cycles(params: Params, slope: Slope) -> tuple:
-    """Every cylinder of a non-axis rational direction on the table, from
-    the billiard alone: the cycles that cover the 8 domains, and the
-    straight corridors that meet no obstacle.
-
-    Returns (cycles, corridor).  cycles lists (cycle, phases), phases[j] =
-    (k, lo, hi) being the open interval, at n0 = 1, that phase j of the
-    cycle covers in domain k.  corridor is the drift (v, u) of the
-    corridors, or None when every line of the direction meets an obstacle
-    (u*a + v*b >= 1).  The direction is completely periodic on the table
-    exactly when there is no corridor and every cycle's drift is (0, 0);
-    otherwise the escaping cycles and the corridors are its strips.
-    """
-    store = _cycle_store(params, slope.u, slope.v)
-    cuts = _return_map(params, slope.u, slope.v)[0]
-    limit = 2 * sum(cs[-1] for cs in cuts)  # reduced states at n0 = 2
-    lat = _Lattice(params, slope, 2)
-    found = []
-    ends = [{} for _ in DOMAINS]  # ends[k][lo] = hi over the cycles found
-    for k in range(len(DOMAINS)):
-        pos = 0
-        while pos < cuts[k][-1]:
-            if pos in ends[k]:
-                pos = ends[k][pos]
-                continue
-            # a point just above pos, on no cycle found yet
-            X, Y = lat.point(k, 2 * pos + 1, 0, 0)
-            side, orientation = DOMAINS[k]
-            walk = Orbit(BilliardState(PointQ(Fraction(X, lat.N),
-                                              Fraction(Y, lat.N)),
-                                       side, (0, 0), orientation, slope),
-                         params)
-            hit = store.locate(walk)
-            if hit is None:
-                # odd points at n0 = 2 meet no corner, and they close
-                # within the count of reduced states
-                hit = (_walk_period(walk, limit, store).cycle,
-                       0, 0, 0, 0, 0, walk.t)
-            cyc, b, s = hit[:3]
-            phases = _phases(walk, cyc)
-            for kk, lo, hi in phases:
-                if lo in ends[kk]:
-                    raise AssertionError("two cycles share an interval")
-                ends[kk][lo] = hi
-            if phases[(b * _LANDMARK_EVERY - s) % cyc.length][:2] != (k, pos):
-                raise AssertionError("cycle intervals do not tile a domain")
-            found.append((cyc, phases))
-    corridor = None
-    if slope.u * params.a + slope.v * params.b < 1:
-        corridor = (slope.v, slope.u)
-    return found, corridor
-
-
-def _phases(walk: Orbit, cyc: _Cycle) -> list:
-    """(k, lo, hi) of each phase of a recorded cycle, walked from a phase-0
-    point at the lattice scale of ``walk`` (which must be at least 2)."""
-    n0, k0 = walk.n0, cyc.k[0]
-    tau = n0 * cyc.lo + 1
-    out = []
-    for k, t, *_ in islice(chain([(k0, tau)], walk.steps(k0, tau, 0, 0)),
-                           cyc.length):
-        sign = _LEAF[k0] * _LEAF[k]  # as _walk_period checks at landmarks
-        off = _down(t - sign * tau, n0)
-        out.append((k, off + cyc.lo, off + cyc.hi) if sign > 0
-                   else (k, off - cyc.hi, off - cyc.lo))
-    return out
-
-
 def next_collision(state: BilliardState, params: Params) -> BilliardState:
     """One exact collision step.  Raises CornerHit at corners."""
     validate_state(state, params)
@@ -1090,22 +1011,17 @@ def _collisions(start: BilliardState, params: Params):
     """(side, cell, orientation, position) of each forward collision, with
     the orientation that leaves it.  Raises CornerHit."""
     if start.slope.is_axis:
-        # Trapped 2-bounce orbit: alternate between the two facing sides.
-        x, y = start.position.x, start.position.y
-        (m, n), (sx, sy) = start.cell, start.orientation
+        # Trapped 2-bounce orbit along axis i, between two facing sides.
+        i = 0 if start.slope.is_horizontal else 1
+        pos, cell = (start.position.x, start.position.y), start.cell
+        orientation = start.orientation
         gap = _axis_flight(start.slope, params)
         while True:
-            if start.slope.is_horizontal:
-                x += sx * gap
-                m += sx
-                side = LEFT if sx > 0 else RIGHT
-                sx = -sx
-            else:
-                y += sy * gap
-                n += sy
-                side = BOTTOM if sy > 0 else TOP
-                sy = -sy
-            yield side, (m, n), (sx, sy), PointQ(x, y)
+            s = orientation[i]
+            pos = _with_entry(pos, i, pos[i] + s * gap)
+            cell = _with_entry(cell, i, cell[i] + s)
+            orientation = _with_entry(orientation, i, -s)
+            yield _SIDE_AT[i, -s], cell, orientation, PointQ(*pos)
     walk = Orbit(start, params)
     for k, t, m, n, _adx in walk:
         side, orientation = DOMAINS[k]
@@ -1153,17 +1069,12 @@ def path_length(path: TracedPath, slope: Slope) -> Fraction:
 def time_reversed(state: BilliardState) -> BilliardState:
     """State flowing backward along the incoming ray of this collision.
 
-    Reversing time at a collision on a horizontal side mirrors the
-    outgoing direction through the vertical axis; on a vertical side,
-    through the horizontal axis.
+    The backward direction is the reversed incoming one, which leaves the
+    side again: the outgoing direction with its tangential sign flipped.
     """
     sx, sy = state.orientation
-    if state.side in HORIZONTAL_SIDES:
-        orient = (-sx, sy)
-    else:
-        orient = (sx, -sy)
-    return BilliardState(state.position, state.side, state.cell, orient,
-                         state.slope)
+    return replace(state,
+                   orientation=leaving_orientation(state.side, (-sx, -sy)))
 
 
 def symmetry_check(start: BilliardState, params: Params, n_collisions: int) -> bool:
@@ -1175,20 +1086,12 @@ def symmetry_check(start: BilliardState, params: Params, n_collisions: int) -> b
     midpoint, through the horizontal line.  Singular truncations propagate
     as a failed check only if the two sides disagree.
     """
-    length = side_length(params, start.side)
-    mid = length / 2
-    m, n = start.cell
-    a2, b2 = params.a / 2, params.b / 2
-    if start.side in HORIZONTAL_SIDES:
-        if start.position.x != m - a2 + mid:
-            raise DomainError("start is not a horizontal-side midpoint")
-        axis = start.position.x
-        mirror = lambda pt: PointQ(2 * axis - pt.x, pt.y)
-    else:
-        if start.position.y != n - b2 + mid:
-            raise DomainError("start is not a vertical-side midpoint")
-        axis = start.position.y
-        mirror = lambda pt: PointQ(pt.x, 2 * axis - pt.y)
+    i = _frame(start.side)[0]
+    if side_offset(start, params) != side_length(params, start.side) / 2:
+        raise DomainError(f"start is not a {_AXIS_NAMES[i]}-side midpoint")
+    c = start.position
+    mirror = (lambda pt: PointQ(2 * c.x - pt.x, pt.y)) if i else \
+        (lambda pt: PointQ(pt.x, 2 * c.y - pt.y))
     fwd = trace(start, params, n_collisions)
     bwd = trace(time_reversed(start), params, n_collisions)
     if fwd.singular != bwd.singular or len(fwd.points) != len(bwd.points):
@@ -1235,36 +1138,27 @@ def launch(params: Params, point: PointQ, slope: Slope,
     x, y = point.x, point.y
     m = round(x)
     n = round(y)
-    a2, b2 = params.a / 2, params.b / 2
+    a2, b2 = _half(params)
     if abs(x - m) <= a2 and abs(y - n) <= b2:
         raise DomainError("launch point is inside or on an obstacle")
     if slope.is_axis:
-        if slope.is_horizontal:
-            sxd = orientation[0]
-            if abs(y - n) == b2:
-                # grazing line along the side level: first contact is a corner
-                mm = m if (x - m) * sxd < -a2 else m + sxd
-                raise CornerHit(Fraction(mm - sxd * a2), y)
-            if abs(y - n) > b2:
-                return None  # corridor
-            side = LEFT if sxd > 0 else RIGHT
-            # first obstacle column ahead with the band occupied: adjacent
-            mm = m if (x - m) * sxd < -a2 else m + sxd
-            hit_x = mm - a2 if sxd > 0 else mm + a2
-            pos = PointQ(Fraction(hit_x), y)
-            return BilliardState(pos, side, (mm, n), (-sxd, orientation[1]), slope)
-        else:
-            syd = orientation[1]
-            if abs(x - m) == a2:
-                nn = n if (y - n) * syd < -b2 else n + syd
-                raise CornerHit(x, Fraction(nn - syd * b2))
-            if abs(x - m) > a2:
-                return None
-            side = BOTTOM if syd > 0 else TOP
-            nn = n if (y - n) * syd < -b2 else n + syd
-            hit_y = nn - b2 if syd > 0 else nn + b2
-            pos = PointQ(x, Fraction(hit_y))
-            return BilliardState(pos, side, (m, nn), (orientation[0], -syd), slope)
+        # the ray runs along axis i, at a fixed coordinate j
+        i = 0 if slope.is_horizontal else 1
+        j = 1 - i
+        pos, cell, half = (x, y), (m, n), (a2, b2)
+        band = abs(pos[j] - cell[j])
+        if band > half[j]:
+            return None  # corridor
+        s = orientation[i]
+        # the first obstacle ahead in the band: this one or the next
+        k = cell[i] if (pos[i] - cell[i]) * s < -half[i] else cell[i] + s
+        hit = _with_entry(pos, i, k - s * half[i])
+        if band == half[j]:
+            # grazing line along the side level: first contact is a corner
+            raise CornerHit(*hit)
+        return BilliardState(PointQ(*hit), _SIDE_AT[i, -s],
+                             _with_entry(cell, i, k),
+                             _with_entry(orientation, i, -s), slope)
     lat = _Lattice(params, slope, _lcm(x.denominator, y.denominator))
     res = _first_hit(lat, *lat.encode(point), *orientation)
     if res is None:

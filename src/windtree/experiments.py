@@ -20,7 +20,7 @@ from fractions import Fraction
 from .billiard import (BOTTOM, LEFT, RIGHT, TOP, Orbit, Outcome,
                        classify_trajectory, collision_sequence, first_return,
                        leaving_orientation, make_state, regular_start,
-                       side_length)
+                       side_length, side_offset)
 from .errors import CornerHit, DomainError, PrecisionError
 from .exact import Params, ParityClass, Slope, classify_params
 from .origami import decompose_table_direction, is_good_one_cylinder
@@ -465,11 +465,7 @@ def stability_check(params: Params, table_slope: Slope, delta,
     state, base = regular_start(params, table_slope)
     if base.kind is not Outcome.PERIODIC:
         raise DomainError(f"slope {table_slope} is not periodic at {params}")
-    length = side_length(params, state.side)
-    if state.side in (LEFT, RIGHT):
-        frac_off = (state.position.y - (state.cell[1] - params.b / 2)) / length
-    else:
-        frac_off = (state.position.x - (state.cell[0] - params.a / 2)) / length
+    frac_off = side_offset(state, params) / side_length(params, state.side)
     base_len = base.combinatorial_length
     base_comb = collision_sequence(state, params, base_len)
     if displacements is None:

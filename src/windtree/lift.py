@@ -68,9 +68,13 @@ def fold_cell_point(params: Params, cell: int, x: Fraction, y: Fraction) -> Poin
 
 _SAMPLE_OFFSETS = (Fraction(1, 5), Fraction(1, 3), Fraction(2, 7),
                    Fraction(3, 11), Fraction(4, 13))
+# Regular samples that decide a cylinder; the two offsets beyond them are
+# retries for singular folds.
+_SAMPLES_PER_CYLINDER = 3
 
 
-def _cylinder_samples(decomp: CylinderDecomposition, ci: int, count: int = 3):
+def _cylinder_samples(decomp: CylinderDecomposition, ci: int,
+                      count: int = _SAMPLES_PER_CYLINDER):
     """Interior points of one cylinder, in renormalized coordinates: they
     lie on one horizontal leaf, halfway up the smallest cell of the
     cylinder's bottom row."""
@@ -100,8 +104,7 @@ def _classify_fold(params: Params, table_slope: Slope, point: PointQ):
     raise AssertionError("classification exhausted its collision budget")
 
 
-def lift_direction(params: Params, table_slope: Slope,
-                   samples_per_cylinder: int = 3) -> LiftReport:
+def lift_direction(params: Params, table_slope: Slope) -> LiftReport:
     """How the cylinders of a rational direction behave on the infinite table.
 
     One interior start per cylinder decides it (all its leaves are
@@ -116,7 +119,7 @@ def lift_direction(params: Params, table_slope: Slope,
     # every candidate start of every cylinder goes back through the
     # decomposition's own stages
     candidates = [list(_cylinder_samples(decomp, ci,
-                                         count=samples_per_cylinder + 2))
+                                         count=len(_SAMPLE_OFFSETS)))
                   for ci in range(decomp.n_cylinders)]
     moved = iter(decomp.pull_back(
         [pt for cand in candidates for pt in cand]))
@@ -125,7 +128,7 @@ def lift_direction(params: Params, table_slope: Slope,
         lam_cyl = Fraction(cyl.circumference, g)
         results = []
         for ocell, ox, oy in [next(moved) for _ in candidates[ci]]:
-            if len(results) >= samples_per_cylinder:
+            if len(results) >= _SAMPLES_PER_CYLINDER:
                 break
             point = fold_cell_point(params, ocell, ox, oy)
             try:

@@ -240,7 +240,7 @@ class Origami:
                 label, cell, xs, ys = ln.split()
                 marked.append(MarkedPoint(label, int(cell),
                                           Fraction(xs), Fraction(ys)))
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed origami text: {exc}") from exc
         return Origami(h, v, marked)
 

@@ -11,11 +11,13 @@ from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
                                _cycle_store, _return_map, classify_trajectory,
                                collision_sequence, launch, leaving_orientation,
                                make_state, midpoint_state, next_collision,
-                               path_length, regular_start, symmetry_check,
-                               time_reversed, trace)
+                               path_length, regular_start, side_length,
+                               side_offset, symmetry_check, time_reversed,
+                               trace)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import Params, PointQ, Slope, classify_params
 
+from census import direction_cycles
 from grid_stepper import (GridStepper, assert_resolved, long_flight,
                           long_pieces)
 from oracles import scan_next_hit
@@ -305,6 +307,84 @@ def test_launch_corridor_and_grazing_corner():
     assert (err.value.x, err.value.y) == (Fraction(3, 4), Fraction(1, 4))
 
 
+# The transposition x <-> y maps the (a, b) table to the (b, a) one, left
+# sides to bottom ones and right sides to top ones.
+_TRANSPOSED_SIDE = {LEFT: BOTTOM, RIGHT: TOP, BOTTOM: LEFT, TOP: RIGHT}
+_TRANSPOSE_TABLES = [(1, 2, 1, 3), (1, 4, 3, 4), (2, 3, 1, 4)]
+
+
+def _transposed(state):
+    if state is None:
+        return None
+    return BilliardState(PointQ(state.position.y, state.position.x),
+                         _TRANSPOSED_SIDE[state.side], state.cell[::-1],
+                         state.orientation[::-1],
+                         Slope(state.slope.v, state.slope.u))
+
+
+def _launch_outcome(params, point, slope, orientation):
+    try:
+        return "state", launch(params, point, slope, orientation)
+    except CornerHit as hit:
+        return "corner", (hit.x, hit.y)
+    except DomainError:
+        return "inside", None
+
+
+@pytest.mark.parametrize("pqrs", _TRANSPOSE_TABLES)
+def test_axis_launch_is_transposition_symmetric(pqrs):
+    # horizontal rays on (a, b) against vertical rays on (b, a), from every
+    # point of a 1/24 grid in two cells: bounces, corridors and grazing
+    # corners alike
+    p, q, r, s = pqrs
+    params, flipped = classify_params(p, q, r, s), classify_params(r, s, p, q)
+    kinds = set()
+    for m, n in ((0, 0), (2, -1)):
+        for i in range(-12, 13):
+            for j in range(-12, 13):
+                x, y = m + Fraction(i, 24), n + Fraction(j, 24)
+                for orientation in _SIGNS:
+                    kind, got = _launch_outcome(params, PointQ(x, y),
+                                                Slope(0, 1), orientation)
+                    want = _launch_outcome(flipped, PointQ(y, x), Slope(1, 0),
+                                           orientation[::-1])
+                    if kind == "state":
+                        kinds.add("corridor" if got is None else "bounce")
+                        got = _transposed(got)
+                    elif kind == "corner":
+                        kinds.add(kind)
+                        got = got[::-1]
+                    assert (kind, got) == want
+    assert kinds == {"bounce", "corridor", "corner"}
+
+
+@pytest.mark.parametrize("pqrs", _TRANSPOSE_TABLES)
+def test_axis_orbits_are_transposition_symmetric(pqrs):
+    # trace and collision_sequence of horizontal starts on (a, b) are the
+    # transposed ones of vertical starts on (b, a)
+    p, q, r, s = pqrs
+    params, flipped = classify_params(p, q, r, s), classify_params(r, s, p, q)
+    for side in (LEFT, RIGHT):
+        for hint in _SIGNS:
+            for cell in ((0, 0), (-3, 2)):
+                for i in (1, 2, 5):
+                    offset = Fraction(i, 7) * params.b
+                    orientation = leaving_orientation(side, hint)
+                    start = make_state(params, cell, side, offset, Slope(0, 1),
+                                       orientation)
+                    other = make_state(flipped, cell[::-1],
+                                       _TRANSPOSED_SIDE[side], offset,
+                                       Slope(1, 0), orientation[::-1])
+                    assert _transposed(start) == other
+                    path = trace(start, params, 5)
+                    assert not path.singular
+                    assert [PointQ(pt.y, pt.x) for pt in path.points] == \
+                        list(trace(other, flipped, 5).points)
+                    assert [(_TRANSPOSED_SIDE[sd], c[::-1]) for sd, c in
+                            collision_sequence(start, params, 5)] == \
+                        collision_sequence(other, flipped, 5)
+
+
 def test_make_state_rejects_corners_and_tangents():
     with pytest.raises(DomainError):
         make_state(HALF, (0, 0), TOP, Fraction(0), Slope(1, 1), (1, 1))
@@ -319,13 +399,12 @@ def test_make_state_rejects_corners_and_tangents():
 
 
 def test_reduced_state_forgets_the_cell():
-    from windtree.billiard import reduced_state
     s1 = make_state(HALF, (0, 0), TOP, Fraction(2, 11), Slope(3, 4), (1, 1))
     s2 = make_state(HALF, (5, -3), TOP, Fraction(2, 11), Slope(3, 4), (1, 1))
-    assert reduced_state(s1, HALF) == reduced_state(s2, HALF)
-    assert reduced_state(s1, HALF).offset == Fraction(2, 11)
+    assert side_offset(s1, HALF) == side_offset(s2, HALF)
+    assert side_offset(s1, HALF) == Fraction(2, 11)
     s3 = make_state(HALF, (0, 0), TOP, Fraction(3, 11), Slope(3, 4), (1, 1))
-    assert reduced_state(s1, HALF) != reduced_state(s3, HALF)
+    assert side_offset(s1, HALF) != side_offset(s3, HALF)
 
 
 def test_collision_sequence_matches_trace():
@@ -692,6 +771,21 @@ def test_leaving_orientation_points_off_the_side(side):
         leaving_orientation("front")
 
 
+@settings(max_examples=100, deadline=None)
+@given(pqrs=_small_params, side=st.sampled_from([LEFT, RIGHT, BOTTOM, TOP]),
+       cell=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+       num=st.integers(1, 200), den=st.integers(2, 64),
+       slope=st.sampled_from([Slope(1, 1), Slope(3, 4), Slope(7, 2)]),
+       hint=st.sampled_from(_SIGNS))
+def test_side_offset_inverts_make_state_property(pqrs, side, cell, num, den,
+                                                 slope, hint):
+    params = classify_params(*pqrs)
+    offset = Fraction(num % den or 1, den) * side_length(params, side)
+    state = make_state(params, cell, side, offset, slope,
+                       leaving_orientation(side, hint))
+    assert side_offset(state, params) == offset
+
+
 # -- cylinder cycles ----------------------------------------------------------
 
 
@@ -847,7 +941,7 @@ def test_direction_cycles_are_recorded_whole():
     params = classify_params(4, 13, 4, 5)
     slope = Slope(3, 4)
     _cycle_store.cache_clear()
-    cycles, corridor = billiard._direction_cycles(params, slope)
+    cycles, corridor = direction_cycles(params, slope)
     assert corridor is None
     store = _cycle_store(params, slope.u, slope.v)
     assert len(store.cycles) == len(cycles)

@@ -276,6 +276,15 @@ def test_json_config_unknown_key_is_one_line_error(tmp_path, capsys):
     assert _one_line_error(code, err) and "unknown config keys" in err
 
 
+@pytest.mark.parametrize("marked", ["A 0 1/0 0", "A 0 x 0", "A 0 1/2"])
+def test_malformed_origami_is_one_line_error(tmp_path, capsys, marked):
+    path = tmp_path / "og.txt"
+    path.write_text(f"1\n0 0\n{marked}\n")
+    code, _, err = run(capsys, "decompose", "--slope", "1/1", "--origami",
+                       str(path))
+    assert _one_line_error(code, err) and "malformed origami text" in err
+
+
 def test_json_config_malformed_is_one_line_error(tmp_path, capsys):
     jf = tmp_path / "c.json"
     jf.write_text('{"limit": ')

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windtree.billiard import (Orbit, Outcome, _direction_cycles,
-                               _return_map, classify_trajectory, launch,
-                               make_state, midpoint_state, regular_start)
+from windtree.billiard import (Orbit, Outcome, _return_map,
+                               classify_trajectory, launch, make_state,
+                               midpoint_state, regular_start)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import (Params, PointQ, Slope, classify_params,
                             mediant_enumerate)
@@ -20,6 +20,8 @@ from windtree.origami import (MarkedPoint, Origami, _horizontal_cylinders,
                               build_origami, decompose_direction,
                               decompose_table_direction, inverse_word,
                               scaled_direction_gcd, sl2z_act)
+
+from census import direction_cycles
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -360,7 +362,7 @@ def test_direction_cycles_match_the_lift(text):
     for slope in mediant_enumerate(4):
         if slope.is_axis:
             continue
-        cycles, corridor = _direction_cycles(params, slope)
+        cycles, corridor = direction_cycles(params, slope)
         # the cycles tile every domain
         length = [0] * 8
         for cyc, phases in cycles:
