@@ -10,7 +10,7 @@ arithmetic with arbitrary-precision integers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -132,14 +132,13 @@ class Params:
     r: int
     s: int
     parity_class: ParityClass
+    # derived once; equality, hashing and repr read p, q, r, s only
+    a: Rational = field(init=False, compare=False, repr=False)
+    b: Rational = field(init=False, compare=False, repr=False)
 
-    @property
-    def a(self) -> Rational:
-        return Fraction(self.p, self.q)
-
-    @property
-    def b(self) -> Rational:
-        return Fraction(self.r, self.s)
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.p, self.q))
+        object.__setattr__(self, "b", Fraction(self.r, self.s))
 
     @property
     def n_cells(self) -> int:

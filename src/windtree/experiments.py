@@ -7,6 +7,26 @@ quantization: the slope is rounded to k/2^bits and simulated exactly.
 Every quantized run can be shadowed by a re-run at doubled precision; a
 positional divergence beyond 2^-30 at a checkpoint raises PrecisionError
 instead of reporting corrupted statistics.
+
+A diffusion sample is the running sup of dist / log_k(t) along an orbit,
+dist the distance from the start and t the time flown, with its first 64
+record updates as witnesses.  The float statistic is computed only at
+steps that can change these.  Every other step is ruled out by a
+certified upper bound made of small integers and one stored float: the
+obstacle of cell (m, n) lies within a/2, b/2 of the cell's centre and the
+start within a/2, b/2 of the origin, so dist <= hypot(|m| + 1, |n| + 1);
+t never decreases, so the last exact log_k(t), times 1 - 2^-40 and less
+2^-40 for the rounding of t and of the logs, is below every later
+denominator.  Until the 64 witnesses are recorded, a step is evaluated
+unless its bound is at most the best statistic so far.  After that, steps
+whose bound beats the bar (the best statistic known) wait in a pending
+list; at every 64th of them the newest is evaluated exactly, raises the
+bar and drops the pending steps whose bound is below it.  At the horizon,
+at a corner, when a bound reaches stop_at, or when the bar stops pruning
+the list, the pending steps are decided in step order by the same
+"statistic beats the best" rule.  A dropped step is beaten strictly by
+some step, or tied by an earlier one, so the sup, its time, the witnesses
+and the collision count equal those of evaluating every step bit for bit.
 """
 
 from __future__ import annotations
@@ -292,8 +312,24 @@ class DiffusionReport:
         return "\n".join(rows) + "\n"
 
 
+_WITNESSES = 64  # record updates kept as witnesses
+_DEFER = 64      # deferred steps between two exact evaluations of the newest
+# An exact log_k(t) times _LOG_SHRINK, less _LOG_SLACK, is below the
+# computed log_k of every later t; the slack covers the rounding of t and
+# of the k logs.
+_LOG_SHRINK, _LOG_SLACK = 1 - 2.0**-40, 2.0**-40
+
+
 def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
                       horizon: int, stop_at: float | None):
+    """The running sup of dist / log_k(t) along one orbit, exact where it
+    can change the result (module docstring).
+
+    A step is decided in step order, as a step-by-step run decides it,
+    unless its bound is at most the statistic of an earlier step, or below
+    the statistic of any step; neither can change the sup, its time, the
+    witnesses or the step where stop_at is reached.
+    """
     walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
                             start.orientation), params)
     lattice = walk.lattice
@@ -303,6 +339,40 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
     best = 0.0
     best_t = 0.0
     witnesses = []
+    lo = 0.0   # below every later denominator, once positive
+    bar = 0.0  # a statistic reached by a step before the current one
+
+    def exact(dom, tr, m, n, total_dx):
+        """(t, dist, statistic) of a step; no statistic before log_k(t) > 0."""
+        nonlocal lo
+        t = total_dx / N * speed
+        denom = iterated_log(k, t)
+        if denom is None:
+            return t, None, None
+        lo = max(lo, denom * _LOG_SHRINK - _LOG_SLACK)
+        X, Y = lattice.point(dom, tr, m, n)
+        dist = math.hypot((X - X0) / N, (Y - Y0) / N)
+        return t, dist, dist / denom
+
+    def settle(pending):
+        """Decide the pending steps in step order; the step at which
+        stop_at is reached, or None."""
+        nonlocal best, best_t
+        for j, bound, *step in pending:
+            if bound <= best:
+                continue
+            t, dist, stat = exact(*step)
+            if stat is not None and stat > best:
+                best, best_t = stat, t
+                if len(witnesses) < _WITNESSES:
+                    witnesses.append((t, dist, stat))
+                if stop_at is not None and best >= stop_at:
+                    return j
+        return None
+
+    pending = []  # (i, bound, dom, tr, m, n, total_dx), in step order
+    deferred = 0
+    stop = None
     total_dx = 0
     steps = iter(walk)
     i = 0
@@ -312,20 +382,32 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
         except CornerHit:
             break
         total_dx += adx
-        t = total_dx / N * speed
-        denom = iterated_log(k, t)
-        if denom is None:
+        # the obstacle of cell (m, n) lies within a/2, b/2 of its centre,
+        # and the start within a/2, b/2 of the origin
+        bound = math.hypot(abs(m) + 1, abs(n) + 1) / lo if lo > 0 else math.inf
+        if bound <= bar:
             continue
-        X, Y = lattice.point(dom, tr, m, n)
-        dist = math.hypot((X - X0) / N, (Y - Y0) / N)
-        stat = dist / denom
-        if stat > best:
-            best, best_t = stat, t
-            if len(witnesses) < 64:
-                witnesses.append((t, dist, stat))
-            if stop_at is not None and best >= stop_at:
-                break
-    return DiffusionSample(start.sample_id, best, best_t, i, tuple(witnesses))
+        pending.append((i, bound, dom, tr, m, n, total_dx))
+        deferred += 1
+        if len(witnesses) == _WITNESSES and (stop_at is None
+                                             or bound < stop_at):
+            if deferred < _DEFER:
+                continue
+            deferred = 0
+            stat = exact(dom, tr, m, n, total_dx)[2]
+            if stat is not None and stat > bar:
+                bar = stat
+                pending = [p for p in pending if p[1] >= bar]
+            if len(pending) <= _DEFER:  # else the bar is not pruning
+                continue
+        stop = settle(pending)
+        if stop is not None:
+            break
+        pending, bar, deferred = [], best, 0
+    if stop is None:  # the horizon or a corner ended the run
+        stop = settle(pending)
+    return DiffusionSample(start.sample_id, best, best_t,
+                           i if stop is None else stop, tuple(witnesses))
 
 
 def diffusion_experiment(params: Params, direction: DirectionSpec, k: int,

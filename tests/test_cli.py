@@ -466,6 +466,31 @@ def test_csv_bytes_pinned(tmp_path, capsys, command, params, slope, digest,
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args,digest,size", [
+    (("--params", "2/3,2/3", "--theta", "1.0000003", "--samples", "4",
+      "--horizon", "20000", "--seed", "5"),
+     "a9ae62cea013615fcc63dff7f8027f93fb45677fd1503f86c5be8e258dd7b13e",
+     16185),
+    (("--params", "4/13,4/5", "--theta", "0.3183098861837907", "--samples",
+      "3", "--horizon", "20000", "--seed", "2"),
+     "b3f9f0021bd77f42e704450d8c6b2493d47ef760fcbb6c200e83471a74263d7f",
+     12153),
+    (("--params", "2/3,2/3", "--theta", "0.41421356237309515", "--samples",
+      "3", "--horizon", "5000", "--seed", "7", "--k", "2"),
+     "76b8aecce551b8045949e245361bdf6db82e10ec271d5d7fdc47b9474ee584fb",
+     246),
+])
+def test_diffuse_csv_bytes_pinned(tmp_path, capsys, args, digest, size):
+    # the witnesses' float bits: a ballistic orbit just above slope 1, a
+    # diffusive one, and k = 2
+    out = tmp_path / "pin.csv"
+    code, _, _ = run(capsys, "diffuse", *args, "--csv", str(out))
+    assert code == EXIT_OK
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_render_periodic_negative_collision_count_is_one_line_error(tmp_path,
                                                                      capsys):
     # a periodic orbit draws its whole period, but a bad count is still bad

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -5,17 +7,18 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windtree import billiard
+from windtree import billiard, experiments
 from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, Orbit,
                                Outcome, _cycle_store, _return_map,
                                classify_trajectory, make_state)
 from windtree.errors import CornerHit, DomainError, PrecisionError
-from windtree.exact import Params, Slope, classify_params
-from windtree.experiments import (Approximant, DirectionSpec, SampleResult,
-                                  SampleStart, _run_sample,
+from windtree.exact import Params, ParityClass, Slope, classify_params
+from windtree.experiments import (Approximant, DiffusionSample, DirectionSpec,
+                                  SampleResult, SampleStart,
+                                  _diffusion_sample, _run_sample,
                                   approximation_search, diffusion_experiment,
-                                  exact_direction, quantize_direction,
-                                  recurrence_experiment,
+                                  exact_direction, iterated_log,
+                                  quantize_direction, recurrence_experiment,
                                   sample_boundary_starts, stability_check)
 
 from grid_stepper import assert_resolved, long_pieces
@@ -310,6 +313,157 @@ def test_diffusion_early_stop():
                                   stop_at=10.0)
     assert report.samples[0].statistic >= 10.0
     assert report.samples[0].collisions < 10**6
+
+
+def _reference_diffusion_sample(params, slope, start, k, horizon, stop_at):
+    # the step-by-step loop: the exact statistic at every step
+    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
+                            start.orientation), params)
+    lattice = walk.lattice
+    N = lattice.N
+    X0, Y0 = lattice.point(walk.k, walk.t, 0, 0)
+    speed = math.hypot(slope.u, slope.v) / slope.v  # time per unit of X-extent
+    best = 0.0
+    best_t = 0.0
+    witnesses = []
+    total_dx = 0
+    steps = iter(walk)
+    i = 0
+    for i in range(1, horizon + 1):
+        try:
+            dom, tr, m, n, adx = next(steps)
+        except CornerHit:
+            break
+        total_dx += adx
+        t = total_dx / N * speed
+        denom = iterated_log(k, t)
+        if denom is None:
+            continue
+        X, Y = lattice.point(dom, tr, m, n)
+        dist = math.hypot((X - X0) / N, (Y - Y0) / N)
+        stat = dist / denom
+        if stat > best:
+            best, best_t = stat, t
+            if len(witnesses) < 64:
+                witnesses.append((t, dist, stat))
+            if stop_at is not None and best >= stop_at:
+                break
+    return DiffusionSample(start.sample_id, best, best_t, i, tuple(witnesses))
+
+
+def _assert_same_sample(got, want):
+    assert got.sample_id == want.sample_id
+    assert got.statistic.hex() == want.statistic.hex()
+    assert got.sup_time.hex() == want.sup_time.hex()
+    assert got.collisions == want.collisions
+    assert [[x.hex() for x in w] for w in got.witnesses] == \
+        [[x.hex() for x in w] for w in want.witnesses]
+
+
+def _random_table(rng):
+    while True:
+        q, s = rng.randint(2, 13), rng.randint(2, 13)
+        p, r = rng.randint(1, q - 1), rng.randint(1, s - 1)
+        if gcd(p, q) == gcd(r, s) == 1:
+            return classify_params(p, q, r, s)
+
+
+def _diffusion_case(rng, kind):
+    """(params, direction, starts) of one randomized equivalence case."""
+    params = _random_table(rng)
+    if kind == "quantized":
+        theta = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**8))
+        direction = quantize_direction(theta, rng.randint(16, 96))
+    elif kind == "near-one":
+        theta = 1 + Fraction(rng.randint(1, 10**6), 10**rng.randint(9, 13))
+        direction = quantize_direction(theta, rng.randint(64, 96))
+    else:
+        u, v = rng.randint(1, 15), rng.randint(1, 15)
+        g = gcd(u, v)
+        direction = exact_direction(Fraction(u // g, v // g))
+    slope = direction.slope
+    starts = sample_boundary_starts(params, slope, rng.randint(1, 3),
+                                    rng.randrange(1 << 30))
+    if kind == "exact":
+        # offsets at sixteenths of a side: some of these starts hit corners
+        sides = ((BOTTOM, params.a), (TOP, params.a), (LEFT, params.b),
+                 (RIGHT, params.b))
+        for sid in range(len(starts), len(starts) + 3):
+            side, length = rng.choice(sides)
+            coin = rng.choice((1, -1))
+            starts.append(SampleStart(
+                sid, side, length * Fraction(rng.randint(1, 15), 16),
+                billiard.leaving_orientation(side, (coin, coin))))
+    return params, direction, starts
+
+
+def test_diffusion_matches_the_step_by_step_loop():
+    # the certified skip changes no bit of any sample: random tables of all
+    # three parity classes, quantized directions at 16-96 bits, directions
+    # just above slope 1, exact slopes with corner hits, k = 1..3, stop_at
+    # None / 2 / 10, horizons 2..20,000; plus corner hits after the
+    # witnesses are full
+    rng = random.Random(20261018)
+    seen = {"classes": set(), "corner": 0, "deferred_corner": 0, "stopped": 0,
+            "full": 0, "cases": 0}
+    late_corners = [
+        (classify_params(5, 12, 4, 13), Slope(7, 10),
+         SampleStart(0, LEFT, Fraction(2, 13), (-1, -1))),
+        (classify_params(7, 12, 4, 7), Slope(5, 12),
+         SampleStart(0, RIGHT, Fraction(11, 28), (1, -1))),
+    ]
+    cases = [(params, DirectionSpec(slope), [start], k, 20000, None)
+             for params, slope, start in late_corners for k in (1, 2)]
+    for kind in ("quantized", "near-one", "exact") * 30:
+        params, direction, starts = _diffusion_case(rng, kind)
+        horizon = int(math.exp(rng.uniform(math.log(2), math.log(20000))))
+        cases.append((params, direction, starts, rng.randint(1, 3), horizon,
+                      rng.choice((None, 2.0, 10.0))))
+    for params, direction, starts, k, horizon, stop_at in cases:
+        slope = direction.slope
+        seen["classes"].add(params.parity_class)
+        for start in starts:
+            want = _reference_diffusion_sample(params, slope, start, k,
+                                               horizon, stop_at)
+            _assert_same_sample(_diffusion_sample(params, slope, start, k,
+                                                  horizon, stop_at), want)
+            seen["cases"] += 1
+            stopped = stop_at is not None and want.statistic >= stop_at
+            seen["stopped"] += stopped
+            seen["full"] += len(want.witnesses) == 64
+            if want.collisions < horizon and not stopped:
+                seen["corner"] += 1
+                seen["deferred_corner"] += len(want.witnesses) == 64
+        report = diffusion_experiment(params, direction, k, horizon, 0,
+                                      n_samples=2, stop_at=stop_at,
+                                      allow_any_class=True)
+        for got, start in zip(report.samples, sample_boundary_starts(
+                params, slope, 2, 0)):
+            _assert_same_sample(got, _reference_diffusion_sample(
+                params, slope, start, k, horizon, stop_at))
+    assert seen["classes"] == set(ParityClass)
+    assert seen["corner"] >= 5 and seen["deferred_corner"] >= 2
+    assert seen["stopped"] >= 10 and seen["full"] >= 10, seen
+
+
+def test_diffusion_evaluates_few_steps_exactly(monkeypatch):
+    # a ballistic orbit just above slope 1 sets a new sup at about every
+    # second step; past the 64 witnesses, the statistic is evaluated only
+    # at every 64th deferred step and at the survivors of the last batch
+    calls = []
+
+    def counted(k, t):
+        calls.append(t)
+        return iterated_log(k, t)
+
+    monkeypatch.setattr(experiments, "iterated_log", counted)
+    direction = quantize_direction(Fraction("1.0000003"), 96)
+    for seed in range(3):
+        calls.clear()
+        report = diffusion_experiment(TWO_THIRDS, direction, 1, 10000, seed)
+        assert report.samples[0].collisions == 10000
+        assert len(report.samples[0].witnesses) == 64
+        assert len(calls) < 1000, len(calls)
 
 
 def test_approximation_search_exact_member():
