@@ -39,10 +39,15 @@ corners back along the 3 directions that leave each one, at n0 = 1, and
 each piece is read off from the first hits of two points just inside its
 ends on the 3-times finer lattice, where no breakpoint lies.  The map is
 built once per (params, slope), kept in a small LRU cache, and scaled by
-n0 for each start: the table geometry, the breakpoints and the shifts all
-scale with N.  A step is then one bisection and a few integer additions,
-a start exactly on a breakpoint is a corner hit, and every quantity the
-map produces is one `_first_hit` would produce, so exactness still holds.
+n0, the start's common denominator: the table geometry, the breakpoints
+and the shifts all scale with N.  The scaled copy is kept in a second
+small cache, per (params, slope, n0).  A step is then one bisection and a
+few integer additions, a start exactly on a breakpoint is a corner hit,
+and every quantity the map produces is one `_first_hit` would produce, so
+exactness still holds.  `Orbit.advance` applies the map for a block of
+collisions in one loop and reports the block as a whole (end state,
+extent, box of the cells); `Orbit.steps` yields the collisions one at a
+time, one `advance` each.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
@@ -427,16 +432,34 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
     return tuple(cuts), tuple(pieces), tuple(corners)
 
 
+@lru_cache(maxsize=16)
+def _scaled_map(params: Params, u: int, v: int, n0: int) -> tuple:
+    """The return map of slope u/v at lattice scale n0, as _return_map
+    gives it at n0 = 1: the breakpoints, the shifts and the constant
+    extent terms scale with N, the corners do not.  Starts of one slope
+    often share n0 (a regular start classified again, the fold points of
+    one lift), so the copy is kept, in an LRU as small as the map's own."""
+    cuts, pieces, corners = _return_map(params, u, v)
+    if n0 == 1:
+        return cuts, pieces, corners
+    return (tuple(tuple(n0 * c for c in cs) for cs in cuts),
+            tuple(tuple((p[0], p[1], n0 * p[2], p[3], p[4], n0 * p[5], p[6])
+                        for p in row) for row in pieces),
+            corners)
+
+
 class Orbit:
     """The forward collisions of a non-axis start, stepped on the boundary
     return map.
 
-    Iterating yields (k, t, m, n, adx) per collision: the outgoing domain
-    ``DOMAINS[k]``, the transverse coordinate t, the obstacle cell and the
-    X-extent |dX| of the flight to it, all in units of 1/N of ``lattice``.
-    Raises CornerHit with the exact corner when the flow reaches one.
-    Every iteration starts again from the start state; ``steps`` starts
-    from any state of the map.
+    ``advance`` applies up to a given number of pieces from any state in
+    one loop and reports the block as a whole: the collisions done, the end
+    state, the X-extent flown and the box of the cells visited.  ``steps``
+    yields the same collisions one at a time, as (k, t, m, n, adx): the
+    outgoing domain ``DOMAINS[k]``, the transverse coordinate t, the
+    obstacle cell and the X-extent |dX| of the flight to it, all in units
+    of 1/N of ``lattice``; it raises CornerHit with the exact corner when
+    the flow reaches one.  Iterating an Orbit is ``steps`` from its start.
     """
 
     __slots__ = ("lattice", "n0", "k", "t", "cell", "_cuts", "_pieces",
@@ -454,29 +477,72 @@ class Orbit:
         self.k = k
         self.cell = start.cell
         self.t = lat.transverse(start.side, X, Y, *start.cell)
-        cuts, pieces, self._corners = _return_map(params, slope.u, slope.v)
-        self._cuts = [[n0 * c for c in cs] for cs in cuts]
-        self._pieces = [[(p[0], p[1], n0 * p[2], p[3], p[4], n0 * p[5], p[6])
-                         for p in row] for row in pieces]
+        self._cuts, self._pieces, self._corners = _scaled_map(
+            params, slope.u, slope.v, n0)
 
     def __iter__(self):
         return self.steps(self.k, self.t, *self.cell)
 
-    def steps(self, k: int, t: int, m: int, n: int):
-        """The collisions after state (k, t) in cell (m, n), as iterating
-        yields them from the start."""
+    def advance(self, k: int, t: int, m: int, n: int, count: int,
+                stop_cell: tuple | None = None) -> tuple:
+        """Apply up to ``count`` pieces from state (k, t) in cell (m, n).
+
+        Stops early before a step from a corner, and, with ``stop_cell``,
+        on arrival in that cell.  Returns (done, k, t, m, n, extent, mlo,
+        mhi, nlo, nhi, corner): the collisions done, the state after the
+        last of them, the X-extent they flew, the box mlo <= m <= mhi,
+        nlo <= n <= nhi of the start cell and every cell reached, and the
+        CornerHit the next step runs into, or None.
+        """
         cuts, pieces = self._cuts, self._pieces
-        while True:
+        stop = stop_cell is not None
+        sm, sn = stop_cell if stop else (0, 0)
+        mlo = mhi = m
+        nlo = nhi = n
+        ext = tsum = 0
+        corner = None
+        for done in range(count):
             cs = cuts[k]
             i = bisect_left(cs, t)
             if cs[i] == t:
                 dx, dy = self._corners[k][i]
-                raise CornerHit(m + dx, n + dy)
+                corner = CornerHit(m + dx, n + dy)
+                break
             k, flip, shift, dm, dn, c0, c1 = pieces[k][i]
-            adx = c0 + c1 * t
+            # |dX| = c0 + c1*t with c1 in (0, v, -v): the products wait
+            # for the end, as one multiple of v
+            ext += c0
+            if c1 > 0:
+                tsum += t
+            elif c1:
+                tsum -= t
             t = shift - t if flip else shift + t
             m += dm
             n += dn
+            if m < mlo:
+                mlo = m
+            elif m > mhi:
+                mhi = m
+            if n < nlo:
+                nlo = n
+            elif n > nhi:
+                nhi = n
+            if stop and m == sm and n == sn:
+                done += 1
+                break
+        else:
+            done = count
+        return (done, k, t, m, n, ext + self.lattice.v * tsum, mlo, mhi, nlo,
+                nhi, corner)
+
+    def steps(self, k: int, t: int, m: int, n: int):
+        """The collisions after state (k, t) in cell (m, n), as iterating
+        yields them from the start: one ``advance`` each."""
+        advance = self.advance
+        while True:
+            _, k, t, m, n, adx, _, _, _, _, corner = advance(k, t, m, n, 1)
+            if corner is not None:
+                raise corner
             yield k, t, m, n, adx
 
     def position(self, k: int, t: int, m: int, n: int) -> PointQ:
@@ -709,7 +775,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     """
     G = _LANDMARK_EVERY
     cuts, pieces, corners = walk._cuts, walk._pieces, walk._corners
-    lows = [[0] + cs for cs in cuts]  # lows[k][i]: the low end of piece i
+    lows = [(0, *cs) for cs in cuts]  # lows[k][i]: the low end of piece i
     k = k0 = walk.k
     t = t0 = walk.t
     m, n = sm, sn = walk.cell

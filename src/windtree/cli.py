@@ -356,11 +356,34 @@ def cmd_selftest(cfg: RunConfig) -> int:
     checks.append(("orbit partition",
                    frozenset({"A", "B", "C"}) in part
                    and frozenset({"D"}) in part))
+    # the shadow guard: a 64-bit direction passes, a 14-bit one is refused
+    checks.append(("64-bit shadowed recurrence passes", _guard_passes(
+        params, Fraction("0.31830988618379067154"), 64, 12, 920, 4)))
+    checks.append(("14-bit direction refused", not _guard_passes(
+        params, Fraction(1, 3) + Fraction(1, 2**12), 14, 5, 50000, 8)))
+    ballistic = [experiments.diffusion_experiment(
+        Params.parse("2/3,2/3"), experiments.exact_direction(1), 1, horizon,
+        4).samples[0].statistic for horizon in (1000, 4000)]
+    checks.append(("slope 1 diffusion on 2/3,2/3 grows",
+                   5 < ballistic[0] < ballistic[1]))
     failed = 0
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failed += 0 if ok else 1
     return EXIT_OK if failed == 0 else EXIT_ERROR
+
+
+def _guard_passes(params: Params, theta: Fraction, bits: int, samples: int,
+                  horizon: int, seed: int) -> bool:
+    """Whether a shadowed recurrence run of theta quantized at ``bits``
+    completes instead of being refused."""
+    try:
+        experiments.recurrence_experiment(
+            params, experiments.quantize_direction(theta, bits), samples,
+            horizon, seed, shadow=True)
+    except PrecisionError:
+        return False
+    return True
 
 
 _COMMANDS = {

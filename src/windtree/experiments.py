@@ -8,6 +8,15 @@ Every quantized run can be shadowed by a re-run at doubled precision; a
 positional divergence beyond 2^-30 at a checkpoint raises PrecisionError
 instead of reporting corrupted statistics.
 
+Quantized orbits are stepped in blocks of 64 collisions with
+`Orbit.advance`, which reports a block's end state, X-extent and box of
+cells without a yield per collision; blocks start at multiples of 64, so
+every checkpoint (each 512th collision) ends one.  A shadowed recurrence
+sample advances the primary one block, stopping early at a corner or
+back in the origin cell, and then the shadow by as many collisions; the
+checks, their order and the collision they name are those of stepping
+the two runs in lockstep.
+
 A diffusion sample is the running sup of dist / log_k(t) along an orbit,
 dist the distance from the start and t the time flown, with its first 64
 record updates as witnesses.  The float statistic is computed only at
@@ -17,16 +26,19 @@ obstacle of cell (m, n) lies within a/2, b/2 of the cell's centre and the
 start within a/2, b/2 of the origin, so dist <= hypot(|m| + 1, |n| + 1);
 t never decreases, so the last exact log_k(t), times 1 - 2^-40 and less
 2^-40 for the rounding of t and of the logs, is below every later
-denominator.  Until the 64 witnesses are recorded, a step is evaluated
-unless its bound is at most the best statistic so far.  After that, steps
-whose bound beats the bar (the best statistic known) wait in a pending
-list; at every 64th of them the newest is evaluated exactly, raises the
-bar and drops the pending steps whose bound is below it.  At the horizon,
-at a corner, when a bound reaches stop_at, or when the bar stops pruning
-the list, the pending steps are decided in step order by the same
-"statistic beats the best" rule.  A dropped step is beaten strictly by
-some step, or tied by an earlier one, so the sup, its time, the witnesses
-and the collision count equal those of evaluating every step bit for bit.
+denominator.  A block's bound takes the largest |m| and |n| of its box
+and the log known before its first step.  A block whose bound is at most
+the bar (the best statistic known) is skipped.  Until the 64 witnesses
+are recorded, or once a bound reaches stop_at, a block is replayed in
+step order, one step at a time, each step with its own bound.  Otherwise
+the block is deferred: its start, extent and bound are kept, and its
+last step is evaluated exactly and raises the bar, which drops the
+deferred blocks whose bound is below it.  At the horizon, at a corner,
+before a replay, or when more than 64 blocks wait, the deferred blocks
+are replayed in step order by the same "statistic beats the best" rule.
+A skipped step is beaten strictly by some step, or tied by an earlier
+one, so the sup, its time, the witnesses and the collision count equal
+those of evaluating every step bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .billiard import (BOTTOM, LEFT, RIGHT, TOP, Orbit, Outcome,
                        classify_trajectory, collision_sequence, first_return,
@@ -47,6 +60,10 @@ from .origami import decompose_table_direction, is_good_one_cylinder
 
 SHADOW_TOLERANCE = Fraction(1, 2**30)
 CHECKPOINT_EVERY = 512
+# Quantized orbits are stepped in blocks of this many collisions
+# (`Orbit.advance`); a checkpoint ends a block.
+_BLOCK = 64
+assert CHECKPOINT_EVERY % _BLOCK == 0
 
 
 @dataclass(frozen=True)
@@ -179,9 +196,10 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
     """First return of one sample to the origin obstacle, exact stepping.
 
     With a shadow slope given (the same direction re-quantized at doubled
-    precision), positions of the two runs are compared at checkpoints up
-    to the end.  Without one, the sample is answered from its recorded
-    cylinder cycle (`billiard.first_return`).
+    precision), both runs advance in blocks of collisions and their
+    positions are compared at checkpoints up to the end.  Without one,
+    the sample is answered from its recorded cylinder cycle
+    (`billiard.first_return`).
     """
     if slope.is_axis and slope.is_horizontal == (start.side in (BOTTOM, TOP)):
         # tangent: slides along the corridor, never meets a side again
@@ -199,7 +217,6 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
     vN = slope.v * walk.lattice.N
     sh_walk = Orbit(make_state(params, (0, 0), start.side, start.offset,
                                shadow_slope, start.orientation), params)
-    shadow = iter(sh_walk)
 
     def check_shadow(i, cur, sh_cur):
         p, q = walk.position(*cur), sh_walk.position(*sh_cur)
@@ -209,25 +226,29 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
                 f"shadow divergence {float(max(dx, dy)):.3e} at "
                 f"collision {i} exceeds 2^-30")
 
-    steps = iter(walk)
-    total_dx = 0
-    m = n = 0
-    for i in range(1, horizon + 1):
-        try:
-            k, t, m, n, adx = next(steps)
-        except CornerHit:
+    # Blocks start at multiples of _BLOCK, so every checkpoint is the end
+    # of a full block.  The primary stops at a corner or back in the
+    # origin cell; the shadow then makes the same number of collisions.
+    k, t, m, n = walk.k, walk.t, 0, 0
+    sh_cur = (sh_walk.k, sh_walk.t, 0, 0)
+    total_dx = i = 0
+    while i < horizon:
+        done, k, t, m, n, adx, *_, corner = walk.advance(
+            k, t, m, n, min(_BLOCK, horizon - i), (0, 0))
+        total_dx += adx
+        shadow = sh_walk.advance(*sh_cur, done)
+        if shadow[0] < done:
+            raise PrecisionError("shadow run became singular; the "
+                                 "direction precision cannot be trusted")
+        sh_cur = shadow[1:5]
+        i += done
+        if done and i % CHECKPOINT_EVERY == 0:
+            check_shadow(i, (k, t, m, n), sh_cur)
+        if corner is not None:
             return SampleResult(start.sample_id, start.side, start.offset,
                                 "singular", None, (m, n),
                                 Fraction(total_dx, vN))
-        total_dx += adx
-        try:
-            sh_cur = next(shadow)[:4]
-        except CornerHit:
-            raise PrecisionError("shadow run became singular; the "
-                                 "direction precision cannot be trusted")
-        if i % CHECKPOINT_EVERY == 0:
-            check_shadow(i, (k, t, m, n), sh_cur)
-        if m == 0 and n == 0:
+        if done and m == 0 and n == 0:
             check_shadow(i, (k, t, m, n), sh_cur)
             return SampleResult(start.sample_id, start.side, start.offset,
                                 "returned", i, (0, 0), Fraction(total_dx, vN))
@@ -313,7 +334,7 @@ class DiffusionReport:
 
 
 _WITNESSES = 64  # record updates kept as witnesses
-_DEFER = 64      # deferred steps between two exact evaluations of the newest
+_DEFER = 64      # deferred blocks held before they are decided
 # An exact log_k(t) times _LOG_SHRINK, less _LOG_SLACK, is below the
 # computed log_k of every later t; the slack covers the rounding of t and
 # of the k logs.
@@ -339,73 +360,91 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
     best = 0.0
     best_t = 0.0
     witnesses = []
-    lo = 0.0   # below every later denominator, once positive
-    bar = 0.0  # a statistic reached by a step before the current one
+    lo = 0.0   # below the denominator of every step after those evaluated
+    bar = 0.0  # a statistic reached by a step before the current block
 
     def exact(dom, tr, m, n, total_dx):
-        """(t, dist, statistic) of a step; no statistic before log_k(t) > 0."""
+        """(t, dist, statistic, low) of a step, low its log_k(t) shrunk;
+        no statistic before log_k(t) > 0."""
         nonlocal lo
         t = total_dx / N * speed
         denom = iterated_log(k, t)
         if denom is None:
-            return t, None, None
-        lo = max(lo, denom * _LOG_SHRINK - _LOG_SLACK)
+            return t, None, None, 0.0
+        low = denom * _LOG_SHRINK - _LOG_SLACK
+        lo = max(lo, low)
         X, Y = lattice.point(dom, tr, m, n)
         dist = math.hypot((X - X0) / N, (Y - Y0) / N)
-        return t, dist, dist / denom
+        return t, dist, dist / denom, low
 
-    def settle(pending):
-        """Decide the pending steps in step order; the step at which
-        stop_at is reached, or None."""
+    def replay(i, state, total_dx, low, count):
+        """Decide the ``count`` steps after step i, from ``state`` with the
+        X-extent ``total_dx`` and ``low`` below their denominators, in
+        step order; the step at which stop_at is reached, or None."""
         nonlocal best, best_t
-        for j, bound, *step in pending:
-            if bound <= best:
+        for dom, tr, m, n, adx in islice(walk.steps(*state), count):
+            i += 1
+            total_dx += adx
+            # the obstacle of cell (m, n) lies within a/2, b/2 of its
+            # centre, and the start within a/2, b/2 of the origin
+            if low > 0 and math.hypot(abs(m) + 1, abs(n) + 1) / low <= best:
                 continue
-            t, dist, stat = exact(*step)
+            t, dist, stat, step_low = exact(dom, tr, m, n, total_dx)
+            low = max(low, step_low)
             if stat is not None and stat > best:
                 best, best_t = stat, t
                 if len(witnesses) < _WITNESSES:
                     witnesses.append((t, dist, stat))
                 if stop_at is not None and best >= stop_at:
-                    return j
+                    return i
         return None
 
-    pending = []  # (i, bound, dom, tr, m, n, total_dx), in step order
-    deferred = 0
+    def settle(deferred):
+        """Replay the deferred blocks in step order; the step at which
+        stop_at is reached, or None."""
+        for i, bound, low, state, total_dx, count in deferred:
+            if bound > best:
+                stop = replay(i, state, total_dx, low, count)
+                if stop is not None:
+                    return stop
+        return None
+
+    deferred = []  # (i, bound, lo, state, total_dx, count), in step order
     stop = None
-    total_dx = 0
-    steps = iter(walk)
-    i = 0
-    for i in range(1, horizon + 1):
-        try:
-            dom, tr, m, n, adx = next(steps)
-        except CornerHit:
-            break
+    state = (walk.k, walk.t, 0, 0)
+    total_dx = i = 0
+    while i < horizon:
+        done, *end, adx, mlo, mhi, nlo, nhi, corner = walk.advance(
+            *state, min(_BLOCK, horizon - i))
+        bound = math.hypot(max(-mlo, mhi) + 1, max(-nlo, nhi) + 1) / lo \
+            if lo > 0 else math.inf
+        if done and bound > bar:
+            if len(witnesses) == _WITNESSES and (stop_at is None
+                                                 or bound < stop_at):
+                # kept for the end; its last step raises the bar
+                deferred.append((i, bound, lo, state, total_dx, done))
+                stat = exact(*end, total_dx + adx)[2]
+                if stat is not None and stat > bar:
+                    bar = stat
+                    deferred = [d for d in deferred if d[1] >= bar]
+                if len(deferred) > _DEFER:  # the bar is not pruning
+                    stop = settle(deferred)
+                    deferred, bar = [], best
+            else:
+                stop = settle(deferred)
+                if stop is None:
+                    stop = replay(i, state, total_dx, lo, done)
+                deferred, bar = [], best
+            if stop is not None:
+                break
+        i += done
         total_dx += adx
-        # the obstacle of cell (m, n) lies within a/2, b/2 of its centre,
-        # and the start within a/2, b/2 of the origin
-        bound = math.hypot(abs(m) + 1, abs(n) + 1) / lo if lo > 0 else math.inf
-        if bound <= bar:
-            continue
-        pending.append((i, bound, dom, tr, m, n, total_dx))
-        deferred += 1
-        if len(witnesses) == _WITNESSES and (stop_at is None
-                                             or bound < stop_at):
-            if deferred < _DEFER:
-                continue
-            deferred = 0
-            stat = exact(dom, tr, m, n, total_dx)[2]
-            if stat is not None and stat > bar:
-                bar = stat
-                pending = [p for p in pending if p[1] >= bar]
-            if len(pending) <= _DEFER:  # else the bar is not pruning
-                continue
-        stop = settle(pending)
-        if stop is not None:
+        state = end
+        if corner is not None:
+            i += 1  # the step that runs into the corner
             break
-        pending, bar, deferred = [], best, 0
     if stop is None:  # the horizon or a corner ended the run
-        stop = settle(pending)
+        stop = settle(deferred)
     return DiffusionSample(start.sample_id, best, best_t,
                            i if stop is None else stop, tuple(witnesses))
 

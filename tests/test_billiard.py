@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -15,7 +16,7 @@ from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
                                side_offset, symmetry_check, time_reversed,
                                trace)
 from windtree.errors import CornerHit, DomainError
-from windtree.exact import Params, PointQ, Slope, classify_params
+from windtree.exact import Params, ParityClass, PointQ, Slope, classify_params
 
 from census import direction_cycles
 from grid_stepper import (GridStepper, assert_resolved, long_flight,
@@ -633,6 +634,127 @@ def test_return_map_near_corridor_matches_engine_property(pqrs, cdef, K, aim,
         t3 = 3 * lo + 1 + pick % (3 * (cuts[k][i] - lo) - 1)
         start = _state_at(params, slope, k, t3, 3, cell)
     _assert_map_matches_engine(params, start, 12)
+
+
+def _corner_bound_start(params, slope, cell, back, rng):
+    """A start whose orbit runs into a corner: a random breakpoint of the
+    return map, placed in ``cell``, traced back up to ``back`` collisions
+    with the grid-line stepper.  Returns (start, collisions before the
+    corner)."""
+    cuts = _return_map(params, slope.u, slope.v)[0]
+    k = rng.choice([k for k, cs in enumerate(cuts) if len(cs) > 1])
+    lat = _Lattice(params, slope, 1)
+    X, Y = lat.point(k, rng.choice(cuts[k][:-1]), *cell)
+    side, orientation = DOMAINS[k]
+    state = BilliardState(PointQ(Fraction(X, lat.N), Fraction(Y, lat.N)),
+                          side, cell, orientation, slope)
+    # the backward orbit of the breakpoint, stepped forward
+    eng = GridStepper(params, slope, 1)
+    X, Y = eng.encode(state.position)
+    sx, sy = time_reversed(state).orientation
+    before = 0
+    for _ in range(back):
+        try:
+            hit = eng.step(X, Y, sx, sy)
+        except CornerHit:
+            break
+        if hit is None:
+            break
+        X, Y, side, m, n, sx, sy, _ = hit
+        state = time_reversed(BilliardState(
+            PointQ(Fraction(X, eng.N), Fraction(Y, eng.N)), side, (m, n),
+            (sx, sy), slope))
+        before += 1
+    return state, before
+
+
+def _stepped_block(params, start, count, stop_cell):
+    """``Orbit.advance`` from the start, written out with the grid-line
+    stepper one collision at a time: (done, k, t, m, n, extent, mlo, mhi,
+    nlo, nhi, corner point or None)."""
+    n0 = lcm(start.position.x.denominator, start.position.y.denominator)
+    eng = GridStepper(params, start.slope, n0)
+    X, Y = eng.encode(start.position)
+    sx, sy = start.orientation
+    side = start.side
+    m, n = start.cell
+    ms, ns, ext = [m], [n], 0
+    corner = None
+    for _ in range(count):
+        try:
+            X, Y, side, m, n, sx, sy, adx = eng.step(X, Y, sx, sy)
+        except CornerHit as hit:
+            corner = (hit.x, hit.y)
+            break
+        ms.append(m)
+        ns.append(n)
+        ext += adx
+        if (m, n) == stop_cell:
+            break
+    done = len(ms) - 1
+    k = DOMAINS.index((side, (sx, sy)))
+    t = _Lattice(params, start.slope, n0).transverse(side, X, Y, m, n)
+    return (done, k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns),
+            corner)
+
+
+def test_advance_matches_stepping_one_collision_at_a_time():
+    # one call of the block walker against the grid-line stepper, collision
+    # by collision: random tables of all three parity classes, exact slopes
+    # and directions quantized at 16-96 bits (N up to about 2^211), counts
+    # 0-200 with and without a stop cell, and starts that run into a corner
+    # inside the block
+    rng = random.Random(20261019)
+    seen = {"classes": set(), "corner": 0, "stopped": 0, "full": 0,
+            "bits": 0}
+    for case in range(160):
+        while True:
+            q, s = rng.randint(2, 12), rng.randint(2, 12)
+            p, r = rng.randint(1, q - 1), rng.randint(1, s - 1)
+            if gcd(p, q) == gcd(r, s) == 1:
+                break
+        params = classify_params(p, q, r, s)
+        if case % 2:
+            value = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        else:
+            value = Fraction(rng.randint(2**20, 2**22),
+                             rng.randint(2**20, 2**22))
+            bits = rng.randint(16, 96)
+            value = Fraction(round(value * 2**bits), 2**bits)
+            if not _clear_of_corridors((value.numerator, value.denominator)):
+                continue
+        slope = Slope(value.numerator, value.denominator)
+        cell = (rng.randint(-5, 5), rng.randint(-5, 5))
+        count = rng.randint(0, 200)
+        if case % 3 == 0:
+            start, before = _corner_bound_start(params, slope, cell,
+                                                rng.randint(0, 150), rng)
+        else:
+            side = rng.choice((LEFT, RIGHT, BOTTOM, TOP))
+            tangent = rng.choice((1, -1))
+            den = rng.randint(2, 2**12)
+            start = _random_start((p, q, r, s), (slope.u, slope.v), side,
+                                  rng.randint(1, den - 1), den, tangent,
+                                  cell)[1]
+        free = _stepped_block(params, start, count, None)
+        stop_cell = None
+        if case % 4 < 2 and free[0]:
+            # a cell the orbit reaches, or one it never does
+            stop_cell = rng.choice([(free[3], free[4]),
+                                    (free[7] + 1, free[9] + 1)])
+        want = _stepped_block(params, start, count, stop_cell)
+        walk = Orbit(start, params)
+        got = walk.advance(walk.k, walk.t, *start.cell, count, stop_cell)
+        corner = got[10] and (got[10].x, got[10].y)
+        assert got[:10] + (corner,) == want
+        seen["classes"].add(params.parity_class)
+        seen["corner"] += want[10] is not None and 0 < want[0] < count
+        seen["stopped"] += want[0] < free[0]
+        seen["full"] += want[0] == count > 0
+        seen["bits"] = max(seen["bits"], walk.lattice.N.bit_length())
+    assert seen["classes"] == set(ParityClass)
+    assert seen["corner"] >= 10 and seen["stopped"] >= 10, seen
+    assert seen["full"] >= 10 and seen["bits"] > 200, seen
 
 
 def test_negative_collision_count_is_rejected():

@@ -163,6 +163,15 @@ def test_selftest_command(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_checks_the_shadow_guard_and_diffusion(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == EXIT_OK
+    for name in ("64-bit shadowed recurrence passes",
+                 "14-bit direction refused",
+                 "slope 1 diffusion on 2/3,2/3 grows"):
+        assert f"PASS  {name}\n" in out
+
+
 def test_config_roundtrips(tmp_path):
     cfg = RunConfig(command="classify", params="2/3,2/3", slope="3/4",
                     seed=42, horizon=777)
@@ -489,6 +498,23 @@ def test_diffuse_csv_bytes_pinned(tmp_path, capsys, args, digest, size):
     data = out.read_bytes()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_recur_shadowed_csv_bytes_pinned(tmp_path, capsys):
+    # a 20-digit decimal direction quantized at 64 bits and shadowed at 128:
+    # returns at 2 to 913 collisions, two samples lost at 920, one guard
+    # checkpoint at 512 (digest taken before block stepping)
+    out = tmp_path / "pin.csv"
+    code, stdout, _ = run(capsys, "recur", "--params", "1/2,1/2", "--theta",
+                          "0.31830988618379067154", "--samples", "12",
+                          "--horizon", "920", "--seed", "4", "--csv", str(out))
+    assert code == EXIT_OK
+    assert stdout == \
+        "returned 10 of 12 starts (0.8333) within 920 collisions\n"
+    data = out.read_bytes()
+    assert len(data) == 838
+    assert hashlib.sha256(data).hexdigest() == \
+        "567ed04901ab594341e83353d8d2aa347d03a60dc4af680b18e69ecbd1b1e8c2"
 
 
 def test_render_periodic_negative_collision_count_is_one_line_error(tmp_path,

@@ -259,6 +259,116 @@ def test_shadow_guard_checks_past_the_period():
         recurrence_experiment(HALF, coarse, 1, 5000, 0, shadow=True)
 
 
+def _reference_shadowed_sample(params, slope, start, horizon, shadow_slope):
+    # the lockstep loop: primary and shadow one collision at a time
+    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
+                            start.orientation), params)
+    vN = slope.v * walk.lattice.N
+    sh_walk = Orbit(make_state(params, (0, 0), start.side, start.offset,
+                               shadow_slope, start.orientation), params)
+    shadow = iter(sh_walk)
+
+    def check_shadow(i, cur, sh_cur):
+        p, q = walk.position(*cur), sh_walk.position(*sh_cur)
+        dx, dy = abs(p.x - q.x), abs(p.y - q.y)
+        tolerance = experiments.SHADOW_TOLERANCE
+        if dx > tolerance or dy > tolerance:
+            raise PrecisionError(
+                f"shadow divergence {float(max(dx, dy)):.3e} at "
+                f"collision {i} exceeds 2^-30")
+
+    steps = iter(walk)
+    total_dx = 0
+    m = n = 0
+    for i in range(1, horizon + 1):
+        try:
+            k, t, m, n, adx = next(steps)
+        except CornerHit:
+            return SampleResult(start.sample_id, start.side, start.offset,
+                                "singular", None, (m, n),
+                                Fraction(total_dx, vN))
+        total_dx += adx
+        try:
+            sh_cur = next(shadow)[:4]
+        except CornerHit:
+            raise PrecisionError("shadow run became singular; the "
+                                 "direction precision cannot be trusted")
+        if i % experiments.CHECKPOINT_EVERY == 0:
+            check_shadow(i, (k, t, m, n), sh_cur)
+        if m == 0 and n == 0:
+            check_shadow(i, (k, t, m, n), sh_cur)
+            return SampleResult(start.sample_id, start.side, start.offset,
+                                "returned", i, (0, 0), Fraction(total_dx, vN))
+    check_shadow(horizon, (k, t, m, n), sh_cur)
+    return SampleResult(start.sample_id, start.side, start.offset,
+                        "lost", None, (m, n), Fraction(total_dx, vN))
+
+
+def _result_or_refusal(run, *args):
+    try:
+        return run(*args)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+def test_shadowed_sample_matches_the_lockstep_loop():
+    # the block walk changes no result, refusal message or collision index:
+    # random tables and directions quantized at 12-64 bits, shadowed at
+    # twice the bits, free horizons (most not multiples of 64); pinned
+    # returns at 512 and 1024; and exact slope pairs whose primary and
+    # shadow both run into a corner inside one block, in either order
+    rng = random.Random(20261020)
+    cases = []
+    for pqrs, theta, seed, ids in (
+            ((1, 2, 1, 3), Fraction(757934627689, 10**12), 772498424, (2, 3)),
+            ((4, 5, 3, 8), Fraction(1589563692827, 500000000000), 258144167,
+             (0, 3))):
+        params = classify_params(*pqrs)
+        direction = quantize_direction(theta, 64)
+        starts = sample_boundary_starts(params, direction.slope, 30, seed)
+        for i in ids:
+            for horizon in (511, 512, 1023, 1024, 1100):
+                cases.append((params, direction.slope, starts[i], horizon,
+                              quantize_direction(theta, 128).slope))
+    # the shadow runs into a corner at collision 5, the primary at 8;
+    # then the primary at 2, the shadow at 4
+    for pqrs, slope, shadow, side, offset, orientation in (
+            ((1, 7, 1, 2), Slope(8, 5), Slope(1, 3), BOTTOM, Fraction(1, 14),
+             (-1, -1)),
+            ((1, 2, 1, 2), Slope(5, 6), Slope(11, 14), RIGHT, Fraction(1, 4),
+             (1, 1))):
+        for horizon in (1, 4, 5, 8, 64, 700):
+            cases.append((classify_params(*pqrs), slope,
+                          SampleStart(0, side, offset, orientation), horizon,
+                          shadow))
+    for _ in range(60):
+        params = _random_table(rng)
+        theta = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9))
+        bits = rng.choice((12, 16, 24, 32, 64))
+        direction = quantize_direction(theta, bits)
+        shadow = quantize_direction(theta, 2 * bits).slope
+        horizon = int(math.exp(rng.uniform(0, math.log(6000))))
+        for start in sample_boundary_starts(params, direction.slope, 3,
+                                            rng.randrange(1 << 30)):
+            cases.append((params, direction.slope, start, horizon, shadow))
+    seen = {"outcomes": set(), "corner refusal": 0, "divergence": 0,
+            "at 512": 0, "ragged": 0}
+    for params, slope, start, horizon, shadow in cases:
+        want = _result_or_refusal(_reference_shadowed_sample, params, slope,
+                                  start, horizon, shadow)
+        assert _result_or_refusal(_run_sample, params, slope, start, horizon,
+                                  shadow) == want
+        if isinstance(want, str):
+            seen["corner refusal" if "singular" in want else "divergence"] += 1
+        else:
+            seen["outcomes"].add(want.outcome)
+            seen["at 512"] += (want.first_return or 1) % 512 == 0
+        seen["ragged"] += horizon % 64 != 0
+    assert seen["outcomes"] == {"returned", "lost", "singular"}, seen
+    assert seen["corner refusal"] >= 3 and seen["divergence"] >= 5, seen
+    assert seen["at 512"] >= 10 and seen["ragged"] >= 100, seen
+
+
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_recurrence_rejects_jobs_below_one(jobs):
     with pytest.raises(DomainError, match="jobs must be >= 1"):
@@ -419,6 +529,40 @@ def test_diffusion_matches_the_step_by_step_loop():
         horizon = int(math.exp(rng.uniform(math.log(2), math.log(20000))))
         cases.append((params, direction, starts, rng.randint(1, 3), horizon,
                       rng.choice((None, 2.0, 10.0))))
+    # edges of the 64-collision blocks, pinned by search: the 64th witness
+    # at collision 1344, the end of a block (stop_at reached at 3808); a
+    # corner at collision 147, inside a block deferred after 18 collisions;
+    # stop_at reached at collision 1637, inside a block whose bound reached
+    # it, with two deferred blocks before it
+    edges = [
+        ((9, 10, 5, 12), Slope(1346359521499, 137438953472),
+         SampleStart(0, RIGHT, Fraction(315935, 786432), (1, 1)), 1, 30.0,
+         3808),
+        ((8, 11, 2, 5), Slope(7, 9), SampleStart(0, TOP, Fraction(1, 11),
+                                                 (-1, 1)), 1, 100.0, 147),
+        ((4, 11, 9, 10), Slope(618973166987635716796799917,
+                               618970019642690137449562112),
+         SampleStart(0, BOTTOM, Fraction(13, 22528), (-1, -1)), 2, 100.0,
+         1637)]
+    for pqrs, slope, start, k, stop_at, collisions in edges:
+        params = classify_params(*pqrs)
+        assert _reference_diffusion_sample(params, slope, start, k, 20000,
+                                           stop_at).collisions == collisions
+        cases.append((params, DirectionSpec(slope), [start], k, 20000,
+                      stop_at))
+    # a block whose box, without the + 1 of the obstacle and start sizes,
+    # would be skipped although one of its steps sets a new sup
+    cases.append((classify_params(3, 8, 7, 13), DirectionSpec(Slope(6, 13)),
+                  [SampleStart(0, LEFT, Fraction(3639, 65536), (-1, 1))], 1,
+                  1666, None))
+    # bounded orbits: closed on the odd-over-even table, the sup is reached
+    # early and the witnesses never fill
+    for slope in (Slope(1, 1), Slope(3, 7)):
+        starts = sample_boundary_starts(HALF, slope, 3, 9)
+        for start in starts:
+            assert len(_reference_diffusion_sample(
+                HALF, slope, start, 1, 30000, None).witnesses) < 64
+        cases.append((HALF, DirectionSpec(slope), starts, 1, 30000, None))
     for params, direction, starts, k, horizon, stop_at in cases:
         slope = direction.slope
         seen["classes"].add(params.parity_class)
