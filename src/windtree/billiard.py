@@ -53,7 +53,10 @@ Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
 The first walk that closes on its start records the cycle (period, drift,
 interval and a landmark every 32 collisions), and later starts on it are
-answered by a walk of at most 32 collisions to a landmark.
+answered by a walk of at most 32 collisions to a landmark.  The table is
+symmetric under x -> -x and y -> -y, so a start whose reflection lies on a
+recorded cycle is answered from that cycle, and the answer is reflected
+back; only walked cycles are stored.
 
 Geometric lengths are reported as the exact rational number of copies of
 the primitive direction vector (v, u) traversed; the Euclidean length is
@@ -578,7 +581,9 @@ class _Cycle:
     X-extent n0*ea[b] + _extent_slope(v, k[0], k[b])*tau.  The cells of
     phases j .. j+G-1 lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
     cn[b] + nlo[b] <= n <= cn[b] + nhi[b].  The columns are filled while
-    the walk goes.
+    the walk goes: only `_walk_period` makes a cycle, so every stored one
+    was walked and checked as it was walked.  A reflected start is
+    answered from the cycle as it stands.
     """
 
     __slots__ = ("length", "drift", "extent", "lo", "hi", "k", "sign", "off",
@@ -615,42 +620,6 @@ class _Cycle:
                      min(map(sum, zip(self.cn, self.nlo))),
                      max(map(sum, zip(self.cn, self.nhi))))
 
-    def mirrored(self, fx: bool, fy: bool, lengths: list, v: int):
-        """The image of the cycle under x -> -x (fx) and y -> -y (fy).
-
-        A reflection maps domain k to _MIRRORS[fx, fy][k], the cell (m, n)
-        to (-m, n) or (m, -n), keeps every flight's X-extent, and turns the
-        coordinate t along a mirrored axis into lengths[k] - t.
-        """
-        image = _Cycle()
-        kmap = _MIRRORS[fx, fy]
-        k0 = self.k[0]
-        mu0 = -1 if (fy if k0 < 4 else fx) else 1
-        c0 = lengths[k0] if mu0 < 0 else 0
-        for b, k in enumerate(self.k):
-            mu = -1 if (fy if k < 4 else fx) else 1
-            sign = mu * self.sign[b] * mu0
-            slope = _extent_slope(v, k0, k)
-            if sign != _LEAF[kmap[k0]] * _LEAF[kmap[k]] or \
-                    mu0 * slope != _extent_slope(v, kmap[k0], kmap[k]):
-                raise AssertionError("mirror image off the leaf geometry")
-            image.mark(kmap[k], sign,
-                       mu * self.off[b] + (lengths[k] if mu < 0 else 0)
-                       - sign * c0,
-                       -self.cm[b] if fx else self.cm[b],
-                       -self.cn[b] if fy else self.cn[b],
-                       self.ea[b] - slope * mu0 * c0)
-            image.mlo.append(-self.mhi[b] if fx else self.mlo[b])
-            image.mhi.append(-self.mlo[b] if fx else self.mhi[b])
-            image.nlo.append(-self.nhi[b] if fy else self.nlo[b])
-            image.nhi.append(-self.nlo[b] if fy else self.nhi[b])
-        dm, dn = self.drift
-        image.seal(self.length, (-dm if fx else dm, -dn if fy else dn),
-                   self.extent,
-                   *((c0 - self.hi, c0 - self.lo) if mu0 < 0
-                     else (self.lo, self.hi)))
-        return image
-
     def interval(self, b: int) -> tuple:
         """The open interval, at n0 = 1, that landmark b's phase covers."""
         off = self.off[b]
@@ -663,10 +632,10 @@ class _CycleStore:
     """The recorded cycles of one (params, slope), and for each domain the
     intervals of their landmarks: sorted, disjoint, at n0 = 1."""
 
-    __slots__ = ("lengths", "v", "cycles", "los", "his", "refs")
+    __slots__ = ("lengths", "cycles", "los", "his", "refs")
 
-    def __init__(self, lengths: list, v: int):
-        self.lengths, self.v = lengths, v  # the domains' lengths at n0 = 1
+    def __init__(self, lengths: list):
+        self.lengths = lengths  # the domains' lengths at n0 = 1
         self.cycles = []
         self.los = [[] for _ in DOMAINS]
         self.his = [[] for _ in DOMAINS]
@@ -687,43 +656,41 @@ class _CycleStore:
         self.cycles.append(cyc)
 
     def locate(self, walk: Orbit):
-        """Walk the start of ``walk`` to the first landmark it reaches.
+        """Find the start of ``walk``, or a reflection of it, on a recorded
+        cycle.
 
-        Returns (cycle, landmark, steps, dm, dn, extent, t): the collisions
-        walked, the cells and X-extent they moved by and the coordinate at
-        the landmark; or None when the start lies on no recorded cycle.  A
-        start on one reaches a landmark within G - 1 collisions.  Interval
-        ends never match: they lie on saddle connections.
-
-        The table is symmetric under x -> -x and y -> -y, so the mirror
-        image of a recorded cycle is a cycle of the same slope.  A start
-        whose image lies on a recorded cycle has that cycle's image
-        recorded first.
+        Returns (found, (sx, sy)): the reflection x -> sx*x, y -> sy*y maps
+        the start to a start on a recorded cycle, and found is what
+        ``_find`` returns for that reflected start.  None when no
+        reflection of the start lies on a recorded cycle.  The table is
+        symmetric under both reflections, so the reflected orbit is the
+        image of the orbit: the same collision count and X-extents, with
+        the cells (sx*m, sy*n).  A caller multiplies the drift or cell of
+        its answer by (sx, sy).  The identity is tried first.
         """
         if not self.cycles:
             return None
-        seen = []
-        found = self._find(walk, seen)
-        if found is not None:
-            return found
-        # the images of the states walked walk the image of the orbit
-        n0, lengths = walk.n0, self.lengths
-        for (fx, fy), kmap in _MIRRORS.items():
-            for k, t in seen:
-                if fy if k < 4 else fx:
-                    t = n0 * lengths[k] - t
-                k = kmap[k]
-                i = bisect_right(self.los[k], (t - 1) // n0) - 1
-                if i >= 0 and t < n0 * self.his[k][i]:
-                    self.add(self.cycles[self.refs[k][i] >> 32].mirrored(
-                        fx, fy, lengths, self.v))
-                    return self._find(walk, [])
+        k, t, n0 = walk.k, walk.t, walk.n0
+        for (sx, sy), kmap in _REFLECTIONS.items():
+            # a reflection along the side runs t from its other end
+            along = (sy if k < 4 else sx) < 0
+            found = self._find(walk, kmap[k],
+                               n0 * self.lengths[k] - t if along else t)
+            if found is not None:
+                return found, (sx, sy)
         return None
 
-    def _find(self, walk: Orbit, seen: list):
-        """locate without the mirror images; ``seen`` gets the states
-        walked, or nothing when the start lies on no cycle at all."""
-        n0, k, t = walk.n0, walk.k, walk.t
+    def _find(self, walk: Orbit, k: int, t: int):
+        """Walk state (k, t), at the lattice scale of ``walk``, to the first
+        landmark it reaches.
+
+        Returns (cycle, landmark, steps, dm, dn, extent, t): the collisions
+        walked, the cells and X-extent they moved by and the coordinate at
+        the landmark; or None when the state lies on no recorded cycle.  A
+        state on one reaches a landmark within G - 1 collisions.  Interval
+        ends never match: they lie on saddle connections.
+        """
+        n0, k0, t0 = walk.n0, k, t
         m = n = ext = 0
         steps = walk.steps(k, t, 0, 0)
         for s in range(_LANDMARK_EVERY):
@@ -732,13 +699,11 @@ class _CycleStore:
             if i >= 0 and t < n0 * self.his[k][i]:
                 ci, b = divmod(self.refs[k][i], 1 << 32)
                 return self.cycles[ci], b, s, m, n, ext, t
-            if s and t == walk.t and k == walk.k:
+            if s and t == t0 and k == k0:
                 return None  # a short cycle, walked whole
-            seen.append((k, t))
             try:
                 k, t, m, n, adx = next(steps)
             except CornerHit:
-                seen.clear()
                 return None
             ext += adx
         return None
@@ -748,7 +713,7 @@ class _CycleStore:
 def _cycle_store(params: Params, u: int, v: int) -> _CycleStore:
     """The cycle store of slope u/v, shared by every caller (same size and
     reasoning as the return map's cache)."""
-    return _CycleStore([cs[-1] for cs in _return_map(params, u, v)[0]], v)
+    return _CycleStore([cs[-1] for cs in _return_map(params, u, v)[0]])
 
 
 class _Walk(NamedTuple):
@@ -866,17 +831,16 @@ _LEAF = tuple(orientation[0] if side in HORIZONTAL_SIDES else -orientation[1]
               for side, orientation in DOMAINS)
 
 
-def _mirror_domain(k: int, fx: bool, fy: bool) -> int:
-    side, (sx, sy) = DOMAINS[k]
+def _reflect_domain(k: int, sx: int, sy: int) -> int:
+    side, (ox, oy) = DOMAINS[k]
     i, normal = _SIDE[side]
-    if (fx, fy)[i]:
-        side = _SIDE_AT[i, -normal]
-    return _DOMAIN_INDEX[side, (-sx if fx else sx, -sy if fy else sy)]
+    return _DOMAIN_INDEX[_SIDE_AT[i, (sx, sy)[i] * normal], (sx * ox, sy * oy)]
 
 
-# The table's reflections x -> -x, y -> -y and both, as domain maps.
-_MIRRORS = {(fx, fy): tuple(_mirror_domain(k, fx, fy) for k in range(8))
-            for fx, fy in ((True, False), (False, True), (True, True))}
+# The table's reflections x -> sx*x, y -> sy*y as domain maps, the identity
+# first.
+_REFLECTIONS = {(sx, sy): tuple(_reflect_domain(k, sx, sy) for k in range(8))
+                for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1))}
 
 
 def _extent_slope(v: int, k0: int, k: int) -> int:
@@ -892,22 +856,15 @@ def _down(x: int, n0: int) -> int:
     return q
 
 
-def _block(walk: Orbit, cyc: _Cycle, tau: int, b: int, rnd: int):
-    """(m, n, extent) at each phase of landmark b's block in round ``rnd``
-    (the phases rnd*L + b*G ..) of the cycle point whose phase-0
-    coordinate is tau, in the frame where that point starts in cell (0, 0)
-    with extent 0."""
+def _landmark(walk: Orbit, cyc: _Cycle, tau: int, b: int, rnd: int) -> tuple:
+    """(k, t, m, n, extent) at landmark b in round ``rnd`` (phase
+    rnd*L + b*G) of the cycle point whose phase-0 coordinate is tau, in the
+    frame where that point starts in cell (0, 0) with extent 0."""
     n0, k = walk.n0, cyc.k[b]
-    m = cyc.cm[b] + rnd * cyc.drift[0]
-    n = cyc.cn[b] + rnd * cyc.drift[1]
-    ext = n0 * (cyc.ea[b] + rnd * cyc.extent) + \
-        _extent_slope(walk.lattice.v, cyc.k[0], k) * tau
-    yield m, n, ext
-    count = min(_LANDMARK_EVERY, cyc.length - b * _LANDMARK_EVERY)
-    steps = walk.steps(k, cyc.sign[b] * tau + n0 * cyc.off[b], m, n)
-    for _, _, m, n, adx in islice(steps, count - 1):
-        ext += adx
-        yield m, n, ext
+    return (k, cyc.sign[b] * tau + n0 * cyc.off[b],
+            cyc.cm[b] + rnd * cyc.drift[0], cyc.cn[b] + rnd * cyc.drift[1],
+            n0 * (cyc.ea[b] + rnd * cyc.extent)
+            + _extent_slope(walk.lattice.v, cyc.k[0], k) * tau)
 
 
 def _rounds(c: int, d: int, lo: int, hi: int, w0: int, w1: int) -> tuple:
@@ -921,14 +878,15 @@ def _rounds(c: int, d: int, lo: int, hi: int, w0: int, w1: int) -> tuple:
 
 def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
     """First return to the start cell within ``horizon`` collisions of a
-    start that ``_CycleStore.locate`` found on a recorded cycle.
+    start that ``_CycleStore._find`` found on a recorded cycle.
 
     Returns (collisions or None, cell, extent): the cell and the extent are
     relative to the start, at the return or else at the horizon.  Phase q
     of the cycle sits at cell C[q mod L] + (q div L)*D.  In the rounds
     whose drift brings the start cell into the cycle's span, the blocks
-    whose boxes hold it are stepped from their landmark in order of phase,
-    so the first match is the first return.
+    whose boxes hold it are advanced from their landmark in order of
+    phase, each stopping in the start cell, so the first stop at or after
+    the start's next phase is the first return.
     """
     G = _LANDMARK_EVERY
     cyc, b, s, wm, wn, wext, t = found
@@ -955,16 +913,26 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
             if cyc.mlo[b] <= tm - cyc.cm[b] <= cyc.mhi[b] and \
                     cyc.nlo[b] <= tn - cyc.cn[b] <= cyc.nhi[b]:
                 q = base + b * G
-                for m, n, ext in _block(walk, cyc, tau, b, rnd):
-                    if q > last:
-                        break
+                end = min(q + G - 1, base + L - 1, last)
+                k, t, m, n, ext = _landmark(walk, cyc, tau, b, rnd)
+                while True:
                     if m == cm and n == cn and q >= first:
                         return q - p, (0, 0), ext - e0
-                    q += 1
+                    if q == end:
+                        break
+                    done, k, t, m, n, adx, *_, corner = walk.advance(
+                        k, t, m, n, end - q, (cm, cn))
+                    if corner is not None:
+                        raise corner
+                    q += done
+                    ext += adx
     rnd, r = divmod(last, L)
     b, j = divmod(r, G)
-    m, n, ext = next(islice(_block(walk, cyc, tau, b, rnd), j, None))
-    return None, (m - cm, n - cn), ext - e0
+    k, t, m, n, ext = _landmark(walk, cyc, tau, b, rnd)
+    _, _, _, m, n, adx, *_, corner = walk.advance(k, t, m, n, j)
+    if corner is not None:
+        raise corner
+    return None, (m - cm, n - cn), ext + adx - e0
 
 
 def first_return(start: BilliardState, params: Params, horizon: int):
@@ -974,9 +942,10 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     Returns (collisions or None, cell, length, singular): the cell relative
     to the start cell and the length in primitive-vector units, at the
     return, at the corner or else at the horizon.  An axis orbit is back
-    after its two flights.  A start on a recorded cycle is answered from
-    it; otherwise the orbit is walked, and one that closes on its start
-    within the horizon is recorded and answered from its cycle.
+    after its two flights.  A start whose reflection lies on a recorded
+    cycle is answered from it, with the cell reflected back; otherwise the
+    orbit is walked, and one that closes on its start within the horizon
+    is recorded and answered from its cycle.
     """
     validate_state(start, params)
     if start.slope.is_axis:
@@ -989,8 +958,8 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     walk = Orbit(start, params)
     store = _cycle_store(params, start.slope.u, start.slope.v)
     vN = start.slope.v * walk.lattice.N
-    found = store.locate(walk)
-    if found is None:
+    located = store.locate(walk)
+    if located is None:
         res = _walk_period(walk, horizon, store, to_cell=True)
         if res.returned:
             return res.steps, (0, 0), Fraction(res.extent, vN), False
@@ -998,9 +967,10 @@ def first_return(start: BilliardState, params: Params, horizon: int):
             sm, sn = start.cell
             return (None, (res.m - sm, res.n - sn), Fraction(res.extent, vN),
                     res.corner is not None and res.steps < horizon)
-        found = res.cycle, 0, 0, 0, 0, 0, walk.t
-    ret, cell, ext = _cycle_return(walk, found, horizon)
-    return ret, cell, Fraction(ext, vN), False
+        located = (res.cycle, 0, 0, 0, 0, 0, walk.t), (1, 1)
+    found, (sx, sy) = located
+    ret, (m, n), ext = _cycle_return(walk, found, horizon)
+    return ret, (sx * m, sy * n), Fraction(ext, vN), False
 
 
 def next_collision(state: BilliardState, params: Params) -> BilliardState:
@@ -1032,9 +1002,9 @@ def classify_trajectory(start: BilliardState, params: Params,
     stops there: zero cell difference means the orbit is closed, a non-zero
     difference is the drift of an escaping orbit.  ``pre_period`` is
     therefore always 0.  The walk records the cylinder cycle it closed, and
-    a later start on a recorded cycle is answered from it.  An
-    undetermined outcome has the length of exactly ``max_collisions``
-    collisions.
+    a later start whose reflection lies on a recorded cycle is answered
+    from it, with the drift reflected back.  An undetermined outcome has
+    the length of exactly ``max_collisions`` collisions.
     """
     validate_state(start, params)
     if max_collisions < 1:
@@ -1048,10 +1018,11 @@ def classify_trajectory(start: BilliardState, params: Params,
     store = _cycle_store(params, start.slope.u, start.slope.v)
     vN = start.slope.v * walk.lattice.N
     m0, n0 = start.cell
-    found = store.locate(walk)
-    if found is not None and found[0].length <= max_collisions:
-        cyc = found[0]
-        steps, (dm, dn), extent = cyc.length, cyc.drift, walk.n0 * cyc.extent
+    located = store.locate(walk)
+    if located is not None and located[0][0].length <= max_collisions:
+        (cyc, *_), (sx, sy) = located
+        steps, extent = cyc.length, walk.n0 * cyc.extent
+        dm, dn = sx * cyc.drift[0], sy * cyc.drift[1]
     else:
         res = _walk_period(walk, max_collisions, store)
         if res.corner is not None:

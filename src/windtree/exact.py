@@ -29,9 +29,6 @@ class PointQ:
     x: Rational
     y: Rational
 
-    def translated(self, dx, dy) -> "PointQ":
-        return PointQ(self.x + dx, self.y + dy)
-
     def __iter__(self):
         yield self.x
         yield self.y
@@ -107,12 +104,6 @@ class Slope:
         if g == 0:
             raise DomainError("slope 0/0 is meaningless")
         return Slope(u // g, v // g)
-
-    @staticmethod
-    def from_fraction(value: Fraction) -> "Slope":
-        if value < 0:
-            raise DomainError("slopes are unsigned; use an orientation for signs")
-        return Slope(value.numerator, value.denominator)
 
 
 class ParityClass(enum.Enum):

@@ -4,7 +4,10 @@ table's flow in that direction, found by the billiard alone.
 `direction_cycles` covers the 8 outgoing domains of the boundary return map
 with recorded cycles, walking each start the cycle store does not know
 yet; the tests check it against the surface lift, which shares no code
-with it, and against the store's bookkeeping.  It reads the package's
+with it, and against the store's bookkeeping.  It looks starts up without
+reflections (`_CycleStore._find`, not `locate`): a start whose reflection
+lies on a recorded cycle still needs its own cycle walked and recorded,
+so that the cycles found tile every domain.  It reads the package's
 private return-map and cycle data, so a change to those updates it too.
 """
 
@@ -49,7 +52,7 @@ def direction_cycles(params: Params, slope: Slope) -> tuple:
                                               Fraction(Y, lat.N)),
                                        side, (0, 0), orientation, slope),
                          params)
-            hit = store.locate(walk)
+            hit = store._find(walk, walk.k, walk.t)
             if hit is None:
                 # odd points at n0 = 2 meet no corner, and they close
                 # within the count of reduced states

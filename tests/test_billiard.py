@@ -10,11 +10,11 @@ from windtree import billiard
 from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
                                Orbit, Outcome, TrajectoryOutcome, _Lattice,
                                _cycle_store, _return_map, classify_trajectory,
-                               collision_sequence, launch, leaving_orientation,
-                               make_state, midpoint_state, next_collision,
-                               path_length, regular_start, side_length,
-                               side_offset, symmetry_check, time_reversed,
-                               trace)
+                               collision_sequence, first_return, launch,
+                               leaving_orientation, make_state, midpoint_state,
+                               next_collision, path_length, regular_start,
+                               side_length, side_offset, symmetry_check,
+                               time_reversed, trace)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import Params, ParityClass, PointQ, Slope, classify_params
 
@@ -1032,17 +1032,35 @@ def _mirror_state(state, fx, fy):
                          (-sx if fx else sx, -sy if fy else sy), state.slope)
 
 
-@pytest.mark.parametrize("uv", [(1597, 2584), (4181, 6765), (5, 7)])
+def _stepped_first_return(start, params, horizon):
+    """first_return of a start that meets no corner, by plain stepping."""
+    walk = Orbit(start, params)
+    vN = start.slope.v * walk.lattice.N
+    total = 0
+    for i, (_k, _t, m, n, adx) in enumerate(islice(walk, horizon), 1):
+        total += adx
+        cell = (m - start.cell[0], n - start.cell[1])
+        if cell == (0, 0):
+            return i, cell, Fraction(total, vN), False
+    return None, cell, Fraction(total, vN), False
+
+
+# 13/29 escapes with drift (-2, 1), so a wrong sign on either axis shows;
+# its samples are lost before collision 49 and back in their cell at 49
+@pytest.mark.parametrize("uv", [(1597, 2584), (4181, 6765), (5, 7), (13, 29)])
 def test_cycle_store_answers_mirror_images_without_a_walk(uv, monkeypatch):
     # one walk records a cycle; the images of its start under the table's
-    # reflections lie on the images of that cycle, which the store records
-    # on their first lookup instead of walking them
+    # reflections lie on the images of that cycle, and the store answers
+    # them from the recorded cycle, reflected, instead of walking them
     params = classify_params(1, 2, 1, 3)
     start = make_state(params, (1, -2), BOTTOM, Fraction(3, 17) * params.a,
                        Slope(*uv), (1, -1))
     images = [_mirror_state(start, fx, fy)
               for fx, fy in ((1, 0), (0, 1), (1, 1))]
     want = [_stepped_outcome(s, params, 50000) for s in images]
+    horizons = (10, 48, 49, 700)
+    returns = [[_stepped_first_return(s, params, h) for h in horizons]
+               for s in images]
     _cycle_store.cache_clear()
     assert classify_trajectory(start, params) == \
         _stepped_outcome(start, params, 50000)
@@ -1053,8 +1071,10 @@ def test_cycle_store_answers_mirror_images_without_a_walk(uv, monkeypatch):
     monkeypatch.setattr(billiard, "_walk_period", no_walk)
     for image, w in zip(images, want):
         assert classify_trajectory(image, params) == w
+    for image, rets in zip(images, returns):
+        assert [first_return(image, params, h) for h in horizons] == rets
     store = _cycle_store(params, *uv)
-    assert 1 < len(store.cycles) <= 4
+    assert len(store.cycles) == 1
 
 
 def test_direction_cycles_are_recorded_whole():

@@ -781,21 +781,27 @@ def test_run_sample_through_long_flight_pieces():
 
 def test_run_sample_on_mirror_images_of_a_recorded_cycle():
     # the images of a start under the table's reflections lie on the images
-    # of its cycle, which the store builds from the recorded one: their
-    # returns, cells and lengths must match stepping
+    # of its cycle, and the store answers them from the recorded one,
+    # reflected: their returns, cells and lengths must match stepping.
+    # 1597/2584 is lost at every horizon; 13/29 escapes with drift (-2, 1),
+    # so a wrong sign on either axis shows, and its samples are lost before
+    # collision 49 and back in their cell at 49
     params = classify_params(1, 2, 1, 3)
-    slope = Slope(1597, 2584)
     start = SampleStart(0, BOTTOM, Fraction(3, 17) * params.a, (1, -1))
     images = [SampleStart(0, TOP, start.offset, (1, 1)),
               SampleStart(0, BOTTOM, params.a - start.offset, (-1, -1)),
               SampleStart(0, TOP, params.a - start.offset, (-1, 1))]
-    _cycle_store.cache_clear()
-    _period(params, slope, start)
-    for image in images:
-        for horizon in (10, 700, 5000, 40000):
-            assert _run_sample(params, slope, image, horizon, None) == \
-                _sample_reference(params, slope, image, horizon)
-    assert len(_cycle_store(params, slope.u, slope.v).cycles) > 1
+    for slope, horizons in ((Slope(1597, 2584), (10, 700, 5000, 40000)),
+                            (Slope(13, 29), (10, 48, 49, 700))):
+        _cycle_store.cache_clear()
+        _period(params, slope, start)
+        for image in images:
+            for horizon in horizons:
+                assert _run_sample(params, slope, image, horizon, None) == \
+                    _sample_reference(params, slope, image, horizon)
+        assert len(_cycle_store(params, slope.u, slope.v).cycles) == 1
+    assert [_sample_reference(params, Slope(13, 29), images[0], h).outcome
+            for h in (48, 49)] == ["lost", "returned"]
 
 
 def _count_stepped(monkeypatch):
