@@ -47,7 +47,13 @@ and every quantity the map produces is one `_first_hit` would produce, so
 exactness still holds.  `Orbit.advance` applies the map for a block of
 collisions in one loop and reports the block as a whole (end state,
 extent, box of the cells); `Orbit.steps` yields the collisions one at a
-time, one `advance` each.
+time, one `advance` each.  The 8th power of the map is a piecewise
+translation too, built by three doublings that split each piece where its
+image meets a breakpoint, with the box of the cells each piece passes.
+A block of 64 collisions or more takes 8 at a time on it (`_power_map`,
+cached per (params, slope, n0)), and steps single pieces for the next 8
+where a corner or the stop cell lies within them, so its answer is that
+of single steps.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
@@ -381,8 +387,9 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
     pieces[k][i] = (k', flip, shift, dm, dn, c0, c1) is the map on the
     open interval just below cuts[k][i]: t' = shift - t if flip else
     shift + t, in domain k', with the cell moved by (dm, dn) and
-    |dX| = c0 + c1*t.  corners[k][i] is the corner, relative to the start
-    cell, that breakpoint cuts[k][i] runs into.
+    |dX| = c0 + c1*t.  corners[k][i] = (cx, cy, dm, dn) names the corner
+    that breakpoint cuts[k][i] runs into: (cx*a/2, cy*b/2) from the centre
+    of the cell (dm, dn) away from the start cell (`Orbit.corner_hit`).
     """
     slope = Slope(u, v)
     lat, lat3 = _Lattice(params, slope, 1), _Lattice(params, slope, 3)
@@ -409,15 +416,12 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
     # lattice where breakpoints are multiples of 3.  Every breakpoint is
     # known, so both probes run to the same side of the same obstacle and
     # the piece is one translation, t' = +-t + shift with |dX| affine in t.
-    a2, b2 = _half(params)
     cuts, pieces, corners = [], [], []
     for k in range(len(DOMAINS)):
         length = 2 * (lat.gamma // u if k < 4 else lat.beta // v)
         ts = sorted(hits[k])
         cuts.append(tuple(ts) + (length,))
-        corners.append(tuple(
-            (dm + cx * a2, dn + cy * b2)
-            for cx, cy, dm, dn in (hits[k][t] for t in ts)))
+        corners.append(tuple(hits[k][t] for t in ts))
         row = []
         for lo, hi in zip([0] + ts, ts + [length]):
             t1, t2 = 3 * lo + 1, 3 * hi - 1
@@ -437,18 +441,86 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _scaled_map(params: Params, u: int, v: int, n0: int) -> tuple:
-    """The return map of slope u/v at lattice scale n0, as _return_map
-    gives it at n0 = 1: the breakpoints, the shifts and the constant
+    """The return map of slope u/v at lattice scale n0, with its pieces in
+    the form of `_power_map`'s: _return_map's piece, then the box of the one
+    cell it arrives in.  The breakpoints, the shifts and the constant
     extent terms scale with N, the corners do not.  Starts of one slope
     often share n0 (a regular start classified again, the fold points of
     one lift), so the copy is kept, in an LRU as small as the map's own."""
     cuts, pieces, corners = _return_map(params, u, v)
-    if n0 == 1:
-        return cuts, pieces, corners
     return (tuple(tuple(n0 * c for c in cs) for cs in cuts),
-            tuple(tuple((p[0], p[1], n0 * p[2], p[3], p[4], n0 * p[5], p[6])
-                        for p in row) for row in pieces),
+            tuple(tuple((k, flip, n0 * shift, dm, dn, n0 * c0, c1,
+                         dm, dm, dn, dn)
+                        for k, flip, shift, dm, dn, c0, c1 in row)
+                  for row in pieces),
             corners)
+
+
+# `Orbit.advance` steps on the power map T^_POWER in calls of at least
+# _BLOCK collisions; the quantized experiments advance in blocks of _BLOCK.
+_BLOCK = 64
+_POWER = 8
+
+
+def _compose(first: tuple, second: tuple) -> tuple:
+    """The map ``second`` after ``first``, both (cuts, pieces) as
+    `_power_map` gives them: each piece of ``first`` is split where its
+    image meets a breakpoint of ``second``."""
+    cuts, pieces = [], []
+    for cs, row in zip(*first):
+        new_cs, new_row = [], []
+        lo = 0
+        for hi, (k, flip, s, dm, dn, c0, c1, mlo, mhi, nlo, nhi) in zip(cs, row):
+            # the image (a, b) of (lo, hi) meets the pieces j0..j1 of k
+            a, b = (s - hi, s - lo) if flip else (lo + s, hi + s)
+            cs2, row2 = second[0][k], second[1][k]
+            j0, j1 = bisect_right(cs2, a), bisect_left(cs2, b)
+            part = []
+            for j in range(j0, j1 + 1):
+                k2, flip2, s2, dm2, dn2, c02, c12, mlo2, mhi2, nlo2, nhi2 = \
+                    row2[j]
+                mlo2 += dm
+                mhi2 += dm
+                nlo2 += dn
+                nhi2 += dn
+                part.append((k2, flip != flip2, s2 - s if flip2 else s2 + s,
+                             dm + dm2, dn + dn2, c0 + c02 + c12 * s,
+                             c1 - c12 if flip else c1 + c12,
+                             mlo if mlo < mlo2 else mlo2,
+                             mhi if mhi > mhi2 else mhi2,
+                             nlo if nlo < nlo2 else nlo2,
+                             nhi if nhi > nhi2 else nhi2))
+            # the breakpoints inside the image, taken back, in order of t
+            if flip:
+                part.reverse()
+                new_cs += [s - cs2[j] for j in range(j1 - 1, j0 - 1, -1)]
+            else:
+                new_cs += [cs2[j] - s for j in range(j0, j1)]
+            new_row += part
+            new_cs.append(hi)
+            lo = hi
+        cuts.append(tuple(new_cs))
+        pieces.append(tuple(new_row))
+    return tuple(cuts), tuple(pieces)
+
+
+# A quantized run steps one slope and its shadow at a time.
+@lru_cache(maxsize=4)
+def _power_map(params: Params, u: int, v: int, n0: int) -> tuple:
+    """T^_POWER, the return map applied _POWER times, at lattice scale n0.
+
+    Returns (cuts, pieces) indexed by domain, as `_scaled_map` gives
+    them: T^_POWER is a piecewise translation too, with breakpoints where
+    one of the _POWER steps starts from a corner.  pieces[k][i] = (k',
+    flip, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi) maps the open interval
+    just below cuts[k][i] by t' = shift -+ t into domain k', moves the cell
+    by (dm, dn) and flies |dX| = c0 + c1*t, c1 a multiple of v; the cells
+    arrived in lie in the box mlo <= m <= mhi, nlo <= n <= nhi relative to
+    the start cell.  Built by doubling, T^2, T^4, T^8."""
+    table = _scaled_map(params, u, v, n0)[:2]
+    for _ in range(_POWER.bit_length() - 1):
+        table = _compose(table, table)
+    return table
 
 
 class Orbit:
@@ -465,8 +537,8 @@ class Orbit:
     the flow reaches one.  Iterating an Orbit is ``steps`` from its start.
     """
 
-    __slots__ = ("lattice", "n0", "k", "t", "cell", "_cuts", "_pieces",
-                 "_corners")
+    __slots__ = ("lattice", "n0", "k", "t", "cell", "params", "_cuts",
+                 "_pieces", "_corners")
 
     def __init__(self, start: BilliardState, params: Params):
         slope = start.slope
@@ -480,11 +552,19 @@ class Orbit:
         self.k = k
         self.cell = start.cell
         self.t = lat.transverse(start.side, X, Y, *start.cell)
+        self.params = params
         self._cuts, self._pieces, self._corners = _scaled_map(
             params, slope.u, slope.v, n0)
 
     def __iter__(self):
         return self.steps(self.k, self.t, *self.cell)
+
+    def corner_hit(self, k: int, i: int, m: int, n: int) -> CornerHit:
+        """The CornerHit of a step from breakpoint i of domain k in cell
+        (m, n)."""
+        cx, cy, dm, dn = self._corners[k][i]
+        a2, b2 = _half(self.params)
+        return CornerHit(m + dm + cx * a2, n + dn + cy * b2)
 
     def advance(self, k: int, t: int, m: int, n: int, count: int,
                 stop_cell: tuple | None = None) -> tuple:
@@ -496,47 +576,64 @@ class Orbit:
         last of them, the X-extent they flew, the box mlo <= m <= mhi,
         nlo <= n <= nhi of the start cell and every cell reached, and the
         CornerHit the next step runs into, or None.
+
+        A call of at least _BLOCK collisions applies pieces of T^_POWER
+        (`_power_map`) while _POWER or more remain.  It steps single
+        pieces for the next _POWER collisions where t is on a breakpoint of
+        T^_POWER (a corner within _POWER collisions) or the stop cell is in
+        the piece's box, and for the remainder, so every answer is the one
+        single steps give.
         """
         cuts, pieces = self._cuts, self._pieces
         stop = stop_cell is not None
         sm, sn = stop_cell if stop else (0, 0)
         mlo = mhi = m
         nlo = nhi = n
-        ext = tsum = 0
+        ext = 0
         corner = None
-        for done in range(count):
-            cs = cuts[k]
-            i = bisect_left(cs, t)
-            if cs[i] == t:
-                dx, dy = self._corners[k][i]
-                corner = CornerHit(m + dx, n + dy)
-                break
-            k, flip, shift, dm, dn, c0, c1 = pieces[k][i]
-            # |dX| = c0 + c1*t with c1 in (0, v, -v): the products wait
-            # for the end, as one multiple of v
-            ext += c0
-            if c1 > 0:
-                tsum += t
-            elif c1:
-                tsum -= t
+        # single pieces while done < plain or fewer than _POWER remain
+        plain = count
+        if count >= _BLOCK:
+            lat = self.lattice
+            power_cuts, power_pieces = _power_map(self.params, lat.u, lat.v,
+                                                  self.n0)
+            plain = 0
+        done = 0
+        while done < count:
+            if done < plain or count - done < _POWER:
+                cs = cuts[k]
+                i = bisect_left(cs, t)
+                if cs[i] == t:
+                    corner = self.corner_hit(k, i, m, n)
+                    break
+                piece = pieces[k][i]
+                done += 1
+            else:
+                cs = power_cuts[k]
+                i = bisect_left(cs, t)
+                piece = power_pieces[k][i]
+                if cs[i] == t or stop and \
+                        piece[7] <= sm - m <= piece[8] and \
+                        piece[9] <= sn - n <= piece[10]:
+                    plain = done + _POWER
+                    continue
+                done += _POWER
+            k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi = piece
+            ext += c0 + c1 * t
             t = shift - t if flip else shift + t
+            if m + plo < mlo:
+                mlo = m + plo
+            if m + phi > mhi:
+                mhi = m + phi
+            if n + qlo < nlo:
+                nlo = n + qlo
+            if n + qhi > nhi:
+                nhi = n + qhi
             m += dm
             n += dn
-            if m < mlo:
-                mlo = m
-            elif m > mhi:
-                mhi = m
-            if n < nlo:
-                nlo = n
-            elif n > nhi:
-                nhi = n
             if stop and m == sm and n == sn:
-                done += 1
                 break
-        else:
-            done = count
-        return (done, k, t, m, n, ext + self.lattice.v * tsum, mlo, mhi, nlo,
-                nhi, corner)
+        return done, k, t, m, n, ext, mlo, mhi, nlo, nhi, corner
 
     def steps(self, k: int, t: int, m: int, n: int):
         """The collisions after state (k, t) in cell (m, n), as iterating
@@ -553,6 +650,19 @@ class Orbit:
         N = self.lattice.N
         X, Y = self.lattice.point(k, t, m, n)
         return PointQ(Fraction(X, N), Fraction(Y, N))
+
+
+def _reflect_domain(k: int, sx: int, sy: int) -> int:
+    side, (ox, oy) = DOMAINS[k]
+    i, normal = _SIDE[side]
+    return _DOMAIN_INDEX[_SIDE_AT[i, (sx, sy)[i] * normal], (sx * ox, sy * oy)]
+
+
+# The table's reflections x -> sx*x, y -> sy*y with their domain maps, the
+# identity first.
+_REFLECTIONS = tuple(((sx, sy), tuple(_reflect_domain(k, sx, sy)
+                                      for k in range(8)))
+                     for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)))
 
 
 # -- cylinder cycles ------------------------------------------------------
@@ -657,56 +767,56 @@ class _CycleStore:
 
     def locate(self, walk: Orbit):
         """Find the start of ``walk``, or a reflection of it, on a recorded
-        cycle.
+        cycle, by walking the start to the first landmark it reaches.
 
         Returns (found, (sx, sy)): the reflection x -> sx*x, y -> sy*y maps
-        the start to a start on a recorded cycle, and found is what
-        ``_find`` returns for that reflected start.  None when no
+        the start to a start on a recorded cycle, and found = (cycle,
+        landmark, steps, dm, dn, extent, t) says where that reflected start
+        meets the cycle: the collisions walked, the cells and X-extent they
+        moved by and the coordinate at the landmark.  None when no
         reflection of the start lies on a recorded cycle.  The table is
         symmetric under both reflections, so the reflected orbit is the
         image of the orbit: the same collision count and X-extents, with
-        the cells (sx*m, sy*n).  A caller multiplies the drift or cell of
-        its answer by (sx, sy).  The identity is tried first.
+        the cells (sx*m, sy*n).  So the start is walked once, and the image
+        of each state it reaches under each reflection of `_REFLECTIONS` is
+        looked up; the first reflection in that order that reaches a
+        landmark wins, so the identity wins whenever it reaches one.  A
+        caller multiplies the drift or cell of its answer by (sx, sy).  A
+        start on a cycle reaches a landmark within _LANDMARK_EVERY - 1
+        collisions.  Interval ends never match: they lie on saddle
+        connections.
         """
         if not self.cycles:
             return None
-        k, t, n0 = walk.k, walk.t, walk.n0
-        for (sx, sy), kmap in _REFLECTIONS.items():
-            # a reflection along the side runs t from its other end
-            along = (sy if k < 4 else sx) < 0
-            found = self._find(walk, kmap[k],
-                               n0 * self.lengths[k] - t if along else t)
-            if found is not None:
-                return found, (sx, sy)
-        return None
-
-    def _find(self, walk: Orbit, k: int, t: int):
-        """Walk state (k, t), at the lattice scale of ``walk``, to the first
-        landmark it reaches.
-
-        Returns (cycle, landmark, steps, dm, dn, extent, t): the collisions
-        walked, the cells and X-extent they moved by and the coordinate at
-        the landmark; or None when the state lies on no recorded cycle.  A
-        state on one reaches a landmark within G - 1 collisions.  Interval
-        ends never match: they lie on saddle connections.
-        """
-        n0, k0, t0 = walk.n0, k, t
+        n0, lengths = walk.n0, self.lengths
+        k = k0 = walk.k
+        t = t0 = walk.t
         m = n = ext = 0
+        found, wanted = None, len(_REFLECTIONS)  # only earlier ones can win
         steps = walk.steps(k, t, 0, 0)
         for s in range(_LANDMARK_EVERY):
-            # the last interval with n0*lo < t, that is lo <= (t - 1)//n0
-            i = bisect_right(self.los[k], (t - 1) // n0) - 1
-            if i >= 0 and t < n0 * self.his[k][i]:
-                ci, b = divmod(self.refs[k][i], 1 << 32)
-                return self.cycles[ci], b, s, m, n, ext, t
-            if s and t == t0 and k == k0:
-                return None  # a short cycle, walked whole
+            for r in range(wanted):
+                (sx, sy), kmap = _REFLECTIONS[r]
+                # a reflection along the side runs t from its other end
+                kr = kmap[k]
+                tr = n0 * lengths[k] - t if (sy if k < 4 else sx) < 0 else t
+                # the last interval with n0*lo < tr, that is
+                # lo <= (tr - 1)//n0
+                i = bisect_right(self.los[kr], (tr - 1) // n0) - 1
+                if i >= 0 and tr < n0 * self.his[kr][i]:
+                    ci, b = divmod(self.refs[kr][i], 1 << 32)
+                    found = ((self.cycles[ci], b, s, sx * m, sy * n, ext, tr),
+                             (sx, sy))
+                    wanted = r
+                    break
+            if not wanted or s and t == t0 and k == k0:
+                break  # the identity found, or a short cycle walked whole
             try:
                 k, t, m, n, adx = next(steps)
             except CornerHit:
-                return None
+                break
             ext += adx
-        return None
+        return found
 
 
 @lru_cache(maxsize=16)
@@ -739,7 +849,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     the walk closes: the period map on the interval is unflipped.
     """
     G = _LANDMARK_EVERY
-    cuts, pieces, corners = walk._cuts, walk._pieces, walk._corners
+    cuts, pieces = walk._cuts, walk._pieces
     lows = [(0, *cs) for cs in cuts]  # lows[k][i]: the low end of piece i
     k = k0 = walk.k
     t = t0 = walk.t
@@ -752,8 +862,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     i = bisect_left(cs, t)
     below, above = t - lows[k][i], cs[i] - t
     if above == 0:
-        dx, dy = corners[k][i]
-        return _Walk(0, m, n, 0, CornerHit(m + dx, n + dy), None, False)
+        return _Walk(0, m, n, 0, walk.corner_hit(k, i, m, n), None, False)
     mlo = mhi = m
     nlo = nhi = n
     while steps < limit:
@@ -770,7 +879,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
         mlo = mhi = m
         nlo = nhi = n
         for steps in range(steps + 1, min(steps + G, limit) + 1):
-            k, flip, shift, dm, dn, c0, c1 = pieces[k][i]
+            k, flip, shift, dm, dn, c0, c1, _, _, _, _ = pieces[k][i]
             ext += c0 + c1 * t
             if flip:
                 t = shift - t
@@ -799,8 +908,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             i = bisect_left(cs, t)
             c = cs[i]
             if c == t:
-                dx, dy = corners[k][i]
-                corner = CornerHit(m + dx, n + dy)
+                corner = walk.corner_hit(k, i, m, n)
                 break
             if c - t < above:
                 above = c - t
@@ -829,18 +937,6 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
 # vertical or two horizontal sides, whose unfolded x (resp. y) is fixed.
 _LEAF = tuple(orientation[0] if side in HORIZONTAL_SIDES else -orientation[1]
               for side, orientation in DOMAINS)
-
-
-def _reflect_domain(k: int, sx: int, sy: int) -> int:
-    side, (ox, oy) = DOMAINS[k]
-    i, normal = _SIDE[side]
-    return _DOMAIN_INDEX[_SIDE_AT[i, (sx, sy)[i] * normal], (sx * ox, sy * oy)]
-
-
-# The table's reflections x -> sx*x, y -> sy*y as domain maps, the identity
-# first.
-_REFLECTIONS = {(sx, sy): tuple(_reflect_domain(k, sx, sy) for k in range(8))
-                for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1))}
 
 
 def _extent_slope(v: int, k0: int, k: int) -> int:
@@ -878,7 +974,7 @@ def _rounds(c: int, d: int, lo: int, hi: int, w0: int, w1: int) -> tuple:
 
 def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
     """First return to the start cell within ``horizon`` collisions of a
-    start that ``_CycleStore._find`` found on a recorded cycle.
+    start that ``_CycleStore.locate`` found on a recorded cycle.
 
     Returns (collisions or None, cell, extent): the cell and the extent are
     relative to the start, at the return or else at the horizon.  Phase q

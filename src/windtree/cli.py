@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import billiard, experiments, lift, origami, svg
 from .billiard import Outcome
@@ -361,6 +362,8 @@ def cmd_selftest(cfg: RunConfig) -> int:
         params, Fraction("0.31830988618379067154"), 64, 12, 920, 4)))
     checks.append(("14-bit direction refused", not _guard_passes(
         params, Fraction(1, 3) + Fraction(1, 2**12), 14, 5, 50000, 8)))
+    checks.append(("4096 collisions in one block equal single steps",
+                   _block_matches_single_steps(params, 4096)))
     ballistic = [experiments.diffusion_experiment(
         Params.parse("2/3,2/3"), experiments.exact_direction(1), 1, horizon,
         4).samples[0].statistic for horizon in (1000, 4000)]
@@ -371,6 +374,29 @@ def cmd_selftest(cfg: RunConfig) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failed += 0 if ok else 1
     return EXIT_OK if failed == 0 else EXIT_ERROR
+
+
+def _block_matches_single_steps(params: Params, count: int) -> bool:
+    """Whether one `Orbit.advance` of ``count`` collisions from a start of
+    a 64-bit direction, which steps on the power map, ends as ``count``
+    single-piece steps do: state, extent and box of cells."""
+    slope = experiments.quantize_direction(
+        Fraction("0.31830988618379067154"), 64).slope
+    start = experiments.sample_boundary_starts(params, slope, 1, 7)[0]
+    walk = billiard.Orbit(billiard.make_state(
+        params, (0, 0), start.side, start.offset, slope, start.orientation),
+        params)
+    k, t, m, n = walk.k, walk.t, 0, 0
+    ms, ns, ext = [m], [n], 0
+    try:
+        for k, t, m, n, adx in islice(walk, count):
+            ms.append(m)
+            ns.append(n)
+            ext += adx
+    except CornerHit:
+        return False
+    return walk.advance(walk.k, walk.t, 0, 0, count) == (
+        count, k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns), None)
 
 
 def _guard_passes(params: Params, theta: Fraction, bits: int, samples: int,

@@ -10,12 +10,13 @@ instead of reporting corrupted statistics.
 
 Quantized orbits are stepped in blocks of 64 collisions with
 `Orbit.advance`, which reports a block's end state, X-extent and box of
-cells without a yield per collision; blocks start at multiples of 64, so
-every checkpoint (each 512th collision) ends one.  A shadowed recurrence
-sample advances the primary one block, stopping early at a corner or
-back in the origin cell, and then the shadow by as many collisions; the
-checks, their order and the collision they name are those of stepping
-the two runs in lockstep.
+cells without a yield per collision, and takes such a block 8 collisions
+at a time on the 8th power of the return map; blocks start at multiples
+of 64, so every checkpoint (each 512th collision) ends one.  A shadowed
+recurrence sample advances the primary one block, stopping early at a
+corner or back in the origin cell, and then the shadow by as many
+collisions; the checks, their order and the collision they name are
+those of stepping the two runs in lockstep.
 
 A diffusion sample is the running sup of dist / log_k(t) along an orbit,
 dist the distance from the start and t the time flown, with its first 64
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .billiard import (BOTTOM, LEFT, RIGHT, TOP, Orbit, Outcome,
+from .billiard import (_BLOCK, BOTTOM, LEFT, RIGHT, TOP, Orbit, Outcome,
                        classify_trajectory, collision_sequence, first_return,
                        leaving_orientation, make_state, regular_start,
                        side_length, side_offset)
@@ -60,9 +61,8 @@ from .origami import decompose_table_direction, is_good_one_cylinder
 
 SHADOW_TOLERANCE = Fraction(1, 2**30)
 CHECKPOINT_EVERY = 512
-# Quantized orbits are stepped in blocks of this many collisions
+# Quantized orbits are stepped in blocks of `billiard._BLOCK` collisions
 # (`Orbit.advance`); a checkpoint ends a block.
-_BLOCK = 64
 assert CHECKPOINT_EVERY % _BLOCK == 0
 
 

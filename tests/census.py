@@ -4,10 +4,12 @@ table's flow in that direction, found by the billiard alone.
 `direction_cycles` covers the 8 outgoing domains of the boundary return map
 with recorded cycles, walking each start the cycle store does not know
 yet; the tests check it against the surface lift, which shares no code
-with it, and against the store's bookkeeping.  It looks starts up without
-reflections (`_CycleStore._find`, not `locate`): a start whose reflection
+with it, and against the store's bookkeeping.  It takes only answers of
+`_CycleStore.locate` that need no reflection: a start whose reflection
 lies on a recorded cycle still needs its own cycle walked and recorded,
-so that the cycles found tile every domain.  It reads the package's
+so that the cycles found tile every domain.  `locate` answers without a
+reflection whenever it can, so a reflected answer means that the start
+itself lies on no recorded cycle.  It reads the package's
 private return-map and cycle data, so a change to those updates it too.
 """
 
@@ -52,13 +54,13 @@ def direction_cycles(params: Params, slope: Slope) -> tuple:
                                               Fraction(Y, lat.N)),
                                        side, (0, 0), orientation, slope),
                          params)
-            hit = store._find(walk, walk.k, walk.t)
-            if hit is None:
+            hit = store.locate(walk)
+            if hit is None or hit[1] != (1, 1):
                 # odd points at n0 = 2 meet no corner, and they close
                 # within the count of reduced states
                 hit = (_walk_period(walk, limit, store).cycle,
-                       0, 0, 0, 0, 0, walk.t)
-            cyc, b, s = hit[:3]
+                       0, 0, 0, 0, 0, walk.t), (1, 1)
+            cyc, b, s = hit[0][:3]
             phases = cycle_phases(walk, cyc)
             for kk, lo, hi in phases:
                 if lo in ends[kk]:

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -698,15 +699,71 @@ def _stepped_block(params, start, count, stop_cell):
             corner)
 
 
-def test_advance_matches_stepping_one_collision_at_a_time():
+class _LoggedRow(tuple):
+    """A row of map pieces that logs every piece read as (table, k, i)."""
+
+    def __new__(cls, row, log, table, k):
+        obj = super().__new__(cls, row)
+        obj.log, obj.tag = log, (table, k)
+        return obj
+
+    def __getitem__(self, i):
+        self.log.append((*self.tag, i))
+        return tuple.__getitem__(self, i)
+
+
+def _logged(pieces, log, table):
+    return tuple(_LoggedRow(row, log, table, k) for k, row in enumerate(pieces))
+
+
+def _replay_reads(log, single, power, state, stop_cell):
+    """Follow the piece reads of one `Orbit.advance` call from ``state``.
+
+    A read of the power map is a fallback when t is on a breakpoint of it
+    or the stop cell lies in the piece's box, and a power step otherwise.
+    Returns the counts of the three and the state the steps reach."""
+    k, t, m, n = state
+    counts = {"power": 0, "breakpoint": 0, "box": 0}
+    for table, kk, i in log:
+        cuts, pieces = power if table == "power" else single
+        assert kk == k and i == bisect_left(cuts[k], t)
+        piece = pieces[k][i]
+        if table == "power":
+            if cuts[k][i] == t:
+                counts["breakpoint"] += 1
+                continue
+            if stop_cell is not None and \
+                    piece[7] <= stop_cell[0] - m <= piece[8] and \
+                    piece[9] <= stop_cell[1] - n <= piece[10]:
+                counts["box"] += 1
+                continue
+            counts["power"] += 1
+        k, flip, shift, dm, dn = piece[:5]
+        t = shift - t if flip else shift + t
+        m += dm
+        n += dn
+    return counts, (k, t, m, n)
+
+
+def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
     # one call of the block walker against the grid-line stepper, collision
     # by collision: random tables of all three parity classes, exact slopes
     # and directions quantized at 16-96 bits (N up to about 2^211), counts
-    # 0-200 with and without a stop cell, and starts that run into a corner
-    # inside the block
+    # 0-500 with and without a stop cell, and starts that run into a corner
+    # inside the block.  Calls of 64 collisions or more step on the power
+    # map: its piece reads are logged and followed, to count its steps and
+    # both kinds of fallback to single pieces.
+    log = []
+    power_map = billiard._power_map
+
+    def logged_power_map(*key):
+        cuts, pieces = power_map(*key)
+        return cuts, _logged(pieces, log, "power")
+
+    monkeypatch.setattr(billiard, "_power_map", logged_power_map)
     rng = random.Random(20261019)
     seen = {"classes": set(), "corner": 0, "stopped": 0, "full": 0,
-            "bits": 0}
+            "bits": 0, "power": 0, "breakpoint": 0, "box": 0}
     for case in range(160):
         while True:
             q, s = rng.randint(2, 12), rng.randint(2, 12)
@@ -725,7 +782,7 @@ def test_advance_matches_stepping_one_collision_at_a_time():
                 continue
         slope = Slope(value.numerator, value.denominator)
         cell = (rng.randint(-5, 5), rng.randint(-5, 5))
-        count = rng.randint(0, 200)
+        count = rng.randint(0, 500)
         if case % 3 == 0:
             start, before = _corner_bound_start(params, slope, cell,
                                                 rng.randint(0, 150), rng)
@@ -744,17 +801,94 @@ def test_advance_matches_stepping_one_collision_at_a_time():
                                     (free[7] + 1, free[9] + 1)])
         want = _stepped_block(params, start, count, stop_cell)
         walk = Orbit(start, params)
+        single = walk._cuts, walk._pieces
+        walk._pieces = _logged(walk._pieces, log, "single")
+        log.clear()
         got = walk.advance(walk.k, walk.t, *start.cell, count, stop_cell)
         corner = got[10] and (got[10].x, got[10].y)
         assert got[:10] + (corner,) == want
+        counts, end = _replay_reads(
+            log, single, power_map(params, slope.u, slope.v, walk.n0),
+            (walk.k, walk.t, *start.cell), stop_cell)
+        assert end == got[1:5]
+        if count < billiard._BLOCK:
+            assert counts == {"power": 0, "breakpoint": 0, "box": 0}
         seen["classes"].add(params.parity_class)
         seen["corner"] += want[10] is not None and 0 < want[0] < count
         seen["stopped"] += want[0] < free[0]
         seen["full"] += want[0] == count > 0
         seen["bits"] = max(seen["bits"], walk.lattice.N.bit_length())
+        for key in counts:
+            seen[key] += counts[key]
     assert seen["classes"] == set(ParityClass)
     assert seen["corner"] >= 10 and seen["stopped"] >= 10, seen
     assert seen["full"] >= 10 and seen["bits"] > 200, seen
+    assert seen["power"] >= 10 and seen["breakpoint"] >= 10, seen
+    assert seen["box"] >= 10, seen
+
+
+def _eight_steps(walk, k, t):
+    """8 single steps from state (k, t) in cell (0, 0), as a piece of the
+    power map reports them: (k, t, m, n, extent, mlo, mhi, nlo, nhi), the
+    box over the cells arrived in."""
+    ms, ns, ext = [], [], 0
+    for k, t, m, n, adx in islice(walk.steps(k, t, 0, 0), 8):
+        ms.append(m)
+        ns.append(n)
+        ext += adx
+    return k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns)
+
+
+def test_power_map_pieces_match_eight_single_steps():
+    # every piece of T^8 against 8 single steps just inside both ends of
+    # its interval, and every breakpoint of T^8 against a corner within 8
+    # steps: random tables of all three parity classes, exact slopes and
+    # directions quantized at 16-96 bits, at the lattice scales of starts
+    # with random offsets
+    rng = random.Random(8)
+    seen = {"classes": set(), "pieces": 0, "breakpoints": 0, "bits": 0}
+    for case in range(60):
+        while True:
+            q, s = rng.randint(2, 12), rng.randint(2, 12)
+            p, r = rng.randint(1, q - 1), rng.randint(1, s - 1)
+            if gcd(p, q) == gcd(r, s) == 1:
+                break
+        params = classify_params(p, q, r, s)
+        if case % 2:
+            value = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        else:
+            value = Fraction(rng.randint(2**20, 2**22),
+                             rng.randint(2**20, 2**22))
+            bits = rng.randint(16, 96)
+            value = Fraction(round(value * 2**bits), 2**bits)
+        slope = Slope(value.numerator, value.denominator)
+        den = rng.randint(2, 2**12)
+        start = _random_start((p, q, r, s), (slope.u, slope.v),
+                              rng.choice((LEFT, RIGHT, BOTTOM, TOP)),
+                              rng.randint(1, den - 1), den, 1, (0, 0))[1]
+        walk = Orbit(start, params)
+        cuts, pieces = billiard._power_map(params, slope.u, slope.v, walk.n0)
+        assert [len(row) for row in pieces] == [len(cs) for cs in cuts]
+        for k in range(len(DOMAINS)):
+            lo = 0
+            for hi, piece in zip(cuts[k], pieces[k]):
+                k2, flip, shift, dm, dn, c0, c1, *box = piece
+                assert lo < hi and c1 % slope.v == 0
+                for t in {lo + 1, hi - 1}:
+                    if lo < t < hi:
+                        assert _eight_steps(walk, k, t) == (
+                            k2, shift - t if flip else shift + t, dm, dn,
+                            c0 + c1 * t, *box)
+                        seen["pieces"] += 1
+                if hi < cuts[k][-1]:
+                    with pytest.raises(CornerHit):
+                        _eight_steps(walk, k, hi)
+                    seen["breakpoints"] += 1
+                lo = hi
+        seen["classes"].add(params.parity_class)
+        seen["bits"] = max(seen["bits"], walk.lattice.N.bit_length())
+    assert seen["classes"] == set(ParityClass) and seen["bits"] > 180, seen
+    assert seen["pieces"] >= 1000 and seen["breakpoints"] >= 1000, seen
 
 
 def test_negative_collision_count_is_rejected():
@@ -1075,6 +1209,80 @@ def test_cycle_store_answers_mirror_images_without_a_walk(uv, monkeypatch):
         assert [first_return(image, params, h) for h in horizons] == rets
     store = _cycle_store(params, *uv)
     assert len(store.cycles) == 1
+
+
+def _located_by_four_walks(store, walk):
+    """What locating the start of ``walk`` answers when the start and each
+    of its reflections are walked in turn, each to the first landmark it
+    reaches: the four answers, None where a walk reaches none."""
+    out = []
+    n0 = walk.n0
+    for (sx, sy), kmap in billiard._REFLECTIONS:
+        k, t = walk.k, walk.t
+        if (sy if k < 4 else sx) < 0:
+            t = n0 * store.lengths[k] - t
+        k = k0 = kmap[k]
+        t0, m, n, ext, found = t, 0, 0, 0, None
+        steps = walk.steps(k, t, 0, 0)
+        for s in range(billiard._LANDMARK_EVERY):
+            i = bisect_right(store.los[k], (t - 1) // n0) - 1
+            if i >= 0 and t < n0 * store.his[k][i]:
+                ci, b = divmod(store.refs[k][i], 1 << 32)
+                found = (store.cycles[ci], b, s, m, n, ext, t), (sx, sy)
+                break
+            if s and (k, t) == (k0, t0):
+                break
+            try:
+                k, t, m, n, adx = next(steps)
+            except CornerHit:
+                break
+            ext += adx
+        out.append(found)
+    return out
+
+
+def test_locate_walks_once_and_answers_as_four_walks():
+    # one walk of the start, each state looked up under every reflection,
+    # answers what walking the start and then each reflection of it does:
+    # the first reflection in order that reaches a landmark, the identity
+    # first, also where a later one reaches a landmark sooner
+    rng = random.Random(37)
+    seen = {"identity": 0, "reflected": 0, "none": 0, "precedence": 0}
+
+    def random_start(params, slope):
+        side = rng.choice((LEFT, RIGHT, BOTTOM, TOP))
+        den = rng.randint(2, 64)
+        return _random_start(params, (slope.u, slope.v), side,
+                             rng.randint(1, den - 1), den,
+                             rng.choice((1, -1)),
+                             (rng.randint(-3, 3), rng.randint(-3, 3)))[1]
+
+    for case in range(40):
+        while True:
+            q, s = rng.randint(2, 9), rng.randint(2, 9)
+            p, r = rng.randint(1, q - 1), rng.randint(1, s - 1)
+            if gcd(p, q) == gcd(r, s) == 1:
+                break
+        pqrs = (p, q, r, s)
+        params = classify_params(*pqrs)
+        value = Fraction(rng.randint(1, 13), rng.randint(1, 13))
+        slope = Slope(value.numerator, value.denominator)
+        _cycle_store.cache_clear()
+        for _ in range(3):
+            classify_trajectory(random_start(pqrs, slope), params, 5000)
+        store = _cycle_store(params, slope.u, slope.v)
+        for _ in range(20):
+            walk = Orbit(random_start(pqrs, slope), params)
+            answers = _located_by_four_walks(store, walk)
+            want = next((a for a in answers if a is not None), None)
+            assert store.locate(walk) == want
+            if want is None:
+                seen["none"] += 1
+                continue
+            seen["identity" if want is answers[0] else "reflected"] += 1
+            seen["precedence"] += any(a is not None and a[0][2] < want[0][2]
+                                      for a in answers)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_direction_cycles_are_recorded_whole():

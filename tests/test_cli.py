@@ -172,6 +172,12 @@ def test_selftest_checks_the_shadow_guard_and_diffusion(capsys):
         assert f"PASS  {name}\n" in out
 
 
+def test_selftest_checks_a_block_on_the_power_map(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == EXIT_OK
+    assert "PASS  4096 collisions in one block equal single steps\n" in out
+
+
 def test_config_roundtrips(tmp_path):
     cfg = RunConfig(command="classify", params="2/3,2/3", slope="3/4",
                     seed=42, horizon=777)
