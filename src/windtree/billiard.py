@@ -50,10 +50,11 @@ extent, box of the cells); `Orbit.steps` yields the collisions one at a
 time, one `advance` each.  The 8th power of the map is a piecewise
 translation too, built by three doublings that split each piece where its
 image meets a breakpoint, with the box of the cells each piece passes.
-A block of 64 collisions or more takes 8 at a time on it (`_power_map`,
-cached per (params, slope, n0)), and steps single pieces for the next 8
-where a corner or the stop cell lies within them, so its answer is that
-of single steps.
+A block of 64 collisions or more, and a recording walk (below) past its
+first 512, take 8 at a time on it (`_power_map`, cached per (params,
+slope, n0)), and step single pieces for the next 8 where a corner, the
+stop cell or the walk's close lies within them, so their answers are
+those of single steps.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
@@ -227,13 +228,6 @@ def validate_state(state: BilliardState, params: Params) -> None:
         raise DomainError("direction points into the obstacle")
 
 
-def midpoint_state(params: Params, cell: tuple, side: str, slope: Slope,
-                   orientation: tuple) -> BilliardState:
-    """State at the midpoint of an obstacle side (the E/F preimages)."""
-    return make_state(params, cell, side, side_length(params, side) / 2,
-                      slope, orientation)
-
-
 class _Lattice:
     """The collision lattice of a slope u/v with u, v >= 1, at scale n0.
 
@@ -361,7 +355,8 @@ def _first_hit(lat: _Lattice, X: int, Y: int, sx: int, sy: int):
 
 # The 8 outgoing domains of the return map: each side with the two
 # orientations that point away from the obstacle.  _Lattice.point relies on
-# the order: vertical sides first, left before right, bottom before top.
+# the order: vertical sides first, left before right, bottom before top,
+# and `_walk_period` on domain k ^ 1 being domain k's time reversal.
 DOMAINS = ((LEFT, (-1, 1)), (LEFT, (-1, -1)), (RIGHT, (1, 1)), (RIGHT, (1, -1)),
            (BOTTOM, (1, -1)), (BOTTOM, (-1, -1)), (TOP, (1, 1)), (TOP, (-1, 1)))
 _DOMAIN_INDEX = {dom: k for k, dom in enumerate(DOMAINS)}
@@ -457,9 +452,12 @@ def _scaled_map(params: Params, u: int, v: int, n0: int) -> tuple:
 
 
 # `Orbit.advance` steps on the power map T^_POWER in calls of at least
-# _BLOCK collisions; the quantized experiments advance in blocks of _BLOCK.
+# _BLOCK collisions, and `_walk_period` past _POWER_FROM collisions, about
+# what a build costs in single steps; the quantized experiments advance in
+# blocks of _BLOCK.
 _BLOCK = 64
 _POWER = 8
+_POWER_FROM = 512
 
 
 def _compose(first: tuple, second: tuple) -> tuple:
@@ -504,7 +502,8 @@ def _compose(first: tuple, second: tuple) -> tuple:
     return tuple(cuts), tuple(pieces)
 
 
-# A quantized run steps one slope and its shadow at a time.
+# A quantized run steps one slope and its shadow at a time, a recording walk
+# one slope.
 @lru_cache(maxsize=4)
 def _power_map(params: Params, u: int, v: int, n0: int) -> tuple:
     """T^_POWER, the return map applied _POWER times, at lattice scale n0.
@@ -690,10 +689,10 @@ class _Cycle:
     k[b], in cell (cm[b], cn[b]) relative to its start cell, after the
     X-extent n0*ea[b] + _extent_slope(v, k[0], k[b])*tau.  The cells of
     phases j .. j+G-1 lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
-    cn[b] + nlo[b] <= n <= cn[b] + nhi[b].  The columns are filled while
-    the walk goes: only `_walk_period` makes a cycle, so every stored one
-    was walked and checked as it was walked.  A reflected start is
-    answered from the cycle as it stands.
+    cn[b] + nlo[b] <= n <= cn[b] + nhi[b].  Only `_walk_period` makes a
+    cycle, filling the columns while it walks, on T^_POWER after its first
+    _POWER_FROM collisions: every stored cycle was walked and checked.  A
+    reflected start is answered from the cycle as it stands.
     """
 
     __slots__ = ("length", "drift", "extent", "lo", "hi", "k", "sign", "off",
@@ -843,10 +842,17 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
 
     The open interval of starts that take the same pieces is shrunk along
     the way, kept as its margins below and above the orbit's point: each
-    image is cut down to the next piece.  With ``to_cell``, the walk also
+    piece cuts them down to its ends.  With ``to_cell``, the walk also
     stops on its first return to the start cell.  The sign the walk tracks
     is the one the leaf geometry fixes at every phase, so it is +1 when
     the walk closes: the period map on the interval is unflipped.
+
+    From its landmark at _POWER_FROM collisions on, the walk applies pieces
+    of T^_POWER (`_power_map`): their intervals are exactly the starts that
+    take the same single pieces.  It steps single pieces for the next
+    _POWER collisions where a corner, its close (from one of the start's
+    predecessors) or, with ``to_cell``, the start cell lies within them,
+    and for a remainder, so it records what single steps record.
     """
     G = _LANDMARK_EVERY
     cuts, pieces = walk._cuts, walk._pieces
@@ -856,18 +862,22 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     m, n = sm, sn = walk.cell
     leaf0, n0 = _LEAF[k0], walk.n0
     sign, ext, steps = 1, 0, 0
+    below, above = t, cuts[k][-1] - t  # the domain's ends, cut by each piece
     rec = _Cycle()
     closed, corner, returned = False, None, False
-    cs = cuts[k]
-    i = bisect_left(cs, t)
-    below, above = t - lows[k][i], cs[i] - t
-    if above == 0:
-        return _Walk(0, m, n, 0, walk.corner_hit(k, i, m, n), None, False)
-    mlo = mhi = m
-    nlo = nhi = n
+    plain = limit  # single pieces while steps < plain
     while steps < limit:
         if steps:
             rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+        if steps == _POWER_FROM:
+            power_cuts, power_pieces = _power_map(
+                walk.params, walk.lattice.u, walk.lattice.v, n0)
+            power_lows = [(0, *cs) for cs in power_cuts]
+            # the start's predecessors by time reversal, T^-j = R T^j R
+            # with R(k, t) = (k ^ 1, t); a start without them never closes
+            preds = {(r[1] ^ 1, r[2]) for j in range(1, _POWER)
+                     for r in [walk.advance(k0 ^ 1, t0, 0, 0, j)] if r[0] == j}
+            plain = 0
         # a landmark: the phase-0 point is at sign*t0 + off, and its
         # extent is ext + B*(tau - t0) with the slope B the leaf geometry
         # fixes
@@ -878,8 +888,32 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                  _down(ext - B * t0, n0))
         mlo = mhi = m
         nlo = nhi = n
-        for steps in range(steps + 1, min(steps + G, limit) + 1):
-            k, flip, shift, dm, dn, c0, c1, _, _, _, _ = pieces[k][i]
+        end = min(steps + G, limit)
+        last = end - _POWER  # the last start of a power step in the block
+        while steps < end:
+            if steps < plain or steps > last:
+                cs = cuts[k]
+                i = bisect_left(cs, t)
+                c, lo, piece = cs[i], lows[k][i], pieces[k][i]
+                if c == t:
+                    corner = walk.corner_hit(k, i, m, n)
+                    break
+                steps += 1
+            else:
+                cs = power_cuts[k]
+                i = bisect_left(cs, t)
+                c, lo, piece = cs[i], power_lows[k][i], power_pieces[k][i]
+                if c == t or (k, t) in preds or to_cell and \
+                        piece[7] <= sm - m <= piece[8] and \
+                        piece[9] <= sn - n <= piece[10]:
+                    plain = steps + _POWER
+                    continue
+                steps += _POWER
+            if c - t < above:
+                above = c - t
+            if t - lo < below:
+                below = t - lo
+            k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi = piece
             ext += c0 + c1 * t
             if flip:
                 t = shift - t
@@ -887,16 +921,16 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                 sign = -sign
             else:
                 t += shift
+            if m + plo < mlo:
+                mlo = m + plo
+            if m + phi > mhi:
+                mhi = m + phi
+            if n + qlo < nlo:
+                nlo = n + qlo
+            if n + qhi > nhi:
+                nhi = n + qhi
             m += dm
             n += dn
-            if m < mlo:
-                mlo = m
-            elif m > mhi:
-                mhi = m
-            if n < nlo:
-                nlo = n
-            elif n > nhi:
-                nhi = n
             if m == sm and n == sn and to_cell:
                 returned = True
                 closed = t == t0 and k == k0
@@ -904,20 +938,13 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             if t == t0 and k == k0:
                 closed = True
                 break
-            cs = cuts[k]
-            i = bisect_left(cs, t)
-            c = cs[i]
-            if c == t:
-                corner = walk.corner_hit(k, i, m, n)
-                break
-            if c - t < above:
-                above = c - t
-            c = t - lows[k][i]
-            if c < below:
-                below = c
         else:
             continue
         break
+    else:  # at the limit, a corner the next step runs into is reported
+        i = bisect_left(cuts[k], t)
+        if cuts[k][i] == t:
+            corner = walk.corner_hit(k, i, m, n)
     if not closed:
         return _Walk(steps, m, n, ext, corner, None, returned)
     if sign != 1:
@@ -1185,18 +1212,6 @@ def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath
         points.append(corner)
         return TracedPath(tuple(points), singular=True, corner=corner)
     return TracedPath(tuple(points))
-
-
-def path_length(path: TracedPath, slope: Slope) -> Fraction:
-    """Exact length of a traced polyline in primitive-vector units."""
-    total = Fraction(0)
-    for p0, p1 in zip(path.points, path.points[1:]):
-        dx, dy = abs(p1.x - p0.x), abs(p1.y - p0.y)
-        if slope.v:
-            total += Fraction(dx, slope.v)
-        else:
-            total += Fraction(dy, slope.u)
-    return total
 
 
 def time_reversed(state: BilliardState) -> BilliardState:

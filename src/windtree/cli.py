@@ -13,9 +13,10 @@ import argparse
 import dataclasses
 import json
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from . import billiard, experiments, lift, origami, svg
 from .billiard import Outcome
@@ -364,6 +365,8 @@ def cmd_selftest(cfg: RunConfig) -> int:
         params, Fraction(1, 3) + Fraction(1, 2**12), 14, 5, 50000, 8)))
     checks.append(("4096 collisions in one block equal single steps",
                    _block_matches_single_steps(params, 4096)))
+    checks.append(("4181/6765 cycle on the power map equals single steps",
+                   _cycle_matches_single_steps(params, Slope(4181, 6765))))
     ballistic = [experiments.diffusion_experiment(
         Params.parse("2/3,2/3"), experiments.exact_direction(1), 1, horizon,
         4).samples[0].statistic for horizon in (1000, 4000)]
@@ -376,16 +379,19 @@ def cmd_selftest(cfg: RunConfig) -> int:
     return EXIT_OK if failed == 0 else EXIT_ERROR
 
 
+def _sample_orbit(params: Params, slope: Slope, seed: int) -> billiard.Orbit:
+    start = experiments.sample_boundary_starts(params, slope, 1, seed)[0]
+    return billiard.Orbit(billiard.make_state(
+        params, (0, 0), start.side, start.offset, slope, start.orientation),
+        params)
+
+
 def _block_matches_single_steps(params: Params, count: int) -> bool:
     """Whether one `Orbit.advance` of ``count`` collisions from a start of
     a 64-bit direction, which steps on the power map, ends as ``count``
     single-piece steps do: state, extent and box of cells."""
-    slope = experiments.quantize_direction(
-        Fraction("0.31830988618379067154"), 64).slope
-    start = experiments.sample_boundary_starts(params, slope, 1, 7)[0]
-    walk = billiard.Orbit(billiard.make_state(
-        params, (0, 0), start.side, start.offset, slope, start.orientation),
-        params)
+    walk = _sample_orbit(params, experiments.quantize_direction(
+        Fraction("0.31830988618379067154"), 64).slope, 7)
     k, t, m, n = walk.k, walk.t, 0, 0
     ms, ns, ext = [m], [n], 0
     try:
@@ -397,6 +403,42 @@ def _block_matches_single_steps(params: Params, count: int) -> bool:
         return False
     return walk.advance(walk.k, walk.t, 0, 0, count) == (
         count, k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns), None)
+
+
+def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
+    """Whether the cycle `_walk_period` records on the power map is the
+    one single steps give: the state and extent at every landmark, the box
+    of every landmark block (an `Orbit.advance` of fewer than _BLOCK), the
+    drift, the extent and the interval of starts on the same pieces: phase
+    j moves by +-d when the start moves by d, the sign fixed by the leaf
+    geometry."""
+    walk = _sample_orbit(params, slope, 1)
+    cuts, leaf, G = walk._cuts, billiard._LEAF, billiard._LANDMARK_EVERY
+    cyc = billiard._walk_period(walk, 10**6, billiard._CycleStore(
+        [cs[-1] // walk.n0 for cs in cuts])).cycle
+    if cyc is None or cyc.length <= billiard._POWER_FROM:
+        return False
+    k0, t0, n0, L = walk.k, walk.t, walk.n0, cyc.length
+    state = (k0, t0, 0, 0, 0)
+    for b in range(len(cyc.k)):
+        k, t, m, n, ext = state
+        _, k, t, m, n, adx, *box, _ = walk.advance(k, t, m, n,
+                                                   min(G, L - b * G))
+        cm, cn = cyc.cm[b], cyc.cn[b]
+        if billiard._landmark(walk, cyc, t0, b, 0) != state or box != [
+                cm + cyc.mlo[b], cm + cyc.mhi[b], cn + cyc.nlo[b],
+                cn + cyc.nhi[b]]:
+            return False
+        state = (k, t, m, n, ext + adx)
+    dlo, dhi = -t0, cuts[k0][-1] - t0
+    for k, t, *_ in chain([(k0, t0)], islice(walk.steps(k0, t0, 0, 0), L - 1)):
+        i = bisect_left(cuts[k], t)
+        lo, hi = (cuts[k][i - 1] if i else 0) - t, cuts[k][i] - t
+        if leaf[k0] * leaf[k] < 0:
+            lo, hi = -hi, -lo
+        dlo, dhi = max(dlo, lo), min(dhi, hi)
+    return state == (k0, t0, *cyc.drift, n0 * cyc.extent) and \
+        (t0 + dlo, t0 + dhi) == (n0 * cyc.lo, n0 * cyc.hi)
 
 
 def _guard_passes(params: Params, theta: Fraction, bits: int, samples: int,

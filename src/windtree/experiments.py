@@ -325,11 +325,15 @@ class DiffusionReport:
     samples: tuple
 
     def to_csv(self) -> str:
-        rows = ["t,dist,statistic",
+        """Per sample: its witness rows, then its sup, time and collisions."""
+        rows = ["sample_id,row,t,dist,statistic,collisions",
                 "# floats: ieee754-binary64, hexadecimal"]
         for s in self.samples:
             for t, dist, stat in s.witnesses:
-                rows.append(f"{t.hex()},{dist.hex()},{stat.hex()}")
+                rows.append(f"{s.sample_id},witness,{t.hex()},{dist.hex()},"
+                            f"{stat.hex()},")
+            rows.append(f"{s.sample_id},sup,{s.sup_time.hex()},,"
+                        f"{s.statistic.hex()},{s.collisions}")
         return "\n".join(rows) + "\n"
 
 

@@ -87,7 +87,7 @@ class MarkedPoint:
 class Origami:
     """Connected square-tiled surface with optional marked points."""
 
-    __slots__ = ("n", "h", "v", "h_inv", "v_inv", "marked")
+    __slots__ = ("n", "h", "v", "h_inv", "v_inv", "marked", "_involution")
 
     def __init__(self, h, v, marked=()):
         h = tuple(h)
@@ -102,6 +102,7 @@ class Origami:
         self.h_inv = _invert(h)
         self.v_inv = _invert(v)
         self.marked = self._checked_points(marked)
+        self._involution = None  # kept by `hyperelliptic_involution`
         if not self._connected():
             raise DomainError("the cell permutations do not act transitively")
 
@@ -414,7 +415,10 @@ def hyperelliptic_involution(origami: Origami) -> tuple:
     whose top-right vertex class has the root's size can be the root's
     image.  On the single-cone-point stratum those are the three cells
     around the cone point, which makes the search linear in the cells.
+    The origami keeps the involution found, for later calls.
     """
+    if origami._involution is not None:
+        return origami._involution
     n, h, v = origami.n, origami.h, origami.v
     classes, where, _ = _cycles(origami.vertex_rotation())
     class_size = [len(classes[k]) for k in where]
@@ -430,6 +434,7 @@ def hyperelliptic_involution(origami: Origami) -> tuple:
             sols.append(iota)
     if len(sols) != 1:
         raise DomainError(f"expected a unique involution, found {len(sols)}")
+    origami._involution = sols[0]
     return sols[0]
 
 
@@ -562,10 +567,6 @@ def format_word(word) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def inverse_word(word) -> tuple:
-    return tuple((g, -k) for g, k in reversed(as_tokens(word)))
-
-
 def _shear(h: tuple, v: tuple, marked: list, k: int):
     """T^k on raw gluings: rows keep their order; the cell above i becomes
     the cell above the k-th left neighbor."""
@@ -639,24 +640,6 @@ def sl2z_act(origami: Origami, word) -> Origami:
     return Origami(h, v, [MarkedPoint(*mp) for mp in marked])
 
 
-def word_matrix(word) -> tuple:
-    """2x2 integer matrix of a generator word (as ((a, b), (c, d)))."""
-    a, b, c, d = 1, 0, 0, 1
-    for gen, k in as_tokens(word):
-        if gen == "T":
-            e, f, g2, k2 = 1, k, 0, 1
-        elif k % 4 == 1:
-            e, f, g2, k2 = 0, -1, 1, 0
-        elif k % 4 == 2:
-            e, f, g2, k2 = -1, 0, 0, -1
-        elif k % 4 == 3:
-            e, f, g2, k2 = 0, 1, -1, 0
-        else:
-            continue
-        a, b, c, d = e * a + f * c, e * b + f * d, g2 * a + k2 * c, g2 * b + k2 * d
-    return ((a, b), (c, d))
-
-
 def direction_to_horizontal_word(slope: Slope) -> tuple:
     """Generator word whose matrix sends the direction (v, u) to (+-1, 0).
 
@@ -717,7 +700,7 @@ class CylinderDecomposition:
         whole cells crossed; a quarter turn maps (x, y) to (y, 1 - x), and
         a point on a cell's left edge (x = 0) lands on the bottom edge of
         the cell to its left.  The result equals the points marked on
-        sl2z_act(origami, word) and carried by inverse_word(word), except
+        sl2z_act(origami, word) and carried back by the inverse word, except
         at lattice corners, which are left in the cell they arrive in.
         """
         out = [(cell, Fraction(x), Fraction(y)) for cell, x, y in points]
@@ -892,47 +875,3 @@ def cylinder_bounds_constant(origami: Origami, slope_limit: int) -> Fraction:
     if best > ceil_sqrt2_times(origami.n):
         raise AssertionError("cylinder bound constant exceeded the proven cap")
     return best
-
-
-# -- exact straight-line flow on the polygon ---------------------------
-
-
-def flow_first_hit(origami: Origami, start: tuple, direction: tuple,
-                   target: tuple, max_segments: int = 100000):
-    """Length (in primitive direction vectors) at which the straight flow
-    from ``start`` first reaches ``target``, or None.
-
-    ``start`` and ``target`` are (cell, x, y) with in-cell coordinates;
-    the direction (V, U) must have positive components.  Reaching the cone
-    point stops the flow.
-    """
-    V, U = direction
-    if V <= 0 or U <= 0:
-        raise DomainError("flow direction must have positive components")
-    h, v = origami.h, origami.v
-
-    def regular_ne(c):
-        return v[h[c]] == h[v[c]]
-
-    cell, x, y = start
-    tcell, tx, ty = target
-    lam = Fraction(0)
-    for _ in range(max_segments):
-        # target on the forward segment inside `cell`?  (canonical in-cell
-        # coordinates are < 1, so collinear ahead-of-us means this segment)
-        if cell == tcell and tx >= x and (tx - x) * U == (ty - y) * V:
-            return lam + Fraction(tx - x, V)
-        t_right = Fraction(1 - x, V)
-        t_top = Fraction(1 - y, U)
-        if t_right < t_top:
-            lam += t_right
-            cell, x, y = h[cell], Fraction(0), y + t_right * U
-        elif t_top < t_right:
-            lam += t_top
-            cell, x, y = v[cell], x + t_top * V, Fraction(0)
-        else:
-            if not regular_ne(cell):
-                return None  # ran into the cone point
-            lam += t_right
-            cell, x, y = v[h[cell]], Fraction(0), Fraction(0)
-    return None

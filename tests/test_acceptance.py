@@ -18,12 +18,13 @@ from windtree.experiments import (approximation_search, diffusion_experiment,
 from windtree.lift import LiftKind, lift_direction, wpoint_orbit_partition
 from windtree.origami import (build_origami, ceil_sqrt2_times,
                               decompose_direction, decompose_table_direction,
-                              enumerate_good_directions, flow_first_hit,
+                              enumerate_good_directions,
                               integer_weierstrass_count, orbit_invariant,
                               OrbitClass, scaled_weierstrass_coords,
                               sl2z_act, table_to_scaled_slope)
 
 from oracles import separatrix_cylinders
+from support import flow_first_hit
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)

@@ -12,17 +12,20 @@ from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
                                Orbit, Outcome, TrajectoryOutcome, _Lattice,
                                _cycle_store, _return_map, classify_trajectory,
                                collision_sequence, first_return, launch,
-                               leaving_orientation, make_state, midpoint_state,
-                               next_collision, path_length, regular_start,
+                               leaving_orientation, make_state,
+                               next_collision, regular_start,
                                side_length, side_offset, symmetry_check,
                                time_reversed, trace)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import Params, ParityClass, PointQ, Slope, classify_params
+from windtree.experiments import sample_boundary_starts
 
 from census import direction_cycles
 from grid_stepper import (GridStepper, assert_resolved, long_flight,
                           long_pieces)
 from oracles import scan_next_hit
+from support import midpoint_state, path_length
+from walk_reference import _walk_period as single_piece_walk
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -1332,3 +1335,118 @@ def test_cycle_store_records_long_flight_cycles():
     for s, w in zip(starts, want):
         if w.kind is Outcome.ESCAPING:
             _assert_recorded(s, params)
+
+
+# -- the recording walk on the power map ---------------------------------
+
+_CYCLE_COLUMNS = ("length", "drift", "extent", "lo", "hi", "span", "k",
+                  "sign", "off", "cm", "cn", "ea", "mlo", "mhi", "nlo", "nhi")
+
+
+def _walk_record(res):
+    """A `_Walk` as plain data: every field, with the corner as its point
+    and the cycle as every column."""
+    corner = res.corner and (res.corner.x, res.corner.y)
+    cycle = res.cycle and [list(getattr(res.cycle, c)) if c in ("k", "sign")
+                           else getattr(res.cycle, c) for c in _CYCLE_COLUMNS]
+    return res._replace(corner=corner, cycle=cycle)
+
+
+def _walk_both_ways(params, start, limit, to_cell=False):
+    """The walks of `_walk_period` and of the single-piece reference from
+    one start, each recording into a store of its own, as plain data."""
+    lengths = [cs[-1] for cs in
+               _return_map(params, start.slope.u, start.slope.v)[0]]
+    return [_walk_record(walk(Orbit(start, params), limit,
+                              billiard._CycleStore(lengths), to_cell))
+            for walk in (billiard._walk_period, single_piece_walk)]
+
+
+@pytest.mark.parametrize("slope", ["233/377", "987/1597", "1597/2584",
+                                   "2584/4181", "4181/6765", "6765/10946",
+                                   "10946/17711"])
+def test_power_walk_records_the_bench_slopes_as_single_steps(slope):
+    # the rational-orbits slopes on 1/2,1/2: periodic and escaping cycles
+    # of 1,220 to 21,892 collisions, walked whole and to the start cell
+    slope = Slope.parse(slope)
+    for seed in (1, 2):
+        s = sample_boundary_starts(HALF, slope, 1, seed)[0]
+        start = make_state(HALF, (0, 0), s.side, s.offset, slope,
+                           s.orientation)
+        for to_cell in (False, True):
+            got, want = _walk_both_ways(HALF, start, 24000, to_cell)
+            assert got == want
+            assert want.steps > billiard._POWER_FROM
+            assert want.cycle is not None or want.returned
+
+
+# Tables with cycles longer than _POWER_FROM of each even period mod 8.
+_LONG_CYCLE_TABLES = (((5, 7, 5, 9), (5, 4)), ((2, 7, 3, 4), (66, 47)),
+                      ((8, 9, 7, 8), (38, 51)), ((1, 2, 8, 9), (43, 59)))
+
+
+def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
+    # random tables of all three parity classes and slopes up to 99, and
+    # tables with long cycles; starts at lattice scales n0 > 1 in random
+    # cells, walked whole or to the start cell, with limits that cut a
+    # walk mid-block or at a non-multiple of 8; starts that run into a
+    # corner inside a power piece.  Periods are even (each orientation
+    # sign flips an even number of times), and closed periods of every
+    # even residue mod 8 are seen; returns to the start cell and corners
+    # come at odd counts too.
+    for k, (side, (sx, sy)) in enumerate(DOMAINS):
+        # the walk finds the start's predecessors by time reversal
+        assert DOMAINS[k ^ 1] == (side, leaving_orientation(side, (-sx, -sy)))
+    reads = []
+    power_map = billiard._power_map
+
+    def logged_power_map(*key):
+        cuts, pieces = power_map(*key)
+        return cuts, _logged(pieces, reads, "power")
+
+    monkeypatch.setattr(billiard, "_power_map", logged_power_map)
+    rng = random.Random(16)
+    seen = {"classes": set(), "residues": set(), "n0": 0, "returned": 0,
+            "corner": 0, "limit": 0, "mid-block": 0}
+    for case in range(320):
+        if case % 2:
+            pqrs, uv = rng.choice(_LONG_CYCLE_TABLES)
+        else:
+            while True:
+                q, s = rng.randint(2, 12), rng.randint(2, 12)
+                pqrs = (rng.randint(1, q - 1), q, rng.randint(1, s - 1), s)
+                uv = (rng.randint(1, 99), rng.randint(1, 99))
+                if gcd(*pqrs[:2]) == gcd(*pqrs[2:]) == gcd(*uv) == 1:
+                    break
+        params, slope = classify_params(*pqrs), Slope(*uv)
+        cell = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if case % 3 == 2:
+            start = _corner_bound_start(params, slope, cell,
+                                        rng.randint(520, 700), rng)[0]
+        else:
+            den = rng.randint(2, 12)
+            start = _random_start(pqrs, uv,
+                                  rng.choice((LEFT, RIGHT, BOTTOM, TOP)),
+                                  rng.randint(1, den - 1), den,
+                                  rng.choice((1, -1)), cell)[1]
+        limit = rng.choice((10**6, rng.randint(billiard._POWER_FROM, 2000),
+                            8 * rng.randint(65, 250)))
+        to_cell = rng.random() < 0.5
+        got, want = _walk_both_ways(params, start, limit, to_cell)
+        assert got == want, case
+        seen["classes"].add(params.parity_class)
+        if want.steps <= billiard._POWER_FROM:
+            continue
+        if want.cycle is not None and not want.returned:
+            seen["residues"].add(want.steps % 8)
+            seen["n0"] += Orbit(start, params).n0 > 1
+        elif want.returned:
+            seen["returned"] += want.steps % 8 != 0
+        elif want.corner is not None:
+            seen["corner"] += want.steps % 8 != 0
+        elif want.steps == limit:
+            seen["limit"] += limit % 8 != 0
+            seen["mid-block"] += limit % 8 == 0 != limit % 32
+    assert seen.pop("classes") == set(ParityClass)
+    assert seen.pop("residues") == {0, 2, 4, 6}
+    assert min(seen.values()) >= 5 and len(reads) > 5000, seen

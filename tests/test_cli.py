@@ -148,7 +148,8 @@ def test_diffuse_command(tmp_path, capsys):
                        "--theta", "1/1", "--samples", "3",
                        "--horizon", "3000", "--csv", str(csv))
     assert code == EXIT_OK and "statistic" in out
-    assert csv.read_text().splitlines()[0] == "t,dist,statistic"
+    assert csv.read_text().splitlines()[0] == \
+        "sample_id,row,t,dist,statistic,collisions"
 
 
 def test_stability_command(capsys):
@@ -176,6 +177,13 @@ def test_selftest_checks_a_block_on_the_power_map(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == EXIT_OK
     assert "PASS  4096 collisions in one block equal single steps\n" in out
+
+
+def test_selftest_checks_a_cycle_recorded_on_the_power_map(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == EXIT_OK
+    assert ("PASS  4181/6765 cycle on the power map equals single steps\n"
+            in out)
 
 
 def test_config_roundtrips(tmp_path):
@@ -484,16 +492,16 @@ def test_csv_bytes_pinned(tmp_path, capsys, command, params, slope, digest,
 @pytest.mark.parametrize("args,digest,size", [
     (("--params", "2/3,2/3", "--theta", "1.0000003", "--samples", "4",
       "--horizon", "20000", "--seed", "5"),
-     "a9ae62cea013615fcc63dff7f8027f93fb45677fd1503f86c5be8e258dd7b13e",
-     16185),
+     "7218d0f7b07da55e3dd388b8ccc900500e028c3d14a9384ad815efa4b376c87a",
+     19250),
     (("--params", "4/13,4/5", "--theta", "0.3183098861837907", "--samples",
       "3", "--horizon", "20000", "--seed", "2"),
-     "b3f9f0021bd77f42e704450d8c6b2493d47ef760fcbb6c200e83471a74263d7f",
-     12153),
+     "04e4429e38c568020c7b5b727bb9ad10dc5ff1bdad135fd2a88c10b320a3576c",
+     14458),
     (("--params", "2/3,2/3", "--theta", "0.41421356237309515", "--samples",
       "3", "--horizon", "5000", "--seed", "7", "--k", "2"),
-     "76b8aecce551b8045949e245361bdf6db82e10ec271d5d7fdc47b9474ee584fb",
-     246),
+     "ad669ad9008b51423aadf9f12817b285f42f2eff6f7edf198bf0de9331ddc099",
+     466),
 ])
 def test_diffuse_csv_bytes_pinned(tmp_path, capsys, args, digest, size):
     # the witnesses' float bits: a ballistic orbit just above slope 1, a
@@ -504,6 +512,30 @@ def test_diffuse_csv_bytes_pinned(tmp_path, capsys, args, digest, size):
     data = out.read_bytes()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_diffuse_csv_carries_the_sup_it_reports(tmp_path, capsys):
+    # each sample's witness rows, then one sup row; the largest sup is the
+    # max the command prints
+    out = tmp_path / "d.csv"
+    code, stdout, _ = run(capsys, "diffuse", "--params", "2/3,2/3", "--theta",
+                          "0.41421356237309515", "--samples", "3",
+                          "--horizon", "5000", "--seed", "7", "--k", "2",
+                          "--csv", str(out))
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == sorted(int(r[0]) for r in rows)
+    for sample_id in ("0", "1", "2"):
+        *witnesses, sup = [r[1:] for r in rows if r[0] == sample_id]
+        assert witnesses and {w[0] for w in witnesses} == {"witness"}
+        assert all(w[4] == "" for w in witnesses)
+        assert sup[0] == "sup" and sup[2] == "" and sup[4] == "5000"
+        # the sup is at least the last record update, at or after it
+        last = witnesses[-1]
+        assert float.fromhex(sup[3]) >= float.fromhex(last[3])
+        assert float.fromhex(sup[1]) >= float.fromhex(last[1])
+    sups = [float.fromhex(r[4]) for r in rows if r[1] == "sup"]
+    assert stdout.endswith(f"max {max(sups):.3f}\n")
 
 
 def test_recur_shadowed_csv_bytes_pinned(tmp_path, capsys):

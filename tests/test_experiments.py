@@ -22,6 +22,7 @@ from windtree.experiments import (Approximant, DiffusionSample, DirectionSpec,
                                   sample_boundary_starts, stability_check)
 
 from grid_stepper import assert_resolved, long_pieces
+from support import path_length
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -84,7 +85,7 @@ def test_recurrence_axis_samples_respect_a_horizon_of_one(table, slope):
         state = make_state(params, (0, 0), st0.side, st0.offset, slope,
                            st0.orientation)
         assert s.drift == billiard.next_collision(state, params).cell
-        assert s.geometric_length == billiard.path_length(
+        assert s.geometric_length == path_length(
             billiard.trace(state, params, 1), slope)
         lost += 1
     assert lost > 0

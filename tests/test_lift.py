@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from windtree.billiard import (Orbit, Outcome, _return_map,
                                classify_trajectory, launch, make_state,
-                               midpoint_state, regular_start)
+                               regular_start)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import (Params, PointQ, Slope, classify_params,
                             mediant_enumerate)
@@ -18,10 +18,11 @@ from windtree.lift import (LiftKind, abc_strip_check, fold_cell_point,
                            wpoint_orbit_partition)
 from windtree.origami import (MarkedPoint, Origami, _horizontal_cylinders,
                               build_origami, decompose_direction,
-                              decompose_table_direction, inverse_word,
+                              decompose_table_direction,
                               scaled_direction_gcd, sl2z_act)
 
 from census import direction_cycles
+from support import inverse_word, midpoint_state
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from windtree import origami as origami_mod
 from windtree.errors import DomainError
 from windtree.exact import Params, ParityClass, Slope, classify_params
 from windtree.origami import (Cylinder, CylinderDecomposition, MarkedPoint,
@@ -15,14 +16,15 @@ from windtree.origami import (Cylinder, CylinderDecomposition, MarkedPoint,
                               ceil_sqrt2_times, cylinder_bounds_constant,
                               decompose_direction, decompose_table_direction,
                               direction_to_horizontal_word,
-                              enumerate_good_directions, flow_first_hit,
+                              enumerate_good_directions,
                               hyperelliptic_involution, integer_weierstrass_count,
                               involution_fixed_points, is_good_one_cylinder,
                               locate_weierstrass,
                               orbit_invariant, scaled_direction_gcd, sl2z_act,
-                              table_to_scaled_slope, word_matrix)
+                              table_to_scaled_slope)
 
 from oracles import separatrix_cylinders
+from support import flow_first_hit, word_matrix
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -96,6 +98,23 @@ def test_involution_unique_and_marked_points_verified():
     assert all(iota[iota[i]] == i for i in range(n))
     assert all(iota[og.h[i]] == og.h_inv[iota[i]] for i in range(n))
     assert all(iota[og.v[i]] == og.v_inv[iota[i]] for i in range(n))
+
+
+def test_orbit_invariant_reuses_the_involution_build_verified(monkeypatch):
+    # build_origami finds the involution once; the invariant and later
+    # calls read it from the surface instead of searching again
+    og = build_origami(classify_params(3, 44, 9, 44))  # 1909 cells
+    iota = hyperelliptic_involution(og)
+    fresh = Origami(og.h, og.v, og.marked)
+    assert hyperelliptic_involution(fresh) == iota
+
+    def no_search(*args):
+        raise AssertionError("involution searched again")
+
+    monkeypatch.setattr(origami_mod, "_propagate", no_search)
+    assert hyperelliptic_involution(og) is iota
+    assert orbit_invariant(og) == orbit_invariant(fresh)
+    assert orbit_invariant(og).kind is OrbitClass.ORBIT_A
 
 
 def test_orbit_invariant_by_parity():
