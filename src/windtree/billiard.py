@@ -134,20 +134,23 @@ class TrajectoryOutcome:
     combinatorial_length: int
     geometric_length: Fraction
     drift: tuple
-    pre_period: int  # always 0: every orbit's first reduced repeat is its start
     corner: PointQ | None = None
     repeat_cells: tuple | None = None  # (start cell, cell one period later)
 
     @property
-    def is_periodic(self) -> bool:
-        return self.kind is Outcome.PERIODIC
+    def pre_period(self) -> int:
+        """Always 0: every orbit's first reduced repeat is its start."""
+        return 0
 
 
 @dataclass(frozen=True)
 class TracedPath:
     points: tuple
-    singular: bool = False
-    corner: PointQ | None = None
+    corner: PointQ | None = None  # where a singular path ends
+
+    @property
+    def singular(self) -> bool:
+        return self.corner is not None
 
 
 def side_length(params: Params, side: str) -> Fraction:
@@ -206,7 +209,7 @@ def make_state(params: Params, cell: tuple, side: str, offset: Fraction,
     # coordinate i is the side's, the other one runs from its low end
     fixed, along = cell[i] + normal * half[i], cell[j] - half[j] + offset
     pos = PointQ(fixed, along) if i == 0 else PointQ(along, fixed)
-    state = BilliardState(pos, side, (m, n), tuple(orientation), slope.unsigned())
+    state = BilliardState(pos, side, (m, n), tuple(orientation), slope)
     validate_state(state, params)
     return state
 
@@ -1019,10 +1022,8 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
     p = b * G - s
     rnd = 1 if p < 0 else 0
     p += rnd * L
-    cm = cyc.cm[b] + rnd * dm - wm
-    cn = cyc.cn[b] + rnd * dn - wn
-    e0 = n0 * (cyc.ea[b] + rnd * cyc.extent) + \
-        _extent_slope(walk.lattice.v, cyc.k[0], cyc.k[b]) * tau - wext
+    _, _, cm, cn, e0 = _landmark(walk, cyc, tau, b, rnd)
+    cm, cn, e0 = cm - wm, cn - wn, e0 - wext
     first, last = p + 1, p + horizon
     # only rounds whose drift brings the start cell into the cycle's span
     lo_m, hi_m, lo_n, hi_n = cyc.span
@@ -1135,7 +1136,7 @@ def classify_trajectory(start: BilliardState, params: Params,
     if start.slope.is_axis:
         return TrajectoryOutcome(Outcome.PERIODIC, 2,
                                  2 * _axis_flight(start.slope, params),
-                                 (0, 0), 0)
+                                 (0, 0))
 
     walk = Orbit(start, params)
     store = _cycle_store(params, start.slope.u, start.slope.v)
@@ -1151,14 +1152,14 @@ def classify_trajectory(start: BilliardState, params: Params,
         if res.corner is not None:
             # length up to the last collision
             return TrajectoryOutcome(Outcome.SINGULAR, res.steps,
-                                     Fraction(res.extent, vN), (0, 0), 0,
+                                     Fraction(res.extent, vN), (0, 0),
                                      corner=PointQ(res.corner.x, res.corner.y))
         if res.cycle is None:
             return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
-                                     Fraction(res.extent, vN), (0, 0), 0)
+                                     Fraction(res.extent, vN), (0, 0))
         steps, dm, dn, extent = res.steps, res.m - m0, res.n - n0, res.extent
     kind = Outcome.PERIODIC if (dm, dn) == (0, 0) else Outcome.ESCAPING
-    return TrajectoryOutcome(kind, steps, Fraction(extent, vN), (dm, dn), 0,
+    return TrajectoryOutcome(kind, steps, Fraction(extent, vN), (dm, dn),
                              repeat_cells=((m0, n0), (m0 + dm, n0 + dn)))
 
 
@@ -1210,7 +1211,7 @@ def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath
     except CornerHit as hit:
         corner = PointQ(hit.x, hit.y)
         points.append(corner)
-        return TracedPath(tuple(points), singular=True, corner=corner)
+        return TracedPath(tuple(points), corner)
     return TracedPath(tuple(points))
 
 

@@ -203,24 +203,23 @@ def cmd_render(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_origami(cfg: RunConfig, params: Params):
+def _decomposition(cfg: RunConfig) -> tuple:
+    """(slope, decomposition, frame): the slope decomposed on the
+    ``--origami`` surface as written, else as a table slope on the
+    quotient surface of ``--params``."""
+    params = Params.parse(cfg.params)
+    slope = Slope.parse(cfg.slope)
     if cfg.origami_file:
         with open(cfg.origami_file, encoding="utf-8") as fh:
-            return origami.Origami.deserialize(fh.read())
-    return origami.build_origami(params)
+            surface = origami.Origami.deserialize(fh.read())
+        return slope, origami.decompose_direction(surface, slope), \
+            "origami frame"
+    return slope, origami.decompose_table_direction(params, slope), \
+        "table frame"
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
-    params = Params.parse(cfg.params)
-    slope = Slope.parse(cfg.slope)
-    surface = _load_origami(cfg, params)
-    if cfg.origami_file:
-        decomp = origami.decompose_direction(surface, slope)
-        frame = "origami frame"
-    else:
-        decomp = origami.decompose_direction(
-            surface, origami.table_to_scaled_slope(params, slope))
-        frame = "table frame"
+    slope, decomp, frame = _decomposition(cfg)
     print(f"direction {slope} ({frame}): {len(decomp.cylinders)} cylinder(s), "
           f"word {origami.format_word(decomp.word)}")
     rows = ["cylinder,circumference,height,modulus,cells,waist_points"]
@@ -238,18 +237,8 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 
 def cmd_classify_direction(cfg: RunConfig) -> int:
-    params = Params.parse(cfg.params)
-    slope = Slope.parse(cfg.slope)
-    if cfg.origami_file:
-        surface = _load_origami(cfg, params)
-        decomp = origami.decompose_direction(surface, slope)
-        frame = "origami frame"
-    else:
-        decomp = origami.decompose_table_direction(params, slope)
-        frame = "table frame"
-    waist = set(decomp.cylinders[0].waist_marked_points) \
-        if len(decomp.cylinders) == 1 else set()
-    good = len(decomp.cylinders) == 1 and {"E", "F"} <= waist
+    slope, decomp, frame = _decomposition(cfg)
+    good = decomp.good_one_cylinder
     kinds = "one-cylinder" if len(decomp.cylinders) == 1 else \
         f"{len(decomp.cylinders)}-cylinder"
     print(f"slope {slope} ({frame}): {kinds}; "

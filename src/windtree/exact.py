@@ -36,26 +36,23 @@ class PointQ:
 
 @dataclass(frozen=True)
 class Slope:
-    """Unsigned reduced slope u/v plus an optional sign class.
+    """Unsigned reduced slope u/v.
 
     ``u`` is the rise and ``v`` the run, both non-negative with gcd 1 and
     not both zero; the magnitude of the slope is conserved by reflections
-    in the obstacle sides, so it is kept separate from the orientation,
-    which is the pair of signs of (dx, dy).  Horizontal is (u, v) = (0, 1),
-    vertical is (1, 0).
+    in the obstacle sides, so it carries no orientation: the pair of signs
+    of (dx, dy) belongs to a billiard state.  Horizontal is (u, v) =
+    (0, 1), vertical is (1, 0).
     """
 
     u: int
     v: int
-    orientation: tuple = (1, 1)
 
     def __post_init__(self):
         if self.u < 0 or self.v < 0 or (self.u == 0 and self.v == 0):
             raise DomainError(f"invalid slope {self.u}/{self.v}")
         if gcd(self.u, self.v) != 1:
             raise DomainError(f"slope {self.u}/{self.v} is not reduced")
-        if self.orientation not in ORIENTATIONS:
-            raise DomainError(f"invalid orientation {self.orientation!r}")
 
     @property
     def is_horizontal(self) -> bool:
@@ -74,12 +71,9 @@ class Slope:
             raise DomainError("vertical slope has no finite value")
         return Fraction(self.u, self.v)
 
-    def unsigned(self) -> "Slope":
-        return Slope(self.u, self.v)
-
-    def direction(self, orientation=None) -> tuple:
+    def direction(self, orientation: tuple) -> tuple:
         """Direction vector (dx, dy) for the given sign class."""
-        sx, sy = orientation if orientation is not None else self.orientation
+        sx, sy = orientation
         return (sx * self.v, sy * self.u)
 
     def __str__(self):
@@ -116,20 +110,37 @@ class ParityClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Params:
-    """Obstacle dimensions a = p/q, b = r/s with their parity class."""
+    """Reduced obstacle dimensions a = p/q, b = r/s in (0, 1).
+
+    Built only valid: gcd(p, q) = gcd(r, s) = 1, 0 < p < q and 0 < r < s,
+    else DomainError.  The parity class and a, b are derived once, here;
+    equality and hashing read p, q, r, s only.
+    """
 
     p: int
     q: int
     r: int
     s: int
-    parity_class: ParityClass
-    # derived once; equality, hashing and repr read p, q, r, s only
+    parity_class: ParityClass = field(init=False, compare=False)
     a: Rational = field(init=False, compare=False, repr=False)
     b: Rational = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.p, self.q))
-        object.__setattr__(self, "b", Fraction(self.r, self.s))
+        p, q, r, s = self.p, self.q, self.r, self.s
+        for num, den, name in ((p, q, "a"), (r, s, "b")):
+            if not (0 < num < den):
+                raise DomainError(f"dimension {name} = {num}/{den} outside (0,1)")
+            if gcd(num, den) != 1:
+                raise DomainError(f"dimension {name} = {num}/{den} not reduced")
+        if p % 2 == 1 and r % 2 == 1 and q % 2 == 0 and s % 2 == 0:
+            cls = ParityClass.E
+        elif p % 2 == 0 and r % 2 == 0 and q % 2 == 1 and s % 2 == 1:
+            cls = ParityClass.E_PRIME
+        else:
+            cls = ParityClass.OTHER
+        object.__setattr__(self, "parity_class", cls)
+        object.__setattr__(self, "a", Fraction(p, q))
+        object.__setattr__(self, "b", Fraction(r, s))
 
     @property
     def n_cells(self) -> int:
@@ -146,31 +157,14 @@ class Params:
             left, right = text.strip().split(",")
             ps, qs = left.split("/")
             rs, ss = right.split("/")
-            return classify_params(int(ps), int(qs), int(rs), int(ss))
+            return Params(int(ps), int(qs), int(rs), int(ss))
         except DomainError:
             raise
         except Exception as exc:
             raise DomainError(f"cannot parse params {text!r}") from exc
 
 
-def classify_params(p: int, q: int, r: int, s: int) -> Params:
-    """Validate reduced obstacle dimensions in (0,1)^2 and classify parity.
-
-    Raises DomainError unless gcd(p,q) = gcd(r,s) = 1, 0 < p < q and
-    0 < r < s.
-    """
-    for num, den, name in ((p, q, "a"), (r, s, "b")):
-        if not (0 < num < den):
-            raise DomainError(f"dimension {name} = {num}/{den} outside (0,1)")
-        if gcd(num, den) != 1:
-            raise DomainError(f"dimension {name} = {num}/{den} not reduced")
-    if p % 2 == 1 and r % 2 == 1 and q % 2 == 0 and s % 2 == 0:
-        cls = ParityClass.E
-    elif p % 2 == 0 and r % 2 == 0 and q % 2 == 1 and s % 2 == 1:
-        cls = ParityClass.E_PRIME
-    else:
-        cls = ParityClass.OTHER
-    return Params(p, q, r, s, cls)
+classify_params = Params  # validates the dimensions and classifies parity
 
 
 def mediant_enumerate(limit: int) -> list:

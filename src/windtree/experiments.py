@@ -128,15 +128,13 @@ def sample_boundary_starts(params: Params, slope: Slope, n_samples: int,
     per = 2 * (params.a + params.b)
     out = []
     for sid in range(n_samples):
-        t = Fraction(rng.randrange(1, grid), grid) * per
+        offset = Fraction(rng.randrange(1, grid), grid) * per
+        # offset < 2(a + b), so the left side takes what the others leave
         for side, length in ((BOTTOM, params.a), (RIGHT, params.b),
                              (TOP, params.a), (LEFT, params.b)):
-            if t < length:
-                offset = t
+            if offset < length:
                 break
-            t -= length
-        else:
-            side, offset = LEFT, params.b / 2
+            offset -= length
         if offset == 0:
             offset = length / 2
         coin = 1 if rng.random() < 0.5 else -1
@@ -163,7 +161,6 @@ class SampleResult:
 class RecurrenceReport:
     params: Params
     direction: DirectionSpec
-    n_samples: int
     horizon: int
     seed: int
     samples: tuple
@@ -284,8 +281,7 @@ def recurrence_experiment(params: Params, direction: DirectionSpec,
             results = list(pool.map(_run_sample_star, args))
     else:
         results = [_run_sample(*a) for a in args]
-    return RecurrenceReport(params, direction, n_samples, horizon, seed,
-                            tuple(results))
+    return RecurrenceReport(params, direction, horizon, seed, tuple(results))
 
 
 def _run_sample_star(args):
@@ -321,8 +317,13 @@ class DiffusionReport:
     k: int
     horizon: int
     seed: int
-    off_class_warning: bool
     samples: tuple
+
+    @property
+    def off_class_warning(self) -> bool:
+        """The parameters lie outside the even-over-odd class the growth
+        statement concerns."""
+        return self.params.parity_class is not ParityClass.E_PRIME
 
     def to_csv(self) -> str:
         """Per sample: its witness rows, then its sup, time and collisions."""
@@ -469,8 +470,7 @@ def diffusion_experiment(params: Params, direction: DirectionSpec, k: int,
         raise DomainError("horizon must be >= 1")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    off_class = params.parity_class is not ParityClass.E_PRIME
-    if off_class and not allow_any_class:
+    if params.parity_class is not ParityClass.E_PRIME and not allow_any_class:
         raise DomainError("displacement growth is stated for the "
                           "even-over-odd parameter class; pass "
                           "allow_any_class=True to explore others")
@@ -480,8 +480,7 @@ def diffusion_experiment(params: Params, direction: DirectionSpec, k: int,
     starts = sample_boundary_starts(params, slope, n_samples, seed)
     samples = tuple(_diffusion_sample(params, slope, st, k, horizon, stop_at)
                     for st in starts)
-    return DiffusionReport(params, direction, k, horizon, seed, off_class,
-                           samples)
+    return DiffusionReport(params, direction, k, horizon, seed, samples)
 
 
 # -- approximation by good directions -------------------------------------

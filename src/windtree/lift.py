@@ -48,7 +48,15 @@ class LiftReport:
     direction: Slope
     y_decomposition: CylinderDecomposition
     x_behavior: tuple
-    strongly_parabolic: bool
+
+    @property
+    def strongly_parabolic(self) -> bool:
+        """Every cylinder closes, all with the same lifted circumference and
+        height."""
+        return all(b.closes for b in self.x_behavior) and len({
+            (cyl.circumference * b.factor, cyl.height)
+            for cyl, b in zip(self.y_decomposition.cylinders,
+                              self.x_behavior)}) == 1
 
 
 def fold_to_table(params: Params, X: Fraction, Y: Fraction) -> PointQ:
@@ -154,10 +162,7 @@ def lift_direction(params: Params, table_slope: Slope) -> LiftReport:
                 raise AssertionError("strip samples of one cylinder differ "
                                      "beyond the signs of their drift")
             behaviors.append(CylinderLift(LiftKind.STRIP, None, results[0][1]))
-    strongly = all(b.closes for b in behaviors) and len({
-        (cyl.circumference * b.factor, cyl.height)
-        for cyl, b in zip(decomp.cylinders, behaviors)}) == 1
-    return LiftReport(table_slope, decomp, tuple(behaviors), strongly)
+    return LiftReport(table_slope, decomp, tuple(behaviors))
 
 
 def abc_strip_check(params: Params, table_slope: Slope) -> bool:

@@ -87,7 +87,8 @@ class MarkedPoint:
 class Origami:
     """Connected square-tiled surface with optional marked points."""
 
-    __slots__ = ("n", "h", "v", "h_inv", "v_inv", "marked", "_involution")
+    __slots__ = ("n", "h", "v", "h_inv", "v_inv", "_vertices", "marked",
+                 "_involution")
 
     def __init__(self, h, v, marked=()):
         h = tuple(h)
@@ -101,6 +102,9 @@ class Origami:
         self.v = v
         self.h_inv = _invert(h)
         self.v_inv = _invert(v)
+        # (vertex classes, class number of each cell), read by every
+        # vertex query
+        self._vertices = _cycles(self.vertex_rotation())[:2]
         self.marked = self._checked_points(marked)
         self._involution = None  # kept by `hyperelliptic_involution`
         if not self._connected():
@@ -112,12 +116,9 @@ class Origami:
         for mp in points:
             if not (0 <= mp.cell < self.n and 0 <= mp.x < 1 and 0 <= mp.y < 1):
                 raise DomainError(f"marked point {mp} outside the tiling")
-        if not any(mp.is_integer for mp in points):
-            return points
         # a lattice corner is shared by every cell around its vertex;
         # store the smallest cell of the class so equality is decidable
-        classes, where, _ = _cycles(self.vertex_rotation())
-        return tuple(MarkedPoint(mp.label, classes[where[mp.cell]][0], mp.x, mp.y)
+        return tuple(MarkedPoint(mp.label, self.vertex_rep(mp.cell), mp.x, mp.y)
                      if mp.is_integer else mp for mp in points)
 
     def _discovery(self, root: int) -> list:
@@ -160,14 +161,11 @@ class Origami:
     def vertex_classes(self) -> list:
         """Cells grouped by the vertex at their bottom-left corner, each
         class starting at its smallest cell."""
-        return _cycles(self.vertex_rotation())[0]
-
-    def vertex_class_index(self) -> tuple:
-        return tuple(_cycles(self.vertex_rotation())[1])
+        return self._vertices[0]
 
     def vertex_rep(self, cell: int) -> int:
         """The smallest cell of the vertex class of ``cell``."""
-        classes, where, _ = _cycles(self.vertex_rotation())
+        classes, where = self._vertices
         return classes[where[cell]][0]
 
     def stratum_signature(self) -> tuple:
@@ -315,7 +313,10 @@ class WeierstrassSet:
     exact coordinates on the stretched L-polygon."""
 
     coords: tuple  # ((label, (X, Y)), ...) in scaled units
-    integer_count: int
+
+    @property
+    def integer_count(self) -> int:
+        return len(self.integer_labels())
 
     def coord(self, label: str):
         for lab, xy in self.coords:
@@ -360,10 +361,7 @@ def _place_on_l(params: Params, X: Fraction, Y: Fraction):
 
 
 def locate_weierstrass(params: Params) -> WeierstrassSet:
-    coords = scaled_weierstrass_coords(params)
-    integer = sum(1 for x, y in coords.values()
-                  if x.denominator == 1 and y.denominator == 1)
-    return WeierstrassSet(tuple(sorted(coords.items())), integer)
+    return WeierstrassSet(tuple(sorted(scaled_weierstrass_coords(params).items())))
 
 
 @lru_cache(maxsize=None)
@@ -420,7 +418,7 @@ def hyperelliptic_involution(origami: Origami) -> tuple:
     if origami._involution is not None:
         return origami._involution
     n, h, v = origami.n, origami.h, origami.v
-    classes, where, _ = _cycles(origami.vertex_rotation())
+    classes, where = origami._vertices
     class_size = [len(classes[k]) for k in where]
     root = max(range(n), key=class_size.__getitem__)
     sols = []
@@ -446,7 +444,7 @@ def involution_fixed_points(origami: Origami, iota: tuple) -> list:
     lattice vertices (the cone point always among them).
     """
     h, v = origami.h, origami.v
-    classes, cls, _ = _cycles(origami.vertex_rotation())
+    classes, cls = origami._vertices
     out = []
     for i in range(origami.n):
         if iota[i] == i:
@@ -462,7 +460,7 @@ def involution_fixed_points(origami: Origami, iota: tuple) -> list:
     return out
 
 
-def _marked_point_kind(mp: MarkedPoint, vertex_class: tuple):
+def _marked_point_kind(mp: MarkedPoint, vertex_class: list):
     half = Fraction(1, 2)
     if (mp.x, mp.y) == (half, half):
         return ("center", mp.cell)
@@ -478,7 +476,7 @@ def _marked_point_kind(mp: MarkedPoint, vertex_class: tuple):
 def _verify_marked_against_involution(origami: Origami) -> None:
     iota = hyperelliptic_involution(origami)
     fixed = set(involution_fixed_points(origami, iota))
-    cls = origami.vertex_class_index()
+    cls = origami._vertices[1]
     got = set()
     for mp in origami.marked:
         kind = _marked_point_kind(mp, cls)
@@ -692,6 +690,12 @@ class CylinderDecomposition:
     def n_cylinders(self) -> int:
         return len(self.cylinders)
 
+    @property
+    def good_one_cylinder(self) -> bool:
+        """One cylinder, with both outer-edge midpoints E and F on its waist."""
+        return len(self.cylinders) == 1 and \
+            {"E", "F"} <= set(self.cylinders[0].waist_marked_points)
+
     def pull_back(self, points) -> list:
         """Carry points (cell, x, y) of the renormalized surface back to the
         decomposed one, through the recorded stages in reverse order.
@@ -832,11 +836,7 @@ def decompose_table_direction(params: Params, table_slope: Slope) -> CylinderDec
 
 def is_good_one_cylinder(params: Params, table_slope: Slope) -> bool:
     """One cylinder, with both outer-edge midpoints E and F on its waist."""
-    decomp = decompose_table_direction(params, table_slope)
-    if len(decomp.cylinders) != 1:
-        return False
-    waist = decomp.cylinders[0].waist_marked_points
-    return "E" in waist and "F" in waist
+    return decompose_table_direction(params, table_slope).good_one_cylinder
 
 
 def enumerate_good_directions(params: Params, denominator_limit: int) -> list:

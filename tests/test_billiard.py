@@ -920,12 +920,12 @@ def _classify_reference(start, params, cap):
                 drift = (m - m0, n - n0)
                 kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
                 return TrajectoryOutcome(
-                    kind, i - i0, Fraction(total - dx0, vN), drift, i0,
+                    kind, i - i0, Fraction(total - dx0, vN), drift,
                     repeat_cells=((m0, n0), (m, n))), i0
             seen[k, t] = (i, (m, n), total)
     except CornerHit as hit:
         return TrajectoryOutcome(Outcome.SINGULAR, i, Fraction(total, vN),
-                                 (0, 0), 0, corner=PointQ(hit.x, hit.y)), 0
+                                 (0, 0), corner=PointQ(hit.x, hit.y)), 0
     return None, None
 
 
@@ -1063,14 +1063,14 @@ def _stepped_outcome(start, params, cap):
             if (k, t) == (walk.k, walk.t):
                 drift = (m - start.cell[0], n - start.cell[1])
                 kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
-                return TrajectoryOutcome(kind, i, Fraction(total, vN), drift, 0,
+                return TrajectoryOutcome(kind, i, Fraction(total, vN), drift,
                                          repeat_cells=(start.cell, (m, n)))
         next(steps)
     except CornerHit as hit:
         return TrajectoryOutcome(Outcome.SINGULAR, i, Fraction(total, vN),
-                                 (0, 0), 0, corner=PointQ(hit.x, hit.y))
+                                 (0, 0), corner=PointQ(hit.x, hit.y))
     return TrajectoryOutcome(Outcome.UNDETERMINED, cap, Fraction(total, vN),
-                             (0, 0), 0)
+                             (0, 0))
 
 
 def _state_at(params, slope, k, t, n0, cell=(0, 0)):

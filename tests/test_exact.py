@@ -45,6 +45,37 @@ def test_classify_params_partitions_valid_inputs(p, q, r, s):
     assert (params.parity_class is ParityClass.OTHER) == (not in_e and not in_ep)
 
 
+def _reference_classify(p, q, r, s):
+    """The validation and parity rule of the former free function
+    `classify_params`: (parity class, None), or (None, its message)."""
+    for num, den, name in ((p, q, "a"), (r, s, "b")):
+        if not (0 < num < den):
+            return None, f"dimension {name} = {num}/{den} outside (0,1)"
+        if gcd(num, den) != 1:
+            return None, f"dimension {name} = {num}/{den} not reduced"
+    if p % 2 == 1 and r % 2 == 1 and q % 2 == 0 and s % 2 == 0:
+        return ParityClass.E, None
+    if p % 2 == 0 and r % 2 == 0 and q % 2 == 1 and s % 2 == 1:
+        return ParityClass.E_PRIME, None
+    return ParityClass.OTHER, None
+
+
+def test_params_validates_and_classifies_by_the_former_rule():
+    assert classify_params is Params
+    # every valid dimension up to 12 and the invalid ones around them
+    dims = [(num, den) for den in range(1, 13) for num in range(-1, den + 2)]
+    for p, q in dims:
+        for r, s in dims:
+            want, message = _reference_classify(p, q, r, s)
+            try:
+                got = Params(p, q, r, s)
+            except DomainError as exc:
+                assert str(exc) == message, (p, q, r, s)
+                continue
+            assert message is None, (p, q, r, s)
+            assert got.parity_class is want, (p, q, r, s)
+
+
 def test_params_parse_roundtrip():
     params = Params.parse("3/4,1/2")
     assert (params.p, params.q, params.r, params.s) == (3, 4, 1, 2)

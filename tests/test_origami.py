@@ -117,6 +117,23 @@ def test_orbit_invariant_reuses_the_involution_build_verified(monkeypatch):
     assert orbit_invariant(og).kind is OrbitClass.ORBIT_A
 
 
+def test_vertex_index_is_built_once_per_surface(monkeypatch):
+    # the surface builds its vertex classes at construction; the marked
+    # corners, the stratum check, the involution search, the fixed points
+    # and the invariant all read that index
+    rotations = []
+    rotation = Origami.vertex_rotation
+
+    def counted(self):
+        rotations.append(self.n)
+        return rotation(self)
+
+    monkeypatch.setattr(Origami, "vertex_rotation", counted)
+    og = build_origami.__wrapped__(classify_params(3, 44, 9, 44))  # uncached
+    assert orbit_invariant(og).kind is OrbitClass.ORBIT_A
+    assert rotations == [1909]
+
+
 def test_orbit_invariant_by_parity():
     for params in (classify_params(1, 2, 1, 4), classify_params(3, 4, 1, 2),
                    classify_params(1, 4, 3, 4)):

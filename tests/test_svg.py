@@ -127,7 +127,7 @@ def traced_paths(draw):
            * (ceil(max(ys)) - floor(min(ys)) + 7) <= 2000)
     if draw(st.booleans()) and not path.singular:
         # the renderer reads only the flag: tag a regular path singular
-        path = TracedPath(path.points, singular=True, corner=path.points[-1])
+        path = TracedPath(path.points, corner=path.points[-1])
     return params, path
 
 
