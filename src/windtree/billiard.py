@@ -744,10 +744,9 @@ class _CycleStore:
     """The recorded cycles of one (params, slope), and for each domain the
     intervals of their landmarks: sorted, disjoint, at n0 = 1."""
 
-    __slots__ = ("lengths", "cycles", "los", "his", "refs")
+    __slots__ = ("cycles", "los", "his", "refs")
 
-    def __init__(self, lengths: list):
-        self.lengths = lengths  # the domains' lengths at n0 = 1
+    def __init__(self):
         self.cycles = []
         self.los = [[] for _ in DOMAINS]
         self.his = [[] for _ in DOMAINS]
@@ -790,7 +789,7 @@ class _CycleStore:
         """
         if not self.cycles:
             return None
-        n0, lengths = walk.n0, self.lengths
+        n0, cuts = walk.n0, walk._cuts
         k = k0 = walk.k
         t = t0 = walk.t
         m = n = ext = 0
@@ -801,7 +800,7 @@ class _CycleStore:
                 (sx, sy), kmap = _REFLECTIONS[r]
                 # a reflection along the side runs t from its other end
                 kr = kmap[k]
-                tr = n0 * lengths[k] - t if (sy if k < 4 else sx) < 0 else t
+                tr = cuts[k][-1] - t if (sy if k < 4 else sx) < 0 else t
                 # the last interval with n0*lo < tr, that is
                 # lo <= (tr - 1)//n0
                 i = bisect_right(self.los[kr], (tr - 1) // n0) - 1
@@ -825,7 +824,7 @@ class _CycleStore:
 def _cycle_store(params: Params, u: int, v: int) -> _CycleStore:
     """The cycle store of slope u/v, shared by every caller (same size and
     reasoning as the return map's cache)."""
-    return _CycleStore([cs[-1] for cs in _return_map(params, u, v)[0]])
+    return _CycleStore()
 
 
 class _Walk(NamedTuple):
@@ -1249,21 +1248,20 @@ def symmetry_check(start: BilliardState, params: Params, n_collisions: int) -> b
 
 
 def regular_start(params: Params, slope: Slope, orientation: tuple = (1, 1),
-                  cell: tuple = (0, 0), attempts: int = 64,
                   max_collisions: int = DEFAULT_MAX_COLLISIONS):
     """A deterministic start whose orbit avoids corners, with its outcome.
 
-    Walks a fixed ladder of side offsets until classify_trajectory comes
-    back non-singular.  Returns (state, outcome).  Raises DomainError if
-    every attempt is singular (not observed for desk-scale data).
+    Walks a fixed ladder of offsets on the origin obstacle's sides, 1/3,
+    1/5, ..., 1/129 of a side, until classify_trajectory comes back
+    non-singular.  Returns (state, outcome).  Raises DomainError if every
+    attempt is singular (not observed for desk-scale data).
     """
     sides = HORIZONTAL_SIDES if not slope.is_horizontal else VERTICAL_SIDES
-    denom = 3
-    for _ in range(attempts):
+    for denom in range(3, 131, 2):
         for side in sides:
             length = side_length(params, side)
             try:
-                state = make_state(params, cell, side,
+                state = make_state(params, (0, 0), side,
                                    Fraction(1, denom) * length, slope,
                                    leaving_orientation(side, orientation))
             except DomainError:
@@ -1271,7 +1269,6 @@ def regular_start(params: Params, slope: Slope, orientation: tuple = (1, 1),
             outcome = classify_trajectory(state, params, max_collisions)
             if outcome.kind is not Outcome.SINGULAR:
                 return state, outcome
-        denom = denom + 2
     raise DomainError(f"no regular start found for slope {slope} at {params}")
 
 

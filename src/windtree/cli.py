@@ -403,8 +403,7 @@ def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
     geometry."""
     walk = _sample_orbit(params, slope, 1)
     cuts, leaf, G = walk._cuts, billiard._LEAF, billiard._LANDMARK_EVERY
-    cyc = billiard._walk_period(walk, 10**6, billiard._CycleStore(
-        [cs[-1] // walk.n0 for cs in cuts])).cycle
+    cyc = billiard._walk_period(walk, 10**6, billiard._CycleStore()).cycle
     if cyc is None or cyc.length <= billiard._POWER_FROM:
         return False
     k0, t0, n0, L = walk.k, walk.t, walk.n0, cyc.length

@@ -29,14 +29,17 @@ t never decreases, so the last exact log_k(t), times 1 - 2^-40 and less
 2^-40 for the rounding of t and of the logs, is below every later
 denominator.  A block's bound takes the largest |m| and |n| of its box
 and the log known before its first step.  A block whose bound is at most
-the bar (the best statistic known) is skipped.  Until the 64 witnesses
-are recorded, or once a bound reaches stop_at, a block is replayed in
-step order, one step at a time, each step with its own bound.  Otherwise
-the block is deferred: its start, extent and bound are kept, and its
-last step is evaluated exactly and raises the bar, which drops the
-deferred blocks whose bound is below it.  At the horizon, at a corner,
-before a replay, or when more than 64 blocks wait, the deferred blocks
-are replayed in step order by the same "statistic beats the best" rule.
+the bar (a statistic reached before the block) is skipped; every other
+block is deferred: its start, extent and bound are kept.  Once the 64
+witnesses are recorded, a deferred block whose bound is below stop_at
+has its last step evaluated exactly, which raises the bar and drops the
+deferred blocks whose bound is below it.  Before that, or when its bound
+reaches stop_at, the block settles the waiting blocks, itself the last;
+so do more than 64 waiting blocks, the horizon and a corner.  Settling
+replays the blocks in step order, one step at a time, each step with its
+own bound, and evaluates a step whose bound beats the best statistic; a
+block whose bound does not is skipped whole, as it holds no step that
+could change the best, the witnesses or the stop.
 A skipped step is beaten strictly by some step, or tied by an earlier
 one, so the sup, its time, the witnesses and the collision count equal
 those of evaluating every step bit for bit.
@@ -117,18 +120,18 @@ class SampleStart:
 
 
 def sample_boundary_starts(params: Params, slope: Slope, n_samples: int,
-                           seed: int, grid: int = 1 << 16) -> list:
+                           seed: int) -> list:
     """Starts distributed by arc length on the origin obstacle's boundary.
 
-    Offsets are uniform on a dyadic grid (exact rationals); the outgoing
-    orientation is the side's outward normal sign combined with a fair
-    coin for the tangential sign.
+    Offsets are uniform on the grid of 2^16 parts of the perimeter (exact
+    rationals); the outgoing orientation is the side's outward normal sign
+    combined with a fair coin for the tangential sign.
     """
     rng = random.Random(seed)
     per = 2 * (params.a + params.b)
     out = []
     for sid in range(n_samples):
-        offset = Fraction(rng.randrange(1, grid), grid) * per
+        offset = Fraction(rng.randrange(1, 1 << 16), 1 << 16) * per
         # offset < 2(a + b), so the left side takes what the others leave
         for side, length in ((BOTTOM, params.a), (RIGHT, params.b),
                              (TOP, params.a), (LEFT, params.b)):
@@ -382,39 +385,33 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
         dist = math.hypot((X - X0) / N, (Y - Y0) / N)
         return t, dist, dist / denom, low
 
-    def replay(i, state, total_dx, low, count):
-        """Decide the ``count`` steps after step i, from ``state`` with the
-        X-extent ``total_dx`` and ``low`` below their denominators, in
-        step order; the step at which stop_at is reached, or None."""
+    def settle(blocks):
+        """Decide the steps of ``blocks``, (i, bound, low, state, total_dx,
+        count) each, in step order; the step at which stop_at is reached,
+        or None.  A block whose bound is at most the best is skipped."""
         nonlocal best, best_t
-        for dom, tr, m, n, adx in islice(walk.steps(*state), count):
-            i += 1
-            total_dx += adx
-            # the obstacle of cell (m, n) lies within a/2, b/2 of its
-            # centre, and the start within a/2, b/2 of the origin
-            if low > 0 and math.hypot(abs(m) + 1, abs(n) + 1) / low <= best:
+        for i, bound, low, state, total_dx, count in blocks:
+            if bound <= best:
                 continue
-            t, dist, stat, step_low = exact(dom, tr, m, n, total_dx)
-            low = max(low, step_low)
-            if stat is not None and stat > best:
-                best, best_t = stat, t
-                if len(witnesses) < _WITNESSES:
-                    witnesses.append((t, dist, stat))
-                if stop_at is not None and best >= stop_at:
-                    return i
+            for dom, tr, m, n, adx in islice(walk.steps(*state), count):
+                i += 1
+                total_dx += adx
+                # the obstacle of cell (m, n) lies within a/2, b/2 of its
+                # centre, and the start within a/2, b/2 of the origin
+                if low > 0 and \
+                        math.hypot(abs(m) + 1, abs(n) + 1) / low <= best:
+                    continue
+                t, dist, stat, step_low = exact(dom, tr, m, n, total_dx)
+                low = max(low, step_low)
+                if stat is not None and stat > best:
+                    best, best_t = stat, t
+                    if len(witnesses) < _WITNESSES:
+                        witnesses.append((t, dist, stat))
+                    if stop_at is not None and best >= stop_at:
+                        return i
         return None
 
-    def settle(deferred):
-        """Replay the deferred blocks in step order; the step at which
-        stop_at is reached, or None."""
-        for i, bound, low, state, total_dx, count in deferred:
-            if bound > best:
-                stop = replay(i, state, total_dx, low, count)
-                if stop is not None:
-                    return stop
-        return None
-
-    deferred = []  # (i, bound, lo, state, total_dx, count), in step order
+    deferred = []  # blocks in step order, as settle takes them
     stop = None
     state = (walk.k, walk.t, 0, 0)
     total_dx = i = 0
@@ -424,24 +421,19 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
         bound = math.hypot(max(-mlo, mhi) + 1, max(-nlo, nhi) + 1) / lo \
             if lo > 0 else math.inf
         if done and bound > bar:
-            if len(witnesses) == _WITNESSES and (stop_at is None
-                                                 or bound < stop_at):
-                # kept for the end; its last step raises the bar
-                deferred.append((i, bound, lo, state, total_dx, done))
+            deferred.append((i, bound, lo, state, total_dx, done))
+            keep = len(witnesses) == _WITNESSES and (stop_at is None
+                                                     or bound < stop_at)
+            if keep:  # its last step raises the bar
                 stat = exact(*end, total_dx + adx)[2]
                 if stat is not None and stat > bar:
                     bar = stat
                     deferred = [d for d in deferred if d[1] >= bar]
-                if len(deferred) > _DEFER:  # the bar is not pruning
-                    stop = settle(deferred)
-                    deferred, bar = [], best
-            else:
+            if not keep or len(deferred) > _DEFER:
                 stop = settle(deferred)
-                if stop is None:
-                    stop = replay(i, state, total_dx, lo, done)
                 deferred, bar = [], best
-            if stop is not None:
-                break
+                if stop is not None:
+                    break
         i += done
         total_dx += adx
         state = end

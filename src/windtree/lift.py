@@ -81,14 +81,13 @@ _SAMPLE_OFFSETS = (Fraction(1, 5), Fraction(1, 3), Fraction(2, 7),
 _SAMPLES_PER_CYLINDER = 3
 
 
-def _cylinder_samples(decomp: CylinderDecomposition, ci: int,
-                      count: int = _SAMPLES_PER_CYLINDER):
-    """Interior points of one cylinder, in renormalized coordinates: they
-    lie on one horizontal leaf, halfway up the smallest cell of the
-    cylinder's bottom row."""
+def _cylinder_samples(decomp: CylinderDecomposition, ci: int):
+    """Interior points of one cylinder, one per sample offset, in
+    renormalized coordinates: they lie on one horizontal leaf, halfway up
+    the smallest cell of the cylinder's bottom row."""
     levels = decomp.cell_levels
     cell = min(c for c in decomp.cylinders[ci].cells if levels[c][1] == 0)
-    for off in _SAMPLE_OFFSETS[:count]:
+    for off in _SAMPLE_OFFSETS:
         yield cell, off, Fraction(1, 2)
 
 
@@ -126,8 +125,7 @@ def lift_direction(params: Params, table_slope: Slope) -> LiftReport:
     g = scaled_direction_gcd(params, table_slope)
     # every candidate start of every cylinder goes back through the
     # decomposition's own stages
-    candidates = [list(_cylinder_samples(decomp, ci,
-                                         count=len(_SAMPLE_OFFSETS)))
+    candidates = [list(_cylinder_samples(decomp, ci))
                   for ci in range(decomp.n_cylinders)]
     moved = iter(decomp.pull_back(
         [pt for cand in candidates for pt in cand]))

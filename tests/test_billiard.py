@@ -1223,7 +1223,7 @@ def _located_by_four_walks(store, walk):
     for (sx, sy), kmap in billiard._REFLECTIONS:
         k, t = walk.k, walk.t
         if (sy if k < 4 else sx) < 0:
-            t = n0 * store.lengths[k] - t
+            t = walk._cuts[k][-1] - t
         k = k0 = kmap[k]
         t0, m, n, ext, found = t, 0, 0, 0, None
         steps = walk.steps(k, t, 0, 0)
@@ -1355,10 +1355,8 @@ def _walk_record(res):
 def _walk_both_ways(params, start, limit, to_cell=False):
     """The walks of `_walk_period` and of the single-piece reference from
     one start, each recording into a store of its own, as plain data."""
-    lengths = [cs[-1] for cs in
-               _return_map(params, start.slope.u, start.slope.v)[0]]
     return [_walk_record(walk(Orbit(start, params), limit,
-                              billiard._CycleStore(lengths), to_cell))
+                              billiard._CycleStore(), to_cell))
             for walk in (billiard._walk_period, single_piece_walk)]
 
 

@@ -508,12 +508,13 @@ def _diffusion_case(rng, kind):
     return params, direction, starts
 
 
-def test_diffusion_matches_the_step_by_step_loop():
+def test_diffusion_matches_the_step_by_step_loop(monkeypatch):
     # the certified skip changes no bit of any sample: random tables of all
     # three parity classes, quantized directions at 16-96 bits, directions
     # just above slope 1, exact slopes with corner hits, k = 1..3, stop_at
     # None / 2 / 10, horizons 2..20,000; plus corner hits after the
-    # witnesses are full
+    # witnesses are full; the edges and 10 random starts with full
+    # witnesses again with at most 0 or 1 blocks waiting
     rng = random.Random(20261018)
     seen = {"classes": set(), "corner": 0, "deferred_corner": 0, "stopped": 0,
             "full": 0, "cases": 0}
@@ -525,7 +526,9 @@ def test_diffusion_matches_the_step_by_step_loop():
     ]
     cases = [(params, DirectionSpec(slope), [start], k, 20000, None)
              for params, slope, start in late_corners for k in (1, 2)]
-    for kind in ("quantized", "near-one", "exact") * 30:
+    kinds = ("quantized", "near-one", "exact") * 30
+    random_cases = range(len(cases), len(cases) + len(kinds))
+    for kind in kinds:
         params, direction, starts = _diffusion_case(rng, kind)
         horizon = int(math.exp(rng.uniform(math.log(2), math.log(20000))))
         cases.append((params, direction, starts, rng.randint(1, 3), horizon,
@@ -545,6 +548,7 @@ def test_diffusion_matches_the_step_by_step_loop():
                                618970019642690137449562112),
          SampleStart(0, BOTTOM, Fraction(13, 22528), (-1, -1)), 2, 100.0,
          1637)]
+    edge_cases = range(len(cases), len(cases) + len(edges))
     for pqrs, slope, start, k, stop_at, collisions in edges:
         params = classify_params(*pqrs)
         assert _reference_diffusion_sample(params, slope, start, k, 20000,
@@ -564,7 +568,9 @@ def test_diffusion_matches_the_step_by_step_loop():
             assert len(_reference_diffusion_sample(
                 HALF, slope, start, 1, 30000, None).witnesses) < 64
         cases.append((HALF, DirectionSpec(slope), starts, 1, 30000, None))
-    for params, direction, starts, k, horizon, stop_at in cases:
+    reruns = []  # (params, slope, start, k, horizon, stop_at, want)
+    for case, (params, direction, starts, k, horizon, stop_at) in \
+            enumerate(cases):
         slope = direction.slope
         seen["classes"].add(params.parity_class)
         for start in starts:
@@ -572,6 +578,11 @@ def test_diffusion_matches_the_step_by_step_loop():
                                                horizon, stop_at)
             _assert_same_sample(_diffusion_sample(params, slope, start, k,
                                                   horizon, stop_at), want)
+            if case in edge_cases or (case in random_cases
+                                      and len(want.witnesses) == 64
+                                      and len(reruns) < 10):
+                reruns.append((params, slope, start, k, horizon, stop_at,
+                               want))
             seen["cases"] += 1
             stopped = stop_at is not None and want.statistic >= stop_at
             seen["stopped"] += stopped
@@ -589,6 +600,14 @@ def test_diffusion_matches_the_step_by_step_loop():
     assert seen["classes"] == set(ParityClass)
     assert seen["corner"] >= 5 and seen["deferred_corner"] >= 2
     assert seen["stopped"] >= 10 and seen["full"] >= 10, seen
+    # more than _DEFER waiting blocks are settled at once: at 0 each kept
+    # block is settled as it comes, at 1 any two that wait are
+    assert len(reruns) == 10 + len(edges)
+    for defer in (0, 1):
+        monkeypatch.setattr(experiments, "_DEFER", defer)
+        for params, slope, start, k, horizon, stop_at, want in reruns:
+            _assert_same_sample(_diffusion_sample(params, slope, start, k,
+                                                  horizon, stop_at), want)
 
 
 def test_diffusion_evaluates_few_steps_exactly(monkeypatch):

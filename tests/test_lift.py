@@ -78,7 +78,7 @@ def test_strip_drift_is_the_first_regular_samples():
     drifts = [lift._classify_fold(HALF, slope,
                                   fold_cell_point(HALF, *pt))[1]
               for pt in samples]
-    assert drifts == [(-1, 2), (1, 2), (1, 2)]
+    assert drifts == [(-1, 2), (1, 2), (1, 2), (1, 2), (1, 2)]
     assert lift_direction(HALF, slope).x_behavior[1].drift == (-1, 2)
 
 
@@ -336,7 +336,7 @@ def _fold_cycle(params, slope, decomp, ci, cycles):
     lift_direction picks it (the first candidate that launches onto a
     regular orbit), or "corridor" when the fold point's ray meets no
     obstacle."""
-    candidates = list(lift._cylinder_samples(decomp, ci, count=5))
+    candidates = list(lift._cylinder_samples(decomp, ci))
     for ocell, ox, oy in decomp.pull_back(candidates):
         try:
             state = launch(params, fold_cell_point(params, ocell, ox, oy),
