@@ -48,13 +48,15 @@ exactness still holds.  `Orbit.advance` applies the map for a block of
 collisions in one loop and reports the block as a whole (end state,
 extent, box of the cells); `Orbit.steps` yields the collisions one at a
 time, one `advance` each.  The 8th power of the map is a piecewise
-translation too, built by three doublings that split each piece where its
-image meets a breakpoint, with the box of the cells each piece passes.
-A block of 64 collisions or more, and a recording walk (below) past its
-first 512, take 8 at a time on it (`_power_map`, cached per (params,
-slope, n0)), and step single pieces for the next 8 where a corner, the
-stop cell or the walk's close lies within them, so their answers are
-those of single steps.
+translation too, with the box of the cells each piece passes.  Its pieces
+are composed where an orbit first lands, down the tower T, T^2, T^4, and
+kept (`_PowerMap`, cached per (params, slope, n0)).  A block of 64
+collisions or more, and a recording walk (below) past its first 512, take
+8 at a time on it, and step single pieces for the next 8 where a corner,
+the stop cell or the walk's close lies within them, so their answers are
+those of single steps.  A piece that maps its domain back to itself,
+unflipped, repeats while t stays in its interval: a block applies all of
+its repeats at once.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
@@ -440,15 +442,16 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
 @lru_cache(maxsize=16)
 def _scaled_map(params: Params, u: int, v: int, n0: int) -> tuple:
     """The return map of slope u/v at lattice scale n0, with its pieces in
-    the form of `_power_map`'s: _return_map's piece, then the box of the one
-    cell it arrives in.  The breakpoints, the shifts and the constant
-    extent terms scale with N, the corners do not.  Starts of one slope
-    often share n0 (a regular start classified again, the fold points of
-    one lift), so the copy is kept, in an LRU as small as the map's own."""
+    the form of `_PowerMap`'s: _return_map's piece, then the box of the one
+    cell it arrives in and False, as no single piece maps a domain to
+    itself.  The breakpoints, the shifts and the constant extent terms
+    scale with N, the corners do not.  Starts of one slope often share n0
+    (a regular start classified again, the fold points of one lift), so
+    the copy is kept, in an LRU as small as the map's own."""
     cuts, pieces, corners = _return_map(params, u, v)
     return (tuple(tuple(n0 * c for c in cs) for cs in cuts),
             tuple(tuple((k, flip, n0 * shift, dm, dn, n0 * c0, c1,
-                         dm, dm, dn, dn)
+                         dm, dm, dn, dn, False)
                         for k, flip, shift, dm, dn, c0, c1 in row)
                   for row in pieces),
             corners)
@@ -456,73 +459,137 @@ def _scaled_map(params: Params, u: int, v: int, n0: int) -> tuple:
 
 # `Orbit.advance` steps on the power map T^_POWER in calls of at least
 # _BLOCK collisions, and `_walk_period` past _POWER_FROM collisions, about
-# what a build costs in single steps; the quantized experiments advance in
-# blocks of _BLOCK.
+# what a build of the whole power map costs in single steps; the quantized
+# experiments advance in blocks of _BLOCK.
 _BLOCK = 64
 _POWER = 8
 _POWER_FROM = 512
 
 
-def _compose(first: tuple, second: tuple) -> tuple:
-    """The map ``second`` after ``first``, both (cuts, pieces) as
-    `_power_map` gives them: each piece of ``first`` is split where its
-    image meets a breakpoint of ``second``."""
-    cuts, pieces = [], []
-    for cs, row in zip(*first):
-        new_cs, new_row = [], []
-        lo = 0
-        for hi, (k, flip, s, dm, dn, c0, c1, mlo, mhi, nlo, nhi) in zip(cs, row):
-            # the image (a, b) of (lo, hi) meets the pieces j0..j1 of k
-            a, b = (s - hi, s - lo) if flip else (lo + s, hi + s)
-            cs2, row2 = second[0][k], second[1][k]
-            j0, j1 = bisect_right(cs2, a), bisect_left(cs2, b)
-            part = []
-            for j in range(j0, j1 + 1):
-                k2, flip2, s2, dm2, dn2, c02, c12, mlo2, mhi2, nlo2, nhi2 = \
-                    row2[j]
-                mlo2 += dm
-                mhi2 += dm
-                nlo2 += dn
-                nhi2 += dn
-                part.append((k2, flip != flip2, s2 - s if flip2 else s2 + s,
-                             dm + dm2, dn + dn2, c0 + c02 + c12 * s,
-                             c1 - c12 if flip else c1 + c12,
-                             mlo if mlo < mlo2 else mlo2,
-                             mhi if mhi > mhi2 else mhi2,
-                             nlo if nlo < nlo2 else nlo2,
-                             nhi if nhi > nhi2 else nhi2))
-            # the breakpoints inside the image, taken back, in order of t
-            if flip:
-                part.reverse()
-                new_cs += [s - cs2[j] for j in range(j1 - 1, j0 - 1, -1)]
-            else:
-                new_cs += [cs2[j] - s for j in range(j0, j1)]
-            new_row += part
-            new_cs.append(hi)
-            lo = hi
-        cuts.append(tuple(new_cs))
-        pieces.append(tuple(new_row))
-    return tuple(cuts), tuple(pieces)
+class _PowerMap:
+    """T^_POWER, the return map applied _POWER times, at lattice scale n0,
+    composed one piece at a time where an orbit first lands.
+
+    T^_POWER is a piecewise translation too, with breakpoints where one of
+    the _POWER steps starts from a corner.  Its piece at (k, t) is
+    (k', flip, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi, run): it maps
+    the open interval around t by t' = shift -+ t into domain k', moves
+    the cell by (dm, dn) and flies |dX| = c0 + c1*t, c1 a multiple of v;
+    the cells arrived in lie in the box mlo <= m <= mhi, nlo <= n <= nhi
+    relative to the start cell.  ``run`` marks a piece that maps its
+    domain to itself, unflipped, with shift != 0: an orbit repeats it
+    while t stays in its interval (`Orbit.advance`).
+
+    The map is kept as a tower T, T^2, T^4, ..., each level per domain a
+    sorted list of the breakpoints known so far, from 0 to the side
+    length, and the rows between them: ``edges[j][k][i]`` ends the open
+    interval from ``edges[j][k][i - 1]`` whose piece is ``rows[j][k][i]``,
+    or None while it is not composed.  Level 0 is the whole scaled return
+    map.  A piece of level j is the piece of level j - 1 at t followed by
+    the one at its image, on the part of the first interval that the
+    second one's preimage covers.  Every interval is a maximal one between
+    breakpoints, so one bisection finds a piece or a breakpoint once it is
+    known; `find` composes it where it is not."""
+
+    __slots__ = ("edges", "rows")
+
+    def __init__(self, cuts: tuple, pieces: tuple):
+        self.edges = [[[0, *cs] for cs in cuts]]
+        self.rows = [[[None, *row] for row in pieces]]
+        for _ in range(_POWER.bit_length() - 1):
+            self.edges.append([[0, cs[-1]] for cs in cuts])
+            self.rows.append([[None, None] for _ in cuts])
+
+    def find(self, k: int, t: int, level: int = -1) -> int:
+        """The index i of t in the lists of domain k on ``level`` (the top
+        one, T^_POWER, by default), composing the piece around t where it
+        is missing: edges[level][k][i] == t where t is a breakpoint, and
+        rows[level][k][i] is the piece around t otherwise."""
+        cs, row = self.edges[level][k], self.rows[level][k]
+        i = bisect_left(cs, t)
+        if cs[i] == t or row[i] is not None:
+            return i
+        # the gap (cs[i - 1], cs[i]) holds t: compose on the level below
+        level = level % len(self.edges) - 1
+        lower_cs, lower_rows = self.edges[level][k], self.rows[level][k]
+        j = bisect_left(lower_cs, t)
+        if lower_rows[j] is None:
+            j = self.find(k, t, level)
+        corner = lower_cs[j] == t
+        if not corner:
+            lo, hi = lower_cs[j - 1], lower_cs[j]
+            (k1, flip1, s1, dm, dn, c0, c1, mlo, mhi, nlo, nhi,
+             _) = lower_rows[j]
+            t1 = s1 - t if flip1 else s1 + t
+            lower_cs, lower_rows = self.edges[level][k1], self.rows[level][k1]
+            j = bisect_left(lower_cs, t1)
+            if lower_rows[j] is None:
+                j = self.find(k1, t1, level)
+            corner = lower_cs[j] == t1
+        if corner:  # t is a breakpoint: the gap splits there
+            cs.insert(i, t)
+            row.insert(i, None)
+            return i
+        lo2, hi2 = lower_cs[j - 1], lower_cs[j]
+        (k2, flip2, s2, dm2, dn2, c02, c12, mlo2, mhi2, nlo2, nhi2,
+         _) = lower_rows[j]
+        # the first interval cut to the preimage of the second
+        if flip1:
+            lo, hi = max(lo, s1 - hi2), min(hi, s1 - lo2)
+        else:
+            lo, hi = max(lo, lo2 - s1), min(hi, hi2 - s1)
+        flip, shift = flip1 != flip2, s2 - s1 if flip2 else s2 + s1
+        piece = (k2, flip, shift, dm + dm2, dn + dn2, c0 + c02 + c12 * s1,
+                 c1 - c12 if flip1 else c1 + c12,
+                 min(mlo, dm + mlo2), max(mhi, dm + mhi2),
+                 min(nlo, dn + nlo2), max(nhi, dn + nhi2),
+                 k2 == k and not flip and shift != 0)
+        # the piece takes its part of the gap, the rest stays open
+        if hi < cs[i]:
+            cs.insert(i, hi)
+            row.insert(i, piece)
+        else:
+            row[i] = piece
+        if lo > cs[i - 1]:
+            cs.insert(i, lo)
+            row.insert(i, None)
+            i += 1
+        return i
+
+    def lookup(self, k: int, t: int):
+        """(lo, hi, piece) of the piece of T^_POWER around t in domain k,
+        or None where t is a breakpoint."""
+        i = self.find(k, t)
+        cs = self.edges[-1][k]
+        return None if cs[i] == t else (cs[i - 1], cs[i], self.rows[-1][k][i])
 
 
 # A quantized run steps one slope and its shadow at a time, a recording walk
 # one slope.
 @lru_cache(maxsize=4)
-def _power_map(params: Params, u: int, v: int, n0: int) -> tuple:
-    """T^_POWER, the return map applied _POWER times, at lattice scale n0.
+def _power_map(params: Params, u: int, v: int, n0: int) -> _PowerMap:
+    """The power map of slope u/v at lattice scale n0, with no piece
+    composed yet."""
+    return _PowerMap(*_scaled_map(params, u, v, n0)[:2])
 
-    Returns (cuts, pieces) indexed by domain, as `_scaled_map` gives
-    them: T^_POWER is a piecewise translation too, with breakpoints where
-    one of the _POWER steps starts from a corner.  pieces[k][i] = (k',
-    flip, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi) maps the open interval
-    just below cuts[k][i] by t' = shift -+ t into domain k', moves the cell
-    by (dm, dn) and flies |dX| = c0 + c1*t, c1 a multiple of v; the cells
-    arrived in lie in the box mlo <= m <= mhi, nlo <= n <= nhi relative to
-    the start cell.  Built by doubling, T^2, T^4, T^8."""
-    table = _scaled_map(params, u, v, n0)[:2]
-    for _ in range(_POWER.bit_length() - 1):
-        table = _compose(table, table)
-    return table
+
+def _repeats(piece: tuple, lo: int, hi: int, t: int, most: int,
+             stop) -> int:
+    """How many times in a row a piece that maps its domain to itself,
+    unflipped, applies from t in its interval (lo, hi): at most ``most``,
+    while t stays in the interval, and fewer than the first repeat whose
+    box holds the stop cell; ``stop`` is that cell relative to the first
+    repeat's start cell, or False."""
+    shift = piece[2]
+    r = min(most, (hi - 1 - t) // shift + 1 if shift > 0
+            else (t - lo - 1) // -shift + 1)
+    if stop and r > 1:
+        # repeat j starts in the start cell moved by j*(dm, dn)
+        j0, j1 = _rounds(stop[0], piece[3], piece[7], piece[8], 1, r - 1)
+        j0, j1 = _rounds(stop[1], piece[4], piece[9], piece[10], j0, j1)
+        if j0 <= j1:
+            r = j0
+    return r
 
 
 class Orbit:
@@ -584,7 +651,13 @@ class Orbit:
         pieces for the next _POWER collisions where t is on a breakpoint of
         T^_POWER (a corner within _POWER collisions) or the stop cell is in
         the piece's box, and for the remainder, so every answer is the one
-        single steps give.
+        single steps give.  A piece that maps its domain to itself,
+        unflipped, is applied r times at once: r repeats fit the
+        collisions left, keep t inside the piece's interval and come
+        before the first repeat whose box holds the stop cell.  Each
+        repeat flies the same extent c0, and its cells move by (dm, dn),
+        so the box of the run is the hull of the first and the last
+        repeat's box.
         """
         cuts, pieces = self._cuts, self._pieces
         stop = stop_cell is not None
@@ -596,9 +669,8 @@ class Orbit:
         # single pieces while done < plain or fewer than _POWER remain
         plain = count
         if count >= _BLOCK:
-            lat = self.lattice
-            power_cuts, power_pieces = _power_map(self.params, lat.u, lat.v,
-                                                  self.n0)
+            power = self.power()
+            find, pcuts, prows = power.find, power.edges[-1], power.rows[-1]
             plain = 0
         done = 0
         while done < count:
@@ -611,16 +683,40 @@ class Orbit:
                 piece = pieces[k][i]
                 done += 1
             else:
-                cs = power_cuts[k]
+                cs = pcuts[k]
                 i = bisect_left(cs, t)
-                piece = power_pieces[k][i]
-                if cs[i] == t or stop and \
-                        piece[7] <= sm - m <= piece[8] and \
-                        piece[9] <= sn - n <= piece[10]:
+                piece = prows[k][i]
+                if piece is None:  # not composed yet, or t a breakpoint
+                    i = find(k, t)
+                    piece = prows[k][i]
+                if cs[i] == t or stop and piece[7] <= sm - m <= piece[8] \
+                        and piece[9] <= sn - n <= piece[10]:
                     plain = done + _POWER
                     continue
+                # a run takes a second repeat from t + shift
+                if piece[11] and count - done >= 2 * _POWER and \
+                        cs[i - 1] < t + piece[2] < cs[i]:
+                    r = _repeats(piece, cs[i - 1], cs[i], t,
+                                 (count - done) // _POWER,
+                                 stop and (sm - m, sn - n))
+                    if r > 1:
+                        # c1 is 0: a flight from a side back to the same
+                        # kind of side flies the same X-extent from any t
+                        _, _, shift, dm, dn, c0, _, plo, phi, qlo, qhi, _ = \
+                            piece
+                        ext += r * c0
+                        t += r * shift
+                        # the hull of the first and the last repeat's box
+                        lm, ln = m + (r - 1) * dm, n + (r - 1) * dn
+                        mlo = min(mlo, m + plo, lm + plo)
+                        mhi = max(mhi, m + phi, lm + phi)
+                        nlo = min(nlo, n + qlo, ln + qlo)
+                        nhi = max(nhi, n + qhi, ln + qhi)
+                        m, n = lm + dm, ln + dn
+                        done += r * _POWER
+                        continue
                 done += _POWER
-            k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi = piece
+            k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi, _ = piece
             ext += c0 + c1 * t
             t = shift - t if flip else shift + t
             if m + plo < mlo:
@@ -636,6 +732,21 @@ class Orbit:
             if stop and m == sm and n == sn:
                 break
         return done, k, t, m, n, ext, mlo, mhi, nlo, nhi, corner
+
+    def power(self) -> _PowerMap:
+        """The power map of this orbit's slope and lattice scale."""
+        return _power_map(self.params, self.lattice.u, self.lattice.v,
+                          self.n0)
+
+    def run(self, k: int, t: int, count: int) -> int:
+        """The collisions of the run from state (k, t), at most ``count``:
+        _POWER times the repeats of its piece of T^_POWER where that piece
+        maps domain k to itself, unflipped (`advance`), and 0 elsewhere."""
+        found = self.power().lookup(k, t)
+        if found is None or not found[2][11]:
+            return 0
+        return _POWER * _repeats(found[2], found[0], found[1], t,
+                                 count // _POWER, False)
 
     def steps(self, k: int, t: int, m: int, n: int):
         """The collisions after state (k, t) in cell (m, n), as iterating
@@ -706,23 +817,6 @@ class _Cycle:
         self.off, self.cm, self.cn, self.ea = [], [], [], []
         self.mlo, self.mhi, self.nlo, self.nhi = [], [], [], []
 
-    def mark(self, k, sign, off, cm, cn, ea):
-        """Add a landmark."""
-        self.off.append(off)
-        self.ea.append(ea)
-        self.cm.append(cm)
-        self.cn.append(cn)
-        self.k.append(k)
-        self.sign.append(sign)
-
-    def box(self, mlo, mhi, nlo, nhi):
-        """Close the last landmark's block with the box of its cells."""
-        m, n = self.cm[-1], self.cn[-1]
-        self.mlo.append(mlo - m)
-        self.mhi.append(mhi - m)
-        self.nlo.append(nlo - n)
-        self.nhi.append(nhi - n)
-
     def seal(self, length, drift, extent, lo, hi):
         self.length, self.drift, self.extent = length, drift, extent
         self.lo, self.hi = lo, hi
@@ -753,17 +847,37 @@ class _CycleStore:
         self.refs = [[] for _ in DOMAINS]  # cycle << 32 | landmark
 
     def add(self, cyc: _Cycle):
-        """Index a sealed cycle's landmarks."""
+        """Index a sealed cycle's landmarks: sorted per domain, and merged
+        into each domain's lists at once."""
         ref = len(self.cycles) << 32
+        rows = [[] for _ in DOMAINS]
         for b, k in enumerate(cyc.k):
-            lo, hi = cyc.interval(b)
-            los, his = self.los[k], self.his[k]
-            i = bisect_left(los, lo)
-            if (i and his[i - 1] > lo) or (i < len(los) and los[i] < hi):
-                raise AssertionError("two recorded cycles overlap")
-            los.insert(i, lo)
-            his.insert(i, hi)
-            self.refs[k].insert(i, ref | b)
+            rows[k].append((*cyc.interval(b), ref | b))
+        merged = []
+        for k, row in enumerate(rows):
+            if not row:
+                continue
+            row.sort()
+            los, his, refs = self.los[k], self.his[k], self.refs[k]
+            new_los, new_his, new_refs = [], [], []
+            at = end = 0  # the lists' entries before ``at`` are taken
+            for lo, hi, r in row:
+                i = bisect_left(los, lo)
+                # disjoint from the intervals next to it, old and new
+                if (i and his[i - 1] > lo) or (i < len(los) and los[i] < hi) \
+                        or end > lo:
+                    raise AssertionError("two recorded cycles overlap")
+                new_los += los[at:i]
+                new_his += his[at:i]
+                new_refs += refs[at:i]
+                new_los.append(lo)
+                new_his.append(hi)
+                new_refs.append(r)
+                at, end = i, hi
+            merged.append((k, new_los + los[at:], new_his + his[at:],
+                           new_refs + refs[at:]))
+        for k, *lists in merged:
+            self.los[k], self.his[k], self.refs[k] = lists
         self.cycles.append(cyc)
 
     def locate(self, walk: Orbit):
@@ -865,16 +979,19 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     leaf0, n0 = _LEAF[k0], walk.n0
     sign, ext, steps = 1, 0, 0
     below, above = t, cuts[k][-1] - t  # the domain's ends, cut by each piece
+    slopes = [_extent_slope(walk.lattice.v, k0, k) for k in range(8)]
     rec = _Cycle()
     closed, corner, returned = False, None, False
     plain = limit  # single pieces while steps < plain
     while steps < limit:
-        if steps:
-            rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+        if steps:  # the box of the last landmark's block, from its cell
+            rec.mlo.append(mlo - lm)
+            rec.mhi.append(mhi - lm)
+            rec.nlo.append(nlo - ln)
+            rec.nhi.append(nhi - ln)
         if steps == _POWER_FROM:
-            power_cuts, power_pieces = _power_map(
-                walk.params, walk.lattice.u, walk.lattice.v, n0)
-            power_lows = [(0, *cs) for cs in power_cuts]
+            power = walk.power()
+            find, pcuts, prows = power.find, power.edges[-1], power.rows[-1]
             # the start's predecessors by time reversal, T^-j = R T^j R
             # with R(k, t) = (k ^ 1, t); a start without them never closes
             preds = {(r[1] ^ 1, r[2]) for j in range(1, _POWER)
@@ -885,11 +1002,14 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
         # fixes
         if sign != leaf0 * _LEAF[k]:
             raise AssertionError("tracked sign off the leaf geometry")
-        B = _extent_slope(walk.lattice.v, k0, k)
-        rec.mark(k, sign, _down(t - sign * t0, n0), m - sm, n - sn,
-                 _down(ext - B * t0, n0))
-        mlo = mhi = m
-        nlo = nhi = n
+        rec.k.append(k)
+        rec.sign.append(sign)
+        rec.off.append(_down(t - sign * t0, n0))
+        rec.cm.append(m - sm)
+        rec.cn.append(n - sn)
+        rec.ea.append(_down(ext - slopes[k] * t0, n0))
+        mlo = mhi = lm = m
+        nlo = nhi = ln = n
         end = min(steps + G, limit)
         last = end - _POWER  # the last start of a power step in the block
         while steps < end:
@@ -902,9 +1022,13 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                     break
                 steps += 1
             else:
-                cs = power_cuts[k]
+                cs = pcuts[k]
                 i = bisect_left(cs, t)
-                c, lo, piece = cs[i], power_lows[k][i], power_pieces[k][i]
+                piece = prows[k][i]
+                if piece is None:  # not composed yet, or t a breakpoint
+                    i = find(k, t)
+                    piece = prows[k][i]
+                c, lo = cs[i], cs[i - 1]
                 if c == t or (k, t) in preds or to_cell and \
                         piece[7] <= sm - m <= piece[8] and \
                         piece[9] <= sn - n <= piece[10]:
@@ -915,7 +1039,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                 above = c - t
             if t - lo < below:
                 below = t - lo
-            k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi = piece
+            k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi, _ = piece
             ext += c0 + c1 * t
             if flip:
                 t = shift - t
@@ -951,7 +1075,10 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
         return _Walk(steps, m, n, ext, corner, None, returned)
     if sign != 1:
         raise AssertionError("period map flipped on its interval")
-    rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+    rec.mlo.append(mlo - lm)
+    rec.mhi.append(mhi - lm)
+    rec.nlo.append(nlo - ln)
+    rec.nhi.append(nhi - ln)
     rec.seal(steps, (m - sm, n - sn), _down(ext, n0),
              _down(t0 - below, n0), _down(t0 + above, n0))
     store.add(rec)

@@ -356,6 +356,8 @@ def cmd_selftest(cfg: RunConfig) -> int:
                    _block_matches_single_steps(params, 4096)))
     checks.append(("4181/6765 cycle on the power map equals single steps",
                    _cycle_matches_single_steps(params, Slope(4181, 6765))))
+    checks.append(("run on the power map equals its repeats",
+                   _run_matches_repeats(Params.parse("2/3,2/3"), 1000)))
     ballistic = [experiments.diffusion_experiment(
         Params.parse("2/3,2/3"), experiments.exact_direction(1), 1, horizon,
         4).samples[0].statistic for horizon in (1000, 4000)]
@@ -392,6 +394,32 @@ def _block_matches_single_steps(params: Params, count: int) -> bool:
         return False
     return walk.advance(walk.k, walk.t, 0, 0, count) == (
         count, k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns), None)
+
+
+def _run_matches_repeats(params: Params, steps: int) -> bool:
+    """Whether one `Orbit.advance` of ``steps`` pieces of T^8 from a start
+    of a 96-bit direction just above slope 1, which begins with a run of
+    one piece, ends as those pieces taken one at a time do: state, extent
+    and box of cells."""
+    walk = _sample_orbit(params, experiments.quantize_direction(
+        Fraction("1.0000003"), 96).slope, 1)
+    power = walk.power()
+    k, t, m, n = walk.k, walk.t, 0, 0
+    mlo = mhi = nlo = nhi = ext = 0
+    for _ in range(steps):
+        found = power.lookup(k, t)
+        if found is None:
+            return False
+        k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi, _ = found[2]
+        ext += c0 + c1 * t
+        t = shift - t if flip else shift + t
+        mlo, mhi = min(mlo, m + plo), max(mhi, m + phi)
+        nlo, nhi = min(nlo, n + qlo), max(nhi, n + qhi)
+        m, n = m + dm, n + dn
+    count = billiard._POWER * steps
+    return walk.run(walk.k, walk.t, count) > billiard._POWER and \
+        walk.advance(walk.k, walk.t, 0, 0, count) == (
+            count, k, t, m, n, ext, mlo, mhi, nlo, nhi, None)
 
 
 def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:

@@ -11,8 +11,9 @@ instead of reporting corrupted statistics.
 Quantized orbits are stepped in blocks of 64 collisions with
 `Orbit.advance`, which reports a block's end state, X-extent and box of
 cells without a yield per collision, and takes such a block 8 collisions
-at a time on the 8th power of the return map; blocks start at multiples
-of 64, so every checkpoint (each 512th collision) ends one.  A shadowed
+at a time on the 8th power of the return map, a run of one self-mapping
+piece at once; blocks start at multiples of 64, so every checkpoint (each
+512th collision) ends one.  A shadowed
 recurrence sample advances the primary one block, stopping early at a
 corner or back in the origin cell, and then the shadow by as many
 collisions; the checks, their order and the collision they name are
@@ -40,9 +41,18 @@ replays the blocks in step order, one step at a time, each step with its
 own bound, and evaluates a step whose bound beats the best statistic; a
 block whose bound does not is skipped whole, as it holds no step that
 could change the best, the witnesses or the stop.
+Once the witnesses are recorded, a run of one self-mapping piece of the
+8th power is advanced as one block, however long, and settling bisects a
+block longer than 64: it advances both halves again from their own
+starts, which takes a run O(1) steps, evaluates the block's last step,
+which raises a bar of its own (capped at stop_at), and bounds each half
+with the log of its own start time.  A half whose bound is below that
+bar, or at most the best, is dropped, and the others are decided in step
+order, so a run costs O(log) exact evaluations.
 A skipped step is beaten strictly by some step, or tied by an earlier
-one, so the sup, its time, the witnesses and the collision count equal
-those of evaluating every step bit for bit.
+one, and reaches no stop_at that an earlier step does not, so the sup,
+its time, the witnesses and the collision count equal those of
+evaluating every step bit for bit.
 """
 
 from __future__ import annotations
@@ -54,10 +64,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .billiard import (_BLOCK, BOTTOM, LEFT, RIGHT, TOP, Orbit, Outcome,
-                       classify_trajectory, collision_sequence, first_return,
-                       leaving_orientation, make_state, regular_start,
-                       side_length, side_offset)
+from .billiard import (_BLOCK, _POWER, BOTTOM, LEFT, RIGHT, TOP, Orbit,
+                       Outcome, classify_trajectory, collision_sequence,
+                       first_return, leaving_orientation, make_state,
+                       regular_start, side_length, side_offset)
 from .errors import CornerHit, DomainError, PrecisionError
 from .exact import Params, ParityClass, Slope, classify_params
 from .origami import decompose_table_direction, is_good_one_cylinder
@@ -356,8 +366,8 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
 
     A step is decided in step order, as a step-by-step run decides it,
     unless its bound is at most the statistic of an earlier step, or below
-    the statistic of any step; neither can change the sup, its time, the
-    witnesses or the step where stop_at is reached.
+    the statistic of any step and stop_at; neither can change the sup, its
+    time, the witnesses or the step where stop_at is reached.
     """
     walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
                             start.orientation), params)
@@ -370,6 +380,12 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
     witnesses = []
     lo = 0.0   # below the denominator of every step after those evaluated
     bar = 0.0  # a statistic reached by a step before the current block
+
+    def floor_log(total_dx):
+        """log_k of the time at X-extent total_dx, shrunk below that of
+        every later time; 0.0 where it is not positive."""
+        denom = iterated_log(k, total_dx / N * speed)
+        return 0.0 if denom is None else denom * _LOG_SHRINK - _LOG_SLACK
 
     def exact(dom, tr, m, n, total_dx):
         """(t, dist, statistic, low) of a step, low its log_k(t) shrunk;
@@ -385,22 +401,58 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
         dist = math.hypot((X - X0) / N, (Y - Y0) / N)
         return t, dist, dist / denom, low
 
+    def block(i, low, state, total_dx, count):
+        """Advance ``count`` steps from step i; the block as settle takes
+        it, (i, bound, low, state, total_dx, count), and the state, X-extent
+        and corner at its end."""
+        done, *end, adx, mlo, mhi, nlo, nhi, corner = walk.advance(*state,
+                                                                   count)
+        # the obstacle of cell (m, n) lies within a/2, b/2 of its centre,
+        # and the start within a/2, b/2 of the origin
+        bound = math.hypot(max(-mlo, mhi) + 1, max(-nlo, nhi) + 1) / low \
+            if low > 0 else math.inf
+        return (i, bound, low, state, total_dx, done), tuple(end), adx, corner
+
     def settle(blocks):
-        """Decide the steps of ``blocks``, (i, bound, low, state, total_dx,
-        count) each, in step order; the step at which stop_at is reached,
-        or None.  A block whose bound is at most the best is skipped."""
+        """Decide the steps of ``blocks`` in step order; the step at which
+        stop_at is reached, or None.  A block whose bound is at most the
+        best, or below the bar, is skipped.  With the witnesses full, a
+        block of more than _BLOCK steps is bisected: its last step raises
+        the bar, and each half is advanced again and bounded with the log
+        of its own start time."""
         nonlocal best, best_t
-        for i, bound, low, state, total_dx, count in blocks:
-            if bound <= best:
+        # below stop_at and the statistic of step ``judged``; with the
+        # witnesses full, a step below both changes nothing
+        bar, judged = 0.0, None
+        todo = blocks[::-1]  # the next block last
+        while todo:
+            i, bound, low, state, total_dx, count = todo.pop()
+            if bound <= best or bound < bar:
+                continue
+            if count > _BLOCK and len(witnesses) == _WITNESSES:
+                # halves on the power map's steps, so a run's are runs
+                half = _POWER * (count // (2 * _POWER))
+                low = max(low, floor_log(total_dx))
+                first, mid, adx, _ = block(i, low, state, total_dx, half)
+                total_dx += adx
+                second, end, adx, _ = block(
+                    i + half, max(low, floor_log(total_dx)), mid, total_dx,
+                    count - half)
+                if i + count != judged:  # the last step raises the bar
+                    judged = i + count
+                    stat = exact(*end, total_dx + adx)[2]
+                    if stat is not None:
+                        bar = max(bar, stat if stop_at is None
+                                  else min(stat, stop_at))
+                todo += [second, first]
                 continue
             for dom, tr, m, n, adx in islice(walk.steps(*state), count):
                 i += 1
                 total_dx += adx
-                # the obstacle of cell (m, n) lies within a/2, b/2 of its
-                # centre, and the start within a/2, b/2 of the origin
-                if low > 0 and \
-                        math.hypot(abs(m) + 1, abs(n) + 1) / low <= best:
-                    continue
+                if low > 0:
+                    reach = math.hypot(abs(m) + 1, abs(n) + 1) / low
+                    if reach <= best or reach < bar:
+                        continue
                 t, dist, stat, step_low = exact(dom, tr, m, n, total_dx)
                 low = max(low, step_low)
                 if stat is not None and stat > best:
@@ -416,12 +468,13 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
     state = (walk.k, walk.t, 0, 0)
     total_dx = i = 0
     while i < horizon:
-        done, *end, adx, mlo, mhi, nlo, nhi, corner = walk.advance(
-            *state, min(_BLOCK, horizon - i))
-        bound = math.hypot(max(-mlo, mhi) + 1, max(-nlo, nhi) + 1) / lo \
-            if lo > 0 else math.inf
+        count = min(_BLOCK, horizon - i)
+        if len(witnesses) == _WITNESSES:  # a run of the power map is a block
+            count = max(count, walk.run(*state[:2], horizon - i))
+        blk, end, adx, corner = block(i, lo, state, total_dx, count)
+        done, bound = blk[5], blk[1]
         if done and bound > bar:
-            deferred.append((i, bound, lo, state, total_dx, done))
+            deferred.append(blk)
             keep = len(witnesses) == _WITNESSES and (stop_at is None
                                                      or bound < stop_at)
             if keep:  # its last step raises the bar

@@ -1,13 +1,14 @@
 """Functions only the tests use: a side's midpoint state, the length of a
-traced polyline, the matrix and the inverse of a generator word, and the
-straight-line flow on a square-tiled surface.  The package itself has no
-use for them.
+traced polyline, the whole power map built eagerly, the matrix and the
+inverse of a generator word, and the straight-line flow on a square-tiled
+surface.  The package itself has no use for them.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from windtree.billiard import (BilliardState, TracedPath, make_state,
-                               side_length)
+from windtree.billiard import (_POWER, BilliardState, TracedPath, _scaled_map,
+                               make_state, side_length)
 from windtree.errors import DomainError
 from windtree.exact import Params, Slope
 from windtree.origami import Origami, as_tokens
@@ -30,6 +31,55 @@ def path_length(path: TracedPath, slope: Slope) -> Fraction:
         else:
             total += Fraction(dy, slope.u)
     return total
+
+
+def _compose(first: tuple, second: tuple) -> tuple:
+    """The map ``second`` after ``first``, both (cuts, pieces) as
+    `eager_power_map` gives them: each piece of ``first`` is split where
+    its image meets a breakpoint of ``second``."""
+    cuts, pieces = [], []
+    for cs, row in zip(*first):
+        new_cs, new_row = [], []
+        lo = 0
+        for hi, (k, flip, s, dm, dn, c0, c1, mlo, mhi, nlo, nhi, *_) in \
+                zip(cs, row):
+            # the image (a, b) of (lo, hi) meets the pieces j0..j1 of k
+            a, b = (s - hi, s - lo) if flip else (lo + s, hi + s)
+            cs2, row2 = second[0][k], second[1][k]
+            j0, j1 = bisect_right(cs2, a), bisect_left(cs2, b)
+            part = []
+            for j in range(j0, j1 + 1):
+                k2, flip2, s2, dm2, dn2, c02, c12, mlo2, mhi2, nlo2, nhi2, \
+                    *_ = row2[j]
+                part.append((k2, flip != flip2, s2 - s if flip2 else s2 + s,
+                             dm + dm2, dn + dn2, c0 + c02 + c12 * s,
+                             c1 - c12 if flip else c1 + c12,
+                             min(mlo, dm + mlo2), max(mhi, dm + mhi2),
+                             min(nlo, dn + nlo2), max(nhi, dn + nhi2)))
+            # the breakpoints inside the image, taken back, in order of t
+            if flip:
+                part.reverse()
+                new_cs += [s - cs2[j] for j in range(j1 - 1, j0 - 1, -1)]
+            else:
+                new_cs += [cs2[j] - s for j in range(j0, j1)]
+            new_row += part
+            new_cs.append(hi)
+            lo = hi
+        cuts.append(tuple(new_cs))
+        pieces.append(tuple(new_row))
+    return tuple(cuts), tuple(pieces)
+
+
+def eager_power_map(params, u: int, v: int, n0: int) -> tuple:
+    """T^_POWER of slope u/v at lattice scale n0, every piece built: (cuts,
+    pieces) by domain, as `billiard._scaled_map` gives T, with pieces (k',
+    flip, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi).  Built by three
+    doublings, T^2, T^4, T^8; the oracle for the pieces that
+    `billiard._PowerMap` composes one at a time."""
+    table = _scaled_map(params, u, v, n0)[:2]
+    for _ in range(_POWER.bit_length() - 1):
+        table = _compose(table, table)
+    return table
 
 
 def inverse_word(word) -> tuple:

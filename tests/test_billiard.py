@@ -18,13 +18,13 @@ from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
                                time_reversed, trace)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import Params, ParityClass, PointQ, Slope, classify_params
-from windtree.experiments import sample_boundary_starts
+from windtree.experiments import quantize_direction, sample_boundary_starts
 
 from census import direction_cycles
 from grid_stepper import (GridStepper, assert_resolved, long_flight,
                           long_pieces)
 from oracles import scan_next_hit
-from support import midpoint_state, path_length
+from support import eager_power_map, midpoint_state, path_length
 from walk_reference import _walk_period as single_piece_walk
 
 HALF = classify_params(1, 2, 1, 2)
@@ -702,71 +702,78 @@ def _stepped_block(params, start, count, stop_cell):
             corner)
 
 
-class _LoggedRow(tuple):
-    """A row of map pieces that logs every piece read as (table, k, i)."""
+class _LoggedList(list):
+    """A list that logs every read of an entry."""
 
-    def __new__(cls, row, log, table, k):
-        obj = super().__new__(cls, row)
-        obj.log, obj.tag = log, (table, k)
-        return obj
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
 
     def __getitem__(self, i):
-        self.log.append((*self.tag, i))
-        return tuple.__getitem__(self, i)
+        self.log.append(i)
+        return list.__getitem__(self, i)
 
 
-def _logged(pieces, log, table):
-    return tuple(_LoggedRow(row, log, table, k) for k, row in enumerate(pieces))
-
-
-def _replay_reads(log, single, power, state, stop_cell):
-    """Follow the piece reads of one `Orbit.advance` call from ``state``.
-
-    A read of the power map is a fallback when t is on a breakpoint of it
-    or the stop cell lies in the piece's box, and a power step otherwise.
-    Returns the counts of the three and the state the steps reach."""
+def _power_steps(walk, table, state, count, stop_cell, counts=None):
+    """`Orbit.advance` of ``count`` collisions from ``state`` with every
+    piece of T^8 taken one at a time, from the eager table ``table``:
+    single pieces for the 8 collisions after a breakpoint of T^8 or a
+    piece whose box holds the stop cell, and for a remainder.  Counts the
+    power steps, the two kinds of fallback and the power steps that repeat
+    the one before into ``counts``."""
+    counts = {} if counts is None else counts
+    cuts, pieces = table
     k, t, m, n = state
-    counts = {"power": 0, "breakpoint": 0, "box": 0}
-    for table, kk, i in log:
-        cuts, pieces = power if table == "power" else single
-        assert kk == k and i == bisect_left(cuts[k], t)
-        piece = pieces[k][i]
-        if table == "power":
+    mlo = mhi = m
+    nlo = nhi = n
+    ext = done = 0
+    corner = last = None
+    while done < count:
+        if count - done >= 8:
+            i = bisect_left(cuts[k], t)
+            k2, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi = pieces[k][i]
             if cuts[k][i] == t:
-                counts["breakpoint"] += 1
+                kind = "breakpoint"
+            elif stop_cell is not None and \
+                    plo <= stop_cell[0] - m <= phi and \
+                    qlo <= stop_cell[1] - n <= qhi:
+                kind = "box"
+            else:
+                kind = "repeat" if last == (k, i) else "power"
+                counts[kind] = counts.get(kind, 0) + 1
+                last = k, i
+                ext += c0 + c1 * t
+                k, t = k2, shift - t if flip else shift + t
+                mlo, mhi = min(mlo, m + plo), max(mhi, m + phi)
+                nlo, nhi = min(nlo, n + qlo), max(nhi, n + qhi)
+                m, n = m + dm, n + dn
+                done += 8
                 continue
-            if stop_cell is not None and \
-                    piece[7] <= stop_cell[0] - m <= piece[8] and \
-                    piece[9] <= stop_cell[1] - n <= piece[10]:
-                counts["box"] += 1
-                continue
-            counts["power"] += 1
-        k, flip, shift, dm, dn = piece[:5]
-        t = shift - t if flip else shift + t
-        m += dm
-        n += dn
-    return counts, (k, t, m, n)
+            counts[kind] = counts.get(kind, 0) + 1
+        last = None
+        want = min(8, count - done)
+        got, k, t, m, n, adx, a, b, c, d, corner = walk.advance(
+            k, t, m, n, want, stop_cell)
+        done += got
+        ext += adx
+        mlo, mhi, nlo, nhi = min(mlo, a), max(mhi, b), min(nlo, c), max(nhi, d)
+        if got < want or (m, n) == stop_cell:
+            break
+    return done, k, t, m, n, ext, mlo, mhi, nlo, nhi, corner
 
 
-def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
+def test_advance_matches_stepping_one_collision_at_a_time():
     # one call of the block walker against the grid-line stepper, collision
     # by collision: random tables of all three parity classes, exact slopes
     # and directions quantized at 16-96 bits (N up to about 2^211), counts
     # 0-500 with and without a stop cell, and starts that run into a corner
     # inside the block.  Calls of 64 collisions or more step on the power
-    # map: its piece reads are logged and followed, to count its steps and
-    # both kinds of fallback to single pieces.
-    log = []
-    power_map = billiard._power_map
-
-    def logged_power_map(*key):
-        cuts, pieces = power_map(*key)
-        return cuts, _logged(pieces, log, "power")
-
-    monkeypatch.setattr(billiard, "_power_map", logged_power_map)
+    # map: the call equals the same collisions stepped on the eager table
+    # one piece of T^8 at a time, which counts the power steps, both kinds
+    # of fallback to single pieces and the repeats of one piece
     rng = random.Random(20261019)
     seen = {"classes": set(), "corner": 0, "stopped": 0, "full": 0,
-            "bits": 0, "power": 0, "breakpoint": 0, "box": 0}
+            "bits": 0, "power": 0, "breakpoint": 0, "box": 0, "repeat": 0}
     for case in range(160):
         while True:
             q, s = rng.randint(2, 12), rng.randint(2, 12)
@@ -804,30 +811,24 @@ def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
                                     (free[7] + 1, free[9] + 1)])
         want = _stepped_block(params, start, count, stop_cell)
         walk = Orbit(start, params)
-        single = walk._cuts, walk._pieces
-        walk._pieces = _logged(walk._pieces, log, "single")
-        log.clear()
-        got = walk.advance(walk.k, walk.t, *start.cell, count, stop_cell)
+        state = (walk.k, walk.t, *start.cell)
+        got = walk.advance(*state, count, stop_cell)
         corner = got[10] and (got[10].x, got[10].y)
         assert got[:10] + (corner,) == want
-        counts, end = _replay_reads(
-            log, single, power_map(params, slope.u, slope.v, walk.n0),
-            (walk.k, walk.t, *start.cell), stop_cell)
-        assert end == got[1:5]
-        if count < billiard._BLOCK:
-            assert counts == {"power": 0, "breakpoint": 0, "box": 0}
+        if count >= billiard._BLOCK:
+            assert _power_steps(walk, eager_power_map(
+                params, slope.u, slope.v, walk.n0), state, count, stop_cell,
+                seen)[:10] == got[:10]
         seen["classes"].add(params.parity_class)
         seen["corner"] += want[10] is not None and 0 < want[0] < count
         seen["stopped"] += want[0] < free[0]
         seen["full"] += want[0] == count > 0
         seen["bits"] = max(seen["bits"], walk.lattice.N.bit_length())
-        for key in counts:
-            seen[key] += counts[key]
     assert seen["classes"] == set(ParityClass)
     assert seen["corner"] >= 10 and seen["stopped"] >= 10, seen
     assert seen["full"] >= 10 and seen["bits"] > 200, seen
     assert seen["power"] >= 10 and seen["breakpoint"] >= 10, seen
-    assert seen["box"] >= 10, seen
+    assert seen["box"] >= 10 and seen["repeat"] >= 10, seen
 
 
 def _eight_steps(walk, k, t):
@@ -842,35 +843,40 @@ def _eight_steps(walk, k, t):
     return k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns)
 
 
+def _random_table_and_direction(rng, case):
+    """A random table (of any parity class) and an exact slope on odd
+    cases, a direction quantized at 16-96 bits on even ones."""
+    while True:
+        q, s = rng.randint(2, 12), rng.randint(2, 12)
+        p, r = rng.randint(1, q - 1), rng.randint(1, s - 1)
+        if gcd(p, q) == gcd(r, s) == 1:
+            break
+    if case % 2:
+        value = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+    else:
+        value = Fraction(rng.randint(2**20, 2**22), rng.randint(2**20, 2**22))
+        bits = rng.randint(16, 96)
+        value = Fraction(round(value * 2**bits), 2**bits)
+    return (p, q, r, s), Slope(value.numerator, value.denominator)
+
+
 def test_power_map_pieces_match_eight_single_steps():
-    # every piece of T^8 against 8 single steps just inside both ends of
-    # its interval, and every breakpoint of T^8 against a corner within 8
-    # steps: random tables of all three parity classes, exact slopes and
-    # directions quantized at 16-96 bits, at the lattice scales of starts
-    # with random offsets
+    # every piece of the eager T^8 table against 8 single steps just inside
+    # both ends of its interval, and every breakpoint of T^8 against a
+    # corner within 8 steps: random tables of all three parity classes,
+    # exact slopes and directions quantized at 16-96 bits, at the lattice
+    # scales of starts with random offsets
     rng = random.Random(8)
     seen = {"classes": set(), "pieces": 0, "breakpoints": 0, "bits": 0}
     for case in range(60):
-        while True:
-            q, s = rng.randint(2, 12), rng.randint(2, 12)
-            p, r = rng.randint(1, q - 1), rng.randint(1, s - 1)
-            if gcd(p, q) == gcd(r, s) == 1:
-                break
-        params = classify_params(p, q, r, s)
-        if case % 2:
-            value = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-        else:
-            value = Fraction(rng.randint(2**20, 2**22),
-                             rng.randint(2**20, 2**22))
-            bits = rng.randint(16, 96)
-            value = Fraction(round(value * 2**bits), 2**bits)
-        slope = Slope(value.numerator, value.denominator)
+        pqrs, slope = _random_table_and_direction(rng, case)
+        params = classify_params(*pqrs)
         den = rng.randint(2, 2**12)
-        start = _random_start((p, q, r, s), (slope.u, slope.v),
+        start = _random_start(pqrs, (slope.u, slope.v),
                               rng.choice((LEFT, RIGHT, BOTTOM, TOP)),
                               rng.randint(1, den - 1), den, 1, (0, 0))[1]
         walk = Orbit(start, params)
-        cuts, pieces = billiard._power_map(params, slope.u, slope.v, walk.n0)
+        cuts, pieces = eager_power_map(params, slope.u, slope.v, walk.n0)
         assert [len(row) for row in pieces] == [len(cs) for cs in cuts]
         for k in range(len(DOMAINS)):
             lo = 0
@@ -892,6 +898,145 @@ def test_power_map_pieces_match_eight_single_steps():
         seen["bits"] = max(seen["bits"], walk.lattice.N.bit_length())
     assert seen["classes"] == set(ParityClass) and seen["bits"] > 180, seen
     assert seen["pieces"] >= 1000 and seen["breakpoints"] >= 1000, seen
+
+
+def _assert_lazy_equals_eager(params, slope, n0, rng):
+    """Every piece and breakpoint of the lazy power map against the eager
+    table, looked up in random order at random points; then the intervals
+    the lazy map knows are all of the eager table's."""
+    cuts, pieces = eager_power_map(params, slope.u, slope.v, n0)
+    lazy = billiard._PowerMap(*billiard._scaled_map(params, slope.u, slope.v,
+                                                    n0)[:2])
+    probes = []
+    for k in range(len(DOMAINS)):
+        lo = 0
+        for hi, piece in zip(cuts[k], pieces[k]):
+            probes.append((k, rng.randint(lo + 1, hi - 1),
+                           (lo, hi, (*piece, piece[0] == k and not piece[1]
+                                     and piece[2] != 0))))
+            if hi < cuts[k][-1]:
+                probes.append((k, hi, None))
+            lo = hi
+    rng.shuffle(probes)
+    for k, t, want in probes:
+        assert lazy.lookup(k, t) == want
+        # a piece from a domain to itself flies the same extent from any t
+        assert want is None or not want[2][-1] or want[2][6] == 0
+    edges, rows = lazy.edges[-1], lazy.rows[-1]
+    assert edges == [[0, *cs] for cs in cuts]
+    assert rows == [
+        [None, *((*p, p[0] == k and not p[1] and p[2] != 0) for p in row)]
+        for k, row in enumerate(pieces)]
+    return sum(map(len, cuts)), sum(p[-1] for row in rows for p in row[1:])
+
+
+def test_lazy_power_pieces_equal_the_eager_table():
+    # random tables of all three parity classes, exact slopes and
+    # directions quantized at 16-96 bits, at lattice scales n0 from 1 to
+    # 2^12; and the bench slopes: the Fibonacci ratios on 1/2,1/2, 64-bit
+    # directions on 1/2,1/2 and 96-bit ones just above slope 1 on 2/3,2/3
+    rng = random.Random(19)
+    seen = {"classes": set(), "n0": 0, "pieces": 0, "runs": 0}
+    cases = []
+    for case in range(40):
+        pqrs, slope = _random_table_and_direction(rng, case)
+        cases.append((classify_params(*pqrs), slope, rng.randint(1, 2**12)))
+    for slope in ("233/377", "1597/2584", "4181/6765", "10946/17711"):
+        cases.append((HALF, Slope.parse(slope), 1))
+    for theta in ("0.31830988618379067154", "0.61803398874989484820"):
+        cases.append((HALF, quantize_direction(Fraction(theta), 64).slope, 1))
+    for theta in ("1.0000003", "1.0000005"):
+        cases.append((TWO_THIRDS,
+                      quantize_direction(Fraction(theta), 96).slope, 3))
+    for params, slope, n0 in cases:
+        pieces, runs = _assert_lazy_equals_eager(params, slope, n0, rng)
+        seen["classes"].add(params.parity_class)
+        seen["n0"] += n0 > 1
+        seen["pieces"] += pieces
+        seen["runs"] += runs
+    assert seen["classes"] == set(ParityClass)
+    assert seen["n0"] >= 20 and seen["pieces"] >= 3000, seen
+    assert seen["runs"] >= 4, seen
+
+
+def test_run_equals_its_repeats_one_power_step_at_a_time():
+    # every piece of T^8 that maps its domain to itself, unflipped, taken
+    # by one `Orbit.advance` against its repeats taken one at a time: on
+    # 96-bit directions just above and just below slope 1 on 2/3,2/3, the
+    # Fibonacci slopes on 1/2,1/2 and random tables; from random points of
+    # the piece's interval and from points a few repeats from its edge, so
+    # that runs end at the edge and the orbit goes on past it; with counts
+    # that cut the run short and with stop cells inside and outside the
+    # repeats' boxes
+    rng = random.Random(1907)
+    seen = {"negative": 0, "positive": 0, "edge": 0, "count": 0, "stop": 0,
+            "stop_outside": 0}
+    cases = []
+    for theta in ("1.0000003", "0.9999997", "1.0000005", "0.99999931"):
+        cases.append((TWO_THIRDS,
+                      quantize_direction(Fraction(theta), 96).slope))
+    for slope in ("233/377", "4181/6765", "6765/10946"):
+        cases.append((HALF, Slope.parse(slope)))
+    for case in range(20):
+        pqrs, slope = _random_table_and_direction(rng, case)
+        cases.append((classify_params(*pqrs), slope))
+    for case, (params, slope) in enumerate(cases):
+        # a regular start's lattice scale, or a sampled one's (n0 > 1)
+        if case % 2:
+            start = regular_start(params, slope)[0]
+        else:
+            s = sample_boundary_starts(params, slope, 1, case)[0]
+            start = make_state(params, (0, 0), s.side, s.offset, slope,
+                               s.orientation)
+        walk = Orbit(start, params)
+        table = eager_power_map(params, slope.u, slope.v, walk.n0)
+        for k, (cs, row) in enumerate(zip(*table)):
+            for i, (lo, hi) in enumerate(zip((0, *cs), cs)):
+                k2, flip, shift, dm, dn, *_, = row[i]
+                if k2 != k or flip or not shift:
+                    continue
+                length = (hi - lo - 1) // abs(shift)  # repeats across
+                for _ in range(2):
+                    if rng.random() < 0.5:
+                        # a few repeats from the edge it moves to
+                        j = rng.randint(0, min(length, 6))
+                        t = hi - 1 - j * shift if shift > 0 \
+                            else lo + 1 - j * shift
+                    else:
+                        t = rng.randint(lo + 1, hi - 1)
+                    cell = (rng.randint(-9, 9), rng.randint(-9, 9))
+                    left = ((hi - 1 - t) // shift if shift > 0
+                            else (t - lo - 1) // -shift) + 1
+                    count = 8 * rng.randint(8, min(left + 12, 3000)) + \
+                        rng.randint(0, 7)
+                    stop_cell = None
+                    if rng.random() < 0.4:
+                        # a cell of a later repeat's box, or one beside the
+                        # whole run
+                        j = rng.randint(1, max(1, min(left, 400) - 1))
+                        plo, phi, qlo, qhi = row[i][7:11]
+                        if rng.random() < 0.7:
+                            stop_cell = (cell[0] + j * dm
+                                         + rng.randint(plo, phi),
+                                         cell[1] + j * dn
+                                         + rng.randint(qlo, qhi))
+                        else:
+                            stop_cell = (cell[0] + left * abs(dm) + 99,
+                                         cell[1] - left * abs(dn) - 99)
+                    state = (k, t, *cell)
+                    want = _power_steps(walk, table, state, count, stop_cell)
+                    assert walk.advance(*state, count, stop_cell)[:10] == \
+                        want[:10]
+                    seen["negative" if shift < 0 else "positive"] += 1
+                    reps = count // 8
+                    if stop_cell is not None:
+                        seen["stop" if want[0] < count else
+                             "stop_outside"] += 1
+                    elif left < reps:
+                        seen["edge"] += 1
+                    else:
+                        seen["count"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_negative_collision_count_is_rejected():
@@ -1360,9 +1505,11 @@ def _walk_both_ways(params, start, limit, to_cell=False):
             for walk in (billiard._walk_period, single_piece_walk)]
 
 
-@pytest.mark.parametrize("slope", ["233/377", "987/1597", "1597/2584",
-                                   "2584/4181", "4181/6765", "6765/10946",
-                                   "10946/17711"])
+_BENCH_SLOPES = ("233/377", "987/1597", "1597/2584", "2584/4181",
+                 "4181/6765", "6765/10946", "10946/17711")
+
+
+@pytest.mark.parametrize("slope", _BENCH_SLOPES)
 def test_power_walk_records_the_bench_slopes_as_single_steps(slope):
     # the rational-orbits slopes on 1/2,1/2: periodic and escaping cycles
     # of 1,220 to 21,892 collisions, walked whole and to the start cell
@@ -1376,6 +1523,61 @@ def test_power_walk_records_the_bench_slopes_as_single_steps(slope):
             assert got == want
             assert want.steps > billiard._POWER_FROM
             assert want.cycle is not None or want.returned
+
+
+def _indexed_one_landmark_at_a_time(cycles):
+    """The per-domain intervals of the cycles' landmarks, each landmark
+    bisected into place and checked against its neighbours: (los, his,
+    refs) as `_CycleStore` keeps them."""
+    los, his, refs = ([[] for _ in DOMAINS] for _ in range(3))
+    for c, cyc in enumerate(cycles):
+        for b, k in enumerate(cyc.k):
+            lo, hi = cyc.interval(b)
+            i = bisect_left(los[k], lo)
+            assert not (i and his[k][i - 1] > lo)
+            assert not (i < len(los[k]) and los[k][i] < hi)
+            los[k].insert(i, lo)
+            his[k].insert(i, hi)
+            refs[k].insert(i, c << 32 | b)
+    return los, his, refs
+
+
+def test_cycle_store_merges_landmarks_as_one_at_a_time_inserts():
+    # the cycles of the rational-orbits slopes on 1/2,1/2, recorded from
+    # sampled starts, indexed by merging each cycle's sorted landmarks and
+    # by inserting them one at a time; a cycle that overlaps a recorded
+    # one, whole or by one landmark, is refused and changes nothing
+    recorded = 0
+    for slope in _BENCH_SLOPES:
+        slope = Slope.parse(slope)
+        store = billiard._CycleStore()
+        for seed in range(1, 9):
+            s = sample_boundary_starts(HALF, slope, 1, seed)[0]
+            walk = Orbit(make_state(HALF, (0, 0), s.side, s.offset, slope,
+                                    s.orientation), HALF)
+            if store.locate(walk) is None:
+                billiard._walk_period(walk, 10**5, store)
+        recorded += len(store.cycles)
+        index = (store.los, store.his, store.refs)
+        assert index == _indexed_one_landmark_at_a_time(store.cycles)
+        before = [[list(col) for col in cols] for cols in index]
+        twin = billiard._Cycle()
+        for col in _CYCLE_COLUMNS:
+            setattr(twin, col, getattr(store.cycles[0], col))
+        with pytest.raises(AssertionError, match="overlap"):
+            store.add(twin)
+        # a cycle of one landmark, half an interval off a recorded one
+        cyc = store.cycles[-1]
+        part = billiard._Cycle()
+        part.k.append(cyc.k[-1])
+        part.sign.append(cyc.sign[-1])
+        part.off = [cyc.off[-1] + (cyc.hi - cyc.lo) // 2]
+        part.lo, part.hi = cyc.lo, cyc.hi
+        with pytest.raises(AssertionError, match="overlap"):
+            store.add(part)
+        assert [[list(col) for col in cols]
+                for cols in (store.los, store.his, store.refs)] == before
+    assert recorded >= 10, recorded
 
 
 # Tables with cycles longer than _POWER_FROM of each even period mod 8.
@@ -1399,8 +1601,12 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
     power_map = billiard._power_map
 
     def logged_power_map(*key):
-        cuts, pieces = power_map(*key)
-        return cuts, _logged(pieces, reads, "power")
+        # the top level's rows log every read
+        power = power_map(*key)
+        if not isinstance(power.rows[-1][0], _LoggedList):
+            power.rows[-1] = [_LoggedList(row, reads)
+                              for row in power.rows[-1]]
+        return power
 
     monkeypatch.setattr(billiard, "_power_map", logged_power_map)
     rng = random.Random(16)

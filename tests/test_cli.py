@@ -186,6 +186,12 @@ def test_selftest_checks_a_cycle_recorded_on_the_power_map(capsys):
             in out)
 
 
+def test_selftest_checks_a_run_on_the_power_map(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == EXIT_OK
+    assert "PASS  run on the power map equals its repeats\n" in out
+
+
 def test_config_roundtrips(tmp_path):
     cfg = RunConfig(command="classify", params="2/3,2/3", slope="3/4",
                     seed=42, horizon=777)
@@ -508,6 +514,27 @@ def test_diffuse_csv_bytes_pinned(tmp_path, capsys, args, digest, size):
     # diffusive one, and k = 2
     out = tmp_path / "pin.csv"
     code, _, _ = run(capsys, "diffuse", *args, "--csv", str(out))
+    assert code == EXIT_OK
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("horizon,digest,size", [
+    (10**6, "bcf5228352b628e6399d23bdce7b32e6083563065c57005cc118386004f3bd68",
+     9672),
+    (10**7, "c93d508a138c65ab809a1758b1e1ce84b59831dbe16229cb8f786d8eac685b6d",
+     9674),
+])
+def test_diffuse_csv_bytes_pinned_at_long_horizons(tmp_path, capsys, horizon,
+                                                   digest, size):
+    # a ballistic orbit just above slope 1 at 96 bits, whose T^8 orbit
+    # crosses several piece boundaries over the horizon (digests taken
+    # before orbits advanced whole runs of a piece at once)
+    out = tmp_path / "pin.csv"
+    code, _, _ = run(capsys, "diffuse", "--params", "2/3,2/3", "--theta",
+                     "1.0000003", "--precision-bits", "96", "--samples", "2",
+                     "--horizon", str(horizon), "--csv", str(out))
     assert code == EXIT_OK
     data = out.read_bytes()
     assert len(data) == size

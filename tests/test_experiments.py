@@ -610,10 +610,71 @@ def test_diffusion_matches_the_step_by_step_loop(monkeypatch):
                                                   horizon, stop_at), want)
 
 
+def test_diffusion_over_runs_matches_the_step_by_step_loop(monkeypatch):
+    # past the 64 witnesses, a run of one piece of T^8 is one block, which
+    # settle bisects: 96-bit directions just above and just below slope 1
+    # on 2/3,2/3 and near-one directions on random tables, k = 1..3,
+    # horizons of 5*10^4, a multiple of 8 or not, stop_at None or
+    # reached inside a run; and two of them again with at most 0 or 1
+    # blocks waiting
+    runs = []
+    run = Orbit.run
+
+    def logged_run(self, k, t, count):
+        found = run(self, k, t, count)
+        runs.append(found)
+        return found
+
+    monkeypatch.setattr(Orbit, "run", logged_run)
+    rng = random.Random(1107)
+    cases = []
+    for theta in ("1.0000003", "0.9999997", "1.00000051"):
+        direction = quantize_direction(Fraction(theta), 96)
+        for start in sample_boundary_starts(TWO_THIRDS, direction.slope, 2,
+                                            rng.randrange(1 << 30)):
+            cases.append((TWO_THIRDS, direction.slope, start))
+    while len(cases) < 9:
+        params, direction, starts = _diffusion_case(rng, "near-one")
+        runs.clear()
+        _diffusion_sample(params, direction.slope, starts[0], 1, 30000, None)
+        if max(runs, default=0) > 1000:
+            cases.append((params, direction.slope, starts[0]))
+    seen = {"long": 0, "stopped": 0, "classes": set()}
+    reruns = []
+    for case, (params, slope, start) in enumerate(cases):
+        k = case % 3 + 1
+        horizon = rng.choice((50000, 49997))
+        for stop_at in (None, 0.0):
+            if stop_at is not None:
+                # reached inside a run, well past the witnesses
+                stop_at = want.statistic * rng.uniform(0.3, 0.9)
+            want = _reference_diffusion_sample(params, slope, start, k,
+                                               horizon, stop_at)
+            runs.clear()
+            _assert_same_sample(_diffusion_sample(params, slope, start, k,
+                                                  horizon, stop_at), want)
+            seen["long"] += max(runs, default=0) > 10000
+            seen["stopped"] += want.collisions < horizon
+            seen["classes"].add(params.parity_class)
+            if case < 2:
+                reruns.append((params, slope, start, k, horizon, stop_at,
+                               want))
+    assert seen.pop("classes") == set(ParityClass)
+    assert seen["long"] >= 10 and seen["stopped"] >= 8, seen
+    for defer in (0, 1):
+        monkeypatch.setattr(experiments, "_DEFER", defer)
+        for params, slope, start, k, horizon, stop_at, want in reruns:
+            _assert_same_sample(_diffusion_sample(params, slope, start, k,
+                                                  horizon, stop_at), want)
+
+
 def test_diffusion_evaluates_few_steps_exactly(monkeypatch):
     # a ballistic orbit just above slope 1 sets a new sup at about every
     # second step; past the 64 witnesses, the statistic is evaluated only
-    # at every 64th deferred step and at the survivors of the last batch
+    # at every 64th deferred step and at the survivors of the last batch,
+    # and a run of one piece of T^8 is bisected, which evaluates O(log)
+    # of its steps: the count of logs taken stays below 1,000 at 10^6
+    # collisions too
     calls = []
 
     def counted(k, t):
@@ -622,12 +683,14 @@ def test_diffusion_evaluates_few_steps_exactly(monkeypatch):
 
     monkeypatch.setattr(experiments, "iterated_log", counted)
     direction = quantize_direction(Fraction("1.0000003"), 96)
-    for seed in range(3):
-        calls.clear()
-        report = diffusion_experiment(TWO_THIRDS, direction, 1, 10000, seed)
-        assert report.samples[0].collisions == 10000
-        assert len(report.samples[0].witnesses) == 64
-        assert len(calls) < 1000, len(calls)
+    for horizon in (10000, 10**6):
+        for seed in range(3):
+            calls.clear()
+            report = diffusion_experiment(TWO_THIRDS, direction, 1, horizon,
+                                          seed)
+            assert report.samples[0].collisions == horizon
+            assert len(report.samples[0].witnesses) == 64
+            assert len(calls) < 1000, len(calls)
 
 
 def test_approximation_search_exact_member():

@@ -41,20 +41,27 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     mlo = mhi = m
     nlo = nhi = n
     while steps < limit:
-        if steps:
-            rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+        if steps:  # the box of the last landmark's block, from its cell
+            rec.mlo.append(mlo - lm)
+            rec.mhi.append(mhi - lm)
+            rec.nlo.append(nlo - ln)
+            rec.nhi.append(nhi - ln)
         # a landmark: the phase-0 point is at sign*t0 + off, and its
         # extent is ext + B*(tau - t0) with the slope B the leaf geometry
         # fixes
         if sign != leaf0 * _LEAF[k]:
             raise AssertionError("tracked sign off the leaf geometry")
         B = _extent_slope(walk.lattice.v, k0, k)
-        rec.mark(k, sign, _down(t - sign * t0, n0), m - sm, n - sn,
-                 _down(ext - B * t0, n0))
-        mlo = mhi = m
-        nlo = nhi = n
+        rec.k.append(k)
+        rec.sign.append(sign)
+        rec.off.append(_down(t - sign * t0, n0))
+        rec.cm.append(m - sm)
+        rec.cn.append(n - sn)
+        rec.ea.append(_down(ext - B * t0, n0))
+        mlo = mhi = lm = m
+        nlo = nhi = ln = n
         for steps in range(steps + 1, min(steps + G, limit) + 1):
-            k, flip, shift, dm, dn, c0, c1, _, _, _, _ = pieces[k][i]
+            k, flip, shift, dm, dn, c0, c1, *_ = pieces[k][i]
             ext += c0 + c1 * t
             if flip:
                 t = shift - t
@@ -97,7 +104,10 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
         return _Walk(steps, m, n, ext, corner, None, returned)
     if sign != 1:
         raise AssertionError("period map flipped on its interval")
-    rec.box(mlo - sm, mhi - sm, nlo - sn, nhi - sn)
+    rec.mlo.append(mlo - lm)
+    rec.mhi.append(mhi - lm)
+    rec.nlo.append(nlo - ln)
+    rec.nhi.append(nhi - ln)
     rec.seal(steps, (m - sm, n - sn), _down(ext, n0),
              _down(t0 - below, n0), _down(t0 + above, n0))
     store.add(rec)
