@@ -477,8 +477,9 @@ class _PowerMap:
     the cell by (dm, dn) and flies |dX| = c0 + c1*t, c1 a multiple of v;
     the cells arrived in lie in the box mlo <= m <= mhi, nlo <= n <= nhi
     relative to the start cell.  ``run`` marks a piece that maps its
-    domain to itself, unflipped, with shift != 0: an orbit repeats it
-    while t stays in its interval (`Orbit.advance`).
+    domain to itself, unflipped, with shift != 0 and c1 == 0: an orbit
+    repeats it while t stays in its interval, flying c0 each time
+    (`Orbit.advance`).
 
     The map is kept as a tower T, T^2, T^4, ..., each level per domain a
     sorted list of the breakpoints known so far, from 0 to the side
@@ -539,11 +540,11 @@ class _PowerMap:
         else:
             lo, hi = max(lo, lo2 - s1), min(hi, hi2 - s1)
         flip, shift = flip1 != flip2, s2 - s1 if flip2 else s2 + s1
-        piece = (k2, flip, shift, dm + dm2, dn + dn2, c0 + c02 + c12 * s1,
-                 c1 - c12 if flip1 else c1 + c12,
+        c1 = c1 - c12 if flip1 else c1 + c12
+        piece = (k2, flip, shift, dm + dm2, dn + dn2, c0 + c02 + c12 * s1, c1,
                  min(mlo, dm + mlo2), max(mhi, dm + mhi2),
                  min(nlo, dn + nlo2), max(nhi, dn + nhi2),
-                 k2 == k and not flip and shift != 0)
+                 k2 == k and not flip and shift != 0 and c1 == 0)
         # the piece takes its part of the gap, the rest stays open
         if hi < cs[i]:
             cs.insert(i, hi)
@@ -700,8 +701,7 @@ class Orbit:
                                  (count - done) // _POWER,
                                  stop and (sm - m, sn - n))
                     if r > 1:
-                        # c1 is 0: a flight from a side back to the same
-                        # kind of side flies the same X-extent from any t
+                        # a run piece has c1 == 0: each repeat flies c0
                         _, _, shift, dm, dn, c0, _, plo, phi, qlo, qhi, _ = \
                             piece
                         ext += r * c0

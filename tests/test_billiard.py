@@ -714,34 +714,98 @@ class _LoggedList(list):
         return list.__getitem__(self, i)
 
 
-def _power_steps(walk, table, state, count, stop_cell, counts=None):
+class _LoggedRow:
+    """A view of a row of map pieces that logs every read as (table, k, i,
+    piece); the row itself may still grow."""
+
+    def __init__(self, row, log, table, k):
+        self.row, self.log, self.tag = row, log, (table, k)
+
+    def __getitem__(self, i):
+        piece = self.row[i]
+        self.log.append((*self.tag, i, piece))
+        return piece
+
+
+class _LoggedPower:
+    """A power map as `Orbit.advance` reads it, with every read of a
+    piece of T^8 logged; `find` still composes into the map itself."""
+
+    def __init__(self, power, log):
+        self.find, self.edges = power.find, power.edges
+        self.rows = [*power.rows[:-1],
+                     [_LoggedRow(row, log, "power", k)
+                      for k, row in enumerate(power.rows[-1])]]
+
+
+def _replay_reads(log, single, power, state, stop_cell):
+    """Follow the piece reads of one `Orbit.advance` call from ``state``
+    on the single map ``single`` and the eager T^8 table ``power``.
+
+    A read of T^8 that finds no piece and is read again is a miss, where
+    `find` composed the piece.  Otherwise it is a fallback where t is on a
+    breakpoint of T^8 or the stop cell lies in the piece's box, and a power
+    step else; one that `_repeats` extended to r > 1 repeats is taken here
+    one repeat at a time, each on the piece the table holds at its t.
+    Every piece read must be the one the tables hold at t.  Returns the
+    counts of power steps, both fallbacks and the repeats after a run's
+    first, and the state and extent the steps reach."""
+    k, t, m, n = state
+    ext = 0
+    counts = {"power": 0, "breakpoint": 0, "box": 0, "repeat": 0}
+    for at, (table, *read) in enumerate(log):
+        follow = log[at + 1] if at + 1 < len(log) else (None,)
+        if table == "repeats" or table == "power" and read[2] is None \
+                and follow[0] == "power":
+            continue
+        kk, i, piece = read
+        cuts, pieces = power if table == "power" else single
+        j = bisect_left(cuts[k], t)
+        assert kk == k
+        reps = 1
+        if table == "single":
+            assert i == j and piece == pieces[k][j]
+        elif cuts[k][j] == t:
+            counts["breakpoint"] += 1
+            continue
+        else:
+            assert piece[:11] == pieces[k][j]
+            if stop_cell is not None and \
+                    piece[7] <= stop_cell[0] - m <= piece[8] and \
+                    piece[9] <= stop_cell[1] - n <= piece[10]:
+                counts["box"] += 1
+                continue
+            if follow[0] == "repeats":
+                reps = follow[1]
+            counts["power"] += 1
+            counts["repeat"] += reps - 1
+        for _ in range(reps):
+            assert bisect_left(cuts[k], t) == j
+            k2, flip, shift, dm, dn, c0, c1 = pieces[k][j][:7]
+            ext += c0 + c1 * t
+            k, t, m, n = k2, shift - t if flip else shift + t, m + dm, n + dn
+    return counts, (k, t, m, n), ext
+
+
+def _power_steps(walk, table, state, count, stop_cell):
     """`Orbit.advance` of ``count`` collisions from ``state`` with every
     piece of T^8 taken one at a time, from the eager table ``table``:
     single pieces for the 8 collisions after a breakpoint of T^8 or a
-    piece whose box holds the stop cell, and for a remainder.  Counts the
-    power steps, the two kinds of fallback and the power steps that repeat
-    the one before into ``counts``."""
-    counts = {} if counts is None else counts
+    piece whose box holds the stop cell, and for a remainder."""
     cuts, pieces = table
     k, t, m, n = state
     mlo = mhi = m
     nlo = nhi = n
     ext = done = 0
-    corner = last = None
+    corner = None
     while done < count:
         if count - done >= 8:
             i = bisect_left(cuts[k], t)
             k2, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi = pieces[k][i]
-            if cuts[k][i] == t:
-                kind = "breakpoint"
-            elif stop_cell is not None and \
-                    plo <= stop_cell[0] - m <= phi and \
-                    qlo <= stop_cell[1] - n <= qhi:
-                kind = "box"
-            else:
-                kind = "repeat" if last == (k, i) else "power"
-                counts[kind] = counts.get(kind, 0) + 1
-                last = k, i
+            if cuts[k][i] != t and (
+                    stop_cell is None
+                    or not plo <= stop_cell[0] - m <= phi
+                    or not qlo <= stop_cell[1] - n <= qhi):
                 ext += c0 + c1 * t
                 k, t = k2, shift - t if flip else shift + t
                 mlo, mhi = min(mlo, m + plo), max(mhi, m + phi)
@@ -749,8 +813,6 @@ def _power_steps(walk, table, state, count, stop_cell, counts=None):
                 m, n = m + dm, n + dn
                 done += 8
                 continue
-            counts[kind] = counts.get(kind, 0) + 1
-        last = None
         want = min(8, count - done)
         got, k, t, m, n, adx, a, b, c, d, corner = walk.advance(
             k, t, m, n, want, stop_cell)
@@ -762,15 +824,26 @@ def _power_steps(walk, table, state, count, stop_cell, counts=None):
     return done, k, t, m, n, ext, mlo, mhi, nlo, nhi, corner
 
 
-def test_advance_matches_stepping_one_collision_at_a_time():
+def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
     # one call of the block walker against the grid-line stepper, collision
     # by collision: random tables of all three parity classes, exact slopes
     # and directions quantized at 16-96 bits (N up to about 2^211), counts
     # 0-500 with and without a stop cell, and starts that run into a corner
     # inside the block.  Calls of 64 collisions or more step on the power
-    # map: the call equals the same collisions stepped on the eager table
-    # one piece of T^8 at a time, which counts the power steps, both kinds
-    # of fallback to single pieces and the repeats of one piece
+    # map: the pieces the call reads and the runs it applies are logged and
+    # followed on the eager tables, to count its power steps, both kinds of
+    # fallback to single pieces and the repeats of its runs.
+    log = []
+    power_map, repeats = billiard._power_map, billiard._repeats
+
+    def logged_repeats(*args):
+        r = repeats(*args)
+        log.append(("repeats", r))
+        return r
+
+    monkeypatch.setattr(billiard, "_power_map",
+                        lambda *key: _LoggedPower(power_map(*key), log))
+    monkeypatch.setattr(billiard, "_repeats", logged_repeats)
     rng = random.Random(20261019)
     seen = {"classes": set(), "corner": 0, "stopped": 0, "full": 0,
             "bits": 0, "power": 0, "breakpoint": 0, "box": 0, "repeat": 0}
@@ -811,19 +884,26 @@ def test_advance_matches_stepping_one_collision_at_a_time():
                                     (free[7] + 1, free[9] + 1)])
         want = _stepped_block(params, start, count, stop_cell)
         walk = Orbit(start, params)
-        state = (walk.k, walk.t, *start.cell)
-        got = walk.advance(*state, count, stop_cell)
+        single = walk._cuts, walk._pieces
+        walk._pieces = tuple(_LoggedRow(row, log, "single", k)
+                             for k, row in enumerate(walk._pieces))
+        log.clear()
+        got = walk.advance(walk.k, walk.t, *start.cell, count, stop_cell)
         corner = got[10] and (got[10].x, got[10].y)
         assert got[:10] + (corner,) == want
-        if count >= billiard._BLOCK:
-            assert _power_steps(walk, eager_power_map(
-                params, slope.u, slope.v, walk.n0), state, count, stop_cell,
-                seen)[:10] == got[:10]
+        counts, end, ext = _replay_reads(
+            log, single, eager_power_map(params, slope.u, slope.v, walk.n0),
+            (walk.k, walk.t, *start.cell), stop_cell)
+        assert end == got[1:5] and ext == got[5]
+        if count < billiard._BLOCK:
+            assert all(table == "single" for table, *_ in log)
         seen["classes"].add(params.parity_class)
         seen["corner"] += want[10] is not None and 0 < want[0] < count
         seen["stopped"] += want[0] < free[0]
         seen["full"] += want[0] == count > 0
         seen["bits"] = max(seen["bits"], walk.lattice.N.bit_length())
+        for key in counts:
+            seen[key] += counts[key]
     assert seen["classes"] == set(ParityClass)
     assert seen["corner"] >= 10 and seen["stopped"] >= 10, seen
     assert seen["full"] >= 10 and seen["bits"] > 200, seen
