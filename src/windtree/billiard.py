@@ -38,25 +38,25 @@ whose ray runs into a corner first; they are found by tracing the 4
 corners back along the 3 directions that leave each one, at n0 = 1, and
 each piece is read off from the first hits of two points just inside its
 ends on the 3-times finer lattice, where no breakpoint lies.  The map is
-built once per (params, slope), kept in a small LRU cache, and scaled by
-n0, the start's common denominator: the table geometry, the breakpoints
-and the shifts all scale with N.  The scaled copy is kept in a second
-small cache, per (params, slope, n0).  A step is then one bisection and a
-few integer additions, a start exactly on a breakpoint is a corner hit,
-and every quantity the map produces is one `_first_hit` would produce, so
-exactness still holds.  `Orbit.advance` applies the map for a block of
-collisions in one loop and reports the block as a whole (end state,
-extent, box of the cells); `Orbit.steps` yields the collisions one at a
-time, one `advance` each.  The 8th power of the map is a piecewise
-translation too, with the box of the cells each piece passes.  Its pieces
-are composed where an orbit first lands, down the tower T, T^2, T^4, and
-kept (`_PowerMap`, cached per (params, slope, n0)).  A block of 64
-collisions or more, and a recording walk (below) past its first 512, take
-8 at a time on it, and step single pieces for the next 8 where a corner,
-the stop cell or the walk's close lies within them, so their answers are
-those of single steps.  A piece that maps its domain back to itself,
-unflipped, repeats while t stays in its interval: a block applies all of
-its repeats at once.
+built once per (params, slope), kept in a small LRU cache.  An orbit
+reads it from one table per (params, slope, n0), n0 the start's common
+denominator (`_PowerMap`, in a small LRU cache of its own): the map
+scaled by n0, as the table geometry, the breakpoints and the shifts all
+scale with N.  A step is then one bisection and a few integer additions,
+a start exactly on a breakpoint is a corner hit, and every quantity the
+map produces is one `_first_hit` would produce, so exactness still
+holds.  `Orbit.advance` applies the map for a block of collisions in one
+loop and reports the block as a whole (end state, extent, box of the
+cells); `Orbit.steps` yields the collisions one at a time, one `advance`
+each.  The 8th power of the map is a piecewise translation too, with the
+box of the cells each piece passes.  The same table keeps its pieces,
+composed where an orbit first lands, down the tower T, T^2, T^4.  A
+block of 64 collisions or more, and a recording walk (below) past its
+first 512, take 8 at a time on it, and step single pieces for the next
+8 where a corner, the stop cell or the walk's close lies within them, so
+their answers are those of single steps.  A piece that maps its domain
+back to itself, unflipped, repeats while t stays in its interval: a
+block applies all of its repeats at once.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
@@ -439,24 +439,6 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
     return tuple(cuts), tuple(pieces), tuple(corners)
 
 
-@lru_cache(maxsize=16)
-def _scaled_map(params: Params, u: int, v: int, n0: int) -> tuple:
-    """The return map of slope u/v at lattice scale n0, with its pieces in
-    the form of `_PowerMap`'s: _return_map's piece, then the box of the one
-    cell it arrives in and False, as no single piece maps a domain to
-    itself.  The breakpoints, the shifts and the constant extent terms
-    scale with N, the corners do not.  Starts of one slope often share n0
-    (a regular start classified again, the fold points of one lift), so
-    the copy is kept, in an LRU as small as the map's own."""
-    cuts, pieces, corners = _return_map(params, u, v)
-    return (tuple(tuple(n0 * c for c in cs) for cs in cuts),
-            tuple(tuple((k, flip, n0 * shift, dm, dn, n0 * c0, c1,
-                         dm, dm, dn, dn, False)
-                        for k, flip, shift, dm, dn, c0, c1 in row)
-                  for row in pieces),
-            corners)
-
-
 # `Orbit.advance` steps on the power map T^_POWER in calls of at least
 # _BLOCK collisions, and `_walk_period` past _POWER_FROM collisions, about
 # what a build of the whole power map costs in single steps; the quantized
@@ -467,7 +449,8 @@ _POWER_FROM = 512
 
 
 class _PowerMap:
-    """T^_POWER, the return map applied _POWER times, at lattice scale n0,
+    """The table an orbit of slope u/v at lattice scale n0 steps on: the
+    return map T scaled by n0, and T^_POWER, the map applied _POWER times,
     composed one piece at a time where an orbit first lands.
 
     T^_POWER is a piecewise translation too, with breakpoints where one of
@@ -485,20 +468,30 @@ class _PowerMap:
     sorted list of the breakpoints known so far, from 0 to the side
     length, and the rows between them: ``edges[j][k][i]`` ends the open
     interval from ``edges[j][k][i - 1]`` whose piece is ``rows[j][k][i]``,
-    or None while it is not composed.  Level 0 is the whole scaled return
-    map.  A piece of level j is the piece of level j - 1 at t followed by
-    the one at its image, on the part of the first interval that the
-    second one's preimage covers.  Every interval is a maximal one between
-    breakpoints, so one bisection finds a piece or a breakpoint once it is
-    known; `find` composes it where it is not."""
+    or None while it is not composed.  Level 0 is the whole of T: the
+    breakpoints, the shifts and the constant extent terms of `_return_map`
+    scaled by n0, and each piece in the form above, with the box of the
+    one cell it arrives in and no run, as no single piece maps a domain to
+    itself.  ``corners[k][i]`` is `_return_map`'s corner of breakpoint
+    ``edges[0][k][i]``, which does not scale.  A piece of level j is the
+    piece of level j - 1 at t followed by the one at its image, on the
+    part of the first interval that the second one's preimage covers.
+    Every interval is a maximal one between breakpoints, so one bisection
+    finds a piece or a breakpoint once it is known; `find` composes it
+    where it is not."""
 
-    __slots__ = ("edges", "rows")
+    __slots__ = ("edges", "rows", "corners")
 
-    def __init__(self, cuts: tuple, pieces: tuple):
-        self.edges = [[[0, *cs] for cs in cuts]]
-        self.rows = [[[None, *row] for row in pieces]]
+    def __init__(self, params: Params, u: int, v: int, n0: int):
+        cuts, pieces, corners = _return_map(params, u, v)
+        self.edges = [[[0, *(n0 * c for c in cs)] for cs in cuts]]
+        self.rows = [[[None, *((k, flip, n0 * shift, dm, dn, n0 * c0, c1,
+                                dm, dm, dn, dn, False)
+                               for k, flip, shift, dm, dn, c0, c1 in row)]
+                      for row in pieces]]
+        self.corners = [(None, *cs) for cs in corners]
         for _ in range(_POWER.bit_length() - 1):
-            self.edges.append([[0, cs[-1]] for cs in cuts])
+            self.edges.append([[0, cs[-1]] for cs in self.edges[0]])
             self.rows.append([[None, None] for _ in cuts])
 
     def find(self, k: int, t: int, level: int = -1) -> int:
@@ -565,13 +558,14 @@ class _PowerMap:
         return None if cs[i] == t else (cs[i - 1], cs[i], self.rows[-1][k][i])
 
 
-# A quantized run steps one slope and its shadow at a time, a recording walk
-# one slope.
-@lru_cache(maxsize=4)
+# Starts of one slope often share n0 (a regular start classified again,
+# the fold points of one lift), and a quantized run steps one slope and its
+# shadow at a time: an LRU as small as the return map's own.
+@lru_cache(maxsize=16)
 def _power_map(params: Params, u: int, v: int, n0: int) -> _PowerMap:
-    """The power map of slope u/v at lattice scale n0, with no piece
-    composed yet."""
-    return _PowerMap(*_scaled_map(params, u, v, n0)[:2])
+    """The table of slope u/v at lattice scale n0, with no piece of a
+    power composed yet."""
+    return _PowerMap(params, u, v, n0)
 
 
 def _repeats(piece: tuple, lo: int, hi: int, t: int, most: int,
@@ -605,10 +599,10 @@ class Orbit:
     obstacle cell and the X-extent |dX| of the flight to it, all in units
     of 1/N of ``lattice``; it raises CornerHit with the exact corner when
     the flow reaches one.  Iterating an Orbit is ``steps`` from its start.
+    Both read ``tables``, the `_PowerMap` of the slope and n0.
     """
 
-    __slots__ = ("lattice", "n0", "k", "t", "cell", "params", "_cuts",
-                 "_pieces", "_corners")
+    __slots__ = ("lattice", "n0", "k", "t", "cell", "params", "tables")
 
     def __init__(self, start: BilliardState, params: Params):
         slope = start.slope
@@ -623,16 +617,15 @@ class Orbit:
         self.cell = start.cell
         self.t = lat.transverse(start.side, X, Y, *start.cell)
         self.params = params
-        self._cuts, self._pieces, self._corners = _scaled_map(
-            params, slope.u, slope.v, n0)
+        self.tables = _power_map(params, slope.u, slope.v, n0)
 
     def __iter__(self):
         return self.steps(self.k, self.t, *self.cell)
 
     def corner_hit(self, k: int, i: int, m: int, n: int) -> CornerHit:
         """The CornerHit of a step from breakpoint i of domain k in cell
-        (m, n)."""
-        cx, cy, dm, dn = self._corners[k][i]
+        (m, n): ``tables.edges[0][k][i]``."""
+        cx, cy, dm, dn = self.tables.corners[k][i]
         a2, b2 = _half(self.params)
         return CornerHit(m + dm + cx * a2, n + dn + cy * b2)
 
@@ -648,19 +641,19 @@ class Orbit:
         CornerHit the next step runs into, or None.
 
         A call of at least _BLOCK collisions applies pieces of T^_POWER
-        (`_power_map`) while _POWER or more remain.  It steps single
-        pieces for the next _POWER collisions where t is on a breakpoint of
-        T^_POWER (a corner within _POWER collisions) or the stop cell is in
-        the piece's box, and for the remainder, so every answer is the one
-        single steps give.  A piece that maps its domain to itself,
-        unflipped, is applied r times at once: r repeats fit the
-        collisions left, keep t inside the piece's interval and come
-        before the first repeat whose box holds the stop cell.  Each
-        repeat flies the same extent c0, and its cells move by (dm, dn),
-        so the box of the run is the hull of the first and the last
-        repeat's box.
+        (level -1 of ``tables``) while _POWER or more remain.  It steps
+        single pieces (level 0) for the next _POWER collisions where t is on
+        a breakpoint of T^_POWER (a corner within _POWER collisions) or the
+        stop cell is in the piece's box, and for the remainder, so every
+        answer is the one single steps give.  A piece that maps its domain
+        to itself, unflipped, is applied r times at once: r repeats fit the
+        collisions left, keep t inside the piece's interval and come before
+        the first repeat whose box holds the stop cell.  Each repeat flies
+        the same extent c0, and its cells move by (dm, dn), so the box of
+        the run is the hull of the first and the last repeat's box.
         """
-        cuts, pieces = self._cuts, self._pieces
+        tables = self.tables
+        cuts, pieces = tables.edges[0], tables.rows[0]
         stop = stop_cell is not None
         sm, sn = stop_cell if stop else (0, 0)
         mlo = mhi = m
@@ -670,8 +663,7 @@ class Orbit:
         # single pieces while done < plain or fewer than _POWER remain
         plain = count
         if count >= _BLOCK:
-            power = self.power()
-            find, pcuts, prows = power.find, power.edges[-1], power.rows[-1]
+            find, pcuts, prows = tables.find, tables.edges[-1], tables.rows[-1]
             plain = 0
         done = 0
         while done < count:
@@ -733,16 +725,11 @@ class Orbit:
                 break
         return done, k, t, m, n, ext, mlo, mhi, nlo, nhi, corner
 
-    def power(self) -> _PowerMap:
-        """The power map of this orbit's slope and lattice scale."""
-        return _power_map(self.params, self.lattice.u, self.lattice.v,
-                          self.n0)
-
     def run(self, k: int, t: int, count: int) -> int:
         """The collisions of the run from state (k, t), at most ``count``:
         _POWER times the repeats of its piece of T^_POWER where that piece
         maps domain k to itself, unflipped (`advance`), and 0 elsewhere."""
-        found = self.power().lookup(k, t)
+        found = self.tables.lookup(k, t)
         if found is None or not found[2][11]:
             return 0
         return _POWER * _repeats(found[2], found[0], found[1], t,
@@ -847,37 +834,23 @@ class _CycleStore:
         self.refs = [[] for _ in DOMAINS]  # cycle << 32 | landmark
 
     def add(self, cyc: _Cycle):
-        """Index a sealed cycle's landmarks: sorted per domain, and merged
-        into each domain's lists at once."""
+        """Index a sealed cycle's landmarks: in each domain they reach, the
+        recorded and the new intervals sorted together, none of them ending
+        after the next one begins."""
         ref = len(self.cycles) << 32
         rows = [[] for _ in DOMAINS]
         for b, k in enumerate(cyc.k):
             rows[k].append((*cyc.interval(b), ref | b))
         merged = []
         for k, row in enumerate(rows):
-            if not row:
-                continue
-            row.sort()
-            los, his, refs = self.los[k], self.his[k], self.refs[k]
-            new_los, new_his, new_refs = [], [], []
-            at = end = 0  # the lists' entries before ``at`` are taken
-            for lo, hi, r in row:
-                i = bisect_left(los, lo)
-                # disjoint from the intervals next to it, old and new
-                if (i and his[i - 1] > lo) or (i < len(los) and los[i] < hi) \
-                        or end > lo:
+            if row:
+                row = sorted([*zip(self.los[k], self.his[k], self.refs[k]),
+                              *row])
+                if any(hi > lo for (_, hi, _), (lo, _, _) in zip(row, row[1:])):
                     raise AssertionError("two recorded cycles overlap")
-                new_los += los[at:i]
-                new_his += his[at:i]
-                new_refs += refs[at:i]
-                new_los.append(lo)
-                new_his.append(hi)
-                new_refs.append(r)
-                at, end = i, hi
-            merged.append((k, new_los + los[at:], new_his + his[at:],
-                           new_refs + refs[at:]))
-        for k, *lists in merged:
-            self.los[k], self.his[k], self.refs[k] = lists
+                merged.append((k, row))
+        for k, row in merged:
+            self.los[k], self.his[k], self.refs[k] = map(list, zip(*row))
         self.cycles.append(cyc)
 
     def locate(self, walk: Orbit):
@@ -903,7 +876,7 @@ class _CycleStore:
         """
         if not self.cycles:
             return None
-        n0, cuts = walk.n0, walk._cuts
+        n0, cuts = walk.n0, walk.tables.edges[0]
         k = k0 = walk.k
         t = t0 = walk.t
         m = n = ext = 0
@@ -964,15 +937,17 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     the walk closes: the period map on the interval is unflipped.
 
     From its landmark at _POWER_FROM collisions on, the walk applies pieces
-    of T^_POWER (`_power_map`): their intervals are exactly the starts that
-    take the same single pieces.  It steps single pieces for the next
-    _POWER collisions where a corner, its close (from one of the start's
+    of T^_POWER (level -1 of ``walk.tables``, read as single pieces are
+    read on level 0): their intervals are exactly the starts that take the
+    same single pieces.  It steps single pieces for the next _POWER
+    collisions where a corner, its close (from one of the start's
     predecessors) or, with ``to_cell``, the start cell lies within them,
     and for a remainder, so it records what single steps record.
     """
     G = _LANDMARK_EVERY
-    cuts, pieces = walk._cuts, walk._pieces
-    lows = [(0, *cs) for cs in cuts]  # lows[k][i]: the low end of piece i
+    tables = walk.tables
+    cuts, pieces = tables.edges[0], tables.rows[0]
+    find, pcuts, prows = tables.find, tables.edges[-1], tables.rows[-1]
     k = k0 = walk.k
     t = t0 = walk.t
     m, n = sm, sn = walk.cell
@@ -990,8 +965,6 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             rec.nlo.append(nlo - ln)
             rec.nhi.append(nhi - ln)
         if steps == _POWER_FROM:
-            power = walk.power()
-            find, pcuts, prows = power.find, power.edges[-1], power.rows[-1]
             # the start's predecessors by time reversal, T^-j = R T^j R
             # with R(k, t) = (k ^ 1, t); a start without them never closes
             preds = {(r[1] ^ 1, r[2]) for j in range(1, _POWER)
@@ -1016,7 +989,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             if steps < plain or steps > last:
                 cs = cuts[k]
                 i = bisect_left(cs, t)
-                c, lo, piece = cs[i], lows[k][i], pieces[k][i]
+                c, lo, piece = cs[i], cs[i - 1], pieces[k][i]
                 if c == t:
                     corner = walk.corner_hit(k, i, m, n)
                     break
@@ -1198,6 +1171,8 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     is recorded and answered from its cycle.
     """
     validate_state(start, params)
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
     if start.slope.is_axis:
         flight = _axis_flight(start.slope, params)
         if horizon >= 2:

@@ -352,12 +352,20 @@ def cmd_selftest(cfg: RunConfig) -> int:
         params, Fraction("0.31830988618379067154"), 64, 12, 920, 4)))
     checks.append(("14-bit direction refused", not _guard_passes(
         params, Fraction(1, 3) + Fraction(1, 2**12), 14, 5, 50000, 8)))
+    walk = _sample_orbit(params, experiments.quantize_direction(
+        Fraction("0.31830988618379067154"), 64).slope, 7)
     checks.append(("4096 collisions in one block equal single steps",
-                   _block_matches_single_steps(params, 4096)))
+                   _advance_matches_single_steps(walk, 4096)))
     checks.append(("4181/6765 cycle on the power map equals single steps",
                    _cycle_matches_single_steps(params, Slope(4181, 6765))))
+    # a 96-bit direction just above slope 1, whose start begins a run of
+    # one piece of T^8
+    walk = _sample_orbit(Params.parse("2/3,2/3"),
+                         experiments.quantize_direction(Fraction("1.0000003"),
+                                                        96).slope, 1)
     checks.append(("run on the power map equals its repeats",
-                   _run_matches_repeats(Params.parse("2/3,2/3"), 1000)))
+                   walk.run(walk.k, walk.t, 8000) > billiard._POWER
+                   and _advance_matches_single_steps(walk, 8000)))
     ballistic = [experiments.diffusion_experiment(
         Params.parse("2/3,2/3"), experiments.exact_direction(1), 1, horizon,
         4).samples[0].statistic for horizon in (1000, 4000)]
@@ -377,12 +385,10 @@ def _sample_orbit(params: Params, slope: Slope, seed: int) -> billiard.Orbit:
         params)
 
 
-def _block_matches_single_steps(params: Params, count: int) -> bool:
-    """Whether one `Orbit.advance` of ``count`` collisions from a start of
-    a 64-bit direction, which steps on the power map, ends as ``count``
-    single-piece steps do: state, extent and box of cells."""
-    walk = _sample_orbit(params, experiments.quantize_direction(
-        Fraction("0.31830988618379067154"), 64).slope, 7)
+def _advance_matches_single_steps(walk: billiard.Orbit, count: int) -> bool:
+    """Whether one `Orbit.advance` of ``count`` collisions from the start of
+    ``walk``, which steps on the power map, ends as ``count`` single-piece
+    steps do: state, extent and box of cells."""
     k, t, m, n = walk.k, walk.t, 0, 0
     ms, ns, ext = [m], [n], 0
     try:
@@ -396,32 +402,6 @@ def _block_matches_single_steps(params: Params, count: int) -> bool:
         count, k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns), None)
 
 
-def _run_matches_repeats(params: Params, steps: int) -> bool:
-    """Whether one `Orbit.advance` of ``steps`` pieces of T^8 from a start
-    of a 96-bit direction just above slope 1, which begins with a run of
-    one piece, ends as those pieces taken one at a time do: state, extent
-    and box of cells."""
-    walk = _sample_orbit(params, experiments.quantize_direction(
-        Fraction("1.0000003"), 96).slope, 1)
-    power = walk.power()
-    k, t, m, n = walk.k, walk.t, 0, 0
-    mlo = mhi = nlo = nhi = ext = 0
-    for _ in range(steps):
-        found = power.lookup(k, t)
-        if found is None:
-            return False
-        k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi, _ = found[2]
-        ext += c0 + c1 * t
-        t = shift - t if flip else shift + t
-        mlo, mhi = min(mlo, m + plo), max(mhi, m + phi)
-        nlo, nhi = min(nlo, n + qlo), max(nhi, n + qhi)
-        m, n = m + dm, n + dn
-    count = billiard._POWER * steps
-    return walk.run(walk.k, walk.t, count) > billiard._POWER and \
-        walk.advance(walk.k, walk.t, 0, 0, count) == (
-            count, k, t, m, n, ext, mlo, mhi, nlo, nhi, None)
-
-
 def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
     """Whether the cycle `_walk_period` records on the power map is the
     one single steps give: the state and extent at every landmark, the box
@@ -430,7 +410,7 @@ def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
     j moves by +-d when the start moves by d, the sign fixed by the leaf
     geometry."""
     walk = _sample_orbit(params, slope, 1)
-    cuts, leaf, G = walk._cuts, billiard._LEAF, billiard._LANDMARK_EVERY
+    cuts, leaf, G = walk.tables.edges[0], billiard._LEAF, billiard._LANDMARK_EVERY
     cyc = billiard._walk_period(walk, 10**6, billiard._CycleStore()).cycle
     if cyc is None or cyc.length <= billiard._POWER_FROM:
         return False
@@ -449,7 +429,7 @@ def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
     dlo, dhi = -t0, cuts[k0][-1] - t0
     for k, t, *_ in chain([(k0, t0)], islice(walk.steps(k0, t0, 0, 0), L - 1)):
         i = bisect_left(cuts[k], t)
-        lo, hi = (cuts[k][i - 1] if i else 0) - t, cuts[k][i] - t
+        lo, hi = cuts[k][i - 1] - t, cuts[k][i] - t
         if leaf[k0] * leaf[k] < 0:
             lo, hi = -hi, -lo
         dlo, dhi = max(dlo, lo), min(dhi, hi)

@@ -291,14 +291,10 @@ def recurrence_experiment(params: Params, direction: DirectionSpec,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_sample_star, args))
+            results = list(pool.map(_run_sample, *zip(*args)))
     else:
         results = [_run_sample(*a) for a in args]
     return RecurrenceReport(params, direction, horizon, seed, tuple(results))
-
-
-def _run_sample_star(args):
-    return _run_sample(*args)
 
 
 # -- diffusion ------------------------------------------------------------
@@ -561,6 +557,8 @@ def approximation_search(direction: DirectionSpec, params: Params,
     for even-over-odd parameters.  Candidates are the convergents and
     intermediate fractions of the direction's value.
     """
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
     if params.parity_class is ParityClass.E:
         member = lambda sl: is_good_one_cylinder(params, sl)
     elif params.parity_class is ParityClass.E_PRIME:

@@ -1,13 +1,14 @@
 """Functions only the tests use: a side's midpoint state, the length of a
-traced polyline, the whole power map built eagerly, the matrix and the
-inverse of a generator word, and the straight-line flow on a square-tiled
-surface.  The package itself has no use for them.
+traced polyline, the return map scaled to a lattice scale and the whole
+power map built eagerly from it, the matrix and the inverse of a generator
+word, and the straight-line flow on a square-tiled surface.  The package
+itself has no use for them.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from windtree.billiard import (_POWER, BilliardState, TracedPath, _scaled_map,
+from windtree.billiard import (_POWER, BilliardState, TracedPath, _return_map,
                                make_state, side_length)
 from windtree.errors import DomainError
 from windtree.exact import Params, Slope
@@ -70,13 +71,29 @@ def _compose(first: tuple, second: tuple) -> tuple:
     return tuple(cuts), tuple(pieces)
 
 
+def scaled_return_map(params, u: int, v: int, n0: int) -> tuple:
+    """T of slope u/v at lattice scale n0: (cuts, pieces, corners) by
+    domain, as `billiard._return_map` gives them at n0 = 1, with the
+    breakpoints, the side length, the shifts and the constant extent terms
+    scaled by n0 and each piece (k', flip, shift, dm, dn, c0, c1) followed
+    by the box of the one cell it arrives in, mlo, mhi, nlo, nhi.  The
+    oracle for level 0 of `billiard._PowerMap`."""
+    cuts, pieces, corners = _return_map(params, u, v)
+    return (tuple(tuple(n0 * c for c in cs) for cs in cuts),
+            tuple(tuple((k, flip, n0 * shift, dm, dn, n0 * c0, c1,
+                         dm, dm, dn, dn)
+                        for k, flip, shift, dm, dn, c0, c1 in row)
+                  for row in pieces),
+            corners)
+
+
 def eager_power_map(params, u: int, v: int, n0: int) -> tuple:
     """T^_POWER of slope u/v at lattice scale n0, every piece built: (cuts,
-    pieces) by domain, as `billiard._scaled_map` gives T, with pieces (k',
+    pieces) by domain, as `scaled_return_map` gives T, with pieces (k',
     flip, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi).  Built by three
     doublings, T^2, T^4, T^8; the oracle for the pieces that
     `billiard._PowerMap` composes one at a time."""
-    table = _scaled_map(params, u, v, n0)[:2]
+    table = scaled_return_map(params, u, v, n0)[:2]
     for _ in range(_POWER.bit_length() - 1):
         table = _compose(table, table)
     return table

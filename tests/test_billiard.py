@@ -24,7 +24,8 @@ from census import direction_cycles
 from grid_stepper import (GridStepper, assert_resolved, long_flight,
                           long_pieces)
 from oracles import scan_next_hit
-from support import eager_power_map, midpoint_state, path_length
+from support import (eager_power_map, midpoint_state, path_length,
+                     scaled_return_map)
 from walk_reference import _walk_period as single_piece_walk
 
 HALF = classify_params(1, 2, 1, 2)
@@ -727,20 +728,25 @@ class _LoggedRow:
         return piece
 
 
-class _LoggedPower:
-    """A power map as `Orbit.advance` reads it, with every read of a
-    piece of T^8 logged; `find` still composes into the map itself."""
+class _LoggedTables:
+    """An orbit's table as `Orbit.advance` reads it, with every read of a
+    single piece (level 0) and of a piece of T^8 (the top level) logged;
+    `find` still composes into the table itself."""
 
-    def __init__(self, power, log):
-        self.find, self.edges = power.find, power.edges
-        self.rows = [*power.rows[:-1],
+    def __init__(self, tables, log):
+        self.find, self.edges = tables.find, tables.edges
+        self.corners = tables.corners
+        self.rows = [[_LoggedRow(row, log, "single", k)
+                      for k, row in enumerate(tables.rows[0])],
+                     *tables.rows[1:-1],
                      [_LoggedRow(row, log, "power", k)
-                      for k, row in enumerate(power.rows[-1])]]
+                      for k, row in enumerate(tables.rows[-1])]]
 
 
 def _replay_reads(log, single, power, state, stop_cell):
     """Follow the piece reads of one `Orbit.advance` call from ``state``
-    on the single map ``single`` and the eager T^8 table ``power``.
+    on the scaled single map ``single`` and the eager T^8 table ``power``,
+    both (cuts, pieces) as `support.eager_power_map` gives them.
 
     A read of T^8 that finds no piece and is read again is a miss, where
     `find` composed the piece.  Otherwise it is a fallback where t is on a
@@ -764,7 +770,8 @@ def _replay_reads(log, single, power, state, stop_cell):
         assert kk == k
         reps = 1
         if table == "single":
-            assert i == j and piece == pieces[k][j]
+            # level 0 of the orbit's table starts with the domain's low end
+            assert i == j + 1 and piece == (*pieces[k][j], False)
         elif cuts[k][j] == t:
             counts["breakpoint"] += 1
             continue
@@ -834,15 +841,13 @@ def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
     # followed on the eager tables, to count its power steps, both kinds of
     # fallback to single pieces and the repeats of its runs.
     log = []
-    power_map, repeats = billiard._power_map, billiard._repeats
+    repeats = billiard._repeats
 
     def logged_repeats(*args):
         r = repeats(*args)
         log.append(("repeats", r))
         return r
 
-    monkeypatch.setattr(billiard, "_power_map",
-                        lambda *key: _LoggedPower(power_map(*key), log))
     monkeypatch.setattr(billiard, "_repeats", logged_repeats)
     rng = random.Random(20261019)
     seen = {"classes": set(), "corner": 0, "stopped": 0, "full": 0,
@@ -884,15 +889,14 @@ def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
                                     (free[7] + 1, free[9] + 1)])
         want = _stepped_block(params, start, count, stop_cell)
         walk = Orbit(start, params)
-        single = walk._cuts, walk._pieces
-        walk._pieces = tuple(_LoggedRow(row, log, "single", k)
-                             for k, row in enumerate(walk._pieces))
+        walk.tables = _LoggedTables(walk.tables, log)
         log.clear()
         got = walk.advance(walk.k, walk.t, *start.cell, count, stop_cell)
         corner = got[10] and (got[10].x, got[10].y)
         assert got[:10] + (corner,) == want
         counts, end, ext = _replay_reads(
-            log, single, eager_power_map(params, slope.u, slope.v, walk.n0),
+            log, scaled_return_map(params, slope.u, slope.v, walk.n0)[:2],
+            eager_power_map(params, slope.u, slope.v, walk.n0),
             (walk.k, walk.t, *start.cell), stop_cell)
         assert end == got[1:5] and ext == got[5]
         if count < billiard._BLOCK:
@@ -985,8 +989,7 @@ def _assert_lazy_equals_eager(params, slope, n0, rng):
     table, looked up in random order at random points; then the intervals
     the lazy map knows are all of the eager table's."""
     cuts, pieces = eager_power_map(params, slope.u, slope.v, n0)
-    lazy = billiard._PowerMap(*billiard._scaled_map(params, slope.u, slope.v,
-                                                    n0)[:2])
+    lazy = billiard._PowerMap(params, slope.u, slope.v, n0)
     probes = []
     for k in range(len(DOMAINS)):
         lo = 0
@@ -1008,6 +1011,30 @@ def _assert_lazy_equals_eager(params, slope, n0, rng):
         [None, *((*p, p[0] == k and not p[1] and p[2] != 0) for p in row)]
         for k, row in enumerate(pieces)]
     return sum(map(len, cuts)), sum(p[-1] for row in rows for p in row[1:])
+
+
+def test_table_level_zero_is_the_return_map_scaled():
+    # level 0 of the table an orbit steps on, and its corners, against the
+    # return map scaled by n0 > 1 in the tests' own code: random tables of
+    # all three parity classes, exact slopes and directions quantized at
+    # 16-96 bits
+    rng = random.Random(20)
+    classes = set()
+    for case in range(30):
+        pqrs, slope = _random_table_and_direction(rng, case)
+        params = classify_params(*pqrs)
+        n0 = rng.randint(2, 2**12)
+        cuts, pieces, corners = scaled_return_map(params, slope.u, slope.v,
+                                                  n0)
+        tables = billiard._power_map(params, slope.u, slope.v, n0)
+        assert tables.edges[0] == [[0, *cs] for cs in cuts]
+        assert tables.rows[0] == [[None, *((*p, False) for p in row)]
+                                  for row in pieces]
+        assert tables.corners == [(None, *cs) for cs in corners]
+        # every breakpoint has a corner, the side length none
+        assert [len(cs) for cs in tables.corners] == [len(cs) for cs in cuts]
+        classes.add(params.parity_class)
+    assert classes == set(ParityClass)
 
 
 def test_lazy_power_pieces_equal_the_eager_table():
@@ -1117,6 +1144,18 @@ def test_run_equals_its_repeats_one_power_step_at_a_time():
                     else:
                         seen["count"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_first_return_rejects_a_horizon_below_one():
+    # an axis start as a non-axis one: no flight is answered
+    axis = make_state(HALF, (0, 0), LEFT, Fraction(1, 4), Slope(0, 1),
+                      leaving_orientation(LEFT))
+    slanted = midpoint_state(HALF, (0, 0), TOP, Slope(3, 4), (1, 1))
+    for state in (axis, slanted):
+        for horizon in (0, -3):
+            with pytest.raises(DomainError, match="horizon must be >= 1"):
+                first_return(state, HALF, horizon)
+        assert first_return(state, HALF, 1)[0] is None
 
 
 def test_negative_collision_count_is_rejected():
@@ -1448,7 +1487,7 @@ def _located_by_four_walks(store, walk):
     for (sx, sy), kmap in billiard._REFLECTIONS:
         k, t = walk.k, walk.t
         if (sy if k < 4 else sx) < 0:
-            t = walk._cuts[k][-1] - t
+            t = walk.tables.edges[0][k][-1] - t
         k = k0 = kmap[k]
         t0, m, n, ext, found = t, 0, 0, 0, None
         steps = walk.steps(k, t, 0, 0)

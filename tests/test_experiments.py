@@ -133,8 +133,8 @@ def test_recurrence_jobs_clamped_to_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -696,6 +696,14 @@ def test_diffusion_evaluates_few_steps_exactly(monkeypatch):
 def test_approximation_search_exact_member():
     got = approximation_search(exact_direction(1), HALF, 1)
     assert got == [Approximant(1, 1, Fraction(0))]
+
+
+def test_approximation_search_rejects_fewer_than_one_term():
+    golden = quantize_direction(Fraction("0.61803398874989484820"), 64)
+    for n_terms in (0, -1):
+        with pytest.raises(DomainError, match="n_terms must be >= 1"):
+            approximation_search(golden, HALF, n_terms)
+    assert len(approximation_search(golden, HALF, 1)) == 1
 
 
 def test_approximation_search_filters_to_odd_odd():

@@ -1,8 +1,9 @@
 """The recording walk on single return-map pieces, as the reference for
 `windtree.billiard._walk_period`, which steps the 8th power of the map
 once a walk is long.  The function below is the single-piece walk word
-for word; `tests/test_billiard.py` records cycles both ways and compares
-every column of every `_Cycle` and every field of the `_Walk`.
+for word, reading the pieces from level 0 of the orbit's table;
+`tests/test_billiard.py` records cycles both ways and compares every
+column of every `_Cycle` and every field of the `_Walk`.
 """
 
 from bisect import bisect_left
@@ -24,8 +25,8 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     the walk closes: the period map on the interval is unflipped.
     """
     G = _LANDMARK_EVERY
-    cuts, pieces = walk._cuts, walk._pieces
-    lows = [(0, *cs) for cs in cuts]  # lows[k][i]: the low end of piece i
+    # piece i spans cuts[k][i - 1] to cuts[k][i]
+    cuts, pieces = walk.tables.edges[0], walk.tables.rows[0]
     k = k0 = walk.k
     t = t0 = walk.t
     m, n = sm, sn = walk.cell
@@ -35,7 +36,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     closed, corner, returned = False, None, False
     cs = cuts[k]
     i = bisect_left(cs, t)
-    below, above = t - lows[k][i], cs[i] - t
+    below, above = t - cs[i - 1], cs[i] - t
     if above == 0:
         return _Walk(0, m, n, 0, walk.corner_hit(k, i, m, n), None, False)
     mlo = mhi = m
@@ -94,7 +95,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                 break
             if c - t < above:
                 above = c - t
-            c = t - lows[k][i]
+            c = t - cs[i - 1]
             if c < below:
                 below = c
         else:
