@@ -36,8 +36,8 @@ t' = +-t + shift with a constant cell displacement and a flight X-extent
 affine in t, with about 20 pieces.  The breakpoints are the side points
 whose ray runs into a corner first; they are found by tracing the 4
 corners back along the 3 directions that leave each one, at n0 = 1, and
-each piece is read off from the first hits of two points just inside its
-ends on the 3-times finer lattice, where no breakpoint lies.  The map is
+each piece is read off from its domain pair and one probe: the first hit
+of a point just inside its low end on the 3-times lattice.  The map is
 built once per (params, slope), kept in a small LRU cache.  An orbit
 reads it from one table per (params, slope, n0), n0 the start's common
 denominator (`_PowerMap`, in a small LRU cache of its own): the map
@@ -376,11 +376,27 @@ def _map_step(lat: _Lattice, k: int, t: int) -> tuple:
             m, n, adx)
 
 
+# Parallel leaves.  The flight of a start unfolds to a straight line of
+# direction (v, u) whose transverse coordinate u*x - v*y moves with the
+# start's t at the rate u*v*_LEAF[k] on domain k.  So a start moved by d
+# crosses phase j moved by _LEAF[k0]*_LEAF[kj]*d, and its X-extent up to
+# there changes by _extent_slope(v, k0, kj)*d: not at all between two
+# vertical or two horizontal sides, whose unfolded x (resp. y) is fixed.
+_LEAF = tuple(orientation[0] if side in HORIZONTAL_SIDES else -orientation[1]
+              for side, orientation in DOMAINS)
+
+
+def _extent_slope(v: int, k0: int, k: int) -> int:
+    """d(X-extent from domain k0 to domain k)/dt for parallel leaves."""
+    return v * _LEAF[k0] * ((k >= 4) - (k0 >= 4))
+
+
 # Fixed size: a run steps one slope (and its shadow) at a time, and a
 # surface query a handful.
 @lru_cache(maxsize=16)
 def _return_map(params: Params, u: int, v: int) -> tuple:
-    """The boundary return map of slope u/v at lattice scale n0 = 1.
+    """The boundary return map of slope u/v at lattice scale n0 = 1: the
+    breakpoints from the 12 corner back-traces, then one probe per piece.
 
     Returns (cuts, pieces, corners), each indexed by domain.  cuts[k] is
     the sorted list of breakpoints, then the side length as a sentinel;
@@ -412,10 +428,11 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
             t = lat.transverse(side, X, Y, m, n)
             if hits[k].setdefault(t, (cx, cy, -m, -n)) != (cx, cy, -m, -n):
                 raise AssertionError("two corners claim one breakpoint")
-    # Probe each piece just inside both ends, on the three-times finer
-    # lattice where breakpoints are multiples of 3.  Every breakpoint is
-    # known, so both probes run to the same side of the same obstacle and
-    # the piece is one translation, t' = +-t + shift with |dX| affine in t.
+    # Probe each piece once, just inside its low end, on the three-times
+    # finer lattice where breakpoints are multiples of 3.  Every breakpoint
+    # is known, so the whole piece runs to the side the probe hits: the
+    # probe fixes k', the cell and the shift.  The domain pair (k, k')
+    # fixes flip and c1, as for parallel leaves.
     cuts, pieces, corners = [], [], []
     for k in range(len(DOMAINS)):
         length = 2 * (lat.gamma // u if k < 4 else lat.beta // v)
@@ -423,17 +440,13 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
         cuts.append(tuple(ts) + (length,))
         corners.append(tuple(hits[k][t] for t in ts))
         row = []
-        for lo, hi in zip([0] + ts, ts + [length]):
-            t1, t2 = 3 * lo + 1, 3 * hi - 1
-            (k1, s1, m, n, adx1), (k2, s2, m2, n2, adx2) = \
-                _map_step(lat3, k, t1), _map_step(lat3, k, t2)
-            flip = s2 - s1 == t1 - t2
-            c1, rem = divmod(adx2 - adx1, t2 - t1)
-            shift = s1 + t1 if flip else s1 - t1
-            c0 = adx1 - c1 * t1
-            if (k1, m, n) != (k2, m2, n2) or abs(s2 - s1) != t2 - t1 or rem \
-                    or c1 not in (0, v, -v) or shift % 3 or c0 % 3:
-                raise AssertionError("return map piece is not a translation")
+        for lo in [0] + ts:
+            t1 = 3 * lo + 1
+            k1, s1, m, n, adx = _map_step(lat3, k, t1)
+            flip, c1 = _LEAF[k] != _LEAF[k1], _extent_slope(v, k, k1)
+            shift, c0 = s1 + t1 if flip else s1 - t1, adx - c1 * t1
+            if shift % 3 or c0 % 3:
+                raise AssertionError("return map piece off the lattice")
             row.append((k1, flip, shift // 3, m, n, c0 // 3, c1))
         pieces.append(tuple(row))
     return tuple(cuts), tuple(pieces), tuple(corners)
@@ -446,6 +459,7 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
 _BLOCK = 64
 _POWER = 8
 _POWER_FROM = 512
+_TOP = _POWER.bit_length() - 1  # the level of T^_POWER in `_PowerMap`
 
 
 class _PowerMap:
@@ -490,21 +504,26 @@ class _PowerMap:
                                for k, flip, shift, dm, dn, c0, c1 in row)]
                       for row in pieces]]
         self.corners = [(None, *cs) for cs in corners]
-        for _ in range(_POWER.bit_length() - 1):
-            self.edges.append([[0, cs[-1]] for cs in self.edges[0]])
-            self.rows.append([[None, None] for _ in cuts])
 
-    def find(self, k: int, t: int, level: int = -1) -> int:
+    def top(self) -> tuple:
+        """(edges, rows) of T^_POWER.  The first call makes the levels above
+        0, with no piece composed: most tables are never stepped on them."""
+        while len(self.edges) <= _TOP:
+            self.edges.append([[0, cs[-1]] for cs in self.edges[0]])
+            self.rows.append([[None, None] for _ in self.edges[0]])
+        return self.edges[_TOP], self.rows[_TOP]
+
+    def find(self, k: int, t: int, level: int = _TOP) -> int:
         """The index i of t in the lists of domain k on ``level`` (the top
-        one, T^_POWER, by default), composing the piece around t where it
-        is missing: edges[level][k][i] == t where t is a breakpoint, and
-        rows[level][k][i] is the piece around t otherwise."""
+        one, T^_POWER, by default, made by `top`), composing the piece
+        around t where it is missing: edges[level][k][i] == t where t is a
+        breakpoint, and rows[level][k][i] is the piece around t otherwise."""
         cs, row = self.edges[level][k], self.rows[level][k]
         i = bisect_left(cs, t)
         if cs[i] == t or row[i] is not None:
             return i
         # the gap (cs[i - 1], cs[i]) holds t: compose on the level below
-        level = level % len(self.edges) - 1
+        level -= 1
         lower_cs, lower_rows = self.edges[level][k], self.rows[level][k]
         j = bisect_left(lower_cs, t)
         if lower_rows[j] is None:
@@ -553,9 +572,10 @@ class _PowerMap:
     def lookup(self, k: int, t: int):
         """(lo, hi, piece) of the piece of T^_POWER around t in domain k,
         or None where t is a breakpoint."""
+        edges, rows = self.top()
         i = self.find(k, t)
-        cs = self.edges[-1][k]
-        return None if cs[i] == t else (cs[i - 1], cs[i], self.rows[-1][k][i])
+        cs = edges[k]
+        return None if cs[i] == t else (cs[i - 1], cs[i], rows[k][i])
 
 
 # Starts of one slope often share n0 (a regular start classified again,
@@ -641,8 +661,8 @@ class Orbit:
         CornerHit the next step runs into, or None.
 
         A call of at least _BLOCK collisions applies pieces of T^_POWER
-        (level -1 of ``tables``) while _POWER or more remain.  It steps
-        single pieces (level 0) for the next _POWER collisions where t is on
+        (``tables.top()``) while _POWER or more remain.  It steps single
+        pieces (level 0) for the next _POWER collisions where t is on
         a breakpoint of T^_POWER (a corner within _POWER collisions) or the
         stop cell is in the piece's box, and for the remainder, so every
         answer is the one single steps give.  A piece that maps its domain
@@ -663,7 +683,7 @@ class Orbit:
         # single pieces while done < plain or fewer than _POWER remain
         plain = count
         if count >= _BLOCK:
-            find, pcuts, prows = tables.find, tables.edges[-1], tables.rows[-1]
+            find, (pcuts, prows) = tables.find, tables.top()
             plain = 0
         done = 0
         while done < count:
@@ -937,9 +957,9 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     the walk closes: the period map on the interval is unflipped.
 
     From its landmark at _POWER_FROM collisions on, the walk applies pieces
-    of T^_POWER (level -1 of ``walk.tables``, read as single pieces are
-    read on level 0): their intervals are exactly the starts that take the
-    same single pieces.  It steps single pieces for the next _POWER
+    of T^_POWER (``walk.tables.top()``, read as single pieces are read
+    on level 0): their intervals are exactly the starts that take the same
+    single pieces.  It steps single pieces for the next _POWER
     collisions where a corner, its close (from one of the start's
     predecessors) or, with ``to_cell``, the start cell lies within them,
     and for a remainder, so it records what single steps record.
@@ -947,7 +967,6 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     G = _LANDMARK_EVERY
     tables = walk.tables
     cuts, pieces = tables.edges[0], tables.rows[0]
-    find, pcuts, prows = tables.find, tables.edges[-1], tables.rows[-1]
     k = k0 = walk.k
     t = t0 = walk.t
     m, n = sm, sn = walk.cell
@@ -969,6 +988,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             # with R(k, t) = (k ^ 1, t); a start without them never closes
             preds = {(r[1] ^ 1, r[2]) for j in range(1, _POWER)
                      for r in [walk.advance(k0 ^ 1, t0, 0, 0, j)] if r[0] == j}
+            find, (pcuts, prows) = tables.find, tables.top()
             plain = 0
         # a landmark: the phase-0 point is at sign*t0 + off, and its
         # extent is ext + B*(tau - t0) with the slope B the leaf geometry
@@ -1056,21 +1076,6 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
              _down(t0 - below, n0), _down(t0 + above, n0))
     store.add(rec)
     return _Walk(steps, m, n, ext, None, rec, returned)
-
-
-# Parallel leaves.  The flight of a start unfolds to a straight line of
-# direction (v, u) whose transverse coordinate u*x - v*y moves with the
-# start's t at the rate u*v*_LEAF[k] on domain k.  So a start moved by d
-# crosses phase j moved by _LEAF[k0]*_LEAF[kj]*d, and its X-extent up to
-# there changes by _extent_slope(v, k0, kj)*d: not at all between two
-# vertical or two horizontal sides, whose unfolded x (resp. y) is fixed.
-_LEAF = tuple(orientation[0] if side in HORIZONTAL_SIDES else -orientation[1]
-              for side, orientation in DOMAINS)
-
-
-def _extent_slope(v: int, k0: int, k: int) -> int:
-    """d(X-extent from domain k0 to domain k)/dt for parallel leaves."""
-    return v * _LEAF[k0] * ((k >= 4) - (k0 >= 4))
 
 
 def _down(x: int, n0: int) -> int:

@@ -1,17 +1,19 @@
 """Functions only the tests use: a side's midpoint state, the length of a
-traced polyline, the return map scaled to a lattice scale and the whole
-power map built eagerly from it, the matrix and the inverse of a generator
-word, and the straight-line flow on a square-tiled surface.  The package
-itself has no use for them.
+traced polyline, the return map built from two probes per piece, the
+return map scaled to a lattice scale and the whole power map built
+eagerly from it, the matrix and the inverse of a generator word, and the
+straight-line flow on a square-tiled surface.  The package itself has no
+use for them.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from windtree.billiard import (_POWER, BilliardState, TracedPath, _return_map,
-                               make_state, side_length)
-from windtree.errors import DomainError
-from windtree.exact import Params, Slope
+from windtree.billiard import (_DOMAIN_INDEX, _POWER, DOMAINS, BilliardState,
+                               TracedPath, _first_hit, _Lattice, _map_step,
+                               _return_map, make_state, side_length)
+from windtree.errors import CornerHit, DomainError
+from windtree.exact import ORIENTATIONS, Params, Slope
 from windtree.origami import Origami, as_tokens
 
 
@@ -69,6 +71,69 @@ def _compose(first: tuple, second: tuple) -> tuple:
         cuts.append(tuple(new_cs))
         pieces.append(tuple(new_row))
     return tuple(cuts), tuple(pieces)
+
+
+def two_probe_return_map(params: Params, u: int, v: int) -> tuple:
+    """The boundary return map of slope u/v at lattice scale n0 = 1, each
+    piece read off from two probes, just inside both of its ends: the
+    oracle for `billiard._return_map`, which probes once and checks that
+    a piece is a translation nowhere but here.
+
+    Returns (cuts, pieces, corners), each indexed by domain.  cuts[k] is
+    the sorted list of breakpoints, then the side length as a sentinel;
+    pieces[k][i] = (k', flip, shift, dm, dn, c0, c1) is the map on the
+    open interval just below cuts[k][i]: t' = shift - t if flip else
+    shift + t, in domain k', with the cell moved by (dm, dn) and
+    |dX| = c0 + c1*t.  corners[k][i] = (cx, cy, dm, dn) names the corner
+    that breakpoint cuts[k][i] runs into: (cx*a/2, cy*b/2) from the centre
+    of the cell (dm, dn) away from the start cell (`Orbit.corner_hit`).
+    """
+    slope = Slope(u, v)
+    lat, lat3 = _Lattice(params, slope, 1), _Lattice(params, slope, 3)
+    # A breakpoint is a side point whose ray runs into a corner first:
+    # trace each corner back along every direction not pointing into its
+    # obstacle.  A back-trace that meets another corner first belongs to
+    # that corner.  None is never returned: the ray meets the translate of
+    # its corner by (v, u) cells at the latest.
+    hits = [{} for _ in DOMAINS]
+    for cx, cy in ORIENTATIONS:
+        for rx, ry in ORIENTATIONS:
+            if (rx, ry) == (-cx, -cy):
+                continue
+            try:
+                X, Y, side, m, n = _first_hit(lat, cx * lat.beta,
+                                              cy * lat.gamma, rx, ry)[:5]
+            except CornerHit:
+                continue
+            k = _DOMAIN_INDEX[side, (-rx, -ry)]
+            t = lat.transverse(side, X, Y, m, n)
+            if hits[k].setdefault(t, (cx, cy, -m, -n)) != (cx, cy, -m, -n):
+                raise AssertionError("two corners claim one breakpoint")
+    # Probe each piece just inside both ends, on the three-times finer
+    # lattice where breakpoints are multiples of 3.  Every breakpoint is
+    # known, so both probes run to the same side of the same obstacle and
+    # the piece is one translation, t' = +-t + shift with |dX| affine in t.
+    cuts, pieces, corners = [], [], []
+    for k in range(len(DOMAINS)):
+        length = 2 * (lat.gamma // u if k < 4 else lat.beta // v)
+        ts = sorted(hits[k])
+        cuts.append(tuple(ts) + (length,))
+        corners.append(tuple(hits[k][t] for t in ts))
+        row = []
+        for lo, hi in zip([0] + ts, ts + [length]):
+            t1, t2 = 3 * lo + 1, 3 * hi - 1
+            (k1, s1, m, n, adx1), (k2, s2, m2, n2, adx2) = \
+                _map_step(lat3, k, t1), _map_step(lat3, k, t2)
+            flip = s2 - s1 == t1 - t2
+            c1, rem = divmod(adx2 - adx1, t2 - t1)
+            shift = s1 + t1 if flip else s1 - t1
+            c0 = adx1 - c1 * t1
+            if (k1, m, n) != (k2, m2, n2) or abs(s2 - s1) != t2 - t1 or rem \
+                    or c1 not in (0, v, -v) or shift % 3 or c0 % 3:
+                raise AssertionError("return map piece is not a translation")
+            row.append((k1, flip, shift // 3, m, n, c0 // 3, c1))
+        pieces.append(tuple(row))
+    return tuple(cuts), tuple(pieces), tuple(corners)
 
 
 def scaled_return_map(params, u: int, v: int, n0: int) -> tuple:

@@ -25,7 +25,7 @@ from grid_stepper import (GridStepper, assert_resolved, long_flight,
                           long_pieces)
 from oracles import scan_next_hit
 from support import (eager_power_map, midpoint_state, path_length,
-                     scaled_return_map)
+                     scaled_return_map, two_probe_return_map)
 from walk_reference import _walk_period as single_piece_walk
 
 HALF = classify_params(1, 2, 1, 2)
@@ -641,6 +641,78 @@ def test_return_map_near_corridor_matches_engine_property(pqrs, cdef, K, aim,
     _assert_map_matches_engine(params, start, 12)
 
 
+def _assert_one_probe_build(params, slope):
+    """`_return_map`, built afresh, equals the two-probe build."""
+    assert billiard._return_map.__wrapped__(params, slope.u, slope.v) == \
+        two_probe_return_map(params, slope.u, slope.v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pqrs=_small_obstacles, cdef=st.sampled_from(_NEAR_CORRIDOR),
+       K=st.integers(600, 3000))
+def test_return_map_near_corridor_equals_the_two_probe_build_property(
+        pqrs, cdef, K):
+    # cuts, pieces and corners on the near-corridor slopes above, whose
+    # pieces of long flights fly hundreds to thousands of cells
+    c, d, e, f = cdef
+    _assert_one_probe_build(classify_params(*pqrs),
+                            Slope(c * K + e, d * K + f))
+
+
+def test_return_map_equals_the_two_probe_build():
+    # cuts, pieces and corners against the two-probe build, which checks
+    # that every piece is a translation: seeded random tables of all three
+    # parity classes with slopes up to 99, and directions of the quantized
+    # workloads and the sweep's approximation searches quantized at 36,
+    # 64, 96 and 128 bits (a 64-bit run's shadow)
+    rng = random.Random(21)
+    cases = []
+    while len(cases) < 150:
+        q, s = rng.randint(2, 12), rng.randint(2, 12)
+        pqrs = (rng.randint(1, q - 1), q, rng.randint(1, s - 1), s)
+        uv = (rng.randint(1, 99), rng.randint(1, 99))
+        if gcd(*pqrs[:2]) == gcd(*pqrs[2:]) == gcd(*uv) == 1:
+            cases.append((classify_params(*pqrs), Slope(*uv)))
+    thetas = [(HALF, f"0.6{rng.randrange(10**19):019}") for _ in range(3)]
+    thetas += [(TWO_THIRDS,
+                f"1.000000{rng.randrange(2, 6)}{rng.randrange(10**23):023}")
+               for _ in range(3)]
+    thetas += [(HALF, theta) for theta in (
+        "0.6180339887498948", "0.41421356237309515", "0.7071067811865476",
+        "0.3183098861837907")]
+    for params, theta in thetas:
+        for bits in (36, 64, 96, 128):
+            cases.append((params,
+                          quantize_direction(Fraction(theta), bits).slope))
+    classes = set()
+    for params, slope in cases:
+        _assert_one_probe_build(params, slope)
+        classes.add(params.parity_class)
+    assert classes == set(ParityClass)
+    assert max(slope.v for _, slope in cases) > 2**120
+
+
+def test_return_map_build_probes_each_piece_once(monkeypatch):
+    # a build makes 12 corner back-traces and one first hit per piece
+    calls = []
+    first_hit = billiard._first_hit
+
+    def counted_first_hit(*args):
+        calls.append(args)
+        return first_hit(*args)
+
+    monkeypatch.setattr(billiard, "_first_hit", counted_first_hit)
+    classes = set()
+    for pqrs, uv in _LONG_CYCLE_TABLES + (((1, 2, 1, 2), (987, 1597)),
+                                          ((2, 3, 2, 3), (13, 8))):
+        params = classify_params(*pqrs)
+        calls.clear()
+        pieces = billiard._return_map.__wrapped__(params, *uv)[1]
+        assert len(calls) == 12 + sum(map(len, pieces))
+        classes.add(params.parity_class)
+    assert classes == set(ParityClass)
+
+
 def _corner_bound_start(params, slope, cell, back, rng):
     """A start whose orbit runs into a corner: a random breakpoint of the
     return map, placed in ``cell``, traced back up to ``back`` collisions
@@ -730,17 +802,20 @@ class _LoggedRow:
 
 class _LoggedTables:
     """An orbit's table as `Orbit.advance` reads it, with every read of a
-    single piece (level 0) and of a piece of T^8 (the top level) logged;
-    `find` still composes into the table itself."""
+    single piece (level 0) and of a piece of T^8 (the top level, from
+    `top`) logged; `find` still composes into the table itself."""
 
     def __init__(self, tables, log):
         self.find, self.edges = tables.find, tables.edges
         self.corners = tables.corners
         self.rows = [[_LoggedRow(row, log, "single", k)
-                      for k, row in enumerate(tables.rows[0])],
-                     *tables.rows[1:-1],
-                     [_LoggedRow(row, log, "power", k)
-                      for k, row in enumerate(tables.rows[-1])]]
+                      for k, row in enumerate(tables.rows[0])]]
+        self.tables, self.log = tables, log
+
+    def top(self):
+        edges, rows = self.tables.top()
+        return edges, [_LoggedRow(row, self.log, "power", k)
+                       for k, row in enumerate(rows)]
 
 
 def _replay_reads(log, single, power, state, stop_cell):
@@ -1005,7 +1080,7 @@ def _assert_lazy_equals_eager(params, slope, n0, rng):
         assert lazy.lookup(k, t) == want
         # a piece from a domain to itself flies the same extent from any t
         assert want is None or not want[2][-1] or want[2][6] == 0
-    edges, rows = lazy.edges[-1], lazy.rows[-1]
+    edges, rows = lazy.top()
     assert edges == [[0, *cs] for cs in cuts]
     assert rows == [
         [None, *((*p, p[0] == k and not p[1] and p[2] != 0) for p in row)]
@@ -1716,16 +1791,17 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
     for k, (side, (sx, sy)) in enumerate(DOMAINS):
         # the walk finds the start's predecessors by time reversal
         assert DOMAINS[k ^ 1] == (side, leaving_orientation(side, (-sx, -sy)))
-    reads = []
+    reads, tables = [], {}
     power_map = billiard._power_map
 
     def logged_power_map(*key):
-        # the top level's rows log every read
-        power = power_map(*key)
-        if not isinstance(power.rows[-1][0], _LoggedList):
-            power.rows[-1] = [_LoggedList(row, reads)
-                              for row in power.rows[-1]]
-        return power
+        # tables of the test's own, not the module cache's, whose top
+        # level's rows, made at once, log every read
+        if key not in tables:
+            tables[key] = billiard._PowerMap(*key)
+            rows = tables[key].top()[1]
+            rows[:] = [_LoggedList(row, reads) for row in rows]
+        return tables[key]
 
     monkeypatch.setattr(billiard, "_power_map", logged_power_map)
     rng = random.Random(16)
@@ -1773,3 +1849,7 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
     assert seen.pop("classes") == set(ParityClass)
     assert seen.pop("residues") == {0, 2, 4, 6}
     assert min(seen.values()) >= 5 and len(reads) > 5000, seen
+    # the module cache's tables for the same keys log nothing
+    for key in tables:
+        assert not any(isinstance(row, _LoggedList)
+                       for level in power_map(*key).rows for row in level)
