@@ -34,10 +34,13 @@ multiple of v and Y a multiple of u, so t is an integer.  For a fixed
 slope the first return to the boundary is a piecewise translation,
 t' = +-t + shift with a constant cell displacement and a flight X-extent
 affine in t, with about 20 pieces.  The breakpoints are the side points
-whose ray runs into a corner first; they are found by tracing the 4
-corners back along the 3 directions that leave each one, at n0 = 1, and
-each piece is read off from its domain pair and one probe: the first hit
-of a point just inside its low end on the 3-times lattice.  The map is
+whose ray runs into a corner first: the flights from the 4 corners along
+the 3 directions that leave each one, at n0 = 1, land on them.  Three
+first hits trace the flights from one corner, and the table's
+reflections give the other 9.  No piece needs a first hit of its own:
+the rays just beside a breakpoint land on a side of its corner or follow
+that corner's flight, each piece is read off both of its ends, which
+must agree, and its domain pair gives the rest (flip, c1).  The map is
 built once per (params, slope), kept in a small LRU cache.  An orbit
 reads it from one table per (params, slope, n0), n0 the start's common
 denominator (`_PowerMap`, in a small LRU cache of its own): the map
@@ -367,15 +370,6 @@ DOMAINS = ((LEFT, (-1, 1)), (LEFT, (-1, -1)), (RIGHT, (1, 1)), (RIGHT, (1, -1)),
 _DOMAIN_INDEX = {dom: k for k, dom in enumerate(DOMAINS)}
 
 
-def _map_step(lat: _Lattice, k: int, t: int) -> tuple:
-    """The first hit from (k, t) on the obstacle at cell (0, 0), as
-    (k', t', m', n', adx)."""
-    X, Y = lat.point(k, t, 0, 0)
-    X, Y, side, m, n, sx, sy, adx = _first_hit(lat, X, Y, *DOMAINS[k][1])
-    return (_DOMAIN_INDEX[side, (sx, sy)], lat.transverse(side, X, Y, m, n),
-            m, n, adx)
-
-
 # Parallel leaves.  The flight of a start unfolds to a straight line of
 # direction (v, u) whose transverse coordinate u*x - v*y moves with the
 # start's t at the rate u*v*_LEAF[k] on domain k.  So a start moved by d
@@ -391,12 +385,89 @@ def _extent_slope(v: int, k0: int, k: int) -> int:
     return v * _LEAF[k0] * ((k >= 4) - (k0 >= 4))
 
 
+def _corner_traces(lat: _Lattice, lengths: tuple) -> dict:
+    """The flights from the 4 corners of the obstacle at cell (0, 0) along
+    the 3 orientations that leave each, keyed (cx, cy, rx, ry): corner
+    (cx*a/2, cy*b/2), orientation (rx, ry).
+
+    A flight is (k, t, m, n, adx): it lands at t on the side of domain k,
+    the orientation it leaves in, of the obstacle at cell (m, n), having
+    flown |dX| = adx; or it runs into a corner first, and then k is None and
+    t is that corner's (cx', cy').  Only the 3 flights from corner (1, 1)
+    are traced.  The table's reflection x -> sx*x, y -> sy*y maps them to
+    the flights from corner (sx, sy): it reflects the cell, the corner signs
+    and the domain, and takes t to the side's length - t where it reverses
+    the side's running coordinate (y on vertical sides, x on horizontal
+    ones); adx does not change."""
+    base = {}
+    for rx, ry in ((1, 1), (1, -1), (-1, 1)):
+        try:
+            hit = _first_hit(lat, lat.beta, lat.gamma, rx, ry)
+        except CornerHit as corner:
+            X, Y = lat.encode(PointQ(*corner.point))
+            cx = -1 if (X + lat.beta) % lat.N == 0 else 1
+            cy = -1 if (Y + lat.gamma) % lat.N == 0 else 1
+            base[rx, ry] = (None, (cx, cy), (X - cx * lat.beta) // lat.N,
+                            (Y - cy * lat.gamma) // lat.N, rx * (X - lat.beta))
+            continue
+        # the ray meets the translate of its corner by (v, u) cells at the
+        # latest, so it never flies free
+        if hit is None:
+            raise AssertionError("corner trace found no obstacle")
+        X, Y, side, m, n, sx, sy, adx = hit
+        base[rx, ry] = (_DOMAIN_INDEX[side, (sx, sy)],
+                        lat.transverse(side, X, Y, m, n), m, n, adx)
+    traces = {}
+    for (sx, sy), kmap in _REFLECTIONS:
+        for (rx, ry), (k, t, m, n, adx) in base.items():
+            if k is None:
+                k1, t1 = None, (sx * t[0], sy * t[1])
+            else:  # t runs along y on vertical sides, along x otherwise
+                i = k >= 4
+                k1, t1 = kmap[k], lengths[i] - t if (sy, sx)[i] < 0 else t
+            traces[sx, sy, sx * rx, sy * ry] = (k1, t1, sx * m, sy * n, adx)
+    return traces
+
+
+def _landing(traces: dict, lengths: tuple, d: tuple, sigma: int,
+             corner: tuple, passing: bool) -> tuple:
+    """Where the rays of orientation d just beside one into a corner land:
+    (k', t', m, n, adx), the limit of their first hits as they close in.
+
+    ``corner`` is (cx, cy, m, n, adx): the corner (cx*a/2, cy*b/2) of the
+    obstacle at cell (m, n), reached after flying |dX| = adx.  The rays lie
+    on side ``sigma`` of the ray into it, sigma = +1 on the side of its
+    direction turned counter-clockwise.  They land on the corner's vertical
+    side when they fly towards it (dx = -cx) and the obstacle lies on their
+    side of the corner (sigma = cx*cy), at the side's end there; likewise on
+    its horizontal side; otherwise they pass the corner, as they always pass
+    the corners of the side they start from (``passing``), and follow the
+    corner's flight, to a side or to the next corner."""
+    dx, dy = d
+    cx, cy, dm, dn, ext = corner
+    while True:
+        if not passing:
+            if dx == -cx and sigma == cx * cy:
+                return (_DOMAIN_INDEX[_SIDE_AT[0, cx], (cx, dy)],
+                        0 if cy < 0 else lengths[0], dm, dn, ext)
+            if dy == -cy and sigma == -cx * cy:
+                return (_DOMAIN_INDEX[_SIDE_AT[1, cy], (dx, cy)],
+                        0 if cx < 0 else lengths[1], dm, dn, ext)
+        passing = False
+        k, t, m, n, adx = traces[cx, cy, dx, dy]
+        dm, dn, ext = dm + m, dn + n, ext + adx
+        if k is not None:
+            return k, t, dm, dn, ext
+        cx, cy = t
+
+
 # Fixed size: a run steps one slope (and its shadow) at a time, and a
 # surface query a handful.
 @lru_cache(maxsize=16)
 def _return_map(params: Params, u: int, v: int) -> tuple:
     """The boundary return map of slope u/v at lattice scale n0 = 1: the
-    breakpoints from the 12 corner back-traces, then one probe per piece.
+    breakpoints from the 12 corner flights, then each piece read off from
+    where the rays beside its ends land.
 
     Returns (cuts, pieces, corners), each indexed by domain.  cuts[k] is
     the sorted list of breakpoints, then the side length as a sentinel;
@@ -407,47 +478,48 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
     that breakpoint cuts[k][i] runs into: (cx*a/2, cy*b/2) from the centre
     of the cell (dm, dn) away from the start cell (`Orbit.corner_hit`).
     """
-    slope = Slope(u, v)
-    lat, lat3 = _Lattice(params, slope, 1), _Lattice(params, slope, 3)
-    # A breakpoint is a side point whose ray runs into a corner first:
-    # trace each corner back along every direction not pointing into its
-    # obstacle.  A back-trace that meets another corner first belongs to
-    # that corner.  None is never returned: the ray meets the translate of
-    # its corner by (v, u) cells at the latest.
+    lat = _Lattice(params, Slope(u, v), 1)
+    # the lengths of the vertical and the horizontal sides in units of t
+    lengths = (2 * (lat.gamma // u), 2 * (lat.beta // v))
+    traces = _corner_traces(lat, lengths)
+    # A breakpoint is a side point whose ray runs into a corner first: a
+    # corner's flight along (rx, ry) lands on one, in the domain that leaves
+    # against it (k ^ 1).  A flight that meets another corner first belongs
+    # to that corner: the other's flight along (rx, ry) finds its side.
     hits = [{} for _ in DOMAINS]
-    for cx, cy in ORIENTATIONS:
-        for rx, ry in ORIENTATIONS:
-            if (rx, ry) == (-cx, -cy):
-                continue
-            try:
-                X, Y, side, m, n = _first_hit(lat, cx * lat.beta,
-                                              cy * lat.gamma, rx, ry)[:5]
-            except CornerHit:
-                continue
-            k = _DOMAIN_INDEX[side, (-rx, -ry)]
-            t = lat.transverse(side, X, Y, m, n)
-            if hits[k].setdefault(t, (cx, cy, -m, -n)) != (cx, cy, -m, -n):
-                raise AssertionError("two corners claim one breakpoint")
-    # Probe each piece once, just inside its low end, on the three-times
-    # finer lattice where breakpoints are multiples of 3.  Every breakpoint
-    # is known, so the whole piece runs to the side the probe hits: the
-    # probe fixes k', the cell and the shift.  The domain pair (k, k')
-    # fixes flip and c1, as for parallel leaves.
+    for (cx, cy, _, _), (k, t, m, n, adx) in traces.items():
+        if k is not None and hits[k ^ 1].setdefault(
+                t, (cx, cy, -m, -n, adx)) != (cx, cy, -m, -n, adx):
+            raise AssertionError("two corners claim one breakpoint")
+    # Every breakpoint is known, so the rays of a piece all land on one side
+    # of one obstacle: where the rays just above its low end land fixes k',
+    # the cell, the shift and the extent, and the domain pair (k, k') fixes
+    # flip and c1, as for parallel leaves.  The rays just below its high end
+    # must land at the same piece's image of it.
     cuts, pieces, corners = [], [], []
-    for k in range(len(DOMAINS)):
-        length = 2 * (lat.gamma // u if k < 4 else lat.beta // v)
+    for k, (side, d) in enumerate(DOMAINS):
+        i, normal = _SIDE[side]
         ts = sorted(hits[k])
-        cuts.append(tuple(ts) + (length,))
-        corners.append(tuple(hits[k][t] for t in ts))
+        cuts.append((*ts, lengths[i]))
+        corners.append(tuple(hits[k][t][:4] for t in ts))
+        # the side's ends are corners of the start obstacle
+        ends = [(*_with_entry((-1, -1), i, normal), 0, 0, 0),
+                *(hits[k][t] for t in ts),
+                (*_with_entry((1, 1), i, normal), 0, 0, 0)]
+        sigma = d[0] if i == 0 else -d[1]  # the side of the rays above t
         row = []
-        for lo in [0] + ts:
-            t1 = 3 * lo + 1
-            k1, s1, m, n, adx = _map_step(lat3, k, t1)
+        for j, (lo, hi) in enumerate(zip((0, *ts), cuts[k])):
+            k1, t1, m, n, adx = _landing(traces, lengths, d, sigma, ends[j],
+                                         j == 0)
             flip, c1 = _LEAF[k] != _LEAF[k1], _extent_slope(v, k, k1)
-            shift, c0 = s1 + t1 if flip else s1 - t1, adx - c1 * t1
-            if shift % 3 or c0 % 3:
-                raise AssertionError("return map piece off the lattice")
-            row.append((k1, flip, shift // 3, m, n, c0 // 3, c1))
+            shift = t1 + lo if flip else t1 - lo
+            c0 = adx - c1 * lo
+            if _landing(traces, lengths, d, -sigma, ends[j + 1],
+                        j == len(ts)) != \
+                    (k1, shift - hi if flip else shift + hi, m, n,
+                     c0 + c1 * hi):
+                raise AssertionError("the ends of a return map piece disagree")
+            row.append((k1, flip, shift, m, n, c0, c1))
         pieces.append(tuple(row))
     return tuple(cuts), tuple(pieces), tuple(corners)
 

@@ -352,8 +352,11 @@ def cmd_selftest(cfg: RunConfig) -> int:
         params, Fraction("0.31830988618379067154"), 64, 12, 920, 4)))
     checks.append(("14-bit direction refused", not _guard_passes(
         params, Fraction(1, 3) + Fraction(1, 2**12), 14, 5, 50000, 8)))
-    walk = _sample_orbit(params, experiments.quantize_direction(
-        Fraction("0.31830988618379067154"), 64).slope, 7)
+    slope = experiments.quantize_direction(
+        Fraction("0.31830988618379067154"), 64).slope
+    checks.append(("64-bit return map equals first hits in every piece",
+                   _return_map_matches_first_hits(params, slope)))
+    walk = _sample_orbit(params, slope, 7)
     checks.append(("4096 collisions in one block equal single steps",
                    _advance_matches_single_steps(walk, 4096)))
     checks.append(("4181/6765 cycle on the power map equals single steps",
@@ -383,6 +386,27 @@ def _sample_orbit(params: Params, slope: Slope, seed: int) -> billiard.Orbit:
     return billiard.Orbit(billiard.make_state(
         params, (0, 0), start.side, start.offset, slope, start.orientation),
         params)
+
+
+def _return_map_matches_first_hits(params: Params, slope: Slope) -> bool:
+    """Whether each piece of the return map of ``slope`` maps a point
+    inside it where the first-hit engine takes it: t = 3*lo + 1 on the
+    three-times finer lattice, where the breakpoints are multiples of 3,
+    from the obstacle at cell (0, 0), with the piece's domain, image, cell
+    and |dX|."""
+    lat = billiard._Lattice(params, slope, 3)
+    cuts, pieces, _ = billiard._return_map(params, slope.u, slope.v)
+    for k, (cs, row) in enumerate(zip(cuts, pieces)):
+        for lo, (k1, flip, shift, dm, dn, c0, c1) in zip((0, *cs), row):
+            t = 3 * lo + 1
+            X, Y, side, m, n, sx, sy, adx = billiard._first_hit(
+                lat, *lat.point(k, t, 0, 0), *billiard.DOMAINS[k][1])
+            if (billiard._DOMAIN_INDEX[side, (sx, sy)],
+                    lat.transverse(side, X, Y, m, n), m, n, adx) != \
+                    (k1, 3 * shift - t if flip else 3 * shift + t, dm, dn,
+                     3 * c0 + c1 * t):
+                return False
+    return True
 
 
 def _advance_matches_single_steps(walk: billiard.Orbit, count: int) -> bool:

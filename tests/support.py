@@ -10,8 +10,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from windtree.billiard import (_DOMAIN_INDEX, _POWER, DOMAINS, BilliardState,
-                               TracedPath, _first_hit, _Lattice, _map_step,
-                               _return_map, make_state, side_length)
+                               TracedPath, _first_hit, _Lattice, _return_map,
+                               make_state, side_length)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import ORIENTATIONS, Params, Slope
 from windtree.origami import Origami, as_tokens
@@ -73,11 +73,21 @@ def _compose(first: tuple, second: tuple) -> tuple:
     return tuple(cuts), tuple(pieces)
 
 
+def _map_step(lat: _Lattice, k: int, t: int) -> tuple:
+    """The first hit from (k, t) on the obstacle at cell (0, 0), as
+    (k', t', m', n', adx)."""
+    X, Y = lat.point(k, t, 0, 0)
+    X, Y, side, m, n, sx, sy, adx = _first_hit(lat, X, Y, *DOMAINS[k][1])
+    return (_DOMAIN_INDEX[side, (sx, sy)], lat.transverse(side, X, Y, m, n),
+            m, n, adx)
+
+
 def two_probe_return_map(params: Params, u: int, v: int) -> tuple:
     """The boundary return map of slope u/v at lattice scale n0 = 1, each
     piece read off from two probes, just inside both of its ends: the
-    oracle for `billiard._return_map`, which probes once and checks that
-    a piece is a translation nowhere but here.
+    oracle for `billiard._return_map`, which traces 3 corner flights and
+    reads each piece off its ends with no probe.  It shares only
+    `_first_hit` and `_Lattice` with that build.
 
     Returns (cuts, pieces, corners), each indexed by domain.  cuts[k] is
     the sorted list of breakpoints, then the side length as a sentinel;

@@ -17,7 +17,8 @@ from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
                                side_length, side_offset, symmetry_check,
                                time_reversed, trace)
 from windtree.errors import CornerHit, DomainError
-from windtree.exact import Params, ParityClass, PointQ, Slope, classify_params
+from windtree.exact import (Params, ParityClass, PointQ, Slope,
+                            classify_params, mediant_enumerate)
 from windtree.experiments import quantize_direction, sample_boundary_starts
 
 from census import direction_cycles
@@ -692,8 +693,9 @@ def test_return_map_equals_the_two_probe_build():
     assert max(slope.v for _, slope in cases) > 2**120
 
 
-def test_return_map_build_probes_each_piece_once(monkeypatch):
-    # a build makes 12 corner back-traces and one first hit per piece
+def test_return_map_build_traces_three_corner_flights(monkeypatch):
+    # a build traces the 3 flights from one corner and no probe per piece:
+    # the table's reflections give the other 9 flights
     calls = []
     first_hit = billiard._first_hit
 
@@ -707,10 +709,111 @@ def test_return_map_build_probes_each_piece_once(monkeypatch):
                                           ((2, 3, 2, 3), (13, 8))):
         params = classify_params(*pqrs)
         calls.clear()
-        pieces = billiard._return_map.__wrapped__(params, *uv)[1]
-        assert len(calls) == 12 + sum(map(len, pieces))
+        billiard._return_map.__wrapped__(params, *uv)
+        assert len(calls) == 3
         classes.add(params.parity_class)
     assert classes == set(ParityClass)
+
+
+def _traced_corner_flights(lat):
+    """The 12 flights of `billiard._corner_traces`, each traced by
+    `_first_hit` from its own corner."""
+    N, beta, gamma = lat.N, lat.beta, lat.gamma
+    flights = {}
+    for cx, cy in _SIGNS:
+        for rx, ry in _SIGNS:
+            if (rx, ry) == (-cx, -cy):
+                continue
+            try:
+                X, Y, side, m, n, sx, sy, adx = billiard._first_hit(
+                    lat, cx * beta, cy * gamma, rx, ry)
+            except CornerHit as hit:
+                X, Y = lat.encode(PointQ(hit.x, hit.y))
+                # X = m*N + cx'*beta and Y = n*N + cy'*gamma
+                (cx1, m), = [(c, (X - c * beta) // N) for c in (-1, 1)
+                             if (X - c * beta) % N == 0]
+                (cy1, n), = [(c, (Y - c * gamma) // N) for c in (-1, 1)
+                             if (Y - c * gamma) % N == 0]
+                flights[cx, cy, rx, ry] = (None, (cx1, cy1), m, n,
+                                           abs(X - cx * beta))
+                continue
+            flights[cx, cy, rx, ry] = (
+                billiard._DOMAIN_INDEX[side, (sx, sy)],
+                lat.transverse(side, X, Y, m, n), m, n, adx)
+    return flights
+
+
+def test_reflected_corner_flights_equal_the_traced_ones():
+    # the 9 flights that `_corner_traces` reflects from corner (1, 1)'s 3,
+    # and those 3, against 12 first hits on seeded random tables of all
+    # three parity classes; small slopes make flights that end in a corner
+    rng = random.Random(22)
+    classes, ends = set(), set()
+    for case in range(120):
+        q, s = rng.randint(2, 12), rng.randint(2, 12)
+        p, r = rng.randint(1, q - 1), rng.randint(1, s - 1)
+        top = 5 if case % 2 else 60
+        u, v = rng.randint(1, top), rng.randint(1, top)
+        if not gcd(p, q) == gcd(r, s) == gcd(u, v) == 1:
+            continue
+        params = classify_params(p, q, r, s)
+        lat = _Lattice(params, Slope(u, v), 1)
+        lengths = (2 * (lat.gamma // u), 2 * (lat.beta // v))
+        flights = billiard._corner_traces(lat, lengths)
+        assert flights == _traced_corner_flights(lat)
+        classes.add(params.parity_class)
+        ends.update(k is None for k, *_ in flights.values())
+    assert classes == set(ParityClass)
+    assert ends == {False, True}
+
+
+def test_corner_flight_into_free_flight_is_an_error(monkeypatch):
+    # a flight from a corner meets its corner's translate by (v, u) cells
+    # at the latest; a first hit that finds no obstacle is a fault
+    monkeypatch.setattr(billiard, "_first_hit", lambda *args: None)
+    with pytest.raises(AssertionError, match="corner trace found no obstacle"):
+        billiard._return_map.__wrapped__(HALF, 3, 5)
+
+
+class _LoggedFlights(dict):
+    """Corner flights that log each read of one that runs into a further
+    corner: a saddle connection the return map build follows."""
+
+    def __init__(self, flights, log):
+        super().__init__(flights)
+        self.log = log
+
+    def __getitem__(self, key):
+        flight = super().__getitem__(key)
+        if flight[0] is None:
+            self.log.append(key)
+        return flight
+
+
+def test_return_map_follows_corner_to_corner_flights(monkeypatch):
+    # rays that pass a corner and fly on to a further corner before they
+    # land: the direction-sweep workload's surfaces with the slopes up to
+    # 4, and seeded random tables with slopes up to 5, against the
+    # two-probe build
+    onward = []
+    corner_traces = billiard._corner_traces
+    monkeypatch.setattr(billiard, "_corner_traces", lambda lat, lengths:
+                        _LoggedFlights(corner_traces(lat, lengths), onward))
+    cases = [(Params.parse(surface), slope)
+             for surface in ("1/2,1/2", "2/3,2/3", "1/3,1/3", "1/5,2/7",
+                             "4/13,4/5", "4/25,6/13", "3/44,9/44")
+             for slope in mediant_enumerate(4)]
+    rng = random.Random(23)
+    while len(cases) < 160:
+        q, s = rng.randint(2, 12), rng.randint(2, 12)
+        pqrs = (rng.randint(1, q - 1), q, rng.randint(1, s - 1), s)
+        uv = (rng.randint(1, 5), rng.randint(1, 5))
+        if gcd(*pqrs[:2]) == gcd(*pqrs[2:]) == gcd(*uv) == 1:
+            cases.append((classify_params(*pqrs), Slope(*uv)))
+    for params, slope in cases:
+        assert billiard._return_map.__wrapped__(params, slope.u, slope.v) == \
+            two_probe_return_map(params, slope.u, slope.v)
+    assert onward
 
 
 def _corner_bound_start(params, slope, cell, back, rng):

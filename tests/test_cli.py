@@ -173,6 +173,12 @@ def test_selftest_checks_the_shadow_guard_and_diffusion(capsys):
         assert f"PASS  {name}\n" in out
 
 
+def test_selftest_checks_the_return_map_against_first_hits(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == EXIT_OK
+    assert "PASS  64-bit return map equals first hits in every piece\n" in out
+
+
 def test_selftest_checks_a_block_on_the_power_map(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == EXIT_OK
