@@ -526,8 +526,9 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
 
 # `Orbit.advance` steps on the power map T^_POWER in calls of at least
 # _BLOCK collisions, and `_walk_period` past _POWER_FROM collisions, about
-# what a build of the whole power map costs in single steps; the quantized
-# experiments advance in blocks of _BLOCK.
+# what a build of the whole power map costs in single steps.  Diffusion
+# samples advance in blocks of _BLOCK, and shadowed recurrence samples from
+# checkpoint to checkpoint.
 _BLOCK = 64
 _POWER = 8
 _POWER_FROM = 512
@@ -1314,7 +1315,7 @@ def classify_trajectory(start: BilliardState, params: Params,
     if start.slope.is_axis:
         return TrajectoryOutcome(Outcome.PERIODIC, 2,
                                  2 * _axis_flight(start.slope, params),
-                                 (0, 0))
+                                 (0, 0), repeat_cells=(start.cell, start.cell))
 
     walk = Orbit(start, params)
     store = _cycle_store(params, start.slope.u, start.slope.v)
@@ -1433,18 +1434,16 @@ def regular_start(params: Params, slope: Slope, orientation: tuple = (1, 1),
     Walks a fixed ladder of offsets on the origin obstacle's sides, 1/3,
     1/5, ..., 1/129 of a side, until classify_trajectory comes back
     non-singular.  Returns (state, outcome).  Raises DomainError if every
-    attempt is singular (not observed for desk-scale data).
+    attempt is singular (not observed for desk-scale data), and make_state's
+    DomainError for an invalid orientation.
     """
     sides = HORIZONTAL_SIDES if not slope.is_horizontal else VERTICAL_SIDES
     for denom in range(3, 131, 2):
         for side in sides:
             length = side_length(params, side)
-            try:
-                state = make_state(params, (0, 0), side,
-                                   Fraction(1, denom) * length, slope,
-                                   leaving_orientation(side, orientation))
-            except DomainError:
-                continue
+            state = make_state(params, (0, 0), side,
+                               Fraction(1, denom) * length, slope,
+                               leaving_orientation(side, orientation))
             outcome = classify_trajectory(state, params, max_collisions)
             if outcome.kind is not Outcome.SINGULAR:
                 return state, outcome

@@ -4,20 +4,20 @@ of periodic orbits under parameter perturbation.
 
 Directions that are not rational at desk scale are represented by dyadic
 quantization: the slope is rounded to k/2^bits and simulated exactly.
-Every quantized run can be shadowed by a re-run at doubled precision; a
-positional divergence beyond 2^-30 at a checkpoint raises PrecisionError
-instead of reporting corrupted statistics.
+Every quantized recurrence run can be shadowed by a re-run at doubled
+precision; a positional divergence beyond 2^-30 at a checkpoint raises
+PrecisionError instead of reporting corrupted statistics.
 
-Quantized orbits are stepped in blocks of 64 collisions with
-`Orbit.advance`, which reports a block's end state, X-extent and box of
-cells without a yield per collision, and takes such a block 8 collisions
-at a time on the 8th power of the return map, a run of one self-mapping
-piece at once; blocks start at multiples of 64, so every checkpoint (each
-512th collision) ends one.  A shadowed
-recurrence sample advances the primary one block, stopping early at a
-corner or back in the origin cell, and then the shadow by as many
-collisions; the checks, their order and the collision they name are
-those of stepping the two runs in lockstep.
+Quantized orbits are stepped in blocks with `Orbit.advance`, which reports
+a block's end state, X-extent and box of cells without a yield per
+collision, and takes a block of 64 or more collisions 8 at a time on the
+8th power of the return map, a run of one self-mapping piece at once.  A
+shadowed recurrence sample advances the primary to the next checkpoint
+(each 512th collision) or to the horizon, stopping early before a corner
+or back in the origin cell, then the shadow by as many collisions, and
+compares the two where a block ends other than before a corner; the
+checks, their order and the collision they name are those of stepping
+the two runs in lockstep.  Diffusion samples advance in blocks of 64.
 
 A diffusion sample is the running sup of dist / log_k(t) along an orbit,
 dist the distance from the start and t the time flown, with its first 64
@@ -62,6 +62,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 from .billiard import (_BLOCK, _POWER, BOTTOM, LEFT, RIGHT, TOP, Orbit,
@@ -74,9 +75,6 @@ from .origami import decompose_table_direction, is_good_one_cylinder
 
 SHADOW_TOLERANCE = Fraction(1, 2**30)
 CHECKPOINT_EVERY = 512
-# Quantized orbits are stepped in blocks of `billiard._BLOCK` collisions
-# (`Orbit.advance`); a checkpoint ends a block.
-assert CHECKPOINT_EVERY % _BLOCK == 0
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,7 @@ class SampleResult:
     sample_id: int
     side: str
     offset: Fraction
-    outcome: str              # returned | lost | singular | corridor | tangent
+    outcome: str              # returned | lost | singular | corridor
     first_return: int | None  # collisions to the first return, if any
     drift: tuple              # net cell displacement when the run stopped
     geometric_length: Fraction
@@ -206,45 +204,37 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
     """First return of one sample to the origin obstacle, exact stepping.
 
     With a shadow slope given (the same direction re-quantized at doubled
-    precision), both runs advance in blocks of collisions and their
-    positions are compared at checkpoints up to the end.  Without one,
+    precision), both runs advance from checkpoint to checkpoint and their
+    positions are compared at each, up to the end.  Without one,
     the sample is answered from its recorded cylinder cycle
     (`billiard.first_return`).
     """
+    result = partial(SampleResult, start.sample_id, start.side, start.offset)
     if slope.is_axis and slope.is_horizontal == (start.side in (BOTTOM, TOP)):
         # tangent: slides along the corridor, never meets a side again
-        return SampleResult(start.sample_id, start.side, start.offset,
-                            "corridor", None, (0, 0), Fraction(0))
+        return result("corridor", None, (0, 0), Fraction(0))
     state = make_state(params, (0, 0), start.side, start.offset, slope,
                        start.orientation)
     if shadow_slope is None:
         ret, drift, length, singular = first_return(state, params, horizon)
         outcome = "singular" if singular else \
             "lost" if ret is None else "returned"
-        return SampleResult(start.sample_id, start.side, start.offset,
-                            outcome, ret, drift, length)
+        return result(outcome, ret, drift, length)
     walk = Orbit(state, params)
     vN = slope.v * walk.lattice.N
     sh_walk = Orbit(make_state(params, (0, 0), start.side, start.offset,
                                shadow_slope, start.orientation), params)
-
-    def check_shadow(i, cur, sh_cur):
-        p, q = walk.position(*cur), sh_walk.position(*sh_cur)
-        dx, dy = abs(p.x - q.x), abs(p.y - q.y)
-        if dx > SHADOW_TOLERANCE or dy > SHADOW_TOLERANCE:
-            raise PrecisionError(
-                f"shadow divergence {float(max(dx, dy)):.3e} at "
-                f"collision {i} exceeds 2^-30")
-
-    # Blocks start at multiples of _BLOCK, so every checkpoint is the end
-    # of a full block.  The primary stops at a corner or back in the
-    # origin cell; the shadow then makes the same number of collisions.
+    # A block runs to the next checkpoint or to the horizon, so every block
+    # starts at a checkpoint.  The primary stops short only before a corner
+    # or back in the origin cell; the shadow then makes as many collisions.
+    # A block that does not stop before a corner ends at a checkpoint, the
+    # horizon or the return: each a place the lockstep loop checks.
     k, t, m, n = walk.k, walk.t, 0, 0
     sh_cur = (sh_walk.k, sh_walk.t, 0, 0)
     total_dx = i = 0
     while i < horizon:
         done, k, t, m, n, adx, *_, corner = walk.advance(
-            k, t, m, n, min(_BLOCK, horizon - i), (0, 0))
+            k, t, m, n, min(CHECKPOINT_EVERY, horizon - i), (0, 0))
         total_dx += adx
         shadow = sh_walk.advance(*sh_cur, done)
         if shadow[0] < done:
@@ -252,19 +242,17 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
                                  "direction precision cannot be trusted")
         sh_cur = shadow[1:5]
         i += done
-        if done and i % CHECKPOINT_EVERY == 0:
-            check_shadow(i, (k, t, m, n), sh_cur)
         if corner is not None:
-            return SampleResult(start.sample_id, start.side, start.offset,
-                                "singular", None, (m, n),
-                                Fraction(total_dx, vN))
-        if done and m == 0 and n == 0:
-            check_shadow(i, (k, t, m, n), sh_cur)
-            return SampleResult(start.sample_id, start.side, start.offset,
-                                "returned", i, (0, 0), Fraction(total_dx, vN))
-    check_shadow(horizon, (k, t, m, n), sh_cur)
-    return SampleResult(start.sample_id, start.side, start.offset,
-                        "lost", None, (m, n), Fraction(total_dx, vN))
+            return result("singular", None, (m, n), Fraction(total_dx, vN))
+        p, q = walk.position(k, t, m, n), sh_walk.position(*sh_cur)
+        dx, dy = abs(p.x - q.x), abs(p.y - q.y)
+        if dx > SHADOW_TOLERANCE or dy > SHADOW_TOLERANCE:
+            raise PrecisionError(
+                f"shadow divergence {float(max(dx, dy)):.3e} at "
+                f"collision {i} exceeds 2^-30")
+        if m == 0 and n == 0:
+            return result("returned", i, (0, 0), Fraction(total_dx, vN))
+    return result("lost", None, (m, n), Fraction(total_dx, vN))
 
 
 def recurrence_experiment(params: Params, direction: DirectionSpec,
@@ -569,8 +557,6 @@ def approximation_search(direction: DirectionSpec, params: Params,
     theta = Fraction(direction.slope.u, direction.slope.v)
     out = []
     for p, q in _semiconvergents(theta):
-        if p <= 0:
-            continue
         if direction.quantized and q > (1 << (direction.precision_bits // 2)):
             if len(out) < n_terms:
                 raise PrecisionError(

@@ -364,7 +364,7 @@ def locate_weierstrass(params: Params) -> WeierstrassSet:
     return WeierstrassSet(tuple(sorted(scaled_weierstrass_coords(params).items())))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def build_origami(params: Params) -> Origami:
     """The stretched quotient surface as an origami with the six special
     points marked.

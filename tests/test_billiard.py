@@ -154,6 +154,29 @@ def test_classify_axis_trapped():
     assert out.geometric_length == 1  # 2 * (1 - a) with a = 1/2
 
 
+def test_classify_axis_start_repeats_its_cell():
+    # the 2-bounce orbit from cell (2, 3) is back there after one period
+    state = make_state(HALF, (2, 3), RIGHT, Fraction(1, 4), Slope(0, 1),
+                       (1, 1))
+    out = classify_trajectory(state, HALF)
+    assert (out.kind, out.combinatorial_length, out.geometric_length,
+            out.drift) == (Outcome.PERIODIC, 2, 1, (0, 0))
+    assert out.repeat_cells == ((2, 3), (2, 3))
+    assert collision_sequence(state, HALF, 2)[-1][1] == (2, 3)
+
+
+def test_classify_rejects_fewer_than_one_collision():
+    state = midpoint_state(HALF, (0, 0), TOP, Slope(1, 1), (1, 1))
+    with pytest.raises(DomainError, match="max_collisions must be >= 1"):
+        classify_trajectory(state, HALF, max_collisions=0)
+
+
+def test_regular_start_reports_an_invalid_orientation():
+    # the orientation's error surfaces instead of "no regular start found"
+    with pytest.raises(DomainError, match="invalid orientation"):
+        regular_start(HALF, Slope(3, 5), (0, 1))
+
+
 def test_e_preimage_period_doubles_known_value():
     # slope 1 orbit through the E preimage on the half-size table: period 4
     # collisions, length 3 primitive vectors (hand-checked).

@@ -370,6 +370,39 @@ def test_shadowed_sample_matches_the_lockstep_loop():
     assert seen["at 512"] >= 10 and seen["ragged"] >= 100, seen
 
 
+def test_shadowed_sample_advances_from_checkpoint_to_checkpoint(monkeypatch):
+    # each run takes one `Orbit.advance` call per checkpoint interval: a
+    # lost sample 8 calls of 512 to horizon 4096 (and a ragged last block
+    # to 1100), and a sample back at collision 1124 stops its third block
+    # there, the shadow advancing as far in each call
+    calls = []
+    advance = Orbit.advance
+
+    def counted(self, k, t, m, n, count, stop_cell=None):
+        got = advance(self, k, t, m, n, count, stop_cell)
+        calls.append((self, count, got[0]))
+        return got
+
+    monkeypatch.setattr(Orbit, "advance", counted)
+    golden = Fraction("0.61803398874989484820")
+    slope = quantize_direction(golden, 64).slope
+    shadow = quantize_direction(golden, 128).slope
+    for params, seed, i, horizon, outcome, blocks in (
+            (HALF, 1, 0, 4096, "lost", [(512, 512)] * 8),
+            (HALF, 1, 0, 1100, "lost", [(512, 512), (512, 512), (76, 76)]),
+            (classify_params(1, 3, 2, 3), 3, 3, 4096, "returned",
+             [(512, 512), (512, 512), (512, 100)])):
+        start = sample_boundary_starts(params, slope, i + 1, seed)[i]
+        calls.clear()
+        got = _run_sample(params, slope, start, horizon, shadow)
+        assert got.outcome == outcome
+        assert got.first_return == (1124 if outcome == "returned" else None)
+        primary = calls[0][0]
+        assert [c[1:] for c in calls if c[0] is primary] == blocks
+        assert [c[1:] for c in calls if c[0] is not primary] == \
+            [(done, done) for _, done in blocks]
+
+
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_recurrence_rejects_jobs_below_one(jobs):
     with pytest.raises(DomainError, match="jobs must be >= 1"):
@@ -704,6 +737,14 @@ def test_approximation_search_rejects_fewer_than_one_term():
         with pytest.raises(DomainError, match="n_terms must be >= 1"):
             approximation_search(golden, HALF, n_terms)
     assert len(approximation_search(golden, HALF, 1)) == 1
+
+
+def test_approximation_search_refuses_terms_beyond_the_precision():
+    # a 16-bit direction certifies denominators up to 2^8 only
+    golden = quantize_direction(Fraction("0.61803398874989484820"), 16)
+    with pytest.raises(PrecisionError, match=r"beyond 2\^8"):
+        approximation_search(golden, HALF, 50)
+    assert len(approximation_search(golden, HALF, 2)) == 2
 
 
 def test_approximation_search_filters_to_odd_odd():

@@ -52,6 +52,15 @@ def test_build_origami_cell_counts():
     assert build_origami(TWO_THIRDS).n == 5
 
 
+def test_build_origami_keeps_at_most_16_surfaces():
+    tables = sorted(all_desk_params(8), key=lambda p: p.n_cells)[:20]
+    assert len(set(tables)) == 20
+    for params in tables:
+        build_origami(params)
+        assert build_origami.cache_info().currsize <= 16
+    assert build_origami.cache_info().maxsize == 16
+
+
 def test_build_origami_stratum():
     for params in (HALF, TWO_THIRDS, classify_params(3, 4, 1, 2),
                    classify_params(1, 4, 3, 4)):
