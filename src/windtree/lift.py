@@ -19,7 +19,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .billiard import Outcome, classify_trajectory, launch
+from .billiard import (DEFAULT_MAX_COLLISIONS, Outcome, classify_trajectory,
+                       launch)
 from .errors import CornerHit, DomainError
 from .exact import Params, PointQ, Slope
 from .origami import (CylinderDecomposition, Origami, _l_shape_position,
@@ -59,14 +60,21 @@ class LiftReport:
                               self.x_behavior)}) == 1
 
 
+def _fold(X, q: int, p: int) -> Fraction:
+    """(X/q - (1 - p/q)/2) mod 1 - 1/2 for X = num/den: the residue of
+    2*num - (q - p)*den modulo 2*q*den, less q*den, over 2*q*den."""
+    den = X.denominator
+    return Fraction((2 * X.numerator - (q - p) * den) % (2 * q * den)
+                    - q * den, 2 * q * den)
+
+
 def fold_to_table(params: Params, X: Fraction, Y: Fraction) -> PointQ:
     """Map absolute stretched-polygon coordinates to the table cell at the
-    origin (coordinates in [-1/2, 1/2) around the obstacle at (0, 0))."""
-    lx = Fraction(X, params.q)
-    ly = Fraction(Y, params.s)
-    cx = (lx - (1 - params.a) / 2) % 1
-    cy = (ly - (1 - params.b) / 2) % 1
-    return PointQ(cx - Fraction(1, 2), cy - Fraction(1, 2))
+    origin (coordinates in [-1/2, 1/2) around the obstacle at (0, 0)).
+
+    Each coordinate shrinks by q (or s), moves by -(1 - a)/2 (or
+    -(1 - b)/2), reduces mod 1 and moves by -1/2, in one integer `%`."""
+    return PointQ(_fold(X, params.q, params.p), _fold(Y, params.s, params.r))
 
 
 def fold_cell_point(params: Params, cell: int, x: Fraction, y: Fraction) -> PointQ:
@@ -95,7 +103,8 @@ def _classify_fold(params: Params, table_slope: Slope, point: PointQ):
     """Launch the folded point on the table and classify its orbit.
 
     Returns a CylinderLift payload precursor: ('closes', period_length) or
-    ('strip', drift).
+    ('strip', drift), or None when the classification runs out of its
+    collision budget.
     """
     state = launch(params, point, table_slope, (1, 1))
     if state is None:
@@ -108,7 +117,12 @@ def _classify_fold(params: Params, table_slope: Slope, point: PointQ):
         return ("strip", outcome.drift)
     if outcome.kind is Outcome.SINGULAR:
         raise CornerHit(outcome.corner.x, outcome.corner.y)
-    raise AssertionError("classification exhausted its collision budget")
+    return None
+
+
+def _budget_error(what: str) -> DomainError:
+    return DomainError(f"{what}: classification exhausted its budget of "
+                       f"{DEFAULT_MAX_COLLISIONS} collisions")
 
 
 def lift_direction(params: Params, table_slope: Slope) -> LiftReport:
@@ -120,6 +134,8 @@ def lift_direction(params: Params, table_slope: Slope) -> LiftReport:
     The samples of a strip must agree on its drift up to the signs of its
     coordinates: the reported drift is the first regular sample's, and its
     signs depend on the reflected sheet of the table the fold lands in.
+    A sample that runs out of the collision budget raises DomainError: a
+    retry would not decide the cylinder either.
     """
     decomp = decompose_table_direction(params, table_slope)
     g = scaled_direction_gcd(params, table_slope)
@@ -138,9 +154,12 @@ def lift_direction(params: Params, table_slope: Slope) -> LiftReport:
                 break
             point = fold_cell_point(params, ocell, ox, oy)
             try:
-                results.append(_classify_fold(params, table_slope, point))
+                result = _classify_fold(params, table_slope, point)
             except (CornerHit, DomainError):
                 continue  # singular or on-boundary fold: perturb and retry
+            if result is None:
+                raise _budget_error(f"cylinder {ci}")
+            results.append(result)
         if not results:
             raise DomainError(f"no regular start found in cylinder {ci}")
         kinds = {r[0] for r in results}
@@ -168,7 +187,8 @@ def abc_strip_check(params: Params, table_slope: Slope) -> bool:
     unfold to an infinite billiard trajectory; True when it does.
 
     Raises DomainError when no cylinder of the direction carries two of
-    A, B, C on its central leaf.
+    A, B, C on its central leaf, or when the classification runs out of
+    its collision budget.
     """
     decomp = decompose_table_direction(params, table_slope)
     target = None
@@ -183,6 +203,8 @@ def abc_strip_check(params: Params, table_slope: Slope) -> bool:
     mp = build_origami(params).marked_by_label()[target]
     point = fold_cell_point(params, mp.cell, mp.x, mp.y)
     result = _classify_fold(params, table_slope, point)
+    if result is None:
+        raise _budget_error(f"the orbit of {target}")
     return result[0] == "strip"
 
 

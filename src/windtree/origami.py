@@ -21,7 +21,8 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from .errors import DomainError
 from .exact import Params, ParityClass, Slope
@@ -36,20 +37,17 @@ def _invert(perm: tuple) -> tuple:
     return tuple(inv)
 
 
-def _cycles(perm: tuple, starts=None) -> tuple:
+def _cycles(perm: tuple) -> tuple:
     """The cycle index of a permutation: (cycles, where, pos), with
     element c at cycles[where[c]][pos[c]].
 
     Each cycle starts at its smallest element, in the order of those.
-    With ``starts`` given, only the cycles through those elements are
-    walked, each from the first of them met; the other entries of
-    ``where`` stay -1.
     """
     n = len(perm)
     where = [-1] * n
     pos = [0] * n
     cycles = []
-    for i in range(n) if starts is None else starts:
+    for i in range(n):
         if where[i] >= 0:
             continue
         k = len(cycles)
@@ -65,11 +63,41 @@ def _cycles(perm: tuple, starts=None) -> tuple:
     return cycles, where, pos
 
 
-def _along(index: tuple, cell: int, k: int) -> int:
-    """The cell k places further along its cycle of an index (any k)."""
-    cycles, where, pos = index
-    cyc = cycles[where[cell]]
-    return cyc[(pos[cell] + k) % len(cyc)]
+def _compose(p: tuple, q: tuple) -> tuple:
+    """The permutation p after q, i -> p[q[i]], as one gather."""
+    return itemgetter(*q)(p) if len(q) > 1 else (p[q[0]],)
+
+
+def _power(p: tuple, k: int) -> tuple:
+    """p^k for k >= 1, by repeated squaring: O(n log k)."""
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else _compose(result, p)
+        k >>= 1
+        if not k:
+            return result
+        p = _compose(p, p)
+
+
+def _move(p: tuple, p_inv: tuple, cell: int, k: int) -> int:
+    """The cell k places further along its cycle of p (any k), p_inv the
+    inverse of p.
+
+    One lookup per place; a walk that comes back to ``cell`` has measured
+    the cycle and goes on for the rest of k modulo its length only, so a
+    move costs O(min(|k|, cycle length)).
+    """
+    step = p if k > 0 else p_inv
+    k = abs(k)
+    c = cell
+    for walked in range(1, k + 1):
+        c = step[c]
+        if c == cell:
+            for _ in range(k % walked):
+                c = step[c]
+            return c
+    return c
 
 
 @dataclass(frozen=True)
@@ -531,9 +559,9 @@ def orbit_invariant(origami: Origami) -> OrbitInvariant:
 # -- integer linear action ---------------------------------------------
 #
 # Words are either strings over T, S (lowercase for inverses) or tuples of
-# (generator, power) tokens; shear powers apply in O(n) via cycle
-# rotation, so Euclidean reduction words with huge partial quotients stay
-# cheap.
+# (generator, power) tokens; a shear power costs O(n log |k|) by
+# repeated squaring, so Euclidean reduction words with huge partial
+# quotients stay cheap.
 
 
 def as_tokens(word) -> tuple:
@@ -565,58 +593,61 @@ def format_word(word) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _shear(h: tuple, v: tuple, marked: list, k: int):
-    """T^k on raw gluings: rows keep their order; the cell above i becomes
-    the cell above the k-th left neighbor."""
-    index = _cycles(h)
-    new_v = [0] * len(v)
-    for row in index[0]:
-        s = -k % len(row)
-        for c, d in zip(row, row[s:] + row[:s]):
-            new_v[c] = v[d]
-    out = []
-    for label, cell, x, y in marked:
-        x = x + k * y
-        shift = x.numerator // x.denominator  # floor
-        out.append((label, _along(index, cell, shift), x - shift, y))
-    return h, tuple(new_v), out
+def _integer_point(cell: int, x, y) -> tuple:
+    """(cell, X, Y, d) with x = X/d and y = Y/d, d the least common
+    denominator of x and y."""
+    d = lcm(x.denominator, y.denominator)
+    return (cell, x.numerator * (d // x.denominator),
+            y.numerator * (d // y.denominator), d)
 
 
-def _quarter_turn(h: tuple, v: tuple, marked: list):
-    """S on raw gluings: (h, v) becomes (v^-1, h), so the new right neighbor
-    is the old cell below.  A point whose turned in-cell x reaches 1 moves
-    on to the next cell."""
-    new_h = _invert(v)
-    zero = Fraction(0)
-    out = []
-    for label, cell, x, y in marked:
-        x, y = 1 - y, x
-        if x == 1:
-            x, cell = zero, new_h[cell]
-        out.append((label, cell, x, y))
-    return new_h, h, out
+def _sheared(h: tuple, h_inv: tuple, k: int, cell: int, X: int, Y: int,
+             d: int) -> tuple:
+    """T^k on an integer point: x moves by k*y and the cell along its row
+    by the whole cells crossed."""
+    shift, X = divmod(X + k * Y, d)
+    return _move(h, h_inv, cell, shift), X, Y, d
 
 
 def _act(origami: Origami, tokens: tuple):
     """The raw (h, v, marked, stages) that tokens step origami to.
 
     marked holds (label, cell, x, y) tuples, lattice corners left in the
-    cell they arrive in.  A stage is (k, perm): a shear T^k with the right
-    gluing it keeps, or, with k None, one quarter turn with the inverse of
-    the right gluing it makes (the vertical gluing before the turn).  The
-    stages hold references to tuples the stepping computes anyway.
+    cell they arrive in.  A stage is (k, h, h_inv): a shear T^k with the
+    right gluing it keeps and its inverse, or, with k None, (None, perm):
+    one quarter turn with the inverse of the right gluing it makes (the
+    vertical gluing before the turn).  The stages hold references to
+    tuples the stepping computes anyway.
+
+    Each gluing travels with its inverse.  A quarter turn S, (h, v)
+    becoming (v^-1, h), renames the four; a shear T^k keeps h and sets
+    v to v h^-k and v^-1 to h^k v^-1, one gather each with the powers of
+    h by repeated squaring, so it costs O(n log |k|).  A marked point
+    moves as integer numerators over its own denominator, by at most
+    O(min(|k|, row length)) lookups per shear, and becomes a Fraction
+    once, at the end.
     """
-    h, v = origami.h, origami.v
-    marked = [(mp.label, mp.cell, mp.x, mp.y) for mp in origami.marked]
+    h, h_inv, v, v_inv = origami.h, origami.h_inv, origami.v, origami.v_inv
+    points = [_integer_point(mp.cell, mp.x, mp.y) for mp in origami.marked]
     stages = []
     for gen, k in tokens:
         if gen == "T":
-            stages.append((k, h))
-            h, v, marked = _shear(h, v, marked, k)
-        else:
-            for _ in range(k % 4):  # the quarter turn has order four
-                stages.append((None, v))
-                h, v, marked = _quarter_turn(h, v, marked)
+            stages.append((k, h, h_inv))
+            if k:  # a tuple word may carry T^0
+                fwd, back = (h, h_inv) if k > 0 else (h_inv, h)
+                v = _compose(v, _power(back, abs(k)))
+                v_inv = _compose(_power(fwd, abs(k)), v_inv)
+            points = [_sheared(h, h_inv, k, *pt) for pt in points]
+            continue
+        for _ in range(k % 4):  # the quarter turn has order four
+            stages.append((None, v))
+            # (x, y) becomes (1 - y, x); a point whose turned x reaches 1
+            # moves on to the new right neighbour, the old cell below
+            points = [(v_inv[cell], 0, X, d) if Y == 0
+                      else (cell, d - Y, X, d) for cell, X, Y, d in points]
+            h, h_inv, v, v_inv = v_inv, v, h, h_inv
+    marked = [(mp.label, cell, Fraction(X, d), Fraction(Y, d))
+              for mp, (cell, X, Y, d) in zip(origami.marked, points)]
     return h, v, marked, tuple(stages)
 
 
@@ -703,26 +734,23 @@ class CylinderDecomposition:
         A shear T^k moves x back by k*y and the cell along its row by the
         whole cells crossed; a quarter turn maps (x, y) to (y, 1 - x), and
         a point on a cell's left edge (x = 0) lands on the bottom edge of
-        the cell to its left.  The result equals the points marked on
-        sl2z_act(origami, word) and carried back by the inverse word, except
-        at lattice corners, which are left in the cell they arrive in.
+        the cell to its left.  The points move as integer numerators over
+        one denominator each, as in `_act`.  The result equals the points
+        marked on sl2z_act(origami, word) and carried back by the inverse
+        word, except at lattice corners, which are left in the cell they
+        arrive in.
         """
-        out = [(cell, Fraction(x), Fraction(y)) for cell, x, y in points]
-        for k, perm in reversed(self.stages):
-            if k is None:
-                out = [(perm[cell], y, Fraction(0)) if x == 0
-                       else (cell, y, 1 - x) for cell, x, y in out]
-                continue
-            # only the rows the points are on: a full index costs O(n)
-            # per stage
-            index = _cycles(perm, [cell for cell, _, _ in out])
-            moved = []
-            for cell, x, y in out:
-                x -= k * y
-                shift = x.numerator // x.denominator  # floor
-                moved.append((_along(index, cell, shift), x - shift, y))
-            out = moved
-        return out
+        out = [_integer_point(*pt) for pt in points]
+        for stage in reversed(self.stages):
+            if stage[0] is None:
+                perm = stage[1]
+                out = [(perm[cell], Y, 0, d) if X == 0
+                       else (cell, Y, d - X, d) for cell, X, Y, d in out]
+            else:
+                k, h, h_inv = stage
+                out = [_sheared(h, h_inv, -k, *pt) for pt in out]
+        return [(cell, Fraction(X, d), Fraction(Y, d))
+                for cell, X, Y, d in out]
 
     def total_area(self) -> int:
         return sum(c.circumference * c.height for c in self.cylinders)

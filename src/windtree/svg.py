@@ -4,13 +4,15 @@ escaping orbits.
 
 All coordinates are exact rationals until the one formatting step, which
 prints a fixed precision so that the same input yields byte-identical
-files.  Every obstacle in a lattice column shares its x and every obstacle
-in a row its y, so those strings are formatted once per column and row.
+files.  A canvas coordinate is one int/int division, rounded correctly by
+CPython, of integers built from the point's numerator and denominator, so
+its digits are those of the exact value.  Every obstacle in a lattice
+column shares its x and every obstacle in a row its y, so those strings
+are formatted once per column and row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, floor
 
 from .billiard import TracedPath
@@ -27,6 +29,27 @@ def _fmt(value, scale: int) -> str:
     return f"{value.numerator * scale / value.denominator:.6f}"
 
 
+def _canvas(x_lo: int, y_hi: int, scale: int) -> tuple:
+    """The formatters (sx, sy) of canvas coordinates in a box that starts
+    at x_lo and ends at y_hi, with a pad of 1/2 that keeps the outermost
+    obstacles inside the canvas.
+
+    x - x_lo + 1/2 and y_hi + 1/2 - y are formatted as `_fmt` would, from
+    the numerator over 2*den of the coordinate's denominator den.
+    """
+    x_off, y_off = 1 - 2 * x_lo, 2 * y_hi + 1
+
+    def sx(x):
+        den = x.denominator
+        return f"{(2 * x.numerator + x_off * den) * scale / (2 * den):.6f}"
+
+    def sy(y):
+        den = y.denominator
+        return f"{(y_off * den - 2 * y.numerator) * scale / (2 * den):.6f}"
+
+    return sx, sy
+
+
 def render_trajectory(params: Params, path: TracedPath, scale: int = 60,
                       highlight_cells: tuple = (), margin: int = 1) -> str:
     """SVG 1.1 document for a traced polyline on the obstacle lattice.
@@ -37,21 +60,18 @@ def render_trajectory(params: Params, path: TracedPath, scale: int = 60,
     """
     if scale < 1:
         raise DomainError(f"scale must be >= 1, got {scale}")
+    if margin < 0:
+        raise DomainError(f"margin must be >= 0, got {margin}")
+    if not path.points:
+        raise DomainError("cannot render a path without points")
     xs = [p.x for p in path.points]
     ys = [p.y for p in path.points]
     x_lo, x_hi = floor(min(xs)) - margin, ceil(max(xs)) + margin
     y_lo, y_hi = floor(min(ys)) - margin, ceil(max(ys)) + margin
     a2, b2 = params.a / 2, params.b / 2
-    pad = Fraction(1, 2)  # keeps the outermost obstacles inside the canvas
-
-    def sx(x):
-        return _fmt(x - x_lo + pad, scale)
-
-    def sy(y):
-        return _fmt(y_hi + pad - y, scale)
-
-    width = _fmt(x_hi - x_lo + 2 * pad, scale)
-    height = _fmt(y_hi - y_lo + 2 * pad, scale)
+    sx, sy = _canvas(x_lo, y_hi, scale)
+    width = _fmt(x_hi - x_lo + 1, scale)  # the box and both pads
+    height = _fmt(y_hi - y_lo + 1, scale)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -69,13 +89,12 @@ def render_trajectory(params: Params, path: TracedPath, scale: int = 60,
             fill = "#b0b0b0" if (m, n) in highlighted else "none"
             lines.append(f'<rect x="{x}" y="{y}" {size} '
                          f'fill="{fill}" stroke="black" stroke-width="1"/>')
-    if path.points:
-        coords = " L ".join(f"{sx(p.x)} {sy(p.y)}" for p in path.points)
-        color = "#c03030" if path.singular else "#2040c0"
-        lines.append(f'<path d="M {coords}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        start = path.points[0]
-        lines.append(f'<circle cx="{sx(start.x)}" cy="{sy(start.y)}" r="3" '
-                     f'fill="#208020"/>')
+    coords = " L ".join(f"{sx(p.x)} {sy(p.y)}" for p in path.points)
+    color = "#c03030" if path.singular else "#2040c0"
+    lines.append(f'<path d="M {coords}" fill="none" '
+                 f'stroke="{color}" stroke-width="1.5"/>')
+    start = path.points[0]
+    lines.append(f'<circle cx="{sx(start.x)}" cy="{sy(start.y)}" r="3" '
+                 f'fill="#208020"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,10 @@
 """Functions only the tests use: a side's midpoint state, the length of a
 traced polyline, the return map built from two probes per piece, the
 return map scaled to a lattice scale and the whole power map built
-eagerly from it, the matrix and the inverse of a generator word, and the
-straight-line flow on a square-tiled surface.  The package itself has no
-use for them.
+eagerly from it, the matrix and the inverse of a generator word, the
+straight-line flow on a square-tiled surface, and the Fraction-based
+surface action, pull-back, fold and SVG canvas coordinates that the
+integer ones replaced.  The package itself has no use for them.
 """
 
 from bisect import bisect_left, bisect_right
@@ -13,8 +14,9 @@ from windtree.billiard import (_DOMAIN_INDEX, _POWER, DOMAINS, BilliardState,
                                TracedPath, _first_hit, _Lattice, _return_map,
                                make_state, side_length)
 from windtree.errors import CornerHit, DomainError
-from windtree.exact import ORIENTATIONS, Params, Slope
+from windtree.exact import ORIENTATIONS, Params, PointQ, Slope
 from windtree.origami import Origami, as_tokens
+from windtree.svg import _fmt
 
 
 def midpoint_state(params: Params, cell: tuple, side: str, slope: Slope,
@@ -235,3 +237,162 @@ def flow_first_hit(origami: Origami, start: tuple, direction: tuple,
             lam += t_right
             cell, x, y = v[h[cell]], Fraction(0), Fraction(0)
     return None
+
+
+# -- the Fraction-based surface layer, fold and canvas coordinates ----------
+#
+# Oracles for the integer paths of `origami._act`,
+# `CylinderDecomposition.pull_back`, `lift.fold_to_table` and the canvas
+# coordinates of `svg.render_trajectory`: the code those replaced, with
+# its own cycle index.  A shear rotates each row of the index, a quarter
+# turn inverts a gluing, and every point is a Fraction.
+
+
+def _invert(perm: tuple) -> tuple:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _cycles(perm: tuple, starts=None) -> tuple:
+    """The cycle index of a permutation: (cycles, where, pos), with
+    element c at cycles[where[c]][pos[c]].
+
+    Each cycle starts at its smallest element, in the order of those.
+    With ``starts`` given, only the cycles through those elements are
+    walked, each from the first of them met; the other entries of
+    ``where`` stay -1.
+    """
+    n = len(perm)
+    where = [-1] * n
+    pos = [0] * n
+    cycles = []
+    for i in range(n) if starts is None else starts:
+        if where[i] >= 0:
+            continue
+        k = len(cycles)
+        where[i] = k
+        cyc = [i]
+        j = perm[i]
+        while j != i:
+            where[j] = k
+            pos[j] = len(cyc)
+            cyc.append(j)
+            j = perm[j]
+        cycles.append(cyc)
+    return cycles, where, pos
+
+
+def _along(index: tuple, cell: int, k: int) -> int:
+    """The cell k places further along its cycle of an index (any k)."""
+    cycles, where, pos = index
+    cyc = cycles[where[cell]]
+    return cyc[(pos[cell] + k) % len(cyc)]
+
+
+def _shear(h: tuple, v: tuple, marked: list, k: int):
+    """T^k on raw gluings: rows keep their order; the cell above i becomes
+    the cell above the k-th left neighbor."""
+    index = _cycles(h)
+    new_v = [0] * len(v)
+    for row in index[0]:
+        s = -k % len(row)
+        for c, d in zip(row, row[s:] + row[:s]):
+            new_v[c] = v[d]
+    out = []
+    for label, cell, x, y in marked:
+        x = x + k * y
+        shift = x.numerator // x.denominator  # floor
+        out.append((label, _along(index, cell, shift), x - shift, y))
+    return h, tuple(new_v), out
+
+
+def _quarter_turn(h: tuple, v: tuple, marked: list):
+    """S on raw gluings: (h, v) becomes (v^-1, h), so the new right neighbor
+    is the old cell below.  A point whose turned in-cell x reaches 1 moves
+    on to the next cell."""
+    new_h = _invert(v)
+    zero = Fraction(0)
+    out = []
+    for label, cell, x, y in marked:
+        x, y = 1 - y, x
+        if x == 1:
+            x, cell = zero, new_h[cell]
+        out.append((label, cell, x, y))
+    return new_h, h, out
+
+
+def fraction_act(origami: Origami, tokens: tuple):
+    """The raw (h, v, marked, stages) that tokens step origami to.
+
+    marked holds (label, cell, x, y) tuples, lattice corners left in the
+    cell they arrive in.  A stage is (k, perm): a shear T^k with the right
+    gluing it keeps, or, with k None, one quarter turn with the inverse of
+    the right gluing it makes (the vertical gluing before the turn).  The
+    stages hold references to tuples the stepping computes anyway.
+    """
+    h, v = origami.h, origami.v
+    marked = [(mp.label, mp.cell, mp.x, mp.y) for mp in origami.marked]
+    stages = []
+    for gen, k in tokens:
+        if gen == "T":
+            stages.append((k, h))
+            h, v, marked = _shear(h, v, marked, k)
+        else:
+            for _ in range(k % 4):  # the quarter turn has order four
+                stages.append((None, v))
+                h, v, marked = _quarter_turn(h, v, marked)
+    return h, v, marked, tuple(stages)
+
+
+def fraction_pull_back(stages: tuple, points) -> list:
+    """Carry points (cell, x, y) of the renormalized surface back to the
+    decomposed one, through the stages of `fraction_act` in reverse order.
+
+    A shear T^k moves x back by k*y and the cell along its row by the whole
+    cells crossed; a quarter turn maps (x, y) to (y, 1 - x), and a point on
+    a cell's left edge (x = 0) lands on the bottom edge of the cell to its
+    left.
+    """
+    out = [(cell, Fraction(x), Fraction(y)) for cell, x, y in points]
+    for k, perm in reversed(stages):
+        if k is None:
+            out = [(perm[cell], y, Fraction(0)) if x == 0
+                   else (cell, y, 1 - x) for cell, x, y in out]
+            continue
+        # only the rows the points are on: a full index costs O(n)
+        # per stage
+        index = _cycles(perm, [cell for cell, _, _ in out])
+        moved = []
+        for cell, x, y in out:
+            x -= k * y
+            shift = x.numerator // x.denominator  # floor
+            moved.append((_along(index, cell, shift), x - shift, y))
+        out = moved
+    return out
+
+
+def fraction_fold_to_table(params: Params, X: Fraction, Y: Fraction) -> PointQ:
+    """Map absolute stretched-polygon coordinates to the table cell at the
+    origin (coordinates in [-1/2, 1/2) around the obstacle at (0, 0))."""
+    lx = Fraction(X, params.q)
+    ly = Fraction(Y, params.s)
+    cx = (lx - (1 - params.a) / 2) % 1
+    cy = (ly - (1 - params.b) / 2) % 1
+    return PointQ(cx - Fraction(1, 2), cy - Fraction(1, 2))
+
+
+def fraction_canvas(x_lo: int, y_hi: int, scale: int) -> tuple:
+    """The canvas coordinates (sx, sy) of a document whose box starts at
+    x_lo and ends at y_hi, each a Fraction expression formatted by
+    `svg._fmt`."""
+    pad = Fraction(1, 2)  # keeps the outermost obstacles inside the canvas
+
+    def sx(x):
+        return _fmt(x - x_lo + pad, scale)
+
+    def sy(y):
+        return _fmt(y_hi + pad - y, scale)
+
+    return sx, sy

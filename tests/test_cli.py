@@ -465,6 +465,28 @@ def test_render_bytes_pinned(tmp_path, capsys, slope, digest, size):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("params,slope,digest,size", [
+    # an escaping orbit with two highlighted obstacles
+    ("2/3,2/3", "3/5",
+     "431715b7ea64cc001d500450751f1aa15903d55d900c80e668e8752eec777b21",
+     6129),
+    # 201 points whose coordinates have denominators of up to 13 bits
+    ("4/25,6/13", "2/5",
+     "a9143d4c9a55547c6a2f40f059f355892a4e703cc2baa7cc03ec1fb830a5aa2a",
+     126551),
+])
+def test_render_bytes_pinned_on_other_tables(tmp_path, capsys, params, slope,
+                                             digest, size):
+    # digests taken with the Fraction-based canvas coordinates
+    out = tmp_path / "pin.svg"
+    code, _, _ = run(capsys, "render", "--params", params, "--slope", slope,
+                     "--out", str(out))
+    assert code == EXIT_OK
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command,params,slope,digest,size", [
     ("lift", "1/2,1/2", "3/2",
      "858a05d7a864d03d73ada2ead22afa794af83bebd6c1a92422ccbfa389b9fff9", 97),
@@ -621,3 +643,14 @@ def test_recur_summary_counts_returns(capsys):
                        "--horizon", "1000")
     assert code == EXIT_OK
     assert out == "returned 2 of 2 starts (1.0000) within 1000 collisions\n"
+
+
+def test_lift_out_of_collision_budget_is_one_line_error(capsys):
+    # a cylinder whose sample runs out of the collision budget is not
+    # retried with the next sample offset
+    code, out, err = run(capsys, "lift", "--params", "4/25,6/13",
+                         "--slope", "1/1000000")
+    assert _one_line_error(code, err)
+    assert err == ("error: cylinder 0: classification exhausted its budget "
+                   "of 1000000 collisions\n")
+    assert out == ""

@@ -22,7 +22,7 @@ from windtree.origami import (MarkedPoint, Origami, _horizontal_cylinders,
                               scaled_direction_gcd, sl2z_act)
 
 from census import direction_cycles
-from support import inverse_word, midpoint_state
+from support import fraction_fold_to_table, inverse_word, midpoint_state
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -260,6 +260,22 @@ def _random_tables(draw):
     p = draw(st.sampled_from([p for p in range(1, q) if gcd(p, q) == 1]))
     r = draw(st.sampled_from([r for r in range(1, s) if gcd(r, s) == 1]))
     return classify_params(p, q, r, s)
+
+
+# numerators and denominators up to 2^64, of both signs
+BIG_FRACTIONS = st.builds(Fraction, st.integers(-2 ** 66, 2 ** 66),
+                          st.integers(1, 2 ** 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_random_tables() | st.sampled_from(SWEEP_SURFACES).map(
+           Params.parse),
+       X=BIG_FRACTIONS | st.integers(-50, 50), Y=BIG_FRACTIONS)
+def test_fold_matches_fraction_oracle_property(params, X, Y):
+    got = fold_to_table(params, X, Y)
+    assert got == fraction_fold_to_table(params, X, Y)
+    assert -Fraction(1, 2) <= got.x < Fraction(1, 2)
+    assert -Fraction(1, 2) <= got.y < Fraction(1, 2)
 
 
 _IN_CELL = st.just(Fraction(0)) | st.integers(1, 13).flatmap(

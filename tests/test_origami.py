@@ -10,8 +10,8 @@ from windtree import origami as origami_mod
 from windtree.errors import DomainError
 from windtree.exact import Params, ParityClass, Slope, classify_params
 from windtree.origami import (Cylinder, CylinderDecomposition, MarkedPoint,
-                              OrbitClass, Origami, _along, _cycles,
-                              _horizontal_cylinders, _l_shape_cell,
+                              OrbitClass, Origami, _act, _cycles,
+                              _horizontal_cylinders, _move, _l_shape_cell,
                               _l_shape_position, build_origami,
                               ceil_sqrt2_times, cylinder_bounds_constant,
                               decompose_direction, decompose_table_direction,
@@ -24,7 +24,8 @@ from windtree.origami import (Cylinder, CylinderDecomposition, MarkedPoint,
                               table_to_scaled_slope)
 
 from oracles import separatrix_cylinders
-from support import flow_first_hit, word_matrix
+from support import (flow_first_hit, fraction_act, fraction_pull_back,
+                     word_matrix)
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -559,7 +560,7 @@ def test_cached_table_decomposition_matches_fresh():
        data=st.data())
 def test_cycles_index_property(perm, data):
     n = len(perm)
-    index = cycles, where, pos = _cycles(tuple(perm))
+    cycles, where, pos = _cycles(tuple(perm))
     # a partition, each cycle from its minimum, in the order of those
     assert sorted(c for cyc in cycles for c in cyc) == list(range(n))
     assert all(cyc[0] == min(cyc) for cyc in cycles)
@@ -575,13 +576,14 @@ def test_cycles_index_property(perm, data):
     want = cell
     for _ in range(abs(k)):
         want = perm[want] if k > 0 else inv[want]
-    assert _along(index, cell, k) == want
-    # walking only the cycles through some starts gives the same moves
-    starts = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
-    partial = _cycles(tuple(perm), starts)
-    assert {where[c] for c in starts} == \
-        {where[c] for c in range(n) if partial[1][c] >= 0}
-    assert all(_along(partial, c, k) == _along(index, c, k) for c in starts)
+    # the row move agrees with stepping one place at a time and with the
+    # full index, also for moves far beyond the cycle length
+    cyc = cycles[where[cell]]
+    assert _move(tuple(perm), tuple(inv), cell, k) == want \
+        == cyc[(pos[cell] + k) % len(cyc)]
+    far = data.draw(st.integers(-10 ** 9, 10 ** 9))
+    assert _move(tuple(perm), tuple(inv), cell, far) == \
+        cyc[(pos[cell] + far) % len(cyc)]
 
 
 def _old_row_links(og):
@@ -649,3 +651,64 @@ def test_row_links_match_inverse_rule_on_random_origamis(og):
 def test_row_links_match_inverse_rule_on_sweep_images(table, tokens):
     _assert_stacks_follow_old_rule(
         sl2z_act(build_origami(Params.parse(table)), tuple(tokens)))
+
+
+# -- the integer surface action against the Fraction one ------------------
+
+
+# every connected pair on one and two cells: a one-element gather returns
+# a bare item, not a tuple
+TINY_ORIGAMIS = (Origami([0], [0]), Origami([1, 0], [0, 1]),
+                 Origami([0, 1], [1, 0]), Origami([1, 0], [1, 0]))
+WIDE_TOKENS = st.lists(st.one_of(
+    st.tuples(st.just("T"),
+              st.integers(-40, 40) | st.sampled_from([-10 ** 9, 10 ** 9])),
+    st.tuples(st.just("S"), st.integers(-7, 7))), max_size=6)
+IN_CELL = st.fractions(0, 1, max_denominator=60).filter(lambda x: x < 1)
+
+
+def _points(og):
+    return st.lists(st.tuples(st.integers(0, og.n - 1), IN_CELL, IN_CELL),
+                    max_size=5)
+
+
+@st.composite
+def marked_origamis(draw):
+    og = draw(st.sampled_from(TINY_ORIGAMIS) | connected_origamis())
+    points = draw(_points(og))
+    return Origami(og.h, og.v, [MarkedPoint(str(i), *pt)
+                                for i, pt in enumerate(points)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(og=marked_origamis(), tokens=WIDE_TOKENS, data=st.data())
+def test_act_and_pull_back_match_fraction_oracle_property(og, tokens, data):
+    tokens = tuple(tokens)
+    h, v, marked, stages = _act(og, tokens)
+    want_h, want_v, want_marked, want_stages = fraction_act(og, tokens)
+    assert (h, v, marked) == (want_h, want_v, want_marked)
+    # a shear stage carries the inverse of its right gluing as well
+    assert [stage[:2] for stage in stages] == list(want_stages)
+    assert all(stage[2] == tuple(sorted(range(og.n), key=stage[1].__getitem__))
+               for stage in stages if stage[0] is not None)
+    points = data.draw(_points(og))
+    decomp = CylinderDecomposition(None, (), tokens, (), stages)
+    assert decomp.pull_back(points) == fraction_pull_back(want_stages, points)
+
+
+def test_act_builds_no_cycle_index_and_inverts_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the surface action walked a cycle index "
+                             "or inverted a gluing")
+
+    og = build_origami(Params.parse("3/44,9/44"))
+    tokens = (("T", 10 ** 9), ("S", 1), ("T", -3), ("S", 3), ("T", 0))
+    want = _act(og, tokens)
+    monkeypatch.setattr(origami_mod, "_cycles", forbidden)
+    monkeypatch.setattr(origami_mod, "_invert", forbidden)
+    got = _act(og, tokens)
+    assert got == want
+    decomp = CylinderDecomposition(None, (), tokens, (), got[3])
+    assert decomp.pull_back([(0, Fraction(1, 3), Fraction(1, 2))]) == \
+        fraction_pull_back(fraction_act(og, tokens)[3],
+                           [(0, Fraction(1, 3), Fraction(1, 2))])

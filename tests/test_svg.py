@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import ceil, floor, gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,9 @@ from windtree.billiard import (BOTTOM, LEFT, RIGHT, TOP, TracedPath,
                                make_state, side_length, trace)
 from windtree.errors import DomainError
 from windtree.exact import Slope, classify_params
-from windtree.svg import render_trajectory
+from windtree.svg import _canvas, render_trajectory
+
+from support import fraction_canvas
 
 HALF = classify_params(1, 2, 1, 2)
 
@@ -154,3 +157,32 @@ def test_render_matches_reference_on_a_corner_hit():
     assert _first_difference(
         render_trajectory(HALF, path, highlight_cells=((1, 1),)),
         _reference_render(HALF, path, highlight_cells=((1, 1),))) is None
+
+
+# numerators and denominators up to 2^64, of both signs
+BIG_FRACTIONS = st.builds(Fraction, st.integers(-2 ** 66, 2 ** 66),
+                          st.integers(1, 2 ** 64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x_lo=st.integers(-10 ** 6, 10 ** 6), y_hi=st.integers(-10 ** 6, 10 ** 6),
+       scale=st.integers(1, 200) | st.sampled_from([997, 10 ** 6]),
+       x=BIG_FRACTIONS | st.integers(-50, 50), y=BIG_FRACTIONS)
+def test_canvas_coordinates_match_fraction_oracle_property(x_lo, y_hi, scale,
+                                                           x, y):
+    sx, sy = _canvas(x_lo, y_hi, scale)
+    want_sx, want_sy = fraction_canvas(x_lo, y_hi, scale)
+    assert (sx(x), sy(y)) == (want_sx(x), want_sy(y))
+
+
+def test_render_rejects_a_path_without_points():
+    with pytest.raises(DomainError, match="without points"):
+        render_trajectory(HALF, TracedPath(()))
+
+
+@pytest.mark.parametrize("margin", [-1, -3])
+def test_render_rejects_a_negative_margin(margin):
+    path = trace(make_state(HALF, (0, 0), TOP, Fraction(1, 4), Slope(3, 4),
+                            (1, 1)), HALF, 10)
+    with pytest.raises(DomainError, match="margin must be >= 0"):
+        render_trajectory(HALF, path, margin=margin)
