@@ -56,19 +56,22 @@ box of the cells each piece passes.  The same table keeps its pieces,
 composed where an orbit first lands, down the tower T, T^2, T^4.  A
 block of 64 collisions or more, and a recording walk (below) past its
 first 512, take 8 at a time on it, and step single pieces for the next
-8 where a corner, the stop cell or the walk's close lies within them, so
-their answers are those of single steps.  A piece that maps its domain
-back to itself, unflipped, repeats while t stays in its interval: a
-block applies all of its repeats at once.
+8 where a corner, the stop cell, the walk's close or a reflection of its
+start lies within them, so their answers are those of single steps.  A
+piece that maps its domain back to itself, unflipped, repeats while t
+stays in its interval: a block applies all of its repeats at once.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
 The first walk that closes on its start records the cycle (period, drift,
-interval and a landmark every 32 collisions), and later starts on it are
-answered by a walk of at most 32 collisions to a landmark.  The table is
-symmetric under x -> -x and y -> -y, so a start whose reflection lies on a
-recorded cycle is answered from that cycle, and the answer is reflected
-back; only walked cycles are stored.
+interval and a landmark at least every 32 collisions), and later starts
+on it are answered by a walk of at most 32 collisions to a landmark.  The
+table is symmetric under x -> -x and y -> -y, and the reflections commute
+with the map: a walk that meets a reflection of its start has walked half
+its cycle, whose second half is the mirror image of the first, and closes
+there.  A start whose reflection lies on a recorded cycle is answered from
+that cycle, and the answer is reflected back; only walked cycles are
+stored.
 
 Geometric lengths are reported as the exact rational number of copies of
 the primitive direction vector (v, u) traversed; the Euclidean length is
@@ -424,7 +427,7 @@ def _corner_traces(lat: _Lattice, lengths: tuple) -> dict:
                 k1, t1 = None, (sx * t[0], sy * t[1])
             else:  # t runs along y on vertical sides, along x otherwise
                 i = k >= 4
-                k1, t1 = kmap[k], lengths[i] - t if (sy, sx)[i] < 0 else t
+                k1, t1 = kmap[k], lengths[i] - t if _reverses(k, sx, sy) else t
             traces[sx, sy, sx * rx, sy * ry] = (k1, t1, sx * m, sy * n, adx)
     return traces
 
@@ -858,17 +861,25 @@ _REFLECTIONS = tuple(((sx, sy), tuple(_reflect_domain(k, sx, sy)
                      for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)))
 
 
+def _reverses(k: int, sx: int, sy: int) -> bool:
+    """Whether the reflection x -> sx*x, y -> sy*y runs t on domain k's side
+    from its other end: it reverses y on vertical sides, x on horizontal
+    ones."""
+    return (sy if k < 4 else sx) < 0
+
+
 # -- cylinder cycles ------------------------------------------------------
 #
 # Every reduced orbit of a rational slope is a cycle of the return map, and
 # the starts that follow the same pieces fill an open interval: the leaves
 # of one cylinder.  They share the period, the drift and the period's
-# flight extent, so the first walk that closes on its start records the
-# cycle, and later starts on it are answered by a short walk to one of its
-# landmarks instead of a period walk.
+# flight extent, so the first walk that closes on its start, or on a
+# reflection of it at half the period, records the cycle, and later starts
+# on it are answered by a short walk to one of its landmarks instead of a
+# period walk.
 
-# A recorded cycle keeps a landmark at every this many phases; a lookup
-# walks at most this many collisions to reach one.
+# A recorded cycle keeps a landmark at least every this many phases; a
+# lookup walks at most this many collisions to reach one.
 _LANDMARK_EVERY = 32
 
 
@@ -878,23 +889,27 @@ class _Cycle:
     Every start in the open interval (lo, hi) of domain ``k[0]`` takes the
     same pieces and is back on itself after ``length`` collisions,
     ``drift`` cells away, having flown the X-extent ``extent``.  Landmark b
-    sits at phase j = b*G, G = _LANDMARK_EVERY.  A phase-0 point tau, at
-    lattice scale n0, is there at t = sign[b]*tau + n0*off[b] in domain
-    k[b], in cell (cm[b], cn[b]) relative to its start cell, after the
-    X-extent n0*ea[b] + _extent_slope(v, k[0], k[b])*tau.  The cells of
-    phases j .. j+G-1 lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
+    sits at phase j = phase[b]: the phases rise from 0 by at most
+    G = _LANDMARK_EVERY, and landmark b's block runs to the next one's
+    phase, or to ``length``.  A phase-0 point tau, at lattice scale n0, is
+    there at t = sign[b]*tau + n0*off[b] in domain k[b], in cell
+    (cm[b], cn[b]) relative to its start cell, after the X-extent
+    n0*ea[b] + _extent_slope(v, k[0], k[b])*tau.  The cells of the block's
+    phases lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
     cn[b] + nlo[b] <= n <= cn[b] + nhi[b].  Only `_walk_period` makes a
     cycle, filling the columns while it walks, on T^_POWER after its first
-    _POWER_FROM collisions: every stored cycle was walked and checked.  A
-    reflected start is answered from the cycle as it stands.
+    _POWER_FROM collisions, and mirroring the first half's landmarks when
+    it closes at half the period: every stored cycle was walked and
+    checked.  A reflected start is answered from the cycle as it stands.
     """
 
-    __slots__ = ("length", "drift", "extent", "lo", "hi", "k", "sign", "off",
-                 "cm", "cn", "ea", "mlo", "mhi", "nlo", "nhi", "span")
+    __slots__ = ("length", "drift", "extent", "lo", "hi", "phase", "k",
+                 "sign", "off", "cm", "cn", "ea", "mlo", "mhi", "nlo", "nhi",
+                 "span")
 
     def __init__(self):
         self.k, self.sign = array("b"), array("b")
-        self.off, self.cm, self.cn, self.ea = [], [], [], []
+        self.phase, self.off, self.cm, self.cn, self.ea = [], [], [], [], []
         self.mlo, self.mhi, self.nlo, self.nhi = [], [], [], []
 
     def seal(self, length, drift, extent, lo, hi):
@@ -906,12 +921,11 @@ class _Cycle:
                      min(map(sum, zip(self.cn, self.nlo))),
                      max(map(sum, zip(self.cn, self.nhi))))
 
-    def interval(self, b: int) -> tuple:
-        """The open interval, at n0 = 1, that landmark b's phase covers."""
-        off = self.off[b]
-        if self.sign[b] > 0:
-            return off + self.lo, off + self.hi
-        return off - self.hi, off - self.lo
+    def intervals(self) -> list:
+        """The open interval, at n0 = 1, that each landmark's phase covers."""
+        lo, hi = self.lo, self.hi
+        return [(off + lo, off + hi) if sign > 0 else (off - hi, off - lo)
+                for sign, off in zip(self.sign, self.off)]
 
 
 class _CycleStore:
@@ -932,8 +946,8 @@ class _CycleStore:
         after the next one begins."""
         ref = len(self.cycles) << 32
         rows = [[] for _ in DOMAINS]
-        for b, k in enumerate(cyc.k):
-            rows[k].append((*cyc.interval(b), ref | b))
+        for b, (k, (lo, hi)) in enumerate(zip(cyc.k, cyc.intervals())):
+            rows[k].append((lo, hi, ref | b))
         merged = []
         for k, row in enumerate(rows):
             if row:
@@ -979,6 +993,7 @@ class _CycleStore:
             for r in range(wanted):
                 (sx, sy), kmap = _REFLECTIONS[r]
                 # a reflection along the side runs t from its other end
+                # (`_reverses`, written out in this hot loop)
                 kr = kmap[k]
                 tr = cuts[k][-1] - t if (sy if k < 4 else sx) < 0 else t
                 # the last interval with n0*lo < tr, that is
@@ -1029,13 +1044,31 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     is the one the leaf geometry fixes at every phase, so it is +1 when
     the walk closes: the period map on the interval is unflipped.
 
+    The walk also watches for the start's images under the table's three
+    reflections S (`_REFLECTIONS`), which commute with the return map T.
+    Where it reaches S(start) moved by d cells, at phase j, the second
+    half mirrors the first: T^2j(start) = T^j(S(start) + d) =
+    S(T^j(start)) + d = start + d + S*d.  The period L divides 2j, and
+    j < L, so L = 2j, and when j >= _LANDMARK_EVERY and 2j <= ``limit``
+    the walk stops there with the whole cycle: drift d + S*d, twice the
+    extent, and for each landmark of the first half its mirror image at
+    phase j + its phase (domain and t reflected, cell S*c + d, box
+    reflected).  The starts
+    whose second half takes the same pieces are T^-j of the image of the
+    first half's interval under S, and that is the interval itself: the
+    tracked sign at phase j, the leaf geometry's, is -1 exactly where S
+    reverses t on the start's side.  A walk that reaches S(start) with
+    j < _LANDMARK_EVERY, where mirroring costs more than the collisions it
+    saves, or with 2j > ``limit`` walks on as if it had not.
+
     From its landmark at _POWER_FROM collisions on, the walk applies pieces
     of T^_POWER (``walk.tables.top()``, read as single pieces are read
     on level 0): their intervals are exactly the starts that take the same
     single pieces.  It steps single pieces for the next _POWER
-    collisions where a corner, its close (from one of the start's
-    predecessors) or, with ``to_cell``, the start cell lies within them,
-    and for a remainder, so it records what single steps record.
+    collisions where a corner, its close or a reflection of its start
+    (from one of their predecessors) or, with ``to_cell``, the start cell
+    lies within them, and for a remainder, so it records what single steps
+    record.
     """
     G = _LANDMARK_EVERY
     tables = walk.tables
@@ -1047,8 +1080,13 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     sign, ext, steps = 1, 0, 0
     below, above = t, cuts[k][-1] - t  # the domain's ends, cut by each piece
     slopes = [_extent_slope(walk.lattice.v, k0, k) for k in range(8)]
+    # the start and its three reflections lie in four distinct domains:
+    # goal[k] is the t of the one in domain k
+    goal = [None] * 8
+    for (sx, sy), kmap in _REFLECTIONS:
+        goal[kmap[k0]] = cuts[k0][-1] - t0 if _reverses(k0, sx, sy) else t0
     rec = _Cycle()
-    closed, corner, returned = False, None, False
+    closed, half, corner, returned = False, 0, None, False
     plain = limit  # single pieces while steps < plain
     while steps < limit:
         if steps:  # the box of the last landmark's block, from its cell
@@ -1058,9 +1096,13 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             rec.nhi.append(nhi - ln)
         if steps == _POWER_FROM:
             # the start's predecessors by time reversal, T^-j = R T^j R
-            # with R(k, t) = (k ^ 1, t); a start without them never closes
+            # with R(k, t) = (k ^ 1, t), and their reflections, which
+            # precede the start's; a start without them never closes
             preds = {(r[1] ^ 1, r[2]) for j in range(1, _POWER)
                      for r in [walk.advance(k0 ^ 1, t0, 0, 0, j)] if r[0] == j}
+            preds = {(kmap[kp], cuts[kp][-1] - tp if _reverses(kp, sx, sy)
+                      else tp)
+                     for kp, tp in preds for (sx, sy), kmap in _REFLECTIONS}
             find, (pcuts, prows) = tables.find, tables.top()
             plain = 0
         # a landmark: the phase-0 point is at sign*t0 + off, and its
@@ -1068,12 +1110,13 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
         # fixes
         if sign != leaf0 * _LEAF[k]:
             raise AssertionError("tracked sign off the leaf geometry")
+        rec.phase.append(steps)
         rec.k.append(k)
         rec.sign.append(sign)
-        rec.off.append(_down(t - sign * t0, n0))
+        rec.off.append(t - sign * t0)  # taken to n0 = 1 on closing
         rec.cm.append(m - sm)
         rec.cn.append(n - sn)
-        rec.ea.append(_down(ext - slopes[k] * t0, n0))
+        rec.ea.append(ext - slopes[k] * t0)
         mlo = mhi = lm = m
         nlo = nhi = ln = n
         end = min(steps + G, limit)
@@ -1127,9 +1170,13 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                 returned = True
                 closed = t == t0 and k == k0
                 break
-            if t == t0 and k == k0:
-                closed = True
-                break
+            if t == goal[k]:
+                if k == k0:
+                    closed = True
+                    break
+                if G <= steps and 2 * steps <= limit:
+                    closed, half = True, steps
+                    break
         else:
             continue
         break
@@ -1139,12 +1186,44 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             corner = walk.corner_hit(k, i, m, n)
     if not closed:
         return _Walk(steps, m, n, ext, corner, None, returned)
-    if sign != 1:
-        raise AssertionError("period map flipped on its interval")
     rec.mlo.append(mlo - lm)
     rec.mhi.append(mhi - lm)
     rec.nlo.append(nlo - ln)
     rec.nhi.append(nhi - ln)
+    rec.off, rec.ea = _down_all(rec.off, n0), _down_all(rec.ea, n0)
+    if half:
+        (sx, sy), kmap = next(r for r in _REFLECTIONS if r[1][k0] == k)
+        # T^j maps the first half's interval onto its own image under S
+        # when its sign is -1 exactly where S reverses the start's side,
+        # as the leaf geometry has it; then the second half cuts nothing
+        if (sign < 0) != _reverses(k0, sx, sy):
+            raise AssertionError("half period flipped against its mirror")
+        # landmark b's image under S, moved by (dm, dn), is at phase
+        # half + phase[b].  S keeps the kind of a side, so the extent
+        # slope, and where it runs t from the side's other end (length - t)
+        # it flips the leaf sign: the image's offset is length - off
+        dm, dn, e = m - sm, n - sn, _down(ext, n0)
+        rev = [_reverses(kb, sx, sy) for kb in rec.k]
+        rec.phase += [half + q for q in rec.phase]
+        rec.off += [cuts[kb][-1] // n0 - off if r else off
+                    for kb, off, r in zip(rec.k, rec.off, rev)]
+        rec.sign.extend([-sb if r else sb for sb, r in zip(rec.sign, rev)])
+        rec.k.extend([kmap[kb] for kb in rec.k])
+        rec.cm += [dm + sx * c for c in rec.cm]
+        rec.cn += [dn + sy * c for c in rec.cn]
+        rec.ea += [e + a for a in rec.ea]
+        for lo, hi, s in ((rec.mlo, rec.mhi, sx), (rec.nlo, rec.nhi, sy)):
+            lo2, hi2 = (lo, hi) if s > 0 else ([-c for c in hi],
+                                                [-c for c in lo])
+            lo += lo2
+            hi += hi2
+        # the interval's margins about t0, in the start's direction
+        if sign < 0:
+            below, above = above, below
+        steps, ext = 2 * half, 2 * ext
+        m, n = sm + dm + sx * dm, sn + dn + sy * dn
+    elif sign != 1:
+        raise AssertionError("period map flipped on its interval")
     rec.seal(steps, (m - sm, n - sn), _down(ext, n0),
              _down(t0 - below, n0), _down(t0 + above, n0))
     store.add(rec)
@@ -1159,10 +1238,17 @@ def _down(x: int, n0: int) -> int:
     return q
 
 
+def _down_all(xs: list, n0: int) -> list:
+    """Each entry of xs at lattice scale n0, taken to n0 = 1."""
+    if any(x % n0 for x in xs):
+        raise AssertionError("cycle data off the n0 = 1 lattice")
+    return [x // n0 for x in xs]
+
+
 def _landmark(walk: Orbit, cyc: _Cycle, tau: int, b: int, rnd: int) -> tuple:
     """(k, t, m, n, extent) at landmark b in round ``rnd`` (phase
-    rnd*L + b*G) of the cycle point whose phase-0 coordinate is tau, in the
-    frame where that point starts in cell (0, 0) with extent 0."""
+    rnd*L + phase[b]) of the cycle point whose phase-0 coordinate is tau,
+    in the frame where that point starts in cell (0, 0) with extent 0."""
     n0, k = walk.n0, cyc.k[b]
     return (k, cyc.sign[b] * tau + n0 * cyc.off[b],
             cyc.cm[b] + rnd * cyc.drift[0], cyc.cn[b] + rnd * cyc.drift[1],
@@ -1191,12 +1277,11 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
     phase, each stopping in the start cell, so the first stop at or after
     the start's next phase is the first return.
     """
-    G = _LANDMARK_EVERY
     cyc, b, s, wm, wn, wext, t = found
-    L, (dm, dn), n0 = cyc.length, cyc.drift, walk.n0
+    L, (dm, dn), n0, phase = cyc.length, cyc.drift, walk.n0, cyc.phase
     tau = cyc.sign[b] * (t - n0 * cyc.off[b])
     # the start is at phase p, s collisions before landmark b's phase
-    p = b * G - s
+    p = phase[b] - s
     rnd = 1 if p < 0 else 0
     p += rnd * L
     _, _, cm, cn, e0 = _landmark(walk, cyc, tau, b, rnd)
@@ -1209,12 +1294,15 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
     for rnd in range(w0, w1 + 1):
         tm, tn = cm - rnd * dm, cn - rnd * dn
         base = rnd * L
-        for b in range(max(0, (first - base) // G),
-                       min(len(cyc.k), (last - base) // G + 1)):
+        # the blocks from the one holding phase first to the one holding
+        # phase last of this round
+        for b in range(max(0, bisect_right(phase, first - base) - 1),
+                       bisect_right(phase, last - base)):
             if cyc.mlo[b] <= tm - cyc.cm[b] <= cyc.mhi[b] and \
                     cyc.nlo[b] <= tn - cyc.cn[b] <= cyc.nhi[b]:
-                q = base + b * G
-                end = min(q + G - 1, base + L - 1, last)
+                q = base + phase[b]
+                end = min(base + (phase[b + 1] if b + 1 < len(phase) else L)
+                          - 1, last)
                 k, t, m, n, ext = _landmark(walk, cyc, tau, b, rnd)
                 while True:
                     if m == cm and n == cn and q >= first:
@@ -1228,9 +1316,9 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
                     q += done
                     ext += adx
     rnd, r = divmod(last, L)
-    b, j = divmod(r, G)
+    b = bisect_right(phase, r) - 1
     k, t, m, n, ext = _landmark(walk, cyc, tau, b, rnd)
-    _, _, _, m, n, adx, *_, corner = walk.advance(k, t, m, n, j)
+    _, _, _, m, n, adx, *_, corner = walk.advance(k, t, m, n, r - phase[b])
     if corner is not None:
         raise corner
     return None, (m - cm, n - cn), ext + adx - e0

@@ -428,22 +428,24 @@ def _advance_matches_single_steps(walk: billiard.Orbit, count: int) -> bool:
 
 def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
     """Whether the cycle `_walk_period` records on the power map is the
-    one single steps give: the state and extent at every landmark, the box
-    of every landmark block (an `Orbit.advance` of fewer than _BLOCK), the
+    one single steps give: the state and extent at every landmark, at
+    most _LANDMARK_EVERY phases after the one before, the box of every
+    landmark block (an `Orbit.advance` of fewer than _BLOCK), the
     drift, the extent and the interval of starts on the same pieces: phase
     j moves by +-d when the start moves by d, the sign fixed by the leaf
     geometry."""
     walk = _sample_orbit(params, slope, 1)
-    cuts, leaf, G = walk.tables.edges[0], billiard._LEAF, billiard._LANDMARK_EVERY
+    cuts, leaf = walk.tables.edges[0], billiard._LEAF
     cyc = billiard._walk_period(walk, 10**6, billiard._CycleStore()).cycle
     if cyc is None or cyc.length <= billiard._POWER_FROM:
         return False
     k0, t0, n0, L = walk.k, walk.t, walk.n0, cyc.length
     state = (k0, t0, 0, 0, 0)
-    for b in range(len(cyc.k)):
+    for b, (q, q1) in enumerate(zip(cyc.phase, [*cyc.phase[1:], L])):
+        if not 0 < q1 - q <= billiard._LANDMARK_EVERY:
+            return False
         k, t, m, n, ext = state
-        _, k, t, m, n, adx, *box, _ = walk.advance(k, t, m, n,
-                                                   min(G, L - b * G))
+        _, k, t, m, n, adx, *box, _ = walk.advance(k, t, m, n, q1 - q)
         cm, cn = cyc.cm[b], cyc.cn[b]
         if billiard._landmark(walk, cyc, t0, b, 0) != state or box != [
                 cm + cyc.mlo[b], cm + cyc.mhi[b], cn + cyc.nlo[b],

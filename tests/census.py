@@ -16,9 +16,9 @@ private return-map and cycle data, so a change to those updates it too.
 from fractions import Fraction
 from itertools import chain, islice
 
-from windtree.billiard import (_LANDMARK_EVERY, _LEAF, DOMAINS, BilliardState,
-                               Orbit, _Cycle, _cycle_store, _down, _Lattice,
-                               _return_map, _walk_period)
+from windtree.billiard import (_LEAF, DOMAINS, BilliardState, Orbit, _Cycle,
+                               _cycle_store, _down, _Lattice, _return_map,
+                               _walk_period)
 from windtree.exact import Params, PointQ, Slope
 
 
@@ -66,7 +66,7 @@ def direction_cycles(params: Params, slope: Slope) -> tuple:
                 if lo in ends[kk]:
                     raise AssertionError("two cycles share an interval")
                 ends[kk][lo] = hi
-            if phases[(b * _LANDMARK_EVERY - s) % cyc.length][:2] != (k, pos):
+            if phases[(cyc.phase[b] - s) % cyc.length][:2] != (k, pos):
                 raise AssertionError("cycle intervals do not tile a domain")
             found.append((cyc, phases))
     corridor = None

@@ -1713,7 +1713,11 @@ def test_locate_walks_once_and_answers_as_four_walks():
     # one walk of the start, each state looked up under every reflection,
     # answers what walking the start and then each reflection of it does:
     # the first reflection in order that reaches a landmark, the identity
-    # first, also where a later one reaches a landmark sooner
+    # first, also where a later one reaches a landmark sooner.  A cycle's
+    # landmarks are mirror images under its own reflection, and a start
+    # whose reflection lies on a recorded cycle is not walked, so only a
+    # store that holds a cycle and a reflected image of it (every cycle,
+    # as the census walks them) has a later reflection reach one sooner.
     rng = random.Random(37)
     seen = {"identity": 0, "reflected": 0, "none": 0, "precedence": 0}
 
@@ -1736,8 +1740,11 @@ def test_locate_walks_once_and_answers_as_four_walks():
         value = Fraction(rng.randint(1, 13), rng.randint(1, 13))
         slope = Slope(value.numerator, value.denominator)
         _cycle_store.cache_clear()
-        for _ in range(3):
-            classify_trajectory(random_start(pqrs, slope), params, 5000)
+        if case % 2:
+            direction_cycles(params, slope)
+        else:
+            for _ in range(3):
+                classify_trajectory(random_start(pqrs, slope), params, 5000)
         store = _cycle_store(params, slope.u, slope.v)
         for _ in range(20):
             walk = Orbit(random_start(pqrs, slope), params)
@@ -1769,9 +1776,8 @@ def test_direction_cycles_are_recorded_whole():
         assert all(h0 <= l1 for (_, h0), (l1, _) in zip(pairs, pairs[1:]))
     for cyc, phases in cycles:
         assert len(phases) == cyc.length
-        for b in range(len(cyc.k)):
-            assert phases[b * billiard._LANDMARK_EVERY] == \
-                (cyc.k[b], *cyc.interval(b))
+        for q, k, interval in zip(cyc.phase, cyc.k, cyc.intervals()):
+            assert phases[q] == (k, *interval)
 
 
 def _long_flight_starts(params, slope, count):
@@ -1802,10 +1808,129 @@ def test_cycle_store_records_long_flight_cycles():
             _assert_recorded(s, params)
 
 
+# The direction-sweep surfaces: all three parity classes, 3 to 1909 cells.
+_SWEEP_TABLES = ("1/2,1/2", "2/3,2/3", "1/3,1/3", "1/5,2/7", "4/13,4/5",
+                 "4/25,6/13", "3/44,9/44")
+
+
+def test_cycles_meet_a_reflection_of_their_start_only_at_half_the_period():
+    # the fact the recording walk closes on: every cycle of the census,
+    # stepped on single pieces from a start inside it, meets one of the
+    # three reflections of its start at most once, at half its period,
+    # and its drift is then d + S*d with d the cell there; every closed
+    # cycle meets one, no strip with an oblique drift does.  The recording
+    # walk closed there when that half is at least one landmark block,
+    # and walked the whole period otherwise
+    G = billiard._LANDMARK_EVERY
+    seen = {"closed": 0, "axis strip": 0, "axis strip meets": 0,
+            "oblique strip": 0}
+    closes = {"at half": 0, "whole, half too short": 0}
+    for text in _SWEEP_TABLES:
+        params = Params.parse(text)
+        for slope in mediant_enumerate(8):
+            if slope.is_axis:
+                continue
+            _cycle_store.cache_clear()
+            for cyc, _ in direction_cycles(params, slope)[0]:
+                walk = Orbit(_state_at(params, slope, cyc.k[0],
+                                       2 * cyc.lo + 1, 2), params)
+                k0, t0 = walk.k, walk.t
+                length = walk.tables.edges[0][k0][-1]
+                images = {(kmap[k0], length - t0
+                           if billiard._reverses(k0, sx, sy) else t0): (sx, sy)
+                          for (sx, sy), kmap in billiard._REFLECTIONS[1:]}
+                met = []
+                for j, (k, t, m, n, _) in enumerate(walk, 1):
+                    if (k, t) == (k0, t0):
+                        break
+                    if (k, t) in images:
+                        met.append((j, m, n, images[k, t]))
+                L, (dm, dn) = cyc.length, cyc.drift
+                assert (j, m, n) == (L, dm, dn)
+                half = L
+                if met:
+                    [(j, m, n, (sx, sy))] = met
+                    assert 2 * j == L and (dm, dn) == (m + sx * m, n + sy * n)
+                    if j >= G:
+                        half = j
+                        closes["at half"] += 1
+                    else:
+                        closes["whole, half too short"] += 1
+                first = list(range(0, half, G))
+                assert cyc.phase == (first if half == L else
+                                     first + [half + q for q in first])
+                if (dm, dn) == (0, 0):
+                    assert met
+                    seen["closed"] += 1
+                elif dm and dn:
+                    assert not met
+                    seen["oblique strip"] += 1
+                else:
+                    seen["axis strip"] += 1
+                    seen["axis strip meets"] += bool(met)
+    assert min(seen.values()) >= 50, seen
+    assert seen["axis strip meets"] < seen["axis strip"], seen
+    assert min(closes.values()) >= 50, closes
+
+
+# The start of a closed cycle and of a strip of the rational-orbits round:
+# (slope, sample seed, period).
+_HALF_CLOSES = (((4181, 6765), 1, 21892), ((1597, 2584), 8, 2794))
+
+
+@pytest.mark.parametrize("uv, seed, L", _HALF_CLOSES)
+def test_walk_budgets_around_half_the_period(uv, seed, L):
+    # a walk closes at L/2 only when the whole period fits its budget;
+    # every budget around L/2 and L answers as stepping does
+    slope = Slope(*uv)
+    s = sample_boundary_starts(HALF, slope, 1, seed)[0]
+    start = make_state(HALF, (0, 0), s.side, s.offset, slope, s.orientation)
+    whole = _stepped_outcome(start, HALF, L)
+    assert whole.combinatorial_length == L and whole.drift in ((0, 0),
+                                                               (720, 0))
+    for cap in (L // 2 - 1, L // 2, L // 2 + 1, L - 1, L):
+        _cycle_store.cache_clear()
+        assert classify_trajectory(start, HALF, cap) == \
+            _stepped_outcome(start, HALF, cap)
+        _cycle_store.cache_clear()
+        assert first_return(start, HALF, cap) == \
+            _stepped_first_return(start, HALF, cap)
+
+
+@pytest.mark.parametrize("uv, seed, L", _HALF_CLOSES)
+def test_walk_steps_half_the_period(uv, seed, L, monkeypatch):
+    # the recording walk reads single pieces and pieces of T^8 worth at
+    # most L/2 + 8 collisions, the 8 for the one power piece it does not
+    # take before the reflected start; the short walks back from the
+    # start to its predecessors (`Orbit.advance`) are not counted
+    slope = Slope(*uv)
+    s = sample_boundary_starts(HALF, slope, 1, seed)[0]
+    walk = Orbit(make_state(HALF, (0, 0), s.side, s.offset, slope,
+                            s.orientation), HALF)
+    log = []
+    walk.tables = _LoggedTables(walk.tables, log)
+    advance = Orbit.advance
+
+    def unlogged_advance(self, *args):
+        logged, self.tables = self.tables, self.tables.tables
+        try:
+            return advance(self, *args)
+        finally:
+            self.tables = logged
+
+    monkeypatch.setattr(Orbit, "advance", unlogged_advance)
+    res = billiard._walk_period(walk, 10**6, billiard._CycleStore())
+    assert res.cycle.length == res.steps == L
+    stepped = sum(1 if table == "single" else 8
+                  for table, _, _, piece in log if piece is not None)
+    assert L // 2 <= stepped <= L // 2 + 8
+
+
 # -- the recording walk on the power map ---------------------------------
 
-_CYCLE_COLUMNS = ("length", "drift", "extent", "lo", "hi", "span", "k",
-                  "sign", "off", "cm", "cn", "ea", "mlo", "mhi", "nlo", "nhi")
+_CYCLE_COLUMNS = ("length", "drift", "extent", "lo", "hi", "span", "phase",
+                  "k", "sign", "off", "cm", "cn", "ea", "mlo", "mhi", "nlo",
+                  "nhi")
 
 
 def _walk_record(res):
@@ -1851,8 +1976,7 @@ def _indexed_one_landmark_at_a_time(cycles):
     refs) as `_CycleStore` keeps them."""
     los, his, refs = ([[] for _ in DOMAINS] for _ in range(3))
     for c, cyc in enumerate(cycles):
-        for b, k in enumerate(cyc.k):
-            lo, hi = cyc.interval(b)
+        for b, (k, (lo, hi)) in enumerate(zip(cyc.k, cyc.intervals())):
             i = bisect_left(los[k], lo)
             assert not (i and his[k][i - 1] > lo)
             assert not (i < len(los[k]) and los[k][i] < hi)
