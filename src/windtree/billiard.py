@@ -26,52 +26,57 @@ band end is a corner hit, and no landing in either family is a free
 flight.
 
 Orbits are stepped on the boundary return map.  A collision state
-modulo the lattice is one of 8 outgoing domains k (a side with one of the
-two orientations leaving it) and a transverse coordinate t: the offset
+modulo the lattice is one of 8 outgoing domains (a side with one of the
+two orientations leaving it) and a transverse coordinate: the offset
 along the side in units of 1/N, divided by u on vertical sides and by v
 on horizontal ones.  By the lattice invariant every collision has X a
-multiple of v and Y a multiple of u, so t is an integer.  For a fixed
-slope the first return to the boundary is a piecewise translation,
-t' = +-t + shift with a constant cell displacement and a flight X-extent
-affine in t, with about 20 pieces.  The breakpoints are the side points
-whose ray runs into a corner first: the flights from the 4 corners along
-the 3 directions that leave each one, at n0 = 1, land on them.  Three
-first hits trace the flights from one corner, and the table's
-reflections give the other 9.  No piece needs a first hit of its own:
-the rays just beside a breakpoint land on a side of its corner or follow
-that corner's flight, each piece is read off both of its ends, which
-must agree, and its domain pair gives the rest (flip, c1).  The map is
-built once per (params, slope), kept in a small LRU cache.  An orbit
-reads it from one table per (params, slope, n0), n0 the start's common
-denominator (`_PowerMap`, in a small LRU cache of its own): the map
-scaled by n0, as the table geometry, the breakpoints and the shifts all
-scale with N.  A step is then one bisection and a few integer additions,
-a start exactly on a breakpoint is a corner hit, and every quantity the
-map produces is one `_first_hit` would produce, so exactness still
-holds.  `Orbit.advance` applies the map for a block of collisions in one
-loop and reports the block as a whole (end state, extent, box of the
-cells); `Orbit.steps` yields the collisions one at a time, one `advance`
-each.  The 8th power of the map is a piecewise translation too, with the
-box of the cells each piece passes.  The same table keeps its pieces,
-composed where an orbit first lands, down the tower T, T^2, T^4.  A
-block of 64 collisions or more, and a recording walk (below) past its
-first 512, take 8 at a time on it, and step single pieces for the next
-8 where a corner, the stop cell, the walk's close or a reflection of its
-start lies within them, so their answers are those of single steps.  A
-piece that maps its domain back to itself, unflipped, repeats while t
-stays in its interval: a block applies all of its repeats at once.
+multiple of v and Y a multiple of u, so the offset is an integer.  The
+table's reflections x -> +-x, y -> +-y commute with the map and act
+freely on the domains, with two orbits, the vertical and the horizontal
+sides, so the stepper works on the quotient: a state is (k, t, r), the
+point at t on the representative domain k of its side's kind, taken by
+the reflection r.  With t the offset on the vertical representative and
+the side's length less the offset on the horizontal one, the first return
+to the boundary is a piecewise translation, t' = t + shift, with a
+reflection label composed into r (by XOR), a constant cell displacement
+applied through r, and a flight X-extent affine in t, with about 5
+pieces.  The breakpoints are the side points whose ray runs into a corner
+first: the flights from the 4 corners along the 3 directions that leave
+each one, at n0 = 1, land on them.  Three first hits trace the flights
+from one corner, which land on every breakpoint of the quotient, and the
+table's reflections give the other 9.  No piece needs a first hit of its
+own: the rays just beside a breakpoint land on a side of its corner or
+follow that corner's flight, each piece is read off both of its ends,
+which must agree, and its domain pair gives c1.  The map is built once
+per (params, slope), kept in a small LRU cache.  An orbit reads it from
+one table per (params, slope, n0), n0 the start's common denominator
+(`_PowerMap`, in a small LRU cache of its own): the map scaled by n0, as
+the table geometry, the breakpoints and the shifts all scale with N.  A
+step is then one bisection and a few integer additions, a start exactly
+on a breakpoint is a corner hit, and every quantity the map produces is
+one `_first_hit` would produce, so exactness still holds.  The domain and
+offset of a state are derived only where an answer needs them.
+`Orbit.advance` applies the map for a block of collisions in one loop and
+reports the block as a whole (end state, extent, box of the cells);
+`Orbit.steps` yields the collisions one at a time, one `advance` each.
+The 8th power of the map is a piecewise translation too, with the box of
+the cells each piece passes.  The same table keeps its pieces, composed
+where an orbit first lands, down the tower T, T^2, T^4.  A block of 64
+collisions or more, and a recording walk (below) past its first 512,
+take 8 at a time on it, and step single pieces for the next 8 where a
+corner, the stop cell or the walk's close lies within them, so their
+answers are those of single steps.  A piece that maps its domain back to
+itself with label 0 repeats while t stays in its interval: a block
+applies all of its repeats at once.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
-The first walk that closes on its start records the cycle (period, drift,
-interval and a landmark at least every 32 collisions), and later starts
-on it are answered by a walk of at most 32 collisions to a landmark.  The
-table is symmetric under x -> -x and y -> -y, and the reflections commute
-with the map: a walk that meets a reflection of its start has walked half
-its cycle, whose second half is the mirror image of the first, and closes
-there.  A start whose reflection lies on a recorded cycle is answered from
-that cycle, and the answer is reflected back; only walked cycles are
-stored.
+The first walk that closes on its start in the quotient records the
+cycle (period, label, drift, interval and a landmark at least every 32
+collisions), and later starts on it, or on a reflection of it, are
+answered by a walk of at most 32 collisions to a landmark.  A walk back
+on its quotient start with a reflection label has walked half its cycle:
+the reflection takes the first half to the second.
 
 Geometric lengths are reported as the exact rational number of copies of
 the primitive direction vector (v, u) traversed; the Euclidean length is
@@ -87,8 +92,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from heapq import merge
 from itertools import islice
-from math import gcd
+from math import lcm
 from typing import NamedTuple
 
 from .errors import CornerHit, DomainError
@@ -107,10 +113,6 @@ _SIDE_AT = {frame: side for side, frame in _SIDE.items()}
 _AXIS_NAMES = ("vertical", "horizontal")  # sides that fix x, sides that fix y
 
 DEFAULT_MAX_COLLISIONS = 10**6
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -366,26 +368,54 @@ def _first_hit(lat: _Lattice, X: int, Y: int, sx: int, sy: int):
 
 # The 8 outgoing domains of the return map: each side with the two
 # orientations that point away from the obstacle.  _Lattice.point relies on
-# the order: vertical sides first, left before right, bottom before top,
-# and `_walk_period` on domain k ^ 1 being domain k's time reversal.
+# the order: vertical sides first, left before right, bottom before top.
+# Domain k ^ 1 is domain k's time reversal.
 DOMAINS = ((LEFT, (-1, 1)), (LEFT, (-1, -1)), (RIGHT, (1, 1)), (RIGHT, (1, -1)),
            (BOTTOM, (1, -1)), (BOTTOM, (-1, -1)), (TOP, (1, 1)), (TOP, (-1, 1)))
 _DOMAIN_INDEX = {dom: k for k, dom in enumerate(DOMAINS)}
 
 
-# Parallel leaves.  The flight of a start unfolds to a straight line of
-# direction (v, u) whose transverse coordinate u*x - v*y moves with the
-# start's t at the rate u*v*_LEAF[k] on domain k.  So a start moved by d
-# crosses phase j moved by _LEAF[k0]*_LEAF[kj]*d, and its X-extent up to
-# there changes by _extent_slope(v, k0, kj)*d: not at all between two
-# vertical or two horizontal sides, whose unfolded x (resp. y) is fixed.
-_LEAF = tuple(orientation[0] if side in HORIZONTAL_SIDES else -orientation[1]
-              for side, orientation in DOMAINS)
+def _reflect_domain(k: int, sx: int, sy: int) -> int:
+    side, (ox, oy) = DOMAINS[k]
+    i, normal = _SIDE[side]
+    return _DOMAIN_INDEX[_SIDE_AT[i, (sx, sy)[i] * normal], (sx * ox, sy * oy)]
 
 
-def _extent_slope(v: int, k0: int, k: int) -> int:
-    """d(X-extent from domain k0 to domain k)/dt for parallel leaves."""
-    return v * _LEAF[k0] * ((k >= 4) - (k0 >= 4))
+# The table's reflections x -> sx*x, y -> sy*y with their domain maps.
+# Reflection r has sx = -1 where bit 0 of r is set and sy = -1 where bit 1
+# is, so composing two of them is r1 ^ r2, and 0 is the identity.
+_REFLECTIONS = tuple(((sx, sy), tuple(_reflect_domain(k, sx, sy)
+                                      for k in range(8)))
+                     for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)))
+
+
+# The quotient by the reflections.  They act freely on the domains, with
+# two orbits: the vertical sides, represented by domain 0, and the
+# horizontal ones, represented by domain 4.  A quotient state (k, t, r)
+# has k = 0 for domain 0 and k = 1 for domain 4, and stands for the image
+# under reflection r of the point at t on that domain.  t runs along a
+# vertical side the way the flow moves along it, and along a horizontal
+# side against it: the offset, or the side's length less it where
+# _REVERSED[k].
+# So measured, t is the same on a domain and its reflections, and every
+# piece of the return map is a translation (`_return_map`).  _LIFT[k][r]
+# is the domain of (k, t, r) and _FRAME[k] the r of domain k.
+_REVERSED = tuple(o[0] > 0 if side in HORIZONTAL_SIDES else o[1] < 0
+                  for side, o in DOMAINS)
+_LIFT = tuple(tuple(kmap[4 * k] for _, kmap in _REFLECTIONS) for k in (0, 1))
+_FRAME = tuple(_LIFT[k >= 4].index(k) for k in range(8))
+
+
+def _quotient(k: int, t: int, lengths: tuple) -> tuple:
+    """(k', t', r): the quotient state of the point at offset t on domain k,
+    ``lengths`` the lengths of the vertical and the horizontal sides."""
+    h = int(k >= 4)
+    return h, lengths[h] - t if _REVERSED[k] else t, _FRAME[k]
+
+
+def _reflect(r: int, m: int, n: int) -> tuple:
+    """The cell displacement (m, n) under reflection r."""
+    return -m if r & 1 else m, -n if r & 2 else n
 
 
 def _corner_traces(lat: _Lattice, lengths: tuple) -> dict:
@@ -401,7 +431,8 @@ def _corner_traces(lat: _Lattice, lengths: tuple) -> dict:
     the flights from corner (sx, sy): it reflects the cell, the corner signs
     and the domain, and takes t to the side's length - t where it reverses
     the side's running coordinate (y on vertical sides, x on horizontal
-    ones); adx does not change."""
+    ones), which is where the two domains differ in `_REVERSED`; adx does
+    not change."""
     base = {}
     for rx, ry in ((1, 1), (1, -1), (-1, 1)):
         try:
@@ -425,9 +456,10 @@ def _corner_traces(lat: _Lattice, lengths: tuple) -> dict:
         for (rx, ry), (k, t, m, n, adx) in base.items():
             if k is None:
                 k1, t1 = None, (sx * t[0], sy * t[1])
-            else:  # t runs along y on vertical sides, along x otherwise
-                i = k >= 4
-                k1, t1 = kmap[k], lengths[i] - t if _reverses(k, sx, sy) else t
+            else:
+                k1 = kmap[k]
+                t1 = t if _REVERSED[k] == _REVERSED[k1] else \
+                    lengths[k >= 4] - t
             traces[sx, sy, sx * rx, sy * ry] = (k1, t1, sx * m, sy * n, adx)
     return traces
 
@@ -468,61 +500,75 @@ def _landing(traces: dict, lengths: tuple, d: tuple, sigma: int,
 # surface query a handful.
 @lru_cache(maxsize=16)
 def _return_map(params: Params, u: int, v: int) -> tuple:
-    """The boundary return map of slope u/v at lattice scale n0 = 1: the
-    breakpoints from the 12 corner flights, then each piece read off from
-    where the rays beside its ends land.
+    """The boundary return map of slope u/v at lattice scale n0 = 1, on the
+    quotient by the table's reflections: the breakpoints from the 3 corner
+    flights, then each piece read off from where the rays beside its ends
+    land.
 
-    Returns (cuts, pieces, corners), each indexed by domain.  cuts[k] is
-    the sorted list of breakpoints, then the side length as a sentinel;
-    pieces[k][i] = (k', flip, shift, dm, dn, c0, c1) is the map on the
-    open interval just below cuts[k][i]: t' = shift - t if flip else
-    shift + t, in domain k', with the cell moved by (dm, dn) and
-    |dX| = c0 + c1*t.  corners[k][i] = (cx, cy, dm, dn) names the corner
-    that breakpoint cuts[k][i] runs into: (cx*a/2, cy*b/2) from the centre
-    of the cell (dm, dn) away from the start cell (`Orbit.corner_hit`).
+    Returns (cuts, pieces, corners), each indexed by the quotient domain k
+    (0 vertical, 1 horizontal).  cuts[k] is the sorted list of
+    breakpoints, then the side length as a sentinel; pieces[k][i] = (k',
+    r, shift, dm, dn, c0, c1) is the map on the open interval just below
+    cuts[k][i]: t' = t + shift in domain k', the state reflected by r, with
+    the cell moved by (dm, dn) and |dX| = c0 + c1*t.  corners[k][i] =
+    (cx, cy, dm, dn) names the corner that breakpoint cuts[k][i] runs into:
+    (cx*a/2, cy*b/2) from the centre of the cell (dm, dn) away from the
+    start cell.  A state in frame r maps the same way, with its moves and
+    corners reflected by r and the labels composed (`Orbit.advance`).
     """
     lat = _Lattice(params, Slope(u, v), 1)
     # the lengths of the vertical and the horizontal sides in units of t
     lengths = (2 * (lat.gamma // u), 2 * (lat.beta // v))
     traces = _corner_traces(lat, lengths)
     # A breakpoint is a side point whose ray runs into a corner first: a
-    # corner's flight along (rx, ry) lands on one, in the domain that leaves
-    # against it (k ^ 1).  A flight that meets another corner first belongs
-    # to that corner: the other's flight along (rx, ry) finds its side.
-    hits = [{} for _ in DOMAINS]
-    for (cx, cy, _, _), (k, t, m, n, adx) in traces.items():
-        if k is not None and hits[k ^ 1].setdefault(
-                t, (cx, cy, -m, -n, adx)) != (cx, cy, -m, -n, adx):
+    # corner's flight lands on one, in the domain that leaves against it
+    # (k ^ 1).  The other corners' flights are reflections of those from
+    # corner (1, 1), and so land on the same quotient points.  Seen from
+    # the representative, the ray runs into the reflected corner.
+    hits = ({}, {})
+    for d in ((1, 1), (1, -1), (-1, 1)):
+        k, t, m, n, adx = traces[(1, 1, *d)]
+        if k is None:  # the flight belongs to the corner it meets
+            continue
+        h, t, r = _quotient(k ^ 1, t, lengths)
+        if t in hits[h]:
             raise AssertionError("two corners claim one breakpoint")
+        hits[h][t] = (*_reflect(r, 1, 1), *_reflect(r, -m, -n), adx)
     # Every breakpoint is known, so the rays of a piece all land on one side
     # of one obstacle: where the rays just above its low end land fixes k',
-    # the cell, the shift and the extent, and the domain pair (k, k') fixes
-    # flip and c1, as for parallel leaves.  The rays just below its high end
-    # must land at the same piece's image of it.
+    # r, the cell, the shift and the extent, and the domain pair (k, k')
+    # fixes c1.  The rays just below its high end must land at the same
+    # piece's image of it.  The pieces are found on the representative
+    # domain, where offsets run from 0 on the side (the reverse of t on
+    # domain 4).
     cuts, pieces, corners = [], [], []
-    for k, (side, d) in enumerate(DOMAINS):
+    for h, (side, d) in enumerate((DOMAINS[0], DOMAINS[4])):
         i, normal = _SIDE[side]
-        ts = sorted(hits[k])
-        cuts.append((*ts, lengths[i]))
-        corners.append(tuple(hits[k][t][:4] for t in ts))
+        length = lengths[h]
+        ts = sorted(length - t if h else t for t in hits[h])
         # the side's ends are corners of the start obstacle
         ends = [(*_with_entry((-1, -1), i, normal), 0, 0, 0),
-                *(hits[k][t] for t in ts),
+                *(hits[h][length - x if h else x] for x in ts),
                 (*_with_entry((1, 1), i, normal), 0, 0, 0)]
         sigma = d[0] if i == 0 else -d[1]  # the side of the rays above t
         row = []
-        for j, (lo, hi) in enumerate(zip((0, *ts), cuts[k])):
+        for j, (lo, hi) in enumerate(zip((0, *ts), (*ts, length))):
             k1, t1, m, n, adx = _landing(traces, lengths, d, sigma, ends[j],
                                          j == 0)
-            flip, c1 = _LEAF[k] != _LEAF[k1], _extent_slope(v, k, k1)
-            shift = t1 + lo if flip else t1 - lo
-            c0 = adx - c1 * lo
-            if _landing(traces, lengths, d, -sigma, ends[j + 1],
-                        j == len(ts)) != \
-                    (k1, shift - hi if flip else shift + hi, m, n,
-                     c0 + c1 * hi):
+            k1, t1, r1 = _quotient(k1, t1, lengths)
+            c1 = v * (h - k1)
+            lo, hi = (length - lo, length - hi) if h else (lo, hi)  # as t
+            shift, c0 = t1 - lo, adx - c1 * lo
+            k2, t2, m2, n2, adx2 = _landing(traces, lengths, d, -sigma,
+                                            ends[j + 1], j == len(ts))
+            if (*_quotient(k2, t2, lengths), m2, n2, adx2) != \
+                    (k1, hi + shift, r1, m, n, c0 + c1 * hi):
                 raise AssertionError("the ends of a return map piece disagree")
-            row.append((k1, flip, shift, m, n, c0, c1))
+            row.append((k1, r1, shift, m, n, c0, c1))
+        if h:  # offsets run against t
+            row.reverse()
+        cuts.append((*sorted(hits[h]), length))
+        corners.append(tuple(hits[h][t][:4] for t in cuts[h][:-1]))
         pieces.append(tuple(row))
     return tuple(cuts), tuple(pieces), tuple(corners)
 
@@ -538,21 +584,32 @@ _POWER_FROM = 512
 _TOP = _POWER.bit_length() - 1  # the level of T^_POWER in `_PowerMap`
 
 
+def _framed(piece: tuple) -> tuple:
+    """A piece as states in each frame f = 0..3 apply it: the label f ^ r
+    it leaves them in, and the cell move and the box reflected by f."""
+    k, r, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi, run = piece
+    return (piece,
+            (k, r ^ 1, shift, -dm, dn, c0, c1, -mhi, -mlo, nlo, nhi, run),
+            (k, r ^ 2, shift, dm, -dn, c0, c1, mlo, mhi, -nhi, -nlo, run),
+            (k, r ^ 3, shift, -dm, -dn, c0, c1, -mhi, -mlo, -nhi, -nlo, run))
+
+
 class _PowerMap:
     """The table an orbit of slope u/v at lattice scale n0 steps on: the
-    return map T scaled by n0, and T^_POWER, the map applied _POWER times,
-    composed one piece at a time where an orbit first lands.
+    return map T on the quotient, scaled by n0, and T^_POWER, the map
+    applied _POWER times, composed one piece at a time where an orbit
+    first lands.
 
     T^_POWER is a piecewise translation too, with breakpoints where one of
-    the _POWER steps starts from a corner.  Its piece at (k, t) is
-    (k', flip, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi, run): it maps
-    the open interval around t by t' = shift -+ t into domain k', moves
-    the cell by (dm, dn) and flies |dX| = c0 + c1*t, c1 a multiple of v;
-    the cells arrived in lie in the box mlo <= m <= mhi, nlo <= n <= nhi
-    relative to the start cell.  ``run`` marks a piece that maps its
-    domain to itself, unflipped, with shift != 0 and c1 == 0: an orbit
-    repeats it while t stays in its interval, flying c0 each time
-    (`Orbit.advance`).
+    the _POWER steps starts from a corner.  Its piece at (k, t) is kept as
+    the 4 tuples that `_framed` makes of (k', r, shift, dm, dn, c0, c1,
+    mlo, mhi, nlo, nhi, run): it maps the open interval around t by
+    t' = t + shift into domain k' with label r, moves the cell by (dm, dn)
+    and flies |dX| = c0 + c1*t, c1 a multiple of v; the cells arrived in
+    lie in the box mlo <= m <= mhi, nlo <= n <= nhi relative to the start
+    cell.  ``run`` marks a piece that maps its domain to itself with label
+    0 and shift != 0: an orbit repeats it while t stays in its interval,
+    flying c0 each time (`Orbit.advance`).
 
     The map is kept as a tower T, T^2, T^4, ..., each level per domain a
     sorted list of the breakpoints known so far, from 0 to the side
@@ -564,20 +621,20 @@ class _PowerMap:
     one cell it arrives in and no run, as no single piece maps a domain to
     itself.  ``corners[k][i]`` is `_return_map`'s corner of breakpoint
     ``edges[0][k][i]``, which does not scale.  A piece of level j is the
-    piece of level j - 1 at t followed by the one at its image, on the
-    part of the first interval that the second one's preimage covers.
-    Every interval is a maximal one between breakpoints, so one bisection
-    finds a piece or a breakpoint once it is known; `find` composes it
-    where it is not."""
+    piece of level j - 1 at t followed by the one at its image, taken in
+    the frame the first one leaves, on the part of the first interval that
+    the second one's preimage covers.  Every interval is a maximal one
+    between breakpoints, so one bisection finds a piece or a breakpoint
+    once it is known; `find` composes it where it is not."""
 
     __slots__ = ("edges", "rows", "corners")
 
     def __init__(self, params: Params, u: int, v: int, n0: int):
         cuts, pieces, corners = _return_map(params, u, v)
         self.edges = [[[0, *(n0 * c for c in cs)] for cs in cuts]]
-        self.rows = [[[None, *((k, flip, n0 * shift, dm, dn, n0 * c0, c1,
-                                dm, dm, dn, dn, False)
-                               for k, flip, shift, dm, dn, c0, c1 in row)]
+        self.rows = [[[None, *(_framed((k, r, n0 * shift, dm, dn, n0 * c0,
+                                        c1, dm, dm, dn, dn, False))
+                               for k, r, shift, dm, dn, c0, c1 in row)]
                       for row in pieces]]
         self.corners = [(None, *cs) for cs in corners]
 
@@ -607,32 +664,28 @@ class _PowerMap:
         corner = lower_cs[j] == t
         if not corner:
             lo, hi = lower_cs[j - 1], lower_cs[j]
-            (k1, flip1, s1, dm, dn, c0, c1, mlo, mhi, nlo, nhi,
-             _) = lower_rows[j]
-            t1 = s1 - t if flip1 else s1 + t
+            (k1, r1, s1, dm, dn, c0, c1, mlo, mhi, nlo, nhi,
+             _) = lower_rows[j][0]
             lower_cs, lower_rows = self.edges[level][k1], self.rows[level][k1]
-            j = bisect_left(lower_cs, t1)
+            j = bisect_left(lower_cs, t + s1)
             if lower_rows[j] is None:
-                j = self.find(k1, t1, level)
-            corner = lower_cs[j] == t1
+                j = self.find(k1, t + s1, level)
+            corner = lower_cs[j] == t + s1
         if corner:  # t is a breakpoint: the gap splits there
             cs.insert(i, t)
             row.insert(i, None)
             return i
         lo2, hi2 = lower_cs[j - 1], lower_cs[j]
-        (k2, flip2, s2, dm2, dn2, c02, c12, mlo2, mhi2, nlo2, nhi2,
-         _) = lower_rows[j]
+        # the second piece in the frame r1 the first one leaves
+        (k2, r2, s2, dm2, dn2, c02, c12, mlo2, mhi2, nlo2, nhi2,
+         _) = lower_rows[j][r1]
         # the first interval cut to the preimage of the second
-        if flip1:
-            lo, hi = max(lo, s1 - hi2), min(hi, s1 - lo2)
-        else:
-            lo, hi = max(lo, lo2 - s1), min(hi, hi2 - s1)
-        flip, shift = flip1 != flip2, s2 - s1 if flip2 else s2 + s1
-        c1 = c1 - c12 if flip1 else c1 + c12
-        piece = (k2, flip, shift, dm + dm2, dn + dn2, c0 + c02 + c12 * s1, c1,
-                 min(mlo, dm + mlo2), max(mhi, dm + mhi2),
-                 min(nlo, dn + nlo2), max(nhi, dn + nhi2),
-                 k2 == k and not flip and shift != 0 and c1 == 0)
+        lo, hi = max(lo, lo2 - s1), min(hi, hi2 - s1)
+        piece = _framed((k2, r2, s1 + s2, dm + dm2, dn + dn2,
+                         c0 + c02 + c12 * s1, c1 + c12,
+                         min(mlo, dm + mlo2), max(mhi, dm + mhi2),
+                         min(nlo, dn + nlo2), max(nhi, dn + nhi2),
+                         k2 == k and r2 == 0 and s1 + s2 != 0))
         # the piece takes its part of the gap, the rest stays open
         if hi < cs[i]:
             cs.insert(i, hi)
@@ -647,11 +700,11 @@ class _PowerMap:
 
     def lookup(self, k: int, t: int):
         """(lo, hi, piece) of the piece of T^_POWER around t in domain k,
-        or None where t is a breakpoint."""
+        in frame 0, or None where t is a breakpoint."""
         edges, rows = self.top()
         i = self.find(k, t)
         cs = edges[k]
-        return None if cs[i] == t else (cs[i - 1], cs[i], rows[k][i])
+        return None if cs[i] == t else (cs[i - 1], cs[i], rows[k][i][0])
 
 
 # Starts of one slope often share n0 (a regular start classified again,
@@ -666,11 +719,11 @@ def _power_map(params: Params, u: int, v: int, n0: int) -> _PowerMap:
 
 def _repeats(piece: tuple, lo: int, hi: int, t: int, most: int,
              stop) -> int:
-    """How many times in a row a piece that maps its domain to itself,
-    unflipped, applies from t in its interval (lo, hi): at most ``most``,
-    while t stays in the interval, and fewer than the first repeat whose
-    box holds the stop cell; ``stop`` is that cell relative to the first
-    repeat's start cell, or False."""
+    """How many times in a row a run piece applies from t in its interval
+    (lo, hi): at most ``most``, while t stays in the interval, and fewer
+    than the first repeat whose box holds the stop cell; ``stop`` is that
+    cell relative to the first repeat's start cell, or False.  The piece
+    is taken in the frame of t, which a run keeps."""
     shift = piece[2]
     r = min(most, (hi - 1 - t) // shift + 1 if shift > 0
             else (t - lo - 1) // -shift + 1)
@@ -685,52 +738,61 @@ def _repeats(piece: tuple, lo: int, hi: int, t: int, most: int,
 
 class Orbit:
     """The forward collisions of a non-axis start, stepped on the boundary
-    return map.
+    return map on the quotient by the table's reflections.
 
-    ``advance`` applies up to a given number of pieces from any state in
-    one loop and reports the block as a whole: the collisions done, the end
-    state, the X-extent flown and the box of the cells visited.  ``steps``
-    yields the same collisions one at a time, as (k, t, m, n, adx): the
-    outgoing domain ``DOMAINS[k]``, the transverse coordinate t, the
-    obstacle cell and the X-extent |dX| of the flight to it, all in units
-    of 1/N of ``lattice``; it raises CornerHit with the exact corner when
-    the flow reaches one.  Iterating an Orbit is ``steps`` from its start.
-    Both read ``tables``, the `_PowerMap` of the slope and n0.
+    A state is (k, t, r, m, n): the quotient state (k, t, r) (see
+    `_quotient`) in cell (m, n).  ``advance`` applies up to a given number
+    of pieces from any state in one loop and reports the block as a whole:
+    the collisions done, the end state, the X-extent flown and the box of
+    the cells visited.  ``steps`` yields the same states one at a time,
+    with the X-extent |dX| of the flight to each, all in units of 1/N of
+    ``lattice``; it raises CornerHit with the exact corner when the flow
+    reaches one.  ``domain`` and ``position`` give a state's outgoing
+    domain ``DOMAINS[k']`` and offset, and its point.  Iterating an Orbit
+    is ``steps`` from its start, (k, t, r) and ``cell``.  Both read
+    ``tables``, the `_PowerMap` of the slope and n0.
     """
 
-    __slots__ = ("lattice", "n0", "k", "t", "cell", "params", "tables")
+    __slots__ = ("lattice", "n0", "k", "t", "r", "cell", "params", "tables")
 
     def __init__(self, start: BilliardState, params: Params):
         slope = start.slope
         k = _DOMAIN_INDEX.get((start.side, tuple(start.orientation)))
         if k is None:
             raise DomainError("direction does not leave the named side")
-        self.n0 = n0 = _lcm(start.position.x.denominator,
+        self.n0 = n0 = lcm(start.position.x.denominator,
                             start.position.y.denominator)
         self.lattice = lat = _Lattice(params, slope, n0)
-        X, Y = lat.encode(start.position)
-        self.k = k
-        self.cell = start.cell
-        self.t = lat.transverse(start.side, X, Y, *start.cell)
         self.params = params
         self.tables = _power_map(params, slope.u, slope.v, n0)
+        X, Y = lat.encode(start.position)
+        self.k, self.t, self.r = _quotient(
+            k, lat.transverse(start.side, X, Y, *start.cell),
+            [cs[-1] for cs in self.tables.edges[0]])
+        self.cell = start.cell
 
     def __iter__(self):
-        return self.steps(self.k, self.t, *self.cell)
+        return self.steps(self.k, self.t, self.r, *self.cell)
 
-    def corner_hit(self, k: int, i: int, m: int, n: int) -> CornerHit:
-        """The CornerHit of a step from breakpoint i of domain k in cell
-        (m, n): ``tables.edges[0][k][i]``."""
+    def domain(self, k: int, t: int, r: int) -> tuple:
+        """(k', t'): the domain and the offset of quotient state (k, t, r)."""
+        k1 = _LIFT[k][r]
+        return k1, self.tables.edges[0][k][-1] - t if _REVERSED[k1] else t
+
+    def corner_hit(self, k: int, i: int, r: int, m: int, n: int) -> CornerHit:
+        """The CornerHit of a step from breakpoint i of domain k in frame r
+        and cell (m, n): ``tables.edges[0][k][i]``."""
         cx, cy, dm, dn = self.tables.corners[k][i]
         a2, b2 = _half(self.params)
-        return CornerHit(m + dm + cx * a2, n + dn + cy * b2)
+        dx, dy = _reflect(r, dm + cx * a2, dn + cy * b2)
+        return CornerHit(m + dx, n + dy)
 
-    def advance(self, k: int, t: int, m: int, n: int, count: int,
+    def advance(self, k: int, t: int, r: int, m: int, n: int, count: int,
                 stop_cell: tuple | None = None) -> tuple:
-        """Apply up to ``count`` pieces from state (k, t) in cell (m, n).
+        """Apply up to ``count`` pieces from state (k, t, r) in cell (m, n).
 
         Stops early before a step from a corner, and, with ``stop_cell``,
-        on arrival in that cell.  Returns (done, k, t, m, n, extent, mlo,
+        on arrival in that cell.  Returns (done, k, t, r, m, n, extent, mlo,
         mhi, nlo, nhi, corner): the collisions done, the state after the
         last of them, the X-extent they flew, the box mlo <= m <= mhi,
         nlo <= n <= nhi of the start cell and every cell reached, and the
@@ -741,12 +803,12 @@ class Orbit:
         pieces (level 0) for the next _POWER collisions where t is on
         a breakpoint of T^_POWER (a corner within _POWER collisions) or the
         stop cell is in the piece's box, and for the remainder, so every
-        answer is the one single steps give.  A piece that maps its domain
-        to itself, unflipped, is applied r times at once: r repeats fit the
-        collisions left, keep t inside the piece's interval and come before
-        the first repeat whose box holds the stop cell.  Each repeat flies
-        the same extent c0, and its cells move by (dm, dn), so the box of
-        the run is the hull of the first and the last repeat's box.
+        answer is the one single steps give.  A run piece is applied r
+        times at once: r repeats fit the collisions left, keep t inside the
+        piece's interval and come before the first repeat whose box holds
+        the stop cell.  Each repeat flies the same extent c0, and its cells
+        move by (dm, dn), so the box of the run is the hull of the first
+        and the last repeat's box.
         """
         tables = self.tables
         cuts, pieces = tables.edges[0], tables.rows[0]
@@ -767,9 +829,9 @@ class Orbit:
                 cs = cuts[k]
                 i = bisect_left(cs, t)
                 if cs[i] == t:
-                    corner = self.corner_hit(k, i, m, n)
+                    corner = self.corner_hit(k, i, r, m, n)
                     break
-                piece = pieces[k][i]
+                piece = pieces[k][i][r]
                 done += 1
             else:
                 cs = pcuts[k]
@@ -778,35 +840,39 @@ class Orbit:
                 if piece is None:  # not composed yet, or t a breakpoint
                     i = find(k, t)
                     piece = prows[k][i]
-                if cs[i] == t or stop and piece[7] <= sm - m <= piece[8] \
+                if cs[i] == t:
+                    plain = done + _POWER
+                    continue
+                piece = piece[r]
+                if stop and piece[7] <= sm - m <= piece[8] \
                         and piece[9] <= sn - n <= piece[10]:
                     plain = done + _POWER
                     continue
                 # a run takes a second repeat from t + shift
                 if piece[11] and count - done >= 2 * _POWER and \
                         cs[i - 1] < t + piece[2] < cs[i]:
-                    r = _repeats(piece, cs[i - 1], cs[i], t,
-                                 (count - done) // _POWER,
-                                 stop and (sm - m, sn - n))
-                    if r > 1:
+                    reps = _repeats(piece, cs[i - 1], cs[i], t,
+                                    (count - done) // _POWER,
+                                    stop and (sm - m, sn - n))
+                    if reps > 1:
                         # a run piece has c1 == 0: each repeat flies c0
                         _, _, shift, dm, dn, c0, _, plo, phi, qlo, qhi, _ = \
                             piece
-                        ext += r * c0
-                        t += r * shift
+                        ext += reps * c0
+                        t += reps * shift
                         # the hull of the first and the last repeat's box
-                        lm, ln = m + (r - 1) * dm, n + (r - 1) * dn
+                        lm, ln = m + (reps - 1) * dm, n + (reps - 1) * dn
                         mlo = min(mlo, m + plo, lm + plo)
                         mhi = max(mhi, m + phi, lm + phi)
                         nlo = min(nlo, n + qlo, ln + qlo)
                         nhi = max(nhi, n + qhi, ln + qhi)
                         m, n = lm + dm, ln + dn
-                        done += r * _POWER
+                        done += reps * _POWER
                         continue
                 done += _POWER
-            k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi, _ = piece
+            k, r, shift, dm, dn, c0, c1, plo, phi, qlo, qhi, _ = piece
             ext += c0 + c1 * t
-            t = shift - t if flip else shift + t
+            t += shift
             if m + plo < mlo:
                 mlo = m + plo
             if m + phi > mhi:
@@ -819,53 +885,38 @@ class Orbit:
             n += dn
             if stop and m == sm and n == sn:
                 break
-        return done, k, t, m, n, ext, mlo, mhi, nlo, nhi, corner
+        return done, k, t, r, m, n, ext, mlo, mhi, nlo, nhi, corner
 
     def run(self, k: int, t: int, count: int) -> int:
-        """The collisions of the run from state (k, t), at most ``count``:
-        _POWER times the repeats of its piece of T^_POWER where that piece
-        maps domain k to itself, unflipped (`advance`), and 0 elsewhere."""
+        """The collisions of the run from quotient state (k, t), at most
+        ``count``: _POWER times the repeats of its piece of T^_POWER where
+        that is a run piece (`advance`), and 0 elsewhere."""
         found = self.tables.lookup(k, t)
         if found is None or not found[2][11]:
             return 0
         return _POWER * _repeats(found[2], found[0], found[1], t,
                                  count // _POWER, False)
 
-    def steps(self, k: int, t: int, m: int, n: int):
-        """The collisions after state (k, t) in cell (m, n), as iterating
-        yields them from the start: one ``advance`` each."""
+    def steps(self, k: int, t: int, r: int, m: int, n: int):
+        """The states (k, t, r, m, n, adx) after state (k, t, r) in cell
+        (m, n), as iterating yields them from the start: one ``advance``
+        each."""
         advance = self.advance
         while True:
-            _, k, t, m, n, adx, _, _, _, _, corner = advance(k, t, m, n, 1)
+            _, k, t, r, m, n, adx, _, _, _, _, corner = advance(k, t, r, m, n,
+                                                                1)
             if corner is not None:
                 raise corner
-            yield k, t, m, n, adx
+            yield k, t, r, m, n, adx
 
-    def position(self, k: int, t: int, m: int, n: int) -> PointQ:
-        """Exact point of a collision the iteration yielded."""
-        N = self.lattice.N
-        X, Y = self.lattice.point(k, t, m, n)
-        return PointQ(Fraction(X, N), Fraction(Y, N))
+    def point(self, k: int, t: int, r: int, m: int, n: int) -> tuple:
+        """(X, Y) of a state in units of 1/N of ``lattice``."""
+        return self.lattice.point(*self.domain(k, t, r), m, n)
 
-
-def _reflect_domain(k: int, sx: int, sy: int) -> int:
-    side, (ox, oy) = DOMAINS[k]
-    i, normal = _SIDE[side]
-    return _DOMAIN_INDEX[_SIDE_AT[i, (sx, sy)[i] * normal], (sx * ox, sy * oy)]
-
-
-# The table's reflections x -> sx*x, y -> sy*y with their domain maps, the
-# identity first.
-_REFLECTIONS = tuple(((sx, sy), tuple(_reflect_domain(k, sx, sy)
-                                      for k in range(8)))
-                     for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)))
-
-
-def _reverses(k: int, sx: int, sy: int) -> bool:
-    """Whether the reflection x -> sx*x, y -> sy*y runs t on domain k's side
-    from its other end: it reverses y on vertical sides, x on horizontal
-    ones."""
-    return (sy if k < 4 else sx) < 0
+    def position(self, k: int, t: int, r: int, m: int, n: int) -> PointQ:
+        """Exact point of a state."""
+        X, Y = self.point(k, t, r, m, n)
+        return PointQ(Fraction(X, self.lattice.N), Fraction(Y, self.lattice.N))
 
 
 # -- cylinder cycles ------------------------------------------------------
@@ -873,10 +924,9 @@ def _reverses(k: int, sx: int, sy: int) -> bool:
 # Every reduced orbit of a rational slope is a cycle of the return map, and
 # the starts that follow the same pieces fill an open interval: the leaves
 # of one cylinder.  They share the period, the drift and the period's
-# flight extent, so the first walk that closes on its start, or on a
-# reflection of it at half the period, records the cycle, and later starts
-# on it are answered by a short walk to one of its landmarks instead of a
-# period walk.
+# flight extent, so the first walk that closes on its start in the
+# quotient records the cycle, and later starts on it are answered by a
+# short walk to one of its landmarks instead of a period walk.
 
 # A recorded cycle keeps a landmark at least every this many phases; a
 # lookup walks at most this many collisions to reach one.
@@ -884,36 +934,39 @@ _LANDMARK_EVERY = 32
 
 
 class _Cycle:
-    """A closed cycle of the return map, recorded at lattice scale n0 = 1.
+    """A closed cycle of the return map on the quotient, recorded at lattice
+    scale n0 = 1.
 
     Every start in the open interval (lo, hi) of domain ``k[0]`` takes the
-    same pieces and is back on itself after ``length`` collisions,
-    ``drift`` cells away, having flown the X-extent ``extent``.  Landmark b
-    sits at phase j = phase[b]: the phases rise from 0 by at most
-    G = _LANDMARK_EVERY, and landmark b's block runs to the next one's
-    phase, or to ``length``.  A phase-0 point tau, at lattice scale n0, is
-    there at t = sign[b]*tau + n0*off[b] in domain k[b], in cell
-    (cm[b], cn[b]) relative to its start cell, after the X-extent
-    n0*ea[b] + _extent_slope(v, k[0], k[b])*tau.  The cells of the block's
-    phases lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
+    same pieces and is back on its quotient state after ``length``
+    collisions, moved by ``drift`` cells and reflected by ``reflection``
+    about its start cell, having flown the X-extent ``extent``; so the
+    next ``length`` collisions are the image of the first ones under that
+    motion (`_landmark`).  The cell columns are in the frame of the walk
+    that recorded the cycle.  Landmark b sits at phase j = phase[b]: the
+    phases rise from 0 by at most G = _LANDMARK_EVERY, and landmark b's
+    block runs to the next one's phase, or to ``length``.  A phase-0 point
+    tau, at lattice scale n0, is there at t = tau + n0*off[b] in domain
+    k[b] and frame r[b], in cell (cm[b], cn[b]) relative to its start cell,
+    after the X-extent n0*ea[b] + v*(k[0] - k[b])*tau.  The cells of the
+    block's phases lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
     cn[b] + nlo[b] <= n <= cn[b] + nhi[b].  Only `_walk_period` makes a
     cycle, filling the columns while it walks, on T^_POWER after its first
-    _POWER_FROM collisions, and mirroring the first half's landmarks when
-    it closes at half the period: every stored cycle was walked and
-    checked.  A reflected start is answered from the cycle as it stands.
+    _POWER_FROM collisions: every stored cycle was walked and checked.
     """
 
-    __slots__ = ("length", "drift", "extent", "lo", "hi", "phase", "k",
-                 "sign", "off", "cm", "cn", "ea", "mlo", "mhi", "nlo", "nhi",
-                 "span")
+    __slots__ = ("length", "reflection", "drift", "extent", "lo", "hi",
+                 "phase", "k", "r", "off", "cm", "cn", "ea", "mlo", "mhi",
+                 "nlo", "nhi", "span")
 
     def __init__(self):
-        self.k, self.sign = array("b"), array("b")
+        self.k, self.r = array("b"), array("b")
         self.phase, self.off, self.cm, self.cn, self.ea = [], [], [], [], []
         self.mlo, self.mhi, self.nlo, self.nhi = [], [], [], []
 
-    def seal(self, length, drift, extent, lo, hi):
-        self.length, self.drift, self.extent = length, drift, extent
+    def seal(self, length, reflection, drift, extent, lo, hi):
+        self.length, self.reflection = length, reflection
+        self.drift, self.extent = drift, extent
         self.lo, self.hi = lo, hi
         # the box of every cell of the period
         self.span = (min(map(sum, zip(self.cm, self.mlo))),
@@ -923,29 +976,38 @@ class _Cycle:
 
     def intervals(self) -> list:
         """The open interval, at n0 = 1, that each landmark's phase covers."""
-        lo, hi = self.lo, self.hi
-        return [(off + lo, off + hi) if sign > 0 else (off - hi, off - lo)
-                for sign, off in zip(self.sign, self.off)]
+        return [(off + self.lo, off + self.hi) for off in self.off]
+
+    def orbit(self, g: int) -> tuple:
+        """(collisions, drift, extent at n0 = 1) of the period of an orbit
+        on the cycle whose frame is g away from the recorded one: the
+        cycle once where it closes unreflected, twice otherwise, with drift
+        d + S*d for the reflection S."""
+        dm, dn = self.drift
+        if self.reflection:
+            sm, sn = _reflect(self.reflection, dm, dn)
+            return (2 * self.length, _reflect(g, dm + sm, dn + sn),
+                    2 * self.extent)
+        return self.length, _reflect(g, dm, dn), self.extent
 
 
 class _CycleStore:
-    """The recorded cycles of one (params, slope), and for each domain the
-    intervals of their landmarks: sorted, disjoint, at n0 = 1."""
+    """The recorded cycles of one (params, slope), and for each quotient
+    domain the intervals of their landmarks: sorted, disjoint, at n0 = 1."""
 
     __slots__ = ("cycles", "los", "his", "refs")
 
     def __init__(self):
         self.cycles = []
-        self.los = [[] for _ in DOMAINS]
-        self.his = [[] for _ in DOMAINS]
-        self.refs = [[] for _ in DOMAINS]  # cycle << 32 | landmark
+        # per domain: the ends of the intervals, cycle << 32 | landmark
+        self.los, self.his, self.refs = [[], []], [[], []], [[], []]
 
     def add(self, cyc: _Cycle):
         """Index a sealed cycle's landmarks: in each domain they reach, the
         recorded and the new intervals sorted together, none of them ending
         after the next one begins."""
         ref = len(self.cycles) << 32
-        rows = [[] for _ in DOMAINS]
+        rows = [[], []]
         for b, (k, (lo, hi)) in enumerate(zip(cyc.k, cyc.intervals())):
             rows[k].append((lo, hi, ref | b))
         merged = []
@@ -961,58 +1023,34 @@ class _CycleStore:
         self.cycles.append(cyc)
 
     def locate(self, walk: Orbit):
-        """Find the start of ``walk``, or a reflection of it, on a recorded
-        cycle, by walking the start to the first landmark it reaches.
+        """Find the start of ``walk`` on a recorded cycle, by walking it to
+        the first landmark it reaches.
 
-        Returns (found, (sx, sy)): the reflection x -> sx*x, y -> sy*y maps
-        the start to a start on a recorded cycle, and found = (cycle,
-        landmark, steps, dm, dn, extent, t) says where that reflected start
-        meets the cycle: the collisions walked, the cells and X-extent they
-        moved by and the coordinate at the landmark.  None when no
-        reflection of the start lies on a recorded cycle.  The table is
-        symmetric under both reflections, so the reflected orbit is the
-        image of the orbit: the same collision count and X-extents, with
-        the cells (sx*m, sy*n).  So the start is walked once, and the image
-        of each state it reaches under each reflection of `_REFLECTIONS` is
-        looked up; the first reflection in that order that reaches a
-        landmark wins, so the identity wins whenever it reaches one.  A
-        caller multiplies the drift or cell of its answer by (sx, sy).  A
-        start on a cycle reaches a landmark within _LANDMARK_EVERY - 1
-        collisions.  Interval ends never match: they lie on saddle
-        connections.
+        Returns (cycle, landmark, steps, dm, dn, extent, t, r): the
+        collisions walked, the cells and X-extent they moved by and the
+        state at the landmark; or None when the start lies on no recorded
+        cycle.  A start on a cycle reaches a landmark within
+        _LANDMARK_EVERY - 1 collisions.  Interval ends never match: they
+        lie on saddle connections.
         """
         if not self.cycles:
             return None
-        n0, cuts = walk.n0, walk.tables.edges[0]
-        k = k0 = walk.k
-        t = t0 = walk.t
+        n0, k0, t0 = walk.n0, walk.k, walk.t
+        k, t, r = k0, t0, walk.r
         m = n = ext = 0
-        found, wanted = None, len(_REFLECTIONS)  # only earlier ones can win
-        steps = walk.steps(k, t, 0, 0)
         for s in range(_LANDMARK_EVERY):
-            for r in range(wanted):
-                (sx, sy), kmap = _REFLECTIONS[r]
-                # a reflection along the side runs t from its other end
-                # (`_reverses`, written out in this hot loop)
-                kr = kmap[k]
-                tr = cuts[k][-1] - t if (sy if k < 4 else sx) < 0 else t
-                # the last interval with n0*lo < tr, that is
-                # lo <= (tr - 1)//n0
-                i = bisect_right(self.los[kr], (tr - 1) // n0) - 1
-                if i >= 0 and tr < n0 * self.his[kr][i]:
-                    ci, b = divmod(self.refs[kr][i], 1 << 32)
-                    found = ((self.cycles[ci], b, s, sx * m, sy * n, ext, tr),
-                             (sx, sy))
-                    wanted = r
-                    break
-            if not wanted or s and t == t0 and k == k0:
-                break  # the identity found, or a short cycle walked whole
-            try:
-                k, t, m, n, adx = next(steps)
-            except CornerHit:
+            # the last interval with n0*lo < t, that is lo <= (t - 1)//n0
+            i = bisect_right(self.los[k], (t - 1) // n0) - 1
+            if i >= 0 and t < n0 * self.his[k][i]:
+                ci, b = divmod(self.refs[k][i], 1 << 32)
+                return self.cycles[ci], b, s, m, n, ext, t, r
+            if s and t == t0 and k == k0:
+                break  # a short cycle walked whole
+            _, k, t, r, m, n, adx, *_, corner = walk.advance(k, t, r, m, n, 1)
+            if corner is not None:
                 break
             ext += adx
-        return found
+        return None
 
 
 @lru_cache(maxsize=16)
@@ -1034,89 +1072,63 @@ class _Walk(NamedTuple):
 
 def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                  to_cell: bool = False) -> _Walk:
-    """Step the start of ``walk`` until it is back on its start state, hits a
-    corner, or has made ``limit`` collisions; record the cycle it closes.
+    """Step the start of ``walk`` until it is back on its quotient state,
+    hits a corner, or has made ``limit`` collisions; record the cycle it
+    closes.
 
     The open interval of starts that take the same pieces is shrunk along
     the way, kept as its margins below and above the orbit's point: each
     piece cuts them down to its ends.  With ``to_cell``, the walk also
-    stops on its first return to the start cell.  The sign the walk tracks
-    is the one the leaf geometry fixes at every phase, so it is +1 when
-    the walk closes: the period map on the interval is unflipped.
+    stops on its first return to the start cell.
 
-    The walk also watches for the start's images under the table's three
-    reflections S (`_REFLECTIONS`), which commute with the return map T.
-    Where it reaches S(start) moved by d cells, at phase j, the second
-    half mirrors the first: T^2j(start) = T^j(S(start) + d) =
-    S(T^j(start)) + d = start + d + S*d.  The period L divides 2j, and
-    j < L, so L = 2j, and when j >= _LANDMARK_EVERY and 2j <= ``limit``
-    the walk stops there with the whole cycle: drift d + S*d, twice the
-    extent, and for each landmark of the first half its mirror image at
-    phase j + its phase (domain and t reflected, cell S*c + d, box
-    reflected).  The starts
-    whose second half takes the same pieces are T^-j of the image of the
-    first half's interval under S, and that is the interval itself: the
-    tracked sign at phase j, the leaf geometry's, is -1 exactly where S
-    reverses t on the start's side.  A walk that reaches S(start) with
-    j < _LANDMARK_EVERY, where mirroring costs more than the collisions it
-    saves, or with 2j > ``limit`` walks on as if it had not.
+    The walk closes at its first return to the quotient start, j
+    collisions on, where it is the start reflected by S about its cell
+    and moved by d cells.  With S the identity that is the period j and
+    the drift d.  Otherwise the table's symmetry S, which commutes with the
+    map, takes the first j collisions to the next j: the period is 2j and
+    the drift d + S*d.  So the walk closes there only when 2j is within
+    ``limit``, and otherwise walks on.
 
     From its landmark at _POWER_FROM collisions on, the walk applies pieces
     of T^_POWER (``walk.tables.top()``, read as single pieces are read
     on level 0): their intervals are exactly the starts that take the same
     single pieces.  It steps single pieces for the next _POWER
-    collisions where a corner, its close or a reflection of its start
-    (from one of their predecessors) or, with ``to_cell``, the start cell
-    lies within them, and for a remainder, so it records what single steps
+    collisions where a corner, a return to its quotient start (from one of
+    the start's predecessors) or, with ``to_cell``, the start cell lies
+    within them, and for a remainder, so it records what single steps
     record.
     """
     G = _LANDMARK_EVERY
     tables = walk.tables
     cuts, pieces = tables.edges[0], tables.rows[0]
-    k = k0 = walk.k
-    t = t0 = walk.t
+    k, t, r = k0, t0, r0 = walk.k, walk.t, walk.r
     m, n = sm, sn = walk.cell
-    leaf0, n0 = _LEAF[k0], walk.n0
-    sign, ext, steps = 1, 0, 0
+    n0, v = walk.n0, walk.lattice.v
+    ext = steps = 0
     below, above = t, cuts[k][-1] - t  # the domain's ends, cut by each piece
-    slopes = [_extent_slope(walk.lattice.v, k0, k) for k in range(8)]
-    # the start and its three reflections lie in four distinct domains:
-    # goal[k] is the t of the one in domain k
-    goal = [None] * 8
-    for (sx, sy), kmap in _REFLECTIONS:
-        goal[kmap[k0]] = cuts[k0][-1] - t0 if _reverses(k0, sx, sy) else t0
     rec = _Cycle()
-    closed, half, corner, returned = False, 0, None, False
+    closed, corner, returned = False, None, False
     plain = limit  # single pieces while steps < plain
     while steps < limit:
-        if steps:  # the box of the last landmark's block, from its cell
-            rec.mlo.append(mlo - lm)
-            rec.mhi.append(mhi - lm)
-            rec.nlo.append(nlo - ln)
-            rec.nhi.append(nhi - ln)
         if steps == _POWER_FROM:
             # the start's predecessors by time reversal, T^-j = R T^j R
-            # with R(k, t) = (k ^ 1, t), and their reflections, which
-            # precede the start's; a start without them never closes
-            preds = {(r[1] ^ 1, r[2]) for j in range(1, _POWER)
-                     for r in [walk.advance(k0 ^ 1, t0, 0, 0, j)] if r[0] == j}
-            preds = {(kmap[kp], cuts[kp][-1] - tp if _reverses(kp, sx, sy)
-                      else tp)
-                     for kp, tp in preds for (sx, sy), kmap in _REFLECTIONS}
+            # with R(k, t) = (k, length - t); a start without them never
+            # closes
+            preds = {(res[1], cuts[res[1]][-1] - res[2])
+                     for j in range(1, _POWER)
+                     for res in [walk.advance(k0, cuts[k0][-1] - t0, 0, 0, 0,
+                                              j)] if res[0] == j}
             find, (pcuts, prows) = tables.find, tables.top()
             plain = 0
-        # a landmark: the phase-0 point is at sign*t0 + off, and its
-        # extent is ext + B*(tau - t0) with the slope B the leaf geometry
-        # fixes
-        if sign != leaf0 * _LEAF[k]:
-            raise AssertionError("tracked sign off the leaf geometry")
+        # a landmark: the phase-0 point is at t0 + off, and its extent is
+        # ext + v*(k0 - k)*(tau - t0)
         rec.phase.append(steps)
         rec.k.append(k)
-        rec.sign.append(sign)
-        rec.off.append(t - sign * t0)  # taken to n0 = 1 on closing
+        rec.r.append(r)
+        rec.off.append(t - t0)  # taken to n0 = 1 on closing
         rec.cm.append(m - sm)
         rec.cn.append(n - sn)
-        rec.ea.append(ext - slopes[k] * t0)
+        rec.ea.append(ext - v * (k0 - k) * t0)
         mlo = mhi = lm = m
         nlo = nhi = ln = n
         end = min(steps + G, limit)
@@ -1125,10 +1137,11 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             if steps < plain or steps > last:
                 cs = cuts[k]
                 i = bisect_left(cs, t)
-                c, lo, piece = cs[i], cs[i - 1], pieces[k][i]
+                c, lo = cs[i], cs[i - 1]
                 if c == t:
-                    corner = walk.corner_hit(k, i, m, n)
+                    corner = walk.corner_hit(k, i, r, m, n)
                     break
+                piece = pieces[k][i][r]
                 steps += 1
             else:
                 cs = pcuts[k]
@@ -1139,23 +1152,19 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                     piece = prows[k][i]
                 c, lo = cs[i], cs[i - 1]
                 if c == t or (k, t) in preds or to_cell and \
-                        piece[7] <= sm - m <= piece[8] and \
-                        piece[9] <= sn - n <= piece[10]:
+                        piece[r][7] <= sm - m <= piece[r][8] and \
+                        piece[r][9] <= sn - n <= piece[r][10]:
                     plain = steps + _POWER
                     continue
+                piece = piece[r]
                 steps += _POWER
             if c - t < above:
                 above = c - t
             if t - lo < below:
                 below = t - lo
-            k, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi, _ = piece
+            k, r, shift, dm, dn, c0, c1, plo, phi, qlo, qhi, _ = piece
             ext += c0 + c1 * t
-            if flip:
-                t = shift - t
-                below, above = above, below
-                sign = -sign
-            else:
-                t += shift
+            t += shift
             if m + plo < mlo:
                 mlo = m + plo
             if m + phi > mhi:
@@ -1166,94 +1175,58 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                 nhi = n + qhi
             m += dm
             n += dn
-            if m == sm and n == sn and to_cell:
-                returned = True
-                closed = t == t0 and k == k0
+            if t == t0 and k == k0 and (r == r0 or 2 * steps <= limit):
+                closed = True
+                returned = to_cell and m == sm and n == sn
                 break
-            if t == goal[k]:
-                if k == k0:
-                    closed = True
-                    break
-                if G <= steps and 2 * steps <= limit:
-                    closed, half = True, steps
-                    break
-        else:
-            continue
-        break
+            if to_cell and m == sm and n == sn:
+                returned = True
+                break
+        # the box of the landmark's block, from its cell
+        rec.mlo.append(mlo - lm)
+        rec.mhi.append(mhi - lm)
+        rec.nlo.append(nlo - ln)
+        rec.nhi.append(nhi - ln)
+        if closed or returned or corner is not None:
+            break
     else:  # at the limit, a corner the next step runs into is reported
         i = bisect_left(cuts[k], t)
         if cuts[k][i] == t:
-            corner = walk.corner_hit(k, i, m, n)
+            corner = walk.corner_hit(k, i, r, m, n)
     if not closed:
         return _Walk(steps, m, n, ext, corner, None, returned)
-    rec.mlo.append(mlo - lm)
-    rec.mhi.append(mhi - lm)
-    rec.nlo.append(nlo - ln)
-    rec.nhi.append(nhi - ln)
-    rec.off, rec.ea = _down_all(rec.off, n0), _down_all(rec.ea, n0)
-    if half:
-        (sx, sy), kmap = next(r for r in _REFLECTIONS if r[1][k0] == k)
-        # T^j maps the first half's interval onto its own image under S
-        # when its sign is -1 exactly where S reverses the start's side,
-        # as the leaf geometry has it; then the second half cuts nothing
-        if (sign < 0) != _reverses(k0, sx, sy):
-            raise AssertionError("half period flipped against its mirror")
-        # landmark b's image under S, moved by (dm, dn), is at phase
-        # half + phase[b].  S keeps the kind of a side, so the extent
-        # slope, and where it runs t from the side's other end (length - t)
-        # it flips the leaf sign: the image's offset is length - off
-        dm, dn, e = m - sm, n - sn, _down(ext, n0)
-        rev = [_reverses(kb, sx, sy) for kb in rec.k]
-        rec.phase += [half + q for q in rec.phase]
-        rec.off += [cuts[kb][-1] // n0 - off if r else off
-                    for kb, off, r in zip(rec.k, rec.off, rev)]
-        rec.sign.extend([-sb if r else sb for sb, r in zip(rec.sign, rev)])
-        rec.k.extend([kmap[kb] for kb in rec.k])
-        rec.cm += [dm + sx * c for c in rec.cm]
-        rec.cn += [dn + sy * c for c in rec.cn]
-        rec.ea += [e + a for a in rec.ea]
-        for lo, hi, s in ((rec.mlo, rec.mhi, sx), (rec.nlo, rec.nhi, sy)):
-            lo2, hi2 = (lo, hi) if s > 0 else ([-c for c in hi],
-                                                [-c for c in lo])
-            lo += lo2
-            hi += hi2
-        # the interval's margins about t0, in the start's direction
-        if sign < 0:
-            below, above = above, below
-        steps, ext = 2 * half, 2 * ext
-        m, n = sm + dm + sx * dm, sn + dn + sy * dn
-    elif sign != 1:
-        raise AssertionError("period map flipped on its interval")
-    rec.seal(steps, (m - sm, n - sn), _down(ext, n0),
-             _down(t0 - below, n0), _down(t0 + above, n0))
+    rec.off, rec.ea = _down(rec.off, n0), _down(rec.ea, n0)
+    rec.seal(steps, r ^ r0, (m - sm, n - sn),
+             *_down([ext, t0 - below, t0 + above], n0))
     store.add(rec)
     return _Walk(steps, m, n, ext, None, rec, returned)
 
 
-def _down(x: int, n0: int) -> int:
-    """x at lattice scale n0, taken to n0 = 1."""
-    q, r = divmod(x, n0)
-    if r:
-        raise AssertionError("cycle data off the n0 = 1 lattice")
-    return q
-
-
-def _down_all(xs: list, n0: int) -> list:
+def _down(xs: list, n0: int) -> list:
     """Each entry of xs at lattice scale n0, taken to n0 = 1."""
     if any(x % n0 for x in xs):
         raise AssertionError("cycle data off the n0 = 1 lattice")
     return [x // n0 for x in xs]
 
 
-def _landmark(walk: Orbit, cyc: _Cycle, tau: int, b: int, rnd: int) -> tuple:
-    """(k, t, m, n, extent) at landmark b in round ``rnd`` (phase
-    rnd*L + phase[b]) of the cycle point whose phase-0 coordinate is tau,
-    in the frame where that point starts in cell (0, 0) with extent 0."""
-    n0, k = walk.n0, cyc.k[b]
-    return (k, cyc.sign[b] * tau + n0 * cyc.off[b],
-            cyc.cm[b] + rnd * cyc.drift[0], cyc.cn[b] + rnd * cyc.drift[1],
-            n0 * (cyc.ea[b] + rnd * cyc.extent)
-            + _extent_slope(walk.lattice.v, cyc.k[0], k) * tau)
+def _landmark(walk: Orbit, cyc: _Cycle, tau: int, b: int, rnd: int,
+              g: int) -> tuple:
+    """(k, t, r, m, n, extent) at landmark b in round ``rnd`` (phase
+    rnd*L + phase[b]) of the cycle point whose phase-0 coordinate is tau
+    and whose frame is g away from the recorded one, in the frame where
+    that point starts in cell (0, 0) with extent 0.  Round w is the first
+    one under the w-th power of the cycle's motion: reflected by S^w and
+    moved by d + S*d + ... (w terms)."""
+    s = cyc.reflection
+    f = g ^ s if rnd & 1 else g  # the frame of the round
+    (dm, dn), (sm, sn) = cyc.drift, _reflect(s, *cyc.drift)
+    half, odd = divmod(rnd, 2)
+    cm, cn = _reflect(f, cyc.cm[b], cyc.cn[b])
+    wm, wn = _reflect(g, half * (dm + sm) + odd * dm,
+                      half * (dn + sn) + odd * dn)
+    return (cyc.k[b], tau + walk.n0 * cyc.off[b], cyc.r[b] ^ f, cm + wm,
+            cn + wn, walk.n0 * (cyc.ea[b] + rnd * cyc.extent)
+            + walk.lattice.v * (cyc.k[0] - cyc.k[b]) * tau)
 
 
 def _rounds(c: int, d: int, lo: int, hi: int, w0: int, w1: int) -> tuple:
@@ -1270,29 +1243,43 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
     start that ``_CycleStore.locate`` found on a recorded cycle.
 
     Returns (collisions or None, cell, extent): the cell and the extent are
-    relative to the start, at the return or else at the horizon.  Phase q
-    of the cycle sits at cell C[q mod L] + (q div L)*D.  In the rounds
-    whose drift brings the start cell into the cycle's span, the blocks
-    whose boxes hold it are advanced from their landmark in order of
-    phase, each stopping in the start cell, so the first stop at or after
-    the start's next phase is the first return.
+    relative to the start, at the return or else at the horizon.  Round w
+    of the cycle is its recorded frame reflected by S^w and moved by
+    D_w = d + S*d + ... (w terms), so in round w = 2*u + e the start cell
+    sits, in the recorded frame, at a fixed cell of parity e less
+    u*(d + S*d).  In the rounds whose drift brings it into the cycle's
+    span, the blocks whose boxes hold it are advanced from their landmark
+    in order of phase, each stopping in the start cell, so the first stop
+    at or after the start's next phase is the first return.
     """
-    cyc, b, s, wm, wn, wext, t = found
-    L, (dm, dn), n0, phase = cyc.length, cyc.drift, walk.n0, cyc.phase
-    tau = cyc.sign[b] * (t - n0 * cyc.off[b])
-    # the start is at phase p, s collisions before landmark b's phase
+    cyc, b, s, wm, wn, wext, t, r = found
+    L, n0, phase = cyc.length, walk.n0, cyc.phase
+    tau = t - n0 * cyc.off[b]
+    # the start is at phase p, s collisions before landmark b's phase (in
+    # round -1 where p < 0), and g maps the recorded frame to its orbit's
     p = phase[b] - s
-    rnd = 1 if p < 0 else 0
-    p += rnd * L
-    _, _, cm, cn, e0 = _landmark(walk, cyc, tau, b, rnd)
+    g = r ^ cyc.r[b]
+    *_, cm, cn, e0 = _landmark(walk, cyc, tau, b, 0, g)
     cm, cn, e0 = cm - wm, cn - wn, e0 - wext
     first, last = p + 1, p + horizon
-    # only rounds whose drift brings the start cell into the cycle's span
+    # for each parity, the start cell in the recorded frame and the rounds
+    # whose drift brings it into the cycle's span
     lo_m, hi_m, lo_n, hi_n = cyc.span
-    w0, w1 = _rounds(cm, dm, lo_m, hi_m, first // L, last // L)
-    w0, w1 = _rounds(cn, dn, lo_n, hi_n, w0, w1)
-    for rnd in range(w0, w1 + 1):
-        tm, tn = cm - rnd * dm, cn - rnd * dn
+    sm, sn = _reflect(cyc.reflection, *cyc.drift)
+    dm, dn = cyc.drift[0] + sm, cyc.drift[1] + sn
+    w0, w1 = first // L, last // L
+    parts, rounds = [], []
+    for e in (0, 1):
+        xm, xn = _reflect(g ^ cyc.reflection if e else g, cm, cn)
+        xm, xn = xm - e * sm, xn - e * sn
+        u0, u1 = _rounds(xm, dm, lo_m, hi_m, (w0 - e + 1) // 2,
+                         (w1 - e) // 2)
+        u0, u1 = _rounds(xn, dn, lo_n, hi_n, u0, u1)
+        parts.append((xm, xn))
+        rounds.append(range(2 * u0 + e, 2 * u1 + e + 1, 2))
+    for rnd in merge(*rounds):
+        xm, xn = parts[rnd & 1]
+        tm, tn = xm - (rnd >> 1) * dm, xn - (rnd >> 1) * dn
         base = rnd * L
         # the blocks from the one holding phase first to the one holding
         # phase last of this round
@@ -1303,22 +1290,23 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
                 q = base + phase[b]
                 end = min(base + (phase[b + 1] if b + 1 < len(phase) else L)
                           - 1, last)
-                k, t, m, n, ext = _landmark(walk, cyc, tau, b, rnd)
+                k, t, r, m, n, ext = _landmark(walk, cyc, tau, b, rnd, g)
                 while True:
                     if m == cm and n == cn and q >= first:
                         return q - p, (0, 0), ext - e0
                     if q == end:
                         break
-                    done, k, t, m, n, adx, *_, corner = walk.advance(
-                        k, t, m, n, end - q, (cm, cn))
+                    done, k, t, r, m, n, adx, *_, corner = walk.advance(
+                        k, t, r, m, n, end - q, (cm, cn))
                     if corner is not None:
                         raise corner
                     q += done
                     ext += adx
-    rnd, r = divmod(last, L)
-    b = bisect_right(phase, r) - 1
-    k, t, m, n, ext = _landmark(walk, cyc, tau, b, rnd)
-    _, _, _, m, n, adx, *_, corner = walk.advance(k, t, m, n, r - phase[b])
+    rnd, q = divmod(last, L)
+    b = bisect_right(phase, q) - 1
+    k, t, r, m, n, ext = _landmark(walk, cyc, tau, b, rnd, g)
+    _, _, _, _, m, n, adx, *_, corner = walk.advance(k, t, r, m, n,
+                                                     q - phase[b])
     if corner is not None:
         raise corner
     return None, (m - cm, n - cn), ext + adx - e0
@@ -1331,10 +1319,9 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     Returns (collisions or None, cell, length, singular): the cell relative
     to the start cell and the length in primitive-vector units, at the
     return, at the corner or else at the horizon.  An axis orbit is back
-    after its two flights.  A start whose reflection lies on a recorded
-    cycle is answered from it, with the cell reflected back; otherwise the
-    orbit is walked, and one that closes on its start within the horizon
-    is recorded and answered from its cycle.
+    after its two flights.  A start on a recorded cycle is answered from
+    it; otherwise the orbit is walked, and one that closes on its quotient
+    start within the horizon is recorded and answered from its cycle.
     """
     validate_state(start, params)
     if horizon < 1:
@@ -1349,8 +1336,8 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     walk = Orbit(start, params)
     store = _cycle_store(params, start.slope.u, start.slope.v)
     vN = start.slope.v * walk.lattice.N
-    located = store.locate(walk)
-    if located is None:
+    found = store.locate(walk)
+    if found is None:
         res = _walk_period(walk, horizon, store, to_cell=True)
         if res.returned:
             return res.steps, (0, 0), Fraction(res.extent, vN), False
@@ -1358,10 +1345,9 @@ def first_return(start: BilliardState, params: Params, horizon: int):
             sm, sn = start.cell
             return (None, (res.m - sm, res.n - sn), Fraction(res.extent, vN),
                     res.corner is not None and res.steps < horizon)
-        located = (res.cycle, 0, 0, 0, 0, 0, walk.t), (1, 1)
-    found, (sx, sy) = located
-    ret, (m, n), ext = _cycle_return(walk, found, horizon)
-    return ret, (sx * m, sy * n), Fraction(ext, vN), False
+        found = (res.cycle, 0, 0, 0, 0, 0, walk.t, walk.r)
+    ret, cell, ext = _cycle_return(walk, found, horizon)
+    return ret, cell, Fraction(ext, vN), False
 
 
 def next_collision(state: BilliardState, params: Params) -> BilliardState:
@@ -1389,13 +1375,14 @@ def classify_trajectory(start: BilliardState, params: Params,
     The boundary return map is invertible (time reversal of a collision
     gives the unique earlier one), so on the finite set of reduced states
     (collision data modulo lattice translation) it is a permutation and
-    the first reduced repeat of an orbit is its own start state.  The walk
-    stops there: zero cell difference means the orbit is closed, a non-zero
-    difference is the drift of an escaping orbit.  ``pre_period`` is
-    therefore always 0.  The walk records the cylinder cycle it closed, and
-    a later start whose reflection lies on a recorded cycle is answered
-    from it, with the drift reflected back.  An undetermined outcome has
-    the length of exactly ``max_collisions`` collisions.
+    the first reduced repeat of an orbit is its own start state: zero cell
+    difference means the orbit is closed, a non-zero difference is the
+    drift of an escaping orbit.  ``pre_period`` is therefore always 0.
+    The walk stops at its first return on the quotient, at the period or
+    at half of it (`_walk_period`), and records the cylinder cycle it
+    closed; a later start on a recorded cycle is answered from it.  An
+    undetermined outcome has the length of exactly ``max_collisions``
+    collisions.
     """
     validate_state(start, params)
     if max_collisions < 1:
@@ -1409,11 +1396,9 @@ def classify_trajectory(start: BilliardState, params: Params,
     store = _cycle_store(params, start.slope.u, start.slope.v)
     vN = start.slope.v * walk.lattice.N
     m0, n0 = start.cell
-    located = store.locate(walk)
-    if located is not None and located[0][0].length <= max_collisions:
-        (cyc, *_), (sx, sy) = located
-        steps, extent = cyc.length, walk.n0 * cyc.extent
-        dm, dn = sx * cyc.drift[0], sy * cyc.drift[1]
+    found = store.locate(walk)
+    if found is not None and found[0].orbit(0)[0] <= max_collisions:
+        cyc, g = found[0], found[7] ^ found[0].r[found[1]]
     else:
         res = _walk_period(walk, max_collisions, store)
         if res.corner is not None:
@@ -1424,9 +1409,11 @@ def classify_trajectory(start: BilliardState, params: Params,
         if res.cycle is None:
             return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
                                      Fraction(res.extent, vN), (0, 0))
-        steps, dm, dn, extent = res.steps, res.m - m0, res.n - n0, res.extent
+        cyc, g = res.cycle, 0
+    steps, (dm, dn), extent = cyc.orbit(g)
     kind = Outcome.PERIODIC if (dm, dn) == (0, 0) else Outcome.ESCAPING
-    return TrajectoryOutcome(kind, steps, Fraction(extent, vN), (dm, dn),
+    return TrajectoryOutcome(kind, steps, Fraction(walk.n0 * extent, vN),
+                             (dm, dn),
                              repeat_cells=((m0, n0), (m0 + dm, n0 + dn)))
 
 
@@ -1451,9 +1438,9 @@ def _collisions(start: BilliardState, params: Params):
             orientation = _with_entry(orientation, i, -s)
             yield _SIDE_AT[i, -s], cell, orientation, PointQ(*pos)
     walk = Orbit(start, params)
-    for k, t, m, n, _adx in walk:
-        side, orientation = DOMAINS[k]
-        yield side, (m, n), orientation, walk.position(k, t, m, n)
+    for k, t, r, m, n, _adx in walk:
+        side, orientation = DOMAINS[_LIFT[k][r]]
+        yield side, (m, n), orientation, walk.position(k, t, r, m, n)
 
 
 def collision_sequence(start: BilliardState, params: Params,
@@ -1571,7 +1558,7 @@ def launch(params: Params, point: PointQ, slope: Slope,
         return BilliardState(PointQ(*hit), _SIDE_AT[i, -s],
                              _with_entry(cell, i, k),
                              _with_entry(orientation, i, -s), slope)
-    lat = _Lattice(params, slope, _lcm(x.denominator, y.denominator))
+    lat = _Lattice(params, slope, lcm(x.denominator, y.denominator))
     res = _first_hit(lat, *lat.encode(point), *orientation)
     if res is None:
         return None

@@ -389,22 +389,24 @@ def _sample_orbit(params: Params, slope: Slope, seed: int) -> billiard.Orbit:
 
 
 def _return_map_matches_first_hits(params: Params, slope: Slope) -> bool:
-    """Whether each piece of the return map of ``slope`` maps a point
-    inside it where the first-hit engine takes it: t = 3*lo + 1 on the
-    three-times finer lattice, where the breakpoints are multiples of 3,
-    from the obstacle at cell (0, 0), with the piece's domain, image, cell
-    and |dX|."""
+    """Whether each piece of the return map of ``slope`` on the quotient
+    maps a point inside it where the first-hit engine takes it: t = 3*lo + 1
+    on the three-times finer lattice, where the breakpoints are multiples
+    of 3, from the representative domain of the obstacle at cell (0, 0),
+    with the piece's domain, label, image, cell and |dX|."""
     lat = billiard._Lattice(params, slope, 3)
     cuts, pieces, _ = billiard._return_map(params, slope.u, slope.v)
+    lengths = [3 * cs[-1] for cs in cuts]
     for k, (cs, row) in enumerate(zip(cuts, pieces)):
-        for lo, (k1, flip, shift, dm, dn, c0, c1) in zip((0, *cs), row):
+        for lo, (k1, r, shift, dm, dn, c0, c1) in zip((0, *cs), row):
             t = 3 * lo + 1
             X, Y, side, m, n, sx, sy, adx = billiard._first_hit(
-                lat, *lat.point(k, t, 0, 0), *billiard.DOMAINS[k][1])
-            if (billiard._DOMAIN_INDEX[side, (sx, sy)],
-                    lat.transverse(side, X, Y, m, n), m, n, adx) != \
-                    (k1, 3 * shift - t if flip else 3 * shift + t, dm, dn,
-                     3 * c0 + c1 * t):
+                lat, *lat.point(4 * k, lengths[k] - t if k else t, 0, 0),
+                *billiard.DOMAINS[4 * k][1])
+            if (*billiard._quotient(billiard._DOMAIN_INDEX[side, (sx, sy)],
+                                    lat.transverse(side, X, Y, m, n),
+                                    lengths), m, n, adx) != \
+                    (k1, t + 3 * shift, r, dm, dn, 3 * c0 + c1 * t):
                 return False
     return True
 
@@ -413,53 +415,53 @@ def _advance_matches_single_steps(walk: billiard.Orbit, count: int) -> bool:
     """Whether one `Orbit.advance` of ``count`` collisions from the start of
     ``walk``, which steps on the power map, ends as ``count`` single-piece
     steps do: state, extent and box of cells."""
-    k, t, m, n = walk.k, walk.t, 0, 0
+    k, t, r, m, n = walk.k, walk.t, walk.r, 0, 0
     ms, ns, ext = [m], [n], 0
     try:
-        for k, t, m, n, adx in islice(walk, count):
+        for k, t, r, m, n, adx in islice(walk.steps(k, t, r, m, n), count):
             ms.append(m)
             ns.append(n)
             ext += adx
     except CornerHit:
         return False
-    return walk.advance(walk.k, walk.t, 0, 0, count) == (
-        count, k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns), None)
+    return walk.advance(walk.k, walk.t, walk.r, 0, 0, count) == (
+        count, k, t, r, m, n, ext, min(ms), max(ms), min(ns), max(ns), None)
 
 
 def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
     """Whether the cycle `_walk_period` records on the power map is the
-    one single steps give: the state and extent at every landmark, at
-    most _LANDMARK_EVERY phases after the one before, the box of every
-    landmark block (an `Orbit.advance` of fewer than _BLOCK), the
-    drift, the extent and the interval of starts on the same pieces: phase
-    j moves by +-d when the start moves by d, the sign fixed by the leaf
-    geometry."""
+    one single steps give, closed with a reflection at half its period:
+    the state and extent at every landmark, at most _LANDMARK_EVERY phases
+    after the one before, the box of every landmark block (an
+    `Orbit.advance` of fewer than _BLOCK), the label, the drift, the
+    extent and the interval of starts on the same pieces: every phase
+    moves with the start."""
     walk = _sample_orbit(params, slope, 1)
-    cuts, leaf = walk.tables.edges[0], billiard._LEAF
+    cuts = walk.tables.edges[0]
     cyc = billiard._walk_period(walk, 10**6, billiard._CycleStore()).cycle
-    if cyc is None or cyc.length <= billiard._POWER_FROM:
+    if cyc is None or cyc.length <= billiard._POWER_FROM or \
+            not cyc.reflection:
         return False
-    k0, t0, n0, L = walk.k, walk.t, walk.n0, cyc.length
-    state = (k0, t0, 0, 0, 0)
+    k0, t0, r0, n0, L = walk.k, walk.t, walk.r, walk.n0, cyc.length
+    state = (k0, t0, r0, 0, 0, 0)
     for b, (q, q1) in enumerate(zip(cyc.phase, [*cyc.phase[1:], L])):
         if not 0 < q1 - q <= billiard._LANDMARK_EVERY:
             return False
-        k, t, m, n, ext = state
-        _, k, t, m, n, adx, *box, _ = walk.advance(k, t, m, n, q1 - q)
+        k, t, r, m, n, ext = state
+        _, k, t, r, m, n, adx, *box, _ = walk.advance(k, t, r, m, n, q1 - q)
         cm, cn = cyc.cm[b], cyc.cn[b]
-        if billiard._landmark(walk, cyc, t0, b, 0) != state or box != [
+        if billiard._landmark(walk, cyc, t0, b, 0, 0) != state or box != [
                 cm + cyc.mlo[b], cm + cyc.mhi[b], cn + cyc.nlo[b],
                 cn + cyc.nhi[b]]:
             return False
-        state = (k, t, m, n, ext + adx)
+        state = (k, t, r, m, n, ext + adx)
     dlo, dhi = -t0, cuts[k0][-1] - t0
-    for k, t, *_ in chain([(k0, t0)], islice(walk.steps(k0, t0, 0, 0), L - 1)):
+    for k, t, *_ in chain([(k0, t0)],
+                          islice(walk.steps(k0, t0, r0, 0, 0), L - 1)):
         i = bisect_left(cuts[k], t)
-        lo, hi = cuts[k][i - 1] - t, cuts[k][i] - t
-        if leaf[k0] * leaf[k] < 0:
-            lo, hi = -hi, -lo
-        dlo, dhi = max(dlo, lo), min(dhi, hi)
-    return state == (k0, t0, *cyc.drift, n0 * cyc.extent) and \
+        dlo, dhi = max(dlo, cuts[k][i - 1] - t), min(dhi, cuts[k][i] - t)
+    return state == (k0, t0, r0 ^ cyc.reflection, *cyc.drift,
+                     n0 * cyc.extent) and \
         (t0 + dlo, t0 + dhi) == (n0 * cyc.lo, n0 * cyc.hi)
 
 

@@ -95,10 +95,16 @@ class DirectionSpec:
         return self.precision_bits is not None
 
 
+MAX_PRECISION_BITS = 1 << 16  # a shadow run doubles them
+
+
 def quantize_direction(value, bits: int) -> DirectionSpec:
     """Round a positive slope value to the dyadic grid 2^-bits."""
     if bits < 8:
         raise DomainError("need at least 8 bits of direction precision")
+    if bits > MAX_PRECISION_BITS:
+        raise DomainError(f"at most {MAX_PRECISION_BITS} bits of direction "
+                          "precision")
     val = Fraction(value)
     if val <= 0:
         raise DomainError("experiment directions must be positive slopes")
@@ -229,22 +235,22 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
     # or back in the origin cell; the shadow then makes as many collisions.
     # A block that does not stop before a corner ends at a checkpoint, the
     # horizon or the return: each a place the lockstep loop checks.
-    k, t, m, n = walk.k, walk.t, 0, 0
-    sh_cur = (sh_walk.k, sh_walk.t, 0, 0)
+    k, t, r, m, n = walk.k, walk.t, walk.r, 0, 0
+    sh_cur = (sh_walk.k, sh_walk.t, sh_walk.r, 0, 0)
     total_dx = i = 0
     while i < horizon:
-        done, k, t, m, n, adx, *_, corner = walk.advance(
-            k, t, m, n, min(CHECKPOINT_EVERY, horizon - i), (0, 0))
+        done, k, t, r, m, n, adx, *_, corner = walk.advance(
+            k, t, r, m, n, min(CHECKPOINT_EVERY, horizon - i), (0, 0))
         total_dx += adx
         shadow = sh_walk.advance(*sh_cur, done)
         if shadow[0] < done:
             raise PrecisionError("shadow run became singular; the "
                                  "direction precision cannot be trusted")
-        sh_cur = shadow[1:5]
+        sh_cur = shadow[1:6]
         i += done
         if corner is not None:
             return result("singular", None, (m, n), Fraction(total_dx, vN))
-        p, q = walk.position(k, t, m, n), sh_walk.position(*sh_cur)
+        p, q = walk.position(k, t, r, m, n), sh_walk.position(*sh_cur)
         dx, dy = abs(p.x - q.x), abs(p.y - q.y)
         if dx > SHADOW_TOLERANCE or dy > SHADOW_TOLERANCE:
             raise PrecisionError(
@@ -355,9 +361,8 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
     """
     walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
                             start.orientation), params)
-    lattice = walk.lattice
-    N = lattice.N
-    X0, Y0 = lattice.point(walk.k, walk.t, 0, 0)
+    N = walk.lattice.N
+    X0, Y0 = walk.point(walk.k, walk.t, walk.r, 0, 0)
     speed = math.hypot(slope.u, slope.v) / slope.v  # time per unit of X-extent
     best = 0.0
     best_t = 0.0
@@ -371,7 +376,7 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
         denom = iterated_log(k, total_dx / N * speed)
         return 0.0 if denom is None else denom * _LOG_SHRINK - _LOG_SLACK
 
-    def exact(dom, tr, m, n, total_dx):
+    def exact(kq, tq, r, m, n, total_dx):
         """(t, dist, statistic, low) of a step, low its log_k(t) shrunk;
         no statistic before log_k(t) > 0."""
         nonlocal lo
@@ -381,7 +386,7 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
             return t, None, None, 0.0
         low = denom * _LOG_SHRINK - _LOG_SLACK
         lo = max(lo, low)
-        X, Y = lattice.point(dom, tr, m, n)
+        X, Y = walk.point(kq, tq, r, m, n)
         dist = math.hypot((X - X0) / N, (Y - Y0) / N)
         return t, dist, dist / denom, low
 
@@ -430,14 +435,14 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
                                   else min(stat, stop_at))
                 todo += [second, first]
                 continue
-            for dom, tr, m, n, adx in islice(walk.steps(*state), count):
+            for kq, tq, r, m, n, adx in islice(walk.steps(*state), count):
                 i += 1
                 total_dx += adx
                 if low > 0:
                     reach = math.hypot(abs(m) + 1, abs(n) + 1) / low
                     if reach <= best or reach < bar:
                         continue
-                t, dist, stat, step_low = exact(dom, tr, m, n, total_dx)
+                t, dist, stat, step_low = exact(kq, tq, r, m, n, total_dx)
                 low = max(low, step_low)
                 if stat is not None and stat > best:
                     best, best_t = stat, t
@@ -449,7 +454,7 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
 
     deferred = []  # blocks in step order, as settle takes them
     stop = None
-    state = (walk.k, walk.t, 0, 0)
+    state = (walk.k, walk.t, walk.r, 0, 0)
     total_dx = i = 0
     while i < horizon:
         count = min(_BLOCK, horizon - i)

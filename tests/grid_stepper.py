@@ -130,13 +130,15 @@ def assert_resolved(params, slope):
 
 
 def long_pieces(params, slope):
-    """(k, i) of the pieces of the slope's return map whose flights are
-    long, tested just above each piece's low end."""
-    from windtree.billiard import DOMAINS, BilliardState, _Lattice, _return_map
+    """(k, i) of the pieces of the slope's return map on the 8 domains
+    whose flights are long, tested just above each piece's low end."""
+    from support import eight_domain_return_map
+    from windtree.billiard import DOMAINS, BilliardState, _Lattice
     from windtree.exact import PointQ
     lat = _Lattice(params, slope, 3)
     out = []
-    for k, cs in enumerate(_return_map(params, slope.u, slope.v)[0]):
+    for k, cs in enumerate(eight_domain_return_map(params, slope.u,
+                                                   slope.v)[0]):
         side, orientation = DOMAINS[k]
         for i in range(len(cs)):
             X, Y = lat.point(k, 3 * (cs[i - 1] if i else 0) + 1, 0, 0)

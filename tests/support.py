@@ -1,18 +1,24 @@
 """Functions only the tests use: a side's midpoint state, the length of a
-traced polyline, the return map built from two probes per piece, the
-return map scaled to a lattice scale and the whole power map built
-eagerly from it, the matrix and the inverse of a generator word, the
-straight-line flow on a square-tiled surface, and the Fraction-based
-surface action, pull-back, fold and SVG canvas coordinates that the
-integer ones replaced.  The package itself has no use for them.
+traced polyline, the return map on the 8 domains (built from corner
+flights, and from two probes per piece) and its quotient by the table's
+reflections, the 8-domain map scaled to a lattice scale and the whole
+power map built eagerly from it, single steps on the 8 domains, the
+matrix and the inverse of a generator word, the straight-line flow on a
+square-tiled surface, and the Fraction-based surface action, pull-back,
+fold and SVG canvas coordinates that the integer ones replaced.  The
+package itself has no use for them.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from windtree.billiard import (_DOMAIN_INDEX, _POWER, DOMAINS, BilliardState,
-                               TracedPath, _first_hit, _Lattice, _return_map,
-                               make_state, side_length)
+from windtree.billiard import (_DOMAIN_INDEX, _POWER, _SIDE, DOMAINS,
+                               HORIZONTAL_SIDES, BilliardState, TracedPath,
+                               _corner_traces, _first_hit, _half, _landing,
+                               _Lattice, _quotient, _with_entry, make_state,
+                               side_length)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import ORIENTATIONS, Params, PointQ, Slope
 from windtree.origami import Origami, as_tokens
@@ -87,8 +93,8 @@ def _map_step(lat: _Lattice, k: int, t: int) -> tuple:
 def two_probe_return_map(params: Params, u: int, v: int) -> tuple:
     """The boundary return map of slope u/v at lattice scale n0 = 1, each
     piece read off from two probes, just inside both of its ends: the
-    oracle for `billiard._return_map`, which traces 3 corner flights and
-    reads each piece off its ends with no probe.  It shares only
+    oracle for `eight_domain_return_map`, which traces 3 corner flights,
+    reflects them, and reads each piece off its ends with no probe.  It shares only
     `_first_hit` and `_Lattice` with that build.
 
     Returns (cuts, pieces, corners), each indexed by domain.  cuts[k] is
@@ -148,14 +154,140 @@ def two_probe_return_map(params: Params, u: int, v: int) -> tuple:
     return tuple(cuts), tuple(pieces), tuple(corners)
 
 
+# The sign at which the unfolded transverse coordinate u*x - v*y moves
+# with t on each domain: a piece between domains of unlike signs reverses t.
+_LEAF = tuple(orientation[0] if side in HORIZONTAL_SIDES else -orientation[1]
+              for side, orientation in DOMAINS)
+
+
+@lru_cache(maxsize=64)
+def eight_domain_return_map(params: Params, u: int, v: int) -> tuple:
+    """The boundary return map of slope u/v at lattice scale n0 = 1 on all
+    8 domains: the breakpoints from the 12 corner flights, then each piece
+    read off from where the rays beside its ends land.  The oracle for
+    `billiard._return_map`, which builds its quotient by the table's
+    reflections (`quotient_table`).
+
+    Returns (cuts, pieces, corners), each indexed by domain.  cuts[k] is
+    the sorted list of breakpoints, then the side length as a sentinel;
+    pieces[k][i] = (k', flip, shift, dm, dn, c0, c1) is the map on the
+    open interval just below cuts[k][i]: t' = shift - t if flip else
+    shift + t, in domain k', with the cell moved by (dm, dn) and
+    |dX| = c0 + c1*t.  corners[k][i] = (cx, cy, dm, dn) names the corner
+    that breakpoint cuts[k][i] runs into: (cx*a/2, cy*b/2) from the centre
+    of the cell (dm, dn) away from the start cell.
+    """
+    lat = _Lattice(params, Slope(u, v), 1)
+    lengths = (2 * (lat.gamma // u), 2 * (lat.beta // v))
+    traces = _corner_traces(lat, lengths)
+    # a corner's flight along (rx, ry) lands on a breakpoint, in the domain
+    # that leaves against it (k ^ 1)
+    hits = [{} for _ in DOMAINS]
+    for (cx, cy, _, _), (k, t, m, n, adx) in traces.items():
+        if k is not None and hits[k ^ 1].setdefault(
+                t, (cx, cy, -m, -n, adx)) != (cx, cy, -m, -n, adx):
+            raise AssertionError("two corners claim one breakpoint")
+    cuts, pieces, corners = [], [], []
+    for k, (side, d) in enumerate(DOMAINS):
+        i, normal = _SIDE[side]
+        ts = sorted(hits[k])
+        cuts.append((*ts, lengths[i]))
+        corners.append(tuple(hits[k][t][:4] for t in ts))
+        ends = [(*_with_entry((-1, -1), i, normal), 0, 0, 0),
+                *(hits[k][t] for t in ts),
+                (*_with_entry((1, 1), i, normal), 0, 0, 0)]
+        sigma = d[0] if i == 0 else -d[1]  # the side of the rays above t
+        row = []
+        for j, (lo, hi) in enumerate(zip((0, *ts), cuts[k])):
+            k1, t1, m, n, adx = _landing(traces, lengths, d, sigma, ends[j],
+                                         j == 0)
+            flip = _LEAF[k] != _LEAF[k1]
+            c1 = v * _LEAF[k] * ((k1 >= 4) - (k >= 4))
+            shift = t1 + lo if flip else t1 - lo
+            c0 = adx - c1 * lo
+            if _landing(traces, lengths, d, -sigma, ends[j + 1],
+                        j == len(ts)) != \
+                    (k1, shift - hi if flip else shift + hi, m, n,
+                     c0 + c1 * hi):
+                raise AssertionError("the ends of a return map piece disagree")
+            row.append((k1, flip, shift, m, n, c0, c1))
+        pieces.append(tuple(row))
+    return tuple(cuts), tuple(pieces), tuple(corners)
+
+
+def quotient_table(cuts: tuple, pieces: tuple, corners: tuple = None):
+    """An 8-domain table (cuts, pieces[, corners]) as `billiard._PowerMap`
+    holds it on the quotient: the rows of the representative domains 0 and
+    4, with t the offset on domain 0 and the side's length less the
+    offset on domain 4, and each piece (k', flip, shift, dm, dn, c0, c1,
+    *box) as (k'', r, shift', dm, dn, c0', c1', *box) with its image's
+    quotient state (`billiard._quotient`).  Raises AssertionError where an
+    image piece reverses t."""
+    lengths = (cuts[0][-1], cuts[4][-1])
+    out = ([], [], [])
+    for h, L in enumerate(lengths):
+        cs, row = cuts[4 * h], pieces[4 * h]
+        qrow = []
+        for lo, hi, (k1, flip, shift, dm, dn, c0, c1, *box) in \
+                zip((0, *cs), cs, row):
+            images = [_quotient(k1, shift - t if flip else shift + t,
+                                lengths) for t in (lo, hi)]
+            ends = [L - t if h else t for t in (lo, hi)]
+            if images[1][1] - images[0][1] != ends[1] - ends[0]:
+                raise AssertionError("a quotient piece reverses t")
+            if h:
+                c0, c1 = c0 + c1 * L, -c1
+            (k1, t1, r), _ = images
+            qrow.append((k1, r, t1 - ends[0], dm, dn, c0, c1, *box))
+        qcuts = [L - c for c in cs[:-1]] if h else list(cs[:-1])
+        out[0].append((*sorted(qcuts), L))
+        out[1].append(tuple(qrow[::-1] if h else qrow))
+        if corners is not None:
+            out[2].append(tuple(corners[4 * h][::-1] if h
+                                else corners[4 * h]))
+    return tuple(map(tuple, out)) if corners is not None else \
+        (tuple(out[0]), tuple(out[1]))
+
+
+def eight_domain_state(params: Params, start: BilliardState) -> tuple:
+    """(lattice, k, t) of a start on the 8 domains, at its lattice scale."""
+    n0 = lcm(start.position.x.denominator, start.position.y.denominator)
+    lat = _Lattice(params, start.slope, n0)
+    X, Y = lat.encode(start.position)
+    return (lat, _DOMAIN_INDEX[start.side, tuple(start.orientation)],
+            lat.transverse(start.side, X, Y, *start.cell))
+
+
+def eight_domain_steps(params: Params, start: BilliardState):
+    """The collisions after ``start``, (k, t, m, n, adx) on the 8 domains
+    in units of 1/N at the start's lattice scale n0, stepped one piece of
+    `eight_domain_return_map` at a time; raises CornerHit at a corner."""
+    slope = start.slope
+    lat, k, t = eight_domain_state(params, start)
+    (m, n), n0 = start.cell, lat.N // (2 * params.q * params.s * slope.u
+                                       * slope.v)
+    cuts, pieces, corners = scaled_return_map(params, slope.u, slope.v, n0)
+    a2, b2 = _half(params)
+    while True:
+        i = bisect_left(cuts[k], t)
+        if cuts[k][i] == t:
+            cx, cy, dm, dn = corners[k][i]
+            raise CornerHit(m + dm + cx * a2, n + dn + cy * b2)
+        k, flip, shift, dm, dn, c0, c1, *_ = pieces[k][i]
+        adx = c0 + c1 * t
+        t = shift - t if flip else shift + t
+        m, n = m + dm, n + dn
+        yield k, t, m, n, adx
+
+
 def scaled_return_map(params, u: int, v: int, n0: int) -> tuple:
     """T of slope u/v at lattice scale n0: (cuts, pieces, corners) by
-    domain, as `billiard._return_map` gives them at n0 = 1, with the
+    domain, as `eight_domain_return_map` gives them at n0 = 1, with the
     breakpoints, the side length, the shifts and the constant extent terms
     scaled by n0 and each piece (k', flip, shift, dm, dn, c0, c1) followed
     by the box of the one cell it arrives in, mlo, mhi, nlo, nhi.  The
-    oracle for level 0 of `billiard._PowerMap`."""
-    cuts, pieces, corners = _return_map(params, u, v)
+    oracle for level 0 of `billiard._PowerMap` (`quotient_table`)."""
+    cuts, pieces, corners = eight_domain_return_map(params, u, v)
     return (tuple(tuple(n0 * c for c in cs) for cs in cuts),
             tuple(tuple((k, flip, n0 * shift, dm, dn, n0 * c0, c1,
                          dm, dm, dn, dn)

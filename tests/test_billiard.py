@@ -25,8 +25,10 @@ from census import direction_cycles
 from grid_stepper import (GridStepper, assert_resolved, long_flight,
                           long_pieces)
 from oracles import scan_next_hit
-from support import (eager_power_map, midpoint_state, path_length,
-                     scaled_return_map, two_probe_return_map)
+from support import (eager_power_map, eight_domain_return_map,
+                     eight_domain_state, eight_domain_steps, midpoint_state,
+                     path_length, quotient_table, scaled_return_map,
+                     two_probe_return_map)
 from walk_reference import _walk_period as single_piece_walk
 
 HALF = classify_params(1, 2, 1, 2)
@@ -517,7 +519,7 @@ def test_return_map_long_flight_matches_engine():
     state = make_state(params, (0, 0), LEFT, Fraction(1, 4000), slope, (-1, 1))
     assert long_flight(params, state)
     first = next(iter(Orbit(state, params)))
-    assert abs(first[2]) > 1000  # the first flight crosses 1403 columns
+    assert abs(first[3]) > 1000  # the first flight crosses 1403 columns
     _assert_map_matches_engine(params, state, 30)
     _cycle_store.cache_clear()
     out = classify_trajectory(state, params)
@@ -544,7 +546,8 @@ def _assert_map_matches_engine(params, state, n_collisions):
                 next(steps)
             assert (err.value.x, err.value.y) == (hit.x, hit.y)
             return
-        k, t, mm, nn, adx_map = next(steps)
+        kq, tq, r, mm, nn, adx_map = next(steps)
+        k, t = walk.domain(kq, tq, r)
         assert DOMAINS[k] == (side, (sx, sy))
         assert (mm, nn) == (m, n)
         assert adx_map == adx
@@ -573,9 +576,9 @@ def test_return_map_matches_scan_oracle_property(pqrs, uv, side, num, den,
                 next(steps)
             assert (err.value.x, err.value.y) == want[1]
             return
-        k, t, m, n, _adx = next(steps)
-        side, (sx, sy) = DOMAINS[k]
-        pos = walk.position(k, t, m, n)
+        k, t, r, m, n, _adx = next(steps)
+        side, (sx, sy) = DOMAINS[walk.domain(k, t, r)[0]]
+        pos = walk.position(k, t, r, m, n)
         x, y = pos.x, pos.y
         assert ("hit", (x, y), side, (m, n)) == want
 
@@ -656,7 +659,7 @@ def test_return_map_near_corridor_matches_engine_property(pqrs, cdef, K, aim,
         starts = far or aimed
         start = starts[pick % len(starts)]
     else:
-        cuts = _return_map(params, slope.u, slope.v)[0]
+        cuts = eight_domain_return_map(params, slope.u, slope.v)[0]
         gaps = long_pieces(params, slope) or [(pick % 8, 0)]
         k, i = gaps[pick % len(gaps)]
         lo = cuts[k][i - 1] if i else 0
@@ -666,9 +669,13 @@ def test_return_map_near_corridor_matches_engine_property(pqrs, cdef, K, aim,
 
 
 def _assert_one_probe_build(params, slope):
-    """`_return_map`, built afresh, equals the two-probe build."""
+    """The 8-domain build from corner flights equals the two-probe build,
+    and `_return_map`, built afresh, equals their quotient."""
+    want = two_probe_return_map(params, slope.u, slope.v)
+    assert eight_domain_return_map.__wrapped__(params, slope.u,
+                                               slope.v) == want
     assert billiard._return_map.__wrapped__(params, slope.u, slope.v) == \
-        two_probe_return_map(params, slope.u, slope.v)
+        quotient_table(*want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -835,7 +842,7 @@ def test_return_map_follows_corner_to_corner_flights(monkeypatch):
             cases.append((classify_params(*pqrs), Slope(*uv)))
     for params, slope in cases:
         assert billiard._return_map.__wrapped__(params, slope.u, slope.v) == \
-            two_probe_return_map(params, slope.u, slope.v)
+            quotient_table(*two_probe_return_map(params, slope.u, slope.v))
     assert onward
 
 
@@ -844,7 +851,7 @@ def _corner_bound_start(params, slope, cell, back, rng):
     return map, placed in ``cell``, traced back up to ``back`` collisions
     with the grid-line stepper.  Returns (start, collisions before the
     corner)."""
-    cuts = _return_map(params, slope.u, slope.v)[0]
+    cuts = eight_domain_return_map(params, slope.u, slope.v)[0]
     k = rng.choice([k for k, cs in enumerate(cuts) if len(cs) > 1])
     lat = _Lattice(params, slope, 1)
     X, Y = lat.point(k, rng.choice(cuts[k][:-1]), *cell)
@@ -944,20 +951,63 @@ class _LoggedTables:
                        for k, row in enumerate(rows)]
 
 
+def _in_frame(piece, f):
+    """A piece of a quotient table, as a state in frame f applies it: its
+    label composed with f, its cell move and box reflected by f."""
+    k, r, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi, *rest = piece
+    if f & 1:
+        dm, mlo, mhi = -dm, -mhi, -mlo
+    if f & 2:
+        dn, nlo, nhi = -dn, -nhi, -nlo
+    return (k, r ^ f, shift, dm, dn, c0, c1, mlo, mhi, nlo, nhi, *rest)
+
+
+def _framed_row(row, run):
+    """Rows of a quotient table as `billiard._PowerMap` keeps them: after
+    the domain's low end, each piece in the 4 frames, with its run flag."""
+    return [None, *(tuple(_in_frame((*p, run(p)), f) for f in range(4))
+                    for p in row)]
+
+
+def test_a_block_of_64_starts_on_the_power_map():
+    # a call of exactly _BLOCK collisions reads a piece of T^8 first, from
+    # a start inside a piece of T^8; one collision fewer reads only single
+    # pieces
+    slope = quantize_direction(Fraction("0.31830988618379067154"), 64).slope
+    for seed in range(1, 6):
+        s = sample_boundary_starts(HALF, slope, 1, seed)[0]
+        walk = Orbit(make_state(HALF, (0, 0), s.side, s.offset, slope,
+                                s.orientation), HALF)
+        log = []
+        walk.tables = _LoggedTables(walk.tables, log)
+        for count, first in ((billiard._BLOCK, "power"),
+                             (billiard._BLOCK - 1, "single")):
+            log.clear()
+            walk.advance(walk.k, walk.t, walk.r, 0, 0, count)
+            assert log[0][0] == first
+            assert first == "power" or {read[0] for read in log} == {first}
+
+
+def _run_of(k):
+    """Whether a quotient piece of domain k is a run piece: back in its
+    domain with label 0 and a shift."""
+    return lambda p: p[0] == k and p[1] == 0 and p[2] != 0
+
+
 def _replay_reads(log, single, power, state, stop_cell):
     """Follow the piece reads of one `Orbit.advance` call from ``state``
     on the scaled single map ``single`` and the eager T^8 table ``power``,
-    both (cuts, pieces) as `support.eager_power_map` gives them.
+    both (cuts, pieces) on the quotient (`support.quotient_table`).
 
     A read of T^8 that finds no piece and is read again is a miss, where
     `find` composed the piece.  Otherwise it is a fallback where t is on a
     breakpoint of T^8 or the stop cell lies in the piece's box, and a power
     step else; one that `_repeats` extended to r > 1 repeats is taken here
     one repeat at a time, each on the piece the table holds at its t.
-    Every piece read must be the one the tables hold at t.  Returns the
-    counts of power steps, both fallbacks and the repeats after a run's
-    first, and the state and extent the steps reach."""
-    k, t, m, n = state
+    Every piece read must be the one the tables hold at t, in every frame.
+    Returns the counts of power steps, both fallbacks and the repeats
+    after a run's first, and the state and extent the steps reach."""
+    k, t, r, m, n = state
     ext = 0
     counts = {"power": 0, "breakpoint": 0, "box": 0, "repeat": 0}
     for at, (table, *read) in enumerate(log):
@@ -972,15 +1022,17 @@ def _replay_reads(log, single, power, state, stop_cell):
         reps = 1
         if table == "single":
             # level 0 of the orbit's table starts with the domain's low end
-            assert i == j + 1 and piece == (*pieces[k][j], False)
+            assert i == j + 1
+            assert piece == _framed_row([pieces[k][j]], lambda p: False)[1]
         elif cuts[k][j] == t:
             counts["breakpoint"] += 1
             continue
         else:
-            assert piece[:11] == pieces[k][j]
+            assert piece == _framed_row([pieces[k][j]], _run_of(k))[1]
+            plo, phi, qlo, qhi = piece[r][7:11]
             if stop_cell is not None and \
-                    piece[7] <= stop_cell[0] - m <= piece[8] and \
-                    piece[9] <= stop_cell[1] - n <= piece[10]:
+                    plo <= stop_cell[0] - m <= phi and \
+                    qlo <= stop_cell[1] - n <= qhi:
                 counts["box"] += 1
                 continue
             if follow[0] == "repeats":
@@ -989,19 +1041,19 @@ def _replay_reads(log, single, power, state, stop_cell):
             counts["repeat"] += reps - 1
         for _ in range(reps):
             assert bisect_left(cuts[k], t) == j
-            k2, flip, shift, dm, dn, c0, c1 = pieces[k][j][:7]
+            k2, r2, shift, dm, dn, c0, c1 = _in_frame(pieces[k][j], r)[:7]
             ext += c0 + c1 * t
-            k, t, m, n = k2, shift - t if flip else shift + t, m + dm, n + dn
-    return counts, (k, t, m, n), ext
+            k, t, r, m, n = k2, t + shift, r2, m + dm, n + dn
+    return counts, (k, t, r, m, n), ext
 
 
 def _power_steps(walk, table, state, count, stop_cell):
     """`Orbit.advance` of ``count`` collisions from ``state`` with every
-    piece of T^8 taken one at a time, from the eager table ``table``:
-    single pieces for the 8 collisions after a breakpoint of T^8 or a
-    piece whose box holds the stop cell, and for a remainder."""
+    piece of T^8 taken one at a time, from the eager quotient table
+    ``table``: single pieces for the 8 collisions after a breakpoint of
+    T^8 or a piece whose box holds the stop cell, and for a remainder."""
     cuts, pieces = table
-    k, t, m, n = state
+    k, t, r, m, n = state
     mlo = mhi = m
     nlo = nhi = n
     ext = done = 0
@@ -1009,27 +1061,28 @@ def _power_steps(walk, table, state, count, stop_cell):
     while done < count:
         if count - done >= 8:
             i = bisect_left(cuts[k], t)
-            k2, flip, shift, dm, dn, c0, c1, plo, phi, qlo, qhi = pieces[k][i]
+            k2, r2, shift, dm, dn, c0, c1, plo, phi, qlo, qhi = \
+                _in_frame(pieces[k][i], r)
             if cuts[k][i] != t and (
                     stop_cell is None
                     or not plo <= stop_cell[0] - m <= phi
                     or not qlo <= stop_cell[1] - n <= qhi):
                 ext += c0 + c1 * t
-                k, t = k2, shift - t if flip else shift + t
+                k, t, r = k2, t + shift, r2
                 mlo, mhi = min(mlo, m + plo), max(mhi, m + phi)
                 nlo, nhi = min(nlo, n + qlo), max(nhi, n + qhi)
                 m, n = m + dm, n + dn
                 done += 8
                 continue
         want = min(8, count - done)
-        got, k, t, m, n, adx, a, b, c, d, corner = walk.advance(
-            k, t, m, n, want, stop_cell)
+        got, k, t, r, m, n, adx, a, b, c, d, corner = walk.advance(
+            k, t, r, m, n, want, stop_cell)
         done += got
         ext += adx
         mlo, mhi, nlo, nhi = min(mlo, a), max(mhi, b), min(nlo, c), max(nhi, d)
         if got < want or (m, n) == stop_cell:
             break
-    return done, k, t, m, n, ext, mlo, mhi, nlo, nhi, corner
+    return done, k, t, r, m, n, ext, mlo, mhi, nlo, nhi, corner
 
 
 def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
@@ -1052,7 +1105,8 @@ def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
     monkeypatch.setattr(billiard, "_repeats", logged_repeats)
     rng = random.Random(20261019)
     seen = {"classes": set(), "corner": 0, "stopped": 0, "full": 0,
-            "bits": 0, "power": 0, "breakpoint": 0, "box": 0, "repeat": 0}
+            "bits": 0, "power": 0, "breakpoint": 0, "box": 0, "repeat": 0,
+            "frames": set()}
     for case in range(160):
         while True:
             q, s = rng.randint(2, 12), rng.randint(2, 12)
@@ -1092,17 +1146,21 @@ def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
         walk = Orbit(start, params)
         walk.tables = _LoggedTables(walk.tables, log)
         log.clear()
-        got = walk.advance(walk.k, walk.t, *start.cell, count, stop_cell)
-        corner = got[10] and (got[10].x, got[10].y)
-        assert got[:10] + (corner,) == want
+        state = (walk.k, walk.t, walk.r, *start.cell)
+        got = walk.advance(*state, count, stop_cell)
+        corner = got[11] and (got[11].x, got[11].y)
+        assert (got[0], *walk.domain(*got[1:4]), *got[4:11], corner) == want
         counts, end, ext = _replay_reads(
-            log, scaled_return_map(params, slope.u, slope.v, walk.n0)[:2],
-            eager_power_map(params, slope.u, slope.v, walk.n0),
-            (walk.k, walk.t, *start.cell), stop_cell)
-        assert end == got[1:5] and ext == got[5]
+            log, quotient_table(*scaled_return_map(params, slope.u, slope.v,
+                                                   walk.n0)[:2]),
+            quotient_table(*eager_power_map(params, slope.u, slope.v,
+                                            walk.n0)),
+            state, stop_cell)
+        assert end == got[1:6] and ext == got[6]
         if count < billiard._BLOCK:
             assert all(table == "single" for table, *_ in log)
         seen["classes"].add(params.parity_class)
+        seen["frames"].add(walk.r)
         seen["corner"] += want[10] is not None and 0 < want[0] < count
         seen["stopped"] += want[0] < free[0]
         seen["full"] += want[0] == count > 0
@@ -1110,22 +1168,23 @@ def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
         for key in counts:
             seen[key] += counts[key]
     assert seen["classes"] == set(ParityClass)
+    assert seen["frames"] == {0, 1, 2, 3}
     assert seen["corner"] >= 10 and seen["stopped"] >= 10, seen
     assert seen["full"] >= 10 and seen["bits"] > 200, seen
     assert seen["power"] >= 10 and seen["breakpoint"] >= 10, seen
     assert seen["box"] >= 10 and seen["repeat"] >= 10, seen
 
 
-def _eight_steps(walk, k, t):
-    """8 single steps from state (k, t) in cell (0, 0), as a piece of the
-    power map reports them: (k, t, m, n, extent, mlo, mhi, nlo, nhi), the
-    box over the cells arrived in."""
+def _eight_steps(walk, k, t, r):
+    """8 single steps from state (k, t, r) in cell (0, 0), as a piece of
+    the power map reports them: (k, t, r, m, n, extent, mlo, mhi, nlo,
+    nhi), the box over the cells arrived in."""
     ms, ns, ext = [], [], 0
-    for k, t, m, n, adx in islice(walk.steps(k, t, 0, 0), 8):
+    for k, t, r, m, n, adx in islice(walk.steps(k, t, r, 0, 0), 8):
         ms.append(m)
         ns.append(n)
         ext += adx
-    return k, t, m, n, ext, min(ms), max(ms), min(ns), max(ns)
+    return k, t, r, m, n, ext, min(ms), max(ms), min(ns), max(ns)
 
 
 def _random_table_and_direction(rng, case):
@@ -1146,11 +1205,12 @@ def _random_table_and_direction(rng, case):
 
 
 def test_power_map_pieces_match_eight_single_steps():
-    # every piece of the eager T^8 table against 8 single steps just inside
-    # both ends of its interval, and every breakpoint of T^8 against a
-    # corner within 8 steps: random tables of all three parity classes,
-    # exact slopes and directions quantized at 16-96 bits, at the lattice
-    # scales of starts with random offsets
+    # every piece of the eager T^8 table on the quotient, in each of the 4
+    # frames, against 8 single steps just inside both ends of its interval,
+    # and every breakpoint of T^8 against a corner within 8 steps: random
+    # tables of all three parity classes, exact slopes and directions
+    # quantized at 16-96 bits, at the lattice scales of starts with random
+    # offsets
     rng = random.Random(8)
     seen = {"classes": set(), "pieces": 0, "breakpoints": 0, "bits": 0}
     for case in range(60):
@@ -1161,23 +1221,24 @@ def test_power_map_pieces_match_eight_single_steps():
                               rng.choice((LEFT, RIGHT, BOTTOM, TOP)),
                               rng.randint(1, den - 1), den, 1, (0, 0))[1]
         walk = Orbit(start, params)
-        cuts, pieces = eager_power_map(params, slope.u, slope.v, walk.n0)
+        cuts, pieces = quotient_table(*eager_power_map(params, slope.u,
+                                                       slope.v, walk.n0))
         assert [len(row) for row in pieces] == [len(cs) for cs in cuts]
-        for k in range(len(DOMAINS)):
+        for k in (0, 1):
             lo = 0
             for hi, piece in zip(cuts[k], pieces[k]):
-                k2, flip, shift, dm, dn, c0, c1, *box = piece
-                assert lo < hi and c1 % slope.v == 0
-                for t in {lo + 1, hi - 1}:
-                    if lo < t < hi:
-                        assert _eight_steps(walk, k, t) == (
-                            k2, shift - t if flip else shift + t, dm, dn,
-                            c0 + c1 * t, *box)
-                        seen["pieces"] += 1
-                if hi < cuts[k][-1]:
-                    with pytest.raises(CornerHit):
-                        _eight_steps(walk, k, hi)
-                    seen["breakpoints"] += 1
+                assert lo < hi and piece[6] % slope.v == 0
+                for f in range(4):
+                    k2, r, shift, dm, dn, c0, c1, *box = _in_frame(piece, f)
+                    for t in {lo + 1, hi - 1}:
+                        if lo < t < hi:
+                            assert _eight_steps(walk, k, t, f) == (
+                                k2, t + shift, r, dm, dn, c0 + c1 * t, *box)
+                            seen["pieces"] += 1
+                    if hi < cuts[k][-1]:
+                        with pytest.raises(CornerHit):
+                            _eight_steps(walk, k, hi, f)
+                        seen["breakpoints"] += 1
                 lo = hi
         seen["classes"].add(params.parity_class)
         seen["bits"] = max(seen["bits"], walk.lattice.N.bit_length())
@@ -1187,17 +1248,19 @@ def test_power_map_pieces_match_eight_single_steps():
 
 def _assert_lazy_equals_eager(params, slope, n0, rng):
     """Every piece and breakpoint of the lazy power map against the eager
-    table, looked up in random order at random points; then the intervals
-    the lazy map knows are all of the eager table's."""
-    cuts, pieces = eager_power_map(params, slope.u, slope.v, n0)
+    table on the quotient, looked up in random order at random points;
+    then the intervals the lazy map knows are all of the eager table's,
+    each piece in the 4 frames.  Returns the counts of (piece, frame)
+    entries and of run pieces compared."""
+    cuts, pieces = quotient_table(*eager_power_map(params, slope.u, slope.v,
+                                                   n0))
     lazy = billiard._PowerMap(params, slope.u, slope.v, n0)
     probes = []
-    for k in range(len(DOMAINS)):
+    for k in (0, 1):
         lo = 0
         for hi, piece in zip(cuts[k], pieces[k]):
             probes.append((k, rng.randint(lo + 1, hi - 1),
-                           (lo, hi, (*piece, piece[0] == k and not piece[1]
-                                     and piece[2] != 0))))
+                           (lo, hi, (*piece, _run_of(k)(piece)))))
             if hi < cuts[k][-1]:
                 probes.append((k, hi, None))
             lo = hi
@@ -1208,28 +1271,28 @@ def _assert_lazy_equals_eager(params, slope, n0, rng):
         assert want is None or not want[2][-1] or want[2][6] == 0
     edges, rows = lazy.top()
     assert edges == [[0, *cs] for cs in cuts]
-    assert rows == [
-        [None, *((*p, p[0] == k and not p[1] and p[2] != 0) for p in row)]
-        for k, row in enumerate(pieces)]
-    return sum(map(len, cuts)), sum(p[-1] for row in rows for p in row[1:])
+    assert rows == [_framed_row(row, _run_of(k))
+                    for k, row in enumerate(pieces)]
+    return 4 * sum(map(len, cuts)), sum(p[0][-1] for row in rows
+                                        for p in row[1:])
 
 
 def test_table_level_zero_is_the_return_map_scaled():
     # level 0 of the table an orbit steps on, and its corners, against the
-    # return map scaled by n0 > 1 in the tests' own code: random tables of
-    # all three parity classes, exact slopes and directions quantized at
-    # 16-96 bits
+    # 8-domain return map scaled by n0 > 1 in the tests' own code, on the
+    # quotient: random tables of all three parity classes, exact slopes
+    # and directions quantized at 16-96 bits
     rng = random.Random(20)
     classes = set()
     for case in range(30):
         pqrs, slope = _random_table_and_direction(rng, case)
         params = classify_params(*pqrs)
         n0 = rng.randint(2, 2**12)
-        cuts, pieces, corners = scaled_return_map(params, slope.u, slope.v,
-                                                  n0)
+        cuts, pieces, corners = quotient_table(
+            *scaled_return_map(params, slope.u, slope.v, n0))
         tables = billiard._power_map(params, slope.u, slope.v, n0)
         assert tables.edges[0] == [[0, *cs] for cs in cuts]
-        assert tables.rows[0] == [[None, *((*p, False) for p in row)]
+        assert tables.rows[0] == [_framed_row(row, lambda p: False)
                                   for row in pieces]
         assert tables.corners == [(None, *cs) for cs in corners]
         # every breakpoint has a corner, the side length none
@@ -1268,17 +1331,18 @@ def test_lazy_power_pieces_equal_the_eager_table():
 
 
 def test_run_equals_its_repeats_one_power_step_at_a_time():
-    # every piece of T^8 that maps its domain to itself, unflipped, taken
-    # by one `Orbit.advance` against its repeats taken one at a time: on
-    # 96-bit directions just above and just below slope 1 on 2/3,2/3, the
-    # Fibonacci slopes on 1/2,1/2 and random tables; from random points of
-    # the piece's interval and from points a few repeats from its edge, so
-    # that runs end at the edge and the orbit goes on past it; with counts
-    # that cut the run short and with stop cells inside and outside the
-    # repeats' boxes
+    # every run piece of T^8 on the quotient (back in its domain with
+    # label 0) taken by one `Orbit.advance` against its repeats taken one
+    # at a time: on 96-bit directions just above and just below slope 1 on
+    # 2/3,2/3, the Fibonacci slopes on 1/2,1/2 and random tables; in a
+    # random frame, from random points of the piece's interval and from
+    # points a few repeats from its edge, so that runs end at the edge and
+    # the orbit goes on past it; with counts that cut the run short and
+    # with stop cells inside and outside the repeats' boxes
     rng = random.Random(1907)
     seen = {"negative": 0, "positive": 0, "edge": 0, "count": 0, "stop": 0,
             "stop_outside": 0}
+    frames = set()
     cases = []
     for theta in ("1.0000003", "0.9999997", "1.0000005", "0.99999931"):
         cases.append((TWO_THIRDS,
@@ -1297,14 +1361,15 @@ def test_run_equals_its_repeats_one_power_step_at_a_time():
             start = make_state(params, (0, 0), s.side, s.offset, slope,
                                s.orientation)
         walk = Orbit(start, params)
-        table = eager_power_map(params, slope.u, slope.v, walk.n0)
+        table = quotient_table(*eager_power_map(params, slope.u, slope.v,
+                                                walk.n0))
         for k, (cs, row) in enumerate(zip(*table)):
             for i, (lo, hi) in enumerate(zip((0, *cs), cs)):
-                k2, flip, shift, dm, dn, *_, = row[i]
-                if k2 != k or flip or not shift:
+                if not _run_of(k)(row[i]):
                     continue
+                shift = row[i][2]
                 length = (hi - lo - 1) // abs(shift)  # repeats across
-                for _ in range(2):
+                for _ in range(8):
                     if rng.random() < 0.5:
                         # a few repeats from the edge it moves to
                         j = rng.randint(0, min(length, 6))
@@ -1312,6 +1377,9 @@ def test_run_equals_its_repeats_one_power_step_at_a_time():
                             else lo + 1 - j * shift
                     else:
                         t = rng.randint(lo + 1, hi - 1)
+                    f = rng.randrange(4)
+                    _, _, _, dm, dn, _, _, plo, phi, qlo, qhi = \
+                        _in_frame(row[i], f)
                     cell = (rng.randint(-9, 9), rng.randint(-9, 9))
                     left = ((hi - 1 - t) // shift if shift > 0
                             else (t - lo - 1) // -shift) + 1
@@ -1322,7 +1390,6 @@ def test_run_equals_its_repeats_one_power_step_at_a_time():
                         # a cell of a later repeat's box, or one beside the
                         # whole run
                         j = rng.randint(1, max(1, min(left, 400) - 1))
-                        plo, phi, qlo, qhi = row[i][7:11]
                         if rng.random() < 0.7:
                             stop_cell = (cell[0] + j * dm
                                          + rng.randint(plo, phi),
@@ -1331,10 +1398,11 @@ def test_run_equals_its_repeats_one_power_step_at_a_time():
                         else:
                             stop_cell = (cell[0] + left * abs(dm) + 99,
                                          cell[1] - left * abs(dn) - 99)
-                    state = (k, t, *cell)
+                    state = (k, t, f, *cell)
                     want = _power_steps(walk, table, state, count, stop_cell)
-                    assert walk.advance(*state, count, stop_cell)[:10] == \
-                        want[:10]
+                    assert walk.advance(*state, count, stop_cell)[:11] == \
+                        want[:11]
+                    frames.add(f)
                     seen["negative" if shift < 0 else "positive"] += 1
                     reps = count // 8
                     if stop_cell is not None:
@@ -1344,6 +1412,7 @@ def test_run_equals_its_repeats_one_power_step_at_a_time():
                         seen["edge"] += 1
                     else:
                         seen["count"] += 1
+    assert frames == {0, 1, 2, 3}
     assert min(seen.values()) >= 10, seen
 
 
@@ -1369,15 +1438,16 @@ def test_negative_collision_count_is_rejected():
 
 
 def _classify_reference(start, params, cap):
-    """The first reduced repeat within ``cap`` collisions, found by storing
-    every reduced state: (outcome, step of the repeated state's first
-    visit), or (None, None) when nothing repeats."""
-    walk = Orbit(start, params)
-    vN = start.slope.v * walk.lattice.N
-    seen = {(walk.k, walk.t): (0, start.cell, 0)}
+    """The first reduced repeat within ``cap`` collisions on the 8
+    domains, found by storing every reduced state: (outcome, step of the
+    repeated state's first visit), or (None, None) when nothing
+    repeats."""
+    lat, k0, t0 = eight_domain_state(params, start)
+    vN = start.slope.v * lat.N
+    seen = {(k0, t0): (0, start.cell, 0)}
     i = total = 0
     try:
-        for k, t, m, n, adx in islice(walk, cap):
+        for k, t, m, n, adx in islice(eight_domain_steps(params, start), cap):
             i += 1
             total += adx
             if (k, t) in seen:
@@ -1430,7 +1500,7 @@ def test_first_reduced_repeat_near_corridor_property(pqrs, cdef, K, pick, cell):
     c, d, e, f = cdef
     slope = Slope(c * K + e, d * K + f)
     assert_resolved(params, slope)
-    cuts = _return_map(params, slope.u, slope.v)[0]
+    cuts = eight_domain_return_map(params, slope.u, slope.v)[0]
     gaps = long_pieces(params, slope)
     if not gaps:
         return
@@ -1514,18 +1584,18 @@ def test_side_offset_inverts_make_state_property(pqrs, side, cell, num, den,
 
 
 def _stepped_outcome(start, params, cap):
-    """classify_trajectory by plain stepping: back on the start state, a
-    corner, or exactly ``cap`` collisions (a corner right after the cap
-    still counts)."""
-    walk = Orbit(start, params)
-    vN = start.slope.v * walk.lattice.N
-    steps = iter(walk)
+    """classify_trajectory by plain stepping on the 8 domains: back on the
+    start state, a corner, or exactly ``cap`` collisions (a corner right
+    after the cap still counts)."""
+    lat, k0, t0 = eight_domain_state(params, start)
+    vN = start.slope.v * lat.N
+    steps = eight_domain_steps(params, start)
     i = total = 0
     try:
         for k, t, m, n, adx in islice(steps, cap):
             i += 1
             total += adx
-            if (k, t) == (walk.k, walk.t):
+            if (k, t) == (k0, t0):
                 drift = (m - start.cell[0], n - start.cell[1])
                 kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
                 return TrajectoryOutcome(kind, i, Fraction(total, vN), drift,
@@ -1548,13 +1618,20 @@ def _state_at(params, slope, k, t, n0, cell=(0, 0)):
                          cell, orientation, slope)
 
 
+def _quotient_state_at(params, slope, k, t, n0, cell=(0, 0)):
+    """The boundary state at quotient state (k, t, 0) (lattice scale n0):
+    offset t on domain 0, or the side's length less t on domain 4."""
+    length = n0 * _return_map(params, slope.u, slope.v)[0][k][-1]
+    return _state_at(params, slope, 4 * k, length - t if k else t, n0, cell)
+
+
 def _interval_end_starts(params, slope):
     """Starts on both ends of every landmark interval the store holds
     (domain ends excluded): each lies on a saddle connection."""
     store = _cycle_store(params, slope.u, slope.v)
     cuts = _return_map(params, slope.u, slope.v)[0]
-    return [_state_at(params, slope, k, t, 1)
-            for k in range(len(DOMAINS))
+    return [_quotient_state_at(params, slope, k, t, 1)
+            for k in (0, 1)
             for t in sorted(set(store.los[k]) | set(store.his[k]))
             if 0 < t < cuts[k][-1]]
 
@@ -1593,8 +1670,9 @@ def test_cycle_store_classify_matches_stepping_property(pqrs, uv, data, cap,
 
 
 def test_cycle_store_answers_a_second_start_without_a_walk(monkeypatch):
-    # two starts on the 21,892-collision cycle of 4181/6765, a lattice
-    # scale apart; the second is answered by a walk to a landmark
+    # two starts on the 21,892-collision cycle of 4181/6765, closed at half
+    # its period, a lattice scale apart; the second is answered by a walk
+    # to a landmark
     slope = Slope(4181, 6765)
     _cycle_store.cache_clear()
     first, out = regular_start(HALF, slope)
@@ -1602,12 +1680,14 @@ def test_cycle_store_answers_a_second_start_without_a_walk(monkeypatch):
     store = _cycle_store(HALF, slope.u, slope.v)
     assert len(store.cycles) == 1
     cyc = store.cycles[0]
-    assert cyc.length == 21892 and cyc.drift == (0, 0)
+    assert cyc.length == 10946 and cyc.reflection
+    assert cyc.orbit(0)[:2] == (21892, (0, 0))
     # the same leaf family, 1/3 of the way into the recorded interval
     k = cyc.k[0]
     n0 = 3
-    second = _state_at(HALF, slope, k, n0 * cyc.lo + (cyc.hi - cyc.lo), n0,
-                       cell=(2, -1))
+    second = _quotient_state_at(HALF, slope, k,
+                                n0 * cyc.lo + (cyc.hi - cyc.lo), n0,
+                                cell=(2, -1))
 
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a recorded cycle")
@@ -1635,11 +1715,12 @@ def _mirror_state(state, fx, fy):
 
 
 def _stepped_first_return(start, params, horizon):
-    """first_return of a start that meets no corner, by plain stepping."""
-    walk = Orbit(start, params)
-    vN = start.slope.v * walk.lattice.N
+    """first_return of a start that meets no corner, by plain stepping on
+    the 8 domains."""
+    vN = start.slope.v * eight_domain_state(params, start)[0].N
     total = 0
-    for i, (_k, _t, m, n, adx) in enumerate(islice(walk, horizon), 1):
+    for i, (_k, _t, m, n, adx) in enumerate(
+            islice(eight_domain_steps(params, start), horizon), 1):
         total += adx
         cell = (m - start.cell[0], n - start.cell[1])
         if cell == (0, 0):
@@ -1679,47 +1760,38 @@ def test_cycle_store_answers_mirror_images_without_a_walk(uv, monkeypatch):
     assert len(store.cycles) == 1
 
 
-def _located_by_four_walks(store, walk):
-    """What locating the start of ``walk`` answers when the start and each
-    of its reflections are walked in turn, each to the first landmark it
-    reaches: the four answers, None where a walk reaches none."""
-    out = []
-    n0 = walk.n0
-    for (sx, sy), kmap in billiard._REFLECTIONS:
-        k, t = walk.k, walk.t
-        if (sy if k < 4 else sx) < 0:
-            t = walk.tables.edges[0][k][-1] - t
-        k = k0 = kmap[k]
-        t0, m, n, ext, found = t, 0, 0, 0, None
-        steps = walk.steps(k, t, 0, 0)
-        for s in range(billiard._LANDMARK_EVERY):
-            i = bisect_right(store.los[k], (t - 1) // n0) - 1
-            if i >= 0 and t < n0 * store.his[k][i]:
+def _located_by_walking(store, walk):
+    """What locating the start of ``walk`` answers when it is walked on
+    single steps to the first state inside a landmark interval: None where
+    it reaches none within a landmark block, a corner or its own
+    return."""
+    n0, k0, t0 = walk.n0, walk.k, walk.t
+    k, t, r = k0, t0, walk.r
+    steps = walk.steps(k, t, r, 0, 0)
+    m = n = ext = 0
+    for s in range(billiard._LANDMARK_EVERY):
+        for i, (lo, hi) in enumerate(zip(store.los[k], store.his[k])):
+            if n0 * lo < t < n0 * hi:
                 ci, b = divmod(store.refs[k][i], 1 << 32)
-                found = (store.cycles[ci], b, s, m, n, ext, t), (sx, sy)
-                break
-            if s and (k, t) == (k0, t0):
-                break
-            try:
-                k, t, m, n, adx = next(steps)
-            except CornerHit:
-                break
-            ext += adx
-        out.append(found)
-    return out
+                return store.cycles[ci], b, s, m, n, ext, t, r
+        if s and (k, t) == (k0, t0):
+            return None
+        try:
+            k, t, r, m, n, adx = next(steps)
+        except CornerHit:
+            return None
+        ext += adx
+    return None
 
 
 def test_locate_walks_once_and_answers_as_four_walks():
-    # one walk of the start, each state looked up under every reflection,
-    # answers what walking the start and then each reflection of it does:
-    # the first reflection in order that reaches a landmark, the identity
-    # first, also where a later one reaches a landmark sooner.  A cycle's
-    # landmarks are mirror images under its own reflection, and a start
-    # whose reflection lies on a recorded cycle is not walked, so only a
-    # store that holds a cycle and a reflected image of it (every cycle,
-    # as the census walks them) has a later reflection reach one sooner.
+    # the start and its three images under the table's reflections are one
+    # state of the quotient: locating each answers what walking the start
+    # to its first landmark does, with the cells walked reflected and the
+    # frame composed with the reflection.  Stores filled by the census
+    # (every cycle of the direction) and by a few classified starts
     rng = random.Random(37)
-    seen = {"identity": 0, "reflected": 0, "none": 0, "precedence": 0}
+    seen = {"found": 0, "none": 0, "reflected cycle": 0}
 
     def random_start(params, slope):
         side = rng.choice((LEFT, RIGHT, BOTTOM, TOP))
@@ -1747,16 +1819,22 @@ def test_locate_walks_once_and_answers_as_four_walks():
                 classify_trajectory(random_start(pqrs, slope), params, 5000)
         store = _cycle_store(params, slope.u, slope.v)
         for _ in range(20):
-            walk = Orbit(random_start(pqrs, slope), params)
-            answers = _located_by_four_walks(store, walk)
-            want = next((a for a in answers if a is not None), None)
-            assert store.locate(walk) == want
+            start = random_start(pqrs, slope)
+            want = _located_by_walking(store, Orbit(start, params))
+            for fx, fy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                got = store.locate(Orbit(_mirror_state(start, fx, fy),
+                                         params))
+                if want is None:
+                    assert got is None
+                    continue
+                cyc, b, s, m, n, ext, t, r = want
+                assert got == (cyc, b, s, -m if fx else m, -n if fy else n,
+                               ext, t, r ^ (fx | 2 * fy))
             if want is None:
                 seen["none"] += 1
                 continue
-            seen["identity" if want is answers[0] else "reflected"] += 1
-            seen["precedence"] += any(a is not None and a[0][2] < want[0][2]
-                                      for a in answers)
+            seen["found"] += 1
+            seen["reflected cycle"] += bool(want[0].reflection)
     assert min(seen.values()) >= 10, seen
 
 
@@ -1776,14 +1854,15 @@ def test_direction_cycles_are_recorded_whole():
         assert all(h0 <= l1 for (_, h0), (l1, _) in zip(pairs, pairs[1:]))
     for cyc, phases in cycles:
         assert len(phases) == cyc.length
-        for q, k, interval in zip(cyc.phase, cyc.k, cyc.intervals()):
-            assert phases[q] == (k, *interval)
+        for q, k, r, interval in zip(cyc.phase, cyc.k, cyc.r,
+                                     cyc.intervals()):
+            assert phases[q] == (k, *interval, r)
 
 
 def _long_flight_starts(params, slope, count):
     """Starts inside the first ``count`` pieces of long flights, at
     lattice scale 3."""
-    cuts = _return_map(params, slope.u, slope.v)[0]
+    cuts = eight_domain_return_map(params, slope.u, slope.v)[0]
     return [_state_at(params, slope, k, (cuts[k][i - 1] if i else 0) * 3 + 2,
                       3) for k, i in long_pieces(params, slope)[:count]]
 
@@ -1815,50 +1894,48 @@ _SWEEP_TABLES = ("1/2,1/2", "2/3,2/3", "1/3,1/3", "1/5,2/7", "4/13,4/5",
 
 def test_cycles_meet_a_reflection_of_their_start_only_at_half_the_period():
     # the fact the recording walk closes on: every cycle of the census,
-    # stepped on single pieces from a start inside it, meets one of the
-    # three reflections of its start at most once, at half its period,
+    # stepped on the 8 domains from a start inside it, meets one of the
+    # three reflections S of its start at most once, at half its period,
     # and its drift is then d + S*d with d the cell there; every closed
     # cycle meets one, no strip with an oblique drift does.  The recording
-    # walk closed there when that half is at least one landmark block,
-    # and walked the whole period otherwise
+    # walk closed at its first return to the quotient start, so its cycle
+    # is that half, with the reflection S, or the whole period, with none
     G = billiard._LANDMARK_EVERY
     seen = {"closed": 0, "axis strip": 0, "axis strip meets": 0,
             "oblique strip": 0}
-    closes = {"at half": 0, "whole, half too short": 0}
+    closes = {"at half": 0, "whole": 0}
     for text in _SWEEP_TABLES:
         params = Params.parse(text)
-        for slope in mediant_enumerate(8):
+        for slope in mediant_enumerate(9):
             if slope.is_axis:
                 continue
             _cycle_store.cache_clear()
             for cyc, _ in direction_cycles(params, slope)[0]:
-                walk = Orbit(_state_at(params, slope, cyc.k[0],
-                                       2 * cyc.lo + 1, 2), params)
-                k0, t0 = walk.k, walk.t
-                length = walk.tables.edges[0][k0][-1]
-                images = {(kmap[k0], length - t0
-                           if billiard._reverses(k0, sx, sy) else t0): (sx, sy)
-                          for (sx, sy), kmap in billiard._REFLECTIONS[1:]}
+                start = _quotient_state_at(params, slope, cyc.k[0],
+                                           2 * cyc.lo + 1, 2)
+                images = {eight_domain_state(
+                    params, _mirror_state(start, fx, fy))[1:]: (fx, fy)
+                    for fx, fy in ((1, 0), (0, 1), (1, 1))}
+                home = eight_domain_state(params, start)[1:]
                 met = []
-                for j, (k, t, m, n, _) in enumerate(walk, 1):
-                    if (k, t) == (k0, t0):
+                for j, (k, t, m, n, _) in enumerate(
+                        eight_domain_steps(params, start), 1):
+                    if (k, t) == home:
                         break
                     if (k, t) in images:
                         met.append((j, m, n, images[k, t]))
-                L, (dm, dn) = cyc.length, cyc.drift
+                L, (dm, dn), _ = cyc.orbit(cyc.r[0])
                 assert (j, m, n) == (L, dm, dn)
-                half = L
                 if met:
-                    [(j, m, n, (sx, sy))] = met
-                    assert 2 * j == L and (dm, dn) == (m + sx * m, n + sy * n)
-                    if j >= G:
-                        half = j
-                        closes["at half"] += 1
-                    else:
-                        closes["whole, half too short"] += 1
-                first = list(range(0, half, G))
-                assert cyc.phase == (first if half == L else
-                                     first + [half + q for q in first])
+                    [(j, m, n, (fx, fy))] = met
+                    assert 2 * j == L and cyc.length == j
+                    assert (dm, dn) == (0 if fx else 2 * m, 0 if fy else 2 * n)
+                    assert cyc.reflection == fx | 2 * fy
+                    closes["at half"] += 1
+                else:
+                    assert cyc.length == L and cyc.reflection == 0
+                    closes["whole"] += 1
+                assert cyc.phase == list(range(0, cyc.length, G))
                 if (dm, dn) == (0, 0):
                     assert met
                     seen["closed"] += 1
@@ -1920,7 +1997,8 @@ def test_walk_steps_half_the_period(uv, seed, L, monkeypatch):
 
     monkeypatch.setattr(Orbit, "advance", unlogged_advance)
     res = billiard._walk_period(walk, 10**6, billiard._CycleStore())
-    assert res.cycle.length == res.steps == L
+    assert res.cycle.length == res.steps == L // 2
+    assert res.cycle.reflection and res.cycle.orbit(0)[0] == L
     stepped = sum(1 if table == "single" else 8
                   for table, _, _, piece in log if piece is not None)
     assert L // 2 <= stepped <= L // 2 + 8
@@ -1928,16 +2006,16 @@ def test_walk_steps_half_the_period(uv, seed, L, monkeypatch):
 
 # -- the recording walk on the power map ---------------------------------
 
-_CYCLE_COLUMNS = ("length", "drift", "extent", "lo", "hi", "span", "phase",
-                  "k", "sign", "off", "cm", "cn", "ea", "mlo", "mhi", "nlo",
-                  "nhi")
+_CYCLE_COLUMNS = ("length", "reflection", "drift", "extent", "lo", "hi",
+                  "span", "phase", "k", "r", "off", "cm", "cn", "ea", "mlo",
+                  "mhi", "nlo", "nhi")
 
 
 def _walk_record(res):
     """A `_Walk` as plain data: every field, with the corner as its point
     and the cycle as every column."""
     corner = res.corner and (res.corner.x, res.corner.y)
-    cycle = res.cycle and [list(getattr(res.cycle, c)) if c in ("k", "sign")
+    cycle = res.cycle and [list(getattr(res.cycle, c)) if c in ("k", "r")
                            else getattr(res.cycle, c) for c in _CYCLE_COLUMNS]
     return res._replace(corner=corner, cycle=cycle)
 
@@ -1970,11 +2048,22 @@ def test_power_walk_records_the_bench_slopes_as_single_steps(slope):
             assert want.cycle is not None or want.returned
 
 
+def test_power_walk_stops_in_the_start_cell_on_a_box_edge():
+    # a walk to the start cell, past its 512th collision, whose return
+    # falls inside a piece of T^8 whose box has the start cell on its edge
+    params = classify_params(2, 7, 3, 4)
+    start = make_state(params, (-1, 2), RIGHT, Fraction(103111, 917504),
+                       Slope(66, 47), (1, 1))
+    got, want = _walk_both_ways(params, start, 30000, to_cell=True)
+    assert got == want
+    assert want.returned and want.steps > billiard._POWER_FROM
+
+
 def _indexed_one_landmark_at_a_time(cycles):
     """The per-domain intervals of the cycles' landmarks, each landmark
     bisected into place and checked against its neighbours: (los, his,
     refs) as `_CycleStore` keeps them."""
-    los, his, refs = ([[] for _ in DOMAINS] for _ in range(3))
+    los, his, refs = ([[], []] for _ in range(3))
     for c, cyc in enumerate(cycles):
         for b, (k, (lo, hi)) in enumerate(zip(cyc.k, cyc.intervals())):
             i = bisect_left(los[k], lo)
@@ -2014,7 +2103,7 @@ def test_cycle_store_merges_landmarks_as_one_at_a_time_inserts():
         cyc = store.cycles[-1]
         part = billiard._Cycle()
         part.k.append(cyc.k[-1])
-        part.sign.append(cyc.sign[-1])
+        part.r.append(cyc.r[-1])
         part.off = [cyc.off[-1] + (cyc.hi - cyc.lo) // 2]
         part.lo, part.hi = cyc.lo, cyc.hi
         with pytest.raises(AssertionError, match="overlap"):
@@ -2024,9 +2113,12 @@ def test_cycle_store_merges_landmarks_as_one_at_a_time_inserts():
     assert recorded >= 10, recorded
 
 
-# Tables with cycles longer than _POWER_FROM of each even period mod 8.
+# Tables with cycles longer than _POWER_FROM: of each even length mod 8 on
+# the 8 domains, and of odd lengths on the quotient (closed at half).
 _LONG_CYCLE_TABLES = (((5, 7, 5, 9), (5, 4)), ((2, 7, 3, 4), (66, 47)),
-                      ((8, 9, 7, 8), (38, 51)), ((1, 2, 8, 9), (43, 59)))
+                      ((8, 9, 7, 8), (38, 51)), ((1, 2, 8, 9), (43, 59)),
+                      ((1, 7, 5, 8), (54, 47)), ((3, 7, 5, 9), (61, 52)),
+                      ((3, 7, 7, 8), (23, 89)), ((5, 12, 4, 5), (98, 9)))
 
 
 def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
@@ -2034,10 +2126,11 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
     # tables with long cycles; starts at lattice scales n0 > 1 in random
     # cells, walked whole or to the start cell, with limits that cut a
     # walk mid-block or at a non-multiple of 8; starts that run into a
-    # corner inside a power piece.  Periods are even (each orientation
-    # sign flips an even number of times), and closed periods of every
-    # even residue mod 8 are seen; returns to the start cell and corners
-    # come at odd counts too.
+    # corner inside a power piece.  Periods on the 8 domains are even (each
+    # orientation sign flips an even number of times), but a cycle closed at
+    # half its period on the quotient can be odd: closed cycles of every
+    # residue mod 8 are seen; returns to the start cell and corners come
+    # at odd counts too.
     for k, (side, (sx, sy)) in enumerate(DOMAINS):
         # the walk finds the start's predecessors by time reversal
         assert DOMAINS[k ^ 1] == (side, leaving_orientation(side, (-sx, -sy)))
@@ -2097,7 +2190,7 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
             seen["limit"] += limit % 8 != 0
             seen["mid-block"] += limit % 8 == 0 != limit % 32
     assert seen.pop("classes") == set(ParityClass)
-    assert seen.pop("residues") == {0, 2, 4, 6}
+    assert seen.pop("residues") == set(range(8))
     assert min(seen.values()) >= 5 and len(reads) > 5000, seen
     # the module cache's tables for the same keys log nothing
     for key in tables:

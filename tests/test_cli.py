@@ -304,6 +304,23 @@ def _one_line_error(code, err):
             and len(err.splitlines()) == 1)
 
 
+@pytest.mark.parametrize("how", ["option", "json"])
+def test_huge_precision_bits_is_one_line_error(tmp_path, capsys, how):
+    # 2^-bits is never formed: the bound is checked before any shift
+    bits = "1000000000000"
+    if how == "option":
+        argv = ["--params", "1/2,1/2", "--theta", "0.3",
+                "--precision-bits", bits]
+    else:
+        jf = tmp_path / "c.json"
+        jf.write_text('{"params": "1/2,1/2", "theta": "0.3", '
+                      '"precision_bits": %s}' % bits)
+        argv = ["--json-config", str(jf)]
+    code, out, err = run(capsys, "recur", *argv)
+    assert _one_line_error(code, err) and out == ""
+    assert "at most 65536 bits of direction precision" in err
+
+
 def test_json_config_unknown_key_is_one_line_error(tmp_path, capsys):
     jf = tmp_path / "c.json"
     jf.write_text('{"params": "1/2,1/2", "not_a_key": 1}')

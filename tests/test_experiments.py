@@ -22,7 +22,8 @@ from windtree.experiments import (Approximant, DiffusionSample, DirectionSpec,
                                   sample_boundary_starts, stability_check)
 
 from grid_stepper import assert_resolved, long_pieces
-from support import path_length
+from support import (eight_domain_return_map, eight_domain_state,
+                     eight_domain_steps, path_length)
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -163,18 +164,19 @@ def test_shadow_guard_detects_coarse_direction():
 
 
 def _sample_reference(params, slope, start, horizon):
-    """The recurrence sample stepped collision by collision to the first
-    return or the horizon."""
-    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
-                            start.orientation), params)
-    vN = slope.v * walk.lattice.N
+    """The recurrence sample stepped collision by collision, on the 8
+    domains, to the first return or the horizon."""
+    state = make_state(params, (0, 0), start.side, start.offset, slope,
+                       start.orientation)
+    vN = slope.v * eight_domain_state(params, state)[0].N
     total = m = n = 0
 
     def result(outcome, first, drift):
         return SampleResult(start.sample_id, start.side, start.offset, outcome,
                             first, drift, Fraction(total, vN))
     try:
-        for i, (_k, _t, m, n, adx) in enumerate(islice(walk, horizon), 1):
+        for i, (_k, _t, m, n, adx) in enumerate(
+                islice(eight_domain_steps(params, state), horizon), 1):
             total += adx
             if m == 0 and n == 0:
                 return result("returned", i, (0, 0))
@@ -261,24 +263,27 @@ def test_shadow_guard_checks_past_the_period():
 
 
 def _reference_shadowed_sample(params, slope, start, horizon, shadow_slope):
-    # the lockstep loop: primary and shadow one collision at a time
-    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
-                            start.orientation), params)
-    vN = slope.v * walk.lattice.N
-    sh_walk = Orbit(make_state(params, (0, 0), start.side, start.offset,
-                               shadow_slope, start.orientation), params)
-    shadow = iter(sh_walk)
+    # the lockstep loop: primary and shadow one collision at a time, on
+    # the 8 domains
+    state, sh_state = (make_state(params, (0, 0), start.side, start.offset,
+                                  s, start.orientation)
+                       for s in (slope, shadow_slope))
+    lat, sh_lat = (eight_domain_state(params, s)[0]
+                   for s in (state, sh_state))
+    vN = slope.v * lat.N
+    shadow = eight_domain_steps(params, sh_state)
 
     def check_shadow(i, cur, sh_cur):
-        p, q = walk.position(*cur), sh_walk.position(*sh_cur)
-        dx, dy = abs(p.x - q.x), abs(p.y - q.y)
+        (X, Y), (sX, sY) = lat.point(*cur), sh_lat.point(*sh_cur)
+        dx = abs(Fraction(X, lat.N) - Fraction(sX, sh_lat.N))
+        dy = abs(Fraction(Y, lat.N) - Fraction(sY, sh_lat.N))
         tolerance = experiments.SHADOW_TOLERANCE
         if dx > tolerance or dy > tolerance:
             raise PrecisionError(
                 f"shadow divergence {float(max(dx, dy)):.3e} at "
                 f"collision {i} exceeds 2^-30")
 
-    steps = iter(walk)
+    steps = eight_domain_steps(params, state)
     total_dx = 0
     m = n = 0
     for i in range(1, horizon + 1):
@@ -378,8 +383,8 @@ def test_shadowed_sample_advances_from_checkpoint_to_checkpoint(monkeypatch):
     calls = []
     advance = Orbit.advance
 
-    def counted(self, k, t, m, n, count, stop_cell=None):
-        got = advance(self, k, t, m, n, count, stop_cell)
+    def counted(self, k, t, r, m, n, count, stop_cell=None):
+        got = advance(self, k, t, r, m, n, count, stop_cell)
         calls.append((self, count, got[0]))
         return got
 
@@ -460,18 +465,19 @@ def test_diffusion_early_stop():
 
 
 def _reference_diffusion_sample(params, slope, start, k, horizon, stop_at):
-    # the step-by-step loop: the exact statistic at every step
-    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
-                            start.orientation), params)
-    lattice = walk.lattice
+    # the step-by-step loop on the 8 domains: the exact statistic at every
+    # step
+    state = make_state(params, (0, 0), start.side, start.offset, slope,
+                       start.orientation)
+    lattice, k0, t0 = eight_domain_state(params, state)
     N = lattice.N
-    X0, Y0 = lattice.point(walk.k, walk.t, 0, 0)
+    X0, Y0 = lattice.point(k0, t0, 0, 0)
     speed = math.hypot(slope.u, slope.v) / slope.v  # time per unit of X-extent
     best = 0.0
     best_t = 0.0
     witnesses = []
     total_dx = 0
-    steps = iter(walk)
+    steps = eight_domain_steps(params, state)
     i = 0
     for i in range(1, horizon + 1):
         try:
@@ -876,7 +882,7 @@ def test_run_sample_returns_inside_its_own_block():
 def _long_flight_start(params, slope, k, i, sample_id=0):
     """The sample start 2/3 above the low end (at n0 = 1) of piece i of
     domain k."""
-    cuts = _return_map(params, slope.u, slope.v)[0]
+    cuts = eight_domain_return_map(params, slope.u, slope.v)[0]
     side, orient = DOMAINS[k]
     unit = Fraction(slope.u if k < 4 else slope.v,
                     2 * params.q * params.s * slope.u * slope.v)
