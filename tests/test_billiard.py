@@ -1,5 +1,5 @@
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm

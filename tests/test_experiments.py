@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from windtree import billiard, experiments
 from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, Orbit,
-                               Outcome, _cycle_store, _return_map,
-                               classify_trajectory, make_state)
+                               Outcome, _cycle_store, classify_trajectory,
+                               make_state)
 from windtree.errors import CornerHit, DomainError, PrecisionError
 from windtree.exact import Params, ParityClass, Slope, classify_params
 from windtree.experiments import (Approximant, DiffusionSample, DirectionSpec,
