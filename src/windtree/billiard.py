@@ -574,13 +574,11 @@ def _return_map(params: Params, u: int, v: int) -> tuple:
 
 
 # `Orbit.advance` steps on the power map T^_POWER in calls of at least
-# _BLOCK collisions, and `_walk_period` past _POWER_FROM collisions, about
-# what a build of the whole power map costs in single steps.  Diffusion
-# samples advance in blocks of _BLOCK, and shadowed recurrence samples from
-# checkpoint to checkpoint.
+# _BLOCK collisions.  Diffusion samples advance in blocks of _BLOCK, and
+# shadowed recurrence samples from checkpoint to checkpoint.  A recording
+# walk climbs the tower higher, to T^_LANDMARK_EVERY (`_walk_period`).
 _BLOCK = 64
 _POWER = 8
-_POWER_FROM = 512
 _TOP = _POWER.bit_length() - 1  # the level of T^_POWER in `_PowerMap`
 
 
@@ -596,12 +594,12 @@ def _framed(piece: tuple) -> tuple:
 
 class _PowerMap:
     """The table an orbit of slope u/v at lattice scale n0 steps on: the
-    return map T on the quotient, scaled by n0, and T^_POWER, the map
-    applied _POWER times, composed one piece at a time where an orbit
-    first lands.
+    return map T on the quotient, scaled by n0, and its powers T^P, the
+    map applied P = 2, 4, 8, ... times, composed one piece at a time where
+    an orbit first lands.
 
-    T^_POWER is a piecewise translation too, with breakpoints where one of
-    the _POWER steps starts from a corner.  Its piece at (k, t) is kept as
+    T^P is a piecewise translation too, with breakpoints where one of the
+    P steps starts from a corner.  Its piece at (k, t) is kept as
     the 4 tuples that `_framed` makes of (k', r, shift, dm, dn, c0, c1,
     mlo, mhi, nlo, nhi, run): it maps the open interval around t by
     t' = t + shift into domain k' with label r, moves the cell by (dm, dn)
@@ -611,21 +609,21 @@ class _PowerMap:
     0 and shift != 0: an orbit repeats it while t stays in its interval,
     flying c0 each time (`Orbit.advance`).
 
-    The map is kept as a tower T, T^2, T^4, ..., each level per domain a
-    sorted list of the breakpoints known so far, from 0 to the side
-    length, and the rows between them: ``edges[j][k][i]`` ends the open
-    interval from ``edges[j][k][i - 1]`` whose piece is ``rows[j][k][i]``,
-    or None while it is not composed.  Level 0 is the whole of T: the
-    breakpoints, the shifts and the constant extent terms of `_return_map`
-    scaled by n0, and each piece in the form above, with the box of the
-    one cell it arrives in and no run, as no single piece maps a domain to
-    itself.  ``corners[k][i]`` is `_return_map`'s corner of breakpoint
-    ``edges[0][k][i]``, which does not scale.  A piece of level j is the
-    piece of level j - 1 at t followed by the one at its image, taken in
-    the frame the first one leaves, on the part of the first interval that
-    the second one's preimage covers.  Every interval is a maximal one
-    between breakpoints, so one bisection finds a piece or a breakpoint
-    once it is known; `find` composes it where it is not."""
+    The map is kept as a tower T, T^2, T^4, ..., level j holding T^(2^j),
+    each level per domain a sorted list of the breakpoints known so far,
+    from 0 to the side length, and the rows between them: ``edges[j][k][i]``
+    ends the open interval from ``edges[j][k][i - 1]`` whose piece is
+    ``rows[j][k][i]``, or None while it is not composed.  Level 0 is the
+    whole of T: the breakpoints, the shifts and the constant extent terms of
+    `_return_map` scaled by n0, and each piece in the form above, with the
+    box of the one cell it arrives in and no run, as no single piece maps a
+    domain to itself.  ``corners[k][i]`` is `_return_map`'s corner of
+    breakpoint ``edges[0][k][i]``, which does not scale.  A piece of level j
+    is the piece of level j - 1 at t followed by the one at its image, taken
+    in the frame the first one leaves, on the part of the first interval
+    that the second one's preimage covers.  Every interval is a maximal one
+    between breakpoints, so one bisection finds a piece or a breakpoint once
+    it is known; `find` composes it where it is not."""
 
     __slots__ = ("edges", "rows", "corners")
 
@@ -638,19 +636,20 @@ class _PowerMap:
                       for row in pieces]]
         self.corners = [(None, *cs) for cs in corners]
 
-    def top(self) -> tuple:
-        """(edges, rows) of T^_POWER.  The first call makes the levels above
-        0, with no piece composed: most tables are never stepped on them."""
-        while len(self.edges) <= _TOP:
+    def level(self, j: int) -> tuple:
+        """(edges, rows) of level j, T^(2^j).  The first call makes the
+        levels up to j, with no piece composed: most tables are never
+        stepped on them."""
+        while len(self.edges) <= j:
             self.edges.append([[0, cs[-1]] for cs in self.edges[0]])
             self.rows.append([[None, None] for _ in self.edges[0]])
-        return self.edges[_TOP], self.rows[_TOP]
+        return self.edges[j], self.rows[j]
 
     def find(self, k: int, t: int, level: int = _TOP) -> int:
-        """The index i of t in the lists of domain k on ``level`` (the top
-        one, T^_POWER, by default, made by `top`), composing the piece
-        around t where it is missing: edges[level][k][i] == t where t is a
-        breakpoint, and rows[level][k][i] is the piece around t otherwise."""
+        """The index i of t in the lists of domain k on ``level`` (T^_POWER
+        by default; made by `level`), composing the piece around t where it
+        is missing: edges[level][k][i] == t where t is a breakpoint, and
+        rows[level][k][i] is the piece around t otherwise."""
         cs, row = self.edges[level][k], self.rows[level][k]
         i = bisect_left(cs, t)
         if cs[i] == t or row[i] is not None:
@@ -701,7 +700,7 @@ class _PowerMap:
     def lookup(self, k: int, t: int):
         """(lo, hi, piece) of the piece of T^_POWER around t in domain k,
         in frame 0, or None where t is a breakpoint."""
-        edges, rows = self.top()
+        edges, rows = self.level(_TOP)
         i = self.find(k, t)
         cs = edges[k]
         return None if cs[i] == t else (cs[i - 1], cs[i], rows[k][i][0])
@@ -799,8 +798,8 @@ class Orbit:
         CornerHit the next step runs into, or None.
 
         A call of at least _BLOCK collisions applies pieces of T^_POWER
-        (``tables.top()``) while _POWER or more remain.  It steps single
-        pieces (level 0) for the next _POWER collisions where t is on
+        (``tables.level(_TOP)``) while _POWER or more remain.  It steps
+        single pieces (level 0) for the next _POWER collisions where t is on
         a breakpoint of T^_POWER (a corner within _POWER collisions) or the
         stop cell is in the piece's box, and for the remainder, so every
         answer is the one single steps give.  A run piece is applied r
@@ -821,7 +820,7 @@ class Orbit:
         # single pieces while done < plain or fewer than _POWER remain
         plain = count
         if count >= _BLOCK:
-            find, (pcuts, prows) = tables.find, tables.top()
+            find, (pcuts, prows) = tables.find, tables.level(_TOP)
             plain = 0
         done = 0
         while done < count:
@@ -951,8 +950,9 @@ class _Cycle:
     after the X-extent n0*ea[b] + v*(k[0] - k[b])*tau.  The cells of the
     block's phases lie in the box cm[b] + mlo[b] <= m <= cm[b] + mhi[b],
     cn[b] + nlo[b] <= n <= cn[b] + nhi[b].  Only `_walk_period` makes a
-    cycle, filling the columns while it walks, on T^_POWER after its first
-    _POWER_FROM collisions: every stored cycle was walked and checked.
+    cycle, filling the columns from the landmarks it walked through, on
+    single pieces and on the power map up to T^_LANDMARK_EVERY, one
+    landmark block: every stored cycle was walked and checked.
     """
 
     __slots__ = ("length", "reflection", "drift", "extent", "lo", "hi",
@@ -1089,75 +1089,88 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     the drift d + S*d.  So the walk closes there only when 2j is within
     ``limit``, and otherwise walks on.
 
-    From its landmark at _POWER_FROM collisions on, the walk applies pieces
-    of T^_POWER (``walk.tables.top()``, read as single pieces are read
-    on level 0): their intervals are exactly the starts that take the same
-    single pieces.  It steps single pieces for the next _POWER
-    collisions where a corner, a return to its quotient start (from one of
-    the start's predecessors) or, with ``to_cell``, the start cell lies
-    within them, and for a remainder, so it records what single steps
-    record.
+    The walk climbs the tower of ``walk.tables``: it may step on T^P once
+    it has made 16*P collisions, about what composing the pieces of T^P
+    it meets costs in single steps, up to T^G, one landmark block.  Each
+    step takes the highest level whose P fits the collisions left in the
+    block and that is safe, dropping one level at a time down to single
+    pieces: a level is not safe where t is one of its breakpoints (a
+    corner within P collisions), where the quotient start comes in fewer
+    than P collisions (the start's predecessors, found by time reversal,
+    with their distances to it), or, with ``to_cell``, where the start
+    cell lies in the piece's box.  A piece's interval is exactly the
+    starts that take the same single pieces and its box is theirs, so the
+    walk records what single steps record.
     """
     G = _LANDMARK_EVERY
     tables = walk.tables
+    find = tables.find
     cuts, pieces = tables.edges[0], tables.rows[0]
     k, t, r = k0, t0, r0 = walk.k, walk.t, walk.r
     m, n = sm, sn = walk.cell
     n0, v = walk.n0, walk.lattice.v
     ext = steps = 0
     below, above = t, cuts[k][-1] - t  # the domain's ends, cut by each piece
-    rec = _Cycle()
+    # per landmark, its entry in each column of the cycle: (phase, k, r,
+    # off, cm, cn, ea, mlo, mhi, nlo, nhi)
+    marks = []
     closed, corner, returned = False, None, False
-    plain = limit  # single pieces while steps < plain
+    levels = [(cuts, pieces)]  # the levels climbed, T^(2^j) at j
+    # the top level, and the collisions that climb above it: T^P from 16*P
+    top, climb = 0, 32
+    # the start's predecessors by time reversal, T^-d = R T^d R with
+    # R(k, t) = (k, length - t), walked back from the first climb on as far
+    # as the top level needs: per domain, t -> d, the fewest collisions on
+    # to the quotient start.  A start without them never closes.
+    preds = ({}, {})
     while steps < limit:
-        if steps == _POWER_FROM:
-            # the start's predecessors by time reversal, T^-j = R T^j R
-            # with R(k, t) = (k, length - t); a start without them never
-            # closes
-            preds = {(res[1], cuts[res[1]][-1] - res[2])
-                     for j in range(1, _POWER)
-                     for res in [walk.advance(k0, cuts[k0][-1] - t0, 0, 0, 0,
-                                              j)] if res[0] == j}
-            find, (pcuts, prows) = tables.find, tables.top()
-            plain = 0
+        if steps >= climb:
+            top += 1
+            climb = 32 << top if 1 << top < G else limit
+            levels.append(tables.level(top))
+            if top == 1:
+                back = enumerate(walk.steps(k0, cuts[k0][-1] - t0, 0, 0, 0),
+                                 1)
+            try:
+                for d, (k1, t1, *_) in back:
+                    preds[k1].setdefault(cuts[k1][-1] - t1, d)
+                    if d == (1 << top) - 1:
+                        break
+            except CornerHit:
+                pass
         # a landmark: the phase-0 point is at t0 + off, and its extent is
         # ext + v*(k0 - k)*(tau - t0)
-        rec.phase.append(steps)
-        rec.k.append(k)
-        rec.r.append(r)
-        rec.off.append(t - t0)  # taken to n0 = 1 on closing
-        rec.cm.append(m - sm)
-        rec.cn.append(n - sn)
-        rec.ea.append(ext - v * (k0 - k) * t0)
+        mark = (steps, k, r, t - t0, m - sm, n - sn, ext - v * (k0 - k) * t0)
         mlo = mhi = lm = m
         nlo = nhi = ln = n
         end = min(steps + G, limit)
-        last = end - _POWER  # the last start of a power step in the block
         while steps < end:
-            if steps < plain or steps > last:
+            j = top
+            while j:  # the highest level that fits the block and is safe
+                if end - steps >= 1 << j:
+                    edges, rows = levels[j]
+                    cs = edges[k]
+                    i = bisect_left(cs, t)
+                    piece = rows[k][i]
+                    if piece is None:  # not composed yet, or t a breakpoint
+                        i = find(k, t, j)
+                        piece = rows[k][i]
+                    if cs[i] != t and preds[k].get(t, G) >= 1 << j:
+                        piece = piece[r]
+                        if not to_cell or not (
+                                piece[7] <= sm - m <= piece[8] and
+                                piece[9] <= sn - n <= piece[10]):
+                            break
+                j -= 1
+            else:
                 cs = cuts[k]
                 i = bisect_left(cs, t)
-                c, lo = cs[i], cs[i - 1]
-                if c == t:
+                if cs[i] == t:
                     corner = walk.corner_hit(k, i, r, m, n)
                     break
                 piece = pieces[k][i][r]
-                steps += 1
-            else:
-                cs = pcuts[k]
-                i = bisect_left(cs, t)
-                piece = prows[k][i]
-                if piece is None:  # not composed yet, or t a breakpoint
-                    i = find(k, t)
-                    piece = prows[k][i]
-                c, lo = cs[i], cs[i - 1]
-                if c == t or (k, t) in preds or to_cell and \
-                        piece[r][7] <= sm - m <= piece[r][8] and \
-                        piece[r][9] <= sn - n <= piece[r][10]:
-                    plain = steps + _POWER
-                    continue
-                piece = piece[r]
-                steps += _POWER
+            steps += 1 << j
+            c, lo = cs[i], cs[i - 1]
             if c - t < above:
                 above = c - t
             if t - lo < below:
@@ -1183,10 +1196,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                 returned = True
                 break
         # the box of the landmark's block, from its cell
-        rec.mlo.append(mlo - lm)
-        rec.mhi.append(mhi - lm)
-        rec.nlo.append(nlo - ln)
-        rec.nhi.append(nhi - ln)
+        marks.append((*mark, mlo - lm, mhi - lm, nlo - ln, nhi - ln))
         if closed or returned or corner is not None:
             break
     else:  # at the limit, a corner the next step runs into is reported
@@ -1195,7 +1205,12 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             corner = walk.corner_hit(k, i, r, m, n)
     if not closed:
         return _Walk(steps, m, n, ext, corner, None, returned)
-    rec.off, rec.ea = _down(rec.off, n0), _down(rec.ea, n0)
+    rec = _Cycle()
+    (rec.phase, ks, rs, off, rec.cm, rec.cn, ea, rec.mlo, rec.mhi, rec.nlo,
+     rec.nhi) = map(list, zip(*marks))
+    rec.k.extend(ks)
+    rec.r.extend(rs)
+    rec.off, rec.ea = _down(off, n0), _down(ea, n0)
     rec.seal(steps, r ^ r0, (m - sm, n - sn),
              *_down([ext, t0 - below, t0 + above], n0))
     store.add(rec)

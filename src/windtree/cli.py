@@ -27,6 +27,18 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
+# The counts of a run: the least value each may take, and the message of
+# the library's own check of it, given the value (`RunConfig.check_counts`).
+_COUNTS = {"n_collisions": (0, "n_collisions must be >= 0, got {}"),
+           "max_collisions": (1, "max_collisions must be >= 1"),
+           "limit": (1, "limit must be >= 1"),
+           "samples": (1, "n_samples must be >= 1"),
+           "horizon": (1, "horizon must be >= 1"),
+           "k": (1, "k must be >= 1"),
+           "probes": (1, "n_probes must be >= 1"),
+           "scale": (1, "scale must be >= 1, got {}"),
+           "jobs": (1, "jobs must be >= 1")}
+
 
 @dataclass
 class RunConfig:
@@ -59,6 +71,15 @@ class RunConfig:
     jobs: int = 1
     out: str = ""
     csv: str = ""
+
+    def check_counts(self) -> None:
+        """Raise DomainError for the first count below its least value,
+        whichever command runs: a command that does not read a count
+        refuses it too."""
+        for name, (least, message) in _COUNTS.items():
+            value = getattr(self, name)
+            if value < least:
+                raise DomainError(message.format(value))
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -186,8 +207,6 @@ def cmd_render(cfg: RunConfig) -> int:
     slope = Slope.parse(cfg.slope)
     if not cfg.out:
         raise DomainError("render needs --out FILE.svg")
-    if cfg.n_collisions < 0:
-        raise DomainError(f"n_collisions must be >= 0, got {cfg.n_collisions}")
     state, outcome = _state_for(cfg, params, slope)
     n = cfg.n_collisions
     highlight = ()
@@ -439,7 +458,9 @@ def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
     walk = _sample_orbit(params, slope, 1)
     cuts = walk.tables.edges[0]
     cyc = billiard._walk_period(walk, 10**6, billiard._CycleStore()).cycle
-    if cyc is None or cyc.length <= billiard._POWER_FROM or \
+    # long enough to climb to T^_LANDMARK_EVERY, which it does at 16 times
+    # that many collisions
+    if cyc is None or cyc.length <= 16 * billiard._LANDMARK_EVERY or \
             not cyc.reflection:
         return False
     k0, t0, r0, n0, L = walk.k, walk.t, walk.r, walk.n0, cyc.length
@@ -540,6 +561,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for fld in dataclasses.fields(RunConfig):
         if hasattr(args, fld.name):  # the command and every option given
             setattr(cfg, fld.name, getattr(args, fld.name))
+    cfg.check_counts()
     return cfg
 
 

@@ -13,15 +13,18 @@ For each target function it applies one mutation at a time:
 - ``+`` <-> ``-``, in expressions and augmented assignments;
 - an integer constant (not a bool) plus or minus 1;
 - ``and`` <-> ``or``;
-- the condition of an ``if`` statement or expression negated.
+- the condition of an ``if`` statement or expression negated;
+- the branch of an ``if`` statement dropped (its body made ``pass``), and
+  its ``else`` branch dropped where it has one.
 
 Each mutant is written into a temporary copy of ``src/`` (the function
 replaced by its mutated, unparsed form, the rest of the file untouched).
 The named pytest subset and ``windtree selftest`` then run against that
-copy, one subprocess at a time, each under the timeout.  A mutant is
-killed when either exits non-zero, timed out when either overruns, and
-survived otherwise.  The report lists each mutant with its function, line,
-operator and verdict; the unmutated copy is run first and must pass.
+copy, one subprocess at a time, each under the timeout and a 2 GB cap on
+its address space.  A mutant is killed when either exits non-zero, timed
+out when either overruns, and survived otherwise.  The report lists each
+mutant with its function, line, operator and verdict; the unmutated copy
+is run first and must pass.
 
 Standard library only.  Not part of tier-1 and not a CI gate: a run costs
 (mutants + 1) times the subset's time, so pick a subset that takes seconds.
@@ -33,6 +36,7 @@ import argparse
 import ast
 import json
 import os
+import resource
 import shlex
 import shutil
 import subprocess
@@ -82,6 +86,10 @@ def _sites(func: ast.FunctionDef) -> list:
                           f"{_BOOL_SWAP[type(node.op)].__name__}", line, 0))
         elif isinstance(node, (ast.If, ast.IfExp)):
             sites.append((idx, "negate if", line, 0))
+            if isinstance(node, ast.If):
+                sites.append((idx, "drop if branch", line, 0))
+                if node.orelse:
+                    sites.append((idx, "drop else branch", line, 1))
     return sites
 
 
@@ -94,6 +102,11 @@ def _mutate(node: ast.AST, variant: int, name: str) -> None:
         node.value += variant
     elif name.startswith("boolop"):
         node.op = _BOOL_SWAP[type(node.op)]()
+    elif name.startswith("drop"):
+        if variant:
+            node.orelse = []
+        else:
+            node.body = [ast.Pass()]
     else:
         node.test = ast.UnaryOp(ast.Not(), node.test)
 
@@ -114,13 +127,23 @@ def _mutant_source(source: str, qualname: str, site: tuple) -> str:
         "".join(lines[func.end_lineno:])
 
 
+# the address space of each subprocess: a mutant that loops while it
+# appends dies of a MemoryError well before the machine runs out
+_MEMORY_CAP = 2 << 30
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_CAP, _MEMORY_CAP))
+
+
 def _run(commands: list, env: dict, timeout: float) -> str:
     """'survived' when every command exits 0, else 'killed' or 'timeout'."""
     for cmd in commands:
         try:
             proc = subprocess.run(cmd, env=env, timeout=timeout,
                                   stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL)
+                                  stderr=subprocess.DEVNULL,
+                                  preexec_fn=_limit_memory)
         except subprocess.TimeoutExpired:
             return "timeout"
         if proc.returncode:

@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -935,19 +936,20 @@ class _LoggedRow:
 
 class _LoggedTables:
     """An orbit's table as `Orbit.advance` reads it, with every read of a
-    single piece (level 0) and of a piece of T^8 (the top level, from
-    `top`) logged; `find` still composes into the table itself."""
+    piece of level j logged with the table j: single pieces (level 0) and
+    pieces of T^8 (level `billiard._TOP`, from `level`); `find` still
+    composes into the table itself."""
 
     def __init__(self, tables, log):
         self.find, self.edges = tables.find, tables.edges
         self.corners = tables.corners
-        self.rows = [[_LoggedRow(row, log, "single", k)
+        self.rows = [[_LoggedRow(row, log, 0, k)
                       for k, row in enumerate(tables.rows[0])]]
         self.tables, self.log = tables, log
 
-    def top(self):
-        edges, rows = self.tables.top()
-        return edges, [_LoggedRow(row, self.log, "power", k)
+    def level(self, j):
+        edges, rows = self.tables.level(j)
+        return edges, [_LoggedRow(row, self.log, j, k)
                        for k, row in enumerate(rows)]
 
 
@@ -980,12 +982,12 @@ def test_a_block_of_64_starts_on_the_power_map():
                                 s.orientation), HALF)
         log = []
         walk.tables = _LoggedTables(walk.tables, log)
-        for count, first in ((billiard._BLOCK, "power"),
-                             (billiard._BLOCK - 1, "single")):
+        for count, first in ((billiard._BLOCK, billiard._TOP),
+                             (billiard._BLOCK - 1, 0)):
             log.clear()
             walk.advance(walk.k, walk.t, walk.r, 0, 0, count)
             assert log[0][0] == first
-            assert first == "power" or {read[0] for read in log} == {first}
+            assert first or {read[0] for read in log} == {first}
 
 
 def _run_of(k):
@@ -1012,15 +1014,15 @@ def _replay_reads(log, single, power, state, stop_cell):
     counts = {"power": 0, "breakpoint": 0, "box": 0, "repeat": 0}
     for at, (table, *read) in enumerate(log):
         follow = log[at + 1] if at + 1 < len(log) else (None,)
-        if table == "repeats" or table == "power" and read[2] is None \
-                and follow[0] == "power":
+        if table == "repeats" or table == billiard._TOP and read[2] is None \
+                and follow[0] == billiard._TOP:
             continue
         kk, i, piece = read
-        cuts, pieces = power if table == "power" else single
+        cuts, pieces = power if table else single
         j = bisect_left(cuts[k], t)
         assert kk == k
         reps = 1
-        if table == "single":
+        if table == 0:
             # level 0 of the orbit's table starts with the domain's low end
             assert i == j + 1
             assert piece == _framed_row([pieces[k][j]], lambda p: False)[1]
@@ -1158,7 +1160,7 @@ def test_advance_matches_stepping_one_collision_at_a_time(monkeypatch):
             state, stop_cell)
         assert end == got[1:6] and ext == got[6]
         if count < billiard._BLOCK:
-            assert all(table == "single" for table, *_ in log)
+            assert all(table == 0 for table, *_ in log)
         seen["classes"].add(params.parity_class)
         seen["frames"].add(walk.r)
         seen["corner"] += want[10] is not None and 0 < want[0] < count
@@ -1269,7 +1271,7 @@ def _assert_lazy_equals_eager(params, slope, n0, rng):
         assert lazy.lookup(k, t) == want
         # a piece from a domain to itself flies the same extent from any t
         assert want is None or not want[2][-1] or want[2][6] == 0
-    edges, rows = lazy.top()
+    edges, rows = lazy.level(billiard._TOP)
     assert edges == [[0, *cs] for cs in cuts]
     assert rows == [_framed_row(row, _run_of(k))
                     for k, row in enumerate(pieces)]
@@ -1728,6 +1730,57 @@ def _stepped_first_return(start, params, horizon):
     return None, cell, Fraction(total, vN), False
 
 
+# Starts on drifting cycles (data as in `_RESIDUE_STARTS`), with a horizon,
+# whose first return to the start cell comes two or more rounds of the
+# recorded cycle after the start; the cycles drift by (14, 0), (-2, 0),
+# (0, -8), (0, 2), (2, 23), (6, 0) and (0, -2) per period, and the last
+# three were picked so that a wrong count of drifts per round misses
+# their return.
+_LATE_RETURNS = (
+    (((1, 4, 2, 5), (12, 11), LEFT, 1, 19, 1, (0, 0)), 222),
+    (((1, 2, 4, 7), (7, 4), RIGHT, 29, 31, 1, (0, 3)), 684),
+    (((1, 3, 3, 7), (4, 3), RIGHT, 4, 31, 1, (1, 2)), 330),
+    (((4, 7, 1, 2), (4, 7), RIGHT, 18, 60, 1, (-2, 1)), 342),
+    (((2, 7, 5, 6), (13, 4), RIGHT, 35, 54, -1, (3, 0)), 444),
+    (((1, 6, 4, 5), (13, 9), TOP, 4, 9, -1, (3, 0)), 1170),
+    (((5, 7, 5, 6), (13, 11), BOTTOM, 1, 9, -1, (-1, -3)), 6300))
+
+
+@pytest.mark.parametrize("data, horizon", _LATE_RETURNS)
+def test_first_return_rounds_later_on_a_drifting_cycle(data, horizon):
+    # the store answers a return in the second pair of rounds or later,
+    # where the start cell sits one drift per pair of rounds further along
+    # the recorded cycle, as stepping does
+    params, start = _random_start(*data)
+    _cycle_store.cache_clear()
+    classify_trajectory(start, params, 5000)
+    [cyc] = _cycle_store(params, start.slope.u, start.slope.v).cycles
+    want = _stepped_first_return(start, params, horizon)
+    assert first_return(start, params, horizon) == want
+    assert want[0] >= 2 * cyc.length and cyc.orbit(0)[1] != (0, 0)
+
+
+def test_locate_one_lattice_unit_inside_a_landmark_interval():
+    # states at n0 > 1 one lattice unit above the low end and below the
+    # high end of each landmark's interval are on the cycle at that
+    # landmark, with no step walked
+    cases = [(HALF, Slope(4181, 6765), 1), (HALF, Slope(1597, 2584), 8),
+             (classify_params(1, 2, 1, 3), Slope(13, 29), 2)]
+    for params, slope, seed in cases:
+        s = sample_boundary_starts(params, slope, 1, seed)[0]
+        walk = Orbit(make_state(params, (0, 0), s.side, s.offset, slope,
+                                s.orientation), params)
+        store = billiard._CycleStore()
+        cyc = billiard._walk_period(walk, 10**6, store).cycle
+        n0 = walk.n0
+        assert n0 > 1 and cyc is not None
+        for b, (k, r, (lo, hi)) in enumerate(zip(cyc.k, cyc.r,
+                                                cyc.intervals())):
+            for t in (n0 * lo + 1, n0 * hi - 1):
+                walk.k, walk.t, walk.r = k, t, r
+                assert store.locate(walk) == (cyc, b, 0, 0, 0, 0, t, r)
+
+
 # 13/29 escapes with drift (-2, 1), so a wrong sign on either axis shows;
 # its samples are lost before collision 49 and back in their cell at 49
 @pytest.mark.parametrize("uv", [(1597, 2584), (4181, 6765), (5, 7), (13, 29)])
@@ -1974,18 +2027,60 @@ def test_walk_budgets_around_half_the_period(uv, seed, L):
             _stepped_first_return(start, HALF, cap)
 
 
+class _Taken(tuple):
+    """A piece in one frame that logs its level when it is unpacked, which
+    `_walk_period` does only to take it."""
+
+    def __iter__(self):
+        self.log.append(self.level)
+        return tuple.__iter__(self)
+
+
+class _TakenRow:
+    """A view of a row of map pieces of one level whose pieces log when
+    they are taken; the row itself may still grow."""
+
+    def __init__(self, row, log, level):
+        self.row, self.log, self.level = row, log, level
+
+    def __getitem__(self, i):
+        piece = self.row[i]
+        if piece is None:
+            return None
+        frames = tuple(map(_Taken, piece))
+        for frame in frames:
+            frame.log, frame.level = self.log, self.level
+        return frames
+
+
+class _TakenTables:
+    """An orbit's table as `_walk_period` reads it, with every piece the
+    walk takes logged by its level j, a step of 2^j collisions; `find`
+    still composes into the table itself."""
+
+    def __init__(self, tables, log):
+        self.find, self.edges = tables.find, tables.edges
+        self.corners = tables.corners
+        self.rows = [[_TakenRow(row, log, 0) for row in tables.rows[0]]]
+        self.tables, self.log = tables, log
+
+    def level(self, j):
+        edges, rows = self.tables.level(j)
+        return edges, [_TakenRow(row, self.log, j) for row in rows]
+
+
 @pytest.mark.parametrize("uv, seed, L", _HALF_CLOSES)
 def test_walk_steps_half_the_period(uv, seed, L, monkeypatch):
-    # the recording walk reads single pieces and pieces of T^8 worth at
-    # most L/2 + 8 collisions, the 8 for the one power piece it does not
-    # take before the reflected start; the short walks back from the
-    # start to its predecessors (`Orbit.advance`) are not counted
+    # the recording walk takes pieces worth exactly L/2 collisions, on
+    # every level of the tower from single pieces to T^32; the short walk
+    # back from the start to its predecessors (`Orbit.advance`) is not
+    # counted
     slope = Slope(*uv)
     s = sample_boundary_starts(HALF, slope, 1, seed)[0]
     walk = Orbit(make_state(HALF, (0, 0), s.side, s.offset, slope,
                             s.orientation), HALF)
     log = []
-    walk.tables = _LoggedTables(walk.tables, log)
+    walk.tables = _TakenTables(walk.tables, log)
     advance = Orbit.advance
 
     def unlogged_advance(self, *args):
@@ -1999,9 +2094,9 @@ def test_walk_steps_half_the_period(uv, seed, L, monkeypatch):
     res = billiard._walk_period(walk, 10**6, billiard._CycleStore())
     assert res.cycle.length == res.steps == L // 2
     assert res.cycle.reflection and res.cycle.orbit(0)[0] == L
-    stepped = sum(1 if table == "single" else 8
-                  for table, _, _, piece in log if piece is not None)
-    assert L // 2 <= stepped <= L // 2 + 8
+    taken = Counter(log)
+    assert sum(count << j for j, count in taken.items()) == L // 2
+    assert set(taken) == set(range(6)), taken
 
 
 # -- the recording walk on the power map ---------------------------------
@@ -2044,7 +2139,7 @@ def test_power_walk_records_the_bench_slopes_as_single_steps(slope):
         for to_cell in (False, True):
             got, want = _walk_both_ways(HALF, start, 24000, to_cell)
             assert got == want
-            assert want.steps > billiard._POWER_FROM
+            assert want.steps > 512
             assert want.cycle is not None or want.returned
 
 
@@ -2056,7 +2151,55 @@ def test_power_walk_stops_in_the_start_cell_on_a_box_edge():
                        Slope(66, 47), (1, 1))
     got, want = _walk_both_ways(params, start, 30000, to_cell=True)
     assert got == want
-    assert want.returned and want.steps > billiard._POWER_FROM
+    assert want.returned and want.steps > 512
+
+
+def test_power_walk_reports_a_corner_right_at_its_limit():
+    # a walk whose last allowed collision lands on a breakpoint reports
+    # the corner the next step runs into, and classify_trajectory calls
+    # the start singular, as stepping does
+    rng = random.Random(5)
+    for pqrs, uv in _LONG_CYCLE_TABLES:
+        params, slope = classify_params(*pqrs), Slope(*uv)
+        start, before = _corner_bound_start(params, slope, (1, -1), 700,
+                                            rng)
+        got, want = _walk_both_ways(params, start, before)
+        assert got == want and want.steps == before
+        assert want.corner is not None and want.cycle is None
+        _cycle_store.cache_clear()
+        out = classify_trajectory(start, params, before)
+        assert out.kind is Outcome.SINGULAR
+        assert out == _stepped_outcome(start, params, before)
+
+
+# Walks to the start cell whose first return falls inside a piece of T^P,
+# P = 2^j, whose box has the start cell on its low or high n edge, where
+# the walk first meets such a piece: (j, edge, start as in
+# `_RESIDUE_STARTS`, collisions to the return).
+_N_EDGE_RETURNS = (
+    (1, "low", ((1, 2, 8, 9), (43, 59), TOP, 1, 12, -1, (-3, 3)), 50),
+    (1, "high", ((3, 7, 5, 9), (61, 52), LEFT, 7, 12, -1, (2, 0)), 264),
+    (2, "low", ((1, 7, 5, 8), (54, 47), LEFT, 5, 8, 1, (-1, 3)), 88),
+    (2, "high", ((1, 7, 5, 8), (54, 47), LEFT, 6, 11, -1, (-1, -2)), 88),
+    (3, "low", ((3, 7, 7, 8), (23, 89), LEFT, 4, 6, 1, (-1, -3)), 696),
+    (3, "high", ((3, 7, 7, 8), (23, 89), LEFT, 1, 3, -1, (-2, -3)), 696),
+    (4, "low", ((2, 7, 3, 4), (66, 47), RIGHT, 4, 5, 1, (-3, -3)), 644),
+    (4, "high", ((2, 7, 3, 4), (66, 47), BOTTOM, 3, 10, -1, (1, 0)), 644),
+    (5, "low", ((1, 5, 5, 7), (16, 97), TOP, 4, 7, 1, (-2, 3)), 1020),
+    (5, "high", ((3, 7, 7, 8), (23, 89), BOTTOM, 4, 5, -1, (1, 3)), 698))
+
+
+@pytest.mark.parametrize("j, edge, data, steps", _N_EDGE_RETURNS,
+                         ids=[f"T{1 << j}-{edge}"
+                              for j, edge, *_ in _N_EDGE_RETURNS])
+def test_power_walk_stops_in_the_start_cell_on_an_n_edge(j, edge, data,
+                                                          steps):
+    # a piece of T^P that would pass over the return is refused even with
+    # the start cell on the edge of its box, on every level of the tower
+    params, start = _random_start(*data)
+    got, want = _walk_both_ways(params, start, 30000, to_cell=True)
+    assert got == want
+    assert want.returned and want.steps == steps > 16 << j
 
 
 def _indexed_one_landmark_at_a_time(cycles):
@@ -2113,12 +2256,50 @@ def test_cycle_store_merges_landmarks_as_one_at_a_time_inserts():
     assert recorded >= 10, recorded
 
 
-# Tables with cycles longer than _POWER_FROM: of each even length mod 8 on
-# the 8 domains, and of odd lengths on the quotient (closed at half).
+# Tables with cycles longer than 512 collisions, where walks step on T^32:
+# of each even length mod 8 on the 8 domains, and of odd lengths on the
+# quotient (closed at half).
 _LONG_CYCLE_TABLES = (((5, 7, 5, 9), (5, 4)), ((2, 7, 3, 4), (66, 47)),
                       ((8, 9, 7, 8), (38, 51)), ((1, 2, 8, 9), (43, 59)),
                       ((1, 7, 5, 8), (54, 47)), ((3, 7, 5, 9), (61, 52)),
                       ((3, 7, 7, 8), (23, 89)), ((5, 12, 4, 5), (98, 9)))
+
+# Starts (table, slope, side, offset num/den of the side, tangent sign,
+# cell) at n0 > 1 whose cycles close after 513 to 612 collisions, one for
+# each residue mod 32: the close cuts the last block at every offset.
+_RESIDUE_STARTS = (
+    ((4, 9, 3, 11), (99, 20), LEFT, 1, 9, 1, (-1, 1)),
+    ((5, 11, 1, 3), (73, 57), LEFT, 5, 7, -1, (-1, 1)),
+    ((5, 8, 3, 4), (37, 79), LEFT, 2, 7, -1, (3, -1)),
+    ((7, 10, 3, 7), (14, 17), LEFT, 7, 8, -1, (-3, 3)),
+    ((2, 3, 3, 4), (71, 19), BOTTOM, 6, 10, -1, (0, 3)),
+    ((7, 9, 1, 4), (41, 1), LEFT, 1, 2, 1, (3, 3)),
+    ((2, 3, 1, 11), (79, 15), TOP, 2, 7, -1, (0, -3)),
+    ((1, 2, 1, 5), (91, 82), RIGHT, 3, 10, -1, (0, 2)),
+    ((9, 10, 1, 5), (75, 19), TOP, 1, 7, 1, (1, 3)),
+    ((5, 8, 2, 9), (94, 57), TOP, 2, 7, 1, (0, -1)),
+    ((3, 7, 2, 5), (50, 1), RIGHT, 2, 5, -1, (-3, 0)),
+    ((1, 2, 8, 11), (50, 31), LEFT, 1, 12, -1, (3, 3)),
+    ((4, 7, 1, 2), (55, 57), LEFT, 5, 6, 1, (-2, -1)),
+    ((1, 2, 11, 12), (99, 23), LEFT, 1, 3, -1, (3, 2)),
+    ((1, 8, 2, 7), (67, 23), LEFT, 1, 3, 1, (-3, -2)),
+    ((3, 5, 8, 11), (35, 37), BOTTOM, 1, 2, 1, (1, 1)),
+    ((9, 10, 1, 2), (13, 95), RIGHT, 1, 2, 1, (2, 2)),
+    ((1, 3, 1, 7), (64, 27), RIGHT, 7, 12, -1, (-3, 2)),
+    ((1, 8, 1, 3), (19, 88), RIGHT, 8, 12, -1, (2, -2)),
+    ((1, 2, 5, 8), (76, 69), RIGHT, 1, 6, -1, (-2, -2)),
+    ((2, 11, 2, 3), (41, 13), TOP, 6, 10, -1, (1, -3)),
+    ((1, 2, 7, 10), (61, 76), BOTTOM, 2, 4, 1, (-1, 0)),
+    ((7, 10, 1, 8), (31, 79), RIGHT, 2, 11, 1, (2, -1)),
+    ((1, 2, 7, 9), (73, 58), TOP, 3, 5, -1, (2, -3)),
+    ((11, 12, 2, 9), (7, 46), LEFT, 11, 12, -1, (3, -1)),
+    ((5, 8, 4, 5), (23, 99), RIGHT, 7, 10, 1, (2, -2)),
+    ((3, 10, 4, 9), (1, 19), TOP, 3, 10, 1, (-1, 2)),
+    ((4, 9, 5, 6), (41, 50), LEFT, 6, 12, -1, (2, -3)),
+    ((1, 2, 10, 11), (20, 43), LEFT, 4, 9, -1, (0, 3)),
+    ((1, 2, 4, 11), (1, 73), BOTTOM, 2, 5, -1, (2, -3)),
+    ((2, 7, 2, 3), (32, 25), TOP, 3, 5, 1, (1, 0)),
+    ((1, 3, 6, 7), (97, 82), RIGHT, 1, 2, 1, (3, 1)))
 
 
 def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
@@ -2126,30 +2307,34 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
     # tables with long cycles; starts at lattice scales n0 > 1 in random
     # cells, walked whole or to the start cell, with limits that cut a
     # walk mid-block or at a non-multiple of 8; starts that run into a
-    # corner inside a power piece.  Periods on the 8 domains are even (each
-    # orientation sign flips an even number of times), but a cycle closed at
-    # half its period on the quotient can be odd: closed cycles of every
-    # residue mod 8 are seen; returns to the start cell and corners come
-    # at odd counts too.
+    # corner inside a power piece; then a start closing at each residue
+    # mod 32.  Periods on the 8 domains are even (each orientation sign
+    # flips an even number of times), but a cycle closed at half its
+    # period on the quotient can be odd: closed cycles of every residue
+    # mod 32 are seen; returns to the start cell and corners come inside
+    # pieces of T^8, T^16 and T^32 too, and each of those levels is read.
     for k, (side, (sx, sy)) in enumerate(DOMAINS):
         # the walk finds the start's predecessors by time reversal
         assert DOMAINS[k ^ 1] == (side, leaving_orientation(side, (-sx, -sy)))
-    reads, tables = [], {}
+    reads, tables = {3: [], 4: [], 5: []}, {}
     power_map = billiard._power_map
 
     def logged_power_map(*key):
-        # tables of the test's own, not the module cache's, whose top
-        # level's rows, made at once, log every read
+        # tables of the test's own, not the module cache's, whose levels
+        # T^8, T^16 and T^32, made at once, log every read of their rows
         if key not in tables:
             tables[key] = billiard._PowerMap(*key)
-            rows = tables[key].top()[1]
-            rows[:] = [_LoggedList(row, reads) for row in rows]
+            tables[key].level(5)
+            for j, log in reads.items():
+                rows = tables[key].rows[j]
+                rows[:] = [_LoggedList(row, log) for row in rows]
         return tables[key]
 
     monkeypatch.setattr(billiard, "_power_map", logged_power_map)
     rng = random.Random(16)
-    seen = {"classes": set(), "residues": set(), "n0": 0, "returned": 0,
-            "corner": 0, "limit": 0, "mid-block": 0}
+    seen = {"classes": set(), "residues": set(), "n0": 0, "returned8": 0,
+            "returned16": 0, "returned32": 0, "corner8": 0, "corner16": 0,
+            "corner32": 0, "limit": 0, "mid-block": 0}
     for case in range(320):
         if case % 2:
             pqrs, uv = rng.choice(_LONG_CYCLE_TABLES)
@@ -2171,27 +2356,36 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
                                   rng.choice((LEFT, RIGHT, BOTTOM, TOP)),
                                   rng.randint(1, den - 1), den,
                                   rng.choice((1, -1)), cell)[1]
-        limit = rng.choice((10**6, rng.randint(billiard._POWER_FROM, 2000),
+        limit = rng.choice((10**6, rng.randint(512, 2000),
                             8 * rng.randint(65, 250)))
         to_cell = rng.random() < 0.5
         got, want = _walk_both_ways(params, start, limit, to_cell)
         assert got == want, case
         seen["classes"].add(params.parity_class)
-        if want.steps <= billiard._POWER_FROM:
-            continue
+        steps = want.steps
         if want.cycle is not None and not want.returned:
-            seen["residues"].add(want.steps % 8)
-            seen["n0"] += Orbit(start, params).n0 > 1
-        elif want.returned:
-            seen["returned"] += want.steps % 8 != 0
-        elif want.corner is not None:
-            seen["corner"] += want.steps % 8 != 0
-        elif want.steps == limit:
+            if steps > 512:
+                seen["residues"].add(steps % 32)
+                seen["n0"] += Orbit(start, params).n0 > 1
+        elif want.returned or want.corner is not None:
+            # inside a piece of T^P, which a walk steps on from 16*P on
+            stop = "returned" if want.returned else "corner"
+            for p in (8, 16, 32):
+                seen[f"{stop}{p}"] += steps > 16 * p and steps % p != 0
+        elif steps == limit and steps > 512:
             seen["limit"] += limit % 8 != 0
             seen["mid-block"] += limit % 8 == 0 != limit % 32
+    for data in _RESIDUE_STARTS:
+        params, start = _random_start(*data)
+        got, want = _walk_both_ways(params, start, 10**6)
+        assert got == want and want.cycle is not None, data
+        assert Orbit(start, params).n0 > 1
+        seen["residues"].add(want.steps % 32)
     assert seen.pop("classes") == set(ParityClass)
-    assert seen.pop("residues") == set(range(8))
-    assert min(seen.values()) >= 5 and len(reads) > 5000, seen
+    assert seen.pop("residues") == set(range(32))
+    assert min(seen.values()) >= 5, seen
+    assert min(map(len, reads.values())) > 2000, \
+        {j: len(log) for j, log in reads.items()}
     # the module cache's tables for the same keys log nothing
     for key in tables:
         assert not any(isinstance(row, _LoggedList)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -369,7 +370,8 @@ def test_config_not_utf8_is_one_line_error(tmp_path, capsys):
 
 _FUZZ_KEYS = ("params", "params", "slope", "slope", "limit", "seed",
               "max_collisions", "theta", "samples", "horizon", "probes",
-              "command", " limit ", "not_a_key")
+              "scale", "k", "n_collisions", "command", " limit ",
+              "not_a_key")
 _FUZZ_JUNK = ("", "abc", "1.5", "0x10", "1/0", "0/1", "-1/2", "true", "-",
               "1/2,1/2", "2/3,2/3", "1/2,", "=", "1_0", "٣")
 _NO_DIGITS = "abcxyz/,.=-_ #\t"
@@ -410,7 +412,8 @@ def _config_lines(draw):
 @given(text=_config_lines(),
        command=st.sampled_from(["classify", "classify-direction",
                                 "decompose", "good-dirs", "lift", "render",
-                                "recur", "diffuse", "stability"]))
+                                "recur", "diffuse", "stability",
+                                "selftest"]))
 def test_config_text_fuzz_never_tracebacks(tmp_path, capsys, text, command):
     # small runs by default, and somewhere for render to write
     head = f"samples=2\nhorizon=50\nout={tmp_path / 'fuzz.svg'}\n"
@@ -438,6 +441,40 @@ def test_malformed_fraction_is_one_line_error(capsys, option, text):
     code, out, err = run(capsys, *argv, "--params", "1/2,1/2")
     assert _one_line_error(code, err) and out == ""
     assert "cannot parse" in err and repr(text) in err
+
+
+@pytest.mark.parametrize("how", ["option", "config"])
+@pytest.mark.parametrize("name, least, message", [
+    ("n_collisions", 0, "n_collisions must be >= 0, got -1"),
+    ("max_collisions", 1, "max_collisions must be >= 1"),
+    ("limit", 1, "limit must be >= 1"),
+    ("samples", 1, "n_samples must be >= 1"),
+    ("horizon", 1, "horizon must be >= 1"), ("k", 1, "k must be >= 1"),
+    ("probes", 1, "n_probes must be >= 1"),
+    ("scale", 1, "scale must be >= 1, got 0"),
+    ("jobs", 1, "jobs must be >= 1")])
+def test_count_below_its_least_value_is_one_line_error(tmp_path, capsys,
+                                                        name, least, message,
+                                                        how):
+    # every command refuses a bad count with the message of the command
+    # that reads it, also a count it does not read, such as recur's
+    # --scale or the self-test's --samples
+    for command in ("classify", "recur", "selftest"):
+        values = {"params": "1/2,1/2", "slope": "3/4", "theta": "13/21",
+                  "samples": "2", "horizon": "50", name: str(least - 1)}
+        if how == "option":
+            argv = [command, *chain.from_iterable(
+                ("--" + key.replace("_", "-"), value)
+                for key, value in values.items())]
+        else:
+            cfg_file = tmp_path / "counts.cfg"
+            cfg_file.write_text("".join(f"{key}={value}\n"
+                                        for key, value in values.items()),
+                                encoding="utf-8")
+            argv = [command, "--config", str(cfg_file)]
+        code, out, err = run(capsys, *argv)
+        assert _one_line_error(code, err) and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_render_negative_collision_count_is_one_line_error(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The recording walk on single return-map pieces, as the reference for
-`windtree.billiard._walk_period`, which steps the 8th power of the map
-once a walk is long.  The function below is the single-piece walk word
-for word, reading the pieces from level 0 of the orbit's table;
+`windtree.billiard._walk_period`, which climbs the powers of the map,
+from T^2 up to T^32, as a walk grows.  The function below is the
+single-piece walk word for word, reading the pieces from level 0 of the
+orbit's table;
 `tests/test_billiard.py` records cycles both ways and compares every
 column of every `_Cycle` and every field of the `_Walk`.
 """
