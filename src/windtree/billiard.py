@@ -62,12 +62,14 @@ reports the block as a whole (end state, extent, box of the cells);
 The 8th power of the map is a piecewise translation too, with the box of
 the cells each piece passes.  The same table keeps its pieces, composed
 where an orbit first lands, down the tower T, T^2, T^4.  A block of 64
-collisions or more, and a recording walk (below) past its first 512,
-take 8 at a time on it, and step single pieces for the next 8 where a
-corner, the stop cell or the walk's close lies within them, so their
-answers are those of single steps.  A piece that maps its domain back to
-itself with label 0 repeats while t stays in its interval: a block
-applies all of its repeats at once.
+collisions or more takes 8 at a time on it, and steps single pieces for
+the next 8 where a corner or the stop cell lies within them, so its
+answers are those of single steps.  A recording walk (below) climbs the
+same tower to T^32, one landmark block: it steps on T^P once it has made
+16*P collisions, and drops a level where a corner, the start cell or
+the walk's close lies within the step.  A piece that maps its domain
+back to itself with label 0 repeats while t stays in its interval: a
+block applies all of its repeats at once.
 
 Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
@@ -97,7 +99,7 @@ from itertools import islice
 from math import lcm
 from typing import NamedTuple
 
-from .errors import CornerHit, DomainError
+from .errors import CornerHit, DomainError, check_count
 from .exact import ORIENTATIONS, Params, PointQ, Slope
 
 LEFT, RIGHT, BOTTOM, TOP = "left", "right", "bottom", "top"
@@ -931,6 +933,10 @@ class Orbit:
 # lookup walks at most this many collisions to reach one.
 _LANDMARK_EVERY = 32
 
+# A recording walk steps on T^P once it has made _CLIMB*P collisions, up
+# to T^_LANDMARK_EVERY (`_walk_period`).
+_CLIMB = 16
+
 
 class _Cycle:
     """A closed cycle of the return map on the quotient, recorded at lattice
@@ -1090,15 +1096,18 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     ``limit``, and otherwise walks on.
 
     The walk climbs the tower of ``walk.tables``: it may step on T^P once
-    it has made 16*P collisions, about what composing the pieces of T^P
-    it meets costs in single steps, up to T^G, one landmark block.  Each
-    step takes the highest level whose P fits the collisions left in the
-    block and that is safe, dropping one level at a time down to single
-    pieces: a level is not safe where t is one of its breakpoints (a
-    corner within P collisions), where the quotient start comes in fewer
-    than P collisions (the start's predecessors, found by time reversal,
-    with their distances to it), or, with ``to_cell``, where the start
-    cell lies in the piece's box.  A piece's interval is exactly the
+    it has made _CLIMB*P collisions, up to T^G, one landmark block.  Of
+    the rules measured (BENCH_c5a532e.json, ``rules_tried``), 16*P gains
+    most on long walks; walks of 32 to 511 collisions on fresh tables,
+    which compose pieces they do not reuse, are slower than on single
+    pieces under every rule tried, under this one by a third to a half.
+    Each step takes the highest level whose P fits the collisions left in
+    the block and that is safe, dropping one level at a time down to
+    single pieces: a level is not safe where t is one of its breakpoints
+    (a corner within P collisions), where the quotient start comes in
+    fewer than P collisions (the start's predecessors, found by time
+    reversal, with their distances to it), or, with ``to_cell``, where the
+    start cell lies in the piece's box.  A piece's interval is exactly the
     starts that take the same single pieces and its box is theirs, so the
     walk records what single steps record.
     """
@@ -1116,8 +1125,8 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     marks = []
     closed, corner, returned = False, None, False
     levels = [(cuts, pieces)]  # the levels climbed, T^(2^j) at j
-    # the top level, and the collisions that climb above it: T^P from 16*P
-    top, climb = 0, 32
+    # the top level, and the collisions that climb above it
+    top, climb = 0, _CLIMB << 1
     # the start's predecessors by time reversal, T^-d = R T^d R with
     # R(k, t) = (k, length - t), walked back from the first climb on as far
     # as the top level needs: per domain, t -> d, the fewest collisions on
@@ -1126,7 +1135,7 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     while steps < limit:
         if steps >= climb:
             top += 1
-            climb = 32 << top if 1 << top < G else limit
+            climb = _CLIMB << (top + 1) if 1 << top < G else limit
             levels.append(tables.level(top))
             if top == 1:
                 back = enumerate(walk.steps(k0, cuts[k0][-1] - t0, 0, 0, 0),
@@ -1339,8 +1348,7 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     start within the horizon is recorded and answered from its cycle.
     """
     validate_state(start, params)
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
+    check_count("horizon", horizon)
     if start.slope.is_axis:
         flight = _axis_flight(start.slope, params)
         if horizon >= 2:
@@ -1400,8 +1408,7 @@ def classify_trajectory(start: BilliardState, params: Params,
     collisions.
     """
     validate_state(start, params)
-    if max_collisions < 1:
-        raise DomainError("max_collisions must be >= 1")
+    check_count("max_collisions", max_collisions)
     if start.slope.is_axis:
         return TrajectoryOutcome(Outcome.PERIODIC, 2,
                                  2 * _axis_flight(start.slope, params),
@@ -1432,10 +1439,6 @@ def classify_trajectory(start: BilliardState, params: Params,
                              repeat_cells=((m0, n0), (m0 + dm, n0 + dn)))
 
 
-def _check_count(n_collisions: int):
-    if n_collisions < 0:
-        raise DomainError(f"n_collisions must be >= 0, got {n_collisions}")
-
 
 def _collisions(start: BilliardState, params: Params):
     """(side, cell, orientation, position) of each forward collision, with
@@ -1461,7 +1464,7 @@ def _collisions(start: BilliardState, params: Params):
 def collision_sequence(start: BilliardState, params: Params,
                        n_collisions: int) -> list:
     """The (side, cell) combinatorics of the first n collisions."""
-    _check_count(n_collisions)
+    check_count("n_collisions", n_collisions, 0, shown=True)
     return [(side, cell) for side, cell, *_
             in islice(_collisions(start, params), n_collisions)]
 
@@ -1471,7 +1474,7 @@ def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath
 
     Truncated at a corner hit and tagged singular in that case.
     """
-    _check_count(n_collisions)
+    check_count("n_collisions", n_collisions, 0, shown=True)
     validate_state(start, params)
     points = [start.position]
     try:

@@ -20,24 +20,26 @@ from itertools import chain, islice
 
 from . import billiard, experiments, lift, origami, svg
 from .billiard import Outcome
-from .errors import CornerHit, DomainError, PrecisionError
+from .errors import (CornerHit, DomainError, PrecisionError,
+                     check_count)
 from .exact import Params, Slope
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
-# The counts of a run: the least value each may take, and the message of
-# the library's own check of it, given the value (`RunConfig.check_counts`).
-_COUNTS = {"n_collisions": (0, "n_collisions must be >= 0, got {}"),
-           "max_collisions": (1, "max_collisions must be >= 1"),
-           "limit": (1, "limit must be >= 1"),
-           "samples": (1, "n_samples must be >= 1"),
-           "horizon": (1, "horizon must be >= 1"),
-           "k": (1, "k must be >= 1"),
-           "probes": (1, "n_probes must be >= 1"),
-           "scale": (1, "scale must be >= 1, got {}"),
-           "jobs": (1, "jobs must be >= 1")}
+# The counts of a run as the library checks them (`check_count`): per
+# field, the count's name there, its least value and whether its message
+# gives the value (`RunConfig.check_counts`).
+_COUNTS = {"n_collisions": ("n_collisions", 0, True),
+           "max_collisions": ("max_collisions", 1, False),
+           "limit": ("limit", 1, False),
+           "samples": ("n_samples", 1, False),
+           "horizon": ("horizon", 1, False),
+           "k": ("k", 1, False),
+           "probes": ("n_probes", 1, False),
+           "scale": ("scale", 1, True),
+           "jobs": ("jobs", 1, False)}
 
 
 @dataclass
@@ -76,10 +78,8 @@ class RunConfig:
         """Raise DomainError for the first count below its least value,
         whichever command runs: a command that does not read a count
         refuses it too."""
-        for name, (least, message) in _COUNTS.items():
-            value = getattr(self, name)
-            if value < least:
-                raise DomainError(message.format(value))
+        for field, (name, least, shown) in _COUNTS.items():
+            check_count(name, getattr(self, field), least, shown=shown)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -458,9 +458,10 @@ def _cycle_matches_single_steps(params: Params, slope: Slope) -> bool:
     walk = _sample_orbit(params, slope, 1)
     cuts = walk.tables.edges[0]
     cyc = billiard._walk_period(walk, 10**6, billiard._CycleStore()).cycle
-    # long enough to climb to T^_LANDMARK_EVERY, which it does at 16 times
-    # that many collisions
-    if cyc is None or cyc.length <= 16 * billiard._LANDMARK_EVERY or \
+    # long enough to climb to T^_LANDMARK_EVERY, which it does at _CLIMB
+    # times that many collisions
+    if cyc is None or \
+            cyc.length <= billiard._CLIMB * billiard._LANDMARK_EVERY or \
             not cyc.reflection:
         return False
     k0, t0, r0, n0, L = walk.k, walk.t, walk.r, walk.n0, cyc.length

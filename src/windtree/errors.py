@@ -5,6 +5,16 @@ class DomainError(ValueError):
     """Input outside the domain an operation is defined on."""
 
 
+def check_count(name: str, value: int, least: int = 1, *,
+                shown: bool = False) -> None:
+    """Raise DomainError if the count ``name`` is below ``least``, with the
+    value in the message when ``shown``: the one message of each count,
+    whether the library or a command's config checks it."""
+    if value < least:
+        got = f", got {value}" if shown else ""
+        raise DomainError(f"{name} must be >= {least}{got}")
+
+
 class PrecisionError(RuntimeError):
     """A quantized-direction computation could not be certified at the
     requested precision."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 Rational = Fraction
 
@@ -175,8 +175,7 @@ def mediant_enumerate(limit: int) -> list:
     pruned as soon as its mediant exceeds the limit in either coordinate,
     because mediants are component-wise minimal over their subtree.
     """
-    if limit < 1:
-        raise DomainError("limit must be >= 1")
+    check_count("limit", limit)
     out = []
     # In-order traversal with an explicit stack: entries are either
     # ('span', left, right) still to expand, or ('emit', node).

@@ -69,7 +69,8 @@ from .billiard import (_BLOCK, _POWER, BOTTOM, LEFT, RIGHT, TOP, Orbit,
                        Outcome, classify_trajectory, collision_sequence,
                        first_return, leaving_orientation, make_state,
                        regular_start, side_length, side_offset)
-from .errors import CornerHit, DomainError, PrecisionError
+from .errors import (CornerHit, DomainError, PrecisionError,
+                     check_count)
 from .exact import Params, ParityClass, Slope, classify_params
 from .origami import decompose_table_direction, is_good_one_cylinder
 
@@ -266,12 +267,9 @@ def recurrence_experiment(params: Params, direction: DirectionSpec,
                           jobs: int = 1, shadow: bool = False) -> RecurrenceReport:
     """Fraction of boundary starts whose orbit comes back to the origin
     obstacle within the collision budget."""
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    if jobs < 1:
-        raise DomainError("jobs must be >= 1")
+    check_count("horizon", horizon)
+    check_count("n_samples", n_samples)
+    check_count("jobs", jobs)
     slope = direction.slope
     starts = sample_boundary_starts(params, slope, n_samples, seed)
     shadow_slope = None
@@ -498,12 +496,9 @@ def diffusion_experiment(params: Params, direction: DirectionSpec, k: int,
     classes are refused unless allow_any_class is set, in which case the
     report carries a warning flag.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+    check_count("k", k)
+    check_count("horizon", horizon)
+    check_count("n_samples", n_samples)
     if params.parity_class is not ParityClass.E_PRIME and not allow_any_class:
         raise DomainError("displacement growth is stated for the "
                           "even-over-odd parameter class; pass "
@@ -550,8 +545,7 @@ def approximation_search(direction: DirectionSpec, params: Params,
     for even-over-odd parameters.  Candidates are the convergents and
     intermediate fractions of the direction's value.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
+    check_count("n_terms", n_terms)
     if params.parity_class is ParityClass.E:
         member = lambda sl: is_good_one_cylinder(params, sl)
     elif params.parity_class is ParityClass.E_PRIME:
@@ -618,8 +612,7 @@ def stability_check(params: Params, table_slope: Slope, delta,
     delta = Fraction(delta)
     if delta < 0:
         raise DomainError("delta must be non-negative")
-    if n_probes < 1:
-        raise DomainError("n_probes must be >= 1")
+    check_count("n_probes", n_probes)
     state, base = regular_start(params, table_slope)
     if base.kind is not Outcome.PERIODIC:
         raise DomainError(f"slope {table_slope} is not periodic at {params}")

@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .exact import Params, ParityClass, Slope
 
 WEIERSTRASS_LABELS = ("A", "B", "C", "D", "E", "F")
@@ -889,8 +889,7 @@ def cylinder_bounds_constant(origami: Origami, slope_limit: int) -> Fraction:
     means the renormalized circumference itself, and the height ratio is
     1/(height * q).  The result may not exceed ceil(n * sqrt(2)).
     """
-    if slope_limit < 1:
-        raise DomainError("slope_limit must be >= 1")
+    check_count("slope_limit", slope_limit)
     best = Fraction(0)
     for v in range(1, slope_limit + 1):
         for u in range(1, v + 1):

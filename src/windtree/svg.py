@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import ceil, floor
 
 from .billiard import TracedPath
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .exact import Params
 
 
@@ -58,10 +58,8 @@ def render_trajectory(params: Params, path: TracedPath, scale: int = 60,
     ``highlight_cells`` (lattice pairs) are filled gray, marking the
     obstacles an escaping orbit hits at the same spot.
     """
-    if scale < 1:
-        raise DomainError(f"scale must be >= 1, got {scale}")
-    if margin < 0:
-        raise DomainError(f"margin must be >= 0, got {margin}")
+    check_count("scale", scale, shown=True)
+    check_count("margin", margin, 0, shown=True)
     if not path.points:
         raise DomainError("cannot render a path without points")
     xs = [p.x for p in path.points]

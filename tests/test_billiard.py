@@ -2101,6 +2101,10 @@ def test_walk_steps_half_the_period(uv, seed, L, monkeypatch):
 
 # -- the recording walk on the power map ---------------------------------
 
+# The collisions from which a recording walk steps on T^32, one landmark
+# block (T^P from _CLIMB*P).
+_TOP_FROM = billiard._CLIMB * billiard._LANDMARK_EVERY
+
 _CYCLE_COLUMNS = ("length", "reflection", "drift", "extent", "lo", "hi",
                   "span", "phase", "k", "r", "off", "cm", "cn", "ea", "mlo",
                   "mhi", "nlo", "nhi")
@@ -2139,19 +2143,20 @@ def test_power_walk_records_the_bench_slopes_as_single_steps(slope):
         for to_cell in (False, True):
             got, want = _walk_both_ways(HALF, start, 24000, to_cell)
             assert got == want
-            assert want.steps > 512
+            assert want.steps > _TOP_FROM
             assert want.cycle is not None or want.returned
 
 
 def test_power_walk_stops_in_the_start_cell_on_a_box_edge():
-    # a walk to the start cell, past its 512th collision, whose return
-    # falls inside a piece of T^8 whose box has the start cell on its edge
+    # a walk to the start cell, past its first _TOP_FROM collisions, whose
+    # return falls inside a piece of T^8 whose box has the start cell on
+    # its edge
     params = classify_params(2, 7, 3, 4)
     start = make_state(params, (-1, 2), RIGHT, Fraction(103111, 917504),
                        Slope(66, 47), (1, 1))
     got, want = _walk_both_ways(params, start, 30000, to_cell=True)
     assert got == want
-    assert want.returned and want.steps > 512
+    assert want.returned and want.steps > _TOP_FROM
 
 
 def test_power_walk_reports_a_corner_right_at_its_limit():
@@ -2199,7 +2204,7 @@ def test_power_walk_stops_in_the_start_cell_on_an_n_edge(j, edge, data,
     params, start = _random_start(*data)
     got, want = _walk_both_ways(params, start, 30000, to_cell=True)
     assert got == want
-    assert want.returned and want.steps == steps > 16 << j
+    assert want.returned and want.steps == steps > billiard._CLIMB << j
 
 
 def _indexed_one_landmark_at_a_time(cycles):
@@ -2356,7 +2361,7 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
                                   rng.choice((LEFT, RIGHT, BOTTOM, TOP)),
                                   rng.randint(1, den - 1), den,
                                   rng.choice((1, -1)), cell)[1]
-        limit = rng.choice((10**6, rng.randint(512, 2000),
+        limit = rng.choice((10**6, rng.randint(_TOP_FROM, 2000),
                             8 * rng.randint(65, 250)))
         to_cell = rng.random() < 0.5
         got, want = _walk_both_ways(params, start, limit, to_cell)
@@ -2364,15 +2369,16 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
         seen["classes"].add(params.parity_class)
         steps = want.steps
         if want.cycle is not None and not want.returned:
-            if steps > 512:
+            if steps > _TOP_FROM:
                 seen["residues"].add(steps % 32)
                 seen["n0"] += Orbit(start, params).n0 > 1
         elif want.returned or want.corner is not None:
-            # inside a piece of T^P, which a walk steps on from 16*P on
+            # inside a piece of T^P, which a walk steps on from _CLIMB*P on
             stop = "returned" if want.returned else "corner"
             for p in (8, 16, 32):
-                seen[f"{stop}{p}"] += steps > 16 * p and steps % p != 0
-        elif steps == limit and steps > 512:
+                seen[f"{stop}{p}"] += (steps > billiard._CLIMB * p and
+                                       steps % p != 0)
+        elif steps == limit and steps > _TOP_FROM:
             seen["limit"] += limit % 8 != 0
             seen["mid-block"] += limit % 8 == 0 != limit % 32
     for data in _RESIDUE_STARTS:
@@ -2384,8 +2390,9 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
     assert seen.pop("classes") == set(ParityClass)
     assert seen.pop("residues") == set(range(32))
     assert min(seen.values()) >= 5, seen
-    assert min(map(len, reads.values())) > 2000, \
-        {j: len(log) for j, log in reads.items()}
+    # every level is read, T^8 no less than when it was the top
+    assert len(reads[3]) > 5000 and len(reads[4]) > 2000 and \
+        len(reads[5]) > 2000, {j: len(log) for j, log in reads.items()}
     # the module cache's tables for the same keys log nothing
     for key in tables:
         assert not any(isinstance(row, _LoggedList)
