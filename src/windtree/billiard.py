@@ -75,10 +75,11 @@ Each orbit of a rational slope is a cycle of the map, and the starts that
 take the same pieces fill an open interval: the leaves of one cylinder.
 The first walk that closes on its start in the quotient records the
 cycle (period, label, drift, interval and a landmark at least every 32
-collisions), and later starts on it, or on a reflection of it, are
-answered by a walk of at most 32 collisions to a landmark.  A walk back
-on its quotient start with a reflection label has walked half its cycle:
-the reflection takes the first half to the second.
+collisions).  Every walk looks its first 32 states up among the recorded
+landmarks, so a later start on a cycle, or on a reflection of it, stops
+at a landmark within 32 collisions and is answered from the cycle.  A
+walk back on its quotient start with a reflection label has walked half
+its cycle: the reflection takes the first half to the second.
 
 Geometric lengths are reported as the exact rational number of copies of
 the primitive direction vector (v, u) traversed; the Euclidean length is
@@ -926,11 +927,11 @@ class Orbit:
 # the starts that follow the same pieces fill an open interval: the leaves
 # of one cylinder.  They share the period, the drift and the period's
 # flight extent, so the first walk that closes on its start in the
-# quotient records the cycle, and later starts on it are answered by a
-# short walk to one of its landmarks instead of a period walk.
+# quotient records the cycle, and the walk of a later start on it stops at
+# the first of its landmarks instead of walking a period.
 
 # A recorded cycle keeps a landmark at least every this many phases; a
-# lookup walks at most this many collisions to reach one.
+# walk looks up at most this many states to reach one.
 _LANDMARK_EVERY = 32
 
 # A recording walk steps on T^P once it has made _CLIMB*P collisions, up
@@ -999,7 +1000,10 @@ class _Cycle:
 
 class _CycleStore:
     """The recorded cycles of one (params, slope), and for each quotient
-    domain the intervals of their landmarks: sorted, disjoint, at n0 = 1."""
+    domain the intervals of their landmarks: sorted, disjoint, at n0 = 1.
+    A state at lattice scale n0 is at the landmark of (lo, hi) when
+    n0*lo < t < n0*hi (`_walk_period`); interval ends never match, as they
+    lie on saddle connections."""
 
     __slots__ = ("cycles", "los", "his", "refs")
 
@@ -1028,36 +1032,6 @@ class _CycleStore:
             self.los[k], self.his[k], self.refs[k] = map(list, zip(*row))
         self.cycles.append(cyc)
 
-    def locate(self, walk: Orbit):
-        """Find the start of ``walk`` on a recorded cycle, by walking it to
-        the first landmark it reaches.
-
-        Returns (cycle, landmark, steps, dm, dn, extent, t, r): the
-        collisions walked, the cells and X-extent they moved by and the
-        state at the landmark; or None when the start lies on no recorded
-        cycle.  A start on a cycle reaches a landmark within
-        _LANDMARK_EVERY - 1 collisions.  Interval ends never match: they
-        lie on saddle connections.
-        """
-        if not self.cycles:
-            return None
-        n0, k0, t0 = walk.n0, walk.k, walk.t
-        k, t, r = k0, t0, walk.r
-        m = n = ext = 0
-        for s in range(_LANDMARK_EVERY):
-            # the last interval with n0*lo < t, that is lo <= (t - 1)//n0
-            i = bisect_right(self.los[k], (t - 1) // n0) - 1
-            if i >= 0 and t < n0 * self.his[k][i]:
-                ci, b = divmod(self.refs[k][i], 1 << 32)
-                return self.cycles[ci], b, s, m, n, ext, t, r
-            if s and t == t0 and k == k0:
-                break  # a short cycle walked whole
-            _, k, t, r, m, n, adx, *_, corner = walk.advance(k, t, r, m, n, 1)
-            if corner is not None:
-                break
-            ext += adx
-        return None
-
 
 @lru_cache(maxsize=16)
 def _cycle_store(params: Params, u: int, v: int) -> _CycleStore:
@@ -1074,13 +1048,22 @@ class _Walk(NamedTuple):
     corner: CornerHit | None
     cycle: _Cycle | None  # the cycle closed and recorded, if any
     returned: bool  # stopped on its first return to the start cell
+    # (cycle, landmark, steps, dm, dn, extent, t, r): the recorded landmark
+    # reached, the collisions, cell move and extent to it and the state
+    # there; landmark 0 at the start for the cycle closed
+    found: tuple | None
 
 
 def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                  to_cell: bool = False) -> _Walk:
-    """Step the start of ``walk`` until it is back on its quotient state,
-    hits a corner, or has made ``limit`` collisions; record the cycle it
-    closes.
+    """Step the start of ``walk`` until it is on a cycle recorded in
+    ``store``, is back on its quotient state, hits a corner, or has made
+    ``limit`` collisions; record the cycle it closes.
+
+    Before each step of its first landmark block, on single pieces, the
+    walk looks its state up in ``store`` and stops at a landmark: a start
+    on a recorded cycle reaches one within _LANDMARK_EVERY - 1 collisions
+    and records nothing.
 
     The open interval of starts that take the same pieces is shrunk along
     the way, kept as its margins below and above the orbit's point: each
@@ -1132,6 +1115,8 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     # as the top level needs: per domain, t -> d, the fewest collisions on
     # to the quotient start.  A start without them never closes.
     preds = ({}, {})
+    # the recorded cycles, looked up in the first block
+    lookup = bool(store.cycles)
     while steps < limit:
         if steps >= climb:
             top += 1
@@ -1172,6 +1157,15 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                             break
                 j -= 1
             else:
+                if lookup:
+                    # the last interval with n0*lo < t, that is
+                    # lo <= (t - 1)//n0
+                    i = bisect_right(store.los[k], (t - 1) // n0) - 1
+                    if i >= 0 and t < n0 * store.his[k][i]:
+                        ci, b = divmod(store.refs[k][i], 1 << 32)
+                        return _Walk(steps, m, n, ext, None, None, False,
+                                     (store.cycles[ci], b, steps, m - sm,
+                                      n - sn, ext, t, r))
                 cs = cuts[k]
                 i = bisect_left(cs, t)
                 if cs[i] == t:
@@ -1208,12 +1202,13 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
         marks.append((*mark, mlo - lm, mhi - lm, nlo - ln, nhi - ln))
         if closed or returned or corner is not None:
             break
+        lookup = False
     else:  # at the limit, a corner the next step runs into is reported
         i = bisect_left(cuts[k], t)
         if cuts[k][i] == t:
             corner = walk.corner_hit(k, i, r, m, n)
     if not closed:
-        return _Walk(steps, m, n, ext, corner, None, returned)
+        return _Walk(steps, m, n, ext, corner, None, returned, None)
     rec = _Cycle()
     (rec.phase, ks, rs, off, rec.cm, rec.cn, ea, rec.mlo, rec.mhi, rec.nlo,
      rec.nhi) = map(list, zip(*marks))
@@ -1223,7 +1218,8 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     rec.seal(steps, r ^ r0, (m - sm, n - sn),
              *_down([ext, t0 - below, t0 + above], n0))
     store.add(rec)
-    return _Walk(steps, m, n, ext, None, rec, returned)
+    return _Walk(steps, m, n, ext, None, rec, returned,
+                 (rec, 0, 0, 0, 0, 0, t0, r0))
 
 
 def _down(xs: list, n0: int) -> list:
@@ -1264,7 +1260,7 @@ def _rounds(c: int, d: int, lo: int, hi: int, w0: int, w1: int) -> tuple:
 
 def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
     """First return to the start cell within ``horizon`` collisions of a
-    start that ``_CycleStore.locate`` found on a recorded cycle.
+    start that `_walk_period` found on a recorded cycle, from ``found``.
 
     Returns (collisions or None, cell, extent): the cell and the extent are
     relative to the start, at the return or else at the horizon.  Round w
@@ -1343,9 +1339,10 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     Returns (collisions or None, cell, length, singular): the cell relative
     to the start cell and the length in primitive-vector units, at the
     return, at the corner or else at the horizon.  An axis orbit is back
-    after its two flights.  A start on a recorded cycle is answered from
-    it; otherwise the orbit is walked, and one that closes on its quotient
-    start within the horizon is recorded and answered from its cycle.
+    after its two flights.  Otherwise the orbit is walked once
+    (`_walk_period`) to its first return, a corner or the horizon, or to
+    a cycle, recorded or closed and recorded by the walk, which answers
+    it.
     """
     validate_state(start, params)
     check_count("horizon", horizon)
@@ -1357,19 +1354,17 @@ def first_return(start: BilliardState, params: Params, horizon: int):
         sm, sn = start.cell
         return None, (m - sm, n - sn), flight, False
     walk = Orbit(start, params)
-    store = _cycle_store(params, start.slope.u, start.slope.v)
     vN = start.slope.v * walk.lattice.N
-    found = store.locate(walk)
-    if found is None:
-        res = _walk_period(walk, horizon, store, to_cell=True)
-        if res.returned:
-            return res.steps, (0, 0), Fraction(res.extent, vN), False
-        if res.cycle is None:
-            sm, sn = start.cell
-            return (None, (res.m - sm, res.n - sn), Fraction(res.extent, vN),
-                    res.corner is not None and res.steps < horizon)
-        found = (res.cycle, 0, 0, 0, 0, 0, walk.t, walk.r)
-    ret, cell, ext = _cycle_return(walk, found, horizon)
+    res = _walk_period(walk, horizon,
+                       _cycle_store(params, start.slope.u, start.slope.v),
+                       to_cell=True)
+    if res.returned:
+        return res.steps, (0, 0), Fraction(res.extent, vN), False
+    if res.found is None:
+        sm, sn = start.cell
+        return (None, (res.m - sm, res.n - sn), Fraction(res.extent, vN),
+                res.corner is not None and res.steps < horizon)
+    ret, cell, ext = _cycle_return(walk, res.found, horizon)
     return ret, cell, Fraction(ext, vN), False
 
 
@@ -1401,11 +1396,12 @@ def classify_trajectory(start: BilliardState, params: Params,
     the first reduced repeat of an orbit is its own start state: zero cell
     difference means the orbit is closed, a non-zero difference is the
     drift of an escaping orbit.  ``pre_period`` is therefore always 0.
-    The walk stops at its first return on the quotient, at the period or
-    at half of it (`_walk_period`), and records the cylinder cycle it
-    closed; a later start on a recorded cycle is answered from it.  An
-    undetermined outcome has the length of exactly ``max_collisions``
-    collisions.
+    The one walk (`_walk_period`) stops on a recorded cycle, or at its
+    first return on the quotient, at the period or at half of it, and
+    records the cylinder cycle it closed; the cycle answers.  A recorded
+    cycle whose period exceeds ``max_collisions`` is walked to that cap as
+    if it were unknown.  An undetermined outcome has the length of exactly
+    ``max_collisions`` collisions.
     """
     validate_state(start, params)
     check_count("max_collisions", max_collisions)
@@ -1415,24 +1411,22 @@ def classify_trajectory(start: BilliardState, params: Params,
                                  (0, 0), repeat_cells=(start.cell, start.cell))
 
     walk = Orbit(start, params)
-    store = _cycle_store(params, start.slope.u, start.slope.v)
     vN = start.slope.v * walk.lattice.N
     m0, n0 = start.cell
-    found = store.locate(walk)
-    if found is not None and found[0].orbit(0)[0] <= max_collisions:
-        cyc, g = found[0], found[7] ^ found[0].r[found[1]]
-    else:
-        res = _walk_period(walk, max_collisions, store)
-        if res.corner is not None:
-            # length up to the last collision
-            return TrajectoryOutcome(Outcome.SINGULAR, res.steps,
-                                     Fraction(res.extent, vN), (0, 0),
-                                     corner=PointQ(res.corner.x, res.corner.y))
-        if res.cycle is None:
-            return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
-                                     Fraction(res.extent, vN), (0, 0))
-        cyc, g = res.cycle, 0
-    steps, (dm, dn), extent = cyc.orbit(g)
+    res = _walk_period(walk, max_collisions,
+                       _cycle_store(params, start.slope.u, start.slope.v))
+    if res.found is not None and res.found[0].orbit(0)[0] > max_collisions:
+        res = _walk_period(walk, max_collisions, _CycleStore())
+    if res.corner is not None:
+        # length up to the last collision
+        return TrajectoryOutcome(Outcome.SINGULAR, res.steps,
+                                 Fraction(res.extent, vN), (0, 0),
+                                 corner=PointQ(res.corner.x, res.corner.y))
+    if res.found is None:
+        return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
+                                 Fraction(res.extent, vN), (0, 0))
+    cyc, b, *_, r = res.found
+    steps, (dm, dn), extent = cyc.orbit(r ^ cyc.r[b])
     kind = Outcome.PERIODIC if (dm, dn) == (0, 0) else Outcome.ESCAPING
     return TrajectoryOutcome(kind, steps, Fraction(walk.n0 * extent, vN),
                              (dm, dn),

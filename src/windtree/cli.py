@@ -20,8 +20,8 @@ from itertools import chain, islice
 
 from . import billiard, experiments, lift, origami, svg
 from .billiard import Outcome
-from .errors import (CornerHit, DomainError, PrecisionError,
-                     check_count)
+from .errors import (CornerHit, DomainError, PrecisionError, check_count,
+                     check_precision_bits)
 from .exact import Params, Slope
 
 EXIT_OK = 0
@@ -75,11 +75,13 @@ class RunConfig:
     csv: str = ""
 
     def check_counts(self) -> None:
-        """Raise DomainError for the first count below its least value,
-        whichever command runs: a command that does not read a count
-        refuses it too."""
+        """Raise DomainError for the first count below its least value, or
+        for bits of direction precision out of bounds, whichever command
+        runs: a command that does not read a count or the bits refuses
+        them too."""
         for field, (name, least, shown) in _COUNTS.items():
             check_count(name, getattr(self, field), least, shown=shown)
+        check_precision_bits(self.precision_bits)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)

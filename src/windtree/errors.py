@@ -15,6 +15,24 @@ def check_count(name: str, value: int, least: int = 1, *,
         raise DomainError(f"{name} must be >= {least}{got}")
 
 
+# The bits of direction precision a quantized direction may ask for; a
+# shadow run re-quantizes at twice the bits it was given.
+MIN_PRECISION_BITS = 8
+MAX_PRECISION_BITS = 1 << 16
+
+
+def check_precision_bits(bits: int) -> None:
+    """Raise DomainError unless MIN_PRECISION_BITS <= bits <=
+    MAX_PRECISION_BITS: the one message of each bound, whether
+    `quantize_direction` or a command's config checks it."""
+    if bits < MIN_PRECISION_BITS:
+        raise DomainError(f"need at least {MIN_PRECISION_BITS} bits of "
+                          "direction precision")
+    if bits > MAX_PRECISION_BITS:
+        raise DomainError(f"at most {MAX_PRECISION_BITS} bits of direction "
+                          "precision")
+
+
 class PrecisionError(RuntimeError):
     """A quantized-direction computation could not be certified at the
     requested precision."""

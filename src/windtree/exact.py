@@ -167,6 +167,24 @@ class Params:
 classify_params = Params  # validates the dimensions and classifies parity
 
 
+def fraction_text(x: Fraction) -> str:
+    """``x`` as 'num/den', however many digits its terms have."""
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    """The decimal text of an integer of any length.  Python converts at
+    most sys.get_int_max_str_digits() digits at once (4,300 by default,
+    never fewer than 640), so a longer integer is written as two halves."""
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    low = n.bit_length() * 3 // 20  # about half of n's digits
+    high, rest = divmod(n, 10**low)
+    return _int_text(high) + _int_text(rest).zfill(low)
+
+
 def mediant_enumerate(limit: int) -> list:
     """All reduced positive slopes u/v with u <= limit and v <= limit,
     in increasing order, each exactly once.

@@ -69,9 +69,10 @@ from .billiard import (_BLOCK, _POWER, BOTTOM, LEFT, RIGHT, TOP, Orbit,
                        Outcome, classify_trajectory, collision_sequence,
                        first_return, leaving_orientation, make_state,
                        regular_start, side_length, side_offset)
-from .errors import (CornerHit, DomainError, PrecisionError,
-                     check_count)
-from .exact import Params, ParityClass, Slope, classify_params
+from .errors import (CornerHit, DomainError, PrecisionError, check_count,
+                     check_precision_bits)
+from .exact import (Params, ParityClass, Slope, classify_params,
+                    fraction_text)
 from .origami import decompose_table_direction, is_good_one_cylinder
 
 SHADOW_TOLERANCE = Fraction(1, 2**30)
@@ -96,16 +97,16 @@ class DirectionSpec:
         return self.precision_bits is not None
 
 
-MAX_PRECISION_BITS = 1 << 16  # a shadow run doubles them
-
-
 def quantize_direction(value, bits: int) -> DirectionSpec:
-    """Round a positive slope value to the dyadic grid 2^-bits."""
-    if bits < 8:
-        raise DomainError("need at least 8 bits of direction precision")
-    if bits > MAX_PRECISION_BITS:
-        raise DomainError(f"at most {MAX_PRECISION_BITS} bits of direction "
-                          "precision")
+    """Round a positive slope value to the dyadic grid 2^-bits, for bits
+    within `errors.check_precision_bits`."""
+    check_precision_bits(bits)
+    return _quantized(value, bits)
+
+
+def _quantized(value, bits: int) -> DirectionSpec:
+    """`quantize_direction` at any bits: a shadow run's are twice those
+    checked."""
     val = Fraction(value)
     if val <= 0:
         raise DomainError("experiment directions must be positive slopes")
@@ -199,10 +200,9 @@ class RecurrenceReport:
         for s in self.samples:
             fr = "" if s.first_return is None else str(s.first_return)
             rows.append(
-                f"{s.sample_id},{s.side},"
-                f"{s.offset.numerator}/{s.offset.denominator},{s.outcome},{fr},"
-                f"{s.drift[0]},{s.drift[1]},"
-                f"{s.geometric_length.numerator}/{s.geometric_length.denominator}")
+                f"{s.sample_id},{s.side},{fraction_text(s.offset)},"
+                f"{s.outcome},{fr},{s.drift[0]},{s.drift[1]},"
+                f"{fraction_text(s.geometric_length)}")
         return "\n".join(rows) + "\n"
 
 
@@ -276,8 +276,8 @@ def recurrence_experiment(params: Params, direction: DirectionSpec,
     if shadow and direction.quantized:
         if direction.source is None:
             raise DomainError("shadow runs need the pre-quantization value")
-        shadow_slope = quantize_direction(direction.source,
-                                          2 * direction.precision_bits).slope
+        shadow_slope = _quantized(direction.source,
+                                  2 * direction.precision_bits).slope
     args = [(params, slope, st, horizon, shadow_slope) for st in starts]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:

@@ -2,8 +2,9 @@
 table's flow in that direction, found by the billiard alone.
 
 `direction_cycles` covers the 2 domains of the boundary return map on the
-quotient by the table's reflections with recorded cycles, walking each
-start the cycle store does not know yet; the tests check it against the
+quotient by the table's reflections with recorded cycles, walking a start
+in each gap between the cycles found so far, which the walk finds in the
+cycle store or records; the tests check it against the
 surface lift, which shares no code with it, and against the store's
 bookkeeping.  Each quotient cycle stands for the cylinders that are its
 images under the reflections.  It reads the package's private return-map
@@ -57,12 +58,10 @@ def direction_cycles(params: Params, slope: Slope) -> tuple:
                                               Fraction(Y, lat.N)),
                                        side, (0, 0), orientation, slope),
                          params)
-            hit = store.locate(walk)
-            if hit is None:
-                # odd points at n0 = 2 meet no corner, and they close
-                # within the count of reduced states
-                hit = (_walk_period(walk, limit, store).cycle, 0, 0)
-            cyc, b, s = hit[:3]
+            # the walk finds the point's cycle in the store or closes it:
+            # odd points at n0 = 2 meet no corner, and they close within
+            # the count of reduced states
+            cyc, b, s = _walk_period(walk, limit, store).found[:3]
             phases = cycle_phases(walk, cyc)
             for kk, lo, hi, _ in phases:
                 if lo in ends[kk]:

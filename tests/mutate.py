@@ -123,7 +123,9 @@ def _mutant_source(source: str, qualname: str, site: tuple) -> str:
     indent = " " * func.col_offset
     body = "".join(indent + ln + "\n" if ln else "\n"
                    for ln in ast.unparse(func).splitlines())
-    return "".join(lines[:func.lineno - 1]) + body + \
+    # the unparsed function starts with its decorators
+    first = min([func.lineno, *(d.lineno for d in func.decorator_list)])
+    return "".join(lines[:first - 1]) + body + \
         "".join(lines[func.end_lineno:])
 
 

@@ -2,7 +2,8 @@
 traced polyline, the return map on the 8 domains (built from corner
 flights, and from two probes per piece) and its quotient by the table's
 reflections, the 8-domain map scaled to a lattice scale and the whole
-power map built eagerly from it, single steps on the 8 domains, the
+power map built eagerly from it, single steps on the 8 domains and the
+state they reach, the lookup of a start in a cycle store that records nothing, the
 matrix and the inverse of a generator word, the straight-line flow on a
 square-tiled surface, and the Fraction-based surface action, pull-back,
 fold and SVG canvas coordinates that the integer ones replaced.  The
@@ -12,13 +13,15 @@ package itself has no use for them.
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm
 
-from windtree.billiard import (_DOMAIN_INDEX, _POWER, _SIDE, DOMAINS,
-                               HORIZONTAL_SIDES, BilliardState, TracedPath,
-                               _corner_traces, _first_hit, _half, _landing,
-                               _Lattice, _quotient, _with_entry, make_state,
-                               side_length)
+from windtree.billiard import (_DOMAIN_INDEX, _LANDMARK_EVERY, _POWER, _SIDE,
+                               DOMAINS, HORIZONTAL_SIDES, BilliardState,
+                               Orbit, TracedPath, _corner_traces, _CycleStore,
+                               _first_hit, _half, _landing, _Lattice,
+                               _quotient, _walk_period, _with_entry,
+                               make_state, side_length)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import ORIENTATIONS, Params, PointQ, Slope
 from windtree.origami import Origami, as_tokens
@@ -280,6 +283,17 @@ def eight_domain_steps(params: Params, start: BilliardState):
         yield k, t, m, n, adx
 
 
+def later_state(params: Params, start: BilliardState, j: int) -> BilliardState:
+    """The state ``j`` collisions after a start, from 8-domain steps."""
+    lat = eight_domain_state(params, start)[0]
+    k, t, m, n, _ = next(islice(eight_domain_steps(params, start), j - 1,
+                                None))
+    X, Y = lat.point(k, t, m, n)
+    side, orientation = DOMAINS[k]
+    return BilliardState(PointQ(Fraction(X, lat.N), Fraction(Y, lat.N)),
+                         side, (m, n), orientation, start.slope)
+
+
 def scaled_return_map(params, u: int, v: int, n0: int) -> tuple:
     """T of slope u/v at lattice scale n0: (cuts, pieces, corners) by
     domain, as `eight_domain_return_map` gives them at n0 = 1, with the
@@ -306,6 +320,19 @@ def eager_power_map(params, u: int, v: int, n0: int) -> tuple:
     for _ in range(_POWER.bit_length() - 1):
         table = _compose(table, table)
     return table
+
+
+def located(store: _CycleStore, walk: Orbit):
+    """`_Walk.found` of the start of ``walk`` on a cycle recorded in
+    ``store``, as `_walk_period` finds it within one landmark block, or
+    None.  The walk looks up a copy of the store, so a cycle it closes is
+    not recorded."""
+    twin = _CycleStore()
+    twin.cycles = list(store.cycles)
+    twin.los, twin.his, twin.refs = ([list(row) for row in rows] for rows in
+                                     (store.los, store.his, store.refs))
+    res = _walk_period(walk, _LANDMARK_EVERY, twin)
+    return None if res.cycle is not None else res.found
 
 
 def inverse_word(word) -> tuple:

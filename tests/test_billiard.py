@@ -27,9 +27,9 @@ from grid_stepper import (GridStepper, assert_resolved, long_flight,
                           long_pieces)
 from oracles import scan_next_hit
 from support import (eager_power_map, eight_domain_return_map,
-                     eight_domain_state, eight_domain_steps, midpoint_state,
-                     path_length, quotient_table, scaled_return_map,
-                     two_probe_return_map)
+                     eight_domain_state, eight_domain_steps, later_state,
+                     located, midpoint_state, path_length, quotient_table,
+                     scaled_return_map, two_probe_return_map)
 from walk_reference import _walk_period as single_piece_walk
 
 HALF = classify_params(1, 2, 1, 2)
@@ -506,7 +506,7 @@ def test_return_map_matches_engine_property(pqrs, uv, side, num, den, tangent,
 def _assert_recorded(start, params):
     """The cycle of a start that closes is in the store."""
     store = _cycle_store(params, start.slope.u, start.slope.v)
-    assert store.locate(Orbit(start, params)) is not None
+    assert located(store, Orbit(start, params)) is not None
 
 
 def test_return_map_long_flight_matches_engine():
@@ -1671,6 +1671,24 @@ def test_cycle_store_classify_matches_stepping_property(pqrs, uv, data, cap,
             _stepped_outcome(s, params, cap)
 
 
+def _only_found_walks(monkeypatch):
+    """Let `_walk_period` run only as the walk of a start on a recorded
+    cycle: one that stops at a landmark within one landmark block and
+    records nothing.  Any other walk fails the test."""
+    walk_period = billiard._walk_period
+
+    def found_walk(walk, limit, store, to_cell=False):
+        cycles = len(store.cycles)
+        res = walk_period(walk, limit, store, to_cell)
+        if res.found is None or res.cycle is not None or \
+                res.steps >= billiard._LANDMARK_EVERY or \
+                len(store.cycles) != cycles:
+            raise AssertionError("walked a recorded cycle")
+        return res
+
+    monkeypatch.setattr(billiard, "_walk_period", found_walk)
+
+
 def test_cycle_store_answers_a_second_start_without_a_walk(monkeypatch):
     # two starts on the 21,892-collision cycle of 4181/6765, closed at half
     # its period, a lattice scale apart; the second is answered by a walk
@@ -1691,10 +1709,7 @@ def test_cycle_store_answers_a_second_start_without_a_walk(monkeypatch):
                                 n0 * cyc.lo + (cyc.hi - cyc.lo), n0,
                                 cell=(2, -1))
 
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked a recorded cycle")
-
-    monkeypatch.setattr(billiard, "_walk_period", no_walk)
+    _only_found_walks(monkeypatch)
     got = classify_trajectory(second, HALF)
     assert got.combinatorial_length == 21892
     assert got.repeat_cells == ((2, -1), (2, -1))
@@ -1778,7 +1793,10 @@ def test_locate_one_lattice_unit_inside_a_landmark_interval():
                                                 cyc.intervals())):
             for t in (n0 * lo + 1, n0 * hi - 1):
                 walk.k, walk.t, walk.r = k, t, r
-                assert store.locate(walk) == (cyc, b, 0, 0, 0, 0, t, r)
+                res = billiard._walk_period(walk, 10**6, store)
+                assert res.found == (cyc, b, 0, 0, 0, 0, t, r)
+                assert res.steps == 0 and res.cycle is None
+        assert store.cycles == [cyc]
 
 
 # 13/29 escapes with drift (-2, 1), so a wrong sign on either axis shows;
@@ -1801,10 +1819,7 @@ def test_cycle_store_answers_mirror_images_without_a_walk(uv, monkeypatch):
     assert classify_trajectory(start, params) == \
         _stepped_outcome(start, params, 50000)
 
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked a mirror image of a recorded cycle")
-
-    monkeypatch.setattr(billiard, "_walk_period", no_walk)
+    _only_found_walks(monkeypatch)
     for image, w in zip(images, want):
         assert classify_trajectory(image, params) == w
     for image, rets in zip(images, returns):
@@ -1875,8 +1890,8 @@ def test_locate_walks_once_and_answers_as_four_walks():
             start = random_start(pqrs, slope)
             want = _located_by_walking(store, Orbit(start, params))
             for fx, fy in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                got = store.locate(Orbit(_mirror_state(start, fx, fy),
-                                         params))
+                got = located(store, Orbit(_mirror_state(start, fx, fy),
+                                           params))
                 if want is None:
                     assert got is None
                     continue
@@ -2110,21 +2125,33 @@ _CYCLE_COLUMNS = ("length", "reflection", "drift", "extent", "lo", "hi",
                   "mhi", "nlo", "nhi")
 
 
+def _cycle_record(cyc):
+    """A `_Cycle` as plain data: every column."""
+    return [list(getattr(cyc, c)) if c in ("k", "r") else getattr(cyc, c)
+            for c in _CYCLE_COLUMNS]
+
+
 def _walk_record(res):
     """A `_Walk` as plain data: every field, with the corner as its point
-    and the cycle as every column."""
+    and each cycle, recorded or found, as every column."""
     corner = res.corner and (res.corner.x, res.corner.y)
-    cycle = res.cycle and [list(getattr(res.cycle, c)) if c in ("k", "r")
-                           else getattr(res.cycle, c) for c in _CYCLE_COLUMNS]
-    return res._replace(corner=corner, cycle=cycle)
+    cycle = res.cycle and _cycle_record(res.cycle)
+    found = res.found and (_cycle_record(res.found[0]), *res.found[1:])
+    return res._replace(corner=corner, cycle=cycle, found=found)
 
 
-def _walk_both_ways(params, start, limit, to_cell=False):
+def _walk_both_ways(params, start, limit, to_cell=False, cycles=()):
     """The walks of `_walk_period` and of the single-piece reference from
-    one start, each recording into a store of its own, as plain data."""
-    return [_walk_record(walk(Orbit(start, params), limit,
-                              billiard._CycleStore(), to_cell))
-            for walk in (billiard._walk_period, single_piece_walk)]
+    one start, each looking up and recording into a store of its own that
+    holds ``cycles`` to begin with, as plain data."""
+    out = []
+    for walk in (billiard._walk_period, single_piece_walk):
+        store = billiard._CycleStore()
+        for cyc in cycles:
+            store.add(cyc)
+        out.append(_walk_record(walk(Orbit(start, params), limit, store,
+                                     to_cell)))
+    return out
 
 
 _BENCH_SLOPES = ("233/377", "987/1597", "1597/2584", "2584/4181",
@@ -2236,8 +2263,7 @@ def test_cycle_store_merges_landmarks_as_one_at_a_time_inserts():
             s = sample_boundary_starts(HALF, slope, 1, seed)[0]
             walk = Orbit(make_state(HALF, (0, 0), s.side, s.offset, slope,
                                     s.orientation), HALF)
-            if store.locate(walk) is None:
-                billiard._walk_period(walk, 10**5, store)
+            billiard._walk_period(walk, 10**5, store)
         recorded += len(store.cycles)
         index = (store.los, store.his, store.refs)
         assert index == _indexed_one_landmark_at_a_time(store.cycles)
@@ -2397,3 +2423,103 @@ def test_power_walk_equals_single_piece_walk_on_random_tables(monkeypatch):
     for key in tables:
         assert not any(isinstance(row, _LoggedList)
                        for level in power_map(*key).rows for row in level)
+
+
+def _with_an_empty_store(monkeypatch, answer, *args):
+    """answer(*args) with a new, empty cycle store for each call: the answer
+    of a walk that finds no recorded cycle."""
+    with monkeypatch.context() as patched:
+        patched.setattr(billiard, "_cycle_store",
+                        lambda *key: billiard._CycleStore())
+        return answer(*args)
+
+
+def _assert_found_as_with_an_empty_store(params, start, rng, monkeypatch):
+    """Record the cycle of ``start``; then check starts on it, at lattice
+    scales 1 to 5 and up to 40 collisions past a landmark, each with its
+    images under the table's reflections.  Each walk stops at a landmark
+    within one landmark block, or in the start cell before it, and records
+    nothing, as the single-piece reference does, walking whole or to the
+    start cell; first_return and
+    classify_trajectory, at the period's cap and below it, answer what
+    they answer with an empty store.  Returns the lattice scales and the
+    collisions walked to a landmark, or None where the start has no cycle
+    within 30,000 collisions."""
+    slope = start.slope
+    _cycle_store.cache_clear()
+    out = classify_trajectory(start, params, 30000)
+    if out.kind not in (Outcome.PERIODIC, Outcome.ESCAPING):
+        return None
+    period = out.combinatorial_length
+    store = _cycle_store(params, slope.u, slope.v)
+    [cyc] = store.cycles
+    seen = []
+    for _ in range(2):
+        b = rng.randrange(len(cyc.phase))
+        lo, hi = cyc.intervals()[b]
+        n0 = rng.randint(1, 5)
+        state = _quotient_state_at(params, slope, cyc.k[b],
+                                   rng.randint(n0 * lo + 1, n0 * hi - 1), n0,
+                                   (rng.randint(-3, 3), rng.randint(-3, 3)))
+        j = rng.randint(0, 40)
+        state = later_state(params, state, j) if j else state
+        for fx, fy in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            image = _mirror_state(state, fx, fy)
+            for to_cell in (False, True):
+                got, want = _walk_both_ways(params, image, 30000, to_cell,
+                                            [cyc])
+                assert got == want and want.cycle is None
+                if want.returned:  # back in its cell before a landmark
+                    assert to_cell and want.found is None
+                    assert want.steps < billiard._LANDMARK_EVERY
+                    continue
+                assert want.found[0] == _cycle_record(cyc)
+                assert want.steps == want.found[2] < billiard._LANDMARK_EVERY
+            for horizon in (1, rng.randint(2, period),
+                            rng.randint(period, 3 * period)):
+                assert first_return(image, params, horizon) == \
+                    _with_an_empty_store(monkeypatch, first_return, image,
+                                         params, horizon)
+            for cap in (30000, period, period - 1):
+                assert classify_trajectory(image, params, cap) == \
+                    _with_an_empty_store(monkeypatch, classify_trajectory,
+                                         image, params, cap)
+            res = billiard._walk_period(Orbit(image, params), 30000, store)
+            assert res.found[0] is cyc and res.cycle is None
+            seen.append((Orbit(image, params).n0, res.steps))
+    assert store.cycles == [cyc]
+    return seen
+
+
+@pytest.mark.parametrize("slope", _BENCH_SLOPES)
+def test_found_walks_answer_the_bench_slopes_as_an_empty_store(slope,
+                                                               monkeypatch):
+    # the rational-orbits slopes on 1/2,1/2, whose cycles are walked on
+    # every level of the tower
+    rng = random.Random(slope)
+    slope = Slope.parse(slope)
+    s = sample_boundary_starts(HALF, slope, 1, 1)[0]
+    start = make_state(HALF, (0, 0), s.side, s.offset, slope, s.orientation)
+    seen = _assert_found_as_with_an_empty_store(HALF, start, rng,
+                                                monkeypatch)
+    assert any(steps for _, steps in seen)
+
+
+def test_found_walks_answer_random_tables_as_an_empty_store(monkeypatch):
+    # random tables of all three parity classes and slopes up to 40, with
+    # walks to a landmark of every length below one landmark block
+    rng = random.Random(28)
+    seen, classes, lengths = [], set(), set(range(billiard._LANDMARK_EVERY))
+    while len(classes) < 3 or {steps for _, steps in seen} != lengths:
+        pqrs, slope = _random_table_and_direction(rng, 1)
+        side = rng.choice((LEFT, RIGHT, BOTTOM, TOP))
+        den = rng.randint(2, 12)
+        params, start = _random_start(pqrs, (slope.u, slope.v), side,
+                                      rng.randint(1, den - 1), den,
+                                      rng.choice((1, -1)), (0, 0))
+        found = _assert_found_as_with_an_empty_store(params, start, rng,
+                                                     monkeypatch)
+        if found:
+            seen += found
+            classes.add(params.parity_class)
+    assert len({n0 for n0, _ in seen}) >= 3

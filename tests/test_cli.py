@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+import sys
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import strategies as st
 
 from windtree.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, RunConfig,
                           main)
+from windtree.errors import DomainError
+from windtree.experiments import quantize_direction
 
 
 def run(capsys, *argv):
@@ -320,6 +325,60 @@ def test_huge_precision_bits_is_one_line_error(tmp_path, capsys, how):
     code, out, err = run(capsys, "recur", *argv)
     assert _one_line_error(code, err) and out == ""
     assert "at most 65536 bits of direction precision" in err
+
+
+def test_shadowed_recur_takes_bits_above_half_the_cap(capsys):
+    # the cap bounds the bits asked for; the shadow's doubled bits (65,538
+    # here) are not checked against it
+    code, out, err = run(capsys, "recur", "--theta", "0.5",
+                         "--precision-bits", "32769", "--samples", "1",
+                         "--horizon", "10")
+    assert code == EXIT_OK and err == ""
+    assert out.startswith("returned ")
+
+
+@pytest.mark.parametrize("bits, message", [
+    ("7", "need at least 8 bits of direction precision"),
+    ("0", "need at least 8 bits of direction precision"),
+    ("65537", "at most 65536 bits of direction precision")])
+def test_precision_bits_are_checked_for_every_command(capsys, bits, message):
+    # classify reads an exact slope and never quantizes, yet refuses bits
+    # out of bounds with the message quantize_direction gives
+    code, out, err = run(capsys, "classify", "--slope", "1/3",
+                         "--precision-bits", bits)
+    assert _one_line_error(code, err) and out == ""
+    assert err == f"error: {message}\n"
+    with pytest.raises(DomainError, match=message):
+        quantize_direction(Fraction(3, 10), int(bits))
+
+
+def test_recur_csv_writes_exact_integers_of_any_length(tmp_path, capsys):
+    # at 16,000 bits the exact lengths have more digits than Python turns
+    # into text at once; the CSV holds them whole
+    csv = tmp_path / "r.csv"
+    code, out, err = run(capsys, "recur", "--params", "1/2,1/2", "--theta",
+                         "0.3", "--precision-bits", "16000", "--samples", "1",
+                         "--horizon", "10", "--csv", str(csv))
+    assert code == EXIT_OK and err == ""
+    row = csv.read_text().splitlines()[1].split(",")
+    length = row[-1].split("/")
+    assert max(map(len, length)) > sys.get_int_max_str_digits() > 0
+    digits = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        num, den = map(int, length)
+        assert f"{num}/{den}" == row[-1] and math.gcd(num, den) == 1
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def test_theta_longer_than_the_digit_limit_cannot_be_parsed(capsys):
+    # exact output writes integers of any length, but parsing keeps
+    # Python's digit limit
+    theta = "0." + "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run(capsys, "recur", "--theta", theta)
+    assert _one_line_error(code, err) and out == ""
+    assert err.startswith("error: cannot parse theta '0.111")
 
 
 def test_json_config_unknown_key_is_one_line_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from windtree.errors import DomainError
 from windtree.exact import (ParityClass, Params, Slope, classify_params,
-                            mediant_enumerate)
+                            fraction_text, mediant_enumerate)
 
 rationals = st.fractions(max_denominator=10**4)
 
@@ -151,3 +152,34 @@ def test_both_parity_classes_are_dense(target, eps):
             check = classify_params(num, den, num, den)
             assert check.parity_class is (ParityClass.E if want_e
                                           else ParityClass.E_PRIME)
+
+
+def _text_at_the_lowest_limit(x):
+    """fraction_text(x) with Python's int-to-str digit limit at its least
+    setting, 640, and the text of x with no limit."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        text = fraction_text(x)
+        sys.set_int_max_str_digits(0)
+        return text, f"{x.numerator}/{x.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@given(num=st.integers(-10**9, 10**9), den_bits=st.integers(1, 40000),
+       shift=st.integers(0, 60000))
+def test_fraction_text_writes_terms_beyond_the_digit_limit(num, den_bits,
+                                                           shift):
+    # terms of up to 18,000 digits, the longer ones beyond every limit the
+    # int-to-str conversion can be set to
+    got, want = _text_at_the_lowest_limit(
+        Fraction(num * 2**shift + 1, 2**den_bits + 1))
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [10**5000, -10**5000 - 1, 7 * 10**5000 + 3],
+                         ids=["power", "negative", "zeros-inside"])
+def test_fraction_text_keeps_the_zeros_where_a_term_splits(n):
+    got, want = _text_at_the_lowest_limit(Fraction(n))
+    assert got == want

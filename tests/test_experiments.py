@@ -23,7 +23,7 @@ from windtree.experiments import (Approximant, DiffusionSample, DirectionSpec,
 
 from grid_stepper import assert_resolved, long_pieces
 from support import (eight_domain_return_map, eight_domain_state,
-                     eight_domain_steps, path_length)
+                     eight_domain_steps, located, path_length)
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -683,12 +683,17 @@ def test_diffusion_over_runs_matches_the_step_by_step_loop(monkeypatch):
     for case, (params, slope, start) in enumerate(cases):
         k = case % 3 + 1
         horizon = rng.choice((50000, 49997))
-        for stop_at in (None, 0.0):
-            if stop_at is not None:
+        for stop_at in (None, "inside", "at the sup"):
+            if stop_at == "inside":
                 # reached inside a run, well past the witnesses
                 stop_at = want.statistic * rng.uniform(0.3, 0.9)
+            elif stop_at:
+                # the sup of the whole run, reached exactly at its step
+                stop_at = full.statistic
             want = _reference_diffusion_sample(params, slope, start, k,
                                                horizon, stop_at)
+            if stop_at is None:
+                full = want
             runs.clear()
             _assert_same_sample(_diffusion_sample(params, slope, start, k,
                                                   horizon, stop_at), want)
@@ -730,6 +735,19 @@ def test_diffusion_evaluates_few_steps_exactly(monkeypatch):
             assert report.samples[0].collisions == horizon
             assert len(report.samples[0].witnesses) == 64
             assert len(calls) < 1000, len(calls)
+    # a direction whose settled blocks are stepped one step at a time: the
+    # bound of each step from its cell, (|m| + 1, |n| + 1) over the shrunk
+    # log, skips most of them (2,309 logs for the three seeds; 2,874 with
+    # a bound one cell looser, 11,685 with none)
+    direction = quantize_direction(Fraction("0.41421356237309515"), 64)
+    for k, horizon, most in ((1, 50000, 2600), (2, 5000, 40)):
+        # at k = 2 the shrunk log stays below 1 up to t = e^e, and the
+        # bound prunes from its first positive value (23 logs for the three
+        # seeds; 76 when it prunes only above 1)
+        calls.clear()
+        for seed in range(3):
+            diffusion_experiment(TWO_THIRDS, direction, k, horizon, seed)
+        assert len(calls) < most, (k, len(calls))
 
 
 def test_approximation_search_exact_member():
@@ -893,9 +911,9 @@ def _long_flight_start(params, slope, k, i, sample_id=0):
 
 def _recorded(params, slope, start):
     store = _cycle_store(params, slope.u, slope.v)
-    return store.locate(Orbit(make_state(params, (0, 0), start.side,
-                                         start.offset, slope,
-                                         start.orientation), params))
+    return located(store, Orbit(make_state(params, (0, 0), start.side,
+                                           start.offset, slope,
+                                           start.orientation), params))
 
 
 def test_run_sample_through_long_flight_pieces():

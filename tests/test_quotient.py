@@ -22,7 +22,8 @@ from windtree.exact import (ParityClass, PointQ, Slope, classify_params,
 from windtree.experiments import quantize_direction
 
 from support import (eager_power_map, eight_domain_return_map,
-                     eight_domain_state, eight_domain_steps)
+                     eight_domain_state, eight_domain_steps, later_state,
+                     located)
 
 _FIBONACCI = ("233/377", "987/1597", "1597/2584", "4181/6765")
 
@@ -291,17 +292,6 @@ def test_quotient_cycle_answers_equal_the_eight_domain_oracle():
     assert min(seen.values()) >= 10, seen
 
 
-def _later_state(params, start, j):
-    """The state ``j`` collisions after a start, from 8-domain steps."""
-    lat = eight_domain_state(params, start)[0]
-    k, t, m, n, _ = next(islice(eight_domain_steps(params, start), j - 1,
-                                None))
-    X, Y = lat.point(k, t, m, n)
-    side, orientation = DOMAINS[k]
-    return BilliardState(PointQ(Fraction(X, lat.N), Fraction(Y, lat.N)),
-                         side, (m, n), orientation, start.slope)
-
-
 def test_quotient_first_returns_from_later_phases():
     # starts at later phases of a recorded cycle, and their mirror images,
     # which walk to a landmark before they are answered: first_return and
@@ -321,11 +311,11 @@ def test_quotient_first_returns_from_later_phases():
         [cyc] = _cycle_store(params, slope.u, slope.v).cycles
         seen["reflection" if cyc.reflection else "identity"] += 1
         for j in rng.sample(range(1, 2 * period), min(4, 2 * period - 1)):
-            later = _later_state(params, start, j)
+            later = later_state(params, start, j)
             for fx, fy in ((0, 0), (1, 0), (0, 1), (1, 1)):
                 image = _mirror(later, fx, fy)
-                found = _cycle_store(params, slope.u, slope.v).locate(
-                    Orbit(image, params))
+                found = located(_cycle_store(params, slope.u, slope.v),
+                                Orbit(image, params))
                 seen["walked"] += found is not None and found[2] > 0
                 assert _outcome(classify_trajectory(image, params, 30000)) \
                     == _oracle_outcome(params, image, 30000)

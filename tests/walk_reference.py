@@ -1,10 +1,11 @@
 """The recording walk on single return-map pieces, as the reference for
 `windtree.billiard._walk_period`, which climbs the powers of the map,
-from T^2 up to T^32, as a walk grows.  The function below is the
+from T^2 up to T^32, as a walk grows.  `_walk_period` below is the
 single-piece walk word for word, reading the pieces from level 0 of the
-orbit's table;
-`tests/test_billiard.py` records cycles both ways and compares every
-column of every `_Cycle` and every field of the `_Walk`.
+orbit's table, with the cycle-store lookup of its first landmark block,
+which `_landmark_at` answers by scanning every interval of the store;
+`tests/test_billiard.py` records and finds cycles both ways and compares
+every column of every `_Cycle` and every field of the `_Walk`.
 """
 
 from bisect import bisect_left
@@ -13,11 +14,22 @@ from windtree.billiard import (_LANDMARK_EVERY, Orbit, _Cycle, _CycleStore,
                                _down, _Walk)
 
 
+def _landmark_at(store: _CycleStore, n0: int, k: int, t: int):
+    """(cycle, landmark) of the landmark interval of ``store`` that holds
+    the state (k, t) at lattice scale n0, or None."""
+    for i, (lo, hi) in enumerate(zip(store.los[k], store.his[k])):
+        if n0 * lo < t < n0 * hi:
+            ci, b = divmod(store.refs[k][i], 1 << 32)
+            return store.cycles[ci], b
+    return None
+
+
 def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
                  to_cell: bool = False) -> _Walk:
-    """Step the start of ``walk`` until it is back on its quotient state,
-    hits a corner, or has made ``limit`` collisions; record the cycle it
-    closes.
+    """Step the start of ``walk`` until it is on a cycle recorded in
+    ``store`` (looked up before each of its first _LANDMARK_EVERY steps),
+    is back on its quotient state, hits a corner, or has made ``limit``
+    collisions; record the cycle it closes.
 
     The open interval of starts that take the same pieces is shrunk along
     the way, kept as its margins below and above the orbit's point: each
@@ -39,7 +51,11 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     i = bisect_left(cs, t)
     below, above = t - cs[i - 1], cs[i] - t
     if above == 0:
-        return _Walk(0, m, n, 0, walk.corner_hit(k, i, r, m, n), None, False)
+        return _Walk(0, m, n, 0, walk.corner_hit(k, i, r, m, n), None, False,
+                     None)
+    found = _landmark_at(store, n0, k, t)
+    if found is not None:
+        return _Walk(0, m, n, 0, None, None, False, (*found, 0, 0, 0, 0, t, r))
     mlo = mhi = m
     nlo = nhi = n
     while steps < limit:
@@ -91,11 +107,15 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
             c = t - cs[i - 1]
             if c < below:
                 below = c
+            found = steps < min(G, limit) and _landmark_at(store, n0, k, t)
+            if found:
+                return _Walk(steps, m, n, ext, None, None, False,
+                             (*found, steps, m - sm, n - sn, ext, t, r))
         else:
             continue
         break
     if not closed:
-        return _Walk(steps, m, n, ext, corner, None, returned)
+        return _Walk(steps, m, n, ext, corner, None, returned, None)
     rec.mlo.append(mlo - lm)
     rec.mhi.append(mhi - lm)
     rec.nlo.append(nlo - ln)
@@ -103,4 +123,5 @@ def _walk_period(walk: Orbit, limit: int, store: _CycleStore,
     rec.seal(steps, r ^ r0, (m - sm, n - sn),
              *_down([ext, t0 - below, t0 + above], n0))
     store.add(rec)
-    return _Walk(steps, m, n, ext, None, rec, returned)
+    return _Walk(steps, m, n, ext, None, rec, returned,
+                 (rec, 0, 0, 0, 0, 0, t0, r0))
