@@ -97,7 +97,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import merge
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import CornerHit, DomainError, check_count
@@ -204,13 +204,10 @@ def leaving_orientation(side: str, orientation: tuple = (1, 1)) -> tuple:
     return _with_entry(orientation, *_frame(side))
 
 
-def make_state(params: Params, cell: tuple, side: str, offset: Fraction,
-               slope: Slope, orientation: tuple) -> BilliardState:
-    """Build a validated state from an obstacle side and an offset along it.
-
-    The offset is measured from the bottom end (vertical sides) or the left
-    end (horizontal sides).  Offsets at the ends are corners and rejected.
-    """
+def _side_state(params: Params, cell: tuple, side: str, offset: Fraction,
+                slope: Slope, orientation: tuple) -> BilliardState:
+    """`make_state` before its validation: the state that ``classify_trajectory``,
+    ``first_return`` and ``Orbit`` check once themselves."""
     offset = Fraction(offset)
     length = side_length(params, side)
     if not 0 < offset < length:
@@ -222,25 +219,60 @@ def make_state(params: Params, cell: tuple, side: str, offset: Fraction,
     # coordinate i is the side's, the other one runs from its low end
     fixed, along = cell[i] + normal * half[i], cell[j] - half[j] + offset
     pos = PointQ(fixed, along) if i == 0 else PointQ(along, fixed)
-    state = BilliardState(pos, side, (m, n), tuple(orientation), slope)
+    return BilliardState(pos, side, (m, n), tuple(orientation), slope)
+
+
+def make_state(params: Params, cell: tuple, side: str, offset: Fraction,
+               slope: Slope, orientation: tuple) -> BilliardState:
+    """Build a validated state from an obstacle side and an offset along it.
+
+    The offset is measured from the bottom end (vertical sides) or the left
+    end (horizontal sides).  Offsets at the ends are corners and rejected.
+    """
+    state = _side_state(params, cell, side, offset, slope, orientation)
     validate_state(state, params)
     return state
 
 
+def _scaled(N: int, num: int, den: int) -> int:
+    """num/den in units of 1/N, which must be a whole number of them."""
+    X, rem = divmod(num * N, den)
+    if rem:
+        raise AssertionError("point off the collision lattice")
+    return X
+
+
 def validate_state(state: BilliardState, params: Params) -> None:
-    """Check the state invariants: on-side position, outgoing direction."""
-    if tuple(state.orientation) not in ORIENTATIONS:
-        raise DomainError(f"invalid orientation {state.orientation!r}")
-    i, normal = _frame(state.side)
+    """Check the state invariants: on-side position, outgoing direction
+    (`_check_start`, on the lattice (1/N) Z with N = 2*q*s*n0, n0 the
+    common denominator of the position)."""
+    x, y = state.position.x, state.position.y
+    n0 = lcm(x.denominator, y.denominator)
+    N = 2 * params.q * params.s * n0
+    _check_start(N, params.p * params.s * n0, params.r * params.q * n0,
+                 state.slope.u, state.slope.v,
+                 _scaled(N, x.numerator, x.denominator),
+                 _scaled(N, y.numerator, y.denominator), state.side,
+                 state.cell, state.orientation)
+
+
+def _check_start(N: int, beta: int, gamma: int, u: int, v: int, X: int,
+                 Y: int, side: str, cell: tuple, orientation: tuple) -> None:
+    """The state invariants of a point (X, Y) in units of 1/N, where the
+    obstacles' half-extents are beta and gamma: a valid orientation, the
+    point interior to ``side`` of the obstacle at ``cell``, and a direction
+    of slope u/v that is not tangent to the side and leaves it."""
+    if tuple(orientation) not in ORIENTATIONS:
+        raise DomainError(f"invalid orientation {orientation!r}")
+    i, normal = _frame(side)
     j = 1 - i
-    pos, cell = (state.position.x, state.position.y), state.cell
-    half = _half(params)
-    if pos[i] != cell[i] + normal * half[i] or \
-            not cell[j] - half[j] < pos[j] < cell[j] + half[j]:
+    pos, half = (X, Y), (beta, gamma)
+    if pos[i] != cell[i] * N + normal * half[i] or \
+            not -half[j] < pos[j] - cell[j] * N < half[j]:
         raise DomainError("position not interior to the named side")
-    if not (state.slope.v, state.slope.u)[i]:
+    if not (v, u)[i]:
         raise DomainError(f"direction tangent to a {_AXIS_NAMES[i]} side")
-    if state.orientation[i] != normal:
+    if orientation[i] != normal:
         raise DomainError("direction points into the obstacle")
 
 
@@ -271,11 +303,9 @@ class _Lattice:
         return quot
 
     def encode(self, point: PointQ) -> tuple:
-        X = point.x * self.N
-        Y = point.y * self.N
-        if X.denominator != 1 or Y.denominator != 1:
-            raise AssertionError("point off the collision lattice")
-        return int(X), int(Y)
+        x, y = point.x, point.y
+        return (_scaled(self.N, x.numerator, x.denominator),
+                _scaled(self.N, y.numerator, y.denominator))
 
     def point(self, k: int, t: int, m: int, n: int) -> tuple:
         """(X, Y) of transverse coordinate t on the domain-k side of the
@@ -758,20 +788,36 @@ class Orbit:
     __slots__ = ("lattice", "n0", "k", "t", "r", "cell", "params", "tables")
 
     def __init__(self, start: BilliardState, params: Params):
-        slope = start.slope
-        k = _DOMAIN_INDEX.get((start.side, tuple(start.orientation)))
-        if k is None:
-            raise DomainError("direction does not leave the named side")
-        self.n0 = n0 = lcm(start.position.x.denominator,
-                            start.position.y.denominator)
-        self.lattice = lat = _Lattice(params, slope, n0)
-        self.params = params
-        self.tables = _power_map(params, slope.u, slope.v, n0)
-        X, Y = lat.encode(start.position)
+        """The orbit of ``start``, its point taken to the lattice of scale
+        n0, the common denominator of its coordinates (`at`)."""
+        x, y = start.position.x, start.position.y
+        n0 = lcm(x.denominator, y.denominator)
+        lat = _Lattice(params, start.slope, n0)
+        self._enter(params, lat, n0, *lat.encode(start.position), start.side,
+                    start.cell, start.orientation)
+
+    @classmethod
+    def at(cls, params: Params, slope: Slope, n0: int, X: int, Y: int,
+           side: str, cell: tuple, orientation: tuple) -> Orbit:
+        """The orbit from the point (X, Y) of the lattice of scale n0 on
+        ``side`` of the obstacle at ``cell``, leaving it in ``orientation``:
+        checked as `validate_state` checks a state, with its messages."""
+        walk = cls.__new__(cls)
+        walk._enter(params, _Lattice(params, slope, n0), n0, X, Y, side, cell,
+                    orientation)
+        return walk
+
+    def _enter(self, params: Params, lat: _Lattice, n0: int, X: int, Y: int,
+               side: str, cell: tuple, orientation: tuple):
+        _check_start(lat.N, lat.beta, lat.gamma, lat.u, lat.v, X, Y, side,
+                     cell, orientation)
+        self.lattice, self.n0, self.params = lat, n0, params
+        self.tables = _power_map(params, lat.u, lat.v, n0)
         self.k, self.t, self.r = _quotient(
-            k, lat.transverse(start.side, X, Y, *start.cell),
+            _DOMAIN_INDEX[side, tuple(orientation)],
+            lat.transverse(side, X, Y, *cell),
             [cs[-1] for cs in self.tables.edges[0]])
-        self.cell = start.cell
+        self.cell = cell
 
     def __iter__(self):
         return self.steps(self.k, self.t, self.r, *self.cell)
@@ -1272,15 +1318,8 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
     in order of phase, each stopping in the start cell, so the first stop
     at or after the start's next phase is the first return.
     """
-    cyc, b, s, wm, wn, wext, t, r = found
-    L, n0, phase = cyc.length, walk.n0, cyc.phase
-    tau = t - n0 * cyc.off[b]
-    # the start is at phase p, s collisions before landmark b's phase (in
-    # round -1 where p < 0), and g maps the recorded frame to its orbit's
-    p = phase[b] - s
-    g = r ^ cyc.r[b]
-    *_, cm, cn, e0 = _landmark(walk, cyc, tau, b, 0, g)
-    cm, cn, e0 = cm - wm, cn - wn, e0 - wext
+    cyc, tau, p, g, cm, cn, e0 = _cycle_start(walk, found)
+    L, phase = cyc.length, cyc.phase
     first, last = p + 1, p + horizon
     # for each parity, the start cell in the recorded frame and the rounds
     # whose drift brings it into the cycle's span
@@ -1322,14 +1361,34 @@ def _cycle_return(walk: Orbit, found: tuple, horizon: int) -> tuple:
                         raise corner
                     q += done
                     ext += adx
-    rnd, q = divmod(last, L)
-    b = bisect_right(phase, q) - 1
+    m, n, ext = _cycle_at(walk, cyc, tau, g, last)
+    return None, (m - cm, n - cn), ext - e0
+
+
+def _cycle_start(walk: Orbit, found: tuple) -> tuple:
+    """(cycle, tau, p, g, cm, cn, e0) of a start that `_walk_period` found
+    on a recorded cycle: its phase-0 coordinate tau, its phase p, s
+    collisions before landmark b's phase (in round -1 where p < 0), the
+    frame g that maps the recorded one to its orbit's, and its cell and
+    extent in the frame of `_landmark`."""
+    cyc, b, s, wm, wn, wext, t, r = found
+    tau = t - walk.n0 * cyc.off[b]
+    g = r ^ cyc.r[b]
+    *_, cm, cn, e0 = _landmark(walk, cyc, tau, b, 0, g)
+    return cyc, tau, cyc.phase[b] - s, g, cm - wm, cn - wn, e0 - wext
+
+
+def _cycle_at(walk: Orbit, cyc: _Cycle, tau: int, g: int, j: int) -> tuple:
+    """(m, n, extent) at phase j of the cycle point of `_landmark`: advanced
+    from the landmark of j's block."""
+    rnd, q = divmod(j, cyc.length)
+    b = bisect_right(cyc.phase, q) - 1
     k, t, r, m, n, ext = _landmark(walk, cyc, tau, b, rnd, g)
     _, _, _, _, m, n, adx, *_, corner = walk.advance(k, t, r, m, n,
-                                                     q - phase[b])
+                                                     q - cyc.phase[b])
     if corner is not None:
         raise corner
-    return None, (m - cm, n - cn), ext + adx - e0
+    return m, n, ext + adx
 
 
 def first_return(start: BilliardState, params: Params, horizon: int):
@@ -1344,16 +1403,17 @@ def first_return(start: BilliardState, params: Params, horizon: int):
     a cycle, recorded or closed and recorded by the walk, which answers
     it.
     """
-    validate_state(start, params)
-    check_count("horizon", horizon)
     if start.slope.is_axis:
+        validate_state(start, params)
+        check_count("horizon", horizon)
         flight = _axis_flight(start.slope, params)
         if horizon >= 2:
             return 2, (0, 0), 2 * flight, False
-        _, (m, n), *_ = next(_collisions(start, params))
+        _, (m, n), *_ = next(_axis_collisions(start, params))
         sm, sn = start.cell
         return None, (m - sm, n - sn), flight, False
     walk = Orbit(start, params)
+    check_count("horizon", horizon)
     vN = start.slope.v * walk.lattice.N
     res = _walk_period(walk, horizon,
                        _cycle_store(params, start.slope.u, start.slope.v),
@@ -1370,7 +1430,6 @@ def first_return(start: BilliardState, params: Params, horizon: int):
 
 def next_collision(state: BilliardState, params: Params) -> BilliardState:
     """One exact collision step.  Raises CornerHit at corners."""
-    validate_state(state, params)
     side, cell, orientation, pos = next(_collisions(state, params))
     return BilliardState(pos, side, cell, orientation, state.slope)
 
@@ -1396,63 +1455,86 @@ def classify_trajectory(start: BilliardState, params: Params,
     the first reduced repeat of an orbit is its own start state: zero cell
     difference means the orbit is closed, a non-zero difference is the
     drift of an escaping orbit.  ``pre_period`` is therefore always 0.
-    The one walk (`_walk_period`) stops on a recorded cycle, or at its
-    first return on the quotient, at the period or at half of it, and
-    records the cylinder cycle it closed; the cycle answers.  A recorded
-    cycle whose period exceeds ``max_collisions`` is walked to that cap as
-    if it were unknown.  An undetermined outcome has the length of exactly
-    ``max_collisions`` collisions.
+    The one walk (`_classify`) stops on a recorded cycle, or at its first
+    return on the quotient, at the period or at half of it, and records
+    the cylinder cycle it closed; the cycle answers.  An undetermined
+    outcome has the length of exactly ``max_collisions`` collisions.
     """
-    validate_state(start, params)
-    check_count("max_collisions", max_collisions)
     if start.slope.is_axis:
+        validate_state(start, params)
+        check_count("max_collisions", max_collisions)
         return TrajectoryOutcome(Outcome.PERIODIC, 2,
                                  2 * _axis_flight(start.slope, params),
                                  (0, 0), repeat_cells=(start.cell, start.cell))
-
     walk = Orbit(start, params)
-    vN = start.slope.v * walk.lattice.N
-    m0, n0 = start.cell
-    res = _walk_period(walk, max_collisions,
-                       _cycle_store(params, start.slope.u, start.slope.v))
-    if res.found is not None and res.found[0].orbit(0)[0] > max_collisions:
-        res = _walk_period(walk, max_collisions, _CycleStore())
-    if res.corner is not None:
+    check_count("max_collisions", max_collisions)
+    kind, steps, extent, (dm, dn), corner = _classify(walk, max_collisions)
+    length = Fraction(extent, start.slope.v * walk.lattice.N)
+    if kind is Outcome.SINGULAR:
         # length up to the last collision
-        return TrajectoryOutcome(Outcome.SINGULAR, res.steps,
-                                 Fraction(res.extent, vN), (0, 0),
-                                 corner=PointQ(res.corner.x, res.corner.y))
-    if res.found is None:
-        return TrajectoryOutcome(Outcome.UNDETERMINED, max_collisions,
-                                 Fraction(res.extent, vN), (0, 0))
-    cyc, b, *_, r = res.found
-    steps, (dm, dn), extent = cyc.orbit(r ^ cyc.r[b])
-    kind = Outcome.PERIODIC if (dm, dn) == (0, 0) else Outcome.ESCAPING
-    return TrajectoryOutcome(kind, steps, Fraction(walk.n0 * extent, vN),
-                             (dm, dn),
+        return TrajectoryOutcome(kind, steps, length, (0, 0),
+                                 corner=PointQ(corner.x, corner.y))
+    if kind is Outcome.UNDETERMINED:
+        return TrajectoryOutcome(kind, steps, length, (0, 0))
+    m0, n0 = start.cell
+    return TrajectoryOutcome(kind, steps, length, (dm, dn),
                              repeat_cells=((m0, n0), (m0 + dm, n0 + dn)))
 
+
+def _classify(walk: Orbit, max_collisions: int) -> tuple:
+    """(kind, collisions, extent, drift, corner) of the start of ``walk``:
+    the extent in units of 1/N of its lattice, and the CornerHit of a
+    singular orbit, or None.
+
+    A start on a recorded cycle whose period exceeds ``max_collisions``
+    is undetermined, with the extent of its point at the cap taken from
+    the cycle (`_cycle_at`)."""
+    res = _walk_period(walk, max_collisions,
+                       _cycle_store(walk.params, walk.lattice.u,
+                                    walk.lattice.v))
+    if res.corner is not None:
+        return Outcome.SINGULAR, res.steps, res.extent, (0, 0), res.corner
+    if res.found is None:
+        return Outcome.UNDETERMINED, max_collisions, res.extent, (0, 0), None
+    cyc, b, *_, r = res.found
+    steps, drift, extent = cyc.orbit(r ^ cyc.r[b])
+    if steps > max_collisions:
+        cyc, tau, p, g, _, _, e0 = _cycle_start(walk, res.found)
+        *_, ext = _cycle_at(walk, cyc, tau, g, p + max_collisions)
+        return Outcome.UNDETERMINED, max_collisions, ext - e0, (0, 0), None
+    kind = Outcome.PERIODIC if drift == (0, 0) else Outcome.ESCAPING
+    return kind, steps, walk.n0 * extent, drift, None
 
 
 def _collisions(start: BilliardState, params: Params):
     """(side, cell, orientation, position) of each forward collision, with
-    the orientation that leaves it.  Raises CornerHit."""
+    the orientation that leaves it, from a start checked on the call
+    (`validate_state`, or ``Orbit``).  Raises CornerHit."""
     if start.slope.is_axis:
-        # Trapped 2-bounce orbit along axis i, between two facing sides.
-        i = 0 if start.slope.is_horizontal else 1
-        pos, cell = (start.position.x, start.position.y), start.cell
-        orientation = start.orientation
-        gap = _axis_flight(start.slope, params)
-        while True:
-            s = orientation[i]
-            pos = _with_entry(pos, i, pos[i] + s * gap)
-            cell = _with_entry(cell, i, cell[i] + s)
-            orientation = _with_entry(orientation, i, -s)
-            yield _SIDE_AT[i, -s], cell, orientation, PointQ(*pos)
+        validate_state(start, params)
+        return _axis_collisions(start, params)
     walk = Orbit(start, params)
-    for k, t, r, m, n, _adx in walk:
-        side, orientation = DOMAINS[_LIFT[k][r]]
-        yield side, (m, n), orientation, walk.position(k, t, r, m, n)
+
+    def collisions():
+        for k, t, r, m, n, _adx in walk:
+            side, orientation = DOMAINS[_LIFT[k][r]]
+            yield side, (m, n), orientation, walk.position(k, t, r, m, n)
+    return collisions()
+
+
+def _axis_collisions(start: BilliardState, params: Params):
+    """`_collisions` of an axis start: a trapped 2-bounce orbit along axis
+    i, between two facing sides."""
+    i = 0 if start.slope.is_horizontal else 1
+    pos, cell = (start.position.x, start.position.y), start.cell
+    orientation = start.orientation
+    gap = _axis_flight(start.slope, params)
+    while True:
+        s = orientation[i]
+        pos = _with_entry(pos, i, pos[i] + s * gap)
+        cell = _with_entry(cell, i, cell[i] + s)
+        orientation = _with_entry(orientation, i, -s)
+        yield _SIDE_AT[i, -s], cell, orientation, PointQ(*pos)
 
 
 def collision_sequence(start: BilliardState, params: Params,
@@ -1469,10 +1551,10 @@ def trace(start: BilliardState, params: Params, n_collisions: int) -> TracedPath
     Truncated at a corner hit and tagged singular in that case.
     """
     check_count("n_collisions", n_collisions, 0, shown=True)
-    validate_state(start, params)
+    collisions = _collisions(start, params)
     points = [start.position]
     try:
-        for *_, pos in islice(_collisions(start, params), n_collisions):
+        for *_, pos in islice(collisions, n_collisions):
             points.append(pos)
     except CornerHit as hit:
         corner = PointQ(hit.x, hit.y)
@@ -1520,17 +1602,18 @@ def regular_start(params: Params, slope: Slope, orientation: tuple = (1, 1),
 
     Walks a fixed ladder of offsets on the origin obstacle's sides, 1/3,
     1/5, ..., 1/129 of a side, until classify_trajectory comes back
-    non-singular.  Returns (state, outcome).  Raises DomainError if every
-    attempt is singular (not observed for desk-scale data), and make_state's
-    DomainError for an invalid orientation.
+    non-singular; each attempt is checked once, by classify_trajectory.
+    Returns (state, outcome).  Raises DomainError if every attempt is
+    singular (not observed for desk-scale data), and for an invalid
+    orientation.
     """
     sides = HORIZONTAL_SIDES if not slope.is_horizontal else VERTICAL_SIDES
     for denom in range(3, 131, 2):
         for side in sides:
             length = side_length(params, side)
-            state = make_state(params, (0, 0), side,
-                               Fraction(1, denom) * length, slope,
-                               leaving_orientation(side, orientation))
+            state = _side_state(params, (0, 0), side,
+                                Fraction(1, denom) * length, slope,
+                                leaving_orientation(side, orientation))
             outcome = classify_trajectory(state, params, max_collisions)
             if outcome.kind is not Outcome.SINGULAR:
                 return state, outcome
@@ -1544,36 +1627,73 @@ def launch(params: Params, point: PointQ, slope: Slope,
     Returns the post-bounce state, or None when the ray provably never
     meets an obstacle (a straight corridor).  Raises CornerHit when the
     first contact is a corner, and DomainError for points inside or on an
-    obstacle.
+    obstacle (`_launch`).
     """
     x, y = point.x, point.y
-    m = round(x)
-    n = round(y)
-    a2, b2 = _half(params)
-    if abs(x - m) <= a2 and abs(y - n) <= b2:
-        raise DomainError("launch point is inside or on an obstacle")
-    if slope.is_axis:
-        # the ray runs along axis i, at a fixed coordinate j
-        i = 0 if slope.is_horizontal else 1
-        j = 1 - i
-        pos, cell, half = (x, y), (m, n), (a2, b2)
-        band = abs(pos[j] - cell[j])
-        if band > half[j]:
-            return None  # corridor
-        s = orientation[i]
-        # the first obstacle ahead in the band: this one or the next
-        k = cell[i] if (pos[i] - cell[i]) * s < -half[i] else cell[i] + s
-        hit = _with_entry(pos, i, k - s * half[i])
-        if band == half[j]:
-            # grazing line along the side level: first contact is a corner
-            raise CornerHit(*hit)
-        return BilliardState(PointQ(*hit), _SIDE_AT[i, -s],
-                             _with_entry(cell, i, k),
-                             _with_entry(orientation, i, -s), slope)
-    lat = _Lattice(params, slope, lcm(x.denominator, y.denominator))
-    res = _first_hit(lat, *lat.encode(point), *orientation)
-    if res is None:
+    hit = _launch(params, slope, x.numerator, x.denominator, y.numerator,
+                  y.denominator, orientation)
+    if hit is None:
         return None
-    Xn, Yn, side, mm, nn, sxn, syn, _ = res
-    pos = PointQ(Fraction(Xn, lat.N), Fraction(Yn, lat.N))
-    return BilliardState(pos, side, (mm, nn), (sxn, syn), slope)
+    N, X, Y, side, cell, out = hit
+    return BilliardState(PointQ(Fraction(X, N), Fraction(Y, N)), side, cell,
+                         out, slope)
+
+
+def _launch(params: Params, slope: Slope, xn: int, xd: int, yn: int, yd: int,
+            orientation: tuple):
+    """The first collision of the ray from the table point (xn/xd, yn/yd)
+    in ``orientation``: (N, X, Y, side, cell, orientation') with the point
+    in units of 1/N, or None for a straight corridor.  Raises CornerHit
+    when the first contact is a corner, and DomainError for points inside
+    or on an obstacle.
+
+    The point is taken to the lattice of scale n0, the lcm of its reduced
+    denominators: the collision lattice of the slope, or, for an axis
+    slope, N = 2*q*s*n0.  An axis ray runs along axis i at a fixed
+    coordinate j and meets the obstacle of its row or column ahead if it
+    flies in that obstacle's band, at a corner where it grazes the band's
+    edge."""
+    n0 = lcm(xd // gcd(xn, xd), yd // gcd(yn, yd))
+    if slope.is_axis:
+        N = 2 * params.q * params.s * n0
+        half = (params.p * params.s * n0, params.r * params.q * n0)
+    else:
+        lat = _Lattice(params, slope, n0)
+        N, half = lat.N, (lat.beta, lat.gamma)
+    pos = (_scaled(N, xn, xd), _scaled(N, yn, yd))
+    # the nearest lattice point; a point halfway between two is in no band
+    cell = tuple((2 * c + N) // (2 * N) for c in pos)
+    if all(abs(c - m * N) <= h for c, m, h in zip(pos, cell, half)):
+        raise DomainError("launch point is inside or on an obstacle")
+    if not slope.is_axis:
+        res = _first_hit(lat, *pos, *orientation)
+        if res is None:
+            return None
+        X, Y, side, m, n, sx, sy, _ = res
+        return N, X, Y, side, (m, n), (sx, sy)
+    i = 0 if slope.is_horizontal else 1
+    j = 1 - i
+    band = abs(pos[j] - cell[j] * N)
+    if band > half[j]:
+        return None  # corridor
+    s = orientation[i]
+    # the first obstacle ahead in the band: this one or the next
+    k = cell[i] if (pos[i] - cell[i] * N) * s < -half[i] else cell[i] + s
+    X, Y = _with_entry(pos, i, k * N - s * half[i])
+    if band == half[j]:
+        # grazing line along the side level: first contact is a corner
+        raise CornerHit(Fraction(X, N), Fraction(Y, N))
+    return (N, X, Y, _SIDE_AT[i, -s], _with_entry(cell, i, k),
+            _with_entry(orientation, i, -s))
+
+
+def _hit_orbit(params: Params, slope: Slope, hit: tuple) -> Orbit:
+    """The orbit from a non-axis `_launch` hit, at the lattice scale that
+    ``Orbit(launch(...), params)`` takes: the lcm of the reduced
+    denominators of the point."""
+    N, X, Y, side, cell, orientation = hit
+    n0 = lcm(N // gcd(X, N), N // gcd(Y, N))
+    # N is 2*q*s*u*v times the launch's scale, a multiple of n0
+    scale = 2 * params.q * params.s * slope.u * slope.v * n0
+    return Orbit.at(params, slope, n0, _scaled(scale, X, N),
+                    _scaled(scale, Y, N), side, cell, orientation)

@@ -404,7 +404,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
 
 def _sample_orbit(params: Params, slope: Slope, seed: int) -> billiard.Orbit:
     start = experiments.sample_boundary_starts(params, slope, 1, seed)[0]
-    return billiard.Orbit(billiard.make_state(
+    return billiard.Orbit(billiard._side_state(
         params, (0, 0), start.side, start.offset, slope, start.orientation),
         params)
 

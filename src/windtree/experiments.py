@@ -66,8 +66,8 @@ from functools import partial
 from itertools import islice
 
 from .billiard import (_BLOCK, _POWER, BOTTOM, LEFT, RIGHT, TOP, Orbit,
-                       Outcome, classify_trajectory, collision_sequence,
-                       first_return, leaving_orientation, make_state,
+                       Outcome, _side_state, classify_trajectory,
+                       collision_sequence, first_return, leaving_orientation,
                        regular_start, side_length, side_offset)
 from .errors import (CornerHit, DomainError, PrecisionError, check_count,
                      check_precision_bits)
@@ -220,8 +220,8 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
     if slope.is_axis and slope.is_horizontal == (start.side in (BOTTOM, TOP)):
         # tangent: slides along the corridor, never meets a side again
         return result("corridor", None, (0, 0), Fraction(0))
-    state = make_state(params, (0, 0), start.side, start.offset, slope,
-                       start.orientation)
+    state = _side_state(params, (0, 0), start.side, start.offset, slope,
+                        start.orientation)
     if shadow_slope is None:
         ret, drift, length, singular = first_return(state, params, horizon)
         outcome = "singular" if singular else \
@@ -229,8 +229,8 @@ def _run_sample(params: Params, slope: Slope, start: SampleStart, horizon: int,
         return result(outcome, ret, drift, length)
     walk = Orbit(state, params)
     vN = slope.v * walk.lattice.N
-    sh_walk = Orbit(make_state(params, (0, 0), start.side, start.offset,
-                               shadow_slope, start.orientation), params)
+    sh_walk = Orbit(_side_state(params, (0, 0), start.side, start.offset,
+                                shadow_slope, start.orientation), params)
     # A block runs to the next checkpoint or to the horizon, so every block
     # starts at a checkpoint.  The primary stops short only before a corner
     # or back in the origin cell; the shadow then makes as many collisions.
@@ -357,8 +357,8 @@ def _diffusion_sample(params: Params, slope: Slope, start: SampleStart, k: int,
     the statistic of any step and stop_at; neither can change the sup, its
     time, the witnesses or the step where stop_at is reached.
     """
-    walk = Orbit(make_state(params, (0, 0), start.side, start.offset, slope,
-                            start.orientation), params)
+    walk = Orbit(_side_state(params, (0, 0), start.side, start.offset, slope,
+                             start.orientation), params)
     N = walk.lattice.N
     X0, Y0 = walk.point(walk.k, walk.t, walk.r, 0, 0)
     speed = math.hypot(slope.u, slope.v) / slope.v  # time per unit of X-extent
@@ -632,8 +632,9 @@ def stability_check(params: Params, table_slope: Slope, delta,
                                 b2.numerator, b2.denominator)
         plen = side_length(probe, state.side)
         try:
-            pstate = make_state(probe, state.cell, state.side,
-                                frac_off * plen, table_slope, state.orientation)
+            pstate = _side_state(probe, state.cell, state.side,
+                                 frac_off * plen, table_slope,
+                                 state.orientation)
             pout = classify_trajectory(pstate, probe)
         except (DomainError, CornerHit):
             return False

@@ -19,13 +19,14 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .billiard import (DEFAULT_MAX_COLLISIONS, Outcome, classify_trajectory,
-                       launch)
+from .billiard import (DEFAULT_MAX_COLLISIONS, Outcome, _axis_flight,
+                       _classify, _hit_orbit, _launch)
 from .errors import CornerHit, DomainError
 from .exact import Params, PointQ, Slope
-from .origami import (CylinderDecomposition, Origami, _l_shape_position,
-                      build_origami, decompose_table_direction,
-                      scaled_direction_gcd, sl2z_act)
+from .origami import (CylinderDecomposition, Origami, _integer_point,
+                      _l_shape_position, build_origami,
+                      decompose_table_direction, scaled_direction_gcd,
+                      sl2z_act)
 
 
 class LiftKind(enum.Enum):
@@ -60,12 +61,10 @@ class LiftReport:
                               self.x_behavior)}) == 1
 
 
-def _fold(X, q: int, p: int) -> Fraction:
-    """(X/q - (1 - p/q)/2) mod 1 - 1/2 for X = num/den: the residue of
-    2*num - (q - p)*den modulo 2*q*den, less q*den, over 2*q*den."""
-    den = X.denominator
-    return Fraction((2 * X.numerator - (q - p) * den) % (2 * q * den)
-                    - q * den, 2 * q * den)
+def _fold(num: int, den: int, q: int, p: int) -> int:
+    """(X/q - (1 - p/q)/2) mod 1 - 1/2 for X = num/den, over 2*q*den: the
+    residue of 2*num - (q - p)*den modulo 2*q*den, less q*den."""
+    return (2 * num - (q - p) * den) % (2 * q * den) - q * den
 
 
 def fold_to_table(params: Params, X: Fraction, Y: Fraction) -> PointQ:
@@ -74,12 +73,26 @@ def fold_to_table(params: Params, X: Fraction, Y: Fraction) -> PointQ:
 
     Each coordinate shrinks by q (or s), moves by -(1 - a)/2 (or
     -(1 - b)/2), reduces mod 1 and moves by -1/2, in one integer `%`."""
-    return PointQ(_fold(X, params.q, params.p), _fold(Y, params.s, params.r))
+    q, s = params.q, params.s
+    return PointQ(
+        Fraction(_fold(X.numerator, X.denominator, q, params.p),
+                 2 * q * X.denominator),
+        Fraction(_fold(Y.numerator, Y.denominator, s, params.r),
+                 2 * s * Y.denominator))
 
 
 def fold_cell_point(params: Params, cell: int, x: Fraction, y: Fraction) -> PointQ:
     col, row = _l_shape_position(params, cell)
     return fold_to_table(params, col + x, row + y)
+
+
+def _fold_sample(params: Params, cell: int, X: int, Y: int, d: int) -> tuple:
+    """fold_cell_point of the point (X/d, Y/d) of ``cell``, in integers:
+    (xn, xd, yn, yd), the table point (xn/xd, yn/yd)."""
+    col, row = _l_shape_position(params, cell)
+    q, s = params.q, params.s
+    return (_fold(col * d + X, d, q, params.p), 2 * q * d,
+            _fold(row * d + Y, d, s, params.r), 2 * s * d)
 
 
 _SAMPLE_OFFSETS = (Fraction(1, 5), Fraction(1, 3), Fraction(2, 7),
@@ -99,24 +112,28 @@ def _cylinder_samples(decomp: CylinderDecomposition, ci: int):
         yield cell, off, Fraction(1, 2)
 
 
-def _classify_fold(params: Params, table_slope: Slope, point: PointQ):
-    """Launch the folded point on the table and classify its orbit.
+def _classify_fold(params: Params, table_slope: Slope, point: tuple):
+    """Launch the folded point (xn, xd, yn, yd) on the table and classify
+    its orbit, in integers up to the closed length.
 
     Returns a CylinderLift payload precursor: ('closes', period_length) or
     ('strip', drift), or None when the classification runs out of its
     collision budget.
     """
-    state = launch(params, point, table_slope, (1, 1))
-    if state is None:
+    hit = _launch(params, table_slope, *point, (1, 1))
+    if hit is None:
         # straight corridor: the whole line repeats with the primitive step
         return ("strip", (table_slope.v, table_slope.u))
-    outcome = classify_trajectory(state, params)
-    if outcome.kind is Outcome.PERIODIC:
-        return ("closes", outcome.geometric_length)
-    if outcome.kind is Outcome.ESCAPING:
-        return ("strip", outcome.drift)
-    if outcome.kind is Outcome.SINGULAR:
-        raise CornerHit(outcome.corner.x, outcome.corner.y)
+    if table_slope.is_axis:  # back after its two flights
+        return ("closes", 2 * _axis_flight(table_slope, params))
+    walk = _hit_orbit(params, table_slope, hit)
+    kind, _, extent, drift, corner = _classify(walk, DEFAULT_MAX_COLLISIONS)
+    if kind is Outcome.PERIODIC:
+        return ("closes", Fraction(extent, table_slope.v * walk.lattice.N))
+    if kind is Outcome.ESCAPING:
+        return ("strip", drift)
+    if kind is Outcome.SINGULAR:
+        raise corner
     return None
 
 
@@ -143,18 +160,18 @@ def lift_direction(params: Params, table_slope: Slope) -> LiftReport:
     # decomposition's own stages
     candidates = [list(_cylinder_samples(decomp, ci))
                   for ci in range(decomp.n_cylinders)]
-    moved = iter(decomp.pull_back(
+    moved = iter(decomp._pull_back(
         [pt for cand in candidates for pt in cand]))
     behaviors = []
     for ci, cyl in enumerate(decomp.cylinders):
         lam_cyl = Fraction(cyl.circumference, g)
         results = []
-        for ocell, ox, oy in [next(moved) for _ in candidates[ci]]:
+        for sample in [next(moved) for _ in candidates[ci]]:
             if len(results) >= _SAMPLES_PER_CYLINDER:
                 break
-            point = fold_cell_point(params, ocell, ox, oy)
             try:
-                result = _classify_fold(params, table_slope, point)
+                result = _classify_fold(params, table_slope,
+                                        _fold_sample(params, *sample))
             except (CornerHit, DomainError):
                 continue  # singular or on-boundary fold: perturb and retry
             if result is None:
@@ -201,8 +218,8 @@ def abc_strip_check(params: Params, table_slope: Slope) -> bool:
         raise DomainError("no central leaf through two of A, B, C in this direction")
     # the same special point, as marked on the surface before the word
     mp = build_origami(params).marked_by_label()[target]
-    point = fold_cell_point(params, mp.cell, mp.x, mp.y)
-    result = _classify_fold(params, table_slope, point)
+    result = _classify_fold(params, table_slope, _fold_sample(
+        params, *_integer_point(mp.cell, mp.x, mp.y)))
     if result is None:
         raise _budget_error(f"the orbit of {target}")
     return result[0] == "strip"

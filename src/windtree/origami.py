@@ -740,6 +740,12 @@ class CylinderDecomposition:
         word, except at lattice corners, which are left in the cell they
         arrive in.
         """
+        return [(cell, Fraction(X, d), Fraction(Y, d))
+                for cell, X, Y, d in self._pull_back(points)]
+
+    def _pull_back(self, points) -> list:
+        """`pull_back` with each point as integers (cell, X, Y, d): x = X/d,
+        y = Y/d."""
         out = [_integer_point(*pt) for pt in points]
         for stage in reversed(self.stages):
             if stage[0] is None:
@@ -749,8 +755,7 @@ class CylinderDecomposition:
             else:
                 k, h, h_inv = stage
                 out = [_sheared(h, h_inv, -k, *pt) for pt in out]
-        return [(cell, Fraction(X, d), Fraction(Y, d))
-                for cell, X, Y, d in out]
+        return out
 
     def total_area(self) -> int:
         return sum(c.circumference * c.height for c in self.cylinders)

@@ -6,8 +6,8 @@ power map built eagerly from it, single steps on the 8 domains and the
 state they reach, the lookup of a start in a cycle store that records nothing, the
 matrix and the inverse of a generator word, the straight-line flow on a
 square-tiled surface, and the Fraction-based surface action, pull-back,
-fold and SVG canvas coordinates that the integer ones replaced.  The
-package itself has no use for them.
+fold, launch, lift chain and SVG canvas coordinates that the integer ones
+replaced.  The package itself has no use for them.
 """
 
 from bisect import bisect_left, bisect_right
@@ -17,14 +17,17 @@ from itertools import islice
 from math import lcm
 
 from windtree.billiard import (_DOMAIN_INDEX, _LANDMARK_EVERY, _POWER, _SIDE,
-                               DOMAINS, HORIZONTAL_SIDES, BilliardState,
-                               Orbit, TracedPath, _corner_traces, _CycleStore,
-                               _first_hit, _half, _landing, _Lattice,
-                               _quotient, _walk_period, _with_entry,
-                               make_state, side_length)
+                               _SIDE_AT, DOMAINS, HORIZONTAL_SIDES,
+                               BilliardState, Orbit, Outcome, TracedPath,
+                               _corner_traces, _CycleStore, _first_hit, _half,
+                               _landing, _Lattice, _quotient, _walk_period,
+                               _with_entry, classify_trajectory, make_state,
+                               side_length)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import ORIENTATIONS, Params, PointQ, Slope
-from windtree.origami import Origami, as_tokens
+from windtree.lift import LiftKind, _cylinder_samples
+from windtree.origami import (Origami, _l_shape_position, as_tokens,
+                              decompose_table_direction, scaled_direction_gcd)
 from windtree.svg import _fmt
 
 
@@ -555,3 +558,97 @@ def fraction_canvas(x_lo: int, y_hi: int, scale: int) -> tuple:
         return _fmt(y_hi + pad - y, scale)
 
     return sx, sy
+
+
+# -- the Fraction launch and the lift chain ----------------------------------
+#
+# Oracles for the integer entry of `lift._classify_fold`: `_fold_sample`,
+# `billiard._launch` and `_hit_orbit`.  The lift chain folds, launches,
+# builds the orbit and classifies one Fraction point after another, as
+# `lift_direction` did before its samples stayed on the lattice.
+
+
+def fraction_launch(params: Params, point: PointQ, slope: Slope,
+                    orientation: tuple) -> BilliardState | None:
+    """March a ray from a table-interior point to its first collision, in
+    Fractions: the post-bounce state, or None for a straight corridor.
+    Raises CornerHit at a corner and DomainError on an obstacle."""
+    x, y = point.x, point.y
+    m = round(x)
+    n = round(y)
+    a2, b2 = _half(params)
+    if abs(x - m) <= a2 and abs(y - n) <= b2:
+        raise DomainError("launch point is inside or on an obstacle")
+    if slope.is_axis:
+        # the ray runs along axis i, at a fixed coordinate j
+        i = 0 if slope.is_horizontal else 1
+        j = 1 - i
+        pos, cell, half = (x, y), (m, n), (a2, b2)
+        band = abs(pos[j] - cell[j])
+        if band > half[j]:
+            return None  # corridor
+        s = orientation[i]
+        # the first obstacle ahead in the band: this one or the next
+        k = cell[i] if (pos[i] - cell[i]) * s < -half[i] else cell[i] + s
+        hit = _with_entry(pos, i, k - s * half[i])
+        if band == half[j]:
+            # grazing line along the side level: first contact is a corner
+            raise CornerHit(*hit)
+        return BilliardState(PointQ(*hit), _SIDE_AT[i, -s],
+                             _with_entry(cell, i, k),
+                             _with_entry(orientation, i, -s), slope)
+    lat = _Lattice(params, slope, lcm(x.denominator, y.denominator))
+    res = _first_hit(lat, *lat.encode(point), *orientation)
+    if res is None:
+        return None
+    Xn, Yn, side, mm, nn, sxn, syn, _ = res
+    pos = PointQ(Fraction(Xn, lat.N), Fraction(Yn, lat.N))
+    return BilliardState(pos, side, (mm, nn), (sxn, syn), slope)
+
+
+def fraction_chain(params: Params, slope: Slope, X: Fraction, Y: Fraction,
+                   orientation: tuple, max_collisions: int = 10**6):
+    """fold_to_table -> launch -> Orbit(BilliardState) ->
+    classify_trajectory from the stretched-polygon point (X, Y):
+    ("corridor",), the (exception type, message) the fold's launch raises,
+    or ("state", state, (n0, k, t, r, cell) of its Orbit, or None for an
+    axis slope, outcome)."""
+    point = fraction_fold_to_table(params, X, Y)
+    try:
+        state = fraction_launch(params, point, slope, orientation)
+    except (CornerHit, DomainError) as exc:
+        return type(exc), str(exc)
+    if state is None:
+        return ("corridor",)
+    walk = None if slope.is_axis else Orbit(state, params)
+    return ("state", state, walk and (walk.n0, walk.k, walk.t, walk.r,
+                                      walk.cell),
+            classify_trajectory(state, params, max_collisions))
+
+
+def fraction_lift(params: Params, slope: Slope) -> tuple:
+    """(kind, factor, drift) of each cylinder, as `lift.lift_direction`
+    decides it: from the first of its fold samples whose chain
+    (`fraction_chain`) is regular, the factor from the closed length."""
+    decomp = decompose_table_direction(params, slope)
+    g = scaled_direction_gcd(params, slope)
+    out = []
+    for ci, cyl in enumerate(decomp.cylinders):
+        for cell, x, y in decomp.pull_back(list(_cylinder_samples(decomp,
+                                                                  ci))):
+            col, row = _l_shape_position(params, cell)
+            got = fraction_chain(params, slope, col + x, row + y, (1, 1))
+            if got[0] == "corridor":
+                out.append((LiftKind.STRIP, None, (slope.v, slope.u)))
+                break
+            if got[0] != "state" or got[3].kind is Outcome.SINGULAR:
+                continue
+            outcome = got[3]
+            if outcome.kind is Outcome.PERIODIC:
+                factor = outcome.geometric_length / Fraction(
+                    cyl.circumference, g)
+                out.append((LiftKind.CLOSES, factor, None))
+            else:
+                out.append((LiftKind.STRIP, None, outcome.drift))
+            break
+    return tuple(out)

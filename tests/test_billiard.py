@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -16,7 +17,7 @@ from windtree.billiard import (BOTTOM, DOMAINS, LEFT, RIGHT, TOP, BilliardState,
                                leaving_orientation, make_state,
                                next_collision, regular_start,
                                side_length, side_offset, symmetry_check,
-                               time_reversed, trace)
+                               time_reversed, trace, validate_state)
 from windtree.errors import CornerHit, DomainError
 from windtree.exact import (Params, ParityClass, PointQ, Slope,
                             classify_params, mediant_enumerate)
@@ -429,6 +430,47 @@ def test_make_state_rejects_corners_and_tangents():
         make_state(HALF, (0, 0), TOP, Fraction(1, 7), Slope(0, 1), (1, 1))
     with pytest.raises(DomainError):
         make_state(HALF, (0, 0), LEFT, Fraction(1, 7), Slope(1, 0), (-1, 1))
+
+
+def test_bad_starts_are_refused_alike_as_fractions_and_on_the_lattice():
+    # validate_state, Orbit(state), classify_trajectory and Orbit.at on the
+    # state's lattice point refuse each bad start with the same message:
+    # off the side's line by a lattice unit, at either end of the side or
+    # beyond it, into the obstacle, a tangent direction, and an
+    # orientation that is not a pair of signs
+    params = classify_params(1, 3, 2, 5)  # a != b: the side lines differ
+    slope = Slope(3, 5)
+    good = make_state(params, (2, -1), LEFT, Fraction(1, 7), slope, (-1, 1))
+    x, y = good.position.x, good.position.y
+    lo, hi = y - Fraction(1, 7), y - Fraction(1, 7) + params.b
+    unit = Fraction(1, 2 * params.q * params.s * 7)
+    bad = {"position not interior to the named side": [
+               PointQ(x + unit, y), PointQ(x - unit, y), PointQ(x, lo),
+               PointQ(x, hi), PointQ(x, lo - unit), PointQ(x, hi + unit)],
+           "direction points into the obstacle": [(1, 1), (1, -1)],
+           "invalid orientation": [(0, 1), (-1, 2)]}
+    for message, changes in bad.items():
+        for change in changes:
+            field = "position" if isinstance(change, PointQ) else \
+                "orientation"
+            state = replace(good, **{field: change})
+            for check in (validate_state, Orbit, classify_trajectory):
+                with pytest.raises(DomainError, match=message):
+                    check(state, params)
+            pos = state.position
+            n0 = lcm(pos.x.denominator, pos.y.denominator)
+            with pytest.raises(DomainError, match=message):
+                Orbit.at(params, slope, n0,
+                         *_Lattice(params, slope, n0).encode(pos),
+                         state.side, state.cell, state.orientation)
+    tangent = replace(good, slope=Slope(1, 0))
+    for check in (validate_state, classify_trajectory):
+        with pytest.raises(DomainError,
+                           match="direction tangent to a vertical side"):
+            check(tangent, params)
+    validate_state(good, params)
+    with pytest.raises(AssertionError, match="off the collision lattice"):
+        _Lattice(params, slope, 1).encode(good.position)  # y has 7 in den
 
 
 def test_reduced_state_forgets_the_cell():
@@ -2523,3 +2565,38 @@ def test_found_walks_answer_random_tables_as_an_empty_store(monkeypatch):
             seen += found
             classes.add(params.parity_class)
     assert len({n0 for n0, _ in seen}) >= 3
+
+
+@pytest.mark.parametrize("slope", _BENCH_SLOPES)
+def test_found_cycle_above_the_cap_answers_as_a_fresh_store_walk(
+        slope, monkeypatch):
+    # a start on a recorded cycle whose period exceeds the cap is
+    # undetermined, with its extent at the cap read off the cycle: what a
+    # walk with a fresh store answers, at caps of the period less 1, about
+    # half the period, 33 and 31, from starts at several phases of the
+    # cycle and their images under the table's reflections
+    rng = random.Random(slope)
+    slope = Slope.parse(slope)
+    s = sample_boundary_starts(HALF, slope, 1, 1)[0]
+    start = make_state(HALF, (0, 0), s.side, s.offset, slope, s.orientation)
+    _cycle_store.cache_clear()
+    period = classify_trajectory(start, HALF, 30000).combinatorial_length
+    store = _cycle_store(HALF, slope.u, slope.v)
+    [cyc] = store.cycles
+    for j in (0, rng.randint(1, 40), rng.randint(41, period - 1)):
+        state = _mirror_state(later_state(HALF, start, j) if j else start,
+                              rng.randint(0, 1), rng.randint(0, 1))
+        walk = billiard._walk_period(Orbit(state, HALF), 33, store)
+        assert walk.found[0] is cyc
+        for cap in (period - 1, period // 2 + rng.randint(-3, 3), 33, 31):
+            got = classify_trajectory(state, HALF, cap)
+            fresh = billiard._walk_period(Orbit(state, HALF), cap,
+                                          billiard._CycleStore())
+            assert fresh.steps == cap and fresh.corner is None
+            assert got == TrajectoryOutcome(
+                Outcome.UNDETERMINED, cap,
+                Fraction(fresh.extent, slope.v * Orbit(state, HALF).lattice.N),
+                (0, 0))
+            assert got == _with_an_empty_store(
+                monkeypatch, classify_trajectory, state, HALF, cap)
+    assert store.cycles == [cyc]

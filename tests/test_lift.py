@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windtree.billiard import (Orbit, Outcome, _return_map,
+from windtree import billiard
+from windtree.billiard import (BilliardState, Orbit, Outcome, _return_map,
                                classify_trajectory, launch, make_state,
                                regular_start)
 from windtree.errors import CornerHit, DomainError
@@ -17,12 +18,13 @@ from windtree.lift import (LiftKind, abc_strip_check, fold_cell_point,
                            fold_to_table, lift_direction,
                            wpoint_orbit_partition)
 from windtree.origami import (MarkedPoint, Origami, _horizontal_cylinders,
-                              build_origami, decompose_direction,
+                              _l_shape_position, build_origami, decompose_direction,
                               decompose_table_direction,
                               scaled_direction_gcd, sl2z_act)
 
 from census import direction_cycles
-from support import fraction_fold_to_table, inverse_word, midpoint_state
+from support import (fraction_chain, fraction_fold_to_table, fraction_launch,
+                     fraction_lift, inverse_word, midpoint_state)
 
 HALF = classify_params(1, 2, 1, 2)
 TWO_THIRDS = classify_params(2, 3, 2, 3)
@@ -74,9 +76,9 @@ def test_strip_drift_is_the_first_regular_samples():
     # sheets of the table, whose drifts differ in the sign of m
     slope = Slope(3, 2)
     decomp = decompose_table_direction(HALF, slope)
-    samples = decomp.pull_back(list(lift._cylinder_samples(decomp, 1)))
+    samples = decomp._pull_back(list(lift._cylinder_samples(decomp, 1)))
     drifts = [lift._classify_fold(HALF, slope,
-                                  fold_cell_point(HALF, *pt))[1]
+                                  lift._fold_sample(HALF, *pt))[1]
               for pt in samples]
     assert drifts == [(-1, 2), (1, 2), (1, 2), (1, 2), (1, 2)]
     assert lift_direction(HALF, slope).x_behavior[1].drift == (-1, 2)
@@ -410,3 +412,145 @@ def test_direction_cycles_match_the_lift(text):
                     beh.factor * Fraction(cyl.circumference, g)
             else:
                 assert drift == beh.drift
+
+
+def _random_table(rng):
+    while True:
+        q, s = rng.randint(2, 12), rng.randint(2, 12)
+        p, r = rng.randint(1, q - 1), rng.randint(1, s - 1)
+        if gcd(p, q) == gcd(r, s) == 1:
+            return classify_params(p, q, r, s)
+
+
+def _random_slope(rng):
+    while True:
+        u, v = rng.randint(0, 12), rng.randint(0, 12)
+        if gcd(u, v) == 1:
+            return Slope(u, v)
+
+
+def _launched(launcher, *args):
+    """A launch's state or None, or the type and message it raises."""
+    try:
+        return launcher(*args)
+    except (CornerHit, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _corner_approach(params, slope, rng, orientation):
+    """A table point whose ray in ``orientation`` runs straight into a
+    corner of the origin obstacle, from outside it."""
+    sx, sy = orientation
+    while True:
+        cx, cy = rng.choice((1, -1)), rng.choice((1, -1))
+        if (cx, cy) != (sx, sy):
+            break
+    e = Fraction(1, 1000 * max(slope.u, slope.v))
+    return PointQ(cx * params.a / 2 - e * sx * slope.v,
+                  cy * params.b / 2 - e * sy * slope.u)
+
+
+def test_integer_launch_matches_the_fraction_launch():
+    # launch, the orbit it starts and its outcome against the Fraction
+    # launch, Orbit(BilliardState) and classify_trajectory: seeded random
+    # table points and rays into corners, random tables of all three
+    # parity classes, axis and non-axis slopes, all 4 orientations
+    rng = random.Random(29)
+    seen, classes = set(), set()
+    for _ in range(150):
+        params, slope = _random_table(rng), _random_slope(rng)
+        classes.add(params.parity_class)
+        den = rng.randint(1, 40)
+        points = [PointQ(Fraction(rng.randint(-3 * den, 3 * den), den),
+                         Fraction(rng.randint(-3 * den, 3 * den), den))
+                  for _ in range(3)]
+        for orientation in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            for point in (*points, _corner_approach(params, slope, rng,
+                                                    orientation)):
+                got = _launched(launch, params, point, slope, orientation)
+                want = _launched(fraction_launch, params, point, slope,
+                                 orientation)
+                assert got == want
+                if not isinstance(want, BilliardState):
+                    seen.add("corridor" if want is None else want[0])
+                    continue
+                seen.add(("axis", "state")[not slope.is_axis])
+                if slope.is_axis:
+                    continue
+                x, y = point
+                walk = billiard._hit_orbit(params, slope, billiard._launch(
+                    params, slope, x.numerator, x.denominator, y.numerator,
+                    y.denominator, orientation))
+                oracle = Orbit(want, params)
+                assert (walk.n0, walk.k, walk.t, walk.r, walk.cell) == \
+                    (oracle.n0, oracle.k, oracle.t, oracle.r, oracle.cell)
+                kind, steps, extent, drift, corner = billiard._classify(
+                    walk, 5000)
+                out = classify_trajectory(want, params, 5000)
+                assert (kind, steps, drift) == (out.kind,
+                                                out.combinatorial_length,
+                                                out.drift)
+                assert Fraction(extent, slope.v * walk.lattice.N) == \
+                    out.geometric_length
+                assert out.corner == (corner and PointQ(corner.x, corner.y))
+    assert len(classes) == 3
+    assert seen == {"corridor", CornerHit, DomainError, "axis", "state"}
+
+
+def test_fold_samples_classify_as_the_fraction_chain():
+    # lift's integer fold, launch and classification of pull-back points
+    # (cell, X/d, Y/d) against fold_to_table -> launch ->
+    # Orbit(BilliardState) -> classify_trajectory, point by point: the
+    # same fold point, the same lattice scale and start state on the
+    # quotient, and the same answer or exception
+    rng = random.Random(2891)
+    seen = set()
+    for _ in range(200):
+        params, slope = _random_table(rng), _random_slope(rng)
+        d = rng.randint(1, 30)
+        sample = (rng.randrange(params.q * params.s - params.p * params.r),
+                  rng.randrange(d), rng.randrange(d), d)
+        cell, X, Y, _ = sample
+        col, row = _l_shape_position(params, cell)
+        xn, xd, yn, yd = lift._fold_sample(params, *sample)
+        assert PointQ(Fraction(xn, xd), Fraction(yn, yd)) == \
+            fold_cell_point(params, cell, Fraction(X, d), Fraction(Y, d))
+        want = fraction_chain(params, slope, col + Fraction(X, d),
+                              row + Fraction(Y, d), (1, 1))
+        try:
+            got = lift._classify_fold(params, slope, (xn, xd, yn, yd))
+        except (CornerHit, DomainError) as exc:
+            got = (type(exc), str(exc))
+            if want[0] == "state":  # a singular orbit
+                assert want[3].kind is Outcome.SINGULAR
+                want = (CornerHit, str(CornerHit(want[3].corner.x,
+                                                 want[3].corner.y)))
+            seen.add(got[0])
+            assert got == want
+            continue
+        if want[0] == "corridor":
+            assert got == ("strip", (slope.v, slope.u))
+            seen.add("corridor")
+            continue
+        _, state, orbit, out = want
+        seen.add(out.kind)
+        if orbit is not None:
+            hit = billiard._launch(params, slope, xn, xd, yn, yd, (1, 1))
+            walk = billiard._hit_orbit(params, slope, hit)
+            assert (walk.n0, walk.k, walk.t, walk.r, walk.cell) == orbit
+        assert got == {Outcome.PERIODIC: ("closes", out.geometric_length),
+                       Outcome.ESCAPING: ("strip", out.drift),
+                       Outcome.UNDETERMINED: None}[out.kind]
+    assert {"corridor", DomainError, Outcome.PERIODIC,
+            Outcome.ESCAPING} <= seen
+
+
+@pytest.mark.parametrize("table", SWEEP_SURFACES)
+def test_lift_matches_the_fraction_chain_on_sweep_surfaces(table):
+    # cylinder by cylinder: kind, factor, and the drift with its signs
+    params = Params.parse(table)
+    for slope in mediant_enumerate(6):
+        report = lift_direction(params, slope)
+        assert tuple((b.kind, b.factor, b.drift)
+                     for b in report.x_behavior) == \
+            fraction_lift(params, slope), slope
